@@ -1,20 +1,22 @@
-"""One benchmark run: set-up, then training and serving in interleaved rounds.
+"""One benchmark run: a set-up, then training and serving in interleaved rounds.
 
 Every timed operation goes through ``Bench.op``, which counts it as attempted,
 times it, and counts it as failed if it raises.  Outputs are checked against
-``reference`` after the clock stops.  A run has two parts:
+``reference`` after the clock stops.  A run is a fixed amount of work set by
+its workload:
 
-* set-up, repeated ``setup_reps`` times: ingest, build the dataset, cluster,
-  initialise the model;
+* one set-up (ingest, build the dataset, cluster, initialise the model) whose
+  model is then served;
 * rounds (``Bench.run_rounds``): two-level training steps on the served model,
-  full-softmax steps on a second model, structure and ANN queries and eval
-  chunks, interleaved so that every metric samples the whole run.  test_nll is
-  taken when the served model has made ``train_steps`` steps, so it depends on
-  the seed alone.
+  full-softmax steps on a second model, more set-ups, and serving groups of
+  structure and ANN queries and eval chunks, interleaved so that every metric
+  samples the whole run.  test_nll is taken when the served model has made
+  ``train_steps`` steps, so it depends on the seed alone.
 """
 
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import math
@@ -37,6 +39,7 @@ from hsrec.trainer import TrainConfig
 
 from reference import TOL, Reference, metrics_of, rank_interval, report_error, topk_error
 from spans import Tracer
+from speed import Speed
 from workloads import Expected, Workload, make_inputs
 
 evaluation = importlib.import_module("hsrec.evaluate")  # the package re-exports a function under this name
@@ -54,11 +57,6 @@ PHASES = (
 )
 MAX_PROBLEMS = 20  # check failures kept for the report
 LOSS_EXAMPLES = 256  # train examples behind the before/after training NLL
-PROBE_LOOPS = 20_000  # about 1.5 ms of pure Python at 2 GHz
-PROBE_EVERY = 0.25  # seconds; the slow stretches last seconds
-# A timing counts only if the probe before it ran within this factor of the
-# run's fast probes (their 10th percentile); see probe().
-GATE = 1.2
 
 
 def maxrss_mb() -> float:
@@ -71,30 +69,28 @@ class Phase:
     attempted: int = 0
     failed: int = 0
     done: int = 0
-    samples: list[tuple[float, int, float]] = field(default_factory=list)  # (seconds, units, probe)
+    samples: list[tuple[float, float, int]] = field(default_factory=list)  # (start, seconds, units)
 
 
 class Bench:
-    def __init__(self, workload: Workload, seed: int, seconds: float, out_dir: Path, tracer: Tracer | None = None):
+    def __init__(self, workload: Workload, seed: int, out_dir: Path, tracer: Tracer | None = None):
         self.w = workload
         self.seed = seed
-        self.seconds = seconds
         self.out_dir = out_dir
+        self.input_path = out_dir / f"inputs-{workload.name}-{seed}.jsonl"
         self.tracer = tracer
         self.phases = {name: Phase() for name in PHASES}
         self.problems: list[str] = []
         self.n_checks = 0
         self.n_rounds = 0
-        self.rss_growth_mb = 0.0
+        self.rss_growth_mb = 0.0  # largest rise of peak RSS across one clustering call
         # Recomputed train-set NLL of each model before and after training.
         self.train_nll: dict[str, list[float]] = {"twolevel": [], "full": []}
         self.index = None
         self.test_nll = float("nan")
         self.quality: dict[str, float] = {}
         self.wall: dict[str, float] = {}  # wall seconds per stage, checks included
-        self.probes: list[float] = []
-        self.state = 0.0  # the latest probe
-        self.probed_at = -math.inf
+        self.speed = Speed()
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -107,7 +103,7 @@ class Bench:
 
     def op(self, phase: str, fn, *args, n: int = 1):
         """Run one timed operation covering ``n`` units of work; None if it raised."""
-        self.probe()
+        self.speed.probe()
         ph = self.phases[phase]
         ph.attempted += n
         start = perf_counter()
@@ -123,34 +119,14 @@ class Bench:
             return None
         elapsed = perf_counter() - start
         ph.done += n
-        ph.samples.append((elapsed, n, self.state))
+        ph.samples.append((start, elapsed, n))
         return out
 
-    def probe(self) -> None:
-        """Time a fixed piece of pure-Python work, at most every PROBE_EVERY s.
-
-        The machine this benchmark was tuned on slows every process by about
-        1.45x for stretches of seconds, at random.  The probe, taken outside
-        the timed region before an operation, tells those stretches apart; the
-        end-to-end metrics use the operations that ran after a fast probe
-        (``GATE``).
-        """
-        start = perf_counter()
-        if start - self.probed_at < PROBE_EVERY:
-            return
-        total = 0
-        for i in range(PROBE_LOOPS):
-            total += i * i
-        self.probed_at = perf_counter()
-        self.state = self.probed_at - start
-        self.probes.append(self.state)
-
-    def kept(self, phase: str) -> list[tuple[float, int]]:
-        """The phase's (seconds, units) timed after a fast probe; all if none were."""
-        limit = GATE * float(np.percentile(self.probes, 10))
-        samples = self.phases[phase].samples
-        rows = [(t, n) for t, n, state in samples if state <= limit]
-        return rows or [(t, n) for t, n, _ in samples]
+    def timings(self, phase: str, scaled: bool = True) -> list[tuple[float, int]]:
+        """The phase's (seconds, units), rescaled to the reference speed (``speed``)."""
+        return [
+            (t * self.speed.factor(start, t) if scaled else t, n) for start, t, n in self.phases[phase].samples
+        ]
 
     # -- set-up ----------------------------------------------------------
 
@@ -163,6 +139,14 @@ class Bench:
             softmax_mode=mode,
             eval_every=0,
         )
+
+    def _setup(self):
+        """One timed and checked set-up; its outputs, or None if it raised."""
+        gc.collect()  # every set-up starts from a collected heap
+        built = self.op("setup", self._setup_once)
+        if built is not None:
+            self._check_setup(*built)
+        return built
 
     def _setup_once(self):
         interactions = catalog.ingest_jsonl(self.input_path)
@@ -326,22 +310,17 @@ class Bench:
             self._eval_chunk(engine, n)
 
     def prepare(self) -> None:
-        """Inputs, the timed set-ups, the reference and the user order."""
+        """Inputs, the first set-up, the reference and the user order.
+
+        The input file stays until ``run`` ends: later set-ups read it again.
+        """
         w = self.w
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.input_path = self.out_dir / f"inputs-{w.name}-{self.seed}.jsonl"
-        try:
-            events = make_inputs(w, self.seed, self.input_path)
-            self.expected = exp = Expected.from_events(events)
-            built = None
-            for _ in range(w.setup_reps):
-                built = self.op("setup", self._setup_once) or built
-                if built is not None:
-                    self._check_setup(*built)
-        finally:
-            self.input_path.unlink(missing_ok=True)
+        events = make_inputs(w, self.seed, self.input_path)
+        self.expected = exp = Expected.from_events(events)
+        built = self._setup()
         if built is None:
-            raise RuntimeError("every set-up attempt failed")
+            raise RuntimeError("the first set-up failed")
         self.interactions, self.data, self.snap = built
         self.ref = Reference(self.snap)
         self.item_index = {item: i for i, item in enumerate(exp.items)}
@@ -356,11 +335,9 @@ class Bench:
         """Training and serving, interleaved over the whole run.
 
         A round makes ``steps_per_round`` two-level steps on the served model,
-        then serves groups until the round's share of ``seconds`` has passed
-        (at least one group, so every round's first queries meet the caches
-        the step left stale).  Rounds go on until ``train_steps`` steps are
-        made and ``seconds`` of serving have passed.  test_nll is taken when
-        the last step is made, so it depends on the seed alone.
+        one more set-up every ``setup_every`` rounds, then one serving group,
+        whose first queries meet the caches the steps left stale.  There are as many rounds as it takes to make ``train_steps``
+        steps; test_nll is taken when the last step is made.
         """
         w = self.w
         full = trainer.init_model(
@@ -374,10 +351,8 @@ class Bench:
         models = {"twolevel": self.snap, "full": full}
         for mode, snap in models.items():
             self._record_train_nll(mode, snap)
-        share = self.seconds / math.ceil(w.train_steps / w.steps_per_round)
-        done, served = 0, 0.0
-        while done < w.train_steps or served < self.seconds:
-            for step in range(done, min(done + w.steps_per_round, w.train_steps)):
+        for r in range(math.ceil(w.train_steps / w.steps_per_round)):
+            for step in range(r * w.steps_per_round, min((r + 1) * w.steps_per_round, w.train_steps)):
                 # Linear warm-up over the first 5 % of the steps (at a peak of
                 # 1.25 one catalog-200 seed in about twenty diverged near step
                 # 30 without it), then cosine decay.
@@ -392,20 +367,21 @@ class Bench:
                     for mode, snap in models.items():
                         self._record_train_nll(mode, snap)
                     self.wall["quality"] = perf_counter() - mark
-            done = min(done + w.steps_per_round, w.train_steps)
-            start = perf_counter()
+            if (r + 1) % w.setup_every == 0:
+                self._setup()
             self._group()
-            while perf_counter() - start < share:
-                self._group()
-            served += perf_counter() - start
             self.n_rounds += 1
 
     def run(self) -> dict:
         mark = perf_counter()
-        self.prepare()
-        mark = self._stage("setup", mark)
-        self.run_rounds()
-        self._stage("rounds", mark)
+        try:
+            self.prepare()
+            mark = self._stage("setup", mark)
+            self.run_rounds()
+            self._stage("rounds", mark)
+            self.speed.probe(force=True)  # the last operation's probe after it
+        finally:
+            self.input_path.unlink(missing_ok=True)
         self._check_losses()
         return self.result()
 
@@ -453,16 +429,16 @@ class Bench:
 
     # -- results ------------------------------------------------------------
 
-    def end_to_end(self) -> dict[str, tuple[float, str]]:
+    def end_to_end(self, scaled: bool = True) -> dict[str, tuple[float, str]]:
         def rate(phase: str, per: int = 1) -> float:
-            rows = self.kept(phase)
+            rows = self.timings(phase, scaled)
             return sum(n for _, n in rows) * per / sum(t for t, _ in rows)
 
         def pct(phase: str, q: float) -> float:
-            return float(np.percentile([t * 1e3 for t, _ in self.kept(phase)], q))
+            return float(np.percentile([t * 1e3 for t, _ in self.timings(phase, scaled)], q))
 
         return {
-            "setup_s": (statistics.median(t for t, _ in self.kept("setup")), "s"),
+            "setup_s": (statistics.median(t for t, _ in self.timings("setup", scaled)), "s"),
             "peak_rss_mb": (maxrss_mb(), "MB"),
             "train_examples_per_s": (rate("train.twolevel", self.w.batch_size), "1/s"),
             "full_train_examples_per_s": (rate("train.full", self.w.batch_size), "1/s"),
@@ -566,22 +542,20 @@ class Bench:
         report = {
             "workload": self.w.name,
             "seed": self.seed,
-            "seconds": self.seconds,
             "trace": self.tracer is not None,
             "rounds": self.n_rounds,
             "wall_s": self.wall,
             "phases": phases,
-            "kept_share": {
-                name: len(self.kept(name)) / len(ph.samples) for name, ph in self.phases.items() if ph.samples
-            },
             "probe_ms": {
-                "p10": float(np.percentile(self.probes, 10)) * 1e3,
-                "p50": float(np.percentile(self.probes, 50)) * 1e3,
-                "p90": float(np.percentile(self.probes, 90)) * 1e3,
+                "n": len(self.speed.seconds),
+                "p10": float(np.percentile(self.speed.seconds, 10)) * 1e3,
+                "p50": float(np.percentile(self.speed.seconds, 50)) * 1e3,
+                "p90": float(np.percentile(self.speed.seconds, 90)) * 1e3,
             },
             "checks": self.n_checks,
             "problems": self.problems,
             "end_to_end": {k: v for k, (v, _) in e2e.items()},
+            "end_to_end_unscaled": {k: v for k, (v, _) in self.end_to_end(scaled=False).items()},
             "per_layer": {k: v for k, (v, _) in layers.items()},
             "quality": self.quality,
             "numpy": np.__version__,
@@ -601,12 +575,12 @@ class Bench:
         }
 
 
-def run(workload: Workload, seed: int, seconds: float, trace: bool, out_dir: Path) -> dict:
+def run(workload: Workload, seed: int, trace: bool, out_dir: Path) -> dict:
     tracer = Tracer() if trace else None
     if tracer is not None:
         tracer.install()
     try:
-        return Bench(workload, seed, seconds, out_dir, tracer).run()
+        return Bench(workload, seed, out_dir, tracer).run()
     finally:
         if tracer is not None:
             tracer.uninstall()

@@ -6,11 +6,15 @@
 Runs ``perfbench/run.py`` once per seed and workload, one run at a time, and
 prints for every end-to-end metric its median, quartiles and spread (the
 distance between the quartiles as a share of the median, as
-``statistics.quantiles(values, n=4)`` gives them).  A bound is proposed at
-three times the largest spread over the workloads, rounded up to 0.05 and
-capped at 0.25; ``setup_s`` always gets 0.25.  The end-to-end figures are read
-from the run's report, so a traced run gives the traced figures.  Everything
-is also written to ``perfbench_out/spread-trace<0|1>.json``.
+``statistics.quantiles(values, n=4)`` gives them), then the same for the
+unscaled times.  A bound is proposed at three times the largest spread over
+the workloads, rounded up to 0.05 and capped at 0.25.  Timings (units s, ms
+and 1/s) get the cap whatever their spread: rescaled to a fixed speed they
+still follow the machine's state in part (see README.md), so a set of runs
+made while the machine is slow reads worse than a set made while it is fast.
+The end-to-end figures are read from the run's report, so a traced run gives
+the traced figures.  Everything is also written to
+``perfbench_out/spread-trace<0|1>.json``.
 """
 
 import argparse
@@ -20,6 +24,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+TIMING_UNITS = {"s", "ms", "1/s"}
 
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
@@ -52,24 +58,29 @@ def main(argv=None) -> int:
             line = json.loads(proc.stdout.strip().splitlines()[-1])
             report = json.loads((OUT / f"report-{name}-trace{args.trace}.json").read_text())
             runs.append({"seed": seed, "correct": line["correct"], "attempted": line["attempted"],
-                         "failed": line["failed"], "metrics": report["end_to_end"], "wall_s": report["wall_s"]})
+                         "failed": line["failed"], "metrics": report["end_to_end"],
+                         "unscaled": report["end_to_end_unscaled"], "wall_s": report["wall_s"]})
             print(f"{name} seed {seed}: correct={line['correct']} failed={line['failed']}/{line['attempted']}",
                   file=sys.stderr, flush=True)
         table[name] = {
             "runs": runs,
             "spread": {m: spread([r["metrics"][m] for r in runs]) for m in runs[0]["metrics"]},
+            "spread_unscaled": {m: spread([r["unscaled"][m] for r in runs]) for m in runs[0]["unscaled"]},
         }
 
-    print(f"{'metric':28s} " + " ".join(f"{n:>36s}" for n in table) + "   bound")
     bounds = {}
-    for metric in (m["name"] for m in spec["end_to_end"]):
-        cells, worst = [], 0.0
-        for name in table:
-            med, q1, q3, s = table[name]["spread"][metric]
-            worst = max(worst, s)
-            cells.append(f"{med:12.5g} [{q1:.4g}, {q3:.4g}] {s:5.3f}")
-        bounds[metric] = 0.25 if metric == "setup_s" else min(0.25, math.ceil(3 * worst * 20) / 20)
-        print(f"{metric:28s} " + " ".join(f"{c:>36s}" for c in cells) + f"   {bounds[metric]:.2f}")
+    for key in ("spread", "spread_unscaled"):
+        print(f"{key:28s} " + " ".join(f"{n:>36s}" for n in table) + "   bound")
+        for metric, unit in ((m["name"], m["unit"]) for m in spec["end_to_end"]):
+            cells, worst = [], 0.0
+            for name in table:
+                med, q1, q3, s = table[name][key][metric]
+                worst = max(worst, s)
+                cells.append(f"{med:12.5g} [{q1:.4g}, {q3:.4g}] {s:5.3f}")
+            bound = 0.25 if unit in TIMING_UNITS else min(0.25, math.ceil(3 * worst * 20) / 20)
+            if key == "spread":
+                bounds[metric] = bound
+            print(f"{metric:28s} " + " ".join(f"{c:>36s}" for c in cells) + f"   {bound:.2f}")
     OUT.mkdir(exist_ok=True)
     (OUT / f"spread-trace{args.trace}.json").write_text(json.dumps({"bounds": bounds, "table": table}, indent=1))
     return 0

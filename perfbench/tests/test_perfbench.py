@@ -21,6 +21,7 @@ sys.path.insert(0, str(BENCH_DIR))
 
 from bench import K, Bench, run  # noqa: E402
 from reference import TOL, metrics_of, rank_interval, report_error, topk_error  # noqa: E402
+from speed import REFERENCE_S, Speed  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 from hsrec import inference, trainer  # noqa: E402
@@ -39,7 +40,7 @@ def small(name: str, **changes):
         queries_per_group=3,
         eval_users=(2, 3, 3),
         quality_users=40,
-        setup_reps=2,
+        setup_every=2,
         dim=16,
         item_dim=24,
         batch_size=16,
@@ -57,7 +58,7 @@ def declared():
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 @pytest.mark.parametrize("trace", [False, True])
 def test_workload_runs_and_reports_every_metric(name, trace, tmp_path):
-    result = run(small(name), seed=3, seconds=0.2, trace=trace, out_dir=tmp_path)
+    result = run(small(name), seed=3, trace=trace, out_dir=tmp_path)
     assert result["correct"], result["problems"]
     assert result["failed"] == 0
     assert result["attempted"] == sum(p["attempted"] for p in result["phases"].values())
@@ -69,15 +70,16 @@ def test_workload_runs_and_reports_every_metric(name, trace, tmp_path):
 
 def test_popularity_check_passes_on_a_trained_model(tmp_path):
     w = small("catalog-200", train_steps=300, learning_rate=1.0, full_every=300, popularity_check=True)
-    result = run(w, seed=5, seconds=0.2, trace=False, out_dir=tmp_path)
+    result = run(w, seed=5, trace=False, out_dir=tmp_path)
     assert result["correct"], result["problems"]
 
 
 @pytest.fixture(scope="module")
 def bench(tmp_path_factory):
-    b = Bench(small("catalog-10k"), seed=4, seconds=0.1, out_dir=tmp_path_factory.mktemp("out"))
+    b = Bench(small("catalog-10k"), seed=4, out_dir=tmp_path_factory.mktemp("out"))
     b.prepare()
     b.run_rounds()
+    assert b.phases["setup"].attempted == 3
     assert not b.problems
     return b
 
@@ -152,6 +154,15 @@ def test_cluster_map_that_is_not_a_partition_is_rejected(bench):
     bench._check_setup(bench.interactions, bench.data, snap)
     assert any("partition" in p for p in bench.problems)
     bench.problems.clear()
+
+
+def test_operation_time_scales_by_the_probes_around_it():
+    sp = Speed()
+    sp.starts = [0.0, 1.0, 2.0, 3.0]
+    sp.seconds = [REFERENCE_S, 2 * REFERENCE_S, 4 * REFERENCE_S, REFERENCE_S]
+    assert sp.factor(1.0, 0.1) == 0.5  # only the probe at 1.0 lies within 0.5 s
+    assert sp.factor(0.8, 1.5) == pytest.approx(1 / 3)  # probes at 1.0 and 2.0: median 3x
+    assert sp.factor(9.0, 0.1) == 1.0  # none near: the last probe
 
 
 def test_exits_nonzero_without_the_program(tmp_path):

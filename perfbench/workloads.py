@@ -22,14 +22,14 @@ class Workload:
     n_groups: int
     clustering: str  # "kmeans" (co-occurrence SVD features) or "random"
     learning_rate: float  # peak; warm-up, then cosine decay over train_steps
-    train_steps: int  # two-level steps on the served model before test_nll is taken
-    steps_per_round: int  # two-level steps before each serving turn
+    train_steps: int  # two-level steps on the served model; the run makes exactly these
+    steps_per_round: int  # two-level steps before each serving group
     full_every: int  # one full-softmax step on a second model per this many two-level steps
     queries_per_group: int  # structure queries, and as many ANN queries, per serving group
     eval_users: tuple[int, int, int]  # users per group for the structure, ann and full engines
     quality_users: int  # test users behind test_nll
     popularity_check: bool  # the trained model must beat popularity on Recall@10
-    setup_reps: int = 3
+    setup_every: int  # one more timed set-up per this many rounds, besides the first
     dim: int = 64
     item_dim: int = 512
     batch_size: int = 64
@@ -48,10 +48,11 @@ WORKLOADS = {
             train_steps=1000,
             steps_per_round=10,
             full_every=10,
-            queries_per_group=20,
+            queries_per_group=16,
             eval_users=(5, 10, 10),
             quality_users=1000,
             popularity_check=True,
+            setup_every=10,
         ),
         Workload(
             name="catalog-10k",
@@ -60,13 +61,14 @@ WORKLOADS = {
             n_groups=50,
             clustering="random",
             learning_rate=1.0,
-            train_steps=14,
+            train_steps=16,
             steps_per_round=1,
             full_every=2,
             queries_per_group=8,
-            eval_users=(3, 48, 48),
+            eval_users=(3, 24, 24),
             quality_users=500,
             popularity_check=False,
+            setup_every=2,
         ),
     )
 }
