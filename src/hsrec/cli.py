@@ -104,7 +104,6 @@ _OPTIONS = {
         ("clusters", str, "kmeans", "clustering method, or 'all' for the ablation grid"),
         ("k", str, "1,10", "comma-separated recall cutoffs"),
         ("exclude_history", int, 0, "1 to drop history items from the ranking"),
-        ("threads", int, 1, "worker threads (1 guarantees determinism)"),
         ("steps", int, 500, "training steps per ablation run"),
         ("batch_size", int, 64, "batch size for ablation training"),
         ("learning_rate", float, 5e-3, "learning rate for ablation training"),
@@ -326,7 +325,6 @@ def _eval_single(opts: dict, out: Path) -> int:
             engine=engine,
             ks=ks,
             exclude_history=bool(opts["exclude_history"]),
-            threads=opts["threads"],
         )
         rows.append(
             report_csv_row(data.name, engine, snapshot.config.get("clustering", "?"), report)
@@ -356,7 +354,6 @@ def _eval_ablation(opts: dict, out: Path) -> int:
                 engine=engine,
                 ks=ks,
                 exclude_history=bool(opts["exclude_history"]),
-                threads=opts["threads"],
             )
             rows.append(report_csv_row(data.name, engine, clustering, report))
     _write_csv(out / "ablation.csv", rows)
@@ -404,27 +401,11 @@ def cmd_latency(opts: dict) -> int:
         rows = []
         for profile in profiles:
             specs = latency_mod.REFERENCE_SPECS[profile.name]
-            base = latency_mod.total_latency(profile, specs["id"])
             for encoder in encoders:
-                if encoder not in specs:
-                    continue
-                spec = specs[encoder]
-                total = latency_mod.total_latency(profile, spec)
-                lower, upper = latency_mod.speedup_bounds(spec, specs["id"])
-                rows.append(
-                    {
-                        "dataset": "reference",
-                        "encoder": encoder,
-                        "profile": profile.name,
-                        "tokens_per_item": spec.tokens_per_item,
-                        "prefill_ms": profile.prefill_ms(spec.prefill_tokens),
-                        "decode_ms": spec.tokens_per_item * profile.decode_ms,
-                        "total_ms": total,
-                        "speedup_vs_id": total / base,
-                        "speedup_lower_bound": lower,
-                        "speedup_upper_bound": upper,
-                    }
-                )
+                if encoder in specs:
+                    rows.append(
+                        latency_mod.latency_row("reference", encoder, profile, specs[encoder], specs["id"])
+                    )
     latency_mod.write_latency_csv(rows, out / "latency.csv")
     registry = {p.name: p.to_dict() for p in latency_mod.PROFILES.values()}
     (out / "profiles.json").write_text(

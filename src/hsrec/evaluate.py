@@ -1,23 +1,29 @@
 """Full-catalog ranking metrics over held-out targets.
 
-For every user the history is rendered ID-only, encoded, and the full item
-catalog is ranked by the chosen engine; the held-out target's 1-based rank
-drives the metrics.  Recall@K and NDCG@10 truncate at K; MRR uses the
-unbounded full-catalog rank.  With a single relevant item NDCG reduces to
-1/log2(rank + 1).
+For every user the history is rendered ID-only and encoded, the engine scores
+every item, and ``rank_from_scores`` (one tie-break, history exclusion and
+finiteness check for all engines) gives the held-out target's 1-based rank.
+``full`` enumerates log-probabilities and ``ann`` takes inner products with
+the additive index's item rows.  ``structure`` scores the target first, then
+only the clusters whose log P(cluster | H) reaches it; every other item stays
+-inf, which leaves the rank bitwise that of ``full``.  Recall@K and NDCG@10
+truncate at K; MRR uses the unbounded full-catalog rank.  With a single
+relevant item NDCG reduces to 1/log2(rank + 1).
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import Dataset, SequenceExample
 from .encoder import encode
-from .inference import build_additive_index, filter_items, topk_ann, topk_structure
+from .exceptions import TrainingDivergedError
+from .inference import ann_item_scores, build_additive_index, structure_item_scores
+# Not called here; perfbench/spans.py looks these names up on this module.
+from .inference import filter_items, topk_ann, topk_structure  # noqa: F401
 from .render import render_id_only
 from .snapshot import ModelSnapshot
 from .softmax import score_all
@@ -55,7 +61,11 @@ def metrics_from_ranks(ranks, ks=(1, 10)) -> MetricReport:
 
 
 def rank_from_scores(item_scores: np.ndarray, target_item: int, exclude=None) -> int:
-    """1-based rank of the target among item scores, ties by ascending index."""
+    """1-based rank of the target among item scores, ties by ascending index.
+
+    A non-finite target score raises :class:`TrainingDivergedError`: no score
+    compares greater than NaN, so a diverged model would otherwise rank first.
+    """
     scores = item_scores
     if exclude:
         scores = scores.copy()
@@ -63,6 +73,8 @@ def rank_from_scores(item_scores: np.ndarray, target_item: int, exclude=None) ->
             if idx != target_item:
                 scores[idx] = -np.inf
     s_t = scores[target_item]
+    if not np.isfinite(s_t):
+        raise TrainingDivergedError(f"target item {target_item} scored {s_t}; the model has diverged")
     higher = int(np.sum(scores > s_t))
     tied_before = int(np.sum((scores == s_t).nonzero()[0] < target_item))
     return higher + tied_before + 1
@@ -72,28 +84,15 @@ def _rank_one(snapshot: ModelSnapshot, data: Dataset, example: SequenceExample, 
     tables = snapshot.tables
     seq = render_id_only(example, data)
     query, _ = encode(seq, tables, snapshot.encoder)
-    exclude = set(example.history) if exclude_history else None
-    n_text = tables.n_text
-
     if engine == "full":
         cmap = snapshot.cluster_map if mode == "twolevel" else None
-        scores = score_all(query, tables, cmap, mode=mode)
-        return rank_from_scores(scores[n_text:], example.target, exclude)
-    if engine == "structure":
-        ranked, _ = topk_structure(query, tables.n_total, tables, snapshot.cluster_map)
+        scores = score_all(query, tables, cmap, mode=mode)[tables.n_text :]
     elif engine == "ann":
-        ranked = topk_ann(query, tables.n_total, index, tables)
+        scores = ann_item_scores(query, index, tables)
     else:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    items = filter_items(ranked, snapshot.space)
-    ordinals = items.ordinals
-    if exclude:
-        keep = np.asarray(
-            [o - n_text == example.target or (o - n_text) not in exclude for o in ordinals]
-        )
-        ordinals = ordinals[keep]
-    target_ordinal = n_text + example.target
-    return int(np.flatnonzero(ordinals == target_ordinal)[0]) + 1
+        scores = structure_item_scores(query, example.target, tables, snapshot.cluster_map)
+    exclude = set(example.history) if exclude_history else None
+    return rank_from_scores(scores, example.target, exclude)
 
 
 def evaluate(
@@ -103,7 +102,6 @@ def evaluate(
     examples: list[SequenceExample] | None = None,
     ks=(1, 10),
     exclude_history: bool = False,
-    threads: int = 1,
 ) -> MetricReport:
     """Rank the full catalog per test user and average the metrics.
 
@@ -121,15 +119,7 @@ def evaluate(
     if examples is None:
         examples = data.test_examples
     index = build_additive_index(snapshot.tables, snapshot.cluster_map) if engine == "ann" else None
-
-    def work(example):
-        return _rank_one(snapshot, data, example, engine, mode, index, exclude_history)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ranks = list(pool.map(work, examples))
-    else:
-        ranks = [work(e) for e in examples]
+    ranks = [_rank_one(snapshot, data, e, engine, mode, index, exclude_history) for e in examples]
     return metrics_from_ranks(ranks, ks=ks)
 
 

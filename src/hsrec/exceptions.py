@@ -10,7 +10,7 @@ class DataError(HsrecError):
 
 
 class SnapshotFormatError(HsrecError):
-    """Snapshot file is not readable: bad magic, version, or truncation."""
+    """Snapshot file is not readable: bad magic, version, truncation or trailer."""
 
 
 class StaleIndexError(HsrecError):

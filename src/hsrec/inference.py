@@ -16,6 +16,12 @@ Three engines:
                         approximate; scores are raw dot products, not
                         probabilities.
 
+Item-only paths serve recommendations and evaluation.  ``topk_items`` runs the
+best-first loop over item clusters only (P(cluster | H) still bounds every
+member, so this is the exact item-restricted top-k) or ranks the ANN index's
+item rows.  ``structure_item_scores`` scores only the item clusters that can
+reach a target's log-probability, which is enough to rank that target exactly.
+
 Ties are broken by ascending unified ordinal everywhere, so all engines are
 reproducible and comparable row-for-row.
 """
@@ -31,7 +37,7 @@ from .cluster import ClusterMap
 from .exceptions import StaleIndexError
 from .softmax import _query64, cluster_logits, log_softmax, member_log_conditionals, score_all
 from .tables import ModelTables
-from .tokens import TokenId, TokenSpace
+from .tokens import TokenSpace
 
 
 @dataclass(frozen=True)
@@ -43,9 +49,6 @@ class TopK:
 
     def __len__(self) -> int:
         return self.ordinals.size
-
-    def tokens(self, space: TokenSpace) -> list[TokenId]:
-        return [space.token_at(int(o)) for o in self.ordinals]
 
     def rows(self, space: TokenSpace, item_ids=None) -> list[dict]:
         out = []
@@ -99,21 +102,17 @@ def topk_exact(query, k: int, tables: ModelTables, cluster_map: ClusterMap) -> T
     return _rank_topk(score_all(query, tables, cluster_map, mode="twolevel"), k)
 
 
-def topk_structure(query, k: int, tables: ModelTables, cluster_map: ClusterMap):
-    """Exact top-k via best-first cluster expansion with bound-based pruning.
-
-    Returns ``(TopK, SearchStats)``.  A cluster whose log P(cluster | H) is
-    strictly below the current K-th best candidate cannot contain a better
-    token, so the remaining tail is pruned.  The strict comparison keeps exact
-    float ties expanding, preserving the ordinal tie-break of the oracle.
-    """
+def _best_first(query, k: int, tables: ModelTables, cluster_map: ClusterMap, with_text: bool):
+    """The best-first loop of ``topk_structure``; ``with_text=False`` skips
+    the text singletons, which gives the exact item-restricted top-k."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     q = _query64(query)
     n_text = tables.n_text
     cl = log_softmax(cluster_logits(q, tables))
     stats = SearchStats(tokens_scored=cluster_map.n_clusters)
-    expansion_order = np.lexsort((np.arange(cl.size), -cl))
+    clusters = np.arange(0 if with_text else n_text, cl.size)
+    expansion_order = clusters[np.lexsort((clusters, -cl[clusters]))]
 
     # Min-heap of the best-K seen so far, keyed so the root is the worst:
     # lowest log-probability first, then highest ordinal.
@@ -127,7 +126,7 @@ def topk_structure(query, k: int, tables: ModelTables, cluster_map: ClusterMap):
     for i, cluster_id in enumerate(expansion_order):
         bound = float(cl[cluster_id])
         if worst_beats(bound):
-            stats.clusters_pruned = cl.size - i
+            stats.clusters_pruned = expansion_order.size - i
             stats.max_pruned_logprob = bound
             break
         stats.clusters_expanded += 1
@@ -154,6 +153,41 @@ def topk_structure(query, k: int, tables: ModelTables, cluster_map: ClusterMap):
         ),
         stats,
     )
+
+
+def topk_structure(query, k: int, tables: ModelTables, cluster_map: ClusterMap):
+    """Exact top-k via best-first cluster expansion with bound-based pruning.
+
+    Returns ``(TopK, SearchStats)``.  A cluster whose log P(cluster | H) is
+    strictly below the current K-th best candidate cannot contain a better
+    token, so the remaining tail is pruned.  The strict comparison keeps exact
+    float ties expanding, preserving the ordinal tie-break of the oracle.
+    """
+    return _best_first(query, k, tables, cluster_map, with_text=True)
+
+
+def structure_item_scores(query, target_item: int, tables: ModelTables, cluster_map: ClusterMap) -> np.ndarray:
+    """Item log-probabilities wherever they can reach the target's, -inf elsewhere.
+
+    The target's cluster is scored first.  A cluster whose log P(cluster | H)
+    is below the target's log-probability bounds every member below it too,
+    so those members stay -inf and the target's rank equals enumeration's.
+    """
+    q = _query64(query)
+    n_text = tables.n_text
+    cl = log_softmax(cluster_logits(q, tables))[n_text:]
+    scores = np.full(tables.n_items, -np.inf)
+
+    def fill(cluster: int) -> None:
+        members, log_cond = member_log_conditionals(q, tables, cluster_map, cluster)
+        scores[members] = cl[cluster] + log_cond
+
+    target_cluster = int(cluster_map.item_assignment[target_item])
+    fill(target_cluster)
+    for cluster in np.flatnonzero(cl >= scores[target_item]).tolist():
+        if cluster != target_cluster:
+            fill(cluster)
+    return scores
 
 
 @dataclass
@@ -190,6 +224,16 @@ def build_additive_index(tables: ModelTables, cluster_map: ClusterMap) -> Additi
     )
 
 
+def ann_item_scores(query, index: AdditiveIndex, tables: ModelTables) -> np.ndarray:
+    """Inner products of the query with the index's item rows; a stale index raises."""
+    if index.tables_version != tables.version:
+        raise StaleIndexError(
+            f"index built at tables version {index.tables_version}, "
+            f"tables are now at {tables.version}; rebuild the index"
+        )
+    return index.vectors[index.n_text :] @ _query64(query)
+
+
 def topk_ann(
     query,
     k: int,
@@ -207,13 +251,11 @@ def topk_ann(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if index.tables_version != tables.version:
-        raise StaleIndexError(
-            f"index built at tables version {index.tables_version}, "
-            f"tables are now at {tables.version}; rebuild the index"
-        )
+    item_scores = ann_item_scores(query, index, tables)
     q = _query64(query)
-    scores = index.vectors @ q
+    # Text rows are scored apart so that item scores are bitwise those of the
+    # item-only paths: one product over all rows can round a row differently.
+    scores = np.concatenate((index.vectors[: index.n_text] @ q, item_scores))
     if probes is None:
         return _rank_topk(scores, k)
 
@@ -244,26 +286,21 @@ def topk_items(
     space: TokenSpace,
     engine: str = "structure",
     index: AdditiveIndex | None = None,
-    overfetch: int = 4,
 ) -> TopK:
-    """Item-only top-k: over-fetch ``overfetch * k`` tokens, filter, truncate.
+    """Item-only top-k; ordinals are unified, ties by ascending ordinal.
 
-    The fetch width doubles until k items survive filtering (or the whole
-    space has been ranked).
+    ``structure`` runs the best-first search over item clusters only and
+    equals ``filter_items(topk_exact(query, n_total, ...))`` truncated to k.
+    ``ann`` ranks the item rows of the prebuilt additive ``index``.
     """
-    fetch = min(max(overfetch * k, k), tables.n_total)
-    while True:
-        if engine == "structure":
-            ranked, _ = topk_structure(query, fetch, tables, cluster_map)
-        elif engine == "exact":
-            ranked = topk_exact(query, fetch, tables, cluster_map)
-        elif engine == "ann":
-            if index is None:
-                raise ValueError("ann engine requires a prebuilt additive index")
-            ranked = topk_ann(query, fetch, index, tables)
-        else:
-            raise ValueError(f"unknown engine {engine!r}")
-        items = filter_items(ranked, space)
-        if len(items) >= k or fetch >= tables.n_total:
-            return TopK(ordinals=items.ordinals[:k], scores=items.scores[:k])
-        fetch = min(fetch * 2, tables.n_total)
+    if engine == "structure":
+        ranked, _ = _best_first(query, k, tables, cluster_map, with_text=False)
+        return ranked
+    if engine != "ann":
+        raise ValueError(f"unknown engine {engine!r}; choose 'structure' or 'ann'")
+    if index is None:
+        raise ValueError("ann engine requires a prebuilt additive index")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    ranked = _rank_topk(ann_item_scores(query, index, tables), k)
+    return TopK(ordinals=space.n_text + ranked.ordinals, scores=ranked.scores)

@@ -215,6 +215,24 @@ def measure_m(data: Dataset, encoder: str = "id") -> TokenCountStats:
     return TokenCountStats(encoder=encoder, n_items=arr.size, mean=float(arr.mean()), histogram=hist)
 
 
+def latency_row(dataset: str, encoder: str, profile: DeploymentProfile, spec: EncodingSpec, single: EncodingSpec) -> dict:
+    """One latency-table row: ``spec`` on ``profile``, with its speedup over ``single``."""
+    total = total_latency(profile, spec)
+    lower, upper = speedup_bounds(spec, single)
+    return {
+        "dataset": dataset,
+        "encoder": encoder,
+        "profile": profile.name,
+        "tokens_per_item": spec.tokens_per_item,
+        "prefill_ms": profile.prefill_ms(spec.prefill_tokens),
+        "decode_ms": spec.tokens_per_item * profile.decode_ms,
+        "total_ms": total,
+        "speedup_vs_id": total / total_latency(profile, single),
+        "speedup_lower_bound": lower,
+        "speedup_upper_bound": upper,
+    }
+
+
 def latency_table(
     data: Dataset,
     profiles=None,
@@ -231,27 +249,11 @@ def latency_table(
     rows = []
     single = EncodingSpec(1, history_len, const_tokens)
     for profile in profiles:
-        base_ms = total_latency(profile, single)
         for name in encoders:
             stats = measure_m(data, name)
             m = max(1, int(round(stats.mean)))
             spec = EncodingSpec(m, history_len, const_tokens)
-            total = total_latency(profile, spec)
-            lower, upper = speedup_bounds(spec, single)
-            rows.append(
-                {
-                    "dataset": data.name,
-                    "encoder": name,
-                    "profile": profile.name,
-                    "tokens_per_item": m,
-                    "prefill_ms": profile.prefill_ms(spec.prefill_tokens),
-                    "decode_ms": m * profile.decode_ms,
-                    "total_ms": total,
-                    "speedup_vs_id": total / base_ms,
-                    "speedup_lower_bound": lower,
-                    "speedup_upper_bound": upper,
-                }
-            )
+            rows.append(latency_row(data.name, name, profile, spec, single))
     return rows
 
 

@@ -13,8 +13,9 @@ Little-endian layout::
         encoder MLP (hidden weight/bias, output weight/bias),
         u64 metadata length + JSON metadata (vocab words, item ids, config)
 
-Round trips are bit-identical.  Wrong magic or version and truncated files
-raise :class:`SnapshotFormatError`.
+Round trips are bit-identical.  Wrong magic or version, truncated files,
+bytes after the metadata and metadata that is not UTF-8 JSON raise
+:class:`SnapshotFormatError`.
 """
 
 from __future__ import annotations
@@ -136,7 +137,13 @@ def load_snapshot(path) -> ModelSnapshot:
         out_w = _read_array(fh, (dim, dim), dtype)
         out_b = _read_array(fh, (dim,), dtype)
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-        meta = json.loads(_read_exact(fh, meta_len).decode("utf-8"))
+        meta_bytes = _read_exact(fh, meta_len)
+        if fh.read(1):
+            raise SnapshotFormatError("trailing bytes after the metadata trailer")
+    try:
+        meta = json.loads(meta_bytes.decode("utf-8"))
+    except ValueError as exc:
+        raise SnapshotFormatError(f"metadata trailer is not UTF-8 JSON: {exc}") from exc
 
     tables = ModelTables(
         EmbeddingTable(text),

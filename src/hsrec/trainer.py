@@ -26,7 +26,7 @@ from .cluster import (
     init_centroids,
 )
 from .encoder import encode, encode_backward, init_encoder
-from .evaluate import evaluate, rank_from_scores
+from .evaluate import evaluate
 from .exceptions import DataError, TrainingDivergedError
 from .inference import topk_items
 from .render import render_example, render_id_only
@@ -165,17 +165,7 @@ def validation_recall(snapshot: ModelSnapshot, data: Dataset, k: int = 10, sampl
     examples = data.val_examples
     if sample and len(examples) > sample:
         examples = examples[:sample]
-    mode = snapshot.config.get("softmax_mode", "twolevel")
-    cmap = snapshot.cluster_map if mode == "twolevel" else None
-    tables = snapshot.tables
-    hits = 0
-    for example in examples:
-        seq = render_id_only(example, data)
-        query, _ = encode(seq, tables, snapshot.encoder)
-        scores = score_all(query, tables, cmap, mode=mode)
-        rank = rank_from_scores(scores[tables.n_text :], example.target)
-        hits += rank <= k
-    return hits / len(examples)
+    return evaluate(snapshot, data, engine="full", examples=examples, ks=(k,)).recall[k]
 
 
 @dataclass

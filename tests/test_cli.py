@@ -132,6 +132,22 @@ def test_eval_reproducible_byte_identical(corpus, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_eval_rejects_corrupt_snapshot_trailers(corpus, tmp_path, capsys):
+    run(["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", tmp_path])
+    good = tmp_path / "snapshot.hsrc"
+    blob = good.read_bytes()
+    trailing, bad_utf8 = tmp_path / "t.hsrc", tmp_path / "u.hsrc"
+    trailing.write_bytes(blob + b"\x00")
+    bad_utf8.write_bytes(blob[:-1] + b"\xff")
+    for path in (trailing, bad_utf8):
+        capsys.readouterr()
+        assert run(["eval", "--data", corpus, "--snapshot", path, "--out-dir", tmp_path]) == 2
+        trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert trailer["error"]["code"] == 2
+    # The eval thread pool is gone, and with it the flag.
+    assert run(["eval", "--data", corpus, "--snapshot", good, "--threads", 2]) == 1
+
+
 def test_latency_reference_table(tmp_path):
     code = run(["latency", "--profile", "all", "--encoder", "all", "--out-dir", tmp_path])
     assert code == 0

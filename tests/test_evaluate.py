@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from hsrec.evaluate import (
     rank_from_scores,
     report_csv_row,
 )
+from hsrec.exceptions import TrainingDivergedError
 from hsrec.trainer import TrainConfig, init_model, train
 
 
@@ -76,9 +79,10 @@ def test_rank_excludes_history_but_never_target():
 
 def test_structure_engine_equals_enumeration_bitwise(trained):
     data, snapshot = trained
-    structure = evaluate(snapshot, data, engine="structure")
-    enumerated = evaluate(snapshot, data, engine="full")
-    assert structure == enumerated  # bit-for-bit equal reports
+    for exclude_history in (False, True):
+        structure = evaluate(snapshot, data, engine="structure", exclude_history=exclude_history)
+        enumerated = evaluate(snapshot, data, engine="full", exclude_history=exclude_history)
+        assert structure == enumerated, exclude_history  # bit-for-bit equal reports
 
 
 def test_ann_engine_runs_and_reports(trained):
@@ -96,11 +100,23 @@ def test_exclude_history_changes_nothing_for_unseen_targets(trained):
     assert without.mrr >= with_hist.mrr - 1e-12
 
 
-def test_threads_do_not_change_results(trained):
+@pytest.mark.parametrize("engine", ["full", "structure", "ann"])
+def test_nan_model_raises_instead_of_ranking_first(trained, engine):
+    # No score compares greater than a NaN target score, so a diverged model
+    # would read as perfect if the rank were taken at face value.
     data, snapshot = trained
-    a = evaluate(snapshot, data, engine="structure", threads=1)
-    b = evaluate(snapshot, data, engine="structure", threads=4)
-    assert a == b
+    diverged = copy.deepcopy(snapshot)
+    diverged.tables.text.data[:] = np.nan
+    with pytest.raises(TrainingDivergedError, match="diverged"):
+        evaluate(diverged, data, engine=engine)
+
+
+def test_rank_from_scores_rejects_non_finite_target():
+    scores = np.array([1.0, np.nan, -np.inf])
+    assert rank_from_scores(scores, 0) == 1
+    for target in (1, 2):
+        with pytest.raises(TrainingDivergedError):
+            rank_from_scores(scores, target)
 
 
 def test_engine_mode_consistency_enforced(tmp_path):

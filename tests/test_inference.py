@@ -205,11 +205,48 @@ def test_filter_items():
     assert items.scores.tolist() == [5.0, 3.0, 1.0]
 
 
-def test_topk_items_overfetch_until_k_items():
-    # Text tokens dominate the head of the ranking; the item fetch must widen.
-    tables, cmap, rng = random_model(30, 10, 4, 3, 2, seed=10)
-    tables.text.data += 2.0  # push text above items
-    space = TokenSpace(30, 10)
-    top = topk_items(rng.standard_normal(4), 5, tables, cmap, space, engine="structure")
-    assert len(top) == 5
-    assert np.all(top.ordinals >= 30)
+def _topk_items_cases():
+    """Random models; one pushes its text rows above every item, one has
+    identical item rows so that scores tie inside each cluster."""
+    for seed in range(12):
+        dim = (6, 16)[seed % 2]
+        tables, cmap, rng = random_model(5 + seed % 7, 20 + 3 * seed, dim, 4, 3 + seed % 5, seed=seed)
+        yield tables, cmap, rng.standard_normal(dim)
+    tables, cmap, rng = random_model(30, 10, 16, 3, 2, seed=10)
+    tables.text.data += 2.0
+    yield tables, cmap, rng.standard_normal(16)
+    tables, cmap, rng = random_model(8, 24, 16, 3, 4, seed=11)
+    tables.item_raw.data[:] = tables.item_raw.data[0]
+    yield tables, cmap, rng.standard_normal(16)
+
+
+@pytest.mark.parametrize("engine", ["structure", "ann"])
+def test_topk_items_equals_filtered_full_ranking(engine):
+    # Oracle: rank every token, keep the items in order, truncate to k.
+    for tables, cmap, q in _topk_items_cases():
+        space = TokenSpace(tables.n_text, tables.n_items)
+        index = build_additive_index(tables, cmap)
+        if engine == "structure":
+            ranked = topk_exact(q, tables.n_total, tables, cmap)
+        else:
+            ranked = topk_ann(q, tables.n_total, index, tables)
+        items = filter_items(ranked, space)
+        for k in (1, 5, tables.n_items, tables.n_items + 3):
+            top = topk_items(q, k, tables, cmap, space, engine=engine, index=index)
+            assert np.array_equal(top.ordinals, items.ordinals[:k])
+            assert np.array_equal(top.scores, items.scores[:k])
+
+
+def test_topk_items_engines():
+    tables, cmap, rng = random_model(4, 8, 4, 3, 2, seed=12)
+    space = TokenSpace(4, 8)
+    q = rng.standard_normal(4)
+    for engine in ("exact", "full"):
+        with pytest.raises(ValueError, match="unknown engine"):
+            topk_items(q, 3, tables, cmap, space, engine=engine)
+    with pytest.raises(ValueError, match="index"):
+        topk_items(q, 3, tables, cmap, space, engine="ann")
+    index = build_additive_index(tables, cmap)
+    tables.bump_version()
+    with pytest.raises(StaleIndexError):
+        topk_items(q, 3, tables, cmap, space, engine="ann", index=index)

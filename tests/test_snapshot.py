@@ -67,6 +67,27 @@ def test_truncated_file_rejected(snapshot, tmp_path):
         load_snapshot(path)
 
 
+def test_trailing_bytes_rejected(snapshot, tmp_path):
+    path = tmp_path / "model.hsrc"
+    save_snapshot(snapshot, path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(SnapshotFormatError, match="trailing"):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize("last_byte", [b"\xff", b" "])
+def test_corrupt_metadata_trailer_rejected(snapshot, tmp_path, last_byte):
+    # The trailer's closing brace is the file's last byte: 0xff is never valid
+    # UTF-8, and a space leaves the JSON object unclosed.
+    path = tmp_path / "model.hsrc"
+    save_snapshot(snapshot, path)
+    blob = path.read_bytes()
+    assert blob.endswith(b"}")
+    path.write_bytes(blob[:-1] + last_byte)
+    with pytest.raises(SnapshotFormatError, match="UTF-8 JSON"):
+        load_snapshot(path)
+
+
 def test_loaded_snapshot_scores_identically(snapshot, tmp_path):
     from hsrec.softmax import score_all
 
