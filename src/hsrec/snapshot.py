@@ -13,9 +13,10 @@ Little-endian layout::
         encoder MLP (hidden weight/bias, output weight/bias),
         u64 metadata length + JSON metadata (vocab words, item ids, config)
 
-Round trips are bit-identical.  Wrong magic or version, truncated files,
-bytes after the metadata and metadata that is not UTF-8 JSON raise
-:class:`SnapshotFormatError`.
+Round trips are bit-identical, and loaded arrays are writable, so a loaded
+model can be trained further.  Wrong magic or version, truncated files, NaN
+or Inf in a float payload, bytes after the metadata and metadata that is not
+UTF-8 JSON raise :class:`SnapshotFormatError`.
 """
 
 from __future__ import annotations
@@ -69,8 +70,15 @@ def _read_exact(fh, n: int) -> bytes:
 
 def _read_array(fh, shape, dtype) -> np.ndarray:
     n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    arr = np.frombuffer(_read_exact(fh, n_bytes), dtype=dtype).reshape(shape)
-    return np.ascontiguousarray(arr)
+    # A copy: an array over the read bytes would be read-only.
+    return np.frombuffer(_read_exact(fh, n_bytes), dtype=dtype).reshape(shape).copy()
+
+
+def _read_floats(fh, shape, dtype, name: str) -> np.ndarray:
+    arr = _read_array(fh, shape, dtype)
+    if not np.isfinite(arr).all():
+        raise SnapshotFormatError(f"snapshot {name} payload contains NaN or Inf")
+    return arr
 
 
 def save_snapshot(snapshot: ModelSnapshot, path) -> None:
@@ -126,16 +134,16 @@ def load_snapshot(path) -> ModelSnapshot:
             raise SnapshotFormatError(f"unknown precision code {precision}")
         dtype = _PRECISION_DTYPE[precision]
 
-        text = _read_array(fh, (n_text, dim), dtype)
-        item_raw = _read_array(fh, (n_items, item_dim), dtype)
-        proj_w = _read_array(fh, (dim, item_dim), dtype)
-        proj_b = _read_array(fh, (dim,), dtype)
-        centroids = _read_array(fh, (n_item_clusters, dim), dtype)
+        text = _read_floats(fh, (n_text, dim), dtype, "text table")
+        item_raw = _read_floats(fh, (n_items, item_dim), dtype, "item table")
+        proj_w = _read_floats(fh, (dim, item_dim), dtype, "projection weight")
+        proj_b = _read_floats(fh, (dim,), dtype, "projection bias")
+        centroids = _read_floats(fh, (n_item_clusters, dim), dtype, "centroid table")
         assignment = _read_array(fh, (n_text + n_items,), np.dtype("<u4"))
-        hidden_w = _read_array(fh, (dim, dim), dtype)
-        hidden_b = _read_array(fh, (dim,), dtype)
-        out_w = _read_array(fh, (dim, dim), dtype)
-        out_b = _read_array(fh, (dim,), dtype)
+        hidden_w = _read_floats(fh, (dim, dim), dtype, "encoder hidden weight")
+        hidden_b = _read_floats(fh, (dim,), dtype, "encoder hidden bias")
+        out_w = _read_floats(fh, (dim, dim), dtype, "encoder output weight")
+        out_b = _read_floats(fh, (dim,), dtype, "encoder output bias")
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8))
         meta_bytes = _read_exact(fh, meta_len)
         if fh.read(1):

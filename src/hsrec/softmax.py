@@ -12,6 +12,13 @@ example instead of one per token.  All probability math runs in the log
 domain with max-shifted logsumexp; queries are promoted to float64 so
 reductions accumulate in double precision even over float32 tables.
 
+Training takes one batched step: :func:`nll_and_grad_batch` scores a ``(B, d)``
+query matrix with one ``(B, n)`` GEMM of cluster (or full) logits and a
+row-wise logsumexp, then one small GEMM per distinct target cluster for the
+member softmaxes; the text, centroid and projected-item gradients are
+``P.T @ Q`` products.  Its losses, gradients and dot count equal the sum of
+per-example :func:`nll_and_grad` calls, which stays as the test oracle.
+
 A :class:`CostCounter` tallies d-dimensional dot products so the cost claims
 are measurable rather than asserted.
 """
@@ -56,6 +63,11 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 def _logsumexp(x: np.ndarray) -> float:
     m = x.max()
     return float(m + np.log(np.exp(x - m).sum()))
+
+
+def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
+    m = x.max(axis=1, keepdims=True)
+    return (m + np.log(np.exp(x - m).sum(axis=1, keepdims=True)))[:, 0]
 
 
 def _query64(query) -> np.ndarray:
@@ -193,6 +205,7 @@ def nll_and_grad(
         d_query = tables.text.data.T @ p[:n_text] + tables.item_projected().T @ p[n_text:]
         grads.d_text += np.outer(p[:n_text], q)
         grads.d_item_proj += np.outer(p[n_text:], q)
+        grads.item_touched[:] = True
         return loss, d_query, grads
 
     if cluster_map is None:
@@ -221,8 +234,94 @@ def nll_and_grad(
         pm[pos] -= 1.0
         d_query = d_query + tables.item_projected()[members].T @ pm
         grads.d_item_proj[members] += np.outer(pm, q)
+        grads.item_touched[members] = True
     else:
         # Text target: its singleton's conditional is 1, so no second level.
         if counter is not None:
             counter.add(1)
     return loss, d_query, grads
+
+
+def nll_and_grad_batch(
+    queries,
+    targets,
+    tables: ModelTables,
+    cluster_map: ClusterMap | None,
+    mode: str = "twolevel",
+    grads: GradBuffer | None = None,
+    counter: CostCounter | None = None,
+):
+    """Cross-entropy losses and exact gradients for a batch of examples.
+
+    ``queries`` is ``(B, d)`` and ``targets`` holds ``B`` ordinals.  Returns
+    ``(losses, d_queries, grads)`` with ``losses`` of shape ``(B,)`` and
+    ``d_queries`` of shape ``(B, d)``; head gradients accumulate into
+    ``grads`` as :func:`nll_and_grad` would for each example in turn.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    q = np.asarray(queries, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.int64)
+    if q.ndim != 2 or t.shape != (q.shape[0],):
+        raise ValueError(f"need (B, d) queries and B targets, got shapes {q.shape} and {t.shape}")
+    if t.size and (t.min() < 0 or t.max() >= tables.n_total):
+        raise ValueError("target ordinal out of range")
+    if grads is None:
+        grads = GradBuffer(tables)
+    grads.n_examples += t.size
+    n_text = tables.n_text
+    is_item = t >= n_text
+    if mode == "full":
+        # Full mode: every token is its own first-level class.
+        heads = np.concatenate([tables.text.data, tables.item_projected()], dtype=np.float64)
+        first = t
+    else:
+        if cluster_map is None:
+            raise ValueError("two-level mode requires a cluster map")
+        heads = np.concatenate([tables.text.data, tables.centroids.data], dtype=np.float64)
+        first = t.copy()
+        first[is_item] = n_text + cluster_map.item_assignment[t[is_item] - n_text]
+
+    # First level: one (B, n) GEMM and a row-wise logsumexp.  The float64
+    # copy of the tables is made once, not cast again inside every product.
+    logits = q @ heads.T
+    if counter is not None:
+        counter.add(t.size * heads.shape[0])
+    log_norm = _logsumexp_rows(logits)
+    batch = np.arange(t.size)
+    losses = log_norm - logits[batch, first]
+    p = np.subtract(logits, log_norm[:, None], out=logits)
+    np.exp(p, out=p)
+    p[batch, first] -= 1.0
+    d_queries = p @ heads
+    d_heads = p.T @ q
+    grads.d_text += d_heads[:n_text]
+    if mode == "full":
+        grads.d_item_proj += d_heads[n_text:]
+        grads.item_touched[:] = True
+        return losses, d_queries, grads
+    grads.d_centroids += d_heads[n_text:]
+    if counter is not None:
+        # Text targets: their singleton's conditional is 1, one dot each.
+        counter.add(t.size - int(is_item.sum()))
+
+    # Second level: one GEMM per distinct target item cluster.
+    items = tables.item_projected()
+    for cluster in np.unique(first[is_item]):
+        rows = np.flatnonzero(first == cluster)
+        members = cluster_map.item_members(int(cluster) - n_text)
+        member_rows = items[members].astype(np.float64)
+        member_logits = q[rows] @ member_rows.T
+        if counter is not None:
+            counter.add(rows.size * members.size)
+        m_norm = _logsumexp_rows(member_logits)
+        # Members are in ascending item order (ClusterMap sorts them stably).
+        pos = np.searchsorted(members, t[rows] - n_text)
+        within = np.arange(rows.size)
+        losses[rows] += m_norm - member_logits[within, pos]
+        pm = np.exp(member_logits - m_norm[:, None])
+        pm[within, pos] -= 1.0
+        d_queries[rows] += pm @ member_rows
+        grads.d_item_proj[members] += pm.T @ q[rows]
+        grads.item_touched[members] = True
+    return losses, d_queries, grads

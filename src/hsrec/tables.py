@@ -7,6 +7,14 @@ direct ``d``-dimensional table.  Item-cluster centroids are a separate
 learnable table; text tokens act as their own singleton clusters, so their
 "centroid" is the text embedding row itself (one shared parameter, not a
 copy).
+
+A training step accumulates into a :class:`GradBuffer`.  Item gradients land on
+the *projected* rows, and the buffer records which item rows received any: the
+members of the batch's target clusters and the history items in two-level
+mode, every row in full mode.  :meth:`GradBuffer.finalize` chains only those
+rows through the projection head, and returns the raw-item gradient as an
+:class:`ItemRowGrad`, zero outside the touched rows and formed a row block at
+a time, so no ``(|I|, k)`` float64 array is made.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import numpy as np
 from .validation import check_finite, check_random_state
 
 FLOAT_DTYPES = (np.float32, np.float64)
+ROW_BLOCK = 1024  # item rows chained through the head, or updated, at a time
 
 
 class EmbeddingTable:
@@ -210,18 +219,45 @@ def item_parameter_count(n_items: int, item_dim: int) -> int:
     return n_items * item_dim
 
 
-class GradBuffer:
-    """Dense accumulators for one batch, in float64.
+@dataclass
+class ItemRowGrad:
+    """Gradient of the raw item table: zero outside ``rows``, kept as ``d_proj @ weight``.
 
-    Output-side item gradients are collected on the *projected* rows; call
-    :meth:`finalize` once per batch to chain them through the projection head
-    (one matmul per batch instead of one per example).
+    :meth:`blocks` forms it ``ROW_BLOCK`` rows at a time; ``np.asarray`` gives
+    the dense ``(n_items, k)`` array.
+    """
+
+    rows: np.ndarray  # (r,) ascending item indices that received gradient
+    d_proj: np.ndarray  # (r, d) their projected-row gradients
+    weight: np.ndarray  # (d, k) float64 copy of the projection weight they were projected with
+    n_items: int
+
+    def blocks(self):
+        """(item indices, their (len, k) float64 gradient) per row block."""
+        for lo in range(0, self.rows.size, ROW_BLOCK):
+            yield self.rows[lo : lo + ROW_BLOCK], self.d_proj[lo : lo + ROW_BLOCK] @ self.weight
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.zeros((self.n_items, self.weight.shape[1]), dtype=dtype or np.float64)
+        for rows, grad in self.blocks():
+            out[rows] = grad
+        return out
+
+
+class GradBuffer:
+    """Accumulators for one batch, in float64.
+
+    Output-side item gradients are collected on the *projected* rows, and
+    ``item_touched`` marks the item rows that received any; call
+    :meth:`finalize` once per batch to chain those rows through the
+    projection head.
     """
 
     def __init__(self, tables: ModelTables, encoder=None):
         d = tables.dim
         self.d_text = np.zeros((tables.n_text, d))
         self.d_item_proj = np.zeros((tables.n_items, d))
+        self.item_touched = np.zeros(tables.n_items, dtype=bool)
         self.d_centroids = np.zeros((tables.n_item_clusters, d))
         self.encoder_grads = None
         if encoder is not None:
@@ -231,15 +267,24 @@ class GradBuffer:
             }
         self.n_examples = 0
 
-    def finalize(self, tables: ModelTables) -> dict[str, np.ndarray]:
-        """Chain projected-item gradients back to raw items and the head."""
+    def finalize(self, tables: ModelTables) -> dict:
+        """Chain the touched projected-item rows back to raw items and the head.
+
+        Untouched rows have zero gradient, so they add nothing to the head's
+        gradient; the raw rows are read ``ROW_BLOCK`` at a time.
+        """
+        rows = np.flatnonzero(self.item_touched)
+        d_proj = self.d_item_proj[rows]
         raw = tables.item_raw.data
-        weight = tables.projection.weight
+        d_weight = np.zeros((tables.dim, tables.item_dim))
+        for lo in range(0, rows.size, ROW_BLOCK):
+            d_weight += d_proj[lo : lo + ROW_BLOCK].T @ raw[rows[lo : lo + ROW_BLOCK]].astype(np.float64)
+        weight = np.array(tables.projection.weight, dtype=np.float64)
         grads = {
             "text": self.d_text,
-            "item_raw": self.d_item_proj @ weight,
-            "proj_weight": self.d_item_proj.T @ raw,
-            "proj_bias": self.d_item_proj.sum(axis=0),
+            "item_raw": ItemRowGrad(rows, d_proj, weight, tables.n_items),
+            "proj_weight": d_weight,
+            "proj_bias": d_proj.sum(axis=0),
             "centroids": self.d_centroids,
         }
         if self.encoder_grads is not None:

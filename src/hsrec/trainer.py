@@ -1,10 +1,12 @@
 """Training loop and the high-level recommender estimator.
 
 One step: sample a batch of examples, render each (metadata subsampling with
-an ID-only fraction), encode, take exact loss/gradients from the softmax head,
-and apply an SGD update with cosine learning-rate decay and decoupled weight
-decay.  Runs are deterministic per seed in single-threaded mode: identical
-seeds give identical loss curves.
+an ID-only fraction), encode the batch as one ``(B, d)`` query matrix, take
+exact losses and gradients from the softmax head in one batched pass, and
+apply an SGD update with cosine learning-rate decay and decoupled weight
+decay.  The raw item table is written only on the rows that received
+gradient; weight decay still reaches every row.  Runs are deterministic per
+seed in single-threaded mode: identical seeds give identical loss curves.
 """
 
 from __future__ import annotations
@@ -25,15 +27,19 @@ from .cluster import (
     default_n_clusters,
     init_centroids,
 )
-from .encoder import encode, encode_backward, init_encoder
+from .encoder import encode, encode_batch, encode_batch_backward, init_encoder
 from .evaluate import evaluate
 from .exceptions import DataError, TrainingDivergedError
 from .inference import topk_items
 from .render import render_example, render_id_only
 from .snapshot import ModelSnapshot
-from .softmax import nll_and_grad, score_all
-from .tables import GradBuffer, ModelTables, init_tables
+from .softmax import nll_and_grad_batch, score_all
+from .tables import GradBuffer, ItemRowGrad, ModelTables, init_tables
 from .validation import check_is_fitted
+
+# Not called here; perfbench/spans.py looks these names up on this module.
+from .encoder import encode_backward  # noqa: F401
+from .softmax import nll_and_grad  # noqa: F401
 
 CLUSTERINGS = ("kmeans", "frequency", "random")
 
@@ -156,7 +162,15 @@ def _apply_update(snapshot: ModelSnapshot, grads: dict, lr: float, weight_decay:
         # Decoupled weight decay on matrices/embeddings only, never biases.
         if weight_decay and arr.ndim == 2:
             arr *= 1.0 - lr * weight_decay
-        arr -= lr * (grad / n)
+        if isinstance(grad, ItemRowGrad):
+            # Rows outside grad.rows have zero gradient: write only the others.
+            for rows, block in grad.blocks():
+                # lr * (block / n) in place: the same rounding, no temporaries.
+                np.divide(block, n, out=block)
+                np.multiply(block, lr, out=block)
+                arr[rows] -= block
+        else:
+            arr -= lr * (grad / n)
     tables.bump_version()
 
 
@@ -201,23 +215,23 @@ def train(data: Dataset, config: TrainConfig, snapshot: ModelSnapshot | None = N
     for step in range(config.max_steps):
         lr = cosine_lr(config.learning_rate, step, config.max_steps)
         batch_idx = rng.integers(0, n_train, size=config.batch_size)
-        grads = GradBuffer(tables, encoder)
-        batch_loss = 0.0
-        for i in batch_idx:
-            example = data.train_examples[int(i)]
-            seq = render_example(
+        examples = [data.train_examples[int(i)] for i in batch_idx]
+        seqs = [
+            render_example(
                 example,
                 data,
                 rng,
                 id_only_fraction=config.id_only_fraction,
                 metadata_keep_prob=config.metadata_keep_prob,
             )
-            query, cache = encode(seq, tables, encoder)
-            target_ordinal = data.space.item_ordinal(example.target)
-            loss, d_query, _ = nll_and_grad(query, target_ordinal, tables, cmap, mode, grads)
-            encode_backward(cache, d_query, tables, encoder, grads)
-            batch_loss += loss
-        mean_loss = batch_loss / config.batch_size
+            for example in examples
+        ]
+        targets = [data.space.item_ordinal(example.target) for example in examples]
+        grads = GradBuffer(tables, encoder)
+        queries, cache = encode_batch(seqs, tables, encoder)
+        losses, d_queries, _ = nll_and_grad_batch(queries, targets, tables, cmap, mode, grads)
+        encode_batch_backward(cache, d_queries, tables, encoder, grads)
+        mean_loss = float(losses.sum()) / config.batch_size
         if not math.isfinite(mean_loss):
             raise TrainingDivergedError(f"non-finite loss {mean_loss} at step {step}")
         if lr != 0.0:

@@ -46,7 +46,8 @@ def param_arrays(tables, encoder=None):
 
 
 def flatten(arrays):
-    return np.concatenate([a.ravel() for a in arrays.values()])
+    # np.asarray densifies the row-sparse raw-item gradient of GradBuffer.finalize.
+    return np.concatenate([np.asarray(a).ravel() for a in arrays.values()])
 
 
 def write_back(arrays, theta):

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines.  The end-to-end training criterion (7) is the slow one (a few minutes);
+lines.  The end-to-end training criterion (7) is the slow one (about 30 s);
 everything else finishes in seconds.
 """
 

@@ -1,0 +1,183 @@
+"""The batched training step against its per-example oracle.
+
+``encode_batch`` + ``nll_and_grad_batch`` + ``encode_batch_backward`` must give
+the losses, query gradients, finalized parameter gradients, touched item rows
+and dot count of per-example ``encode`` + ``nll_and_grad`` + ``encode_backward``
+calls summed over the batch.  Summation order differs, so values agree to
+1e-12 relative rather than bitwise.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from helpers import random_encoder, random_model, synth_dataset
+from hsrec.encoder import encode, encode_backward, encode_batch, encode_batch_backward
+from hsrec.render import render_example
+from hsrec.softmax import CostCounter, nll_and_grad, nll_and_grad_batch
+from hsrec.tables import GradBuffer, ItemRowGrad
+from hsrec.trainer import TrainConfig, _apply_update, init_model, train
+
+REL = 1e-12
+N_TEXT, N_ITEMS, DIM, ITEM_DIM, N_CLUSTERS = 7, 30, 5, 4, 4
+
+
+def rel_gap(want, got):
+    want, got = np.asarray(want), np.asarray(got)
+    return float(np.max(np.abs(want - got)) / max(np.max(np.abs(want)), 1e-300))
+
+
+def mixed_batch(cmap):
+    """Text and item targets, three item targets in one cluster, a repeated token."""
+    members = cmap.item_members(1)
+    assert members.size >= 3
+    seqs = [[0, 1, 9], [3, 3, 3, 12, 12], [N_TEXT + 4], [2, 20, 21, 22, 0], [5, 6], [30, 30, 1]]
+    targets = [
+        N_TEXT + int(members[0]),
+        N_TEXT + int(members[1]),
+        2,  # text target
+        N_TEXT + int(members[-1]),
+        N_TEXT + int(cmap.item_members(0)[0]),
+        6,  # text target
+    ]
+    return seqs, targets
+
+
+def per_example(seqs, targets, tables, cmap, enc, mode):
+    grads, counter, losses, d_queries = GradBuffer(tables, enc), CostCounter(), [], []
+    for seq, target in zip(seqs, targets):
+        query, cache = encode(seq, tables, enc)
+        loss, d_query, _ = nll_and_grad(query, target, tables, cmap, mode, grads, counter)
+        encode_backward(cache, d_query, tables, enc, grads)
+        losses.append(loss)
+        d_queries.append(d_query)
+    return np.array(losses), np.array(d_queries), grads, counter
+
+
+def batched(seqs, targets, tables, cmap, enc, mode):
+    grads, counter = GradBuffer(tables, enc), CostCounter()
+    queries, cache = encode_batch(seqs, tables, enc)
+    losses, d_queries, _ = nll_and_grad_batch(queries, targets, tables, cmap, mode, grads, counter)
+    encode_batch_backward(cache, d_queries, tables, enc, grads)
+    return losses, d_queries, grads, counter
+
+
+def assert_batch_matches_oracle(seqs, targets, tables, cmap, enc, mode):
+    want_loss, want_dq, want, want_counter = per_example(seqs, targets, tables, cmap, enc, mode)
+    got_loss, got_dq, got, got_counter = batched(seqs, targets, tables, cmap, enc, mode)
+    assert rel_gap(want_loss, got_loss) <= REL
+    assert rel_gap(want_loss.sum(), got_loss.sum()) <= REL
+    assert rel_gap(want_dq, got_dq) <= REL
+    assert got_counter.dots == want_counter.dots
+    assert got.n_examples == want.n_examples == len(seqs)
+    assert np.array_equal(got.item_touched, want.item_touched)
+    want_final, got_final = want.finalize(tables), got.finalize(tables)
+    assert list(got_final) == list(want_final)
+    for name in want_final:
+        assert rel_gap(want_final[name], got_final[name]) <= REL, name
+
+
+@pytest.mark.parametrize("mode", ["full", "twolevel"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batch_equals_per_example_sum(mode, dtype):
+    for seed in range(5):
+        tables, cmap, rng = random_model(N_TEXT, N_ITEMS, DIM, ITEM_DIM, N_CLUSTERS, seed=seed, dtype=dtype)
+        enc = random_encoder(DIM, rng, dtype=dtype)
+        seqs, targets = mixed_batch(cmap)
+        assert_batch_matches_oracle(seqs, targets, tables, cmap, enc, mode)
+
+
+@pytest.mark.parametrize("mode", ["full", "twolevel"])
+def test_batch_of_one_equals_single_example(mode):
+    for target in (3, N_TEXT + 11):
+        tables, cmap, rng = random_model(N_TEXT, N_ITEMS, DIM, ITEM_DIM, N_CLUSTERS, seed=target)
+        enc = random_encoder(DIM, rng)
+        assert_batch_matches_oracle([[1, N_TEXT + 2, 1]], [target], tables, cmap, enc, mode)
+
+
+def test_twolevel_batch_touches_target_clusters_and_history_only():
+    tables, cmap, rng = random_model(N_TEXT, N_ITEMS, DIM, ITEM_DIM, N_CLUSTERS, seed=9)
+    enc = random_encoder(DIM, rng)
+    target_item = int(cmap.item_members(2)[0])
+    history_item = int(cmap.item_members(3)[0])
+    _, _, grads, _ = batched([[0, N_TEXT + history_item]], [N_TEXT + target_item], tables, cmap, enc, "twolevel")
+    want = np.zeros(N_ITEMS, dtype=bool)
+    want[cmap.item_members(2)] = True
+    want[history_item] = True
+    assert np.array_equal(grads.item_touched, want)
+    item_grad = grads.finalize(tables)["item_raw"]
+    assert isinstance(item_grad, ItemRowGrad)
+    assert np.array_equal(item_grad.rows, np.flatnonzero(want))
+    assert not np.asarray(item_grad)[~want].any()
+
+
+def test_encode_batch_rows_equal_encode():
+    tables, cmap, rng = random_model(N_TEXT, N_ITEMS, DIM, ITEM_DIM, N_CLUSTERS, seed=4, dtype=np.float32)
+    enc = random_encoder(DIM, rng, dtype=np.float32)
+    seqs, _ = mixed_batch(cmap)
+    queries, _ = encode_batch(seqs, tables, enc)
+    for seq, row in zip(seqs, queries):
+        assert rel_gap(encode(seq, tables, enc)[0], row) <= REL
+    with pytest.raises(ValueError):
+        encode_batch([[1], []], tables, enc)
+
+
+@pytest.mark.parametrize("mode", ["full", "twolevel"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_touched_row_update_equals_dense_update_bitwise(mode, dtype):
+    tables, cmap, rng = random_model(N_TEXT, N_ITEMS, DIM, ITEM_DIM, N_CLUSTERS, seed=3, dtype=dtype)
+    enc = random_encoder(DIM, rng, dtype=dtype)
+    seqs, targets = mixed_batch(cmap)
+    _, _, grads, _ = batched(seqs, targets, tables, cmap, enc, mode)
+    final = grads.finalize(tables)
+    snap = SimpleNamespace(tables=tables, encoder=enc)  # what _apply_update reads
+    arrays = {**tables.parameter_arrays(), **enc.parameter_arrays()}
+    before = {name: arr.copy() for name, arr in arrays.items()}
+    lr, weight_decay, n = 0.3, 0.01, len(seqs)
+    _apply_update(snap, final, lr, weight_decay, n)
+    for name, arr in before.items():
+        # The dense rule over every row: arr -= lr * (grad / n).
+        want = arr.copy()
+        if want.ndim == 2:
+            want *= 1.0 - lr * weight_decay
+        want -= lr * (np.asarray(final[name]) / n)
+        assert np.array_equal(want, arrays[name]), name
+    untouched = ~grads.item_touched
+    if mode == "twolevel":
+        assert untouched.any()
+    decayed = before["item_raw"][untouched].copy()
+    decayed *= 1.0 - lr * weight_decay
+    assert np.array_equal(tables.item_raw.data[untouched], decayed)
+
+
+@pytest.mark.parametrize("mode", ["full", "twolevel"])
+def test_train_step_matches_per_example_loop(tmp_path, mode):
+    # The per-example loop this step replaced, as a reference: same batch
+    # draw and renderings, per-example oracle gradients, dense update.
+    data, _ = synth_dataset(tmp_path)
+    config = TrainConfig(max_steps=1, batch_size=16, learning_rate=0.5, eval_every=0, seed=4, softmax_mode=mode)
+    ref = init_model(data, config, dim=8, item_dim=6, clustering="random")
+    got = init_model(data, config, dim=8, item_dim=6, clustering="random")
+    rng = np.random.default_rng(config.seed)
+    batch_idx = rng.integers(0, len(data.train_examples), size=config.batch_size)
+    grads = GradBuffer(ref.tables, ref.encoder)
+    for i in batch_idx:
+        example = data.train_examples[int(i)]
+        seq = render_example(example, data, rng, config.id_only_fraction, config.metadata_keep_prob)
+        query, cache = encode(seq, ref.tables, ref.encoder)
+        target = data.space.item_ordinal(example.target)
+        _, d_query, _ = nll_and_grad(query, target, ref.tables, ref.cluster_map, mode, grads)
+        encode_backward(cache, d_query, ref.tables, ref.encoder, grads)
+    arrays = {**ref.tables.parameter_arrays(), **ref.encoder.parameter_arrays()}
+    for name, grad in grads.finalize(ref.tables).items():
+        arr = arrays[name]
+        if config.weight_decay and arr.ndim == 2:
+            arr *= 1.0 - config.learning_rate * config.weight_decay
+        arr -= config.learning_rate * (np.asarray(grad) / config.batch_size)
+
+    train(data, config, snapshot=got)
+    got_arrays = {**got.tables.parameter_arrays(), **got.encoder.parameter_arrays()}
+    for name, arr in arrays.items():
+        # float32 parameters: one rounding step of float32 at most.
+        assert np.allclose(got_arrays[name], arr, rtol=1e-6, atol=1e-7), name

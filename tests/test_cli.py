@@ -148,6 +148,23 @@ def test_eval_rejects_corrupt_snapshot_trailers(corpus, tmp_path, capsys):
     assert run(["eval", "--data", corpus, "--snapshot", good, "--threads", 2]) == 1
 
 
+def test_eval_rejects_non_finite_snapshot_payload(corpus, tmp_path, capsys):
+    import numpy as np
+
+    from hsrec.snapshot import load_snapshot, save_snapshot
+
+    run(["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", tmp_path])
+    path = tmp_path / "snapshot.hsrc"
+    snapshot = load_snapshot(path)
+    snapshot.tables.text.data[0, 0] = np.nan
+    save_snapshot(snapshot, path)
+    capsys.readouterr()
+    assert run(["eval", "--data", corpus, "--snapshot", path, "--out-dir", tmp_path]) == 2
+    trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "data" and trailer["error"]["code"] == 2
+    assert "NaN or Inf" in trailer["error"]["message"]
+
+
 def test_latency_reference_table(tmp_path):
     code = run(["latency", "--profile", "all", "--encoder", "all", "--out-dir", tmp_path])
     assert code == 0

@@ -4,7 +4,7 @@ import pytest
 from helpers import synth_dataset
 from hsrec.exceptions import SnapshotFormatError
 from hsrec.snapshot import load_snapshot, save_snapshot
-from hsrec.trainer import TrainConfig, init_model
+from hsrec.trainer import TrainConfig, init_model, train
 
 
 @pytest.fixture()
@@ -98,3 +98,30 @@ def test_loaded_snapshot_scores_identically(snapshot, tmp_path):
     a = score_all(q, snapshot.tables, snapshot.cluster_map, mode="twolevel")
     b = score_all(q, loaded.tables, loaded.cluster_map, mode="twolevel")
     assert np.array_equal(a, b)
+
+
+def test_loaded_snapshot_trains_like_the_original(tmp_path):
+    data, _ = synth_dataset(tmp_path, n_users=40, n_items=10, n_groups=2, seed=7)
+    config = TrainConfig(max_steps=2, batch_size=8, eval_every=0, seed=1)
+    original = init_model(data, config, dim=6, item_dim=4, clustering="random")
+    path = tmp_path / "model.hsrc"
+    save_snapshot(original, path)
+    loaded = load_snapshot(path)
+    train(data, config, snapshot=original)
+    train(data, config, snapshot=loaded)
+    for part in ("tables", "encoder"):
+        want = getattr(original, part).parameter_arrays()
+        got = getattr(loaded, part).parameter_arrays()
+        for name, arr in want.items():
+            assert np.array_equal(arr, got[name]), name
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("table", ["text", "enc_out_w"])
+def test_non_finite_payload_rejected(snapshot, tmp_path, value, table):
+    arrays = {**snapshot.tables.parameter_arrays(), **snapshot.encoder.parameter_arrays()}
+    arrays[table].flat[0] = value
+    path = tmp_path / "model.hsrc"
+    save_snapshot(snapshot, path)
+    with pytest.raises(SnapshotFormatError, match="NaN or Inf"):
+        load_snapshot(path)
