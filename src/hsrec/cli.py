@@ -218,6 +218,21 @@ def _load_dataset(opts: dict):
     )
 
 
+def _check_snapshot_matches(snapshot, data) -> None:
+    """Raise DataError unless the corpus has the snapshot's items, in its
+    order, and its vocabulary: the snapshot's rows are indexed by both."""
+    if data.catalog.item_ids() != snapshot.item_ids:
+        raise DataError(
+            f"corpus {data.name!r} does not match the snapshot: {data.n_items} items against "
+            f"the snapshot's {len(snapshot.item_ids)}, or the same items in another order"
+        )
+    if data.vocab.words != snapshot.vocab.words:
+        raise DataError(
+            f"corpus {data.name!r} does not match the snapshot: its vocabulary differs "
+            f"({len(data.vocab)} words against the snapshot's {len(snapshot.vocab)})"
+        )
+
+
 def cmd_synth(opts: dict) -> int:
     out = _out_dir(opts)
     spec = SynthSpec(
@@ -311,6 +326,7 @@ def cmd_train(opts: dict) -> int:
 def _eval_single(opts: dict, out: Path) -> int:
     data = _load_dataset(opts)
     snapshot = load_snapshot(opts["snapshot"])
+    _check_snapshot_matches(snapshot, data)
     ks = tuple(int(x) for x in str(opts["k"]).split(","))
     mode = snapshot.config.get("softmax_mode", "twolevel")
     if opts["engine"] == "all":
@@ -389,10 +405,15 @@ def cmd_latency(opts: dict) -> int:
 
     if opts["data"]:
         data = _load_dataset(opts)
+        # Like the reference workloads' missing specs, an encoder whose field
+        # no item has is skipped under "all"; asked for by name, it is a data error.
+        measurable = [e for e in encoders if latency_mod.has_encoding(data, e)]
+        if opts["encoder"] != "all" and not measurable:
+            raise DataError(f"no item has a {opts['encoder']!r} field")
         rows = latency_mod.latency_table(
             data,
             profiles=profiles,
-            encoders=encoders,
+            encoders=measurable,
             history_len=opts["history_len"],
             const_tokens=opts["const_tokens"],
         )
@@ -420,6 +441,7 @@ def cmd_bench(opts: dict) -> int:
     out = _out_dir(opts)
     data = _load_dataset(opts)
     snapshot = load_snapshot(opts["snapshot"])
+    _check_snapshot_matches(snapshot, data)
     k = int(str(opts["k"]).split(",")[0])
     rng = np.random.default_rng(opts["seed"])
     examples = data.test_examples

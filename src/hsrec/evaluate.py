@@ -1,14 +1,20 @@
 """Full-catalog ranking metrics over held-out targets.
 
-For every user the history is rendered ID-only and encoded, the engine scores
-every item, and ``rank_from_scores`` (one tie-break, history exclusion and
-finiteness check for all engines) gives the held-out target's 1-based rank.
-``full`` enumerates log-probabilities and ``ann`` takes inner products with
-the additive index's item rows.  ``structure`` scores the target first, then
-only the clusters whose log P(cluster | H) reaches it; every other item stays
--inf, which leaves the rank bitwise that of ``full``.  Recall@K and NDCG@10
-truncate at K; MRR uses the unbounded full-catalog rank.  With a single
-relevant item NDCG reduces to 1/log2(rank + 1).
+Users are evaluated ``EVAL_BLOCK`` at a time.  A block's histories are
+rendered ID-only and encoded as one ``(B, d)`` query matrix
+(``encode_batch``); the engine builds one ``(B, n_items)`` float64 score
+matrix, and ``rank_rows`` (one tie-break, history exclusion and finiteness
+check for all engines) gives every held-out target's 1-based rank.
+``full`` enumerates log-probabilities: one GEMM of cluster logits, then one
+GEMM per item cluster (or one ``(B, n_total)`` GEMM in full-softmax mode).
+``ann`` is one GEMM against the additive index's item rows.  ``structure``
+runs the same per-cluster GEMMs as ``full`` over the same block, but only for
+clusters some row needs: that row's target cluster, then every cluster whose
+log P(cluster | H) reaches that row's target log-probability.  A row keeps
+-inf wherever it did not need a cluster, which leaves its rank bitwise that
+of ``full``.  Recall@K and NDCG@10 truncate at K; MRR uses the unbounded
+full-catalog rank.  With a single relevant item NDCG reduces to
+1/log2(rank + 1).
 """
 
 from __future__ import annotations
@@ -19,16 +25,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Dataset, SequenceExample
-from .encoder import encode
+from .encoder import encode_batch
 from .exceptions import TrainingDivergedError
 from .inference import ann_item_scores, build_additive_index, structure_item_scores
-# Not called here; perfbench/spans.py looks these names up on this module.
-from .inference import filter_items, topk_ann, topk_structure  # noqa: F401
 from .render import render_id_only
 from .snapshot import ModelSnapshot
-from .softmax import score_all
+from .softmax import item_log_probs_batch
+
+# Not called here; perfbench/spans.py looks these names up on this module.
+from .encoder import encode  # noqa: F401
+from .inference import filter_items, topk_ann, topk_structure  # noqa: F401
+from .softmax import score_all  # noqa: F401
 
 ENGINES = ("full", "structure", "ann")
+EVAL_BLOCK = 64  # users scored at once; bounds the (block, n_items) score matrices
 
 
 @dataclass(frozen=True)
@@ -60,54 +70,52 @@ def metrics_from_ranks(ranks, ks=(1, 10)) -> MetricReport:
     return MetricReport(n_users=int(ranks.size), recall=recall, ndcg10=ndcg10, mrr=mrr)
 
 
-def rank_from_scores(item_scores: np.ndarray, target_item: int, exclude=None) -> int:
-    """1-based rank of the target among item scores, ties by ascending index.
+def rank_rows(item_scores: np.ndarray, target_items, exclude=None) -> np.ndarray:
+    """1-based rank of each row's target among that row's item scores.
 
-    A non-finite target score raises :class:`TrainingDivergedError`: no score
-    compares greater than NaN, so a diverged model would otherwise rank first.
+    ``item_scores`` is ``(B, n_items)``; ties are broken by ascending item
+    index.  ``exclude[r]``, if given, lists items dropped from row ``r``'s
+    ranking; a row's own target is never dropped.  A non-finite target score
+    raises :class:`TrainingDivergedError`: no score compares greater than NaN,
+    so a diverged model would otherwise rank first.
     """
-    scores = item_scores
-    if exclude:
+    scores = np.asarray(item_scores)
+    targets = np.asarray(target_items, dtype=np.int64)
+    if exclude is not None:
         scores = scores.copy()
-        for idx in exclude:
-            if idx != target_item:
-                scores[idx] = -np.inf
-    s_t = scores[target_item]
-    if not np.isfinite(s_t):
-        raise TrainingDivergedError(f"target item {target_item} scored {s_t}; the model has diverged")
-    higher = int(np.sum(scores > s_t))
-    tied_before = int(np.sum((scores == s_t).nonzero()[0] < target_item))
+        for row, (items, target) in enumerate(zip(exclude, targets.tolist())):
+            scores[row, [i for i in items if i != target]] = -np.inf
+    s_t = scores[np.arange(targets.size), targets]
+    diverged = np.flatnonzero(~np.isfinite(s_t))
+    if diverged.size:
+        row = diverged[0]
+        raise TrainingDivergedError(f"target item {targets[row]} scored {s_t[row]}; the model has diverged")
+    s_t = s_t[:, None]
+    higher = np.count_nonzero(scores > s_t, axis=1)
+    before = np.arange(scores.shape[1]) < targets[:, None]
+    tied_before = np.count_nonzero((scores == s_t) & before, axis=1)
     return higher + tied_before + 1
 
 
-def _rank_one(snapshot: ModelSnapshot, data: Dataset, example: SequenceExample, engine: str, mode: str, index, exclude_history: bool) -> int:
-    tables = snapshot.tables
-    seq = render_id_only(example, data)
-    query, _ = encode(seq, tables, snapshot.encoder)
-    if engine == "full":
-        cmap = snapshot.cluster_map if mode == "twolevel" else None
-        scores = score_all(query, tables, cmap, mode=mode)[tables.n_text :]
-    elif engine == "ann":
-        scores = ann_item_scores(query, index, tables)
-    else:
-        scores = structure_item_scores(query, example.target, tables, snapshot.cluster_map)
-    exclude = set(example.history) if exclude_history else None
-    return rank_from_scores(scores, example.target, exclude)
+def rank_from_scores(item_scores: np.ndarray, target_item: int, exclude=None) -> int:
+    """One-row form of :func:`rank_rows`: the target's 1-based rank among ``item_scores``."""
+    rows = np.asarray(item_scores)[None, :]
+    return int(rank_rows(rows, [target_item], [exclude] if exclude else None)[0])
 
 
-def evaluate(
+def target_ranks(
     snapshot: ModelSnapshot,
     data: Dataset,
     engine: str = "structure",
     examples: list[SequenceExample] | None = None,
-    ks=(1, 10),
     exclude_history: bool = False,
-) -> MetricReport:
-    """Rank the full catalog per test user and average the metrics.
+) -> np.ndarray:
+    """1-based full-catalog rank of each example's held-out target.
 
-    Engine ``full`` enumerates every token's score under the snapshot's own
+    Engine ``full`` enumerates every item's score under the snapshot's own
     softmax mode, so it doubles as the exactness oracle for the fast engines.
-    ``structure`` and ``ann`` require a two-level snapshot.
+    ``structure`` and ``ann`` require a two-level snapshot.  Users go through
+    ``EVAL_BLOCK`` at a time.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
@@ -118,9 +126,34 @@ def evaluate(
         )
     if examples is None:
         examples = data.test_examples
-    index = build_additive_index(snapshot.tables, snapshot.cluster_map) if engine == "ann" else None
-    ranks = [_rank_one(snapshot, data, e, engine, mode, index, exclude_history) for e in examples]
-    return metrics_from_ranks(ranks, ks=ks)
+    tables, cmap = snapshot.tables, snapshot.cluster_map
+    index = build_additive_index(tables, cmap) if engine == "ann" else None
+    ranks: list[int] = []
+    for lo in range(0, len(examples), EVAL_BLOCK):
+        block = examples[lo : lo + EVAL_BLOCK]
+        queries, _ = encode_batch([render_id_only(e, data) for e in block], tables, snapshot.encoder)
+        targets = [e.target for e in block]
+        if engine == "full":
+            scores = item_log_probs_batch(queries, tables, cmap, mode)
+        elif engine == "ann":
+            scores = ann_item_scores(queries, index, tables)
+        else:
+            scores = structure_item_scores(queries, targets, tables, cmap)
+        exclude = [e.history for e in block] if exclude_history else None
+        ranks.extend(rank_rows(scores, targets, exclude).tolist())
+    return np.asarray(ranks, dtype=np.int64)
+
+
+def evaluate(
+    snapshot: ModelSnapshot,
+    data: Dataset,
+    engine: str = "structure",
+    examples: list[SequenceExample] | None = None,
+    ks=(1, 10),
+    exclude_history: bool = False,
+) -> MetricReport:
+    """Rank the full catalog per test user (:func:`target_ranks`) and average the metrics."""
+    return metrics_from_ranks(target_ranks(snapshot, data, engine, examples, exclude_history), ks=ks)
 
 
 def popularity_baseline(data: Dataset, ks=(1, 10)) -> MetricReport:

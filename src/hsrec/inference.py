@@ -19,8 +19,10 @@ Three engines:
 Item-only paths serve recommendations and evaluation.  ``topk_items`` runs the
 best-first loop over item clusters only (P(cluster | H) still bounds every
 member, so this is the exact item-restricted top-k) or ranks the ANN index's
-item rows.  ``structure_item_scores`` scores only the item clusters that can
-reach a target's log-probability, which is enough to rank that target exactly.
+item rows.  Evaluation scores blocks of users at once: ``structure_item_scores``
+scores, for a ``(B, d)`` query block, only the item clusters that can reach
+some row's target log-probability, which is enough to rank every target
+exactly, and ``ann_item_scores`` takes a query block as one GEMM.
 
 Ties are broken by ascending unified ordinal everywhere, so all engines are
 reproducible and comparable row-for-row.
@@ -35,7 +37,16 @@ import numpy as np
 
 from .cluster import ClusterMap
 from .exceptions import StaleIndexError
-from .softmax import _query64, cluster_logits, log_softmax, member_log_conditionals, score_all
+from .softmax import (
+    _queries64,
+    _query64,
+    cluster_log_probs_batch,
+    cluster_logits,
+    log_softmax,
+    member_log_conditionals,
+    member_log_conditionals_batch,
+    score_all,
+)
 from .tables import ModelTables
 from .tokens import TokenSpace
 
@@ -166,27 +177,39 @@ def topk_structure(query, k: int, tables: ModelTables, cluster_map: ClusterMap):
     return _best_first(query, k, tables, cluster_map, with_text=True)
 
 
-def structure_item_scores(query, target_item: int, tables: ModelTables, cluster_map: ClusterMap) -> np.ndarray:
-    """Item log-probabilities wherever they can reach the target's, -inf elsewhere.
+def structure_item_scores(queries, target_items, tables: ModelTables, cluster_map: ClusterMap) -> np.ndarray:
+    """(B, n_items) item log-probabilities wherever they can reach the row's
+    target's, -inf elsewhere.
 
-    The target's cluster is scored first.  A cluster whose log P(cluster | H)
-    is below the target's log-probability bounds every member below it too,
-    so those members stay -inf and the target's rank equals enumeration's.
+    Each row's target cluster is scored first.  A cluster whose
+    log P(cluster | H) is below a row's target log-probability bounds every
+    member below it too, so that row keeps -inf there and its target's rank
+    equals enumeration's.  A cluster is scored only if some row needs it, with
+    the same GEMM over the whole block that ``item_log_probs_batch`` makes, so
+    every score a row keeps is bitwise the enumerated one.
     """
-    q = _query64(query)
-    n_text = tables.n_text
-    cl = log_softmax(cluster_logits(q, tables))[n_text:]
-    scores = np.full(tables.n_items, -np.inf)
-
-    def fill(cluster: int) -> None:
-        members, log_cond = member_log_conditionals(q, tables, cluster_map, cluster)
-        scores[members] = cl[cluster] + log_cond
-
-    target_cluster = int(cluster_map.item_assignment[target_item])
-    fill(target_cluster)
-    for cluster in np.flatnonzero(cl >= scores[target_item]).tolist():
-        if cluster != target_cluster:
-            fill(cluster)
+    q = _queries64(queries)
+    targets = np.asarray(target_items, dtype=np.int64)
+    cl = cluster_log_probs_batch(q, tables)[:, tables.n_text :]
+    target_clusters = cluster_map.item_assignment[targets]
+    scored = {
+        c: member_log_conditionals_batch(q, tables, cluster_map, c)
+        for c in np.unique(target_clusters).tolist()
+    }
+    target_scores = np.empty(targets.size)
+    for c, (members, log_cond) in scored.items():
+        rows = np.flatnonzero(target_clusters == c)
+        target_scores[rows] = cl[rows, c] + log_cond[rows, np.searchsorted(members, targets[rows])]
+    # A row's own target cluster always qualifies: log P(item | cluster) <= 0.
+    need = cl >= target_scores[:, None]
+    scores = np.full((targets.size, tables.n_items), -np.inf)
+    for c in np.flatnonzero(need.any(axis=0)).tolist():
+        if c in scored:
+            members, log_cond = scored[c]
+        else:
+            members, log_cond = member_log_conditionals_batch(q, tables, cluster_map, c)
+        rows = np.flatnonzero(need[:, c])
+        scores[np.ix_(rows, members)] = cl[rows, c, None] + log_cond[rows]
     return scores
 
 
@@ -225,13 +248,17 @@ def build_additive_index(tables: ModelTables, cluster_map: ClusterMap) -> Additi
 
 
 def ann_item_scores(query, index: AdditiveIndex, tables: ModelTables) -> np.ndarray:
-    """Inner products of the query with the index's item rows; a stale index raises."""
+    """Inner products of a ``(d,)`` query, or of each row of a ``(B, d)``
+    query block (one GEMM), with the index's item rows; a stale index raises."""
     if index.tables_version != tables.version:
         raise StaleIndexError(
             f"index built at tables version {index.tables_version}, "
             f"tables are now at {tables.version}; rebuild the index"
         )
-    return index.vectors[index.n_text :] @ _query64(query)
+    items = index.vectors[index.n_text :]
+    if np.ndim(query) == 2:
+        return _queries64(query) @ items.T
+    return items @ _query64(query)
 
 
 def topk_ann(

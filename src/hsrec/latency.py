@@ -191,6 +191,12 @@ class TokenCountStats:
 MULTI_TOKEN_ENCODERS = ("id", "title", "category")
 
 
+def has_encoding(data: Dataset, encoder: str) -> bool:
+    """Whether :func:`measure_m` can measure ``encoder`` on ``data``: ``id``
+    always, ``title``/``category`` when at least one item has that field."""
+    return encoder == "id" or any(getattr(r, encoder) is not None for r in data.catalog.records)
+
+
 def measure_m(data: Dataset, encoder: str = "id") -> TokenCountStats:
     """Tokens per item under the package's word-level tokenization.
 

@@ -19,6 +19,11 @@ member softmaxes; the text, centroid and projected-item gradients are
 ``P.T @ Q`` products.  Its losses, gradients and dot count equal the sum of
 per-example :func:`nll_and_grad` calls, which stays as the test oracle.
 
+Evaluation scores blocks of queries the same way: :func:`item_log_probs_batch`
+is the block form of :func:`score_all` restricted to items, built from
+:func:`cluster_log_probs_batch` and one :func:`member_log_conditionals_batch`
+GEMM per item cluster.  :func:`score_all` stays as the single-query oracle.
+
 A :class:`CostCounter` tallies d-dimensional dot products so the cost claims
 are measurable rather than asserted.
 """
@@ -66,8 +71,13 @@ def _logsumexp(x: np.ndarray) -> float:
 
 
 def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(x - m).sum(axis=1, keepdims=True)))[:, 0]
+    m = x.max(axis=1)
+    shifted = x - m[:, None]
+    np.exp(shifted, out=shifted)
+    out = shifted.sum(axis=1)
+    np.log(out, out=out)
+    out += m
+    return out
 
 
 def _query64(query) -> np.ndarray:
@@ -75,6 +85,21 @@ def _query64(query) -> np.ndarray:
     if q.ndim != 1:
         raise ValueError(f"query must be a 1-D vector, got shape {q.shape}")
     return q
+
+
+def _queries64(queries) -> np.ndarray:
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != 2:
+        raise ValueError(f"queries must be a (B, d) matrix, got shape {q.shape}")
+    return q
+
+
+def _first_level_rows(tables: ModelTables, mode: str) -> np.ndarray:
+    """Float64 copy of the first-level rows: text rows, then the projected
+    item rows (full mode) or the centroids (two-level), cast once, not again
+    inside every product."""
+    second = tables.item_projected() if mode == "full" else tables.centroids.data
+    return np.concatenate([tables.text.data, second], dtype=np.float64)
 
 
 def full_logits(query, tables: ModelTables) -> np.ndarray:
@@ -132,6 +157,59 @@ def member_log_conditionals(
     members = cluster_map.item_members(item_cluster)
     logits = tables.item_projected()[members] @ query
     return members, logits - _logsumexp(logits)
+
+
+def member_log_conditionals_batch(
+    queries: np.ndarray, tables: ModelTables, cluster_map: ClusterMap, item_cluster: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block form of :func:`member_log_conditionals`: one GEMM of the ``(B, d)``
+    float64 queries against the cluster's projected rows, a row-wise logsumexp,
+    and ``(members, (B, |members|) log P(item | cluster))``.
+
+    Enumeration and the pruned structure scores both call this on the same
+    query block, so their per-item log-probabilities are bitwise equal.
+    """
+    members = cluster_map.item_members(item_cluster)
+    logits = queries @ tables.item_projected()[members].T
+    logits -= _logsumexp_rows(logits)[:, None]
+    return members, logits
+
+
+def cluster_log_probs_batch(queries: np.ndarray, tables: ModelTables) -> np.ndarray:
+    """(B, n_clusters) log P(cluster | H) for ``(B, d)`` float64 queries."""
+    logits = queries @ _first_level_rows(tables, "twolevel").T
+    logits -= _logsumexp_rows(logits)[:, None]
+    return logits
+
+
+def item_log_probs_batch(
+    queries,
+    tables: ModelTables,
+    cluster_map: ClusterMap | None = None,
+    mode: str = "twolevel",
+) -> np.ndarray:
+    """(B, n_items) exact item log-probabilities, the block form of
+    ``score_all(query, ...)[n_text:]`` for each row of ``queries``.
+
+    Full mode is one ``(B, n_total)`` GEMM and a row-wise logsumexp.
+    Two-level mode is one ``(B, n_clusters)`` GEMM of cluster logits, then one
+    :func:`member_log_conditionals_batch` GEMM per item cluster.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    q = _queries64(queries)
+    n_text = tables.n_text
+    if mode == "full":
+        logits = q @ _first_level_rows(tables, "full").T
+        return logits[:, n_text:] - _logsumexp_rows(logits)[:, None]
+    if cluster_map is None:
+        raise ValueError("two-level scoring requires a cluster map")
+    cl = cluster_log_probs_batch(q, tables)[:, n_text:]
+    out = np.empty((q.shape[0], tables.n_items))
+    for j in range(cluster_map.n_item_clusters):
+        members, log_cond = member_log_conditionals_batch(q, tables, cluster_map, j)
+        out[:, members] = cl[:, j, None] + log_cond
+    return out
 
 
 def score_all(
@@ -273,17 +351,15 @@ def nll_and_grad_batch(
     is_item = t >= n_text
     if mode == "full":
         # Full mode: every token is its own first-level class.
-        heads = np.concatenate([tables.text.data, tables.item_projected()], dtype=np.float64)
         first = t
     else:
         if cluster_map is None:
             raise ValueError("two-level mode requires a cluster map")
-        heads = np.concatenate([tables.text.data, tables.centroids.data], dtype=np.float64)
         first = t.copy()
         first[is_item] = n_text + cluster_map.item_assignment[t[is_item] - n_text]
 
-    # First level: one (B, n) GEMM and a row-wise logsumexp.  The float64
-    # copy of the tables is made once, not cast again inside every product.
+    # First level: one (B, n) GEMM and a row-wise logsumexp.
+    heads = _first_level_rows(tables, mode)
     logits = q @ heads.T
     if counter is not None:
         counter.add(t.size * heads.shape[0])

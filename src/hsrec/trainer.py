@@ -5,8 +5,10 @@ an ID-only fraction), encode the batch as one ``(B, d)`` query matrix, take
 exact losses and gradients from the softmax head in one batched pass, and
 apply an SGD update with cosine learning-rate decay and decoupled weight
 decay.  The raw item table is written only on the rows that received
-gradient; weight decay still reaches every row.  Runs are deterministic per
-seed in single-threaded mode: identical seeds give identical loss curves.
+gradient; weight decay still reaches every row, and the finiteness check
+after the update reads only the written rows of that table.  Runs are
+deterministic per seed in single-threaded mode: identical seeds give
+identical loss curves.
 """
 
 from __future__ import annotations
@@ -27,18 +29,18 @@ from .cluster import (
     default_n_clusters,
     init_centroids,
 )
-from .encoder import encode, encode_batch, encode_batch_backward, init_encoder
+from .encoder import encode_batch, encode_batch_backward, init_encoder
 from .evaluate import evaluate
 from .exceptions import DataError, TrainingDivergedError
-from .inference import topk_items
+from .inference import _rank_topk, topk_items
 from .render import render_example, render_id_only
 from .snapshot import ModelSnapshot
-from .softmax import nll_and_grad_batch, score_all
-from .tables import GradBuffer, ItemRowGrad, ModelTables, init_tables
-from .validation import check_is_fitted
+from .softmax import item_log_probs_batch, nll_and_grad_batch
+from .tables import ROW_BLOCK, GradBuffer, ItemRowGrad, ModelTables, init_tables
+from .validation import check_finite, check_is_fitted
 
 # Not called here; perfbench/spans.py looks these names up on this module.
-from .encoder import encode_backward  # noqa: F401
+from .encoder import encode, encode_backward  # noqa: F401
 from .softmax import nll_and_grad  # noqa: F401
 
 CLUSTERINGS = ("kmeans", "frequency", "random")
@@ -174,6 +176,26 @@ def _apply_update(snapshot: ModelSnapshot, grads: dict, lr: float, weight_decay:
     tables.bump_version()
 
 
+def _check_updated(tables: ModelTables, touched_rows: np.ndarray, decay: float) -> None:
+    """Raise ``ValueError`` if an update left a table non-finite.
+
+    Every table is finite before an update: tables are checked when built or
+    loaded, and by this function after every update.  Raw item rows outside
+    ``touched_rows`` were only multiplied by ``1 - decay``; for
+    ``0 <= decay <= 2`` that factor is at most 1 in magnitude, so they stay
+    finite and only the touched rows are read, ``ROW_BLOCK`` at a time.
+    Otherwise, or when every row was touched, the whole table is read.
+    """
+    tables.text.check()
+    tables.projection.check()
+    tables.centroids.check()
+    if 0.0 <= decay <= 2.0 and touched_rows.size < tables.n_items:
+        for lo in range(0, touched_rows.size, ROW_BLOCK):
+            check_finite(tables.item_raw.data[touched_rows[lo : lo + ROW_BLOCK]], "embedding table")
+    else:
+        tables.item_raw.check()
+
+
 def validation_recall(snapshot: ModelSnapshot, data: Dataset, k: int = 10, sample: int = 0) -> float:
     """Recall@k of the held-out validation targets under ID-only rendering."""
     examples = data.val_examples
@@ -235,8 +257,9 @@ def train(data: Dataset, config: TrainConfig, snapshot: ModelSnapshot | None = N
         if not math.isfinite(mean_loss):
             raise TrainingDivergedError(f"non-finite loss {mean_loss} at step {step}")
         if lr != 0.0:
-            _apply_update(snapshot, grads.finalize(tables), lr, config.weight_decay, config.batch_size)
-            tables.check()
+            final = grads.finalize(tables)
+            _apply_update(snapshot, final, lr, config.weight_decay, config.batch_size)
+            _check_updated(tables, final["item_raw"].rows, lr * config.weight_decay)
             encoder.check()
         result.steps_run = step + 1
 
@@ -337,31 +360,36 @@ class SequenceRecommender(BaseEstimator):
         return self
 
     def predict(self, histories, k: int = 10):
-        """Top-k item IDs for each history of known external item IDs."""
+        """Top-k item IDs for each history of known external item IDs.
+
+        All histories are encoded as one ``(B, d)`` query matrix.  Two-level
+        models rank each row with the exact structure search; full-softmax
+        models score every item of the block at once.
+        """
         check_is_fitted(self, ["snapshot_", "dataset_"])
         snapshot = self.snapshot_
         data = self.dataset_
-        n_text = snapshot.tables.n_text
-        out = []
+        tables = snapshot.tables
+        seqs = []
         for history in histories:
             try:
                 indices = tuple(data.catalog.index_of(i) for i in history)
             except KeyError as exc:
                 raise DataError(f"unknown item id {exc.args[0]!r}") from exc
             example = SequenceExample(user="query", history=indices, target=indices[-1])
-            seq = render_id_only(example, data)
-            query, _ = encode(seq, snapshot.tables, snapshot.encoder)
-            if self.softmax_mode == "twolevel":
-                top = topk_items(
-                    query, k, snapshot.tables, snapshot.cluster_map, snapshot.space, engine="structure"
-                )
-                item_indices = top.ordinals - n_text
-            else:
-                item_scores = score_all(query, snapshot.tables, None, mode="full")[n_text:]
-                order = np.lexsort((np.arange(item_scores.size), -item_scores))
-                item_indices = order[:k]
-            out.append([snapshot.item_ids[int(i)] for i in item_indices])
-        return out
+            seqs.append(render_id_only(example, data))
+        if not seqs:
+            return []
+        queries, _ = encode_batch(seqs, tables, snapshot.encoder)
+        if self.softmax_mode == "twolevel":
+            ranked = [
+                topk_items(query, k, tables, snapshot.cluster_map, snapshot.space).ordinals - tables.n_text
+                for query in queries
+            ]
+        else:
+            scores = item_log_probs_batch(queries, tables, mode="full")
+            ranked = [_rank_topk(row, k).ordinals for row in scores]
+        return [[snapshot.item_ids[int(i)] for i in items] for items in ranked]
 
     def score(self, X=None) -> float:
         """Recall@10 on the held-out test split."""

@@ -251,3 +251,44 @@ def test_ablation_harness(corpus, tmp_path):
     for clustering in ("kmeans", "frequency", "random"):
         by = {r["engine"]: r for r in rows if r["clustering"] == clustering}
         assert by["structure"] == {**by["full"], "engine": "structure"}
+
+
+@pytest.mark.parametrize("command", ["eval", "bench"])
+def test_snapshot_of_another_corpus_is_data_error(corpus, tmp_path, capsys, command):
+    train_dir = tmp_path / "train"
+    code = run(
+        ["train", "--data", corpus, "--steps", 2, "--batch-size", 4, "--dim", 8,
+         "--item-dim", 6, "--eval-every", 0, "--out-dir", train_dir]
+    )
+    assert code == 0
+    bigger = tmp_path / "bigger"
+    assert run(["synth", "--users", 60, "--items", 30, "--groups", 4, "--seed", 3, "--out-dir", bigger]) == 0
+    # The same events in reverse: the same items, first seen in another order.
+    lines = corpus.read_text().splitlines()
+    reordered = tmp_path / "reordered.jsonl"
+    reordered.write_text("\n".join(reversed(lines)) + "\n")
+    for other in (bigger / "interactions.jsonl", reordered):
+        capsys.readouterr()
+        code = run(
+            [command, "--data", other, "--snapshot", train_dir / "snapshot.hsrc", "--out-dir", tmp_path / "out"]
+        )
+        assert code == 2, other
+        trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert trailer["error"]["type"] == "data", other
+        assert "does not match the snapshot" in trailer["error"]["message"], other
+
+
+def test_latency_all_skips_fields_no_item_has(corpus, tmp_path):
+    # Synthetic corpora carry titles but no categories.
+    code = run(["latency", "--data", corpus, "--out-dir", tmp_path])
+    assert code == 0
+    rows = read_csv(tmp_path / "latency.csv")
+    assert {r["encoder"] for r in rows} == {"id", "title"}
+    assert len(rows) == 4  # 2 profiles x 2 encoders
+
+
+def test_latency_named_field_no_item_has_is_data_error(corpus, tmp_path, capsys):
+    code = run(["latency", "--data", corpus, "--encoder", "category", "--out-dir", tmp_path])
+    assert code == 2
+    trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "data" and "category" in trailer["error"]["message"]

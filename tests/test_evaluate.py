@@ -1,19 +1,33 @@
 import copy
+import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 
 from helpers import synth_dataset
+from hsrec.cluster import ClusterMap
+from hsrec.encoder import EncoderParams, encode
 from hsrec.evaluate import (
+    EVAL_BLOCK,
     MetricReport,
     evaluate,
     metrics_from_ranks,
     popularity_baseline,
     rank_from_scores,
+    rank_rows,
     report_csv_row,
+    target_ranks,
 )
 from hsrec.exceptions import TrainingDivergedError
+from hsrec.inference import ann_item_scores, build_additive_index
+from hsrec.render import render_id_only
+from hsrec.softmax import score_all
+from hsrec.tables import EmbeddingTable, ModelTables, ProjectionHead
 from hsrec.trainer import TrainConfig, init_model, train
+
+# The package re-exports a function under this name.
+evaluate_module = importlib.import_module("hsrec.evaluate")
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +177,115 @@ def test_report_serialization(trained):
     assert row["dataset"] == "synth"
     assert "recall@10" in row
     assert "mrr" in report.to_json()
+
+
+def _as_float64(snapshot):
+    t, enc = snapshot.tables, snapshot.encoder
+    tables = ModelTables(
+        EmbeddingTable(t.text.data.astype(np.float64)),
+        EmbeddingTable(t.item_raw.data.astype(np.float64)),
+        ProjectionHead(t.projection.weight.astype(np.float64), t.projection.bias.astype(np.float64)),
+        EmbeddingTable(t.centroids.data.astype(np.float64)),
+    )
+    encoder = EncoderParams(*(a.astype(np.float64) for a in enc.parameter_arrays().values()))
+    return dataclasses.replace(snapshot, tables=tables, encoder=encoder)
+
+
+def _tied(snapshot):
+    # Zero item rows, head bias and centroids: every ANN score is exactly 0,
+    # and two-level scores tie inside each cluster and across clusters of one
+    # size, whatever order a product sums in.  (Equal non-zero rows are not
+    # enough: a one-query product can round its tail rows differently.)
+    tied = copy.deepcopy(snapshot)
+    tied.tables.item_raw.data[:] = 0.0
+    tied.tables.projection.bias[:] = 0.0
+    tied.tables.centroids.data[:] = 0.0
+    tied.tables.bump_version()  # drops the cached projected rows
+    return tied
+
+
+def _tied_singletons(snapshot):
+    # Every item its own cluster, all tied: each cluster's log P(cluster | H)
+    # equals the target's log-probability, so the structure engine must
+    # score every cluster to break the ties by index.
+    tied = _tied(snapshot)
+    n_text, n_items, dim = tied.tables.n_text, tied.tables.n_items, tied.tables.dim
+    tied.cluster_map = ClusterMap(n_text, np.arange(n_items), n_items)
+    tied.tables.centroids = EmbeddingTable(np.zeros((n_items, dim), dtype=tied.tables.text.data.dtype))
+    tied.tables.bump_version()
+    return tied
+
+
+def _oracle_ranks(snapshot, data, engine, examples, exclude_history):
+    """Per user: encode, score every item with the single-query scorers, rank."""
+    tables = snapshot.tables
+    mode = snapshot.config.get("softmax_mode", "twolevel")
+    index = build_additive_index(tables, snapshot.cluster_map) if engine == "ann" else None
+    ranks = []
+    for e in examples:
+        query, _ = encode(render_id_only(e, data), tables, snapshot.encoder)
+        if engine == "ann":
+            scores = ann_item_scores(query, index, tables)
+        else:
+            cmap = snapshot.cluster_map if mode == "twolevel" else None
+            scores = score_all(query, tables, cmap, mode=mode)[tables.n_text :]
+        exclude = set(e.history) if exclude_history else None
+        ranks.append(rank_from_scores(scores, e.target, exclude))
+    return ranks
+
+
+@pytest.mark.parametrize("engine", ["full", "structure", "ann"])
+@pytest.mark.parametrize("model", ["float32", "float64", "tied", "tied_singletons"])
+def test_batched_ranks_equal_per_user_oracle(trained, engine, model):
+    data, snapshot = trained
+    make = {"float32": lambda s: s, "float64": _as_float64, "tied": _tied, "tied_singletons": _tied_singletons}
+    snapshot = make[model](snapshot)
+    # More users than one block, so the last block is a partial one.
+    examples = (data.test_examples * (2 * EVAL_BLOCK // len(data.test_examples) + 1))[: 2 * EVAL_BLOCK + 7]
+    for exclude_history in (False, True):
+        want = _oracle_ranks(snapshot, data, engine, examples, exclude_history)
+        got = target_ranks(snapshot, data, engine, examples, exclude_history)
+        assert got.tolist() == want, exclude_history
+        # B = 1: every user alone in its block.
+        alone = [int(target_ranks(snapshot, data, engine, [e], exclude_history)[0]) for e in examples[:20]]
+        assert alone == want[:20], exclude_history
+    if model.startswith("tied"):
+        query, _ = encode(render_id_only(examples[0], data), snapshot.tables, snapshot.encoder)
+        scores = score_all(query, snapshot.tables, snapshot.cluster_map)[snapshot.tables.n_text :]
+        assert np.unique(scores).size < scores.size
+
+
+@pytest.mark.parametrize("engine", ["full", "structure", "ann"])
+def test_block_boundaries_do_not_change_ranks(trained, engine, monkeypatch):
+    data, snapshot = trained
+    examples = data.test_examples
+    want = _oracle_ranks(snapshot, data, engine, examples, False)
+    for block in (1, 5, 7, len(examples)):
+        monkeypatch.setattr(evaluate_module, "EVAL_BLOCK", block)
+        assert target_ranks(snapshot, data, engine, examples).tolist() == want, block
+
+
+def test_full_softmax_snapshot_ranks_equal_oracle(tmp_path):
+    data, _ = synth_dataset(tmp_path, n_users=40, n_items=12, n_groups=3, seed=5)
+    config = TrainConfig(max_steps=20, batch_size=4, eval_every=0, seed=0, softmax_mode="full")
+    snapshot = train(data, config, dim=8, item_dim=6, clustering="random").snapshot
+    for exclude_history in (False, True):
+        want = _oracle_ranks(snapshot, data, "full", data.test_examples, exclude_history)
+        assert target_ranks(snapshot, data, "full", exclude_history=exclude_history).tolist() == want
+
+
+def test_rank_rows_equals_pairwise_count():
+    # Integer scores tie often; exclusions never drop a row's own target.
+    rng = np.random.default_rng(7)
+    scores = rng.integers(0, 4, size=(30, 12)).astype(np.float64)
+    targets = rng.integers(0, 12, size=30)
+    exclude = [rng.choice(12, size=rng.integers(0, 5), replace=False).tolist() for _ in range(30)]
+    want = []
+    for row, target, dropped in zip(scores, targets.tolist(), exclude):
+        kept = [j for j in range(12) if j == target or j not in dropped]
+        want.append(1 + sum(row[j] > row[target] or (row[j] == row[target] and j < target) for j in kept))
+    assert rank_rows(scores, targets, exclude).tolist() == want
+    bad = scores.copy()
+    bad[3, targets[3]] = np.nan
+    with pytest.raises(TrainingDivergedError, match="diverged"):
+        rank_rows(bad, targets)

@@ -3,9 +3,13 @@ import pytest
 
 from helpers import synth_dataset
 from hsrec.catalog import ItemRecord, SequenceExample
+from hsrec.encoder import encode
 from hsrec.evaluate import popularity_baseline
 from hsrec.exceptions import TrainingDivergedError
+from hsrec.inference import topk_items
 from hsrec.render import render_example, render_id_only
+from hsrec.softmax import score_all
+from hsrec.tables import GradBuffer
 from hsrec.trainer import (
     SequenceRecommender,
     TrainConfig,
@@ -177,6 +181,64 @@ def test_estimator_roundtrip(tmp_path):
     assert all(isinstance(p, str) for p in preds[0])
     score = est.score()
     assert 0.0 <= score <= 1.0
+
+
+@pytest.mark.parametrize("mode", ["twolevel", "full"])
+def test_predict_equals_per_history_oracle(tmp_path, mode):
+    data, _ = synth_dataset(tmp_path, n_users=60, n_items=16, n_groups=4, seed=2)
+    est = SequenceRecommender(
+        dim=8, item_dim=8, max_steps=40, batch_size=8, eval_every=0, seed=0, n_clusters=4, softmax_mode=mode
+    )
+    est.fit(data)
+    snap = est.snapshot_
+    tables = snap.tables
+    histories = [[data.catalog[i].item_id for i in e.history] for e in data.test_examples]
+    want = []
+    for e in data.test_examples:
+        query, _ = encode(render_id_only(e, data), tables, snap.encoder)
+        if mode == "twolevel":
+            items = topk_items(query, 5, tables, snap.cluster_map, snap.space).ordinals - tables.n_text
+        else:
+            scores = score_all(query, tables, None, mode="full")[tables.n_text :]
+            items = np.lexsort((np.arange(scores.size), -scores))[:5]
+        want.append([snap.item_ids[int(i)] for i in items])
+    assert est.predict(histories, k=5) == want
+    assert est.predict([], k=5) == []
+
+
+def _plant_after_finalize(monkeypatch, plant):
+    """Run ``plant(tables, grads)`` on every finalized gradient before the update."""
+    finalize = GradBuffer.finalize
+
+    def planted(self, tables):
+        grads = finalize(self, tables)
+        plant(tables, grads)
+        return grads
+
+    monkeypatch.setattr(GradBuffer, "finalize", planted)
+
+
+def test_nan_gradient_on_touched_item_row_raises(small_data, monkeypatch):
+    def plant(tables, grads):
+        grads["item_raw"].d_proj[0] = np.nan  # the first touched row only
+
+    _plant_after_finalize(monkeypatch, plant)
+    config = TrainConfig(max_steps=2, batch_size=4, eval_every=0, seed=2)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        train(small_data, config, dim=8, item_dim=6, clustering="random")
+
+
+def test_large_decay_checks_every_item_row(small_data, monkeypatch):
+    # With lr * weight_decay > 2, decay alone can overflow an untouched row,
+    # so the whole table is read: a NaN planted off the touched rows raises.
+    def plant(tables, grads):
+        untouched = np.setdiff1d(np.arange(tables.n_items), grads["item_raw"].rows)
+        tables.item_raw.data[untouched[0]] = np.nan
+
+    _plant_after_finalize(monkeypatch, plant)
+    config = TrainConfig(max_steps=1, batch_size=2, learning_rate=1.0, weight_decay=2.5, eval_every=0, seed=2)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        train(small_data, config, dim=8, item_dim=6, clustering="random")
 
 
 def test_estimator_set_params_rejects_unknown():
