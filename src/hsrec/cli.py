@@ -125,6 +125,7 @@ _OPTIONS = {
         ("snapshot", str, None, "trained snapshot path"),
         ("queries", int, 100, "number of benchmark queries"),
         ("k", str, "10", "top-k size"),
+        ("vocab_size", int, 8192, "text vocabulary cap"),
     ],
 }
 

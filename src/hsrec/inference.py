@@ -24,13 +24,19 @@ scores, for a ``(B, d)`` query block, only the item clusters that can reach
 some row's target log-probability, which is enough to rank every target
 exactly, and ``ann_item_scores`` takes a query block as one GEMM.
 
+Selection is array work, never a per-candidate loop.  ``_rank_topk`` (ANN,
+``topk_exact``, full-softmax prediction) partitions the scores around the
+k-th best and sorts only the entries at or above it.  The best-first loop
+keeps its best k as a sorted pair of arrays: an expanded cluster's members
+that reach the current k-th score are concatenated with them and sorted back
+to k.
+
 Ties are broken by ascending unified ordinal everywhere, so all engines are
 reproducible and comparable row-for-row.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,11 +102,25 @@ class SearchStats:
 
 
 def _rank_topk(scores: np.ndarray, k: int) -> TopK:
-    """Top-k of a dense score vector under the global tie-break."""
+    """Top-k of a dense score vector under the global tie-break.
+
+    A partition finds the k-th best score, and only the entries at or above
+    it, every tie included, are sorted.  Sorts are stable over ascending
+    indices, so ties break by index.  A NaN k-th score (fewer than k non-NaN
+    scores) or ``k >= n`` sorts everything, which ranks NaN last.
+    """
     n = scores.size
     k = min(k, n)
-    order = np.lexsort((np.arange(n), -scores))[:k]
-    return TopK(ordinals=order.astype(np.int64), scores=scores[order])
+    if 0 < k < n:
+        keys = -scores
+        keys.partition(k - 1)
+        kth = -keys[k - 1]
+        if kth == kth:
+            survivors = (scores >= kth).nonzero()[0]
+            order = survivors[(-scores[survivors]).argsort(kind="stable")[:k]]
+            return TopK(ordinals=order, scores=scores[order])
+    order = (-scores).argsort(kind="stable")[:k]
+    return TopK(ordinals=order, scores=scores[order])
 
 
 def topk_exact(query, k: int, tables: ModelTables, cluster_map: ClusterMap) -> TopK:
@@ -115,7 +135,13 @@ def topk_exact(query, k: int, tables: ModelTables, cluster_map: ClusterMap) -> T
 
 def _best_first(query, k: int, tables: ModelTables, cluster_map: ClusterMap, with_text: bool):
     """The best-first loop of ``topk_structure``; ``with_text=False`` skips
-    the text singletons, which gives the exact item-restricted top-k."""
+    the text singletons, which gives the exact item-restricted top-k.
+
+    The best k so far are two arrays, scores and ordinals, sorted by
+    (-score, ordinal).  Once k are held, a cluster whose best member is below
+    the k-th score adds nothing; otherwise its members at or above that score
+    are concatenated with the best k and ``lexsort``-ed back to k.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     q = _query64(query)
@@ -125,45 +151,37 @@ def _best_first(query, k: int, tables: ModelTables, cluster_map: ClusterMap, wit
     clusters = np.arange(0 if with_text else n_text, cl.size)
     expansion_order = clusters[np.lexsort((clusters, -cl[clusters]))]
 
-    # Min-heap of the best-K seen so far, keyed so the root is the worst:
-    # lowest log-probability first, then highest ordinal.
-    heap: list[tuple[float, int, int]] = []
-
-    def worst_beats(bound: float) -> bool:
-        if len(heap) < k:
-            return False
-        return heap[0][0] > bound
-
-    for i, cluster_id in enumerate(expansion_order):
-        bound = float(cl[cluster_id])
-        if worst_beats(bound):
+    best_scores = np.empty(0)
+    best_ordinals = np.empty(0, dtype=np.int64)
+    kth = None  # the k-th best score, once k candidates are held
+    for i, cluster_id in enumerate(expansion_order.tolist()):
+        bound = cl[cluster_id]
+        if kth is not None and kth > bound:
             stats.clusters_pruned = expansion_order.size - i
-            stats.max_pruned_logprob = bound
+            stats.max_pruned_logprob = float(bound)
             break
         stats.clusters_expanded += 1
         if cluster_id < n_text:
-            candidates = ((bound, int(cluster_id)),)
+            scores = cl[cluster_id : cluster_id + 1]
+            ordinals = np.array([cluster_id], dtype=np.int64)
         else:
-            members, log_cond = member_log_conditionals(
-                q, tables, cluster_map, int(cluster_id) - n_text
-            )
+            members, log_cond = member_log_conditionals(q, tables, cluster_map, cluster_id - n_text)
             stats.tokens_scored += members.size
-            candidates = zip((cl[cluster_id] + log_cond).tolist(), (n_text + members).tolist())
-        for score, ordinal in candidates:
-            entry = (score, -ordinal, ordinal)
-            if len(heap) < k:
-                heapq.heappush(heap, entry)
-            elif entry > heap[0]:
-                heapq.heapreplace(heap, entry)
+            scores = bound + log_cond
+            if kth is not None:
+                if scores.max() < kth:
+                    continue
+                keep = scores >= kth
+                scores, members = scores[keep], members[keep]
+            ordinals = n_text + members
+        scores = np.concatenate((best_scores, scores))
+        ordinals = np.concatenate((best_ordinals, ordinals))
+        order = np.lexsort((ordinals, -scores))[:k]
+        best_scores, best_ordinals = scores[order], ordinals[order]
+        if best_scores.size == k:
+            kth = best_scores[-1]
 
-    ranked = sorted(heap, key=lambda e: (-e[0], e[2]))
-    return (
-        TopK(
-            ordinals=np.asarray([e[2] for e in ranked], dtype=np.int64),
-            scores=np.asarray([e[0] for e in ranked], dtype=np.float64),
-        ),
-        stats,
-    )
+    return TopK(ordinals=best_ordinals, scores=best_scores), stats
 
 
 def topk_structure(query, k: int, tables: ModelTables, cluster_map: ClusterMap):
@@ -290,10 +308,8 @@ def topk_ann(
     probes = min(probes, cmap.n_item_clusters)
     centroid_scores = tables.centroids.data @ q
     probe_clusters = np.lexsort((np.arange(centroid_scores.size), -centroid_scores))[:probes]
-    allowed = np.zeros(index.n_total, dtype=bool)
-    allowed[: index.n_text] = True
-    for j in probe_clusters:
-        allowed[index.n_text + cmap.item_members(int(j))] = True
+    allowed = np.ones(index.n_total, dtype=bool)
+    allowed[index.n_text :] = np.isin(cmap.item_assignment, probe_clusters)
     masked = np.where(allowed, scores, -np.inf)
     picked = _rank_topk(masked, min(k, int(allowed.sum())))
     return picked

@@ -1,9 +1,14 @@
-"""Shared fixtures: random models, parameter flattening, finite differences."""
+"""Shared fixtures: random models, parameter flattening, finite differences,
+and the selection oracles the array-form top-k paths are tested against."""
+
+import heapq
 
 import numpy as np
 
 from hsrec.cluster import ClusterMap
 from hsrec.encoder import EncoderParams
+from hsrec.inference import SearchStats, TopK
+from hsrec.softmax import _query64, cluster_logits, log_softmax, member_log_conditionals
 from hsrec.tables import EmbeddingTable, ModelTables, ProjectionHead
 
 
@@ -124,3 +129,63 @@ def synth_dataset(tmp_path, n_users=80, n_items=24, n_groups=4, stickiness=0.85,
     path = tmp_path / "synth.jsonl"
     write_jsonl(data, path)
     return build_dataset(ingest_jsonl(path), vocab_size=vocab_size, name="synth"), data
+
+
+def rank_topk_reference(scores, k):
+    """Top-k by one full ``lexsort`` on (-score, index)."""
+    n = scores.size
+    order = np.lexsort((np.arange(n), -scores))[: min(k, n)]
+    return TopK(ordinals=order.astype(np.int64), scores=scores[order])
+
+
+def best_first_heap(query, k, tables, cluster_map, with_text):
+    """Best-first search with a per-candidate min-heap of the best k: the
+    oracle for ``inference._best_first``'s array merge."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    q = _query64(query)
+    n_text = tables.n_text
+    cl = log_softmax(cluster_logits(q, tables))
+    stats = SearchStats(tokens_scored=cluster_map.n_clusters)
+    clusters = np.arange(0 if with_text else n_text, cl.size)
+    expansion_order = clusters[np.lexsort((clusters, -cl[clusters]))]
+
+    # Min-heap of the best-K seen so far, keyed so the root is the worst:
+    # lowest log-probability first, then highest ordinal.
+    heap: list[tuple[float, int, int]] = []
+
+    def worst_beats(bound: float) -> bool:
+        if len(heap) < k:
+            return False
+        return heap[0][0] > bound
+
+    for i, cluster_id in enumerate(expansion_order):
+        bound = float(cl[cluster_id])
+        if worst_beats(bound):
+            stats.clusters_pruned = expansion_order.size - i
+            stats.max_pruned_logprob = bound
+            break
+        stats.clusters_expanded += 1
+        if cluster_id < n_text:
+            candidates = ((bound, int(cluster_id)),)
+        else:
+            members, log_cond = member_log_conditionals(
+                q, tables, cluster_map, int(cluster_id) - n_text
+            )
+            stats.tokens_scored += members.size
+            candidates = zip((cl[cluster_id] + log_cond).tolist(), (n_text + members).tolist())
+        for score, ordinal in candidates:
+            entry = (score, -ordinal, ordinal)
+            if len(heap) < k:
+                heapq.heappush(heap, entry)
+            elif entry > heap[0]:
+                heapq.heapreplace(heap, entry)
+
+    ranked = sorted(heap, key=lambda e: (-e[0], e[2]))
+    return (
+        TopK(
+            ordinals=np.asarray([e[2] for e in ranked], dtype=np.int64),
+            scores=np.asarray([e[0] for e in ranked], dtype=np.float64),
+        ),
+        stats,
+    )

@@ -278,6 +278,20 @@ def test_snapshot_of_another_corpus_is_data_error(corpus, tmp_path, capsys, comm
         assert "does not match the snapshot" in trailer["error"]["message"], other
 
 
+def test_bench_snapshot_with_another_vocab_cap(corpus, tmp_path):
+    train_dir = tmp_path / "train"
+    code = run(
+        ["train", "--data", corpus, "--steps", 2, "--batch-size", 4, "--dim", 8, "--item-dim", 6,
+         "--vocab-size", 40, "--eval-every", 0, "--out-dir", train_dir]
+    )
+    assert code == 0
+    code = run(
+        ["bench", "--data", corpus, "--snapshot", train_dir / "snapshot.hsrc", "--queries", 3,
+         "--vocab-size", 40, "--out-dir", tmp_path / "bench"]
+    )
+    assert code == 0
+
+
 def test_latency_all_skips_fields_no_item_has(corpus, tmp_path):
     # Synthetic corpora carry titles but no categories.
     code = run(["latency", "--data", corpus, "--out-dir", tmp_path])

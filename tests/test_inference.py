@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
-from helpers import fig2_fixture, random_cluster_map, random_model
+from helpers import (
+    best_first_heap,
+    fig2_fixture,
+    random_cluster_map,
+    random_model,
+    rank_topk_reference,
+)
 from hsrec.cluster import ClusterMap
 from hsrec.exceptions import StaleIndexError
 from hsrec.inference import (
+    _best_first,
+    _rank_topk,
+    ann_item_scores,
     build_additive_index,
     filter_items,
     topk_ann,
@@ -250,3 +259,81 @@ def test_topk_items_engines():
     tables.bump_version()
     with pytest.raises(StaleIndexError):
         topk_items(q, 3, tables, cmap, space, engine="ann", index=index)
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 200])
+def test_rank_topk_equals_full_lexsort(n):
+    # Few levels, so most scores tie; signed zeros, infinities and NaN mixed in.
+    levels = np.array([-np.inf, -1.5, -0.0, 0.0, 0.25, 2.0, np.inf, np.nan])
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        scores = rng.choice(levels[: 3 + seed % 6] if seed % 4 else levels, size=n)
+        for k in (1, 2, 5, n - 1, n, n + 3):
+            if k < 1:
+                continue
+            got, want = _rank_topk(scores, k), rank_topk_reference(scores, k)
+            assert _bits(got.ordinals) == _bits(want.ordinals), (seed, k)
+            assert _bits(got.scores) == _bits(want.scores), (seed, k)
+
+
+def _tied_items(tables, cmap, singletons=False):
+    # Zeroed item side: every item cluster has the same log P(cluster | H) and
+    # every member the same log P(item | cluster), whatever the query.
+    tables.item_raw.data[:] = 0.0
+    tables.projection.bias[:] = 0.0
+    n_text, n_items = tables.n_text, tables.n_items
+    n_clusters = n_items if singletons else cmap.n_item_clusters
+    tables.centroids = EmbeddingTable(np.zeros((n_clusters, tables.dim)))
+    tables.bump_version()
+    return tables, ClusterMap(n_text, np.arange(n_items) % n_clusters, n_clusters)
+
+
+def _best_first_cases(model):
+    for seed in range(8):
+        if model == "random":
+            tables, cmap, rng = random_model(3 + seed % 5, 20 + 7 * seed, 6, 4, 2 + seed % 5, seed=seed)
+        elif model == "prunes":
+            tables, cmap, rng = random_model(20, 400, 8, 6, 20, seed=seed)
+        else:
+            tables, cmap, rng = random_model(5 + seed % 3, 24, 6, 4, 4, seed=seed)
+            tables, cmap = _tied_items(tables, cmap, singletons=model == "tied_singletons")
+        yield tables, cmap, rng.standard_normal(tables.dim)
+
+
+@pytest.mark.parametrize("model", ["random", "prunes", "tied", "tied_singletons"])
+@pytest.mark.parametrize("with_text", [False, True])
+def test_best_first_equals_heap_oracle(model, with_text):
+    pruned = 0
+    for tables, cmap, q in _best_first_cases(model):
+        for k in (1, 3, 10, tables.n_total + 3):
+            got, got_stats = _best_first(q, k, tables, cmap, with_text)
+            want, want_stats = best_first_heap(q, k, tables, cmap, with_text)
+            assert _bits(got.ordinals) == _bits(want.ordinals), k
+            assert _bits(got.scores) == _bits(want.scores), k
+            assert got_stats.to_dict() == want_stats.to_dict(), k
+            pruned += got_stats.clusters_pruned
+    if model == "prunes":
+        assert pruned > 0
+
+
+def test_ann_probe_mask_equals_member_lists():
+    tables, cmap, rng = random_model(4, 30, 5, 4, 6, seed=9)
+    index = build_additive_index(tables, cmap)
+    for _ in range(5):
+        q = rng.standard_normal(5)
+        scores = np.concatenate((index.vectors[: index.n_text] @ q, ann_item_scores(q, index, tables)))
+        centroid_scores = tables.centroids.data @ q
+        by_centroid = np.lexsort((np.arange(centroid_scores.size), -centroid_scores))
+        for probes in range(1, cmap.n_item_clusters + 2):
+            allowed = np.zeros(tables.n_total, dtype=bool)
+            allowed[: tables.n_text] = True
+            for j in by_centroid[:probes]:
+                allowed[tables.n_text + cmap.item_members(int(j))] = True
+            want = rank_topk_reference(np.where(allowed, scores, -np.inf), min(8, int(allowed.sum())))
+            got = topk_ann(q, 8, index, tables, probes=probes)
+            assert _bits(got.ordinals) == _bits(want.ordinals)
+            assert _bits(got.scores) == _bits(want.scores)
