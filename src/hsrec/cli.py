@@ -125,7 +125,6 @@ _OPTIONS = {
         ("snapshot", str, None, "trained snapshot path"),
         ("queries", int, 100, "number of benchmark queries"),
         ("k", str, "10", "top-k size"),
-        ("vocab_size", int, 8192, "text vocabulary cap"),
     ],
 }
 
@@ -440,8 +439,9 @@ def cmd_latency(opts: dict) -> int:
 def cmd_bench(opts: dict) -> int:
     _require(opts, "data", "snapshot")
     out = _out_dir(opts)
-    data = _load_dataset(opts)
     snapshot = load_snapshot(opts["snapshot"])
+    # Capped at the snapshot's size, the corpus rebuilds the snapshot's vocabulary.
+    data = _load_dataset({**opts, "vocab_size": len(snapshot.vocab)})
     _check_snapshot_matches(snapshot, data)
     k = int(str(opts["k"]).split(",")[0])
     rng = np.random.default_rng(opts["seed"])

@@ -29,7 +29,8 @@ Selection is array work, never a per-candidate loop.  ``_rank_topk`` (ANN,
 k-th best and sorts only the entries at or above it.  The best-first loop
 keeps its best k as a sorted pair of arrays: an expanded cluster's members
 that reach the current k-th score are concatenated with them and sorted back
-to k.
+to k, and a run of consecutive text singletons is merged, and tested for
+pruning, as one step.
 
 Ties are broken by ascending unified ordinal everywhere, so all engines are
 reproducible and comparable row-for-row.
@@ -133,14 +134,34 @@ def topk_exact(query, k: int, tables: ModelTables, cluster_map: ClusterMap) -> T
     return _rank_topk(score_all(query, tables, cluster_map, mode="twolevel"), k)
 
 
+def _expansion_steps(is_text: np.ndarray, k: int):
+    """(start, end) steps of the best-first loop over the expansion order:
+    each item cluster alone, consecutive text singletons up to k at a time
+    (k of them fill the best k)."""
+    start = 0
+    while start < is_text.size:
+        if is_text[start]:
+            run = is_text[start : start + k]
+            end = start + (run.size if run.all() else int(run.argmin()))
+        else:
+            end = start + 1
+        yield start, end
+        start = end
+
+
 def _best_first(query, k: int, tables: ModelTables, cluster_map: ClusterMap, with_text: bool):
     """The best-first loop of ``topk_structure``; ``with_text=False`` skips
     the text singletons, which gives the exact item-restricted top-k.
 
     The best k so far are two arrays, scores and ordinals, sorted by
-    (-score, ordinal).  Once k are held, a cluster whose best member is below
-    the k-th score adds nothing; otherwise its members at or above that score
-    are concatenated with the best k and ``lexsort``-ed back to k.
+    (-score, ordinal), and each step ``lexsort``-s its candidates into them
+    back to k.  An item cluster is one step: once k are held, it adds nothing
+    if its best member is below the k-th score, and otherwise only its
+    members at or above that score are merged.  Consecutive text singletons
+    are one step: each scores its own bound and they come in (-score,
+    ordinal) order, so ``searchsorted`` finds the first one that k
+    candidates, held or earlier in the run, strictly beat, and the search
+    stops there.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -150,21 +171,36 @@ def _best_first(query, k: int, tables: ModelTables, cluster_map: ClusterMap, wit
     stats = SearchStats(tokens_scored=cluster_map.n_clusters)
     clusters = np.arange(0 if with_text else n_text, cl.size)
     expansion_order = clusters[np.lexsort((clusters, -cl[clusters]))]
+    n_clusters = expansion_order.size
 
     best_scores = np.empty(0)
     best_ordinals = np.empty(0, dtype=np.int64)
-    kth = None  # the k-th best score, once k candidates are held
-    for i, cluster_id in enumerate(expansion_order.tolist()):
+    stop = n_clusters  # the first pruned position in expansion_order
+    for start, end in _expansion_steps(expansion_order < n_text, k):
+        cluster_id = int(expansion_order[start])
         bound = cl[cluster_id]
+        kth = best_scores[-1] if best_scores.size == k else None
         if kth is not None and kth > bound:
-            stats.clusters_pruned = expansion_order.size - i
-            stats.max_pruned_logprob = float(bound)
+            stop = start
             break
-        stats.clusters_expanded += 1
         if cluster_id < n_text:
-            scores = cl[cluster_id : cluster_id + 1]
-            ordinals = np.array([cluster_id], dtype=np.int64)
+            ordinals = expansion_order[start:end]
+            scores = cl[ordinals]
+            if not best_scores.size:
+                # At most k, so fewer than k beat any of them, and in order.
+                stats.clusters_expanded += scores.size
+                best_scores, best_ordinals = scores, ordinals
+                continue
+            keys = -scores
+            beaten_by = np.searchsorted(-best_scores, keys) + np.searchsorted(keys, keys)
+            # ``cl`` is NaN-free or all NaN, and then nothing beats a run.
+            pruned = np.flatnonzero(beaten_by >= k)
+            if pruned.size:
+                stop = start + int(pruned[0])
+                scores, ordinals = scores[: stop - start], ordinals[: stop - start]
+            stats.clusters_expanded += scores.size
         else:
+            stats.clusters_expanded += 1
             members, log_cond = member_log_conditionals(q, tables, cluster_map, cluster_id - n_text)
             stats.tokens_scored += members.size
             scores = bound + log_cond
@@ -178,9 +214,12 @@ def _best_first(query, k: int, tables: ModelTables, cluster_map: ClusterMap, wit
         ordinals = np.concatenate((best_ordinals, ordinals))
         order = np.lexsort((ordinals, -scores))[:k]
         best_scores, best_ordinals = scores[order], ordinals[order]
-        if best_scores.size == k:
-            kth = best_scores[-1]
+        if stop < n_clusters:
+            break
 
+    if stop < n_clusters:
+        stats.clusters_pruned = n_clusters - stop
+        stats.max_pruned_logprob = float(cl[expansion_order[stop]])
     return TopK(ordinals=best_ordinals, scores=best_scores), stats
 
 

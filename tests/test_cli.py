@@ -287,7 +287,7 @@ def test_bench_snapshot_with_another_vocab_cap(corpus, tmp_path):
     assert code == 0
     code = run(
         ["bench", "--data", corpus, "--snapshot", train_dir / "snapshot.hsrc", "--queries", 3,
-         "--vocab-size", 40, "--out-dir", tmp_path / "bench"]
+         "--out-dir", tmp_path / "bench"]
     )
     assert code == 0
 

@@ -298,13 +298,20 @@ def _best_first_cases(model):
             tables, cmap, rng = random_model(3 + seed % 5, 20 + 7 * seed, 6, 4, 2 + seed % 5, seed=seed)
         elif model == "prunes":
             tables, cmap, rng = random_model(20, 400, 8, 6, 20, seed=seed)
+        elif model == "tied_text":
+            # Zeroed rows tie text singletons with each other and with the
+            # zeroed item clusters, in runs longer than most k.
+            tables, cmap, rng = random_model(25, 30, 6, 4, 5, seed=seed)
+            tables.text.data[rng.random(25) < 0.5] = 0.0
+            tables.centroids.data[rng.random(5) < 0.4] = 0.0
+            tables.bump_version()
         else:
             tables, cmap, rng = random_model(5 + seed % 3, 24, 6, 4, 4, seed=seed)
             tables, cmap = _tied_items(tables, cmap, singletons=model == "tied_singletons")
         yield tables, cmap, rng.standard_normal(tables.dim)
 
 
-@pytest.mark.parametrize("model", ["random", "prunes", "tied", "tied_singletons"])
+@pytest.mark.parametrize("model", ["random", "prunes", "tied", "tied_singletons", "tied_text"])
 @pytest.mark.parametrize("with_text", [False, True])
 def test_best_first_equals_heap_oracle(model, with_text):
     pruned = 0
