@@ -42,11 +42,10 @@ class ClusterMap:
         self.n_text = int(n_text)
         self.item_assignment = assignment
         self.n_item_clusters = int(n_item_clusters)
-        # Items grouped by cluster for O(1) member slices and segment reductions.
+        # Items grouped by cluster for O(1) member slices.
         self.item_order = np.argsort(assignment, kind="stable")
         self.offsets = np.zeros(n_item_clusters + 1, dtype=np.int64)
         np.cumsum(counts, out=self.offsets[1:])
-        self.segment_of_ordered = np.repeat(np.arange(n_item_clusters), counts)
 
     @property
     def n_items(self) -> int:
@@ -60,9 +59,6 @@ class ClusterMap:
         if ordinal < self.n_text:
             return ordinal
         return self.n_text + int(self.item_assignment[ordinal - self.n_text])
-
-    def is_item_cluster(self, cluster_id: int) -> bool:
-        return cluster_id >= self.n_text
 
     def item_members(self, item_cluster: int) -> np.ndarray:
         """Item indices belonging to item cluster ``item_cluster``."""

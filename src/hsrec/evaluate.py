@@ -5,14 +5,12 @@ rendered ID-only and encoded as one ``(B, d)`` query matrix
 (``encode_batch``); the engine builds one ``(B, n_items)`` float64 score
 matrix, and ``rank_rows`` (one tie-break, history exclusion and finiteness
 check for all engines) gives every held-out target's 1-based rank.
-``full`` enumerates log-probabilities: one GEMM of cluster logits, then one
-GEMM per item cluster (or one ``(B, n_total)`` GEMM in full-softmax mode).
-``ann`` is one GEMM against the additive index's item rows.  ``structure``
-runs the same per-cluster GEMMs as ``full`` over the same block, but only for
-clusters some row needs: that row's target cluster, then every cluster whose
-log P(cluster | H) reaches that row's target log-probability.  A row keeps
--inf wherever it did not need a cluster, which leaves its rank bitwise that
-of ``full``.  Recall@K and NDCG@10 truncate at K; MRR uses the unbounded
+``full`` and ``structure`` both enumerate log-probabilities with
+``item_log_probs_batch``: one GEMM of cluster logits, then one GEMM per item
+cluster (or one ``(B, n_total)`` GEMM in full-softmax mode), so their ranks
+are one and the same.  ``structure`` names the two-level exact engine and
+requires a two-level snapshot.  ``ann`` is one GEMM against the additive
+index's item rows.  Recall@K and NDCG@10 truncate at K; MRR uses the unbounded
 full-catalog rank.  With a single relevant item NDCG reduces to
 1/log2(rank + 1).
 """
@@ -27,7 +25,7 @@ import numpy as np
 from .catalog import Dataset, SequenceExample
 from .encoder import encode_batch
 from .exceptions import TrainingDivergedError
-from .inference import ann_item_scores, build_additive_index, structure_item_scores
+from .inference import ann_item_scores, build_additive_index
 from .render import render_id_only
 from .snapshot import ModelSnapshot
 from .softmax import item_log_probs_batch
@@ -112,10 +110,9 @@ def target_ranks(
 ) -> np.ndarray:
     """1-based full-catalog rank of each example's held-out target.
 
-    Engine ``full`` enumerates every item's score under the snapshot's own
-    softmax mode, so it doubles as the exactness oracle for the fast engines.
-    ``structure`` and ``ann`` require a two-level snapshot.  Users go through
-    ``EVAL_BLOCK`` at a time.
+    Engines ``full`` and ``structure`` enumerate every item's score under the
+    snapshot's own softmax mode; ``structure`` and ``ann`` require a
+    two-level snapshot.  Users go through ``EVAL_BLOCK`` at a time.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
@@ -132,15 +129,12 @@ def target_ranks(
     for lo in range(0, len(examples), EVAL_BLOCK):
         block = examples[lo : lo + EVAL_BLOCK]
         queries, _ = encode_batch([render_id_only(e, data) for e in block], tables, snapshot.encoder)
-        targets = [e.target for e in block]
-        if engine == "full":
-            scores = item_log_probs_batch(queries, tables, cmap, mode)
-        elif engine == "ann":
+        if engine == "ann":
             scores = ann_item_scores(queries, index, tables)
         else:
-            scores = structure_item_scores(queries, targets, tables, cmap)
+            scores = item_log_probs_batch(queries, tables, cmap, mode)
         exclude = [e.history for e in block] if exclude_history else None
-        ranks.extend(rank_rows(scores, targets, exclude).tolist())
+        ranks.extend(rank_rows(scores, [e.target for e in block], exclude).tolist())
     return np.asarray(ranks, dtype=np.int64)
 
 

@@ -16,16 +16,15 @@ Three engines:
                         approximate; scores are raw dot products, not
                         probabilities.
 
-Item-only paths serve recommendations and evaluation.  ``topk_items`` runs the
-best-first loop over item clusters only (P(cluster | H) still bounds every
-member, so this is the exact item-restricted top-k) or ranks the ANN index's
-item rows.  Evaluation scores blocks of users at once: ``structure_item_scores``
-scores, for a ``(B, d)`` query block, only the item clusters that can reach
-some row's target log-probability, which is enough to rank every target
-exactly, and ``ann_item_scores`` takes a query block as one GEMM.
+Item-only paths serve recommendations.  ``topk_items`` runs the best-first
+loop over item clusters only (P(cluster | H) still bounds every member, so
+this is the exact item-restricted top-k) or ranks the ANN index's item rows.
+Blocks of users (evaluation, ``SequenceRecommender.predict``) are ranked by
+enumeration instead: ``softmax.item_log_probs_batch`` scores a ``(B, d)``
+query block exactly, and ``ann_item_scores`` takes a query block as one GEMM.
 
 Selection is array work, never a per-candidate loop.  ``_rank_topk`` (ANN,
-``topk_exact``, full-softmax prediction) partitions the scores around the
+``topk_exact``, block prediction) partitions the scores around the
 k-th best and sorts only the entries at or above it.  The best-first loop
 keeps its best k as a sorted pair of arrays: an expanded cluster's members
 that reach the current k-th score are concatenated with them and sorted back
@@ -47,11 +46,9 @@ from .exceptions import StaleIndexError
 from .softmax import (
     _queries64,
     _query64,
-    cluster_log_probs_batch,
     cluster_logits,
     log_softmax,
     member_log_conditionals,
-    member_log_conditionals_batch,
     score_all,
 )
 from .tables import ModelTables
@@ -232,42 +229,6 @@ def topk_structure(query, k: int, tables: ModelTables, cluster_map: ClusterMap):
     float ties expanding, preserving the ordinal tie-break of the oracle.
     """
     return _best_first(query, k, tables, cluster_map, with_text=True)
-
-
-def structure_item_scores(queries, target_items, tables: ModelTables, cluster_map: ClusterMap) -> np.ndarray:
-    """(B, n_items) item log-probabilities wherever they can reach the row's
-    target's, -inf elsewhere.
-
-    Each row's target cluster is scored first.  A cluster whose
-    log P(cluster | H) is below a row's target log-probability bounds every
-    member below it too, so that row keeps -inf there and its target's rank
-    equals enumeration's.  A cluster is scored only if some row needs it, with
-    the same GEMM over the whole block that ``item_log_probs_batch`` makes, so
-    every score a row keeps is bitwise the enumerated one.
-    """
-    q = _queries64(queries)
-    targets = np.asarray(target_items, dtype=np.int64)
-    cl = cluster_log_probs_batch(q, tables)[:, tables.n_text :]
-    target_clusters = cluster_map.item_assignment[targets]
-    scored = {
-        c: member_log_conditionals_batch(q, tables, cluster_map, c)
-        for c in np.unique(target_clusters).tolist()
-    }
-    target_scores = np.empty(targets.size)
-    for c, (members, log_cond) in scored.items():
-        rows = np.flatnonzero(target_clusters == c)
-        target_scores[rows] = cl[rows, c] + log_cond[rows, np.searchsorted(members, targets[rows])]
-    # A row's own target cluster always qualifies: log P(item | cluster) <= 0.
-    need = cl >= target_scores[:, None]
-    scores = np.full((targets.size, tables.n_items), -np.inf)
-    for c in np.flatnonzero(need.any(axis=0)).tolist():
-        if c in scored:
-            members, log_cond = scored[c]
-        else:
-            members, log_cond = member_log_conditionals_batch(q, tables, cluster_map, c)
-        rows = np.flatnonzero(need[:, c])
-        scores[np.ix_(rows, members)] = cl[rows, c, None] + log_cond[rows]
-    return scores
 
 
 @dataclass

@@ -15,8 +15,10 @@ Little-endian layout::
 
 Round trips are bit-identical, and loaded arrays are writable, so a loaded
 model can be trained further.  Wrong magic or version, truncated files, NaN
-or Inf in a float payload, bytes after the metadata and metadata that is not
-UTF-8 JSON raise :class:`SnapshotFormatError`.
+or Inf in a float payload, bytes after the metadata, metadata that is not
+UTF-8 JSON or not an object with ``vocab_words`` and ``item_ids`` lists of the
+header's sizes (and an object ``config``), and a cluster assignment or
+vocabulary that cannot be built raise :class:`SnapshotFormatError`.
 """
 
 from __future__ import annotations
@@ -79,6 +81,10 @@ def _read_floats(fh, shape, dtype, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise SnapshotFormatError(f"snapshot {name} payload contains NaN or Inf")
     return arr
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def save_snapshot(snapshot: ModelSnapshot, path) -> None:
@@ -152,6 +158,22 @@ def load_snapshot(path) -> ModelSnapshot:
         meta = json.loads(meta_bytes.decode("utf-8"))
     except ValueError as exc:
         raise SnapshotFormatError(f"metadata trailer is not UTF-8 JSON: {exc}") from exc
+    if not (
+        isinstance(meta, dict)
+        and _is_str_list(meta.get("vocab_words"))
+        and _is_str_list(meta.get("item_ids"))
+        and isinstance(meta.get("config", {}), dict)
+    ):
+        raise SnapshotFormatError(
+            "metadata trailer is not an object with vocab_words and item_ids string lists and a config object"
+        )
+    if len(meta["vocab_words"]) != n_text or len(meta["item_ids"]) != n_items:
+        raise SnapshotFormatError(
+            f"metadata lists {len(meta['vocab_words'])} words and {len(meta['item_ids'])} item ids; "
+            f"the header says {n_text} and {n_items}"
+        )
+    if not np.array_equal(assignment[:n_text], np.arange(n_text)):
+        raise SnapshotFormatError("cluster assignment does not map each text token to its own cluster")
 
     tables = ModelTables(
         EmbeddingTable(text),
@@ -160,13 +182,17 @@ def load_snapshot(path) -> ModelSnapshot:
         EmbeddingTable(centroids),
     )
     item_assignment = assignment[n_text:].astype(np.int64) - n_text
-    cluster_map = ClusterMap(int(n_text), item_assignment, int(n_item_clusters))
+    try:
+        cluster_map = ClusterMap(int(n_text), item_assignment, int(n_item_clusters))
+        vocab = Vocabulary(meta["vocab_words"])
+    except (KeyError, ValueError) as exc:
+        raise SnapshotFormatError(f"inconsistent snapshot: {exc}") from exc
     encoder = EncoderParams(hidden_w, hidden_b, out_w, out_b)
     return ModelSnapshot(
         tables=tables,
         encoder=encoder,
         cluster_map=cluster_map,
-        vocab=Vocabulary(meta["vocab_words"]),
+        vocab=vocab,
         item_ids=list(meta["item_ids"]),
         config=meta.get("config", {}),
         name=meta.get("name", "model"),

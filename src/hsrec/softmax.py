@@ -19,10 +19,11 @@ member softmaxes; the text, centroid and projected-item gradients are
 ``P.T @ Q`` products.  Its losses, gradients and dot count equal the sum of
 per-example :func:`nll_and_grad` calls, which stays as the test oracle.
 
-Evaluation scores blocks of queries the same way: :func:`item_log_probs_batch`
-is the block form of :func:`score_all` restricted to items, built from
-:func:`cluster_log_probs_batch` and one :func:`member_log_conditionals_batch`
-GEMM per item cluster.  :func:`score_all` stays as the single-query oracle.
+Evaluation and prediction score blocks of queries the same way:
+:func:`item_log_probs_batch` is the block form of :func:`score_all`
+restricted to items, built from :func:`cluster_log_probs_batch` and one
+:func:`member_log_conditionals_batch` GEMM per item cluster.
+:func:`score_all` stays as the single-query oracle.
 
 A :class:`CostCounter` tallies d-dimensional dot products so the cost claims
 are measurable rather than asserted.
@@ -49,9 +50,6 @@ class CostCounter:
 
     def add(self, n: int) -> None:
         self.dots += int(n)
-
-    def reset(self) -> None:
-        self.dots = 0
 
     def to_json(self) -> str:
         return json.dumps({"dots": self.dots})
@@ -165,9 +163,6 @@ def member_log_conditionals_batch(
     """Block form of :func:`member_log_conditionals`: one GEMM of the ``(B, d)``
     float64 queries against the cluster's projected rows, a row-wise logsumexp,
     and ``(members, (B, |members|) log P(item | cluster))``.
-
-    Enumeration and the pruned structure scores both call this on the same
-    query block, so their per-item log-probabilities are bitwise equal.
     """
     members = cluster_map.item_members(item_cluster)
     logits = queries @ tables.item_projected()[members].T

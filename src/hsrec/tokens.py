@@ -55,9 +55,6 @@ class TokenSpace:
             return TokenId(TokenKind.TEXT, ordinal)
         return TokenId(TokenKind.ITEM, ordinal - self.n_text)
 
-    def is_item_ordinal(self, ordinal: int) -> bool:
-        return ordinal >= self.n_text
-
     def item_ordinal(self, item_index: int) -> int:
         if not 0 <= item_index < self.n_items:
             raise ValueError(f"item index {item_index} out of range")

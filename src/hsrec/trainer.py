@@ -30,9 +30,9 @@ from .cluster import (
     init_centroids,
 )
 from .encoder import encode_batch, encode_batch_backward, init_encoder
-from .evaluate import evaluate
+from .evaluate import EVAL_BLOCK, evaluate
 from .exceptions import DataError, TrainingDivergedError
-from .inference import _rank_topk, topk_items
+from .inference import _rank_topk
 from .render import render_example, render_id_only
 from .snapshot import ModelSnapshot
 from .softmax import item_log_probs_batch, nll_and_grad_batch
@@ -362,11 +362,14 @@ class SequenceRecommender(BaseEstimator):
     def predict(self, histories, k: int = 10):
         """Top-k item IDs for each history of known external item IDs.
 
-        All histories are encoded as one ``(B, d)`` query matrix.  Two-level
-        models rank each row with the exact structure search; full-softmax
-        models score every item of the block at once.
+        Histories are encoded and scored ``EVAL_BLOCK`` at a time: every
+        item's exact log-probability under the model's softmax mode
+        (``item_log_probs_batch``), then each row's top k, ties by ascending
+        item index.
         """
         check_is_fitted(self, ["snapshot_", "dataset_"])
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         snapshot = self.snapshot_
         data = self.dataset_
         tables = snapshot.tables
@@ -378,22 +381,15 @@ class SequenceRecommender(BaseEstimator):
                 raise DataError(f"unknown item id {exc.args[0]!r}") from exc
             example = SequenceExample(user="query", history=indices, target=indices[-1])
             seqs.append(render_id_only(example, data))
-        if not seqs:
-            return []
-        queries, _ = encode_batch(seqs, tables, snapshot.encoder)
-        if self.softmax_mode == "twolevel":
-            ranked = [
-                topk_items(query, k, tables, snapshot.cluster_map, snapshot.space).ordinals - tables.n_text
-                for query in queries
-            ]
-        else:
-            scores = item_log_probs_batch(queries, tables, mode="full")
-            ranked = [_rank_topk(row, k).ordinals for row in scores]
-        return [[snapshot.item_ids[int(i)] for i in items] for items in ranked]
+        out = []
+        for lo in range(0, len(seqs), EVAL_BLOCK):
+            queries, _ = encode_batch(seqs[lo : lo + EVAL_BLOCK], tables, snapshot.encoder)
+            scores = item_log_probs_batch(queries, tables, snapshot.cluster_map, self.softmax_mode)
+            out.extend([snapshot.item_ids[int(i)] for i in _rank_topk(row, k).ordinals] for row in scores)
+        return out
 
     def score(self, X=None) -> float:
         """Recall@10 on the held-out test split."""
         check_is_fitted(self, ["snapshot_", "dataset_"])
-        engine = "structure" if self.softmax_mode == "twolevel" else "full"
-        report = evaluate(self.snapshot_, self.dataset_, engine=engine)
+        report = evaluate(self.snapshot_, self.dataset_, engine="full")
         return report.recall[10]

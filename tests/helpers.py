@@ -1,7 +1,10 @@
 """Shared fixtures: random models, parameter flattening, finite differences,
-and the selection oracles the array-form top-k paths are tested against."""
+snapshot byte surgery, and the selection oracles the array-form top-k paths
+are tested against."""
 
 import heapq
+import json
+import struct
 
 import numpy as np
 
@@ -32,6 +35,22 @@ def random_model(n_text, n_items, dim, item_dim, n_clusters, seed=0, dtype=np.fl
     )
     cmap = random_cluster_map(n_text, n_items, n_clusters, rng)
     return tables, cmap, rng
+
+
+def rewrite_snapshot(path, assignment=None, metadata=None):
+    """Overwrite a saved snapshot's unified cluster assignment (as u32) and/or
+    its metadata trailer (any JSON value), locating both from the header."""
+    blob = bytearray(path.read_bytes())
+    dim, item_dim, n_text, n_items, n_clusters, precision = struct.unpack_from("<IIQQQB", blob, 8)
+    size = 4 if precision == 0 else 8
+    at = 41 + size * (n_text * dim + n_items * item_dim + dim * item_dim + dim + n_clusters * dim)
+    n = n_text + n_items
+    if assignment is not None:
+        blob[at : at + 4 * n] = np.asarray(assignment, dtype="<u4").tobytes()
+    if metadata is not None:
+        meta = json.dumps(metadata).encode("utf-8")
+        blob[at + 4 * n + size * (2 * dim * dim + 2 * dim) :] = struct.pack("<Q", len(meta)) + meta
+    path.write_bytes(bytes(blob))
 
 
 def random_encoder(dim, rng, dtype=np.float64, scale=0.5):

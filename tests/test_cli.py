@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from helpers import rewrite_snapshot
 from hsrec.cli import main
 
 
@@ -146,6 +147,21 @@ def test_eval_rejects_corrupt_snapshot_trailers(corpus, tmp_path, capsys):
         assert trailer["error"]["code"] == 2
     # The eval thread pool is gone, and with it the flag.
     assert run(["eval", "--data", corpus, "--snapshot", good, "--threads", 2]) == 1
+
+
+def test_bench_rejects_corrupt_cluster_assignment(corpus, tmp_path, capsys):
+    from hsrec.snapshot import load_snapshot
+
+    run(["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", tmp_path])
+    path = tmp_path / "snapshot.hsrc"
+    assignment = load_snapshot(path).cluster_map.assignment()
+    assignment[-1] = assignment.max() + 1  # no such item cluster
+    rewrite_snapshot(path, assignment=assignment)
+    capsys.readouterr()
+    assert run(["bench", "--data", corpus, "--snapshot", path, "--queries", 2, "--out-dir", tmp_path / "b"]) == 2
+    trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "data" and trailer["error"]["code"] == 2
+    assert "out-of-range" in trailer["error"]["message"]
 
 
 def test_eval_rejects_non_finite_snapshot_payload(corpus, tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import synth_dataset
+from helpers import rewrite_snapshot, synth_dataset
 from hsrec.exceptions import SnapshotFormatError
 from hsrec.snapshot import load_snapshot, save_snapshot
 from hsrec.trainer import TrainConfig, init_model, train
@@ -124,4 +124,82 @@ def test_non_finite_payload_rejected(snapshot, tmp_path, value, table):
     path = tmp_path / "model.hsrc"
     save_snapshot(snapshot, path)
     with pytest.raises(SnapshotFormatError, match="NaN or Inf"):
+        load_snapshot(path)
+
+
+def _metadata(snapshot):
+    return {"vocab_words": list(snapshot.vocab.words), "item_ids": list(snapshot.item_ids), "config": snapshot.config}
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        ("text_swapped", "its own cluster"),
+        ("item_in_text_cluster", "out-of-range"),
+        ("item_past_last_cluster", "out-of-range"),
+        ("empty_cluster", "is empty"),
+    ],
+)
+def test_corrupt_cluster_assignment_rejected(snapshot, tmp_path, corrupt, match):
+    cmap = snapshot.cluster_map
+    n_text = cmap.n_text
+    assignment = cmap.assignment()
+    if corrupt == "text_swapped":
+        assignment[[0, 1]] = assignment[[1, 0]]
+    elif corrupt == "item_in_text_cluster":
+        assignment[n_text] = 0
+    elif corrupt == "item_past_last_cluster":
+        assignment[n_text] = cmap.n_clusters
+    else:
+        members = cmap.members_of(n_text)
+        assignment[members] = cmap.cluster_of(int(cmap.members_of(n_text + 1)[0]))
+    path = tmp_path / "model.hsrc"
+    save_snapshot(snapshot, path)
+    rewrite_snapshot(path, assignment=assignment)
+    with pytest.raises(SnapshotFormatError, match=match):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        ("list", "vocab_words and item_ids"),
+        ("no_vocab_words", "vocab_words and item_ids"),
+        ("no_item_ids", "vocab_words and item_ids"),
+        ("item_id_not_string", "vocab_words and item_ids"),
+        ("config_not_object", "config object"),
+        ("word_missing", "header says"),
+        ("item_id_missing", "header says"),
+        ("duplicate_word", "duplicate"),
+        ("no_oov_word", "OOV"),
+        ("no_prompt_word", "inconsistent snapshot"),
+    ],
+)
+def test_corrupt_metadata_rejected(snapshot, tmp_path, corrupt, match):
+    meta = _metadata(snapshot)
+    words = meta["vocab_words"]
+    if corrupt == "list":
+        meta = [meta]
+    elif corrupt == "no_vocab_words":
+        del meta["vocab_words"]
+    elif corrupt == "no_item_ids":
+        del meta["item_ids"]
+    elif corrupt == "item_id_not_string":
+        meta["item_ids"][0] = 7
+    elif corrupt == "config_not_object":
+        meta["config"] = [meta["config"]]
+    elif corrupt == "word_missing":
+        words.pop()
+    elif corrupt == "item_id_missing":
+        meta["item_ids"].pop()
+    elif corrupt == "duplicate_word":
+        words[-1] = words[0]
+    elif corrupt == "no_oov_word":
+        words[words.index("<oov>")] = "not-a-word"
+    else:
+        words[words.index("which")] = "not-a-word"
+    path = tmp_path / "model.hsrc"
+    save_snapshot(snapshot, path)
+    rewrite_snapshot(path, metadata=meta)
+    with pytest.raises(SnapshotFormatError, match=match):
         load_snapshot(path)

@@ -4,7 +4,7 @@ import pytest
 from helpers import synth_dataset
 from hsrec.catalog import ItemRecord, SequenceExample
 from hsrec.encoder import encode
-from hsrec.evaluate import popularity_baseline
+from hsrec.evaluate import EVAL_BLOCK, popularity_baseline
 from hsrec.exceptions import TrainingDivergedError
 from hsrec.inference import topk_items
 from hsrec.render import render_example, render_id_only
@@ -203,6 +203,8 @@ def test_predict_equals_per_history_oracle(tmp_path, mode):
             items = np.lexsort((np.arange(scores.size), -scores))[:5]
         want.append([snap.item_ids[int(i)] for i in items])
     assert est.predict(histories, k=5) == want
+    assert 3 * len(histories) > EVAL_BLOCK
+    assert est.predict(3 * histories, k=5) == 3 * want
     assert est.predict([], k=5) == []
 
 
