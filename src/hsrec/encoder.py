@@ -124,12 +124,13 @@ def encode_backward(
 
     ords = cache.ordinals
     is_item = ords >= tables.n_text
-    # np.add.at handles repeated tokens within one sequence.
+    # Repeated tokens within one sequence: np.add.at for text rows, a count
+    # per distinct item row.
     if (~is_item).any():
         np.add.at(grads.d_text, ords[~is_item], d_emb)
     if is_item.any():
-        np.add.at(grads.d_item_proj, ords[is_item] - tables.n_text, d_emb)
-        grads.item_touched[ords[is_item] - tables.n_text] = True
+        rows, counts = np.unique(ords[is_item] - tables.n_text, return_counts=True)
+        grads.add_item_rows(rows, counts[:, None] * d_emb)
 
 
 def encode_batch(sequences, tables: ModelTables, params: EncoderParams):
@@ -173,6 +174,4 @@ def encode_batch_backward(
     n_text = tables.n_text
     n_text_tokens = int(np.searchsorted(tokens, n_text))
     grads.d_text[tokens[:n_text_tokens]] += d_tokens[:n_text_tokens]
-    item_rows = tokens[n_text_tokens:] - n_text
-    grads.d_item_proj[item_rows] += d_tokens[n_text_tokens:]
-    grads.item_touched[item_rows] = True
+    grads.add_item_rows(tokens[n_text_tokens:] - n_text, d_tokens[n_text_tokens:])

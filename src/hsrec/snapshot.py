@@ -17,8 +17,9 @@ Round trips are bit-identical, and loaded arrays are writable, so a loaded
 model can be trained further.  Wrong magic or version, truncated files, NaN
 or Inf in a float payload, bytes after the metadata, metadata that is not
 UTF-8 JSON or not an object with ``vocab_words`` and ``item_ids`` lists of the
-header's sizes (and an object ``config``), and a cluster assignment or
-vocabulary that cannot be built raise :class:`SnapshotFormatError`.
+header's sizes (and an object ``config`` whose ``softmax_mode``, if present,
+is a known mode), and a cluster assignment or vocabulary that cannot be built
+raise :class:`SnapshotFormatError`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 from .cluster import ClusterMap
 from .encoder import EncoderParams
 from .exceptions import SnapshotFormatError
+from .softmax import MODES
 from .tables import EmbeddingTable, ModelTables, ProjectionHead
 from .tokens import TokenSpace, Vocabulary
 
@@ -167,6 +169,9 @@ def load_snapshot(path) -> ModelSnapshot:
         raise SnapshotFormatError(
             "metadata trailer is not an object with vocab_words and item_ids string lists and a config object"
         )
+    mode = meta.get("config", {}).get("softmax_mode", MODES[0])
+    if not (isinstance(mode, str) and mode in MODES):
+        raise SnapshotFormatError(f"config softmax_mode {mode!r} is not one of {MODES}")
     if len(meta["vocab_words"]) != n_text or len(meta["item_ids"]) != n_items:
         raise SnapshotFormatError(
             f"metadata lists {len(meta['vocab_words'])} words and {len(meta['item_ids'])} item ids; "

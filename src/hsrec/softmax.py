@@ -16,8 +16,14 @@ Training takes one batched step: :func:`nll_and_grad_batch` scores a ``(B, d)``
 query matrix with one ``(B, n)`` GEMM of cluster (or full) logits and a
 row-wise logsumexp, then one small GEMM per distinct target cluster for the
 member softmaxes; the text, centroid and projected-item gradients are
-``P.T @ Q`` products.  Its losses, gradients and dot count equal the sum of
-per-example :func:`nll_and_grad` calls, which stays as the test oracle.
+``P.T @ Q`` products.  The item side of a target cluster with at least ``d``
+members is lifted instead: with ``L = Q W`` computed once per batch, its
+members' raw-row gradient stays the factored ``P_c.T @ L_c`` (expanded by the
+trainer's update) and the head gets ``Q_c.T @ (P_c R_c)``, so those rows are
+chained through the projection head only when they are also encoder inputs;
+smaller clusters keep projected-row gradients.  Its losses, gradients and dot
+count equal the sum of per-example :func:`nll_and_grad` calls, which keep
+the projected-row chain and stay as the test oracle.
 
 Evaluation and prediction score blocks of queries the same way:
 :func:`item_log_probs_batch` is the block form of :func:`score_all`
@@ -277,8 +283,7 @@ def nll_and_grad(
         p[target] -= 1.0
         d_query = tables.text.data.T @ p[:n_text] + tables.item_projected().T @ p[n_text:]
         grads.d_text += np.outer(p[:n_text], q)
-        grads.d_item_proj += np.outer(p[n_text:], q)
-        grads.item_touched[:] = True
+        grads.add_item_rows(np.arange(tables.n_items), np.outer(p[n_text:], q))
         return loss, d_query, grads
 
     if cluster_map is None:
@@ -306,8 +311,7 @@ def nll_and_grad(
         pm = np.exp(member_logits - m_norm)
         pm[pos] -= 1.0
         d_query = d_query + tables.item_projected()[members].T @ pm
-        grads.d_item_proj[members] += np.outer(pm, q)
-        grads.item_touched[members] = True
+        grads.add_item_rows(members, np.outer(pm, q))
     else:
         # Text target: its singleton's conditional is 1, so no second level.
         if counter is not None:
@@ -368,21 +372,35 @@ def nll_and_grad_batch(
     d_heads = p.T @ q
     grads.d_text += d_heads[:n_text]
     if mode == "full":
-        grads.d_item_proj += d_heads[n_text:]
-        grads.item_touched[:] = True
+        grads.add_item_rows(np.arange(tables.n_items), d_heads[n_text:])
         return losses, d_queries, grads
     grads.d_centroids += d_heads[n_text:]
     if counter is not None:
         # Text targets: their singleton's conditional is 1, one dot each.
         counter.add(t.size - int(is_item.sum()))
 
-    # Second level: one GEMM per distinct target item cluster.
+    # Second level: one GEMM per distinct target item cluster.  The item side
+    # of a cluster with at least d members is lifted: with L = Q W, its
+    # members' raw-row gradient is P_c.T @ L_c and the head's is
+    # Q_c.T @ (P_c R_c) and Q_c.T @ (P_c 1), so a member row is chained
+    # through the head only if it is also an encoder input.  A smaller
+    # cluster keeps projected-row gradients: there the lifted form's dozen
+    # numpy calls per cluster cost more than the rows it saves (catalog-200's
+    # clusters of at most 20 members at d = 64 trained slower lifted).
     items = tables.item_projected()
-    for cluster in np.unique(first[is_item]):
+    clusters = np.unique(first[is_item])
+    lifts = cluster_map.cluster_sizes()[clusters - n_text] >= tables.dim
+    if lifts.any():
+        raw = tables.item_raw.data
+        lifted = q @ tables.projection.weight.astype(np.float64)
+        member_sums = np.zeros((t.size, tables.item_dim))  # row b: P_b R over b's target cluster
+        p_sums = np.zeros(t.size)
+    for cluster, lift in zip(clusters, lifts):
         rows = np.flatnonzero(first == cluster)
         members = cluster_map.item_members(int(cluster) - n_text)
         member_rows = items[members].astype(np.float64)
-        member_logits = q[rows] @ member_rows.T
+        queries = q[rows]
+        member_logits = queries @ member_rows.T
         if counter is not None:
             counter.add(rows.size * members.size)
         m_norm = _logsumexp_rows(member_logits)
@@ -393,6 +411,13 @@ def nll_and_grad_batch(
         pm = np.exp(member_logits - m_norm[:, None])
         pm[within, pos] -= 1.0
         d_queries[rows] += pm @ member_rows
-        grads.d_item_proj[members] += pm.T @ q[rows]
-        grads.item_touched[members] = True
+        if lift:
+            member_sums[rows] = pm @ raw[members].astype(np.float64)
+            p_sums[rows] = pm.sum(axis=1)
+            grads.add_item_cluster(members, pm.T, queries, lifted[rows])
+        else:
+            grads.add_item_rows(members, pm.T @ queries)
+    if lifts.any():
+        grads.d_proj_weight += q.T @ member_sums
+        grads.d_proj_bias += q.T @ p_sums
     return losses, d_queries, grads

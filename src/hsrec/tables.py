@@ -8,13 +8,19 @@ learnable table; text tokens act as their own singleton clusters, so their
 "centroid" is the text embedding row itself (one shared parameter, not a
 copy).
 
-A training step accumulates into a :class:`GradBuffer`.  Item gradients land on
-the *projected* rows, and the buffer records which item rows received any: the
-members of the batch's target clusters and the history items in two-level
-mode, every row in full mode.  :meth:`GradBuffer.finalize` chains only those
-rows through the projection head, and returns the raw-item gradient as an
-:class:`ItemRowGrad`, zero outside the touched rows and formed a row block at
-a time, so no ``(|I|, k)`` float64 array is made.
+A training step accumulates into a :class:`GradBuffer`.  Item gradients
+arrive in two forms.  Projected-row gradients (the encoder inputs, full mode,
+the per-example path and small target clusters) are chained through the
+projection head by :meth:`GradBuffer.finalize`, for those rows only.  A
+two-level target cluster of at least ``d`` members arrives lifted: its
+members' raw-row gradient is ``P_c.T @ (Q_c W)``, the batch's queries lifted
+once through the head, so a member row is chained through the head only when
+it is also an encoder input; the caller adds the head's part
+``Q_c.T @ (P_c R_c)`` itself.  ``finalize``
+returns the raw-item gradient as an :class:`ItemRowGrad`, still factored:
+zero outside the touched rows, and expanded a cluster or ``ROW_BLOCK`` rows
+at a time by the update that writes it, so no ``(|I|, k)`` or
+``(touched, k)`` float64 array is made.
 """
 
 from __future__ import annotations
@@ -26,7 +32,11 @@ import numpy as np
 from .validation import check_finite, check_random_state
 
 FLOAT_DTYPES = (np.float32, np.float64)
-ROW_BLOCK = 1024  # item rows chained through the head, or updated, at a time
+# Item rows chained through the head, or expanded and written, at a time.
+# Small blocks (256 KB of float64 at k = 512) stay in cache, and keep a step's
+# temporaries small enough that the allocator does not hand heap pages back
+# and fault them in again every step.
+ROW_BLOCK = 64
 
 
 class EmbeddingTable:
@@ -221,21 +231,42 @@ def item_parameter_count(n_items: int, item_dim: int) -> int:
 
 @dataclass
 class ItemRowGrad:
-    """Gradient of the raw item table: zero outside ``rows``, kept as ``d_proj @ weight``.
+    """Gradient of the raw item table: zero outside ``rows``, and kept factored.
 
-    :meth:`blocks` forms it ``ROW_BLOCK`` rows at a time; ``np.asarray`` gives
-    the dense ``(n_items, k)`` array.
+    It has two kinds of part, on disjoint rows:
+
+    - ``clusters``: ``(members, p_t, lifted)`` per target cluster of a
+      two-level batch.  The members' gradient is ``p_t @ lifted``: their
+      ``(m, r)`` member-softmax gradients against the ``r`` examples that
+      target the cluster, times those examples' lifted queries ``q W``, an
+      ``(r, k)`` block.
+    - ``proj_rows`` / ``d_proj``: projected-row gradients, chained as
+      ``d_proj @ weight``: the encoder inputs and the members of small
+      clusters in a two-level batch (a lifted member that is also an encoder
+      input has its cluster part added here), and every touched row in full
+      mode and on the per-example path.
+
+    :meth:`blocks` expands it a cluster or ``ROW_BLOCK`` rows at a time;
+    ``np.asarray`` gives the dense ``(n_items, k)`` array.
     """
 
     rows: np.ndarray  # (r,) ascending item indices that received gradient
-    d_proj: np.ndarray  # (r, d) their projected-row gradients
+    clusters: list  # (members, p_t (m, r_c), lifted (r_c, k)) per target cluster
+    proj_rows: np.ndarray  # (h,) ascending item indices with a projected-row gradient
+    d_proj: np.ndarray  # (h, d) their projected-row gradients
     weight: np.ndarray  # (d, k) float64 copy of the projection weight they were projected with
     n_items: int
 
     def blocks(self):
-        """(item indices, their (len, k) float64 gradient) per row block."""
-        for lo in range(0, self.rows.size, ROW_BLOCK):
-            yield self.rows[lo : lo + ROW_BLOCK], self.d_proj[lo : lo + ROW_BLOCK] @ self.weight
+        """(item indices, their (len, k) float64 gradient) per block: one block
+        per lifted cluster, then the projected rows ``ROW_BLOCK`` at a time."""
+        for members, p_t, lifted in self.clusters:
+            if p_t.shape[1] == 1:  # an outer product, where BLAS is slow
+                yield members, np.einsum("ij,jk->ik", p_t, lifted)
+            else:
+                yield members, p_t @ lifted
+        for lo in range(0, self.proj_rows.size, ROW_BLOCK):
+            yield self.proj_rows[lo : lo + ROW_BLOCK], self.d_proj[lo : lo + ROW_BLOCK] @ self.weight
 
     def __array__(self, dtype=None, copy=None):
         out = np.zeros((self.n_items, self.weight.shape[1]), dtype=dtype or np.float64)
@@ -247,17 +278,31 @@ class ItemRowGrad:
 class GradBuffer:
     """Accumulators for one batch, in float64.
 
-    Output-side item gradients are collected on the *projected* rows, and
-    ``item_touched`` marks the item rows that received any; call
-    :meth:`finalize` once per batch to chain those rows through the
-    projection head.
+    ``item_touched`` marks the item rows that received any gradient, which
+    arrives in one of two forms:
+
+    - :meth:`add_item_rows`: projected-row gradients of distinct rows, from
+      the encoder inputs, small two-level clusters, full mode and the
+      per-example path;
+    - :meth:`add_item_cluster`: a two-level batch's target cluster in lifted
+      form; the caller adds its head gradient to ``d_proj_weight`` and
+      ``d_proj_bias``.
+
+    Call :meth:`finalize` once per batch, after every gradient has arrived:
+    it chains the projected rows through the head, adding to the buffer's own
+    head gradient, and collects the raw-item gradient as an
+    :class:`ItemRowGrad`.
     """
 
     def __init__(self, tables: ModelTables, encoder=None):
         d = tables.dim
         self.d_text = np.zeros((tables.n_text, d))
-        self.d_item_proj = np.zeros((tables.n_items, d))
         self.item_touched = np.zeros(tables.n_items, dtype=bool)
+        self.proj_touched = np.zeros(tables.n_items, dtype=bool)
+        self.item_rows: list[tuple[np.ndarray, np.ndarray]] = []
+        self.item_clusters: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        self.d_proj_weight = np.zeros((d, tables.item_dim))
+        self.d_proj_bias = np.zeros(d)
         self.d_centroids = np.zeros((tables.n_item_clusters, d))
         self.encoder_grads = None
         if encoder is not None:
@@ -267,24 +312,66 @@ class GradBuffer:
             }
         self.n_examples = 0
 
-    def finalize(self, tables: ModelTables) -> dict:
-        """Chain the touched projected-item rows back to raw items and the head.
+    def add_item_rows(self, rows: np.ndarray, d_proj: np.ndarray) -> None:
+        """Gradient ``d_proj`` (one row each) on the projected rows of ascending, distinct ``rows``."""
+        self.item_rows.append((rows, d_proj))
+        self.item_touched[rows] = True
+        self.proj_touched[rows] = True
 
-        Untouched rows have zero gradient, so they add nothing to the head's
-        gradient; the raw rows are read ``ROW_BLOCK`` at a time.
+    def add_item_cluster(
+        self, members: np.ndarray, p_t: np.ndarray, queries: np.ndarray, lifted: np.ndarray
+    ) -> None:
+        """A target cluster's gradient in lifted form.
+
+        ``p_t`` is the ``(m, r)`` member-softmax gradient against the ``r``
+        examples that target the cluster, ``queries`` their ``(r, d)`` queries
+        and ``lifted`` their ``(r, k)`` lifted queries: the members' projected
+        rows get ``p_t @ queries``, their raw rows ``p_t @ lifted``.
         """
-        rows = np.flatnonzero(self.item_touched)
-        d_proj = self.d_item_proj[rows]
+        self.item_clusters.append((members, p_t, queries, lifted))
+        self.item_touched[members] = True
+
+    def finalize(self, tables: ModelTables) -> dict:
+        """Chain the projected-row gradients back to raw items and the head.
+
+        The head's gradient is the lifted clusters' part, accumulated by the
+        caller, plus ``d_proj.T @ raw`` over the projected rows only, read
+        ``ROW_BLOCK`` at a time.  A cluster member that also has a projected
+        row gradient (an encoder input) then takes its cluster part in
+        projected form, so every row is chained once.
+        """
+        proj_rows = np.flatnonzero(self.proj_touched)
+        d_proj = np.zeros((proj_rows.size, tables.dim))
+        for rows, grad in self.item_rows:
+            if rows.size == proj_rows.size:  # full mode's head: every projected row, in order
+                d_proj += grad
+            else:
+                d_proj[np.searchsorted(proj_rows, rows)] += grad
         raw = tables.item_raw.data
-        d_weight = np.zeros((tables.dim, tables.item_dim))
-        for lo in range(0, rows.size, ROW_BLOCK):
-            d_weight += d_proj[lo : lo + ROW_BLOCK].T @ raw[rows[lo : lo + ROW_BLOCK]].astype(np.float64)
+        for lo in range(0, proj_rows.size, ROW_BLOCK):
+            self.d_proj_weight += d_proj[lo : lo + ROW_BLOCK].T @ raw[proj_rows[lo : lo + ROW_BLOCK]].astype(np.float64)
+        self.d_proj_bias += d_proj.sum(axis=0)
+
+        clusters = []
+        if self.item_clusters:
+            at = np.full(tables.n_items, -1, dtype=np.intp)  # item -> position in proj_rows
+            at[proj_rows] = np.arange(proj_rows.size)
+            for members, p_t, queries, lifted in self.item_clusters:
+                pos = at[members]
+                hit = pos >= 0
+                if hit.any():
+                    d_proj[pos[hit]] += p_t[hit] @ queries
+                    members, p_t = members[~hit], p_t[~hit]
+                if members.size:
+                    clusters.append((members, p_t, lifted))
+
         weight = np.array(tables.projection.weight, dtype=np.float64)
+        rows = np.flatnonzero(self.item_touched)
         grads = {
             "text": self.d_text,
-            "item_raw": ItemRowGrad(rows, d_proj, weight, tables.n_items),
-            "proj_weight": d_weight,
-            "proj_bias": d_proj.sum(axis=0),
+            "item_raw": ItemRowGrad(rows, clusters, proj_rows, d_proj, weight, tables.n_items),
+            "proj_weight": self.d_proj_weight,
+            "proj_bias": self.d_proj_bias,
             "centroids": self.d_centroids,
         }
         if self.encoder_grads is not None:

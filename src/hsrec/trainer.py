@@ -5,8 +5,10 @@ an ID-only fraction), encode the batch as one ``(B, d)`` query matrix, take
 exact losses and gradients from the softmax head in one batched pass, and
 apply an SGD update with cosine learning-rate decay and decoupled weight
 decay.  The raw item table is written only on the rows that received
-gradient; weight decay still reaches every row, and the finiteness check
-after the update reads only the written rows of that table.  Runs are
+gradient: the update expands the factored :class:`~hsrec.tables.ItemRowGrad`
+(lifted cluster products and projected rows) one block at a time, and checks
+each written block for finiteness as it goes.  Weight decay still reaches
+every row.  Runs are
 deterministic per seed in single-threaded mode: identical seeds give
 identical loss curves.
 """
@@ -36,7 +38,7 @@ from .inference import _rank_topk
 from .render import render_example, render_id_only
 from .snapshot import ModelSnapshot
 from .softmax import item_log_probs_batch, nll_and_grad_batch
-from .tables import ROW_BLOCK, GradBuffer, ItemRowGrad, ModelTables, init_tables
+from .tables import GradBuffer, ItemRowGrad, ModelTables, init_tables
 from .validation import check_finite, check_is_fitted
 
 # Not called here; perfbench/spans.py looks these names up on this module.
@@ -153,46 +155,66 @@ def cosine_lr(base_lr: float, step: int, max_steps: int) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / max_steps))
 
 
+def _rows_checked_on_write(n_touched: int, n_items: int, decay: float) -> bool:
+    """Whether checking the written raw item rows proves the table finite.
+
+    Every table is finite before an update: tables are checked when built or
+    loaded, and after every update.  Rows that received no gradient are only
+    multiplied by ``1 - decay``; for ``0 <= decay <= 2`` that factor is at most
+    1 in magnitude, so they stay finite.  Otherwise, or when every row was
+    touched, the whole table is read after the update instead.
+    """
+    return 0.0 <= decay <= 2.0 and n_touched < n_items
+
+
 def _apply_update(snapshot: ModelSnapshot, grads: dict, lr: float, weight_decay: float, n: int) -> None:
+    """SGD with decoupled weight decay, in place.
+
+    The raw item table is written only on the rows of its
+    :class:`ItemRowGrad`, one expanded block at a time, and each written block
+    is checked for finiteness when that suffices (``_rows_checked_on_write``).
+    """
     tables = snapshot.tables
     params = dict(tables.parameter_arrays())
     params.update(snapshot.encoder.parameter_arrays())
-    for name, arr in params.items():
-        grad = grads.get(name)
-        if grad is None:
-            continue
-        # Decoupled weight decay on matrices/embeddings only, never biases.
-        if weight_decay and arr.ndim == 2:
-            arr *= 1.0 - lr * weight_decay
-        if isinstance(grad, ItemRowGrad):
-            # Rows outside grad.rows have zero gradient: write only the others.
-            for rows, block in grad.blocks():
-                # lr * (block / n) in place: the same rounding, no temporaries.
-                np.divide(block, n, out=block)
-                np.multiply(block, lr, out=block)
-                arr[rows] -= block
-        else:
-            arr -= lr * (grad / n)
-    tables.bump_version()
+    try:
+        for name, arr in params.items():
+            grad = grads.get(name)
+            if grad is None:
+                continue
+            # Decoupled weight decay on matrices/embeddings only, never biases.
+            if weight_decay and arr.ndim == 2:
+                arr *= 1.0 - lr * weight_decay
+            if isinstance(grad, ItemRowGrad):
+                check = _rows_checked_on_write(grad.rows.size, arr.shape[0], lr * weight_decay)
+                for rows, block in grad.blocks():
+                    # lr * (block / n) in place: the same rounding, no temporaries.
+                    np.divide(block, n, out=block)
+                    np.multiply(block, lr, out=block)
+                    # arr[rows] -= block, with the written rows checked on the way.
+                    written = arr[rows]
+                    np.subtract(written, block, out=written, casting="unsafe")
+                    if check:
+                        check_finite(written, "embedding table")
+                    arr[rows] = written
+            else:
+                step = grad / n  # lr * (grad / n), with one temporary
+                step *= lr
+                arr -= step
+    finally:
+        tables.bump_version()
 
 
 def _check_updated(tables: ModelTables, touched_rows: np.ndarray, decay: float) -> None:
     """Raise ``ValueError`` if an update left a table non-finite.
 
-    Every table is finite before an update: tables are checked when built or
-    loaded, and by this function after every update.  Raw item rows outside
-    ``touched_rows`` were only multiplied by ``1 - decay``; for
-    ``0 <= decay <= 2`` that factor is at most 1 in magnitude, so they stay
-    finite and only the touched rows are read, ``ROW_BLOCK`` at a time.
-    Otherwise, or when every row was touched, the whole table is read.
+    The raw item table is read whole only when ``_apply_update`` did not
+    check the rows it wrote (see ``_rows_checked_on_write``).
     """
     tables.text.check()
     tables.projection.check()
     tables.centroids.check()
-    if 0.0 <= decay <= 2.0 and touched_rows.size < tables.n_items:
-        for lo in range(0, touched_rows.size, ROW_BLOCK):
-            check_finite(tables.item_raw.data[touched_rows[lo : lo + ROW_BLOCK]], "embedding table")
-    else:
+    if not _rows_checked_on_write(touched_rows.size, tables.n_items, decay):
         tables.item_raw.check()
 
 

@@ -44,6 +44,19 @@ def mixed_batch(cmap):
     return seqs, targets
 
 
+def overlap_batch(cmap):
+    """Item targets in a cluster of at least DIM members (lifted) and in a
+    smaller one (projected rows), with history items inside both clusters, so
+    on each path one raw row gets a head part and an encoder-input part."""
+    sizes = cmap.cluster_sizes()
+    lifted, projected = int(np.argmax(sizes >= DIM)), int(np.argmax(sizes < DIM))
+    assert sizes[lifted] >= DIM > sizes[projected]
+    a, b = cmap.item_members(lifted), cmap.item_members(projected)
+    seqs = [[0, N_TEXT + int(a[1])], [N_TEXT + int(a[1]), N_TEXT + int(b[0]), 3], [N_TEXT + int(b[0]), 2]]
+    targets = [N_TEXT + int(a[0]), N_TEXT + int(a[2]), N_TEXT + int(b[1])]
+    return seqs, targets
+
+
 def per_example(seqs, targets, tables, cmap, enc, mode):
     grads, counter, losses, d_queries = GradBuffer(tables, enc), CostCounter(), [], []
     for seq, target in zip(seqs, targets):
@@ -123,12 +136,8 @@ def test_encode_batch_rows_equal_encode():
         encode_batch([[1], []], tables, enc)
 
 
-@pytest.mark.parametrize("mode", ["full", "twolevel"])
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_touched_row_update_equals_dense_update_bitwise(mode, dtype):
-    tables, cmap, rng = random_model(N_TEXT, N_ITEMS, DIM, ITEM_DIM, N_CLUSTERS, seed=3, dtype=dtype)
-    enc = random_encoder(DIM, rng, dtype=dtype)
-    seqs, targets = mixed_batch(cmap)
+def assert_dense_update_bitwise(seqs, targets, tables, cmap, enc, mode):
+    """The touched-row update writes the tables the dense rule would, bit for bit."""
     _, _, grads, _ = batched(seqs, targets, tables, cmap, enc, mode)
     final = grads.finalize(tables)
     snap = SimpleNamespace(tables=tables, encoder=enc)  # what _apply_update reads
@@ -149,6 +158,33 @@ def test_touched_row_update_equals_dense_update_bitwise(mode, dtype):
     decayed = before["item_raw"][untouched].copy()
     decayed *= 1.0 - lr * weight_decay
     assert np.array_equal(tables.item_raw.data[untouched], decayed)
+
+
+@pytest.mark.parametrize("mode", ["full", "twolevel"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_touched_row_update_equals_dense_update_bitwise(mode, dtype):
+    tables, cmap, rng = random_model(N_TEXT, N_ITEMS, DIM, ITEM_DIM, N_CLUSTERS, seed=3, dtype=dtype)
+    enc = random_encoder(DIM, rng, dtype=dtype)
+    seqs, targets = mixed_batch(cmap)
+    assert_dense_update_bitwise(seqs, targets, tables, cmap, enc, mode)
+
+
+@pytest.mark.parametrize("mode", ["full", "twolevel"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_row_with_head_and_input_parts(mode, dtype):
+    tables, cmap, rng = random_model(N_TEXT, N_ITEMS, DIM, ITEM_DIM, N_CLUSTERS, seed=4, dtype=dtype)
+    enc = random_encoder(DIM, rng, dtype=dtype)
+    seqs, targets = overlap_batch(cmap)
+    if mode == "twolevel":
+        # The lifted cluster's member seqs[0][1] is also an encoder input, so
+        # its cluster part is chained with its input part, as a projected row.
+        _, _, grads, _ = batched(seqs, targets, tables, cmap, enc, mode)
+        item_grad = grads.finalize(tables)["item_raw"]
+        shared = seqs[0][1] - N_TEXT
+        assert len(item_grad.clusters) == 1 and shared not in item_grad.clusters[0][0]
+        assert shared in item_grad.proj_rows
+    assert_batch_matches_oracle(seqs, targets, tables, cmap, enc, mode)
+    assert_dense_update_bitwise(seqs, targets, tables, cmap, enc, mode)
 
 
 @pytest.mark.parametrize("mode", ["full", "twolevel"])

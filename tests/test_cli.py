@@ -164,6 +164,38 @@ def test_bench_rejects_corrupt_cluster_assignment(corpus, tmp_path, capsys):
     assert "out-of-range" in trailer["error"]["message"]
 
 
+def test_eval_rejects_unknown_softmax_mode(corpus, tmp_path, capsys):
+    from hsrec.snapshot import load_snapshot, save_snapshot
+
+    run(["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", tmp_path])
+    path = tmp_path / "snapshot.hsrc"
+    snapshot = load_snapshot(path)
+    snapshot.config["softmax_mode"] = "bogus"
+    save_snapshot(snapshot, path)
+    capsys.readouterr()
+    assert run(["eval", "--data", corpus, "--snapshot", path, "--engine", "full", "--out-dir", tmp_path / "e"]) == 2
+    trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "data" and trailer["error"]["code"] == 2
+    assert "softmax_mode" in trailer["error"]["message"]
+
+
+@pytest.mark.parametrize("mode", ["twolevel", "full"])
+def test_train_same_seed_snapshots_byte_identical(corpus, tmp_path, mode):
+    # 16 items in 2 clusters at dim 4: two-level steps lift the item gradient
+    # of every target cluster with at least 4 members.
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        code = run(
+            [
+                "train", "--data", corpus, "--mode", mode, "--steps", 10, "--batch-size", 8,
+                "--eval-every", 0, "--dim", 4, "--item-dim", 6, "--n-clusters", 2, "--seed", 4,
+                "--out-dir", out,
+            ]
+        )
+        assert code == 0
+    assert (a / "snapshot.hsrc").read_bytes() == (b / "snapshot.hsrc").read_bytes()
+
+
 def test_eval_rejects_non_finite_snapshot_payload(corpus, tmp_path, capsys):
     import numpy as np
 

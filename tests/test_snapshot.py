@@ -203,3 +203,14 @@ def test_corrupt_metadata_rejected(snapshot, tmp_path, corrupt, match):
     rewrite_snapshot(path, metadata=meta)
     with pytest.raises(SnapshotFormatError, match=match):
         load_snapshot(path)
+
+
+@pytest.mark.parametrize("mode", ["bogus", ["twolevel"], None])
+def test_unknown_softmax_mode_rejected(snapshot, tmp_path, mode):
+    meta = _metadata(snapshot)
+    meta["config"] = {**meta["config"], "softmax_mode": mode}
+    path = tmp_path / "model.hsrc"
+    save_snapshot(snapshot, path)
+    rewrite_snapshot(path, metadata=meta)
+    with pytest.raises(SnapshotFormatError, match="softmax_mode"):
+        load_snapshot(path)

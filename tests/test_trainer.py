@@ -222,7 +222,15 @@ def _plant_after_finalize(monkeypatch, plant):
 
 def test_nan_gradient_on_touched_item_row_raises(small_data, monkeypatch):
     def plant(tables, grads):
-        grads["item_raw"].d_proj[0] = np.nan  # the first touched row only
+        # The first touched row only, in the part that holds it.
+        item_grad = grads["item_raw"]
+        first = item_grad.rows[0]
+        for members, p_t, _ in item_grad.clusters:
+            if members[0] == first:
+                p_t[0] = np.nan
+                return
+        assert item_grad.proj_rows[0] == first
+        item_grad.d_proj[0] = np.nan
 
     _plant_after_finalize(monkeypatch, plant)
     config = TrainConfig(max_steps=2, batch_size=4, eval_every=0, seed=2)
