@@ -107,7 +107,6 @@ _OPTIONS = {
         ("steps", int, 500, "training steps per ablation run"),
         ("batch_size", int, 64, "batch size for ablation training"),
         ("learning_rate", float, 5e-3, "learning rate for ablation training"),
-        ("mode", str, "twolevel", "softmax mode for ablation training"),
         ("vocab_size", int, 8192, "text vocabulary cap"),
     ],
     "latency": _COMMON
@@ -129,8 +128,16 @@ _OPTIONS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise :class:`UsageError`, so they get the JSON trailer."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hsrec", description=__doc__.split("\n\n")[0])
+    parser = _Parser(prog="hsrec", description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", default=None, help="key=value config file with [command] sections")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in _OPTIONS.items():
@@ -287,7 +294,7 @@ def cmd_cluster(opts: dict) -> int:
     return EXIT_OK
 
 
-def _train_config(opts: dict, mode: str, clustering: str, seed: int) -> TrainConfig:
+def _train_config(opts: dict, mode: str, seed: int) -> TrainConfig:
     return TrainConfig(
         batch_size=opts.get("batch_size", 64),
         learning_rate=opts.get("learning_rate", 5e-3),
@@ -307,7 +314,7 @@ def cmd_train(opts: dict) -> int:
     _require(opts, "data")
     out = _out_dir(opts)
     data = _load_dataset(opts)
-    config = _train_config(opts, opts["mode"], opts["clusters"], opts["seed"])
+    config = _train_config(opts, opts["mode"], opts["seed"])
     result = train(
         data,
         config,
@@ -360,7 +367,7 @@ def _eval_ablation(opts: dict, out: Path) -> int:
     ks = tuple(int(x) for x in str(opts["k"]).split(","))
     rows = []
     for clustering in CLUSTERINGS:
-        config = _train_config(opts, "twolevel", clustering, opts["seed"])
+        config = _train_config(opts, "twolevel", opts["seed"])
         result = train(data, config, clustering=clustering)
         snapshot = result.snapshot
         for engine in ("structure", "ann", "full"):
@@ -520,11 +527,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
         opts = _resolve(args)
         return _HANDLERS[args.command](opts)
+    except SystemExit as exc:  # --help
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except UsageError as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))
     except (DataError, SnapshotFormatError, FileNotFoundError) as exc:

@@ -16,20 +16,22 @@ Three engines:
                         approximate; scores are raw dot products, not
                         probabilities.
 
-Item-only paths serve recommendations.  ``topk_items`` runs the best-first
-loop over item clusters only (P(cluster | H) still bounds every member, so
-this is the exact item-restricted top-k) or ranks the ANN index's item rows.
-Blocks of users (evaluation, ``SequenceRecommender.predict``) are ranked by
-enumeration instead: ``softmax.item_log_probs_batch`` scores a ``(B, d)``
-query block exactly, and ``ann_item_scores`` takes a query block as one GEMM.
+Item-only paths serve recommendations, and they search nothing: a dense
+vector of item scores goes to one selection.  ``topk_items`` scores every
+item's exact log-probability (``structure``, the same arithmetic as
+``score_all``) or its ANN index row (``ann``).  Blocks of users (evaluation,
+``SequenceRecommender.predict``) are ranked the same way a block at a time:
+``softmax.item_log_probs_batch`` scores a ``(B, d)`` query block exactly,
+and ``ann_item_scores`` takes a query block as one GEMM.  The pruned search
+serves ``topk_structure`` alone, the token-level top-k over text and items.
 
-Selection is array work, never a per-candidate loop.  ``_rank_topk`` (ANN,
-``topk_exact``, block prediction) partitions the scores around the
-k-th best and sorts only the entries at or above it.  The best-first loop
-keeps its best k as a sorted pair of arrays: an expanded cluster's members
-that reach the current k-th score are concatenated with them and sorted back
-to k, and a run of consecutive text singletons is merged, and tested for
-pruning, as one step.
+Selection is array work, never a per-candidate loop.  ``_rank_topk``
+(``topk_items``, ANN, ``topk_exact``, block prediction) partitions the
+scores around the k-th best and sorts only the entries at or above it.  The
+best-first loop keeps its best k as a sorted pair of arrays: an expanded
+cluster's members that reach the current k-th score are concatenated with
+them and sorted back to k, and a run of consecutive text singletons is
+merged, and tested for pruning, as one step.
 
 Ties are broken by ascending unified ordinal everywhere, so all engines are
 reproducible and comparable row-for-row.
@@ -146,9 +148,13 @@ def _expansion_steps(is_text: np.ndarray, k: int):
         start = end
 
 
-def _best_first(query, k: int, tables: ModelTables, cluster_map: ClusterMap, with_text: bool):
-    """The best-first loop of ``topk_structure``; ``with_text=False`` skips
-    the text singletons, which gives the exact item-restricted top-k.
+def topk_structure(query, k: int, tables: ModelTables, cluster_map: ClusterMap):
+    """Exact top-k via best-first cluster expansion with bound-based pruning.
+
+    Returns ``(TopK, SearchStats)``.  A cluster whose log P(cluster | H) is
+    strictly below the current K-th best candidate cannot contain a better
+    token, so the remaining tail is pruned.  The strict comparison keeps exact
+    float ties expanding, preserving the ordinal tie-break of the oracle.
 
     The best k so far are two arrays, scores and ordinals, sorted by
     (-score, ordinal), and each step ``lexsort``-s its candidates into them
@@ -166,9 +172,8 @@ def _best_first(query, k: int, tables: ModelTables, cluster_map: ClusterMap, wit
     n_text = tables.n_text
     cl = log_softmax(cluster_logits(q, tables))
     stats = SearchStats(tokens_scored=cluster_map.n_clusters)
-    clusters = np.arange(0 if with_text else n_text, cl.size)
-    expansion_order = clusters[np.lexsort((clusters, -cl[clusters]))]
-    n_clusters = expansion_order.size
+    n_clusters = cl.size
+    expansion_order = np.lexsort((np.arange(n_clusters), -cl))
 
     best_scores = np.empty(0)
     best_ordinals = np.empty(0, dtype=np.int64)
@@ -218,17 +223,6 @@ def _best_first(query, k: int, tables: ModelTables, cluster_map: ClusterMap, wit
         stats.clusters_pruned = n_clusters - stop
         stats.max_pruned_logprob = float(cl[expansion_order[stop]])
     return TopK(ordinals=best_ordinals, scores=best_scores), stats
-
-
-def topk_structure(query, k: int, tables: ModelTables, cluster_map: ClusterMap):
-    """Exact top-k via best-first cluster expansion with bound-based pruning.
-
-    Returns ``(TopK, SearchStats)``.  A cluster whose log P(cluster | H) is
-    strictly below the current K-th best candidate cannot contain a better
-    token, so the remaining tail is pruned.  The strict comparison keeps exact
-    float ties expanding, preserving the ordinal tie-break of the oracle.
-    """
-    return _best_first(query, k, tables, cluster_map, with_text=True)
 
 
 @dataclass
@@ -332,18 +326,21 @@ def topk_items(
 ) -> TopK:
     """Item-only top-k; ordinals are unified, ties by ascending ordinal.
 
-    ``structure`` runs the best-first search over item clusters only and
-    equals ``filter_items(topk_exact(query, n_total, ...))`` truncated to k.
-    ``ann`` ranks the item rows of the prebuilt additive ``index``.
+    ``structure`` scores every item's exact two-level log-probability, the
+    single-query oracle's own ``score_all`` arithmetic, so it equals
+    ``filter_items(topk_exact(query, n_total, ...))`` truncated to k.
+    ``ann`` scores the item rows of the prebuilt additive ``index``.  Both
+    then select the k best with ``_rank_topk``.
     """
-    if engine == "structure":
-        ranked, _ = _best_first(query, k, tables, cluster_map, with_text=False)
-        return ranked
-    if engine != "ann":
-        raise ValueError(f"unknown engine {engine!r}; choose 'structure' or 'ann'")
-    if index is None:
-        raise ValueError("ann engine requires a prebuilt additive index")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    ranked = _rank_topk(ann_item_scores(query, index, tables), k)
+    if engine == "structure":
+        scores = score_all(query, tables, cluster_map)[tables.n_text :]
+    elif engine == "ann":
+        if index is None:
+            raise ValueError("ann engine requires a prebuilt additive index")
+        scores = ann_item_scores(query, index, tables)
+    else:
+        raise ValueError(f"unknown engine {engine!r}; choose 'structure' or 'ann'")
+    ranked = _rank_topk(scores, k)
     return TopK(ordinals=space.n_text + ranked.ordinals, scores=ranked.scores)

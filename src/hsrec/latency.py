@@ -20,7 +20,6 @@ bit-for-bit.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,65 +52,30 @@ class EncodingSpec:
 
 @dataclass(frozen=True)
 class DeploymentProfile:
-    """Decode latency per step plus a prefill latency curve.
-
-    ``prefill_slope_ms`` gives linear prefill; ``prefill_points`` gives a
-    monotone piecewise-linear table (n_tokens, ms) interpolated and
-    extrapolated by its last segment.
-    """
+    """Decode latency per step plus a linear prefill latency per token."""
 
     name: str
     decode_ms: float
     prefill_slope_ms: Fraction | float | None = None
-    prefill_points: tuple[tuple[int, float], ...] | None = None
 
     def __post_init__(self):
         if self.decode_ms < 0:
             raise ValueError("decode_ms must be >= 0")
-        if (self.prefill_slope_ms is None) == (self.prefill_points is None):
-            raise ValueError("exactly one of prefill_slope_ms / prefill_points is required")
-        if self.prefill_slope_ms is not None and self.prefill_slope_ms < 0:
+        if self.prefill_slope_ms is None:
+            raise ValueError("prefill_slope_ms is required")
+        if self.prefill_slope_ms < 0:
             raise ValueError("prefill slope must be >= 0")
-        if self.prefill_points is not None:
-            pts = sorted(self.prefill_points)
-            if len(pts) < 2:
-                raise ValueError("piecewise prefill needs at least two points")
-            if any(b[1] < a[1] for a, b in zip(pts, pts[1:])):
-                raise ValueError("prefill table must be monotone in n")
-            object.__setattr__(self, "prefill_points", tuple(pts))
-
-    @property
-    def is_linear(self) -> bool:
-        return self.prefill_slope_ms is not None
 
     def to_dict(self) -> dict:
-        out = {"name": self.name, "decode_ms": self.decode_ms}
-        if self.is_linear:
-            out["prefill_slope_ms"] = float(self.prefill_slope_ms)
-            if isinstance(self.prefill_slope_ms, Fraction):
-                out["prefill_slope_exact"] = str(self.prefill_slope_ms)
-        else:
-            out["prefill_points"] = [list(p) for p in self.prefill_points]
+        out = {"name": self.name, "decode_ms": self.decode_ms, "prefill_slope_ms": float(self.prefill_slope_ms)}
+        if isinstance(self.prefill_slope_ms, Fraction):
+            out["prefill_slope_exact"] = str(self.prefill_slope_ms)
         return out
 
     def prefill_ms(self, n_tokens: int) -> float:
         if n_tokens < 0:
             raise ValueError("n_tokens must be >= 0")
-        if self.is_linear:
-            if isinstance(self.prefill_slope_ms, Fraction):
-                return float(self.prefill_slope_ms * n_tokens)
-            return self.prefill_slope_ms * n_tokens
-        pts = self.prefill_points
-        if n_tokens <= pts[0][0]:
-            lo, hi = pts[0], pts[1]
-        else:
-            lo, hi = pts[-2], pts[-1]
-            for a, b in zip(pts, pts[1:]):
-                if a[0] <= n_tokens <= b[0]:
-                    lo, hi = a, b
-                    break
-        slope = (hi[1] - lo[1]) / (hi[0] - lo[0])
-        return max(0.0, lo[1] + slope * (n_tokens - lo[0]))
+        return float(self.prefill_slope_ms * n_tokens)
 
 
 # Back-solved linear profiles.  Reference totals: Mistral-7B 35+20 ms for a
@@ -175,17 +139,6 @@ class TokenCountStats:
     n_items: int
     mean: float
     histogram: dict[int, int]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "encoder": self.encoder,
-                "n_items": self.n_items,
-                "mean": self.mean,
-                "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            },
-            sort_keys=True,
-        )
 
 
 MULTI_TOKEN_ENCODERS = ("id", "title", "category")

@@ -155,16 +155,16 @@ def cosine_lr(base_lr: float, step: int, max_steps: int) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / max_steps))
 
 
-def _rows_checked_on_write(n_touched: int, n_items: int, decay: float) -> bool:
+def _rows_checked_on_write(decay: float) -> bool:
     """Whether checking the written raw item rows proves the table finite.
 
     Every table is finite before an update: tables are checked when built or
     loaded, and after every update.  Rows that received no gradient are only
     multiplied by ``1 - decay``; for ``0 <= decay <= 2`` that factor is at most
-    1 in magnitude, so they stay finite.  Otherwise, or when every row was
-    touched, the whole table is read after the update instead.
+    1 in magnitude, so they stay finite.  Otherwise the whole table is read
+    after the update instead.
     """
-    return 0.0 <= decay <= 2.0 and n_touched < n_items
+    return 0.0 <= decay <= 2.0
 
 
 def _apply_update(snapshot: ModelSnapshot, grads: dict, lr: float, weight_decay: float, n: int) -> None:
@@ -186,7 +186,7 @@ def _apply_update(snapshot: ModelSnapshot, grads: dict, lr: float, weight_decay:
             if weight_decay and arr.ndim == 2:
                 arr *= 1.0 - lr * weight_decay
             if isinstance(grad, ItemRowGrad):
-                check = _rows_checked_on_write(grad.rows.size, arr.shape[0], lr * weight_decay)
+                check = _rows_checked_on_write(lr * weight_decay)
                 for rows, block in grad.blocks():
                     # lr * (block / n) in place: the same rounding, no temporaries.
                     np.divide(block, n, out=block)
@@ -205,7 +205,7 @@ def _apply_update(snapshot: ModelSnapshot, grads: dict, lr: float, weight_decay:
         tables.bump_version()
 
 
-def _check_updated(tables: ModelTables, touched_rows: np.ndarray, decay: float) -> None:
+def _check_updated(tables: ModelTables, decay: float) -> None:
     """Raise ``ValueError`` if an update left a table non-finite.
 
     The raw item table is read whole only when ``_apply_update`` did not
@@ -214,7 +214,7 @@ def _check_updated(tables: ModelTables, touched_rows: np.ndarray, decay: float) 
     tables.text.check()
     tables.projection.check()
     tables.centroids.check()
-    if not _rows_checked_on_write(touched_rows.size, tables.n_items, decay):
+    if not _rows_checked_on_write(decay):
         tables.item_raw.check()
 
 
@@ -281,7 +281,7 @@ def train(data: Dataset, config: TrainConfig, snapshot: ModelSnapshot | None = N
         if lr != 0.0:
             final = grads.finalize(tables)
             _apply_update(snapshot, final, lr, config.weight_decay, config.batch_size)
-            _check_updated(tables, final["item_raw"].rows, lr * config.weight_decay)
+            _check_updated(tables, lr * config.weight_decay)
             encoder.check()
         result.steps_run = step + 1
 

@@ -157,17 +157,16 @@ def rank_topk_reference(scores, k):
     return TopK(ordinals=order.astype(np.int64), scores=scores[order])
 
 
-def best_first_heap(query, k, tables, cluster_map, with_text):
+def best_first_heap(query, k, tables, cluster_map):
     """Best-first search with a per-candidate min-heap of the best k: the
-    oracle for ``inference._best_first``'s array merge."""
+    oracle for ``inference.topk_structure``'s array merge."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     q = _query64(query)
     n_text = tables.n_text
     cl = log_softmax(cluster_logits(q, tables))
     stats = SearchStats(tokens_scored=cluster_map.n_clusters)
-    clusters = np.arange(0 if with_text else n_text, cl.size)
-    expansion_order = clusters[np.lexsort((clusters, -cl[clusters]))]
+    expansion_order = np.lexsort((np.arange(cl.size), -cl))
 
     # Min-heap of the best-K seen so far, keyed so the root is the worst:
     # lowest log-probability first, then highest ordinal.

@@ -301,6 +301,16 @@ def test_ablation_harness(corpus, tmp_path):
         assert by["structure"] == {**by["full"], "engine": "structure"}
 
 
+def test_eval_has_no_mode_flag(corpus, tmp_path, capsys):
+    # Ablation models are always two-level; a single eval takes the snapshot's mode.
+    argv = ["eval", "--data", corpus, "--clusters", "all", "--mode", "full", "--steps", 2, "--out-dir", tmp_path]
+    assert run(argv) == 1
+    trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "usage" and trailer["error"]["code"] == 1
+    assert "--mode" in trailer["error"]["message"]
+    assert not (tmp_path / "ablation.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "bench"])
 def test_snapshot_of_another_corpus_is_data_error(corpus, tmp_path, capsys, command):
     train_dir = tmp_path / "train"

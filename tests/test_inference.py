@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from helpers import (
 from hsrec.cluster import ClusterMap
 from hsrec.exceptions import StaleIndexError
 from hsrec.inference import (
-    _best_first,
     _rank_topk,
     ann_item_scores,
     build_additive_index,
@@ -232,7 +233,8 @@ def _topk_items_cases():
 @pytest.mark.parametrize("engine", ["structure", "ann"])
 def test_topk_items_equals_filtered_full_ranking(engine):
     # Oracle: rank every token, keep the items in order, truncate to k.
-    for tables, cmap, q in _topk_items_cases():
+    cases = itertools.chain(_topk_items_cases(), *map(_best_first_cases, BEST_FIRST_MODELS))
+    for tables, cmap, q in cases:
         space = TokenSpace(tables.n_text, tables.n_items)
         index = build_additive_index(tables, cmap)
         if engine == "structure":
@@ -240,7 +242,7 @@ def test_topk_items_equals_filtered_full_ranking(engine):
         else:
             ranked = topk_ann(q, tables.n_total, index, tables)
         items = filter_items(ranked, space)
-        for k in (1, 5, tables.n_items, tables.n_items + 3):
+        for k in (1, 3, 5, 10, tables.n_items, tables.n_items + 3):
             top = topk_items(q, k, tables, cmap, space, engine=engine, index=index)
             assert np.array_equal(top.ordinals, items.ordinals[:k])
             assert np.array_equal(top.scores, items.scores[:k])
@@ -292,6 +294,9 @@ def _tied_items(tables, cmap, singletons=False):
     return tables, ClusterMap(n_text, np.arange(n_items) % n_clusters, n_clusters)
 
 
+BEST_FIRST_MODELS = ("random", "prunes", "tied", "tied_singletons", "tied_text")
+
+
 def _best_first_cases(model):
     for seed in range(8):
         if model == "random":
@@ -311,14 +316,13 @@ def _best_first_cases(model):
         yield tables, cmap, rng.standard_normal(tables.dim)
 
 
-@pytest.mark.parametrize("model", ["random", "prunes", "tied", "tied_singletons", "tied_text"])
-@pytest.mark.parametrize("with_text", [False, True])
-def test_best_first_equals_heap_oracle(model, with_text):
+@pytest.mark.parametrize("model", BEST_FIRST_MODELS)
+def test_best_first_equals_heap_oracle(model):
     pruned = 0
     for tables, cmap, q in _best_first_cases(model):
         for k in (1, 3, 10, tables.n_total + 3):
-            got, got_stats = _best_first(q, k, tables, cmap, with_text)
-            want, want_stats = best_first_heap(q, k, tables, cmap, with_text)
+            got, got_stats = topk_structure(q, k, tables, cmap)
+            want, want_stats = best_first_heap(q, k, tables, cmap)
             assert _bits(got.ordinals) == _bits(want.ordinals), k
             assert _bits(got.scores) == _bits(want.scores), k
             assert got_stats.to_dict() == want_stats.to_dict(), k

@@ -97,23 +97,11 @@ def test_total_latency_monotonicity():
     assert total_latency(profile, EncodingSpec(3, 10, 6)) > base
 
 
-def test_piecewise_profile_interpolates_monotonically():
-    profile = DeploymentProfile(
-        "table", decode_ms=1.0, prefill_points=((100, 10.0), (200, 30.0), (400, 35.0))
-    )
-    values = [profile.prefill_ms(n) for n in (50, 100, 150, 200, 300, 400, 800)]
-    assert values[1] == 10.0 and values[3] == 30.0 and values[5] == 35.0
-    assert all(b >= a - 1e-12 for a, b in zip(values[1:], values[2:]))
-    assert values[2] == pytest.approx(20.0)
-
-
 def test_profile_validation():
     with pytest.raises(ValueError):
         DeploymentProfile("bad", decode_ms=-1, prefill_slope_ms=Fraction(1))
     with pytest.raises(ValueError):
         DeploymentProfile("bad", decode_ms=1.0)
-    with pytest.raises(ValueError):
-        DeploymentProfile("bad", decode_ms=1.0, prefill_points=((10, 5.0), (20, 1.0)))
 
 
 def test_measure_m_id_encoder_is_constant_one(tmp_path):

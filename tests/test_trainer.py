@@ -220,7 +220,8 @@ def _plant_after_finalize(monkeypatch, plant):
     monkeypatch.setattr(GradBuffer, "finalize", planted)
 
 
-def test_nan_gradient_on_touched_item_row_raises(small_data, monkeypatch):
+@pytest.mark.parametrize("mode", ["twolevel", "full"])
+def test_nan_gradient_on_touched_item_row_raises(small_data, monkeypatch, mode):
     def plant(tables, grads):
         # The first touched row only, in the part that holds it.
         item_grad = grads["item_raw"]
@@ -233,7 +234,7 @@ def test_nan_gradient_on_touched_item_row_raises(small_data, monkeypatch):
         item_grad.d_proj[0] = np.nan
 
     _plant_after_finalize(monkeypatch, plant)
-    config = TrainConfig(max_steps=2, batch_size=4, eval_every=0, seed=2)
+    config = TrainConfig(max_steps=2, batch_size=4, eval_every=0, seed=2, softmax_mode=mode)
     with pytest.raises(ValueError, match="NaN or Inf"):
         train(small_data, config, dim=8, item_dim=6, clustering="random")
 
