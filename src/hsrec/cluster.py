@@ -44,6 +44,9 @@ class ClusterMap:
         self.n_item_clusters = int(n_item_clusters)
         # Items grouped by cluster for O(1) member slices.
         self.item_order = np.argsort(assignment, kind="stable")
+        # Inverse of item_order: where each item sits in it.
+        self.item_position = np.empty_like(self.item_order)
+        self.item_position[self.item_order] = np.arange(assignment.size)
         self.offsets = np.zeros(n_item_clusters + 1, dtype=np.int64)
         np.cumsum(counts, out=self.offsets[1:])
 

@@ -6,9 +6,10 @@ rendered ID-only and encoded as one ``(B, d)`` query matrix
 matrix, and ``rank_rows`` (one tie-break, history exclusion and finiteness
 check for all engines) gives every held-out target's 1-based rank.
 ``full`` and ``structure`` both enumerate log-probabilities with
-``item_log_probs_batch``: one GEMM of cluster logits, then one GEMM per item
-cluster (or one ``(B, n_total)`` GEMM in full-softmax mode), so their ranks
-are one and the same.  ``structure`` names the two-level exact engine and
+``item_log_probs_batch``: one GEMM of cluster logits, one GEMM against the
+cluster-ordered item rows and one segmented log-softmax (or one
+``(B, n_total)`` GEMM in full-softmax mode), so their ranks are one and the
+same.  ``structure`` names the two-level exact engine and
 requires a two-level snapshot.  ``ann`` is one GEMM against the additive
 index's item rows.  Recall@K and NDCG@10 truncate at K; MRR uses the unbounded
 full-catalog rank.  With a single relevant item NDCG reduces to

@@ -18,12 +18,15 @@ Three engines:
 
 Item-only paths serve recommendations, and they search nothing: a dense
 vector of item scores goes to one selection.  ``topk_items`` scores every
-item's exact log-probability (``structure``, the same arithmetic as
-``score_all``) or its ANN index row (``ann``).  Blocks of users (evaluation,
+item's exact log-probability (``structure``: ``score_all``, one row product
+against the cluster-ordered item rows and one segmented log-softmax) or its
+ANN index row (``ann``, one row product).  Blocks of users (evaluation,
 ``SequenceRecommender.predict``) are ranked the same way a block at a time:
-``softmax.item_log_probs_batch`` scores a ``(B, d)`` query block exactly,
-and ``ann_item_scores`` takes a query block as one GEMM.  The pruned search
-serves ``topk_structure`` alone, the token-level top-k over text and items.
+``softmax.item_log_probs_batch`` scores a ``(B, d)`` query block exactly
+with one GEMM, and ``ann_item_scores`` takes a query block as one GEMM.
+The pruned search serves ``topk_structure`` alone, the token-level top-k
+over text and items; each cluster it expands is one slice of the same
+cluster-ordered rows, scored bitwise as ``score_all`` scores it.
 
 Selection is array work, never a per-candidate loop.  ``_rank_topk``
 (``topk_items``, ANN, ``topk_exact``, block prediction) partitions the
@@ -261,7 +264,11 @@ def build_additive_index(tables: ModelTables, cluster_map: ClusterMap) -> Additi
 
 def ann_item_scores(query, index: AdditiveIndex, tables: ModelTables) -> np.ndarray:
     """Inner products of a ``(d,)`` query, or of each row of a ``(B, d)``
-    query block (one GEMM), with the index's item rows; a stale index raises."""
+    query block (one GEMM), with the index's item rows; a stale index raises.
+
+    A single query takes an ``einsum`` row product, not a GEMV: a GEMV can
+    round equal rows differently by where they sit, and equal item rows must
+    score equal so that their ties break by ascending ordinal."""
     if index.tables_version != tables.version:
         raise StaleIndexError(
             f"index built at tables version {index.tables_version}, "
@@ -270,7 +277,7 @@ def ann_item_scores(query, index: AdditiveIndex, tables: ModelTables) -> np.ndar
     items = index.vectors[index.n_text :]
     if np.ndim(query) == 2:
         return _queries64(query) @ items.T
-    return items @ _query64(query)
+    return np.einsum("ij,j->i", items, _query64(query))
 
 
 def topk_ann(

@@ -25,11 +25,17 @@ smaller clusters keep projected-row gradients.  Its losses, gradients and dot
 count equal the sum of per-example :func:`nll_and_grad` calls, which keep
 the projected-row chain and stay as the test oracle.
 
-Evaluation and prediction score blocks of queries the same way:
-:func:`item_log_probs_batch` is the block form of :func:`score_all`
-restricted to items, built from :func:`cluster_log_probs_batch` and one
-:func:`member_log_conditionals_batch` GEMM per item cluster.
-:func:`score_all` stays as the single-query oracle.
+Exact item scoring reads one cluster-ordered float64 copy of the projected
+item rows (``ModelTables.item_rows_by_cluster``), where each item cluster's
+members are one slice.  :func:`score_all` takes one row product for a query,
+:func:`item_log_probs_batch` one ``(B, n_items)`` GEMM for a query block,
+and :func:`member_log_conditionals` one product over a single cluster's
+slice; all three normalize with one segmented log-softmax over the cluster
+offsets (:func:`_segment_log_softmax`), with no loop over clusters.  The
+single-query products are ``einsum`` loops, which compute a row the same way
+wherever it sits, so one cluster scored alone gets bitwise the scores it gets
+among all of them.  :func:`two_level_logprob` keeps the per-token arithmetic
+as an independent oracle.
 
 A :class:`CostCounter` tallies d-dimensional dot products so the cost claims
 are measurable rather than asserted.
@@ -46,6 +52,7 @@ from .cluster import ClusterMap
 from .tables import GradBuffer, ModelTables
 
 MODES = ("full", "twolevel")
+_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
 
 
 @dataclass
@@ -150,30 +157,52 @@ def two_level_logprob(
     return float(cl[cluster_id] + member_logits[pos] - _logsumexp(member_logits))
 
 
+def _segment_log_softmax(logits: np.ndarray, starts: np.ndarray, sizes) -> np.ndarray:
+    """Log-softmax, in place, of each segment ``starts[i] : starts[i] + sizes[i]``
+    along the last axis of ``logits``; the segments are non-empty and back to
+    back.
+
+    ``maximum.reduceat``, ``exp``, ``add.reduceat`` and ``log`` compute each
+    segment the same way wherever it sits, so a segment normalized alone
+    equals it normalized among others, bit for bit.  ``add.reduceat`` sums in
+    another order than ``.sum()``, so a one-segment caller must not use
+    :func:`_logsumexp` instead.  An empty segment would read its neighbour's
+    first entry; ``ClusterMap`` rejects empty clusters.
+    """
+    m = np.maximum.reduceat(logits, starts, axis=-1)
+    shifted = np.repeat(m, sizes, axis=-1)
+    np.subtract(logits, shifted, out=shifted)
+    np.exp(shifted, out=shifted)
+    log_norm = np.log(np.add.reduceat(shifted, starts, axis=-1))
+    del shifted  # freed before the next (B, n_items) temporary: a block holds two at a time
+    log_norm += m
+    logits -= np.repeat(log_norm, sizes, axis=-1)
+    return logits
+
+
+def _item_log_probs(member_logits: np.ndarray, cluster_lp: np.ndarray, cluster_map: ClusterMap) -> np.ndarray:
+    """Item log-probabilities, in item order, from the cluster-ordered member
+    logits ``(..., n_items)`` (overwritten) and log P(item cluster | H)
+    ``(..., n_item_clusters)``."""
+    sizes = cluster_map.cluster_sizes()
+    log_cond = _segment_log_softmax(member_logits, cluster_map.offsets[:-1], sizes)
+    log_cond += np.repeat(cluster_lp, sizes, axis=-1)
+    return log_cond[..., cluster_map.item_position]
+
+
 def member_log_conditionals(
     query: np.ndarray, tables: ModelTables, cluster_map: ClusterMap, item_cluster: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(member item indices, their log P(item | cluster)) for one item cluster.
+    """(member item indices, their log P(item | cluster)) for one item cluster
+    and a float64 ``(d,)`` query.
 
-    This is the single primitive shared by enumeration and the pruned search,
-    so both produce bitwise-identical per-token log-probabilities.
+    Its scores equal :func:`score_all`'s for those members bit for bit, the
+    property the pruned search (``topk_structure``) rests on: both take the
+    same ``einsum`` row product and :func:`_segment_log_softmax`.
     """
-    members = cluster_map.item_members(item_cluster)
-    logits = tables.item_projected()[members] @ query
-    return members, logits - _logsumexp(logits)
-
-
-def member_log_conditionals_batch(
-    queries: np.ndarray, tables: ModelTables, cluster_map: ClusterMap, item_cluster: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Block form of :func:`member_log_conditionals`: one GEMM of the ``(B, d)``
-    float64 queries against the cluster's projected rows, a row-wise logsumexp,
-    and ``(members, (B, |members|) log P(item | cluster))``.
-    """
-    members = cluster_map.item_members(item_cluster)
-    logits = queries @ tables.item_projected()[members].T
-    logits -= _logsumexp_rows(logits)[:, None]
-    return members, logits
+    lo, hi = cluster_map.offsets[item_cluster : item_cluster + 2]
+    logits = np.einsum("ij,j->i", tables.item_rows_by_cluster(cluster_map)[lo:hi], query)
+    return cluster_map.item_order[lo:hi], _segment_log_softmax(logits, _ONE_SEGMENT, hi - lo)
 
 
 def cluster_log_probs_batch(queries: np.ndarray, tables: ModelTables) -> np.ndarray:
@@ -193,8 +222,9 @@ def item_log_probs_batch(
     ``score_all(query, ...)[n_text:]`` for each row of ``queries``.
 
     Full mode is one ``(B, n_total)`` GEMM and a row-wise logsumexp.
-    Two-level mode is one ``(B, n_clusters)`` GEMM of cluster logits, then one
-    :func:`member_log_conditionals_batch` GEMM per item cluster.
+    Two-level mode is one ``(B, n_clusters)`` GEMM of cluster logits, one
+    ``(B, n_items)`` GEMM against the cluster-ordered item rows and one
+    segmented log-softmax.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -205,12 +235,8 @@ def item_log_probs_batch(
         return logits[:, n_text:] - _logsumexp_rows(logits)[:, None]
     if cluster_map is None:
         raise ValueError("two-level scoring requires a cluster map")
-    cl = cluster_log_probs_batch(q, tables)[:, n_text:]
-    out = np.empty((q.shape[0], tables.n_items))
-    for j in range(cluster_map.n_item_clusters):
-        members, log_cond = member_log_conditionals_batch(q, tables, cluster_map, j)
-        out[:, members] = cl[:, j, None] + log_cond
-    return out
+    cl = cluster_log_probs_batch(q, tables)[:, n_text:].copy()  # not a view of the (B, n_clusters) logits
+    return _item_log_probs(q @ tables.item_rows_by_cluster(cluster_map).T, cl, cluster_map)
 
 
 def score_all(
@@ -222,8 +248,9 @@ def score_all(
 ) -> np.ndarray:
     """Exact log-probability of every token under the chosen mode.
 
-    Enumeration over the whole space; intended as the oracle surface for
-    evaluation and tests on desk-scale catalogs.
+    Enumeration over the whole space.  Two-level mode takes the first-level
+    logits, one ``einsum`` row product against the cluster-ordered item rows
+    and one segmented log-softmax; ``topk_items`` and ``topk_exact`` rank it.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -234,13 +261,12 @@ def score_all(
         return log_softmax(full_logits(q, tables))
     if cluster_map is None:
         raise ValueError("two-level scoring requires a cluster map")
-    cl = log_softmax(cluster_logits(q, tables))
-    out = np.empty(tables.n_total, dtype=np.float64)
-    out[: tables.n_text] = cl[: tables.n_text]
     n_text = tables.n_text
-    for j in range(cluster_map.n_item_clusters):
-        members, log_cond = member_log_conditionals(q, tables, cluster_map, j)
-        out[n_text + members] = cl[n_text + j] + log_cond
+    cl = log_softmax(cluster_logits(q, tables))
+    logits = np.einsum("ij,j->i", tables.item_rows_by_cluster(cluster_map), q)
+    out = np.empty(tables.n_total, dtype=np.float64)
+    out[:n_text] = cl[:n_text]
+    out[n_text:] = _item_log_probs(logits, cl[n_text:], cluster_map)
     if counter is not None:
         counter.add(cluster_map.n_clusters + tables.n_items)
     return out

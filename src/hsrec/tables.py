@@ -114,7 +114,9 @@ class ModelTables:
 
     ``version`` increments on every parameter update; anything derived from the
     tables (projected item cache, additive index) records the version it was
-    built from.
+    built from.  The cluster-ordered float64 copy of the projected rows
+    (:meth:`item_rows_by_cluster`) is dropped by :meth:`bump_version`, so it
+    is not kept alive through training.
     """
 
     def __init__(
@@ -135,6 +137,8 @@ class ModelTables:
         self.version = 0
         self._proj_cache_version = -1
         self._proj_cache: np.ndarray | None = None
+        self._by_cluster: np.ndarray | None = None
+        self._by_cluster_map = None  # the cluster map whose order _by_cluster follows
 
     @property
     def n_text(self) -> int:
@@ -167,8 +171,23 @@ class ModelTables:
             self._proj_cache_version = self.version
         return self._proj_cache
 
+    def item_rows_by_cluster(self, cluster_map) -> np.ndarray:
+        """Float64 copy of the projected item rows in ``cluster_map.item_order``:
+        item cluster ``c``'s members are the rows ``offsets[c]:offsets[c + 1]``.
+
+        Built on first use in a table version, for one cluster map at a time,
+        and dropped by :meth:`bump_version`.
+        """
+        if self._by_cluster is None or self._by_cluster_map is not cluster_map:
+            rows = self.item_projected()[cluster_map.item_order]
+            self._by_cluster = rows.astype(np.float64, copy=False)
+            self._by_cluster_map = cluster_map
+        return self._by_cluster
+
     def bump_version(self) -> None:
         self.version += 1
+        self._by_cluster = None
+        self._by_cluster_map = None
 
     def check(self) -> None:
         self.text.check()

@@ -20,7 +20,7 @@ from hsrec.evaluate import (
     target_ranks,
 )
 from hsrec.exceptions import TrainingDivergedError
-from hsrec.inference import ann_item_scores, build_additive_index
+from hsrec.inference import ann_item_scores, build_additive_index, topk_items
 from hsrec.render import render_id_only
 from hsrec.softmax import score_all
 from hsrec.tables import EmbeddingTable, ModelTables, ProjectionHead
@@ -253,6 +253,33 @@ def test_batched_ranks_equal_per_user_oracle(trained, engine, model):
         query, _ = encode(render_id_only(examples[0], data), snapshot.tables, snapshot.encoder)
         scores = score_all(query, snapshot.tables, snapshot.cluster_map)[snapshot.tables.n_text :]
         assert np.unique(scores).size < scores.size
+
+
+def test_single_query_ann_ties_break_by_ordinal(tmp_path):
+    # 18 equal non-zero 64-wide index rows in one cluster: raw rows zero, so
+    # every projected row is exactly the head bias.  A GEMV can round equal
+    # rows differently by where they sit; the single-query ANN scores must tie
+    # exactly, so that topk_items ranks the tied items by ordinal, as the
+    # block ranks do.
+    data, _ = synth_dataset(tmp_path, n_users=40, n_items=18, n_groups=3, seed=5)
+    config = TrainConfig(seed=0, softmax_mode="twolevel")
+    snapshot = init_model(data, config, dim=64, item_dim=6, clustering="random")
+    tables, rng = snapshot.tables, np.random.default_rng(0)
+    snapshot.cluster_map = ClusterMap(tables.n_text, np.zeros(18), 1)
+    tables.centroids = EmbeddingTable(rng.standard_normal((1, 64)).astype(tables.text.data.dtype))
+    tables.item_raw.data[:] = 0.0
+    tables.projection.bias[:] = rng.standard_normal(64)
+    tables.bump_version()
+    index = build_additive_index(tables, snapshot.cluster_map)
+    examples = [dataclasses.replace(e, target=j % 18) for j, e in enumerate(data.test_examples[:24])]
+    single = []
+    for e in examples:
+        query, _ = encode(render_id_only(e, data), tables, snapshot.encoder)
+        assert np.unique(ann_item_scores(query, index, tables)).size == 1
+        top = topk_items(query, 18, tables, snapshot.cluster_map, snapshot.space, engine="ann", index=index)
+        single.append(int(np.flatnonzero(top.ordinals == tables.n_text + e.target)[0]) + 1)
+    assert single == [e.target + 1 for e in examples]
+    assert target_ranks(snapshot, data, "ann", examples).tolist() == single
 
 
 @pytest.mark.parametrize("engine", ["full", "structure", "ann"])

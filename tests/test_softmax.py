@@ -1,18 +1,26 @@
 import numpy as np
 import pytest
 
+import weakref
+
 from helpers import (
     fd_gradient,
     fig2_fixture,
     flatten,
     max_rel_error,
     param_arrays,
+    random_cluster_map,
     random_model,
 )
 from hsrec.cluster import ClusterMap
+from hsrec.inference import topk_structure
 from hsrec.softmax import (
     CostCounter,
+    cluster_logits,
     full_logprob,
+    item_log_probs_batch,
+    log_softmax,
+    member_log_conditionals,
     nll_and_grad,
     score_all,
     two_level_logprob,
@@ -112,6 +120,108 @@ def test_score_all_matches_pointwise_ops():
             two_level_logprob(q, ordinal, tables, cmap), abs=1e-12
         )
         assert dense_full[ordinal] == pytest.approx(full_logprob(q, ordinal, tables), abs=1e-12)
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _with_clusters(tables, cmap, rng):
+    """``tables`` with one random centroid per item cluster of ``cmap``."""
+    dtype = tables.text.data.dtype
+    tables.centroids = EmbeddingTable((rng.standard_normal((cmap.n_item_clusters, tables.dim)) * 0.5).astype(dtype))
+    tables.bump_version()
+    return tables, cmap
+
+
+def _scorer_cases(dtype):
+    """An unsorted random assignment, singleton item clusters, a single item
+    cluster and a one-item catalog."""
+    tables, cmap, rng = random_model(7, 40, 6, 4, 5, seed=4, dtype=dtype)
+    yield tables, cmap, rng
+    yield (*_with_clusters(tables, ClusterMap(7, rng.permutation(40), 40), rng), rng)
+    yield (*_with_clusters(tables, ClusterMap(7, np.zeros(40), 1), rng), rng)
+    tables, cmap, rng = random_model(7, 1, 6, 4, 1, seed=5, dtype=dtype)
+    yield tables, cmap, rng
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_item_scorers_equal_per_token_oracle(dtype):
+    for tables, cmap, rng in _scorer_cases(dtype):
+        n_text = tables.n_text
+        queries = rng.standard_normal((3, tables.dim))
+        block = item_log_probs_batch(queries, tables, cmap)
+        for q, row in zip(queries, block):
+            want = np.array([two_level_logprob(q, o, tables, cmap) for o in range(tables.n_total)])
+            dense = score_all(q, tables, cmap)
+            np.testing.assert_allclose(dense, want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(row, want[n_text:], rtol=1e-12, atol=0)
+            # The pruned search's per-cluster scores are score_all's, bit for bit.
+            cl = log_softmax(cluster_logits(q, tables))
+            for c in range(cmap.n_item_clusters):
+                members, log_cond = member_log_conditionals(q, tables, cmap, c)
+                assert _bits(members) == _bits(cmap.item_members(c))
+                assert _bits(cl[n_text + c] + log_cond) == _bits(dense[n_text + members]), c
+
+
+def test_equal_item_rows_score_equal():
+    # Zero raw rows: every projected row is exactly the head bias, 64 wide.
+    tables, cmap, rng = random_model(5, 60, 64, 4, 3, seed=6)
+    tables.item_raw.data[:] = 0.0
+    tables.bump_version()
+    for q in rng.standard_normal((24, 64)):
+        scores = score_all(q, tables, cmap)
+        for c in range(cmap.n_item_clusters):
+            assert np.unique(scores[tables.n_text + cmap.item_members(c)]).size == 1
+
+
+def _item_scores(tables, cmap, queries):
+    return (
+        [score_all(q, tables, cmap) for q in queries],
+        item_log_probs_batch(queries, tables, cmap),
+        [topk_structure(q, 7, tables, cmap)[0].scores for q in queries],
+    )
+
+
+def _assert_same_scores(got, want):
+    for g, w in zip(got, want):
+        assert all(_bits(a) == _bits(b) for a, b in zip(g, w))
+
+
+def test_cluster_ordered_rows_follow_writes_and_cluster_maps():
+    tables, cmap, rng = random_model(5, 30, 6, 4, 4, seed=8)
+    queries = rng.standard_normal((4, 6))
+
+    def fresh():  # the same parameters, with no derived copies
+        arrays = {name: a.copy() for name, a in tables.parameter_arrays().items()}
+        return ModelTables(
+            EmbeddingTable(arrays["text"]),
+            EmbeddingTable(arrays["item_raw"]),
+            ProjectionHead(arrays["proj_weight"], arrays["proj_bias"]),
+            EmbeddingTable(arrays["centroids"]),
+        )
+
+    before = _item_scores(tables, cmap, queries)
+    rows = tables.item_rows_by_cluster(cmap)
+    assert rows.dtype == np.float64 and tables.item_rows_by_cluster(cmap) is rows
+    assert _bits(rows) == _bits(tables.item_projected()[cmap.item_order])
+    released = weakref.ref(rows)
+    del rows
+    tables.item_raw.data[::3] *= -2.0
+    tables.bump_version()
+    assert released() is None  # bump_version drops the float64 copy
+
+    after = _item_scores(tables, cmap, queries)
+    _assert_same_scores(after, _item_scores(fresh(), cmap, queries))
+    assert not np.array_equal(after[1], before[1])
+
+    # A second cluster map over the same tables reads its own order, and the
+    # first map's scores are unchanged by it.
+    other = random_cluster_map(5, 30, 4, rng)
+    assert not np.array_equal(other.item_order, cmap.item_order)
+    _assert_same_scores(_item_scores(tables, other, queries), _item_scores(fresh(), other, queries))
+    assert _bits(tables.item_rows_by_cluster(other)) == _bits(tables.item_projected()[other.item_order])
+    _assert_same_scores(_item_scores(tables, cmap, queries), after)
 
 
 def test_full_and_two_level_differ_in_general():
