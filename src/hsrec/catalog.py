@@ -183,10 +183,10 @@ class SplitResult:
         return n_train, len(self.val_event), len(self.test_event)
 
 
-def split_leave_one_out(interactions: Interactions, min_events: int = 3) -> SplitResult:
+def split_leave_one_out(interactions: Interactions) -> SplitResult:
     """Last event per user is test, second-to-last is validation, rest is train.
 
-    Users with fewer than ``min_events`` interactions are dropped and counted.
+    Users with fewer than three interactions are dropped and counted.
     """
     if interactions.n_events == 0:
         raise DataError("empty corpus")
@@ -194,7 +194,7 @@ def split_leave_one_out(interactions: Interactions, min_events: int = 3) -> Spli
     dropped = 0
     for user in interactions.users:
         events = interactions.events_by_user[user]
-        if len(events) < min_events:
+        if len(events) < 3:
             dropped += 1
             continue
         users.append(user)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -51,7 +52,8 @@ def _setup_logging() -> None:
 
 
 # Option tables: (dest, type, default, help).  These drive both argparse and
-# config-file validation, so the two can never drift apart.
+# config-file validation, so the two can never drift apart.  Training options
+# default to TrainConfig's own defaults.
 _COMMON = [
     ("out_dir", str, ".", "directory for output artifacts"),
     ("seed", int, 0, "random seed"),
@@ -79,22 +81,22 @@ _OPTIONS = {
     "train": _COMMON
     + [
         ("data", str, None, "interactions JSONL path"),
-        ("mode", str, "twolevel", "softmax mode: full|twolevel"),
+        ("mode", str, TrainConfig.softmax_mode, "softmax mode: full|twolevel"),
         ("clusters", str, "kmeans", "clustering method: kmeans|frequency|random"),
         ("n_clusters", int, 0, "item cluster count (0 = ceil(sqrt(n_items)))"),
         ("features", str, "", "optional (n_items, p) .npy feature file for kmeans"),
-        ("steps", int, 2000, "max optimization steps"),
-        ("batch_size", int, 64, "examples per step"),
-        ("learning_rate", float, 5e-3, "peak learning rate (cosine decayed)"),
-        ("weight_decay", float, 1e-5, "decoupled weight decay"),
-        ("id_only_fraction", float, 0.25, "fraction of examples rendered ID-only"),
-        ("metadata_keep_prob", float, 0.5, "per-field metadata keep probability"),
+        ("steps", int, TrainConfig.max_steps, "max optimization steps"),
+        ("batch_size", int, TrainConfig.batch_size, "examples per step"),
+        ("learning_rate", float, TrainConfig.learning_rate, "peak learning rate (cosine decayed)"),
+        ("weight_decay", float, TrainConfig.weight_decay, "decoupled weight decay"),
+        ("id_only_fraction", float, TrainConfig.id_only_fraction, "fraction of examples rendered ID-only"),
+        ("metadata_keep_prob", float, TrainConfig.metadata_keep_prob, "per-field metadata keep probability"),
         ("dim", int, 64, "model embedding dimension"),
         ("item_dim", int, 512, "raw item embedding dimension"),
         ("vocab_size", int, 8192, "text vocabulary cap"),
-        ("eval_every", int, 200, "steps between validation evals"),
-        ("patience", int, 10, "validation evals without improvement before stopping"),
-        ("val_sample", int, 500, "validation users per eval (0 = all)"),
+        ("eval_every", int, TrainConfig.eval_every, "steps between validation evals"),
+        ("patience", int, TrainConfig.patience, "validation evals without improvement before stopping"),
+        ("val_sample", int, TrainConfig.val_sample, "validation users per eval (0 = all)"),
     ],
     "eval": _COMMON
     + [
@@ -105,9 +107,9 @@ _OPTIONS = {
         ("k", str, "1,10", "comma-separated recall cutoffs"),
         ("exclude_history", int, 0, "1 to drop history items from the ranking"),
         ("steps", int, 500, "training steps per ablation run"),
-        ("batch_size", int, 64, "batch size for ablation training"),
-        ("learning_rate", float, 5e-3, "learning rate for ablation training"),
-        ("vocab_size", int, 8192, "text vocabulary cap"),
+        ("batch_size", int, TrainConfig.batch_size, "batch size for ablation training"),
+        ("learning_rate", float, TrainConfig.learning_rate, "learning rate for ablation training"),
+        ("vocab_size", int, 8192, "text vocabulary cap for ablation training (a snapshot uses its own)"),
     ],
     "latency": _COMMON
     + [
@@ -220,7 +222,7 @@ def _write_csv(path: Path, rows: list[dict], fieldnames=None) -> None:
 def _load_dataset(opts: dict):
     return build_dataset(
         ingest_jsonl(opts["data"]),
-        vocab_size=int(opts.get("vocab_size", 8192)),
+        vocab_size=opts["vocab_size"],
         name=Path(opts["data"]).stem,
     )
 
@@ -294,27 +296,17 @@ def cmd_cluster(opts: dict) -> int:
     return EXIT_OK
 
 
-def _train_config(opts: dict, mode: str, seed: int) -> TrainConfig:
-    return TrainConfig(
-        batch_size=opts.get("batch_size", 64),
-        learning_rate=opts.get("learning_rate", 5e-3),
-        weight_decay=opts.get("weight_decay", 1e-5),
-        max_steps=opts["steps"],
-        id_only_fraction=opts.get("id_only_fraction", 0.25),
-        metadata_keep_prob=opts.get("metadata_keep_prob", 0.5),
-        seed=seed,
-        softmax_mode=mode,
-        eval_every=opts.get("eval_every", 200),
-        patience=opts.get("patience", 10),
-        val_sample=opts.get("val_sample", 500),
-    )
+def _train_config(opts: dict, mode: str) -> TrainConfig:
+    """The command's training options; a field it has no option for keeps its default."""
+    values = {**opts, "max_steps": opts["steps"], "softmax_mode": mode}
+    return TrainConfig(**{f.name: values[f.name] for f in dataclasses.fields(TrainConfig) if f.name in values})
 
 
 def cmd_train(opts: dict) -> int:
     _require(opts, "data")
     out = _out_dir(opts)
     data = _load_dataset(opts)
-    config = _train_config(opts, opts["mode"], opts["seed"])
+    config = _train_config(opts, opts["mode"])
     result = train(
         data,
         config,
@@ -330,10 +322,16 @@ def cmd_train(opts: dict) -> int:
     return EXIT_OK
 
 
-def _eval_single(opts: dict, out: Path) -> int:
-    data = _load_dataset(opts)
+def _load_snapshot_and_corpus(opts: dict):
     snapshot = load_snapshot(opts["snapshot"])
+    # Capped at the snapshot's size, the corpus rebuilds the snapshot's vocabulary.
+    data = _load_dataset({**opts, "vocab_size": len(snapshot.vocab)})
     _check_snapshot_matches(snapshot, data)
+    return snapshot, data
+
+
+def _eval_single(opts: dict, out: Path) -> int:
+    snapshot, data = _load_snapshot_and_corpus(opts)
     ks = tuple(int(x) for x in str(opts["k"]).split(","))
     mode = snapshot.config.get("softmax_mode", "twolevel")
     if opts["engine"] == "all":
@@ -367,7 +365,7 @@ def _eval_ablation(opts: dict, out: Path) -> int:
     ks = tuple(int(x) for x in str(opts["k"]).split(","))
     rows = []
     for clustering in CLUSTERINGS:
-        config = _train_config(opts, "twolevel", opts["seed"])
+        config = _train_config(opts, "twolevel")
         result = train(data, config, clustering=clustering)
         snapshot = result.snapshot
         for engine in ("structure", "ann", "full"):
@@ -445,11 +443,10 @@ def cmd_latency(opts: dict) -> int:
 
 def cmd_bench(opts: dict) -> int:
     _require(opts, "data", "snapshot")
+    if opts["queries"] < 1:
+        raise UsageError(f"--queries must be at least 1, got {opts['queries']}")
     out = _out_dir(opts)
-    snapshot = load_snapshot(opts["snapshot"])
-    # Capped at the snapshot's size, the corpus rebuilds the snapshot's vocabulary.
-    data = _load_dataset({**opts, "vocab_size": len(snapshot.vocab)})
-    _check_snapshot_matches(snapshot, data)
+    snapshot, data = _load_snapshot_and_corpus(opts)
     k = int(str(opts["k"]).split(",")[0])
     rng = np.random.default_rng(opts["seed"])
     examples = data.test_examples

@@ -256,8 +256,8 @@ class RandomClusters(BaseEstimator):
         return self.fit(n_items).labels_
 
 
-def cluster_kmeans(item_vectors, n_clusters=None, seed=0, n_text=0, max_iter=50, tol=1e-4) -> ClusterMap:
-    est = ItemKMeans(n_clusters=n_clusters, seed=seed, max_iter=max_iter, tol=tol).fit(item_vectors)
+def cluster_kmeans(item_vectors, n_clusters=None, seed=0, n_text=0) -> ClusterMap:
+    est = ItemKMeans(n_clusters=n_clusters, seed=seed).fit(item_vectors)
     n = est.labels_.max() + 1 if est.labels_.size else 0
     return ClusterMap(n_text, est.labels_, max(n, est.cluster_centers_.shape[0]))
 

@@ -13,7 +13,8 @@ Little-endian layout::
         encoder MLP (hidden weight/bias, output weight/bias),
         u64 metadata length + JSON metadata (vocab words, item ids, config)
 
-Round trips are bit-identical, and loaded arrays are writable, so a loaded
+Round trips are bit-identical.  Loaded table arrays are read-only, as every
+table's are, and writable through ``ModelTables.writing()``, so a loaded
 model can be trained further.  Wrong magic or version, truncated files, NaN
 or Inf in a float payload, bytes after the metadata, metadata that is not
 UTF-8 JSON or not an object with ``vocab_words`` and ``item_ids`` lists of the
@@ -74,7 +75,7 @@ def _read_exact(fh, n: int) -> bytes:
 
 def _read_array(fh, shape, dtype) -> np.ndarray:
     n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    # A copy: an array over the read bytes would be read-only.
+    # A copy: ModelTables.writing() could not unlock an array over the read bytes.
     return np.frombuffer(_read_exact(fh, n_bytes), dtype=dtype).reshape(shape).copy()
 
 

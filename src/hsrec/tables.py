@@ -8,6 +8,9 @@ learnable table; text tokens act as their own singleton clusters, so their
 "centroid" is the text embedding row itself (one shared parameter, not a
 copy).
 
+Every parameter array is read-only; :meth:`ModelTables.writing` is the one
+writer, so a write elsewhere raises instead of serving stale derived copies.
+
 A training step accumulates into a :class:`GradBuffer`.  Item gradients
 arrive in two forms.  Projected-row gradients (the encoder inputs, full mode,
 the per-example path and small target clusters) are chained through the
@@ -25,6 +28,7 @@ at a time by the update that writes it, so no ``(|I|, k)`` or
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +53,7 @@ class EmbeddingTable:
         if arr.ndim != 2:
             raise ValueError(f"embedding table must be 2-D, got shape {arr.shape}")
         check_finite(arr, "embedding table")
+        arr.flags.writeable = False  # written only through ModelTables.writing()
         self.data = arr
 
     @property
@@ -83,6 +88,8 @@ class ProjectionHead:
             raise ValueError(
                 f"projection weight rows {self.weight.shape[0]} != bias size {self.bias.shape[0]}"
             )
+        self.weight.flags.writeable = False  # written only through ModelTables.writing()
+        self.bias.flags.writeable = False
 
     @property
     def in_dim(self) -> int:
@@ -112,11 +119,11 @@ def project_items(item_table: EmbeddingTable, head: ProjectionHead) -> np.ndarra
 class ModelTables:
     """All output-side parameters plus a version stamp for index invalidation.
 
-    ``version`` increments on every parameter update; anything derived from the
-    tables (projected item cache, additive index) records the version it was
-    built from.  The cluster-ordered float64 copy of the projected rows
-    (:meth:`item_rows_by_cluster`) is dropped by :meth:`bump_version`, so it
-    is not kept alive through training.
+    The five parameter arrays are read-only; :meth:`writing` is the only way
+    to write them.  Leaving it moves ``version`` on and drops the copies
+    derived from the tables (the projected items and their cluster-ordered
+    float64 copy), which are rebuilt on first use.  The additive index
+    records the version it was built from and refuses to serve a later one.
     """
 
     def __init__(
@@ -135,10 +142,34 @@ class ModelTables:
         self.projection = projection
         self.centroids = centroids
         self.version = 0
-        self._proj_cache_version = -1
+        self._drop_derived()
+
+    def _drop_derived(self) -> None:
         self._proj_cache: np.ndarray | None = None
         self._by_cluster: np.ndarray | None = None
         self._by_cluster_map = None  # the cluster map whose order _by_cluster follows
+
+    def __setstate__(self, state):
+        # Copies (copy.deepcopy, pickle) come back writable: lock them again.
+        self.__dict__.update(state)
+        for arr in self.parameter_arrays().values():
+            arr.flags.writeable = False
+        self._drop_derived()
+
+    @contextmanager
+    def writing(self):
+        """Yield the five ``parameter_arrays`` writable; on exit, also on error,
+        lock them again, move ``version`` on and drop every derived copy."""
+        arrays = tuple(self.parameter_arrays().items())
+        for _, arr in arrays:
+            arr.flags.writeable = True
+        try:
+            yield dict(arrays)
+        finally:
+            for _, arr in arrays:
+                arr.flags.writeable = False
+            self.version += 1
+            self._drop_derived()
 
     @property
     def n_text(self) -> int:
@@ -165,29 +196,23 @@ class ModelTables:
         return self.centroids.rows
 
     def item_projected(self) -> np.ndarray:
-        """Projected item rows, cached per version."""
-        if self._proj_cache_version != self.version:
+        """Projected item rows, built on first use after each write."""
+        if self._proj_cache is None:
             self._proj_cache = project_items(self.item_raw, self.projection)
-            self._proj_cache_version = self.version
         return self._proj_cache
 
     def item_rows_by_cluster(self, cluster_map) -> np.ndarray:
         """Float64 copy of the projected item rows in ``cluster_map.item_order``:
         item cluster ``c``'s members are the rows ``offsets[c]:offsets[c + 1]``.
 
-        Built on first use in a table version, for one cluster map at a time,
-        and dropped by :meth:`bump_version`.
+        Built on first use after each write, for one cluster map at a time,
+        and dropped by :meth:`writing`.
         """
         if self._by_cluster is None or self._by_cluster_map is not cluster_map:
             rows = self.item_projected()[cluster_map.item_order]
             self._by_cluster = rows.astype(np.float64, copy=False)
             self._by_cluster_map = cluster_map
         return self._by_cluster
-
-    def bump_version(self) -> None:
-        self.version += 1
-        self._by_cluster = None
-        self._by_cluster_map = None
 
     def check(self) -> None:
         self.text.check()
@@ -217,6 +242,8 @@ def init_tables(
 
     Centroids start at zero; they are overwritten by the clustering stage.
     """
+    if dim < 1 or item_dim < 1:
+        raise ValueError(f"dim and item_dim must be at least 1, got {dim} and {item_dim}")
     rng = check_random_state(seed)
     text_scale = 1.0 / np.sqrt(dim)
     item_scale = 1.0 / np.sqrt(item_dim)

@@ -16,7 +16,7 @@ identical loss curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,6 +63,11 @@ class TrainConfig:
     val_sample: int = 500  # 0 evaluates the whole validation split
 
     def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        for name in ("max_steps", "eval_every", "val_sample", "patience", "learning_rate", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
         if not 0.0 <= self.id_only_fraction <= 1.0:
             raise ValueError("id_only_fraction must be in [0, 1]")
         if not 0.0 <= self.metadata_keep_prob <= 1.0:
@@ -71,16 +76,9 @@ class TrainConfig:
             raise ValueError("softmax_mode must be 'full' or 'twolevel'")
 
     def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "max_steps": self.max_steps,
-            "id_only_fraction": self.id_only_fraction,
-            "metadata_keep_prob": self.metadata_keep_prob,
-            "seed": self.seed,
-            "softmax_mode": self.softmax_mode,
-        }
+        """The fields a snapshot records: all but the validation schedule."""
+        schedule = ("eval_every", "patience", "val_sample")
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in schedule}
 
 
 def build_cluster_map(
@@ -88,7 +86,6 @@ def build_cluster_map(
     clustering: str = "kmeans",
     n_clusters: int | None = None,
     seed: int = 0,
-    svd_components: int = 32,
     features: np.ndarray | None = None,
 ) -> ClusterMap:
     """Item-side clustering per the chosen method, text singletons attached.
@@ -101,7 +98,7 @@ def build_cluster_map(
     n_clusters = n_clusters or default_n_clusters(n_items)
     if clustering == "kmeans":
         if features is None:
-            features = cooccurrence_svd_features(data.split, n_items, svd_components)
+            features = cooccurrence_svd_features(data.split, n_items)
         return cluster_kmeans(features, n_clusters, seed=seed, n_text=n_text)
     if clustering == "frequency":
         return cluster_frequency(data.train_item_counts, n_clusters, n_text=n_text)
@@ -118,7 +115,6 @@ def init_model(
     clustering: str = "kmeans",
     n_clusters: int | None = None,
     cluster_map: ClusterMap | None = None,
-    centroid_random_init: bool = False,
     kmeans_features: np.ndarray | None = None,
 ) -> ModelSnapshot:
     """Fresh seeded model: tables, cluster map, mean-initialized centroids."""
@@ -127,12 +123,7 @@ def init_model(
             data, clustering, n_clusters, seed=config.seed, features=kmeans_features
         )
     base = init_tables(len(data.vocab), data.n_items, dim, item_dim, seed=config.seed)
-    centroids = init_centroids(
-        cluster_map,
-        base.item_projected(),
-        seed=config.seed,
-        random_init=centroid_random_init,
-    )
+    centroids = init_centroids(cluster_map, base.item_projected())
     tables = ModelTables(base.text, base.item_raw, base.projection, centroids)
     encoder = init_encoder(dim, seed=config.seed + 1, dtype=tables.text.data.dtype)
     snapshot_config = config.to_dict()
@@ -174,10 +165,8 @@ def _apply_update(snapshot: ModelSnapshot, grads: dict, lr: float, weight_decay:
     :class:`ItemRowGrad`, one expanded block at a time, and each written block
     is checked for finiteness when that suffices (``_rows_checked_on_write``).
     """
-    tables = snapshot.tables
-    params = dict(tables.parameter_arrays())
-    params.update(snapshot.encoder.parameter_arrays())
-    try:
+    with snapshot.tables.writing() as params:
+        params.update(snapshot.encoder.parameter_arrays())
         for name, arr in params.items():
             grad = grads.get(name)
             if grad is None:
@@ -201,8 +190,6 @@ def _apply_update(snapshot: ModelSnapshot, grads: dict, lr: float, weight_decay:
                 step = grad / n  # lr * (grad / n), with one temporary
                 step *= lr
                 arr -= step
-    finally:
-        tables.bump_version()
 
 
 def _check_updated(tables: ModelTables, decay: float) -> None:
@@ -315,17 +302,17 @@ class SequenceRecommender(BaseEstimator):
         vocab_size=8192,
         clustering="kmeans",
         n_clusters=None,
-        softmax_mode="twolevel",
-        batch_size=64,
-        learning_rate=5e-3,
-        weight_decay=1e-5,
-        max_steps=2000,
-        id_only_fraction=0.25,
-        metadata_keep_prob=0.5,
-        eval_every=200,
-        patience=10,
-        val_sample=500,
-        seed=0,
+        softmax_mode=TrainConfig.softmax_mode,
+        batch_size=TrainConfig.batch_size,
+        learning_rate=TrainConfig.learning_rate,
+        weight_decay=TrainConfig.weight_decay,
+        max_steps=TrainConfig.max_steps,
+        id_only_fraction=TrainConfig.id_only_fraction,
+        metadata_keep_prob=TrainConfig.metadata_keep_prob,
+        eval_every=TrainConfig.eval_every,
+        patience=TrainConfig.patience,
+        val_sample=TrainConfig.val_sample,
+        seed=TrainConfig.seed,
     ):
         self.dim = dim
         self.item_dim = item_dim
@@ -345,19 +332,7 @@ class SequenceRecommender(BaseEstimator):
         self.seed = seed
 
     def _train_config(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            weight_decay=self.weight_decay,
-            max_steps=self.max_steps,
-            id_only_fraction=self.id_only_fraction,
-            metadata_keep_prob=self.metadata_keep_prob,
-            seed=self.seed,
-            softmax_mode=self.softmax_mode,
-            eval_every=self.eval_every,
-            patience=self.patience,
-            val_sample=self.val_sample,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def fit(self, X):
         """X is a JSONL path, an Interactions object, or a prepared Dataset."""

@@ -74,29 +74,31 @@ def flatten(arrays):
     return np.concatenate([np.asarray(a).ravel() for a in arrays.values()])
 
 
-def write_back(arrays, theta):
-    offset = 0
-    for arr in arrays.values():
-        n = arr.size
-        arr.ravel()[:] = theta[offset : offset + n]
-        offset += n
+def write_back(tables, arrays, theta):
+    """Write theta into arrays, the tables' own through ``tables.writing()``."""
+    with tables.writing():
+        offset = 0
+        for arr in arrays.values():
+            n = arr.size
+            arr.ravel()[:] = theta[offset : offset + n]
+            offset += n
 
 
-def fd_gradient(loss_fn, arrays, eps=1e-5):
+def fd_gradient(loss_fn, tables, arrays, eps=1e-5):
     """Central finite differences of loss_fn() with respect to every entry."""
     theta = flatten(arrays)
     grad = np.zeros_like(theta)
     for i in range(theta.size):
         orig = theta[i]
         theta[i] = orig + eps
-        write_back(arrays, theta)
+        write_back(tables, arrays, theta)
         up = loss_fn()
         theta[i] = orig - eps
-        write_back(arrays, theta)
+        write_back(tables, arrays, theta)
         down = loss_fn()
         theta[i] = orig
         grad[i] = (up - down) / (2 * eps)
-    write_back(arrays, theta)
+    write_back(tables, arrays, theta)
     return grad
 
 

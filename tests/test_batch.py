@@ -205,12 +205,14 @@ def test_train_step_matches_per_example_loop(tmp_path, mode):
         target = data.space.item_ordinal(example.target)
         _, d_query, _ = nll_and_grad(query, target, ref.tables, ref.cluster_map, mode, grads)
         encode_backward(cache, d_query, ref.tables, ref.encoder, grads)
-    arrays = {**ref.tables.parameter_arrays(), **ref.encoder.parameter_arrays()}
-    for name, grad in grads.finalize(ref.tables).items():
-        arr = arrays[name]
-        if config.weight_decay and arr.ndim == 2:
-            arr *= 1.0 - config.learning_rate * config.weight_decay
-        arr -= config.learning_rate * (np.asarray(grad) / config.batch_size)
+    final = grads.finalize(ref.tables)
+    with ref.tables.writing() as arrays:
+        arrays.update(ref.encoder.parameter_arrays())
+        for name, grad in final.items():
+            arr = arrays[name]
+            if config.weight_decay and arr.ndim == 2:
+                arr *= 1.0 - config.learning_rate * config.weight_decay
+            arr -= config.learning_rate * (np.asarray(grad) / config.batch_size)
 
     train(data, config, snapshot=got)
     got_arrays = {**got.tables.parameter_arrays(), **got.encoder.parameter_arrays()}

@@ -204,7 +204,8 @@ def test_eval_rejects_non_finite_snapshot_payload(corpus, tmp_path, capsys):
     run(["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", tmp_path])
     path = tmp_path / "snapshot.hsrc"
     snapshot = load_snapshot(path)
-    snapshot.tables.text.data[0, 0] = np.nan
+    with snapshot.tables.writing() as arrays:
+        arrays["text"][0, 0] = np.nan
     save_snapshot(snapshot, path)
     capsys.readouterr()
     assert run(["eval", "--data", corpus, "--snapshot", path, "--out-dir", tmp_path]) == 2
@@ -336,18 +337,62 @@ def test_snapshot_of_another_corpus_is_data_error(corpus, tmp_path, capsys, comm
         assert "does not match the snapshot" in trailer["error"]["message"], other
 
 
-def test_bench_snapshot_with_another_vocab_cap(corpus, tmp_path):
+@pytest.mark.parametrize("command", ["eval", "bench"])
+def test_bench_snapshot_with_another_vocab_cap(corpus, tmp_path, command):
+    # Without --vocab-size, the corpus is rebuilt at the snapshot's vocabulary size.
     train_dir = tmp_path / "train"
     code = run(
         ["train", "--data", corpus, "--steps", 2, "--batch-size", 4, "--dim", 8, "--item-dim", 6,
          "--vocab-size", 40, "--eval-every", 0, "--out-dir", train_dir]
     )
     assert code == 0
+    extra = ["--queries", 3] if command == "bench" else []
     code = run(
-        ["bench", "--data", corpus, "--snapshot", train_dir / "snapshot.hsrc", "--queries", 3,
-         "--out-dir", tmp_path / "bench"]
+        [command, "--data", corpus, "--snapshot", train_dir / "snapshot.hsrc", *extra,
+         "--out-dir", tmp_path / command]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--dim", 0),
+        ("--dim", -4),
+        ("--item-dim", 0),
+        ("--batch-size", 0),
+        ("--steps", -1),
+        ("--eval-every", -1),
+        ("--val-sample", -5),
+        ("--patience", -1),
+        ("--learning-rate", -1.0),
+        ("--weight-decay", -0.5),
+    ],
+)
+def test_train_rejects_out_of_range_settings(corpus, tmp_path, capsys, flag, value):
+    argv = ["train", "--data", corpus, "--steps", 2, "--batch-size", 4, "--dim", 8, "--item-dim", 6,
+            "--eval-every", 0, flag, value, "--out-dir", tmp_path]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    trailer = json.loads(err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "usage" and trailer["error"]["code"] == 1
+    assert flag[2:].replace("-", "_") in trailer["error"]["message"]
+    assert not (tmp_path / "snapshot.hsrc").exists()
+
+
+def test_bench_without_queries_is_usage_error(corpus, tmp_path, capsys):
+    train_dir = tmp_path / "train"
+    argv = ["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", train_dir]
+    assert run(argv) == 0
+    capsys.readouterr()
+    code = run(
+        ["bench", "--data", corpus, "--snapshot", train_dir / "snapshot.hsrc", "--queries", 0,
+         "--out-dir", tmp_path / "bench"]
+    )
+    assert code == 1
+    trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "usage" and "--queries" in trailer["error"]["message"]
 
 
 def test_latency_all_skips_fields_no_item_has(corpus, tmp_path):

@@ -120,7 +120,8 @@ def test_nan_model_raises_instead_of_ranking_first(trained, engine):
     # would read as perfect if the rank were taken at face value.
     data, snapshot = trained
     diverged = copy.deepcopy(snapshot)
-    diverged.tables.text.data[:] = np.nan
+    with diverged.tables.writing() as arrays:
+        arrays["text"][:] = np.nan
     with pytest.raises(TrainingDivergedError, match="diverged"):
         evaluate(diverged, data, engine=engine)
 
@@ -197,10 +198,10 @@ def _tied(snapshot):
     # size, whatever order a product sums in.  (Equal non-zero rows are not
     # enough: a one-query product can round its tail rows differently.)
     tied = copy.deepcopy(snapshot)
-    tied.tables.item_raw.data[:] = 0.0
-    tied.tables.projection.bias[:] = 0.0
-    tied.tables.centroids.data[:] = 0.0
-    tied.tables.bump_version()  # drops the cached projected rows
+    with tied.tables.writing() as arrays:  # drops the cached projected rows
+        arrays["item_raw"][:] = 0.0
+        arrays["proj_bias"][:] = 0.0
+        arrays["centroids"][:] = 0.0
     return tied
 
 
@@ -211,8 +212,9 @@ def _tied_singletons(snapshot):
     tied = _tied(snapshot)
     n_text, n_items, dim = tied.tables.n_text, tied.tables.n_items, tied.tables.dim
     tied.cluster_map = ClusterMap(n_text, np.arange(n_items), n_items)
-    tied.tables.centroids = EmbeddingTable(np.zeros((n_items, dim), dtype=tied.tables.text.data.dtype))
-    tied.tables.bump_version()
+    t = tied.tables
+    centroids = EmbeddingTable(np.zeros((n_items, dim), dtype=t.text.data.dtype))
+    tied.tables = ModelTables(t.text, t.item_raw, t.projection, centroids)
     return tied
 
 
@@ -266,10 +268,11 @@ def test_single_query_ann_ties_break_by_ordinal(tmp_path):
     snapshot = init_model(data, config, dim=64, item_dim=6, clustering="random")
     tables, rng = snapshot.tables, np.random.default_rng(0)
     snapshot.cluster_map = ClusterMap(tables.n_text, np.zeros(18), 1)
-    tables.centroids = EmbeddingTable(rng.standard_normal((1, 64)).astype(tables.text.data.dtype))
-    tables.item_raw.data[:] = 0.0
-    tables.projection.bias[:] = rng.standard_normal(64)
-    tables.bump_version()
+    centroids = EmbeddingTable(rng.standard_normal((1, 64)).astype(tables.text.data.dtype))
+    tables = snapshot.tables = ModelTables(tables.text, tables.item_raw, tables.projection, centroids)
+    with tables.writing() as arrays:
+        arrays["item_raw"][:] = 0.0
+        arrays["proj_bias"][:] = rng.standard_normal(64)
     index = build_additive_index(tables, snapshot.cluster_map)
     examples = [dataclasses.replace(e, target=j % 18) for j, e in enumerate(data.test_examples[:24])]
     single = []

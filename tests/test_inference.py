@@ -117,7 +117,8 @@ def test_additive_index_rows():
 
 def test_additive_index_zero_centroids_equals_item_table():
     tables, cmap, rng = random_model(0, 9, 4, 3, 3, seed=4)
-    tables.centroids.data[:] = 0.0
+    with tables.writing() as arrays:
+        arrays["centroids"][:] = 0.0
     index = build_additive_index(tables, cmap)
     assert np.array_equal(index.vectors, tables.item_projected())
 
@@ -125,7 +126,8 @@ def test_additive_index_zero_centroids_equals_item_table():
 def test_stale_index_rejected():
     tables, cmap, rng = random_model(4, 8, 4, 3, 2, seed=5)
     index = build_additive_index(tables, cmap)
-    tables.bump_version()
+    with tables.writing():
+        pass
     with pytest.raises(StaleIndexError):
         topk_ann(rng.standard_normal(4), 3, index, tables)
 
@@ -135,7 +137,8 @@ def test_ann_equals_full_ordering_when_centroids_shared():
     # so the MIPS ordering equals the full-softmax ordering.
     tables, cmap, rng = random_model(0, 15, 5, 4, 3, seed=6)
     shared = rng.standard_normal(5)
-    tables.centroids.data[:] = shared
+    with tables.writing() as arrays:
+        arrays["centroids"][:] = shared
     q = rng.standard_normal(5)
     index = build_additive_index(tables, cmap)
     ann = topk_ann(q, 15, index, tables)
@@ -223,10 +226,12 @@ def _topk_items_cases():
         tables, cmap, rng = random_model(5 + seed % 7, 20 + 3 * seed, dim, 4, 3 + seed % 5, seed=seed)
         yield tables, cmap, rng.standard_normal(dim)
     tables, cmap, rng = random_model(30, 10, 16, 3, 2, seed=10)
-    tables.text.data += 2.0
+    with tables.writing() as arrays:
+        arrays["text"] += 2.0
     yield tables, cmap, rng.standard_normal(16)
     tables, cmap, rng = random_model(8, 24, 16, 3, 4, seed=11)
-    tables.item_raw.data[:] = tables.item_raw.data[0]
+    with tables.writing() as arrays:
+        arrays["item_raw"][:] = arrays["item_raw"][0]
     yield tables, cmap, rng.standard_normal(16)
 
 
@@ -258,7 +263,8 @@ def test_topk_items_engines():
     with pytest.raises(ValueError, match="index"):
         topk_items(q, 3, tables, cmap, space, engine="ann")
     index = build_additive_index(tables, cmap)
-    tables.bump_version()
+    with tables.writing():
+        pass
     with pytest.raises(StaleIndexError):
         topk_items(q, 3, tables, cmap, space, engine="ann", index=index)
 
@@ -285,12 +291,13 @@ def test_rank_topk_equals_full_lexsort(n):
 def _tied_items(tables, cmap, singletons=False):
     # Zeroed item side: every item cluster has the same log P(cluster | H) and
     # every member the same log P(item | cluster), whatever the query.
-    tables.item_raw.data[:] = 0.0
-    tables.projection.bias[:] = 0.0
+    with tables.writing() as arrays:
+        arrays["item_raw"][:] = 0.0
+        arrays["proj_bias"][:] = 0.0
     n_text, n_items = tables.n_text, tables.n_items
     n_clusters = n_items if singletons else cmap.n_item_clusters
-    tables.centroids = EmbeddingTable(np.zeros((n_clusters, tables.dim)))
-    tables.bump_version()
+    centroids = EmbeddingTable(np.zeros((n_clusters, tables.dim)))
+    tables = ModelTables(tables.text, tables.item_raw, tables.projection, centroids)
     return tables, ClusterMap(n_text, np.arange(n_items) % n_clusters, n_clusters)
 
 
@@ -307,9 +314,9 @@ def _best_first_cases(model):
             # Zeroed rows tie text singletons with each other and with the
             # zeroed item clusters, in runs longer than most k.
             tables, cmap, rng = random_model(25, 30, 6, 4, 5, seed=seed)
-            tables.text.data[rng.random(25) < 0.5] = 0.0
-            tables.centroids.data[rng.random(5) < 0.4] = 0.0
-            tables.bump_version()
+            with tables.writing() as arrays:
+                arrays["text"][rng.random(25) < 0.5] = 0.0
+                arrays["centroids"][rng.random(5) < 0.4] = 0.0
         else:
             tables, cmap, rng = random_model(5 + seed % 3, 24, 6, 4, 4, seed=seed)
             tables, cmap = _tied_items(tables, cmap, singletons=model == "tied_singletons")

@@ -114,13 +114,18 @@ def test_loaded_snapshot_trains_like_the_original(tmp_path):
         got = getattr(loaded, part).parameter_arrays()
         for name, arr in want.items():
             assert np.array_equal(arr, got[name]), name
+    # Two updates later, the tables are read-only again and the encoder is not.
+    for snap in (original, loaded):
+        assert not any(arr.flags.writeable for arr in snap.tables.parameter_arrays().values())
+        assert all(arr.flags.writeable for arr in snap.encoder.parameter_arrays().values())
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("table", ["text", "enc_out_w"])
 def test_non_finite_payload_rejected(snapshot, tmp_path, value, table):
-    arrays = {**snapshot.tables.parameter_arrays(), **snapshot.encoder.parameter_arrays()}
-    arrays[table].flat[0] = value
+    with snapshot.tables.writing() as arrays:
+        arrays.update(snapshot.encoder.parameter_arrays())
+        arrays[table].flat[0] = value
     path = tmp_path / "model.hsrc"
     save_snapshot(snapshot, path)
     with pytest.raises(SnapshotFormatError, match="NaN or Inf"):

@@ -129,9 +129,8 @@ def _bits(a):
 def _with_clusters(tables, cmap, rng):
     """``tables`` with one random centroid per item cluster of ``cmap``."""
     dtype = tables.text.data.dtype
-    tables.centroids = EmbeddingTable((rng.standard_normal((cmap.n_item_clusters, tables.dim)) * 0.5).astype(dtype))
-    tables.bump_version()
-    return tables, cmap
+    centroids = EmbeddingTable((rng.standard_normal((cmap.n_item_clusters, tables.dim)) * 0.5).astype(dtype))
+    return ModelTables(tables.text, tables.item_raw, tables.projection, centroids), cmap
 
 
 def _scorer_cases(dtype):
@@ -167,8 +166,8 @@ def test_item_scorers_equal_per_token_oracle(dtype):
 def test_equal_item_rows_score_equal():
     # Zero raw rows: every projected row is exactly the head bias, 64 wide.
     tables, cmap, rng = random_model(5, 60, 64, 4, 3, seed=6)
-    tables.item_raw.data[:] = 0.0
-    tables.bump_version()
+    with tables.writing() as arrays:
+        arrays["item_raw"][:] = 0.0
     for q in rng.standard_normal((24, 64)):
         scores = score_all(q, tables, cmap)
         for c in range(cmap.n_item_clusters):
@@ -207,9 +206,9 @@ def test_cluster_ordered_rows_follow_writes_and_cluster_maps():
     assert _bits(rows) == _bits(tables.item_projected()[cmap.item_order])
     released = weakref.ref(rows)
     del rows
-    tables.item_raw.data[::3] *= -2.0
-    tables.bump_version()
-    assert released() is None  # bump_version drops the float64 copy
+    with tables.writing() as arrays:
+        arrays["item_raw"][::3] *= -2.0
+    assert released() is None  # the writer drops the float64 copy
 
     after = _item_scores(tables, cmap, queries)
     _assert_same_scores(after, _item_scores(fresh(), cmap, queries))
@@ -242,9 +241,10 @@ def test_uniform_model_full_loss_is_log_n():
 def test_log_domain_stability_huge_logits():
     # Logit magnitudes up to 1e4 must stay finite in both modes.
     tables, cmap, rng = random_model(8, 12, 4, 4, 3, seed=2)
-    tables.text.data *= 5e3
-    tables.item_raw.data *= 5e3
-    tables.centroids.data *= 5e3
+    with tables.writing() as arrays:
+        arrays["text"] *= 5e3
+        arrays["item_raw"] *= 5e3
+        arrays["centroids"] *= 5e3
     q = np.array([1.0, -1.0, 1.0, -1.0])
     assert np.isfinite(score_all(q, tables, cmap, mode="twolevel")).all()
     assert np.isfinite(score_all(q, tables, None, mode="full")).all()
@@ -306,7 +306,8 @@ def test_text_centroid_aliasing_shares_parameter():
 
     before_cluster = cluster_logits(q, tables)[1]
     before_token = full_logits(q, tables)[1]
-    tables.text.data[1] += 0.5
+    with tables.writing() as arrays:
+        arrays["text"][1] += 0.5
     after_cluster = cluster_logits(q, tables)[1]
     after_token = full_logits(q, tables)[1]
     assert after_cluster != before_cluster
@@ -324,12 +325,10 @@ def test_head_gradients_match_finite_differences(mode):
         arrays = param_arrays(tables)
 
         def loss_fn():
-            tables.bump_version()  # projection cache must follow the wiggle
             loss, _, _ = nll_and_grad(q, target, tables, cmap, mode=mode)
             return loss
 
-        numeric = fd_gradient(loss_fn, arrays, eps=1e-5)
-        tables.bump_version()
+        numeric = fd_gradient(loss_fn, tables, arrays, eps=1e-5)
         _, _, grads = nll_and_grad(q, target, tables, cmap, mode=mode)
         analytic = flatten(grads.finalize(tables))
         worst = max(worst, max_rel_error(analytic, numeric))

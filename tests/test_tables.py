@@ -1,5 +1,8 @@
+import copy
+
 import numpy as np
 import pytest
+from helpers import random_model
 
 from hsrec.tables import (
     EmbeddingTable,
@@ -87,5 +90,39 @@ def test_projection_cache_tracks_version():
     tables = init_tables(4, 6, 5, 3, seed=0)
     first = tables.item_projected()
     assert tables.item_projected() is first
-    tables.bump_version()
+    with tables.writing():
+        pass
     assert tables.item_projected() is not first
+
+
+@pytest.mark.parametrize("copied", [False, True])
+def test_parameter_arrays_are_written_only_through_the_writer(copied):
+    tables, _, _ = random_model(4, 6, 5, 3, 2, seed=0)
+    if copied:
+        tables = copy.deepcopy(tables)
+    for name, arr in tables.parameter_arrays().items():
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 1.0
+    with tables.writing() as arrays:
+        for name, arr in arrays.items():
+            arr.flat[0] = 1.0
+    assert all(arr.flat[0] == 1.0 for arr in tables.parameter_arrays().values())
+
+
+def test_writer_that_raises_still_locks_and_invalidates():
+    tables, cmap, _ = random_model(4, 9, 5, 3, 3, seed=1)
+    projected, by_cluster = tables.item_projected(), tables.item_rows_by_cluster(cmap)
+    version = tables.version
+    with pytest.raises(RuntimeError, match="midway"):
+        with tables.writing() as arrays:
+            arrays["item_raw"][0] = 1.0
+            arrays["proj_bias"][:] = 0.5
+            raise RuntimeError("midway")
+    assert tables.version == version + 1
+    assert not any(arr.flags.writeable for arr in tables.parameter_arrays().values())
+    rebuilt = tables.item_projected()
+    assert rebuilt is not projected
+    assert np.array_equal(rebuilt, project_items(tables.item_raw, tables.projection))
+    rows = tables.item_rows_by_cluster(cmap)
+    assert rows is not by_cluster
+    assert np.array_equal(rows, rebuilt[cmap.item_order])

@@ -139,7 +139,8 @@ def test_training_deterministic_loss_curves(small_data):
 def test_divergence_aborts_with_diagnostic(small_data):
     config = TrainConfig(max_steps=3, batch_size=4, eval_every=0, seed=2)
     snapshot = init_model(small_data, config, dim=8, item_dim=6)
-    snapshot.tables.text.data[0, 0] = np.nan
+    with snapshot.tables.writing() as arrays:
+        arrays["text"][0, 0] = np.nan
     with pytest.raises(TrainingDivergedError, match="step"):
         train(small_data, config, snapshot=snapshot)
 
@@ -244,7 +245,8 @@ def test_large_decay_checks_every_item_row(small_data, monkeypatch):
     # so the whole table is read: a NaN planted off the touched rows raises.
     def plant(tables, grads):
         untouched = np.setdiff1d(np.arange(tables.n_items), grads["item_raw"].rows)
-        tables.item_raw.data[untouched[0]] = np.nan
+        with tables.writing() as arrays:
+            arrays["item_raw"][untouched[0]] = np.nan
 
     _plant_after_finalize(monkeypatch, plant)
     config = TrainConfig(max_steps=1, batch_size=2, learning_rate=1.0, weight_decay=2.5, eval_every=0, seed=2)
