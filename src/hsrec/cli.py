@@ -18,6 +18,7 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import statistics
 import sys
 import time
@@ -125,13 +126,18 @@ _OPTIONS = {
         ("data", str, None, "interactions JSONL path"),
         ("snapshot", str, None, "trained snapshot path"),
         ("queries", int, 100, "number of benchmark queries"),
-        ("k", str, "10", "top-k size"),
+        ("k", int, 10, "top-k size"),
     ],
 }
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors raise :class:`UsageError`, so they get the JSON trailer."""
+    """Argument errors raise :class:`UsageError`, so they get the JSON trailer.
+    A negative number in exponent notation (``-1e-5``) is a value, not a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -447,7 +453,7 @@ def cmd_bench(opts: dict) -> int:
         raise UsageError(f"--queries must be at least 1, got {opts['queries']}")
     out = _out_dir(opts)
     snapshot, data = _load_snapshot_and_corpus(opts)
-    k = int(str(opts["k"]).split(",")[0])
+    k = opts["k"]
     rng = np.random.default_rng(opts["seed"])
     examples = data.test_examples
     picks = rng.integers(0, len(examples), size=min(opts["queries"], len(examples)))

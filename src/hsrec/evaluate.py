@@ -63,6 +63,8 @@ def metrics_from_ranks(ranks, ks=(1, 10)) -> MetricReport:
     ranks = np.asarray(list(ranks), dtype=np.int64)
     if ranks.size == 0:
         raise ValueError("no users to evaluate")
+    if any(k < 1 for k in ks):
+        raise ValueError(f"recall cutoffs must be at least 1, got {list(ks)}")
     recall = {int(k): float(np.mean(ranks <= k)) for k in ks}
     ndcg10 = float(np.mean(np.where(ranks <= 10, 1.0 / np.log2(ranks + 1.0), 0.0)))
     mrr = float(np.mean(1.0 / ranks))

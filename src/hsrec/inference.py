@@ -31,10 +31,10 @@ cluster-ordered rows, scored bitwise as ``score_all`` scores it.
 Selection is array work, never a per-candidate loop.  ``_rank_topk``
 (``topk_items``, ANN, ``topk_exact``, block prediction) partitions the
 scores around the k-th best and sorts only the entries at or above it.  The
-best-first loop keeps its best k as a sorted pair of arrays: an expanded
-cluster's members that reach the current k-th score are concatenated with
-them and sorted back to k, and a run of consecutive text singletons is
-merged, and tested for pruning, as one step.
+best-first loop starts from ``_rank_topk`` of the text singletons, whose
+scores are their own cluster bounds, and keeps its best k as a sorted pair
+of arrays: an expanded item cluster's members that reach the current k-th
+score are concatenated with them and sorted back to k.
 
 Ties are broken by ascending unified ordinal everywhere, so all engines are
 reproducible and comparable row-for-row.
@@ -136,95 +136,59 @@ def topk_exact(query, k: int, tables: ModelTables, cluster_map: ClusterMap) -> T
     return _rank_topk(score_all(query, tables, cluster_map, mode="twolevel"), k)
 
 
-def _expansion_steps(is_text: np.ndarray, k: int):
-    """(start, end) steps of the best-first loop over the expansion order:
-    each item cluster alone, consecutive text singletons up to k at a time
-    (k of them fill the best k)."""
-    start = 0
-    while start < is_text.size:
-        if is_text[start]:
-            run = is_text[start : start + k]
-            end = start + (run.size if run.all() else int(run.argmin()))
-        else:
-            end = start + 1
-        yield start, end
-        start = end
-
-
 def topk_structure(query, k: int, tables: ModelTables, cluster_map: ClusterMap):
     """Exact top-k via best-first cluster expansion with bound-based pruning.
 
-    Returns ``(TopK, SearchStats)``.  A cluster whose log P(cluster | H) is
-    strictly below the current K-th best candidate cannot contain a better
-    token, so the remaining tail is pruned.  The strict comparison keeps exact
-    float ties expanding, preserving the ordinal tie-break of the oracle.
+    Returns ``(TopK, SearchStats)``.  A text singleton scores its own log
+    P(cluster | H), so the search starts holding the best k text tokens and
+    expands item clusters alone, in descending P(cluster | H).  That
+    probability upper bounds every member's, so the search stops at the first
+    cluster strictly below the held k-th score; the strict comparison keeps
+    exact float ties expanding, preserving the ordinal tie-break of the oracle.
+    An expanded cluster adds nothing if its best member is below the k-th
+    score, and otherwise its members at or above it are ``lexsort``-ed into
+    the held k.
 
-    The best k so far are two arrays, scores and ordinals, sorted by
-    (-score, ordinal), and each step ``lexsort``-s its candidates into them
-    back to k.  An item cluster is one step: once k are held, it adds nothing
-    if its best member is below the k-th score, and otherwise only its
-    members at or above that score are merged.  Consecutive text singletons
-    are one step: each scores its own bound and they come in (-score,
-    ordinal) order, so ``searchsorted`` finds the first one that k
-    candidates, held or earlier in the run, strictly beat, and the search
-    stops there.
+    Clusters are expanded exactly when their bound reaches the final k-th
+    score ``s``, since the k-th score only rises and never above an expanded
+    bound, so the stats follow from ``s``: the clusters below it are pruned.
+    With fewer than k results, or a NaN ``s``, nothing is pruned.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     q = _query64(query)
     n_text = tables.n_text
     cl = log_softmax(cluster_logits(q, tables))
-    stats = SearchStats(tokens_scored=cluster_map.n_clusters)
-    n_clusters = cl.size
-    expansion_order = np.lexsort((np.arange(n_clusters), -cl))
-
-    best_scores = np.empty(0)
-    best_ordinals = np.empty(0, dtype=np.int64)
-    stop = n_clusters  # the first pruned position in expansion_order
-    for start, end in _expansion_steps(expansion_order < n_text, k):
-        cluster_id = int(expansion_order[start])
-        bound = cl[cluster_id]
+    best = _rank_topk(cl[:n_text], k)
+    best_scores, best_ordinals = best.scores, best.ordinals
+    tokens_scored = cluster_map.n_clusters
+    item_cl = cl[n_text:]
+    for cluster in (-item_cl).argsort(kind="stable"):
+        bound = item_cl[cluster]
         kth = best_scores[-1] if best_scores.size == k else None
         if kth is not None and kth > bound:
-            stop = start
             break
-        if cluster_id < n_text:
-            ordinals = expansion_order[start:end]
-            scores = cl[ordinals]
-            if not best_scores.size:
-                # At most k, so fewer than k beat any of them, and in order.
-                stats.clusters_expanded += scores.size
-                best_scores, best_ordinals = scores, ordinals
+        members, log_cond = member_log_conditionals(q, tables, cluster_map, int(cluster))
+        tokens_scored += members.size
+        scores = bound + log_cond
+        if kth is not None:
+            if scores.max() < kth:
                 continue
-            keys = -scores
-            beaten_by = np.searchsorted(-best_scores, keys) + np.searchsorted(keys, keys)
-            # ``cl`` is NaN-free or all NaN, and then nothing beats a run.
-            pruned = np.flatnonzero(beaten_by >= k)
-            if pruned.size:
-                stop = start + int(pruned[0])
-                scores, ordinals = scores[: stop - start], ordinals[: stop - start]
-            stats.clusters_expanded += scores.size
-        else:
-            stats.clusters_expanded += 1
-            members, log_cond = member_log_conditionals(q, tables, cluster_map, cluster_id - n_text)
-            stats.tokens_scored += members.size
-            scores = bound + log_cond
-            if kth is not None:
-                if scores.max() < kth:
-                    continue
-                keep = scores >= kth
-                scores, members = scores[keep], members[keep]
-            ordinals = n_text + members
+            keep = scores >= kth
+            scores, members = scores[keep], members[keep]
         scores = np.concatenate((best_scores, scores))
-        ordinals = np.concatenate((best_ordinals, ordinals))
+        ordinals = np.concatenate((best_ordinals, n_text + members))
         order = np.lexsort((ordinals, -scores))[:k]
         best_scores, best_ordinals = scores[order], ordinals[order]
-        if stop < n_clusters:
-            break
 
-    if stop < n_clusters:
-        stats.clusters_pruned = n_clusters - stop
-        stats.max_pruned_logprob = float(cl[expansion_order[stop]])
+    # ``cl < s`` is false for a NaN ``s`` (and for an all-NaN ``cl``).
+    pruned = cl[cl < best_scores[-1]] if best_scores.size == k else cl[:0]
+    stats = SearchStats(
+        clusters_expanded=cl.size - pruned.size,
+        tokens_scored=tokens_scored,
+        clusters_pruned=pruned.size,
+        max_pruned_logprob=float(pruned.max()) if pruned.size else None,
+    )
     return TopK(ordinals=best_ordinals, scores=best_scores), stats
 
 

@@ -146,25 +146,19 @@ def cosine_lr(base_lr: float, step: int, max_steps: int) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / max_steps))
 
 
-def _rows_checked_on_write(decay: float) -> bool:
-    """Whether checking the written raw item rows proves the table finite.
-
-    Every table is finite before an update: tables are checked when built or
-    loaded, and after every update.  Rows that received no gradient are only
-    multiplied by ``1 - decay``; for ``0 <= decay <= 2`` that factor is at most
-    1 in magnitude, so they stay finite.  Otherwise the whole table is read
-    after the update instead.
-    """
-    return 0.0 <= decay <= 2.0
-
-
 def _apply_update(snapshot: ModelSnapshot, grads: dict, lr: float, weight_decay: float, n: int) -> None:
-    """SGD with decoupled weight decay, in place.
+    """SGD with decoupled weight decay, in place; raises ``ValueError`` if it
+    leaves a parameter non-finite.
 
-    The raw item table is written only on the rows of its
-    :class:`ItemRowGrad`, one expanded block at a time, and each written block
-    is checked for finiteness when that suffices (``_rows_checked_on_write``).
+    Each written array is checked right after its write.  The raw item table
+    is written only on the rows of its :class:`ItemRowGrad`, one expanded
+    block at a time, and each block is checked as it is written.  Every table
+    is finite before an update (checked when built or loaded, and by every
+    update), and rows that received no gradient are only multiplied by
+    ``1 - lr * weight_decay``, of magnitude at most 1 unless ``lr *
+    weight_decay > 2``; only then is the whole item table read as well.
     """
+    decay = lr * weight_decay
     with snapshot.tables.writing() as params:
         params.update(snapshot.encoder.parameter_arrays())
         for name, arr in params.items():
@@ -173,9 +167,8 @@ def _apply_update(snapshot: ModelSnapshot, grads: dict, lr: float, weight_decay:
                 continue
             # Decoupled weight decay on matrices/embeddings only, never biases.
             if weight_decay and arr.ndim == 2:
-                arr *= 1.0 - lr * weight_decay
+                arr *= 1.0 - decay
             if isinstance(grad, ItemRowGrad):
-                check = _rows_checked_on_write(lr * weight_decay)
                 for rows, block in grad.blocks():
                     # lr * (block / n) in place: the same rounding, no temporaries.
                     np.divide(block, n, out=block)
@@ -183,26 +176,15 @@ def _apply_update(snapshot: ModelSnapshot, grads: dict, lr: float, weight_decay:
                     # arr[rows] -= block, with the written rows checked on the way.
                     written = arr[rows]
                     np.subtract(written, block, out=written, casting="unsafe")
-                    if check:
-                        check_finite(written, "embedding table")
+                    check_finite(written, name)
                     arr[rows] = written
+                if decay > 2.0:
+                    check_finite(arr, name)
             else:
                 step = grad / n  # lr * (grad / n), with one temporary
                 step *= lr
                 arr -= step
-
-
-def _check_updated(tables: ModelTables, decay: float) -> None:
-    """Raise ``ValueError`` if an update left a table non-finite.
-
-    The raw item table is read whole only when ``_apply_update`` did not
-    check the rows it wrote (see ``_rows_checked_on_write``).
-    """
-    tables.text.check()
-    tables.projection.check()
-    tables.centroids.check()
-    if not _rows_checked_on_write(decay):
-        tables.item_raw.check()
+                check_finite(arr, name)
 
 
 def validation_recall(snapshot: ModelSnapshot, data: Dataset, k: int = 10, sample: int = 0) -> float:
@@ -268,8 +250,6 @@ def train(data: Dataset, config: TrainConfig, snapshot: ModelSnapshot | None = N
         if lr != 0.0:
             final = grads.finalize(tables)
             _apply_update(snapshot, final, lr, config.weight_decay, config.batch_size)
-            _check_updated(tables, lr * config.weight_decay)
-            encoder.check()
         result.steps_run = step + 1
 
         if config.eval_every and (step + 1) % config.eval_every == 0:

@@ -367,6 +367,7 @@ def test_bench_snapshot_with_another_vocab_cap(corpus, tmp_path, command):
         ("--patience", -1),
         ("--learning-rate", -1.0),
         ("--weight-decay", -0.5),
+        ("--weight-decay", "-1e-5"),
     ],
 )
 def test_train_rejects_out_of_range_settings(corpus, tmp_path, capsys, flag, value):
@@ -393,6 +394,24 @@ def test_bench_without_queries_is_usage_error(corpus, tmp_path, capsys):
     assert code == 1
     trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert trailer["error"]["type"] == "usage" and "--queries" in trailer["error"]["message"]
+
+
+@pytest.mark.parametrize("command, k", [("eval", "0,-3"), ("eval", "10,0"), ("bench", "5,10")])
+def test_bad_k_is_usage_error(corpus, tmp_path, capsys, command, k):
+    # A recall cutoff below 1 would read 0.0; bench ranks one k, not a list.
+    train_dir = tmp_path / "train"
+    argv = ["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", train_dir]
+    assert run(argv) == 0
+    capsys.readouterr()
+    code = run(
+        [command, "--data", corpus, "--snapshot", train_dir / "snapshot.hsrc", "--k", k,
+         "--out-dir", tmp_path / command]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    trailer = json.loads(err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "usage" and trailer["error"]["code"] == 1
 
 
 def test_latency_all_skips_fields_no_item_has(corpus, tmp_path):

@@ -301,7 +301,7 @@ def _tied_items(tables, cmap, singletons=False):
     return tables, ClusterMap(n_text, np.arange(n_items) % n_clusters, n_clusters)
 
 
-BEST_FIRST_MODELS = ("random", "prunes", "tied", "tied_singletons", "tied_text")
+BEST_FIRST_MODELS = ("random", "prunes", "tied", "tied_singletons", "tied_text", "few_text")
 
 
 def _best_first_cases(model):
@@ -310,6 +310,10 @@ def _best_first_cases(model):
             tables, cmap, rng = random_model(3 + seed % 5, 20 + 7 * seed, 6, 4, 2 + seed % 5, seed=seed)
         elif model == "prunes":
             tables, cmap, rng = random_model(20, 400, 8, 6, 20, seed=seed)
+        elif model == "few_text":
+            # Fewer text tokens than most k, none at all included, so the
+            # search starts holding fewer than k; k = 10 often exceeds n_total.
+            tables, cmap, rng = random_model(seed % 3, 5 + seed, 6, 4, 1 + seed % 4, seed=seed)
         elif model == "tied_text":
             # Zeroed rows tie text singletons with each other and with the
             # zeroed item clusters, in runs longer than most k.

@@ -240,6 +240,20 @@ def test_nan_gradient_on_touched_item_row_raises(small_data, monkeypatch, mode):
         train(small_data, config, dim=8, item_dim=6, clustering="random")
 
 
+@pytest.mark.parametrize(
+    "name", ["text", "proj_weight", "proj_bias", "centroids", "enc_hidden_w", "enc_hidden_b", "enc_out_w", "enc_out_b"]
+)
+def test_nan_gradient_on_dense_parameter_raises(small_data, monkeypatch, name):
+    # Every parameter but the raw item table is checked whole after its write.
+    def plant(tables, grads):
+        grads[name].flat[0] = np.nan
+
+    _plant_after_finalize(monkeypatch, plant)
+    config = TrainConfig(max_steps=1, batch_size=4, eval_every=0, seed=2)
+    with pytest.raises(ValueError, match=f"{name} contains NaN or Inf"):
+        train(small_data, config, dim=8, item_dim=6, clustering="random")
+
+
 def test_large_decay_checks_every_item_row(small_data, monkeypatch):
     # With lr * weight_decay > 2, decay alone can overflow an untouched row,
     # so the whole table is read: a NaN planted off the touched rows raises.
