@@ -311,8 +311,8 @@ def _best_first_cases(model):
         elif model == "prunes":
             tables, cmap, rng = random_model(20, 400, 8, 6, 20, seed=seed)
         elif model == "few_text":
-            # Fewer text tokens than most k, none at all included, so the
-            # search starts holding fewer than k; k = 10 often exceeds n_total.
+            # Zero to two text tokens, fewer than most k, so the search starts
+            # holding fewer than k; k = 10 often exceeds n_total.
             tables, cmap, rng = random_model(seed % 3, 5 + seed, 6, 4, 1 + seed % 4, seed=seed)
         elif model == "tied_text":
             # Zeroed rows tie text singletons with each other and with the
