@@ -336,9 +336,19 @@ def _load_snapshot_and_corpus(opts: dict):
     return snapshot, data
 
 
-def _eval_single(opts: dict, out: Path) -> int:
+def _recall_cutoffs(text) -> tuple[int, ...]:
+    """``--k`` as recall cutoffs, checked before anything is loaded or trained."""
+    try:
+        ks = tuple(int(x) for x in str(text).split(","))
+    except ValueError:
+        raise UsageError(f"--k must be comma-separated integers, got {text!r}") from None
+    if min(ks) < 1:
+        raise UsageError(f"--k recall cutoffs must be at least 1, got {text!r}")
+    return ks
+
+
+def _eval_single(opts: dict, out: Path, ks: tuple[int, ...]) -> int:
     snapshot, data = _load_snapshot_and_corpus(opts)
-    ks = tuple(int(x) for x in str(opts["k"]).split(","))
     mode = snapshot.config.get("softmax_mode", "twolevel")
     if opts["engine"] == "all":
         engines = list(ENGINES) if mode == "twolevel" else ["full"]
@@ -364,11 +374,10 @@ def _eval_single(opts: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def _eval_ablation(opts: dict, out: Path) -> int:
+def _eval_ablation(opts: dict, out: Path, ks: tuple[int, ...]) -> int:
     """Train one model per clustering method; evaluate each with both fast
     engines plus the full-enumeration oracle row for exactness checks."""
     data = _load_dataset(opts)
-    ks = tuple(int(x) for x in str(opts["k"]).split(","))
     rows = []
     for clustering in CLUSTERINGS:
         config = _train_config(opts, "twolevel")
@@ -390,11 +399,12 @@ def _eval_ablation(opts: dict, out: Path) -> int:
 
 def cmd_eval(opts: dict) -> int:
     _require(opts, "data")
+    ks = _recall_cutoffs(opts["k"])
     out = _out_dir(opts)
     if opts["clusters"] == "all":
-        return _eval_ablation(opts, out)
+        return _eval_ablation(opts, out, ks)
     _require(opts, "snapshot")
-    return _eval_single(opts, out)
+    return _eval_single(opts, out, ks)
 
 
 def cmd_latency(opts: dict) -> int:

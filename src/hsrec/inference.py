@@ -215,9 +215,9 @@ def build_additive_index(tables: ModelTables, cluster_map: ClusterMap) -> Additi
     """
     n_text = tables.n_text
     vectors = np.empty((tables.n_total, tables.dim), dtype=np.float64)
-    vectors[:n_text] = 2.0 * tables.text.data
-    projected = tables.item_projected()
-    vectors[n_text:] = projected + tables.centroids.data[cluster_map.item_assignment]
+    # Computed in the tables' precision, widened into ``vectors``: no temporary.
+    np.multiply(tables.text.data, 2.0, out=vectors[:n_text])
+    np.add(tables.item_projected(), tables.centroids.data[cluster_map.item_assignment], out=vectors[n_text:])
     return AdditiveIndex(
         vectors=vectors,
         tables_version=tables.version,
@@ -271,7 +271,7 @@ def topk_ann(
 
     cmap = index.cluster_map
     probes = min(probes, cmap.n_item_clusters)
-    centroid_scores = tables.centroids.data @ q
+    centroid_scores = tables.first_level_rows()[tables.n_text :] @ q
     probe_clusters = np.lexsort((np.arange(centroid_scores.size), -centroid_scores))[:probes]
     allowed = np.ones(index.n_total, dtype=bool)
     allowed[index.n_text :] = np.isin(cmap.item_assignment, probe_clusters)

@@ -15,8 +15,11 @@ Little-endian layout::
 
 Round trips are bit-identical.  Loaded table arrays are read-only, as every
 table's are, and writable through ``ModelTables.writing()``, so a loaded
-model can be trained further.  Wrong magic or version, truncated files, NaN
-or Inf in a float payload, bytes after the metadata, metadata that is not
+model can be trained further.  The header's sizes are checked against the
+file's length before any payload is read, so a corrupt size fails at once
+instead of asking for memory.  Wrong magic or version, a zero model dim,
+header sizes or a metadata length the file does not hold (truncated files,
+bytes after the metadata), NaN or Inf in a float payload, metadata that is not
 UTF-8 JSON or not an object with ``vocab_words`` and ``item_ids`` lists of the
 header's sizes (and an object ``config`` whose ``softmax_mode``, if present,
 is a known mode), and a cluster assignment or vocabulary that cannot be built
@@ -26,6 +29,7 @@ raise :class:`SnapshotFormatError`.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -42,6 +46,7 @@ MAGIC = b"HSRC"
 FORMAT_VERSION = 1
 _PRECISION_CODE = {"f32": 0, "f64": 1}
 _PRECISION_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_HEADER = struct.Struct("<IIIQQQB")
 
 
 @dataclass
@@ -86,6 +91,16 @@ def _read_floats(fh, shape, dtype, name: str) -> np.ndarray:
     return arr
 
 
+def _payload_bytes(dim: int, item_dim: int, n_text: int, n_items: int, n_item_clusters: int, itemsize: int) -> int:
+    """Bytes from the end of the header to the metadata length, in Python ints
+    so that no header value can overflow them."""
+    floats = (
+        n_text * dim + n_items * item_dim + dim * item_dim + dim + n_item_clusters * dim  # tables
+        + 2 * dim * dim + 2 * dim  # encoder
+    )
+    return floats * itemsize + 4 * (n_text + n_items)
+
+
 def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
@@ -106,8 +121,7 @@ def save_snapshot(snapshot: ModelSnapshot, path) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(
-            struct.pack(
-                "<IIIQQQB",
+            _HEADER.pack(
                 FORMAT_VERSION,
                 tables.dim,
                 tables.item_dim,
@@ -134,14 +148,25 @@ def load_snapshot(path) -> ModelSnapshot:
         magic = _read_exact(fh, 4)
         if magic != MAGIC:
             raise SnapshotFormatError(f"bad magic {magic!r}; not a model snapshot")
-        version, dim, item_dim, n_text, n_items, n_item_clusters, precision = struct.unpack(
-            "<IIIQQQB", _read_exact(fh, struct.calcsize("<IIIQQQB"))
+        version, dim, item_dim, n_text, n_items, n_item_clusters, precision = _HEADER.unpack(
+            _read_exact(fh, _HEADER.size)
         )
         if version != FORMAT_VERSION:
             raise SnapshotFormatError(f"unsupported snapshot version {version}")
         if precision not in _PRECISION_DTYPE:
             raise SnapshotFormatError(f"unknown precision code {precision}")
+        if dim == 0 or item_dim == 0:
+            raise SnapshotFormatError(f"model dims must be at least 1, got d = {dim} and k = {item_dim}")
         dtype = _PRECISION_DTYPE[precision]
+        size = os.fstat(fh.fileno()).st_size
+        meta_at = len(MAGIC) + _HEADER.size + _payload_bytes(
+            dim, item_dim, n_text, n_items, n_item_clusters, dtype.itemsize
+        )
+        if meta_at + 8 > size:
+            raise SnapshotFormatError(
+                f"truncated snapshot: the header's sizes need {meta_at + 8} bytes before the metadata, "
+                f"the file has {size}"
+            )
 
         text = _read_floats(fh, (n_text, dim), dtype, "text table")
         item_raw = _read_floats(fh, (n_items, item_dim), dtype, "item table")
@@ -154,9 +179,12 @@ def load_snapshot(path) -> ModelSnapshot:
         out_w = _read_floats(fh, (dim, dim), dtype, "encoder output weight")
         out_b = _read_floats(fh, (dim,), dtype, "encoder output bias")
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-        meta_bytes = _read_exact(fh, meta_len)
-        if fh.read(1):
+        left = size - meta_at - 8
+        if meta_len > left:
+            raise SnapshotFormatError(f"truncated snapshot: metadata of {meta_len} bytes, {left} left")
+        if meta_len < left:
             raise SnapshotFormatError("trailing bytes after the metadata trailer")
+        meta_bytes = _read_exact(fh, meta_len)
     try:
         meta = json.loads(meta_bytes.decode("utf-8"))
     except ValueError as exc:

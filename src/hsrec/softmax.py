@@ -10,7 +10,11 @@ members,
 which needs only ``n_clusters + |cluster(w)|`` dot products per training
 example instead of one per token.  All probability math runs in the log
 domain with max-shifted logsumexp; queries are promoted to float64 so
-reductions accumulate in double precision even over float32 tables.
+reductions accumulate in double precision even over float32 tables.  The
+two-level first level (:func:`cluster_logits`, :func:`cluster_log_probs_batch`
+and the training head) reads ``ModelTables.first_level_rows()``, one float64
+copy of the text rows and centroids per table version, instead of casting a
+float32 table inside every product.
 
 Training takes one batched step: :func:`nll_and_grad_batch` scores a ``(B, d)``
 query matrix with one ``(B, n)`` GEMM of cluster (or full) logits and a
@@ -106,11 +110,12 @@ def _queries64(queries) -> np.ndarray:
 
 
 def _first_level_rows(tables: ModelTables, mode: str) -> np.ndarray:
-    """Float64 copy of the first-level rows: text rows, then the projected
-    item rows (full mode) or the centroids (two-level), cast once, not again
-    inside every product."""
-    second = tables.item_projected() if mode == "full" else tables.centroids.data
-    return np.concatenate([tables.text.data, second], dtype=np.float64)
+    """Float64 first-level rows: text rows, then the projected item rows
+    (full mode, a fresh copy) or the centroids (two-level, the tables' copy
+    for their version), cast once, not again inside every product."""
+    if mode == "full":
+        return np.concatenate([tables.text.data, tables.item_projected()], dtype=np.float64)
+    return tables.first_level_rows()
 
 
 def full_logits(query, tables: ModelTables) -> np.ndarray:
@@ -119,9 +124,14 @@ def full_logits(query, tables: ModelTables) -> np.ndarray:
 
 
 def cluster_logits(query, tables: ModelTables) -> np.ndarray:
-    """First-level logits: text rows double as singleton-cluster centroids."""
+    """First-level logits: text rows double as singleton-cluster centroids.
+
+    Two products over views of ``tables.first_level_rows()``, one per table,
+    not one over the whole copy: a GEMV can round a row differently by where
+    it sits, and these two read what a product over each table reads."""
     q = _query64(query)
-    return np.concatenate([tables.text.data @ q, tables.centroids.data @ q])
+    rows, n_text = tables.first_level_rows(), tables.n_text
+    return np.concatenate([rows[:n_text] @ q, rows[n_text:] @ q])
 
 
 def full_logprob(query, ordinal: int, tables: ModelTables, counter: CostCounter | None = None) -> float:

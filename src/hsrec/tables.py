@@ -10,6 +10,10 @@ copy).
 
 Every parameter array is read-only; :meth:`ModelTables.writing` is the one
 writer, so a write elsewhere raises instead of serving stale derived copies.
+Those copies are kept per table version and dropped by every write: the
+projected item rows, their float64 copy in cluster order, and the float64
+first-level rows (text rows, then centroids) that every two-level
+first-level product reads, so no query casts a float32 table again.
 
 A training step accumulates into a :class:`GradBuffer`.  Item gradients
 arrive in two forms.  Projected-row gradients (the encoder inputs, full mode,
@@ -100,7 +104,9 @@ class ProjectionHead:
         return self.weight.shape[0]
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
-        return rows @ self.weight.T + self.bias
+        out = rows @ self.weight.T
+        out += self.bias  # in place: no second (n, d) temporary
+        return out
 
     def check(self) -> None:
         check_finite(self.weight, "projection weight")
@@ -121,9 +127,10 @@ class ModelTables:
 
     The five parameter arrays are read-only; :meth:`writing` is the only way
     to write them.  Leaving it moves ``version`` on and drops the copies
-    derived from the tables (the projected items and their cluster-ordered
-    float64 copy), which are rebuilt on first use.  The additive index
-    records the version it was built from and refuses to serve a later one.
+    derived from the tables (the projected items, their cluster-ordered
+    float64 copy and the float64 first-level rows), which are rebuilt on
+    first use.  The additive index records the version it was built from and
+    refuses to serve a later one.
     """
 
     def __init__(
@@ -146,6 +153,7 @@ class ModelTables:
 
     def _drop_derived(self) -> None:
         self._proj_cache: np.ndarray | None = None
+        self._first_level: np.ndarray | None = None
         self._by_cluster: np.ndarray | None = None
         self._by_cluster_map = None  # the cluster map whose order _by_cluster follows
 
@@ -200,6 +208,20 @@ class ModelTables:
         if self._proj_cache is None:
             self._proj_cache = project_items(self.item_raw, self.projection)
         return self._proj_cache
+
+    def first_level_rows(self) -> np.ndarray:
+        """Read-only float64 copy of the two-level first-level rows: the text
+        rows, then the centroids.
+
+        Built on first use after each write and dropped by :meth:`writing`,
+        so a product over it reads the float64 values numpy's per-call cast
+        of a float32 table would make, without making them again.
+        """
+        if self._first_level is None:
+            rows = np.concatenate([self.text.data, self.centroids.data], dtype=np.float64)
+            rows.flags.writeable = False
+            self._first_level = rows
+        return self._first_level
 
     def item_rows_by_cluster(self, cluster_map) -> np.ndarray:
         """Float64 copy of the projected item rows in ``cluster_map.item_order``:

@@ -37,19 +37,31 @@ def random_model(n_text, n_items, dim, item_dim, n_clusters, seed=0, dtype=np.fl
     return tables, cmap, rng
 
 
+SNAPSHOT_HEADER_BYTES = 41  # magic, then "<IIIQQQB"
+
+
+def snapshot_offsets(blob):
+    """(cluster assignment, metadata length) byte offsets of a saved snapshot,
+    located from its header."""
+    dim, item_dim, n_text, n_items, n_clusters, precision = struct.unpack_from("<IIQQQB", blob, 8)
+    size = 4 if precision == 0 else 8
+    at = SNAPSHOT_HEADER_BYTES + size * (
+        n_text * dim + n_items * item_dim + dim * item_dim + dim + n_clusters * dim
+    )
+    return at, at + 4 * (n_text + n_items) + size * (2 * dim * dim + 2 * dim)
+
+
 def rewrite_snapshot(path, assignment=None, metadata=None):
     """Overwrite a saved snapshot's unified cluster assignment (as u32) and/or
     its metadata trailer (any JSON value), locating both from the header."""
     blob = bytearray(path.read_bytes())
-    dim, item_dim, n_text, n_items, n_clusters, precision = struct.unpack_from("<IIQQQB", blob, 8)
-    size = 4 if precision == 0 else 8
-    at = 41 + size * (n_text * dim + n_items * item_dim + dim * item_dim + dim + n_clusters * dim)
-    n = n_text + n_items
+    at, meta_at = snapshot_offsets(blob)
     if assignment is not None:
-        blob[at : at + 4 * n] = np.asarray(assignment, dtype="<u4").tobytes()
+        new = np.asarray(assignment, dtype="<u4").tobytes()
+        blob[at : at + len(new)] = new
     if metadata is not None:
         meta = json.dumps(metadata).encode("utf-8")
-        blob[at + 4 * n + size * (2 * dim * dim + 2 * dim) :] = struct.pack("<Q", len(meta)) + meta
+        blob[meta_at:] = struct.pack("<Q", len(meta)) + meta
     path.write_bytes(bytes(blob))
 
 

@@ -149,6 +149,22 @@ def test_eval_rejects_corrupt_snapshot_trailers(corpus, tmp_path, capsys):
     assert run(["eval", "--data", corpus, "--snapshot", good, "--threads", 2]) == 1
 
 
+def test_eval_rejects_snapshot_header_sizes_the_file_cannot_hold(corpus, tmp_path, capsys):
+    import struct
+
+    run(["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", tmp_path])
+    path = tmp_path / "snapshot.hsrc"
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<Q", blob, 24, 2**40)  # n_items
+    path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert run(["eval", "--data", corpus, "--snapshot", path, "--out-dir", tmp_path / "e"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    trailer = json.loads(err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "data" and trailer["error"]["code"] == 2
+
+
 def test_bench_rejects_corrupt_cluster_assignment(corpus, tmp_path, capsys):
     from hsrec.snapshot import load_snapshot
 
@@ -412,6 +428,22 @@ def test_bad_k_is_usage_error(corpus, tmp_path, capsys, command, k):
     assert "Traceback" not in err
     trailer = json.loads(err.strip().splitlines()[-1])
     assert trailer["error"]["type"] == "usage" and trailer["error"]["code"] == 1
+
+
+@pytest.mark.parametrize("k", ["0", "1,x"])
+def test_eval_checks_k_before_training(corpus, tmp_path, capsys, monkeypatch, k):
+    import hsrec.cli
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("eval trained a model before checking --k")
+
+    monkeypatch.setattr(hsrec.cli, "train", no_training)
+    capsys.readouterr()
+    code = run(["eval", "--data", corpus, "--clusters", "all", "--k", k, "--steps", 200, "--out-dir", tmp_path])
+    assert code == 1
+    trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "usage" and "--k" in trailer["error"]["message"]
+    assert not (tmp_path / "ablation.csv").exists()
 
 
 def test_latency_all_skips_fields_no_item_has(corpus, tmp_path):

@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from helpers import rewrite_snapshot, synth_dataset
+from helpers import SNAPSHOT_HEADER_BYTES, rewrite_snapshot, snapshot_offsets, synth_dataset
 from hsrec.exceptions import SnapshotFormatError
 from hsrec.snapshot import load_snapshot, save_snapshot
 from hsrec.trainer import TrainConfig, init_model, train
@@ -73,6 +75,50 @@ def test_trailing_bytes_rejected(snapshot, tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(SnapshotFormatError, match="trailing"):
         load_snapshot(path)
+
+
+# Byte offset and struct format of each header size field.
+_HEADER_FIELDS = {"dim": (8, "<I"), "item_dim": (12, "<I"), "n_items": (24, "<Q"), "n_item_clusters": (32, "<Q")}
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("n_items", 2**40, "truncated"),
+        ("n_item_clusters", 2**63, "truncated"),
+        ("n_item_clusters", 2**64 - 1, "truncated"),
+        ("dim", 0, "at least 1"),
+        ("item_dim", 0, "at least 1"),
+        ("dim", 2**32 - 1, "truncated"),
+    ],
+)
+def test_header_sizes_are_checked_before_any_read(snapshot, tmp_path, field, value, match):
+    # Trusted, these sizes asked for terabytes or overflowed a product.
+    path = tmp_path / "model.hsrc"
+    save_snapshot(snapshot, path)
+    blob = bytearray(path.read_bytes())
+    at, fmt = _HEADER_FIELDS[field]
+    struct.pack_into(fmt, blob, at, value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(SnapshotFormatError, match=match):
+        load_snapshot(path)
+
+
+def test_every_truncation_and_header_flip_is_a_format_error(snapshot, tmp_path):
+    good = tmp_path / "model.hsrc"
+    save_snapshot(snapshot, good)
+    blob = good.read_bytes()
+    _, meta_at = snapshot_offsets(blob)
+    cases = [blob[:n] for n in range(len(blob))]
+    for at in [*range(SNAPSHOT_HEADER_BYTES), *range(meta_at, meta_at + 8)]:
+        flipped = bytearray(blob)
+        flipped[at] ^= 0xFF
+        cases.append(bytes(flipped))
+    path = tmp_path / "bad.hsrc"
+    for case in cases:
+        path.write_bytes(case)
+        with pytest.raises(SnapshotFormatError):
+            load_snapshot(path)
 
 
 @pytest.mark.parametrize("last_byte", [b"\xff", b" "])

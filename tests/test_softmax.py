@@ -22,6 +22,7 @@ from hsrec.softmax import (
     log_softmax,
     member_log_conditionals,
     nll_and_grad,
+    nll_and_grad_batch,
     score_all,
     two_level_logprob,
 )
@@ -174,6 +175,17 @@ def test_equal_item_rows_score_equal():
             assert np.unique(scores[tables.n_text + cmap.item_members(c)]).size == 1
 
 
+def _fresh(tables):
+    """The same parameters, with no derived copies."""
+    arrays = {name: a.copy() for name, a in tables.parameter_arrays().items()}
+    return ModelTables(
+        EmbeddingTable(arrays["text"]),
+        EmbeddingTable(arrays["item_raw"]),
+        ProjectionHead(arrays["proj_weight"], arrays["proj_bias"]),
+        EmbeddingTable(arrays["centroids"]),
+    )
+
+
 def _item_scores(tables, cmap, queries):
     return (
         [score_all(q, tables, cmap) for q in queries],
@@ -191,15 +203,6 @@ def test_cluster_ordered_rows_follow_writes_and_cluster_maps():
     tables, cmap, rng = random_model(5, 30, 6, 4, 4, seed=8)
     queries = rng.standard_normal((4, 6))
 
-    def fresh():  # the same parameters, with no derived copies
-        arrays = {name: a.copy() for name, a in tables.parameter_arrays().items()}
-        return ModelTables(
-            EmbeddingTable(arrays["text"]),
-            EmbeddingTable(arrays["item_raw"]),
-            ProjectionHead(arrays["proj_weight"], arrays["proj_bias"]),
-            EmbeddingTable(arrays["centroids"]),
-        )
-
     before = _item_scores(tables, cmap, queries)
     rows = tables.item_rows_by_cluster(cmap)
     assert rows.dtype == np.float64 and tables.item_rows_by_cluster(cmap) is rows
@@ -211,16 +214,50 @@ def test_cluster_ordered_rows_follow_writes_and_cluster_maps():
     assert released() is None  # the writer drops the float64 copy
 
     after = _item_scores(tables, cmap, queries)
-    _assert_same_scores(after, _item_scores(fresh(), cmap, queries))
+    _assert_same_scores(after, _item_scores(_fresh(tables), cmap, queries))
     assert not np.array_equal(after[1], before[1])
 
     # A second cluster map over the same tables reads its own order, and the
     # first map's scores are unchanged by it.
     other = random_cluster_map(5, 30, 4, rng)
     assert not np.array_equal(other.item_order, cmap.item_order)
-    _assert_same_scores(_item_scores(tables, other, queries), _item_scores(fresh(), other, queries))
+    _assert_same_scores(_item_scores(tables, other, queries), _item_scores(_fresh(tables), other, queries))
     assert _bits(tables.item_rows_by_cluster(other)) == _bits(tables.item_projected()[other.item_order])
     _assert_same_scores(_item_scores(tables, cmap, queries), after)
+
+
+def _first_level_scores(tables, cmap, queries, targets):
+    losses, d_queries, grads = nll_and_grad_batch(queries, targets, tables, cmap)
+    return (
+        [cluster_logits(q, tables) for q in queries],
+        *_item_scores(tables, cmap, queries),
+        [losses, d_queries, grads.d_text, grads.d_centroids],
+    )
+
+
+@pytest.mark.parametrize("table", ["text", "centroids"])
+def test_first_level_writes_reach_every_scorer(table):
+    # Every two-level first-level product reads tables.first_level_rows().
+    tables, cmap, rng = random_model(5, 30, 6, 4, 4, seed=9, dtype=np.float32)
+    queries, targets = rng.standard_normal((4, 6)), np.array([0, 5, 12, 34])
+    before = _first_level_scores(tables, cmap, queries, targets)
+    with tables.writing() as arrays:
+        arrays[table][::2] *= -2.0
+    after = _first_level_scores(tables, cmap, queries, targets)
+    _assert_same_scores(after, _first_level_scores(_fresh(tables), cmap, queries, targets))
+    for old, new in zip(before, after):
+        assert not all(np.array_equal(a, b) for a, b in zip(old, new))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cluster_logits_are_the_per_table_products(dtype):
+    # The copy holds the values numpy's cast of each table gave, in the same
+    # layout, so the two products over its views round as those over the tables.
+    for n_text, n_clusters, dim in [(7, 5, 6), (1, 1, 3), (333, 17, 32), (1000, 31, 64)]:
+        tables, _, rng = random_model(n_text, 40, dim, 4, n_clusters, seed=n_text, dtype=dtype)
+        for q in rng.standard_normal((5, dim)):
+            want = np.concatenate([tables.text.data @ q, tables.centroids.data @ q])
+            assert _bits(cluster_logits(q, tables)) == _bits(want)
 
 
 def test_full_and_two_level_differ_in_general():

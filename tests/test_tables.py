@@ -1,4 +1,6 @@
 import copy
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -109,14 +111,44 @@ def test_parameter_arrays_are_written_only_through_the_writer(copied):
     assert all(arr.flat[0] == 1.0 for arr in tables.parameter_arrays().values())
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_first_level_rows_are_one_read_only_copy_per_version(dtype):
+    tables, _, _ = random_model(4, 9, 5, 3, 3, seed=2, dtype=dtype)
+    rows = tables.first_level_rows()
+    assert rows is tables.first_level_rows()
+    assert rows.dtype == np.float64 and rows.flags.c_contiguous
+    assert np.array_equal(rows, np.concatenate([tables.text.data, tables.centroids.data]).astype(np.float64))
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1.0
+    released = weakref.ref(rows)
+    del rows
+    with tables.writing() as arrays:
+        arrays["centroids"][-1] += 1.0
+    assert released() is None  # the writer drops it
+    assert tables.first_level_rows()[-1, 0] == np.float64(tables.centroids.data[-1, 0])
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+def test_copies_of_the_tables_drop_the_first_level_rows(clone):
+    tables, _, _ = random_model(4, 9, 5, 3, 3, seed=3)
+    rows = tables.first_level_rows()
+    copied = clone(tables)
+    assert copied._first_level is None  # not a copy of the cached array, which would be writable
+    again = copied.first_level_rows()
+    assert again is not rows and not again.flags.writeable
+    assert np.array_equal(again, rows)
+
+
 def test_writer_that_raises_still_locks_and_invalidates():
     tables, cmap, _ = random_model(4, 9, 5, 3, 3, seed=1)
     projected, by_cluster = tables.item_projected(), tables.item_rows_by_cluster(cmap)
+    first = tables.first_level_rows()
     version = tables.version
     with pytest.raises(RuntimeError, match="midway"):
         with tables.writing() as arrays:
             arrays["item_raw"][0] = 1.0
             arrays["proj_bias"][:] = 0.5
+            arrays["text"][0] = 2.0
             raise RuntimeError("midway")
     assert tables.version == version + 1
     assert not any(arr.flags.writeable for arr in tables.parameter_arrays().values())
@@ -126,3 +158,5 @@ def test_writer_that_raises_still_locks_and_invalidates():
     rows = tables.item_rows_by_cluster(cmap)
     assert rows is not by_cluster
     assert np.array_equal(rows, rebuilt[cmap.item_order])
+    rebuilt_first = tables.first_level_rows()
+    assert rebuilt_first is not first and rebuilt_first[0, 0] == 2.0
