@@ -128,7 +128,9 @@ def test_first_level_rows_are_one_read_only_copy_per_version(dtype):
     assert tables.first_level_rows()[-1, 0] == np.float64(tables.centroids.data[-1, 0])
 
 
-@pytest.mark.parametrize("clone", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+@pytest.mark.parametrize(
+    "clone", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))], ids=["deepcopy", "pickle"]
+)
 def test_copies_of_the_tables_drop_the_first_level_rows(clone):
     tables, _, _ = random_model(4, 9, 5, 3, 3, seed=3)
     rows = tables.first_level_rows()
