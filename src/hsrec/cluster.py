@@ -19,6 +19,10 @@ from .tables import EmbeddingTable
 from .validation import check_array, check_random_state
 
 
+# User-item entries whose co-occurrence pairs are counted at a time.
+PAIR_ROWS = 1024
+
+
 def default_n_clusters(n_items: int) -> int:
     """ceil(sqrt(n_items)): the recommended item-cluster count."""
     return int(math.ceil(math.sqrt(n_items)))
@@ -299,6 +303,37 @@ def init_centroids(
     return EmbeddingTable(out)
 
 
+def cooccurrence_counts(split, n_items: int) -> np.ndarray:
+    """``(n_items, n_items)`` float64 count of the users whose train events hold
+    both items; the diagonal counts the users who hold the item.
+
+    Every user's ordered pairs of distinct train items are counted without a
+    per-user loop, as codes ``i * n_items + j`` added into the matrix;
+    counts are integers, so the float64 matrix is exact whatever the order of
+    counting.
+    """
+    sizes = [len(events) for events in split.train_events.values()]
+    items = np.fromiter(
+        (e.item_index for events in split.train_events.values() for e in events), dtype=np.int64, count=sum(sizes)
+    )
+    users = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    # Each user's distinct items (entries), ascending, users in order.
+    users, items = np.divmod(np.unique(users * n_items + items), n_items)
+    start = np.searchsorted(users, users)  # per entry: where its user's entries start
+    held = np.bincount(users)[users]  # per entry: how many entries its user has
+    cooc = np.zeros((n_items, n_items), dtype=np.float64)
+    # Entry e pairs with each of its user's entries.  PAIR_ROWS entries at a
+    # time, so the pair arrays stay small however many users there are.
+    for lo in range(0, items.size, PAIR_ROWS):
+        h = held[lo : lo + PAIR_ROWS]
+        partner = np.repeat(start[lo : lo + PAIR_ROWS] - (np.cumsum(h) - h), h)
+        partner += np.arange(partner.size)
+        codes = np.repeat(items[lo : lo + PAIR_ROWS] * n_items, h)
+        codes += items[partner]
+        np.add.at(cooc.reshape(-1), codes, 1.0)
+    return cooc
+
+
 def cooccurrence_svd_features(split, n_items: int, n_components: int = 32) -> np.ndarray:
     """Item features for k-means: SVD of the log train co-occurrence matrix.
 
@@ -307,10 +342,7 @@ def cooccurrence_svd_features(split, n_items: int, n_components: int = 32) -> np
     """
     if n_items > 20000:
         raise ValueError("dense co-occurrence SVD is limited to catalogs of <= 20k items")
-    cooc = np.zeros((n_items, n_items), dtype=np.float64)
-    for events in split.train_events.values():
-        items = np.unique([e.item_index for e in events])
-        cooc[np.ix_(items, items)] += 1.0
+    cooc = cooccurrence_counts(split, n_items)
     n_components = min(n_components, n_items)
     u, s, _ = np.linalg.svd(np.log1p(cooc), full_matrices=False)
     return u[:, :n_components] * s[:n_components]

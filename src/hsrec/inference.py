@@ -14,7 +14,10 @@ Three engines:
                         whose row for token w is centroid(cluster(w)) + e_w.
                         Dropping the per-cluster log-partition term makes this
                         approximate; scores are raw dot products, not
-                        probabilities.
+                        probabilities.  The index is a derived copy of the
+                        tables (``build_additive_index``): built once per
+                        table version and cluster map and shared, read-only,
+                        by served queries, evaluation and ``hsrec bench``.
 
 Item-only paths serve recommendations, and they search nothing: a dense
 vector of item scores goes to one selection.  ``topk_items`` scores every
@@ -192,11 +195,15 @@ def topk_structure(query, k: int, tables: ModelTables, cluster_map: ClusterMap):
     return TopK(ordinals=best_ordinals, scores=best_scores), stats
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdditiveIndex:
-    """MIPS index over centroid-plus-token vectors, stamped with the table version."""
+    """MIPS index over centroid-plus-token vectors, stamped with the table version.
 
-    vectors: np.ndarray  # (n_total, d)
+    One index per table version and cluster map is shared by every caller,
+    so it is immutable: the dataclass is frozen and ``vectors`` read-only.
+    """
+
+    vectors: np.ndarray  # (n_total, d), read-only
     tables_version: int
     n_text: int
     cluster_map: ClusterMap = field(repr=False)
@@ -207,17 +214,26 @@ class AdditiveIndex:
 
 
 def build_additive_index(tables: ModelTables, cluster_map: ClusterMap) -> AdditiveIndex:
-    """Index row for token w is centroid(cluster(w)) + e_w.
+    """The tables' current additive index for ``cluster_map``.
 
-    For a text token the centroid aliases its own embedding, so the row is
-    exactly twice the embedding.  Rebuild after any parameter update; queries
-    against a stale index raise.
+    Index row for token w is centroid(cluster(w)) + e_w.  For a text token
+    the centroid aliases its own embedding, so the row is exactly twice the
+    embedding.  The index is a derived copy of the tables: built on the first
+    call in a table version, then the same object for every later call with
+    that cluster map (served queries, ``evaluate``, ``hsrec bench``) until a
+    write drops it.  An index held across a write is stale, and queries
+    against it raise.
     """
+    return tables.derived(("additive_index", cluster_map), lambda: _build_index(tables, cluster_map))
+
+
+def _build_index(tables: ModelTables, cluster_map: ClusterMap) -> AdditiveIndex:
     n_text = tables.n_text
     vectors = np.empty((tables.n_total, tables.dim), dtype=np.float64)
     # Computed in the tables' precision, widened into ``vectors``: no temporary.
     np.multiply(tables.text.data, 2.0, out=vectors[:n_text])
     np.add(tables.item_projected(), tables.centroids.data[cluster_map.item_assignment], out=vectors[n_text:])
+    vectors.flags.writeable = False
     return AdditiveIndex(
         vectors=vectors,
         tables_version=tables.version,
@@ -300,7 +316,8 @@ def topk_items(
     ``structure`` scores every item's exact two-level log-probability, the
     single-query oracle's own ``score_all`` arithmetic, so it equals
     ``filter_items(topk_exact(query, n_total, ...))`` truncated to k.
-    ``ann`` scores the item rows of the prebuilt additive ``index``.  Both
+    ``ann`` scores the item rows of the additive ``index``
+    (``build_additive_index``, built once per table version).  Both
     then select the k best with ``_rank_topk``.
     """
     if k < 1:

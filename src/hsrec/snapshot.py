@@ -3,7 +3,7 @@
 Little-endian layout::
 
     magic   "HSRC"
-    u32     format version (1)
+    u32     format version (2; 1 is still read)
     u32     model dim d, u32 item dim k
     u64     n_text, u64 n_items, u64 n_item_clusters
     u8      precision (0 = f32, 1 = f64)
@@ -12,14 +12,19 @@ Little-endian layout::
         unified cluster-assignment array (u32),
         encoder MLP (hidden weight/bias, output weight/bias),
         u64 metadata length + JSON metadata (vocab words, item ids, config)
+    u32     zlib.crc32 of every preceding byte (version 2 only)
 
 Round trips are bit-identical.  Loaded table arrays are read-only, as every
 table's are, and writable through ``ModelTables.writing()``, so a loaded
 model can be trained further.  The header's sizes are checked against the
 file's length before any payload is read, so a corrupt size fails at once
-instead of asking for memory.  Wrong magic or version, a zero model dim,
-header sizes or a metadata length the file does not hold (truncated files,
-bytes after the metadata), NaN or Inf in a float payload, metadata that is not
+instead of asking for memory.  The checksum is computed as the bytes are
+written and read, with no second pass over the file, and it catches a
+changed byte that would otherwise load, such as a payload byte that leaves
+its float finite; a version-1 file has none and loads unchecked.  Wrong
+magic or version, a zero model dim, header sizes or a metadata length the
+file does not hold (truncated files, bytes after the metadata or checksum),
+a checksum mismatch, NaN or Inf in a float payload, metadata that is not
 UTF-8 JSON or not an object with ``vocab_words`` and ``item_ids`` lists of the
 header's sizes (and an object ``config`` whose ``softmax_mode``, if present,
 is a known mode), and a cluster assignment or vocabulary that cannot be built
@@ -31,6 +36,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +49,8 @@ from .tables import EmbeddingTable, ModelTables, ProjectionHead
 from .tokens import TokenSpace, Vocabulary
 
 MAGIC = b"HSRC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 _PRECISION_CODE = {"f32": 0, "f64": 1}
 _PRECISION_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _HEADER = struct.Struct("<IIIQQQB")
@@ -65,6 +72,27 @@ class ModelSnapshot:
     @property
     def space(self) -> TokenSpace:
         return TokenSpace(n_text=self.tables.n_text, n_items=self.tables.n_items)
+
+
+class _Checksummed:
+    """A binary file whose reads and writes update ``crc``, the running
+    ``zlib.crc32`` of the bytes that passed through it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.crc = 0
+
+    def read(self, n: int) -> bytes:
+        buf = self.fh.read(n)
+        self.crc = zlib.crc32(buf, self.crc)
+        return buf
+
+    def write(self, buf) -> None:
+        self.crc = zlib.crc32(buf, self.crc)
+        self.fh.write(buf)
+
+    def fileno(self) -> int:
+        return self.fh.fileno()
 
 
 def _write_array(fh, arr: np.ndarray, dtype) -> None:
@@ -118,7 +146,8 @@ def save_snapshot(snapshot: ModelSnapshot, path) -> None:
         },
         sort_keys=True,
     ).encode("utf-8")
-    with open(path, "wb") as fh:
+    with open(path, "wb") as raw:
+        fh = _Checksummed(raw)
         fh.write(MAGIC)
         fh.write(
             _HEADER.pack(
@@ -141,18 +170,21 @@ def save_snapshot(snapshot: ModelSnapshot, path) -> None:
             _write_array(fh, arr, dtype)
         fh.write(struct.pack("<Q", len(meta)))
         fh.write(meta)
+        raw.write(struct.pack("<I", fh.crc))
 
 
 def load_snapshot(path) -> ModelSnapshot:
-    with open(path, "rb") as fh:
+    with open(path, "rb") as raw:
+        fh = _Checksummed(raw)
         magic = _read_exact(fh, 4)
         if magic != MAGIC:
             raise SnapshotFormatError(f"bad magic {magic!r}; not a model snapshot")
         version, dim, item_dim, n_text, n_items, n_item_clusters, precision = _HEADER.unpack(
             _read_exact(fh, _HEADER.size)
         )
-        if version != FORMAT_VERSION:
+        if version not in READABLE_VERSIONS:
             raise SnapshotFormatError(f"unsupported snapshot version {version}")
+        checksum_bytes = 4 if version >= 2 else 0
         if precision not in _PRECISION_DTYPE:
             raise SnapshotFormatError(f"unknown precision code {precision}")
         if dim == 0 or item_dim == 0:
@@ -162,10 +194,10 @@ def load_snapshot(path) -> ModelSnapshot:
         meta_at = len(MAGIC) + _HEADER.size + _payload_bytes(
             dim, item_dim, n_text, n_items, n_item_clusters, dtype.itemsize
         )
-        if meta_at + 8 > size:
+        if meta_at + 8 + checksum_bytes > size:
             raise SnapshotFormatError(
-                f"truncated snapshot: the header's sizes need {meta_at + 8} bytes before the metadata, "
-                f"the file has {size}"
+                f"truncated snapshot: the header's sizes need {meta_at + 8 + checksum_bytes} bytes "
+                f"besides the metadata, the file has {size}"
             )
 
         text = _read_floats(fh, (n_text, dim), dtype, "text table")
@@ -179,12 +211,18 @@ def load_snapshot(path) -> ModelSnapshot:
         out_w = _read_floats(fh, (dim, dim), dtype, "encoder output weight")
         out_b = _read_floats(fh, (dim,), dtype, "encoder output bias")
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-        left = size - meta_at - 8
+        left = size - meta_at - 8 - checksum_bytes
         if meta_len > left:
             raise SnapshotFormatError(f"truncated snapshot: metadata of {meta_len} bytes, {left} left")
         if meta_len < left:
             raise SnapshotFormatError("trailing bytes after the metadata trailer")
         meta_bytes = _read_exact(fh, meta_len)
+        if checksum_bytes:
+            (stored,) = struct.unpack("<I", _read_exact(raw, checksum_bytes))
+            if stored != fh.crc:
+                raise SnapshotFormatError(
+                    f"snapshot checksum mismatch: the file says {stored:#010x}, its bytes give {fh.crc:#010x}"
+                )
     try:
         meta = json.loads(meta_bytes.decode("utf-8"))
     except ValueError as exc:

@@ -10,10 +10,12 @@ copy).
 
 Every parameter array is read-only; :meth:`ModelTables.writing` is the one
 writer, so a write elsewhere raises instead of serving stale derived copies.
-Those copies are kept per table version and dropped by every write: the
-projected item rows, their float64 copy in cluster order, and the float64
+Those copies are kept per table version, in one memo that every write drops:
+the projected item rows, their float64 copy in cluster order, the float64
 first-level rows (text rows, then centroids) that every two-level
-first-level product reads, so no query casts a float32 table again.
+first-level product reads, so no query casts a float32 table again, and the
+additive ANN index (``inference.build_additive_index``), which serving and
+evaluation then share.
 
 A training step accumulates into a :class:`GradBuffer`.  Item gradients
 arrive in two forms.  Projected-row gradients (the encoder inputs, full mode,
@@ -45,6 +47,8 @@ FLOAT_DTYPES = (np.float32, np.float64)
 # temporaries small enough that the allocator does not hand heap pages back
 # and fault them in again every step.
 ROW_BLOCK = 64
+# Item rows drawn at a time by ``init_tables``.
+INIT_ROWS = 1024
 
 
 class EmbeddingTable:
@@ -127,10 +131,11 @@ class ModelTables:
 
     The five parameter arrays are read-only; :meth:`writing` is the only way
     to write them.  Leaving it moves ``version`` on and drops the copies
-    derived from the tables (the projected items, their cluster-ordered
-    float64 copy and the float64 first-level rows), which are rebuilt on
-    first use.  The additive index records the version it was built from and
-    refuses to serve a later one.
+    derived from the tables (:meth:`derived`: the projected items, their
+    cluster-ordered float64 copy, the float64 first-level rows and the
+    additive index), which are rebuilt on first use.  The additive index
+    records the version it was built from and refuses to serve a later one,
+    so one held across a write raises.
     """
 
     def __init__(
@@ -152,13 +157,28 @@ class ModelTables:
         self._drop_derived()
 
     def _drop_derived(self) -> None:
-        self._proj_cache: np.ndarray | None = None
-        self._first_level: np.ndarray | None = None
-        self._by_cluster: np.ndarray | None = None
-        self._by_cluster_map = None  # the cluster map whose order _by_cluster follows
+        self._derived: dict = {}  # key -> this version's copy; see derived()
+
+    def derived(self, key, build):
+        """This table version's copy under ``key``: ``build()`` on first use,
+        the same object until the next write drops it.
+
+        A key names a copy and what else it depends on, such as
+        ``("rows_by_cluster", cluster_map)``; cluster maps key by identity.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
+
+    def __getstate__(self):
+        # Copies (copy.deepcopy, pickle) rebuild the derived copies, not copy them.
+        state = self.__dict__.copy()
+        del state["_derived"]
+        return state
 
     def __setstate__(self, state):
-        # Copies (copy.deepcopy, pickle) come back writable: lock them again.
+        # Copies come back writable: lock them again.
         self.__dict__.update(state)
         for arr in self.parameter_arrays().values():
             arr.flags.writeable = False
@@ -205,9 +225,7 @@ class ModelTables:
 
     def item_projected(self) -> np.ndarray:
         """Projected item rows, built on first use after each write."""
-        if self._proj_cache is None:
-            self._proj_cache = project_items(self.item_raw, self.projection)
-        return self._proj_cache
+        return self.derived("projected", lambda: project_items(self.item_raw, self.projection))
 
     def first_level_rows(self) -> np.ndarray:
         """Read-only float64 copy of the two-level first-level rows: the text
@@ -217,24 +235,25 @@ class ModelTables:
         so a product over it reads the float64 values numpy's per-call cast
         of a float32 table would make, without making them again.
         """
-        if self._first_level is None:
+
+        def build():
             rows = np.concatenate([self.text.data, self.centroids.data], dtype=np.float64)
             rows.flags.writeable = False
-            self._first_level = rows
-        return self._first_level
+            return rows
+
+        return self.derived("first_level", build)
 
     def item_rows_by_cluster(self, cluster_map) -> np.ndarray:
         """Float64 copy of the projected item rows in ``cluster_map.item_order``:
         item cluster ``c``'s members are the rows ``offsets[c]:offsets[c + 1]``.
 
-        Built on first use after each write, for one cluster map at a time,
-        and dropped by :meth:`writing`.
+        Built on first use after each write, once per cluster map, and
+        dropped by :meth:`writing`.
         """
-        if self._by_cluster is None or self._by_cluster_map is not cluster_map:
-            rows = self.item_projected()[cluster_map.item_order]
-            self._by_cluster = rows.astype(np.float64, copy=False)
-            self._by_cluster_map = cluster_map
-        return self._by_cluster
+        return self.derived(
+            ("rows_by_cluster", cluster_map),
+            lambda: self.item_projected()[cluster_map.item_order].astype(np.float64, copy=False),
+        )
 
     def check(self) -> None:
         self.text.check()
@@ -270,12 +289,17 @@ def init_tables(
     text_scale = 1.0 / np.sqrt(dim)
     item_scale = 1.0 / np.sqrt(item_dim)
     text = rng.uniform(-text_scale, text_scale, size=(n_text, dim))
-    item_raw = rng.uniform(-item_scale, item_scale, size=(n_items, item_dim))
+    # Drawn into the table INIT_ROWS rows at a time, the one-shot draw's
+    # values in its order, so no float64 copy of the whole table is made.
+    item_raw = np.empty((n_items, item_dim), dtype=dtype)
+    for lo in range(0, n_items, INIT_ROWS):
+        block = item_raw[lo : lo + INIT_ROWS]
+        block[:] = rng.uniform(-item_scale, item_scale, size=block.shape)
     proj_w = rng.uniform(-item_scale, item_scale, size=(dim, item_dim))
     proj_b = np.zeros(dim)
     return ModelTables(
         EmbeddingTable(text.astype(dtype)),
-        EmbeddingTable(item_raw.astype(dtype)),
+        EmbeddingTable(item_raw),
         ProjectionHead(proj_w.astype(dtype), np.asarray(proj_b, dtype=dtype)),
         EmbeddingTable(np.zeros((0, dim), dtype=dtype)),
     )

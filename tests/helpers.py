@@ -1,10 +1,11 @@
 """Shared fixtures: random models, parameter flattening, finite differences,
-snapshot byte surgery, and the selection oracles the array-form top-k paths
-are tested against."""
+snapshot byte surgery, and the oracles the array-form paths are tested
+against: top-k selection and co-occurrence counting."""
 
 import heapq
 import json
 import struct
+import zlib
 
 import numpy as np
 
@@ -51,10 +52,17 @@ def snapshot_offsets(blob):
     return at, at + 4 * (n_text + n_items) + size * (2 * dim * dim + 2 * dim)
 
 
+def seal_snapshot(blob):
+    """Snapshot bytes without their checksum, with a checksum that matches them."""
+    return bytes(blob) + struct.pack("<I", zlib.crc32(blob))
+
+
 def rewrite_snapshot(path, assignment=None, metadata=None):
     """Overwrite a saved snapshot's unified cluster assignment (as u32) and/or
-    its metadata trailer (any JSON value), locating both from the header."""
-    blob = bytearray(path.read_bytes())
+    its metadata trailer (any JSON value), locating both from the header, and
+    seal the result with a matching checksum, so that a loader's own checks
+    see the change."""
+    blob = bytearray(path.read_bytes()[:-4])
     at, meta_at = snapshot_offsets(blob)
     if assignment is not None:
         new = np.asarray(assignment, dtype="<u4").tobytes()
@@ -62,7 +70,7 @@ def rewrite_snapshot(path, assignment=None, metadata=None):
     if metadata is not None:
         meta = json.dumps(metadata).encode("utf-8")
         blob[meta_at:] = struct.pack("<Q", len(meta)) + meta
-    path.write_bytes(bytes(blob))
+    path.write_bytes(seal_snapshot(blob))
 
 
 def random_encoder(dim, rng, dtype=np.float64, scale=0.5):
@@ -221,3 +229,13 @@ def best_first_heap(query, k, tables, cluster_map):
         ),
         stats,
     )
+
+
+def cooccurrence_counts_per_user(split, n_items):
+    """Co-occurrence counts one user at a time: the oracle for
+    ``cluster.cooccurrence_counts``."""
+    cooc = np.zeros((n_items, n_items), dtype=np.float64)
+    for events in split.train_events.values():
+        items = np.unique([e.item_index for e in events])
+        cooc[np.ix_(items, items)] += 1.0
+    return cooc

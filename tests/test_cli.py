@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from helpers import rewrite_snapshot
+from helpers import rewrite_snapshot, seal_snapshot
 from hsrec.cli import main
 
 
@@ -137,14 +137,18 @@ def test_eval_rejects_corrupt_snapshot_trailers(corpus, tmp_path, capsys):
     run(["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", tmp_path])
     good = tmp_path / "snapshot.hsrc"
     blob = good.read_bytes()
-    trailing, bad_utf8 = tmp_path / "t.hsrc", tmp_path / "u.hsrc"
+    trailing, bad_utf8, bad_sum = tmp_path / "t.hsrc", tmp_path / "u.hsrc", tmp_path / "c.hsrc"
     trailing.write_bytes(blob + b"\x00")
-    bad_utf8.write_bytes(blob[:-1] + b"\xff")
-    for path in (trailing, bad_utf8):
+    bad_utf8.write_bytes(seal_snapshot(blob[:-5] + b"\xff"))  # the metadata's last byte
+    bad_sum.write_bytes(blob[:-1] + bytes([blob[-1] ^ 0x01]))
+    for path, message in ((trailing, "trailing"), (bad_utf8, "UTF-8"), (bad_sum, "checksum")):
         capsys.readouterr()
         assert run(["eval", "--data", corpus, "--snapshot", path, "--out-dir", tmp_path]) == 2
-        trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert trailer["error"]["code"] == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        trailer = json.loads(err.strip().splitlines()[-1])
+        assert trailer["error"]["type"] == "data" and trailer["error"]["code"] == 2
+        assert message in trailer["error"]["message"]
     # The eval thread pool is gone, and with it the flag.
     assert run(["eval", "--data", corpus, "--snapshot", good, "--threads", 2]) == 1
 

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hsrec import cluster as cluster_module
 from hsrec.cluster import (
     ClusterMap,
     FrequencyClusters,
@@ -11,6 +12,7 @@ from hsrec.cluster import (
     cluster_frequency,
     cluster_kmeans,
     cluster_random,
+    cooccurrence_counts,
     cooccurrence_svd_features,
     default_n_clusters,
     init_centroids,
@@ -208,3 +210,37 @@ def test_cooccurrence_features_shape(tmp_path):
     feats = cooccurrence_svd_features(split, 10, n_components=4)
     assert feats.shape == (10, 4)
     assert np.isfinite(feats).all()
+
+
+def test_cooccurrence_counts_equal_the_per_user_loop(tmp_path, monkeypatch):
+    import json
+
+    from helpers import cooccurrence_counts_per_user
+    from hsrec.catalog import ingest_jsonl, split_leave_one_out
+
+    rows = []
+    histories = {
+        "u0": ["i3", "i1", "i3", "i4", "i3", "i0", "i2"],  # i3 three times in train
+        "u1": ["i5", "i0", "i1"],  # one train item
+        "u2": ["i1", "i2", "i5", "i0", "i4", "i3"],
+        "u3": ["i4", "i4", "i4", "i4"],  # one distinct train item, held twice
+        "u4": ["i2", "i0"],  # too short: dropped
+    }
+    for user, items in histories.items():
+        rows.extend({"user": user, "item": item, "timestamp": t} for t, item in enumerate(items))
+    for u in range(30):  # random histories of 3 to 9 events
+        rng = np.random.default_rng(u)
+        items = rng.integers(0, 6, size=rng.integers(3, 10))
+        rows.extend({"user": f"r{u}", "item": f"i{i}", "timestamp": t} for t, i in enumerate(items))
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in rows))
+    split = split_leave_one_out(ingest_jsonl(path))
+    n_items = 6
+    want = cooccurrence_counts_per_user(split, n_items)
+    for block in (1, 4, 7, 1024):  # block edges inside and between users
+        monkeypatch.setattr(cluster_module, "PAIR_ROWS", block)
+        got = cooccurrence_counts(split, n_items)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), block
+    assert want.max() > 1.0  # pairs repeat across users
+    u, s, _ = np.linalg.svd(np.log1p(want), full_matrices=False)
+    assert cooccurrence_svd_features(split, n_items, n_components=4).tobytes() == (u[:, :4] * s[:4]).tobytes()

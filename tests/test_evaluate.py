@@ -20,7 +20,7 @@ from hsrec.evaluate import (
     target_ranks,
 )
 from hsrec.exceptions import TrainingDivergedError
-from hsrec.inference import ann_item_scores, build_additive_index, topk_items
+from hsrec.inference import AdditiveIndex, ann_item_scores, build_additive_index, topk_items
 from hsrec.render import render_id_only
 from hsrec.softmax import score_all
 from hsrec.tables import EmbeddingTable, ModelTables, ProjectionHead
@@ -28,6 +28,7 @@ from hsrec.trainer import TrainConfig, init_model, train
 
 # The package re-exports a function under this name.
 evaluate_module = importlib.import_module("hsrec.evaluate")
+inference_module = importlib.import_module("hsrec.inference")
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +284,32 @@ def test_single_query_ann_ties_break_by_ordinal(tmp_path):
         single.append(int(np.flatnonzero(top.ordinals == tables.n_text + e.target)[0]) + 1)
     assert single == [e.target + 1 for e in examples]
     assert target_ranks(snapshot, data, "ann", examples).tolist() == single
+
+
+def test_served_ann_query_and_evaluation_share_one_index(trained, monkeypatch):
+    data, snapshot = trained
+    snapshot = copy.deepcopy(snapshot)  # no index built yet
+    built = []
+
+    def counted(**fields):
+        built.append(fields["tables_version"])
+        return AdditiveIndex(**fields)
+
+    monkeypatch.setattr(inference_module, "AdditiveIndex", counted)
+    tables, cmap = snapshot.tables, snapshot.cluster_map
+    examples = data.test_examples[:5]
+    first = tables.version
+    for step in range(2):
+        query, _ = encode(render_id_only(examples[0], data), tables, snapshot.encoder)
+        index = build_additive_index(tables, cmap)
+        topk_items(query, 3, tables, cmap, snapshot.space, engine="ann", index=index)
+        evaluate(snapshot, data, engine="ann", examples=examples)
+        assert target_ranks(snapshot, data, "ann", examples).tolist() == _oracle_ranks(
+            snapshot, data, "ann", examples, False
+        )
+        assert built == list(range(first, first + step + 1))  # one build per table version
+        with tables.writing() as arrays:
+            arrays["centroids"][0] *= 0.5
 
 
 @pytest.mark.parametrize("engine", ["full", "structure", "ann"])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -113,6 +114,25 @@ def test_additive_index_rows():
     for item in range(12):
         expected = projected[item] + tables.centroids.data[cmap.item_assignment[item]]
         assert np.array_equal(index.vectors[5 + item], expected)
+
+
+def test_additive_index_is_one_read_only_copy_per_version_and_cluster_map():
+    tables, cmap, rng = random_model(5, 12, 4, 3, 3, seed=3)
+    index = build_additive_index(tables, cmap)
+    assert build_additive_index(tables, cmap) is index
+    with pytest.raises(ValueError, match="read-only"):
+        index.vectors[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        index.tables_version += 1
+    # A second cluster map gets its own index, and the first keeps its own.
+    other = random_cluster_map(5, 12, 3, rng)
+    assert not np.array_equal(other.item_assignment, cmap.item_assignment)
+    other_index = build_additive_index(tables, other)
+    assert other_index is not index and other_index.cluster_map is other
+    assert build_additive_index(tables, other) is other_index
+    expected = tables.item_projected() + tables.centroids.data[other.item_assignment]
+    assert np.array_equal(other_index.vectors[5:], expected)
+    assert build_additive_index(tables, cmap) is index
 
 
 def test_additive_index_zero_centroids_equals_item_table():

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import SNAPSHOT_HEADER_BYTES, rewrite_snapshot, snapshot_offsets, synth_dataset
+from helpers import SNAPSHOT_HEADER_BYTES, rewrite_snapshot, seal_snapshot, snapshot_offsets, synth_dataset
 from hsrec.exceptions import SnapshotFormatError
 from hsrec.snapshot import load_snapshot, save_snapshot
 from hsrec.trainer import TrainConfig, init_model, train
@@ -121,15 +121,57 @@ def test_every_truncation_and_header_flip_is_a_format_error(snapshot, tmp_path):
             load_snapshot(path)
 
 
+def test_every_byte_change_is_a_format_error(snapshot, tmp_path):
+    # Payload bytes included: most changes leave a finite float, which only
+    # the checksum catches.
+    good = tmp_path / "model.hsrc"
+    save_snapshot(snapshot, good)
+    blob = good.read_bytes()
+    path = tmp_path / "bad.hsrc"
+    for at in range(len(blob)):
+        changed = bytearray(blob)
+        changed[at] ^= 0xFF
+        path.write_bytes(bytes(changed))
+        with pytest.raises(SnapshotFormatError):
+            load_snapshot(path)
+    payload = bytearray(blob)
+    payload[SNAPSHOT_HEADER_BYTES] ^= 0x01  # the first text value's lowest mantissa bit
+    path.write_bytes(bytes(payload))
+    with pytest.raises(SnapshotFormatError, match="checksum"):
+        load_snapshot(path)
+
+
+def test_version_1_snapshot_loads_unchecked(snapshot, tmp_path):
+    v2 = tmp_path / "v2.hsrc"
+    save_snapshot(snapshot, v2)
+    blob = bytearray(v2.read_bytes()[:-4])
+    struct.pack_into("<I", blob, 4, 1)
+    v1 = tmp_path / "v1.hsrc"
+    v1.write_bytes(bytes(blob))
+    a, b = load_snapshot(v2), load_snapshot(v1)
+    for name, arr in a.tables.parameter_arrays().items():
+        assert arr.tobytes() == b.tables.parameter_arrays()[name].tobytes(), name
+    q = np.random.default_rng(0).standard_normal(snapshot.tables.dim)
+    from hsrec.softmax import score_all
+
+    assert score_all(q, a.tables, a.cluster_map).tobytes() == score_all(q, b.tables, b.cluster_map).tobytes()
+    # Saving always writes version 2; a version-1 file has no checksum to fail.
+    save_snapshot(b, tmp_path / "again.hsrc")
+    assert (tmp_path / "again.hsrc").read_bytes() == v2.read_bytes()
+    blob[SNAPSHOT_HEADER_BYTES] ^= 0x01
+    v1.write_bytes(bytes(blob))
+    load_snapshot(v1)
+
+
 @pytest.mark.parametrize("last_byte", [b"\xff", b" "])
 def test_corrupt_metadata_trailer_rejected(snapshot, tmp_path, last_byte):
-    # The trailer's closing brace is the file's last byte: 0xff is never valid
-    # UTF-8, and a space leaves the JSON object unclosed.
+    # The trailer's closing brace is the last byte before the checksum: 0xff is
+    # never valid UTF-8, and a space leaves the JSON object unclosed.
     path = tmp_path / "model.hsrc"
     save_snapshot(snapshot, path)
-    blob = path.read_bytes()
+    blob = path.read_bytes()[:-4]
     assert blob.endswith(b"}")
-    path.write_bytes(blob[:-1] + last_byte)
+    path.write_bytes(seal_snapshot(blob[:-1] + last_byte))
     with pytest.raises(SnapshotFormatError, match="UTF-8 JSON"):
         load_snapshot(path)
 

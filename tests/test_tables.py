@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 from helpers import random_model
 
+from hsrec.exceptions import StaleIndexError
+from hsrec.inference import build_additive_index, topk_ann
 from hsrec.tables import (
+    INIT_ROWS,
     EmbeddingTable,
+    ModelTables,
     ProjectionHead,
     init_tables,
     item_parameter_count,
@@ -81,6 +85,18 @@ def test_init_tables_seeded_and_scaled():
     assert t1.text.precision == "f32"
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_tables_item_draw_equals_the_one_shot_draw(dtype):
+    n_text, n_items, dim, item_dim = 7, 2 * INIT_ROWS + 37, 5, 3
+    tables = init_tables(n_text, n_items, dim, item_dim, seed=11, dtype=dtype)
+    rng = np.random.default_rng(11)
+    text = rng.uniform(-1 / np.sqrt(dim), 1 / np.sqrt(dim), size=(n_text, dim))
+    item_raw = rng.uniform(-1 / np.sqrt(item_dim), 1 / np.sqrt(item_dim), size=(n_items, item_dim))
+    proj_w = rng.uniform(-1 / np.sqrt(item_dim), 1 / np.sqrt(item_dim), size=(dim, item_dim))
+    for got, want in ((tables.text.data, text), (tables.item_raw.data, item_raw), (tables.projection.weight, proj_w)):
+        assert got.dtype == dtype and got.tobytes() == want.astype(dtype).tobytes()
+
+
 def test_item_parameter_count_headline():
     assert item_parameter_count(1_000_000, 500) == 5.0e8
     counts = parameter_counts(1000, 1_000_000, 64, 500, 1000)
@@ -135,7 +151,7 @@ def test_copies_of_the_tables_drop_the_first_level_rows(clone):
     tables, _, _ = random_model(4, 9, 5, 3, 3, seed=3)
     rows = tables.first_level_rows()
     copied = clone(tables)
-    assert copied._first_level is None  # not a copy of the cached array, which would be writable
+    assert copied._derived == {}  # not a copy of the cached array, which would be writable
     again = copied.first_level_rows()
     assert again is not rows and not again.flags.writeable
     assert np.array_equal(again, rows)
@@ -162,3 +178,44 @@ def test_writer_that_raises_still_locks_and_invalidates():
     assert np.array_equal(rows, rebuilt[cmap.item_order])
     rebuilt_first = tables.first_level_rows()
     assert rebuilt_first is not first and rebuilt_first[0, 0] == 2.0
+
+
+def _raising_write(tables):
+    with pytest.raises(RuntimeError, match="midway"):
+        with tables.writing() as arrays:
+            arrays["centroids"][0] += 1.0
+            raise RuntimeError("midway")
+    return tables
+
+
+def _write(tables):
+    with tables.writing() as arrays:
+        arrays["item_raw"][1] *= -2.0
+    return tables
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "change",
+    [_write, _raising_write, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+    ids=["write", "raising_write", "deepcopy", "pickle"],
+)
+def test_writes_and_copies_drop_the_additive_index(change, dtype):
+    tables, cmap, rng = random_model(4, 9, 5, 3, 3, seed=5, dtype=dtype)
+    bare = len(pickle.dumps(tables))
+    index = build_additive_index(tables, cmap)
+    assert len(pickle.dumps(tables)) == bare  # copies carry no derived copy
+    changed = change(tables)
+    rebuilt = build_additive_index(changed, cmap)
+    assert rebuilt is not index and not rebuilt.vectors.flags.writeable
+    assert rebuilt.tables_version == changed.version
+    fresh = ModelTables(changed.text, changed.item_raw, changed.projection, changed.centroids)
+    want = build_additive_index(fresh, cmap).vectors
+    assert (rebuilt.vectors.dtype, rebuilt.vectors.tobytes()) == (want.dtype, want.tobytes())
+    if changed is tables:
+        # A write moved the version on: the index held across it is stale.
+        with pytest.raises(StaleIndexError):
+            topk_ann(rng.standard_normal(5), 3, index, tables)
+        released = weakref.ref(index)
+        del index
+        assert released() is None  # the writer dropped its own reference
