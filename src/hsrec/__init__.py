@@ -16,9 +16,6 @@ from .catalog import (
 )
 from .cluster import (
     ClusterMap,
-    FrequencyClusters,
-    ItemKMeans,
-    RandomClusters,
     cluster_frequency,
     cluster_kmeans,
     cluster_random,

@@ -276,12 +276,7 @@ def cmd_ingest(opts: dict) -> int:
 
 
 def _load_features(opts: dict):
-    if not opts.get("features"):
-        return None
-    features = np.load(opts["features"])
-    if features.ndim != 2:
-        raise DataError(f"{opts['features']}: expected a 2-D (n_items, p) array")
-    return features
+    return np.load(opts["features"]) if opts.get("features") else None
 
 
 def cmd_cluster(opts: dict) -> int:

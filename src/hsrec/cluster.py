@@ -1,10 +1,11 @@
 """Partition the item catalog into clusters; text tokens are singleton clusters.
 
 Cluster ids are unified: text token ``v`` is cluster ``v`` (its own singleton),
-and item cluster ``j`` is cluster ``n_text + j``.  The item-side partition can
-come from k-means on item feature vectors, from train-frequency binning, or
-from a seeded random assignment; all three produce interchangeable
-``ClusterMap`` objects.
+and item cluster ``j`` is cluster ``n_text + j``.  The item-side partition
+comes from one of three label functions, each returning a ``ClusterMap``:
+``cluster_kmeans`` (k-means on item feature vectors), ``cluster_frequency``
+(train-frequency binning) and ``cluster_random`` (a seeded shuffle).
+``init_centroids`` turns a map into the centroid table as member means.
 """
 
 from __future__ import annotations
@@ -14,13 +15,16 @@ import math
 
 import numpy as np
 
-from .base import BaseEstimator
 from .tables import EmbeddingTable
 from .validation import check_array, check_random_state
 
 
 # User-item entries whose co-occurrence pairs are counted at a time.
 PAIR_ROWS = 1024
+
+# Lloyd rounds at most, and the relative centroid move that ends them early.
+MAX_ITER = 50
+TOL = 1e-4
 
 
 def default_n_clusters(n_items: int) -> int:
@@ -115,15 +119,21 @@ def _kmeans_pp_init(X: np.ndarray, n_clusters: int, rng: np.random.Generator) ->
     return centers
 
 
-def kmeans_fit(X: np.ndarray, n_clusters: int, seed=0, max_iter: int = 50, tol: float = 1e-4):
+def _sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``(n, k)`` squared distances via the expansion ||x||^2 - 2<x,c> + ||c||^2."""
+    return np.sum(X**2, axis=1)[:, None] - 2.0 * (X @ centers.T) + np.sum(centers**2, axis=1)[None, :]
+
+
+def kmeans_fit(X: np.ndarray, n_clusters: int, seed=0):
     """Lloyd iterations with k-means++ seeding.
 
     Deterministic given the seed.  An empty cluster is reseeded to the point
-    farthest from that cluster's previous centroid.  Stops after ``max_iter``
-    rounds or when the largest centroid move falls below ``tol`` relative to
-    the largest centroid norm.
+    farthest from that cluster's previous centroid.  Stops after ``MAX_ITER``
+    rounds or when the largest centroid move falls below ``TOL`` relative to
+    the largest centroid norm.  Every cluster of the returned labels is
+    non-empty.
 
-    Returns (labels, centers, inertia, n_iter).
+    Returns (labels, centers, inertia).
     """
     X = check_array(X, dtype=np.float64, name="item_vectors")
     n = X.shape[0]
@@ -131,16 +141,8 @@ def kmeans_fit(X: np.ndarray, n_clusters: int, seed=0, max_iter: int = 50, tol: 
         raise ValueError(f"n_clusters must be in [1, {n}], got {n_clusters}")
     rng = check_random_state(seed)
     centers = _kmeans_pp_init(X, n_clusters, rng)
-    labels = np.zeros(n, dtype=np.int64)
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        # Squared distances via the expansion ||x||^2 - 2<x,c> + ||c||^2.
-        d2 = (
-            np.sum(X**2, axis=1)[:, None]
-            - 2.0 * (X @ centers.T)
-            + np.sum(centers**2, axis=1)[None, :]
-        )
-        labels = np.argmin(d2, axis=1)
+    for _ in range(MAX_ITER):
+        labels = np.argmin(_sq_dists(X, centers), axis=1)
         new_centers = centers.copy()
         counts = np.bincount(labels, minlength=n_clusters)
         sums = np.zeros_like(centers)
@@ -153,14 +155,9 @@ def kmeans_fit(X: np.ndarray, n_clusters: int, seed=0, max_iter: int = 50, tol: 
         shift = np.max(np.linalg.norm(new_centers - centers, axis=1))
         scale = max(np.max(np.linalg.norm(centers, axis=1)), 1e-12)
         centers = new_centers
-        if shift / scale < tol:
+        if shift / scale < TOL:
             break
-    d2 = (
-        np.sum(X**2, axis=1)[:, None]
-        - 2.0 * (X @ centers.T)
-        + np.sum(centers**2, axis=1)[None, :]
-    )
-    labels = np.argmin(d2, axis=1)
+    labels = np.argmin(_sq_dists(X, centers), axis=1)
     # Duplicate points or centers can still leave a cluster unassigned; force
     # the farthest point into each so every cluster is non-empty.
     counts = np.bincount(labels, minlength=n_clusters)
@@ -173,9 +170,8 @@ def kmeans_fit(X: np.ndarray, n_clusters: int, seed=0, max_iter: int = 50, tol: 
         labels[far] = j
         counts[j] += 1
         centers[j] = X[far]
-    d2_own = np.sum((X - centers[labels]) ** 2, axis=1)
-    inertia = float(np.sum(d2_own))
-    return labels, centers, inertia, n_iter
+    inertia = float(np.sum(np.sum((X - centers[labels]) ** 2, axis=1)))
+    return labels, centers, inertia
 
 
 def _contiguous_bins(order: np.ndarray, n_clusters: int) -> np.ndarray:
@@ -183,124 +179,54 @@ def _contiguous_bins(order: np.ndarray, n_clusters: int) -> np.ndarray:
     n = order.size
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must be in [1, {n}], got {n_clusters}")
-    labels = np.empty(n, dtype=np.int64)
     base, extra = divmod(n, n_clusters)
-    start = 0
-    for j in range(n_clusters):
-        size = base + (1 if j < extra else 0)
-        labels[order[start : start + size]] = j
-        start += size
+    sizes = base + (np.arange(n_clusters) < extra)
+    labels = np.empty(n, dtype=np.int64)
+    labels[order] = np.repeat(np.arange(n_clusters), sizes)
     return labels
 
 
-class ItemKMeans(BaseEstimator):
-    """k-means over item feature vectors (k-means++ seeding, Lloyd updates)."""
-
-    def __init__(self, n_clusters=None, seed=0, max_iter=50, tol=1e-4):
-        self.n_clusters = n_clusters
-        self.seed = seed
-        self.max_iter = max_iter
-        self.tol = tol
-
-    def fit(self, X):
-        X = check_array(X, dtype=np.float64, name="X")
-        n_clusters = self.n_clusters or default_n_clusters(X.shape[0])
-        labels, centers, inertia, n_iter = kmeans_fit(
-            X, n_clusters, seed=self.seed, max_iter=self.max_iter, tol=self.tol
-        )
-        self.labels_ = labels
-        self.cluster_centers_ = centers
-        self.inertia_ = inertia
-        self.n_iter_ = n_iter
-        return self
-
-    def fit_predict(self, X):
-        return self.fit(X).labels_
-
-
-class FrequencyClusters(BaseEstimator):
-    """Items sorted by (count desc, index asc), sliced into near-equal bins."""
-
-    def __init__(self, n_clusters=None):
-        self.n_clusters = n_clusters
-
-    def fit(self, counts):
-        counts = np.ascontiguousarray(counts, dtype=np.int64)
-        if counts.ndim != 1:
-            raise ValueError("counts must be a 1-D array covering every item")
-        n_clusters = self.n_clusters or default_n_clusters(counts.size)
-        order = np.lexsort((np.arange(counts.size), -counts))
-        self.labels_ = _contiguous_bins(order, n_clusters)
-        return self
-
-    def fit_predict(self, counts):
-        return self.fit(counts).labels_
-
-
-class RandomClusters(BaseEstimator):
-    """Seeded shuffle then near-equal contiguous slicing."""
-
-    def __init__(self, n_clusters=None, seed=0):
-        self.n_clusters = n_clusters
-        self.seed = seed
-
-    def fit(self, n_items):
-        if np.ndim(n_items) > 0:
-            n_items = len(n_items)
-        n_items = int(n_items)
-        if n_items < 1:
-            raise ValueError("need at least one item")
-        n_clusters = self.n_clusters or default_n_clusters(n_items)
-        rng = check_random_state(self.seed)
-        order = rng.permutation(n_items)
-        self.labels_ = _contiguous_bins(order, n_clusters)
-        return self
-
-    def fit_predict(self, n_items):
-        return self.fit(n_items).labels_
-
-
 def cluster_kmeans(item_vectors, n_clusters=None, seed=0, n_text=0) -> ClusterMap:
-    est = ItemKMeans(n_clusters=n_clusters, seed=seed).fit(item_vectors)
-    n = est.labels_.max() + 1 if est.labels_.size else 0
-    return ClusterMap(n_text, est.labels_, max(n, est.cluster_centers_.shape[0]))
+    """k-means over item feature vectors (k-means++ seeding, Lloyd updates)."""
+    n_clusters = n_clusters or default_n_clusters(len(item_vectors))
+    labels, _, _ = kmeans_fit(item_vectors, n_clusters, seed=seed)
+    return ClusterMap(n_text, labels, n_clusters)
 
 
 def cluster_frequency(train_counts, n_clusters=None, n_text=0) -> ClusterMap:
-    est = FrequencyClusters(n_clusters=n_clusters).fit(train_counts)
-    return ClusterMap(n_text, est.labels_, int(est.labels_.max()) + 1)
+    """Items sorted by (count desc, index asc), sliced into near-equal bins."""
+    counts = np.ascontiguousarray(train_counts, dtype=np.int64)
+    if counts.ndim != 1:
+        raise ValueError("counts must be a 1-D array covering every item")
+    n_clusters = n_clusters or default_n_clusters(counts.size)
+    order = np.lexsort((np.arange(counts.size), -counts))
+    return ClusterMap(n_text, _contiguous_bins(order, n_clusters), n_clusters)
 
 
-def cluster_random(n_items, n_clusters=None, seed=0, n_text=0) -> ClusterMap:
-    est = RandomClusters(n_clusters=n_clusters, seed=seed).fit(n_items)
-    return ClusterMap(n_text, est.labels_, int(est.labels_.max()) + 1)
+def cluster_random(n_items: int, n_clusters=None, seed=0, n_text=0) -> ClusterMap:
+    """Seeded shuffle then near-equal contiguous slicing."""
+    if n_items < 1:
+        raise ValueError("need at least one item")
+    n_clusters = n_clusters or default_n_clusters(n_items)
+    order = check_random_state(seed).permutation(n_items)
+    return ClusterMap(n_text, _contiguous_bins(order, n_clusters), n_clusters)
 
 
-def init_centroids(
-    cluster_map: ClusterMap,
-    item_projected: np.ndarray,
-    seed=None,
-    random_init: bool = False,
-) -> EmbeddingTable:
-    """Item-cluster centroid table: member means by default, random if asked.
+def init_centroids(cluster_map: ClusterMap, item_projected: np.ndarray) -> EmbeddingTable:
+    """Item-cluster centroid table: the mean of each cluster's projected member rows.
 
-    Text singleton clusters have no row here; their centroid *is* the text
-    embedding row (shared parameter), so a gradient step on either view moves
-    the other.
+    Each mean is a float64 sum over the members in ascending item order, cast
+    back to the rows' dtype.  Text singleton clusters have no row here; their
+    centroid *is* the text embedding row (shared parameter), so a gradient
+    step on either view moves the other.
     """
     item_projected = np.asarray(item_projected)
-    dim = item_projected.shape[1]
-    dtype = item_projected.dtype
-    out = np.zeros((cluster_map.n_item_clusters, dim), dtype=dtype)
-    if random_init:
-        rng = check_random_state(seed)
-        scale = 1.0 / np.sqrt(dim)
-        out[:] = rng.uniform(-scale, scale, size=out.shape).astype(dtype)
-    else:
-        for j in range(cluster_map.n_item_clusters):
-            members = cluster_map.item_members(j)
-            out[j] = item_projected[members].mean(axis=0, dtype=np.float64).astype(dtype)
-    return EmbeddingTable(out)
+    k, width = cluster_map.n_item_clusters, item_projected.shape[1]
+    # One float64 running sum per (cluster, column) cell, from 0.0, in item order.
+    cells = (cluster_map.item_assignment[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(cells, weights=item_projected.ravel(), minlength=k * width)
+    means = sums.reshape(k, width) / cluster_map.cluster_sizes()[:, None]
+    return EmbeddingTable(means.astype(item_projected.dtype))
 
 
 def cooccurrence_counts(split, n_items: int) -> np.ndarray:

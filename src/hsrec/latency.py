@@ -56,13 +56,11 @@ class DeploymentProfile:
 
     name: str
     decode_ms: float
-    prefill_slope_ms: Fraction | float | None = None
+    prefill_slope_ms: Fraction | float
 
     def __post_init__(self):
         if self.decode_ms < 0:
             raise ValueError("decode_ms must be >= 0")
-        if self.prefill_slope_ms is None:
-            raise ValueError("prefill_slope_ms is required")
         if self.prefill_slope_ms < 0:
             raise ValueError("prefill slope must be >= 0")
 

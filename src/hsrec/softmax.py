@@ -306,7 +306,6 @@ def nll_and_grad(
         raise ValueError(f"target ordinal {target} out of range")
     if grads is None:
         grads = GradBuffer(tables)
-    grads.n_examples += 1
     n_text = tables.n_text
 
     if mode == "full":
@@ -381,7 +380,6 @@ def nll_and_grad_batch(
         raise ValueError("target ordinal out of range")
     if grads is None:
         grads = GradBuffer(tables)
-    grads.n_examples += t.size
     n_text = tables.n_text
     is_item = t >= n_text
     if mode == "full":

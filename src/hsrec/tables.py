@@ -402,7 +402,6 @@ class GradBuffer:
                 name: np.zeros_like(arr, dtype=np.float64)
                 for name, arr in encoder.parameter_arrays().items()
             }
-        self.n_examples = 0
 
     def add_item_rows(self, rows: np.ndarray, d_proj: np.ndarray) -> None:
         """Gradient ``d_proj`` (one row each) on the projected rows of ascending, distinct ``rows``."""

@@ -91,7 +91,8 @@ def build_cluster_map(
     """Item-side clustering per the chosen method, text singletons attached.
 
     k-means features default to SVD of the train co-occurrence matrix; any
-    (n_items, p) matrix can be passed instead.
+    finite real (n_items, p) matrix can be passed instead, and any other is a
+    :class:`DataError`.
     """
     n_text = len(data.vocab)
     n_items = data.n_items
@@ -99,6 +100,10 @@ def build_cluster_map(
     if clustering == "kmeans":
         if features is None:
             features = cooccurrence_svd_features(data.split, n_items)
+        elif np.ndim(features) != 2 or len(features) != n_items:
+            raise DataError(f"features must have shape ({n_items}, p), got {np.shape(features)}")
+        elif np.asarray(features).dtype.kind not in "biuf" or not np.isfinite(features).all():
+            raise DataError("features must be real numbers, none of them NaN or Inf")
         return cluster_kmeans(features, n_clusters, seed=seed, n_text=n_text)
     if clustering == "frequency":
         return cluster_frequency(data.train_item_counts, n_clusters, n_text=n_text)
@@ -337,7 +342,7 @@ class SequenceRecommender(BaseEstimator):
         return self
 
     def predict(self, histories, k: int = 10):
-        """Top-k item IDs for each history of known external item IDs.
+        """Top-k item IDs for each non-empty history of known external item IDs.
 
         Histories are encoded and scored ``EVAL_BLOCK`` at a time: every
         item's exact log-probability under the model's softmax mode
@@ -352,6 +357,8 @@ class SequenceRecommender(BaseEstimator):
         tables = snapshot.tables
         seqs = []
         for history in histories:
+            if len(history) == 0:
+                raise DataError("history must be non-empty")
             try:
                 indices = tuple(data.catalog.index_of(i) for i in history)
             except KeyError as exc:

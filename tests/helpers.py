@@ -1,6 +1,7 @@
 """Shared fixtures: random models, parameter flattening, finite differences,
 snapshot byte surgery, and the oracles the array-form paths are tested
-against: top-k selection and co-occurrence counting."""
+against: top-k selection, co-occurrence counting, cluster binning and
+centroid means."""
 
 import heapq
 import json
@@ -239,3 +240,26 @@ def cooccurrence_counts_per_user(split, n_items):
         items = np.unique([e.item_index for e in events])
         cooc[np.ix_(items, items)] += 1.0
     return cooc
+
+
+def contiguous_bins_loop(order, n_clusters):
+    """Bin labels one cluster at a time: the oracle for
+    ``cluster._contiguous_bins``."""
+    labels = np.empty(order.size, dtype=np.int64)
+    base, extra = divmod(order.size, n_clusters)
+    start = 0
+    for j in range(n_clusters):
+        size = base + (1 if j < extra else 0)
+        labels[order[start : start + size]] = j
+        start += size
+    return labels
+
+
+def init_centroids_loop(cluster_map, item_projected):
+    """Member means one cluster at a time: the oracle for
+    ``cluster.init_centroids``."""
+    out = np.zeros((cluster_map.n_item_clusters, item_projected.shape[1]), dtype=item_projected.dtype)
+    for j in range(cluster_map.n_item_clusters):
+        members = cluster_map.item_members(j)
+        out[j] = item_projected[members].mean(axis=0, dtype=np.float64).astype(item_projected.dtype)
+    return out

@@ -261,6 +261,32 @@ def test_cluster_accepts_feature_file(corpus, tmp_path):
     assert (tmp_path / "clusters.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["cluster", "train"])
+@pytest.mark.parametrize("case", ["short", "long", "nan", "text"])
+def test_feature_file_that_does_not_fit_the_corpus_is_data_error(corpus, tmp_path, capsys, command, case):
+    import numpy as np
+
+    rows = {"short": 13, "long": 21}.get(case, 16)  # the corpus has 16 items
+    features = np.random.default_rng(0).standard_normal((rows, 3))
+    if case == "nan":
+        features[5, 1] = np.nan
+    if case == "text":
+        features = features.astype(str)
+    np.save(tmp_path / "feats.npy", features)
+    argv = [command, "--data", corpus, "--clusters", "kmeans", "--features", tmp_path / "feats.npy",
+            "--out-dir", tmp_path]
+    if command == "train":
+        argv += ["--steps", 1, "--dim", 8, "--item-dim", 6, "--eval-every", 0]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    trailer = json.loads(err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "data" and trailer["error"]["code"] == 2
+    assert ("real numbers" if rows == 16 else f"({rows}, 3)") in trailer["error"]["message"]
+    assert not (tmp_path / "clusters.csv").exists() and not (tmp_path / "snapshot.hsrc").exists()
+
+
 def test_latency_dataset_table(corpus, tmp_path):
     code = run(
         ["latency", "--data", corpus, "--profile", "mistral7b", "--encoder", "title",

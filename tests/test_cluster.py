@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from hsrec import cluster as cluster_module
+from helpers import contiguous_bins_loop, init_centroids_loop, random_cluster_map
 from hsrec.cluster import (
     ClusterMap,
-    FrequencyClusters,
-    ItemKMeans,
-    RandomClusters,
+    _contiguous_bins,
     cluster_frequency,
     cluster_kmeans,
     cluster_random,
@@ -41,7 +40,7 @@ def test_two_separated_blobs():
     blob_a = rng.normal(0.0, 0.1, size=(20, 2))
     blob_b = rng.normal(10.0, 0.1, size=(20, 2))
     X = np.vstack([blob_a, blob_b])
-    labels, _, _, _ = kmeans_fit(X, 2, seed=1)
+    labels, _, _ = kmeans_fit(X, 2, seed=1)
     assert len(set(labels[:20])) == 1
     assert len(set(labels[20:])) == 1
     assert labels[0] != labels[-1]
@@ -56,7 +55,7 @@ def test_one_dimensional_known_optimum():
     # Oracle computed first: enumerate every 2-partition of {0, 1, 10, 11}.
     points = np.array([[0.0], [1.0], [10.0], [11.0]])
     oracle = brute_force_two_partition_objective(points)
-    labels, _, inertia, _ = kmeans_fit(points, 2, seed=0)
+    labels, _, inertia = kmeans_fit(points, 2, seed=0)
     assert labels[0] == labels[1] and labels[2] == labels[3] and labels[0] != labels[2]
     assert inertia == pytest.approx(oracle, rel=1e-12)
 
@@ -64,10 +63,14 @@ def test_one_dimensional_known_optimum():
 def test_kmeans_deterministic_given_seed():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((60, 5))
-    a = ItemKMeans(n_clusters=7, seed=123).fit(X)
-    b = ItemKMeans(n_clusters=7, seed=123).fit(X)
-    assert np.array_equal(a.labels_, b.labels_)
-    assert np.array_equal(a.cluster_centers_, b.cluster_centers_)
+    labels_a, centers_a, inertia_a = kmeans_fit(X, 7, seed=123)
+    labels_b, centers_b, inertia_b = kmeans_fit(X, 7, seed=123)
+    assert np.array_equal(labels_a, labels_b)
+    assert np.array_equal(centers_a, centers_b)
+    assert inertia_a == inertia_b
+    cmap = cluster_kmeans(X, 7, seed=123)
+    assert np.array_equal(cmap.item_assignment, labels_a) and cmap.n_item_clusters == 7
+    assert cluster_kmeans(X, seed=123).n_item_clusters == default_n_clusters(60)
 
 
 def test_kmeans_too_many_clusters_errors():
@@ -78,7 +81,7 @@ def test_kmeans_too_many_clusters_errors():
 def test_kmeans_handles_duplicate_points():
     X = np.zeros((10, 2))
     X[5:] = 1.0
-    labels, _, _, _ = kmeans_fit(X, 3, seed=0)
+    labels, _, _ = kmeans_fit(X, 3, seed=0)
     assert np.bincount(labels, minlength=3).min() >= 1
 
 
@@ -90,24 +93,24 @@ def test_frequency_groups_similar_counts():
 
 
 def test_frequency_near_equal_bins():
-    labels = FrequencyClusters(n_clusters=3).fit_predict(np.arange(10))
-    sizes = sorted(np.bincount(labels), reverse=True)
-    assert sizes == [4, 3, 3]
+    sizes = cluster_frequency(np.arange(10), n_clusters=3).cluster_sizes()
+    assert sorted(sizes, reverse=True) == [4, 3, 3]
 
 
 def test_frequency_equal_counts_ordinal_tiebreak():
-    a = FrequencyClusters(n_clusters=2).fit_predict(np.full(6, 5))
-    b = FrequencyClusters(n_clusters=2).fit_predict(np.full(6, 5))
+    a = cluster_frequency(np.full(6, 5), n_clusters=2).item_assignment
+    b = cluster_frequency(np.full(6, 5), n_clusters=2).item_assignment
     assert np.array_equal(a, b)
     # Count-descending with index tie-break: lowest indices land first.
     assert np.array_equal(a, [0, 0, 0, 1, 1, 1])
 
 
 def test_random_deterministic_and_balanced():
-    a = RandomClusters(n_clusters=4, seed=11).fit_predict(10)
-    b = RandomClusters(n_clusters=4, seed=11).fit_predict(10)
-    assert np.array_equal(a, b)
-    sizes = np.bincount(a, minlength=4)
+    a = cluster_random(10, n_clusters=4, seed=11)
+    b = cluster_random(10, n_clusters=4, seed=11)
+    assert np.array_equal(a.item_assignment, b.item_assignment)
+    sizes = a.cluster_sizes()
+    assert sizes.size == 4
     assert sizes.max() - sizes.min() <= 1
 
 
@@ -117,7 +120,7 @@ def test_random_cluster_uniformity_monte_carlo():
     n_items, n_clusters, n_seeds = 12, 3, 1000
     hits = np.zeros((n_items, n_clusters))
     for seed in range(n_seeds):
-        labels = RandomClusters(n_clusters=n_clusters, seed=seed).fit_predict(n_items)
+        labels = cluster_random(n_items, n_clusters=n_clusters, seed=seed).item_assignment
         hits[np.arange(n_items), labels] += 1
     p = 1.0 / n_clusters
     sigma = np.sqrt(n_seeds * p * (1 - p))
@@ -171,13 +174,30 @@ def test_init_centroids_means():
     assert np.array_equal(table.data[1], (vecs[1] + vecs[2]) / 2)
 
 
-def test_init_centroids_random_mode_seeded():
-    cmap = ClusterMap(0, [0, 1, 0, 1], 2)
-    vecs = np.ones((4, 3))
-    a = init_centroids(cmap, vecs, seed=3, random_init=True)
-    b = init_centroids(cmap, vecs, seed=3, random_init=True)
-    assert np.array_equal(a.data, b.data)
-    assert not np.array_equal(a.data, init_centroids(cmap, vecs).data)
+# (n_items, n_clusters): catalog-10k's shape, n = n_clusters, one cluster,
+# unequal bin sizes.
+BIN_SHAPES = [(8578, 93), (7, 7), (1, 1), (9, 1), (10, 3), (11, 4)]
+
+
+@pytest.mark.parametrize("n_items, n_clusters", BIN_SHAPES)
+def test_contiguous_bins_equal_the_loop(n_items, n_clusters):
+    order = np.random.default_rng(n_items).permutation(n_items)
+    got = _contiguous_bins(order, n_clusters)
+    assert got.dtype == np.int64 and got.tobytes() == contiguous_bins_loop(order, n_clusters).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_items, n_clusters, width", [(8578, 93, 64), (7, 7, 5), (9, 1, 5), (40, 6, 3)])
+def test_init_centroids_equal_the_loop(dtype, n_items, n_clusters, width):
+    rng = np.random.default_rng(n_items + width)
+    rows = (rng.standard_normal((n_items, width)) * 3.0).astype(dtype)
+    rows[:, 0] = -0.0  # the loop's sums start at +0.0: these means are +0.0
+    rows[rng.random(rows.shape) < 0.1] = -0.0
+    # Random labels: unequal cluster sizes, clusters interleaved in item order.
+    cmap = random_cluster_map(0, n_items, n_clusters, rng)
+    got = init_centroids(cmap, rows).data
+    want = init_centroids_loop(cmap, rows)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_cluster_map_rejects_empty_cluster():

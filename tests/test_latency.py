@@ -100,7 +100,7 @@ def test_total_latency_monotonicity():
 def test_profile_validation():
     with pytest.raises(ValueError):
         DeploymentProfile("bad", decode_ms=-1, prefill_slope_ms=Fraction(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         DeploymentProfile("bad", decode_ms=1.0)
 
 

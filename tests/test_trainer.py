@@ -5,7 +5,7 @@ from helpers import synth_dataset
 from hsrec.catalog import ItemRecord, SequenceExample
 from hsrec.encoder import encode
 from hsrec.evaluate import EVAL_BLOCK, popularity_baseline
-from hsrec.exceptions import TrainingDivergedError
+from hsrec.exceptions import DataError, TrainingDivergedError
 from hsrec.inference import topk_items
 from hsrec.render import render_example, render_id_only
 from hsrec.softmax import score_all
@@ -207,6 +207,17 @@ def test_predict_equals_per_history_oracle(tmp_path, mode):
     assert 3 * len(histories) > EVAL_BLOCK
     assert est.predict(3 * histories, k=5) == 3 * want
     assert est.predict([], k=5) == []
+
+
+def test_predict_rejects_empty_and_unknown_histories(tmp_path):
+    data, _ = synth_dataset(tmp_path, n_users=60, n_items=16, n_groups=4, seed=2)
+    est = SequenceRecommender(dim=8, item_dim=8, max_steps=2, batch_size=8, eval_every=0, seed=0, n_clusters=4)
+    est.fit(data)
+    known = data.catalog[0].item_id
+    with pytest.raises(DataError, match="history must be non-empty"):
+        est.predict([[known], []], k=5)
+    with pytest.raises(DataError, match="unknown item id"):
+        est.predict([[known, "no-such-item"]], k=5)
 
 
 def _plant_after_finalize(monkeypatch, plant):
