@@ -276,7 +276,14 @@ def cmd_ingest(opts: dict) -> int:
 
 
 def _load_features(opts: dict):
-    return np.load(opts["features"]) if opts.get("features") else None
+    """The ``--features`` array, or None; a file numpy cannot read as a plain
+    array (not ``.npy``, pickled objects, empty or truncated) is a data error."""
+    if not opts.get("features"):
+        return None
+    try:
+        return np.load(opts["features"])
+    except (ValueError, EOFError) as exc:
+        raise DataError(f"--features {opts['features']}: {exc}") from None
 
 
 def cmd_cluster(opts: dict) -> int:

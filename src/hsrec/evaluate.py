@@ -98,12 +98,6 @@ def rank_rows(item_scores: np.ndarray, target_items, exclude=None) -> np.ndarray
     return higher + tied_before + 1
 
 
-def rank_from_scores(item_scores: np.ndarray, target_item: int, exclude=None) -> int:
-    """One-row form of :func:`rank_rows`: the target's 1-based rank among ``item_scores``."""
-    rows = np.asarray(item_scores)[None, :]
-    return int(rank_rows(rows, [target_item], [exclude] if exclude else None)[0])
-
-
 def target_ranks(
     snapshot: ModelSnapshot,
     data: Dataset,

@@ -10,14 +10,16 @@ Three engines:
                         stops once the current K-th best candidate beats the
                         next unexpanded cluster.  Output is identical to
                         ``topk_exact`` including tie-breaks.
-* ``topk_ann``        — maximum-inner-product search over an additive index
-                        whose row for token w is centroid(cluster(w)) + e_w.
-                        Dropping the per-cluster log-partition term makes this
-                        approximate; scores are raw dot products, not
-                        probabilities.  The index is a derived copy of the
-                        tables (``build_additive_index``): built once per
+* ``topk_ann``        — maximum-inner-product search over additive rows
+                        centroid(cluster(w)) + e_w.  Dropping the per-cluster
+                        log-partition term makes this approximate; scores are
+                        raw dot products, not probabilities.  The additive
+                        index (``build_additive_index``) holds the item rows
+                        only, a derived copy of the tables built once per
                         table version and cluster map and shared, read-only,
                         by served queries, evaluation and ``hsrec bench``.
+                        A text token is its own centroid, so its row is
+                        2·e_w and its score is twice its first-level logit.
 
 Item-only paths serve recommendations, and they search nothing: a dense
 vector of item scores goes to one selection.  ``topk_items`` scores every
@@ -197,28 +199,34 @@ def topk_structure(query, k: int, tables: ModelTables, cluster_map: ClusterMap):
 
 @dataclass(frozen=True)
 class AdditiveIndex:
-    """MIPS index over centroid-plus-token vectors, stamped with the table version.
+    """MIPS index over the item rows centroid(cluster(w)) + e_w, stamped
+    with the table version.
 
-    One index per table version and cluster map is shared by every caller,
-    so it is immutable: the dataclass is frozen and ``vectors`` read-only.
+    Row ``i`` of ``vectors`` is item ``i``'s, unified ordinal ``n_text + i``.
+    Text rows are not stored: a text token's row would be exactly twice its
+    embedding, which the first-level copy (``tables.first_level_rows()``)
+    already holds, so ``topk_ann`` scores text tokens from that copy.  One
+    index per table version and cluster map is shared by every caller, so it
+    is immutable: the dataclass is frozen and ``vectors`` read-only.
     """
 
-    vectors: np.ndarray  # (n_total, d), read-only
+    vectors: np.ndarray  # (n_items, d), read-only
     tables_version: int
     n_text: int
     cluster_map: ClusterMap = field(repr=False)
 
     @property
     def n_total(self) -> int:
-        return self.vectors.shape[0]
+        """Tokens the index ranks: the text tokens, then its item rows."""
+        return self.n_text + self.vectors.shape[0]
 
 
 def build_additive_index(tables: ModelTables, cluster_map: ClusterMap) -> AdditiveIndex:
     """The tables' current additive index for ``cluster_map``.
 
-    Index row for token w is centroid(cluster(w)) + e_w.  For a text token
-    the centroid aliases its own embedding, so the row is exactly twice the
-    embedding.  The index is a derived copy of the tables: built on the first
+    Row for item w is centroid(cluster(w)) + e_w, the projected item row plus
+    its cluster's centroid, computed in the tables' precision and widened to
+    float64.  The index is a derived copy of the tables: built on the first
     call in a table version, then the same object for every later call with
     that cluster map (served queries, ``evaluate``, ``hsrec bench``) until a
     write drops it.  An index held across a write is stale, and queries
@@ -228,18 +236,26 @@ def build_additive_index(tables: ModelTables, cluster_map: ClusterMap) -> Additi
 
 
 def _build_index(tables: ModelTables, cluster_map: ClusterMap) -> AdditiveIndex:
-    n_text = tables.n_text
-    vectors = np.empty((tables.n_total, tables.dim), dtype=np.float64)
+    vectors = np.empty((tables.n_items, tables.dim), dtype=np.float64)
     # Computed in the tables' precision, widened into ``vectors``: no temporary.
-    np.multiply(tables.text.data, 2.0, out=vectors[:n_text])
-    np.add(tables.item_projected(), tables.centroids.data[cluster_map.item_assignment], out=vectors[n_text:])
+    np.add(tables.item_projected(), tables.centroids.data[cluster_map.item_assignment], out=vectors)
     vectors.flags.writeable = False
     return AdditiveIndex(
         vectors=vectors,
         tables_version=tables.version,
-        n_text=n_text,
+        n_text=tables.n_text,
         cluster_map=cluster_map,
     )
+
+
+def _fresh_rows(index: AdditiveIndex, tables: ModelTables) -> np.ndarray:
+    """The index's item rows; an index older than the tables raises."""
+    if index.tables_version != tables.version:
+        raise StaleIndexError(
+            f"index built at tables version {index.tables_version}, "
+            f"tables are now at {tables.version}; rebuild the index"
+        )
+    return index.vectors
 
 
 def ann_item_scores(query, index: AdditiveIndex, tables: ModelTables) -> np.ndarray:
@@ -249,12 +265,7 @@ def ann_item_scores(query, index: AdditiveIndex, tables: ModelTables) -> np.ndar
     A single query takes an ``einsum`` row product, not a GEMV: a GEMV can
     round equal rows differently by where they sit, and equal item rows must
     score equal so that their ties break by ascending ordinal."""
-    if index.tables_version != tables.version:
-        raise StaleIndexError(
-            f"index built at tables version {index.tables_version}, "
-            f"tables are now at {tables.version}; rebuild the index"
-        )
-    items = index.vectors[index.n_text :]
+    items = _fresh_rows(index, tables)
     if np.ndim(query) == 2:
         return _queries64(query) @ items.T
     return np.einsum("ij,j->i", items, _query64(query))
@@ -267,33 +278,39 @@ def topk_ann(
     tables: ModelTables,
     probes: int | None = None,
 ) -> TopK:
-    """Top-k by inner product over the additive index.
+    """Top-k by inner product over the text tokens and the additive index.
 
     Exact brute-force MIPS by default, so any deviation from ``topk_exact``
     is attributable to the dropped log-partition term alone.  ``probes``
-    enables the approximate mode: only the ``probes`` item clusters with the
-    highest centroid scores are scanned (text rows are always scanned).
-    Scores are additive dot products, not log-probabilities.
+    enables the approximate mode: only the item rows of the ``probes`` item
+    clusters with the highest centroid scores are scored (text tokens always
+    are).  Scores are additive dot products, not log-probabilities.
+
+    A text token's score is twice its first-level logit, the product over
+    the first-level copy's text rows that ``cluster_logits`` takes, doubled:
+    bitwise the product of its row 2·e_w, since doubling is exact.  Item rows, probed or not, take
+    ``ann_item_scores``' per-row ``einsum``, so a probed item scores bitwise
+    as the full scan and the item-only paths score it.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    item_scores = ann_item_scores(query, index, tables)
+    items = _fresh_rows(index, tables)
     q = _query64(query)
-    # Text rows are scored apart so that item scores are bitwise those of the
-    # item-only paths: one product over all rows can round a row differently.
-    scores = np.concatenate((index.vectors[: index.n_text] @ q, item_scores))
-    if probes is None:
-        return _rank_topk(scores, k)
-
-    cmap = index.cluster_map
-    probes = min(probes, cmap.n_item_clusters)
-    centroid_scores = tables.first_level_rows()[tables.n_text :] @ q
-    probe_clusters = np.lexsort((np.arange(centroid_scores.size), -centroid_scores))[:probes]
-    allowed = np.ones(index.n_total, dtype=bool)
-    allowed[index.n_text :] = np.isin(cmap.item_assignment, probe_clusters)
-    masked = np.where(allowed, scores, -np.inf)
-    picked = _rank_topk(masked, min(k, int(allowed.sum())))
-    return picked
+    n_text = index.n_text
+    first_level = tables.first_level_rows()
+    members = None
+    if probes is not None:
+        centroid_scores = first_level[n_text:] @ q
+        probed = np.lexsort((np.arange(centroid_scores.size), -centroid_scores))[:probes]
+        # Ascending item order, so ties still break by ascending ordinal.
+        members = np.isin(index.cluster_map.item_assignment, probed).nonzero()[0]
+        items = items[members]
+    scores = np.concatenate((2.0 * (first_level[:n_text] @ q), np.einsum("ij,j->i", items, q)))
+    top = _rank_topk(scores, k)
+    if members is None:
+        return top
+    ordinals = np.concatenate((np.arange(n_text), n_text + members))
+    return TopK(ordinals=ordinals[top.ordinals], scores=top.scores)
 
 
 def filter_items(topk: TopK, space: TokenSpace) -> TopK:

@@ -15,7 +15,9 @@ the projected item rows, their float64 copy in cluster order, the float64
 first-level rows (text rows, then centroids) that every two-level
 first-level product reads, so no query casts a float32 table again, and the
 additive ANN index (``inference.build_additive_index``), which serving and
-evaluation then share.
+evaluation then share.  The index holds the item rows alone: ANN scores for
+text tokens are read off the first-level copy, whose text rows are half of
+what the index's text rows would be.
 
 A training step accumulates into a :class:`GradBuffer`.  Item gradients
 arrive in two forms.  Projected-row gradients (the encoder inputs, full mode,

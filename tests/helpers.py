@@ -1,7 +1,7 @@
 """Shared fixtures: random models, parameter flattening, finite differences,
 snapshot byte surgery, and the oracles the array-form paths are tested
-against: top-k selection, co-occurrence counting, cluster binning and
-centroid means."""
+against: top-k selection, co-occurrence counting, cluster binning, centroid
+means and the full-layout additive index."""
 
 import heapq
 import json
@@ -13,7 +13,7 @@ import numpy as np
 from hsrec.cluster import ClusterMap
 from hsrec.encoder import EncoderParams
 from hsrec.inference import SearchStats, TopK
-from hsrec.softmax import _query64, cluster_logits, log_softmax, member_log_conditionals
+from hsrec.softmax import _queries64, _query64, cluster_logits, log_softmax, member_log_conditionals
 from hsrec.tables import EmbeddingTable, ModelTables, ProjectionHead
 
 
@@ -178,6 +178,47 @@ def rank_topk_reference(scores, k):
     n = scores.size
     order = np.lexsort((np.arange(n), -scores))[: min(k, n)]
     return TopK(ordinals=order.astype(np.int64), scores=scores[order])
+
+
+def additive_rows_full(tables, cluster_map):
+    """The additive index in its full layout, one float64 row per unified
+    ordinal: the text rows ``2 * text``, then the item rows ``projected +
+    centroid``, each computed in the tables' precision and widened."""
+    n_text = tables.n_text
+    rows = np.empty((tables.n_total, tables.dim), dtype=np.float64)
+    np.multiply(tables.text.data, 2.0, out=rows[:n_text])
+    np.add(tables.item_projected(), tables.centroids.data[cluster_map.item_assignment], out=rows[n_text:])
+    return rows
+
+
+def ann_scores_full(query, tables, cluster_map):
+    """ANN scores of every token over ``additive_rows_full``: one product
+    over the text rows, then the item rows as ``inference.ann_item_scores``
+    takes them (a per-row ``einsum`` for a ``(d,)`` query, one GEMM for a
+    ``(B, d)`` block, items only)."""
+    rows = additive_rows_full(tables, cluster_map)
+    items = rows[tables.n_text :]
+    if np.ndim(query) == 2:
+        return _queries64(query) @ items.T
+    q = _query64(query)
+    return np.concatenate((rows[: tables.n_text] @ q, np.einsum("ij,j->i", items, q)))
+
+
+def topk_ann_full(query, k, tables, cluster_map, probes=None):
+    """Top-k of ``ann_scores_full`` by one ``lexsort``, over the text tokens
+    and the members of the ``probes`` item clusters with the highest centroid
+    scores (every item cluster if ``probes`` is None): the oracle for
+    ``inference.topk_ann``."""
+    q = _query64(query)
+    scores = ann_scores_full(q, tables, cluster_map)
+    keep = np.ones(scores.size, dtype=bool)
+    if probes is not None:
+        centroid_scores = tables.centroids.data.astype(np.float64) @ q
+        probed = np.lexsort((np.arange(centroid_scores.size), -centroid_scores))[:probes]
+        keep[tables.n_text :] = np.isin(cluster_map.item_assignment, probed)
+    ordinals = keep.nonzero()[0]
+    top = rank_topk_reference(scores[ordinals], k)
+    return TopK(ordinals=ordinals[top.ordinals], scores=top.scores)
 
 
 def best_first_heap(query, k, tables, cluster_map):

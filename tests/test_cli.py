@@ -262,7 +262,7 @@ def test_cluster_accepts_feature_file(corpus, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["cluster", "train"])
-@pytest.mark.parametrize("case", ["short", "long", "nan", "text"])
+@pytest.mark.parametrize("case", ["short", "long", "nan", "text", "not_npy", "pickled", "empty"])
 def test_feature_file_that_does_not_fit_the_corpus_is_data_error(corpus, tmp_path, capsys, command, case):
     import numpy as np
 
@@ -272,7 +272,15 @@ def test_feature_file_that_does_not_fit_the_corpus_is_data_error(corpus, tmp_pat
         features[5, 1] = np.nan
     if case == "text":
         features = features.astype(str)
-    np.save(tmp_path / "feats.npy", features)
+    path = tmp_path / "feats.npy"
+    if case == "not_npy":
+        path.write_text("\n".join(" ".join(map(str, row)) for row in features))
+    elif case == "pickled":
+        np.save(path, np.array([{"row": i} for i in range(rows)], dtype=object), allow_pickle=True)
+    elif case == "empty":
+        path.write_bytes(b"")
+    else:
+        np.save(path, features)
     argv = [command, "--data", corpus, "--clusters", "kmeans", "--features", tmp_path / "feats.npy",
             "--out-dir", tmp_path]
     if command == "train":
@@ -283,7 +291,9 @@ def test_feature_file_that_does_not_fit_the_corpus_is_data_error(corpus, tmp_pat
     assert "Traceback" not in err
     trailer = json.loads(err.strip().splitlines()[-1])
     assert trailer["error"]["type"] == "data" and trailer["error"]["code"] == 2
-    assert ("real numbers" if rows == 16 else f"({rows}, 3)") in trailer["error"]["message"]
+    unreadable = case in ("not_npy", "pickled", "empty")
+    want = "feats.npy" if unreadable else "real numbers" if rows == 16 else f"({rows}, 3)"
+    assert want in trailer["error"]["message"]
     assert not (tmp_path / "clusters.csv").exists() and not (tmp_path / "snapshot.hsrc").exists()
 
 

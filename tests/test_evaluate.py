@@ -14,7 +14,6 @@ from hsrec.evaluate import (
     evaluate,
     metrics_from_ranks,
     popularity_baseline,
-    rank_from_scores,
     rank_rows,
     report_csv_row,
     target_ranks,
@@ -68,28 +67,25 @@ def test_random_scorer_expected_recall():
     # Expected Recall@10 for a uniform random scorer over n items is 10/n.
     rng = np.random.default_rng(1)
     n_items, n_users = 50, 4000
-    hits = 0
-    for _ in range(n_users):
-        scores = rng.standard_normal(n_items)
-        target = int(rng.integers(n_items))
-        hits += rank_from_scores(scores, target) <= 10
+    scores, targets = np.empty((n_users, n_items)), np.empty(n_users, dtype=np.int64)
+    for user in range(n_users):
+        scores[user] = rng.standard_normal(n_items)
+        targets[user] = rng.integers(n_items)
+    hits = np.count_nonzero(rank_rows(scores, targets) <= 10)
     expected = 10.0 / n_items
     sigma = np.sqrt(expected * (1 - expected) / n_users)
     assert abs(hits / n_users - expected) <= 4 * sigma
 
 
-def test_rank_from_scores_tie_break():
-    scores = np.array([1.0, 2.0, 2.0, 0.5])
-    assert rank_from_scores(scores, 1) == 1  # tied at top, lower index wins
-    assert rank_from_scores(scores, 2) == 2
-    assert rank_from_scores(scores, 0) == 3
-    assert rank_from_scores(scores, 3) == 4
+def test_rank_rows_tie_break():
+    # One row per target over the same scores: tied at top, lower index wins.
+    scores = np.tile([1.0, 2.0, 2.0, 0.5], (4, 1))
+    assert rank_rows(scores, [1, 2, 0, 3]).tolist() == [1, 2, 3, 4]
 
 
 def test_rank_excludes_history_but_never_target():
-    scores = np.array([5.0, 4.0, 3.0])
-    assert rank_from_scores(scores, 2, exclude={0, 1}) == 1
-    assert rank_from_scores(scores, 2, exclude={2}) == 3
+    scores = np.tile([5.0, 4.0, 3.0], (2, 1))
+    assert rank_rows(scores, [2, 2], [{0, 1}, {2}]).tolist() == [1, 3]
 
 
 def test_structure_engine_equals_enumeration_bitwise(trained):
@@ -127,12 +123,12 @@ def test_nan_model_raises_instead_of_ranking_first(trained, engine):
         evaluate(diverged, data, engine=engine)
 
 
-def test_rank_from_scores_rejects_non_finite_target():
-    scores = np.array([1.0, np.nan, -np.inf])
-    assert rank_from_scores(scores, 0) == 1
+def test_rank_rows_rejects_non_finite_target():
+    scores = np.array([[1.0, np.nan, -np.inf]])
+    assert rank_rows(scores, [0]).tolist() == [1]
     for target in (1, 2):
         with pytest.raises(TrainingDivergedError):
-            rank_from_scores(scores, target)
+            rank_rows(scores, [target])
 
 
 def test_engine_mode_consistency_enforced(tmp_path):
@@ -232,8 +228,8 @@ def _oracle_ranks(snapshot, data, engine, examples, exclude_history):
         else:
             cmap = snapshot.cluster_map if mode == "twolevel" else None
             scores = score_all(query, tables, cmap, mode=mode)[tables.n_text :]
-        exclude = set(e.history) if exclude_history else None
-        ranks.append(rank_from_scores(scores, e.target, exclude))
+        exclude = [set(e.history)] if exclude_history else None
+        ranks.append(int(rank_rows(scores[None, :], [e.target], exclude)[0]))
     return ranks
 
 

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from helpers import (
+    additive_rows_full,
+    ann_scores_full,
     best_first_heap,
     fig2_fixture,
     random_cluster_map,
     random_model,
     rank_topk_reference,
+    topk_ann_full,
 )
 from hsrec.cluster import ClusterMap
 from hsrec.exceptions import StaleIndexError
@@ -108,12 +111,18 @@ def test_structure_prunes_on_average():
 def test_additive_index_rows():
     tables, cmap, rng = random_model(5, 12, 4, 3, 3, seed=3)
     index = build_additive_index(tables, cmap)
-    # Text rows alias their own centroid: exactly twice the embedding.
-    assert np.array_equal(index.vectors[:5], 2.0 * tables.text.data)
+    full = additive_rows_full(tables, cmap)
+    # Text rows alias their own centroid: exactly twice the embedding, which
+    # is twice the first-level copy's text rows.
+    assert np.array_equal(full[:5], 2.0 * tables.text.data)
+    assert _bits(full[:5]) == _bits(2.0 * tables.first_level_rows()[:5])
     projected = tables.item_projected()
     for item in range(12):
         expected = projected[item] + tables.centroids.data[cmap.item_assignment[item]]
-        assert np.array_equal(index.vectors[5 + item], expected)
+        assert np.array_equal(index.vectors[item], expected)
+    # The index holds the full layout's item rows, bit for bit.
+    assert _bits(index.vectors) == _bits(full[5:])
+    assert (index.n_text, index.n_total) == (5, 17)
 
 
 def test_additive_index_is_one_read_only_copy_per_version_and_cluster_map():
@@ -131,7 +140,9 @@ def test_additive_index_is_one_read_only_copy_per_version_and_cluster_map():
     assert other_index is not index and other_index.cluster_map is other
     assert build_additive_index(tables, other) is other_index
     expected = tables.item_projected() + tables.centroids.data[other.item_assignment]
-    assert np.array_equal(other_index.vectors[5:], expected)
+    assert np.array_equal(other_index.vectors, expected)
+    assert _bits(other_index.vectors) == _bits(additive_rows_full(tables, other)[5:])
+    assert _bits(index.vectors) == _bits(additive_rows_full(tables, cmap)[5:])
     assert build_additive_index(tables, cmap) is index
 
 
@@ -148,8 +159,9 @@ def test_stale_index_rejected():
     index = build_additive_index(tables, cmap)
     with tables.writing():
         pass
-    with pytest.raises(StaleIndexError):
-        topk_ann(rng.standard_normal(4), 3, index, tables)
+    for probes in (None, 1):
+        with pytest.raises(StaleIndexError):
+            topk_ann(rng.standard_normal(4), 3, index, tables, probes=probes)
 
 
 def test_ann_equals_full_ordering_when_centroids_shared():
@@ -208,7 +220,7 @@ def test_ann_ordering_invariant_to_constant_logit_shift():
     q = rng.standard_normal(5)
     index = build_additive_index(tables, cmap)
     base = topk_ann(q, 26, index, tables)
-    shifted_scores = index.vectors @ q + 3.7
+    shifted_scores = additive_rows_full(tables, cmap) @ q + 3.7
     order = np.lexsort((np.arange(shifted_scores.size), -shifted_scores))
     assert np.array_equal(base.ordinals, order)
 
@@ -365,9 +377,10 @@ def test_best_first_equals_heap_oracle(model):
 def test_ann_probe_mask_equals_member_lists():
     tables, cmap, rng = random_model(4, 30, 5, 4, 6, seed=9)
     index = build_additive_index(tables, cmap)
+    full = additive_rows_full(tables, cmap)
     for _ in range(5):
         q = rng.standard_normal(5)
-        scores = np.concatenate((index.vectors[: index.n_text] @ q, ann_item_scores(q, index, tables)))
+        scores = np.concatenate((full[: index.n_text] @ q, ann_item_scores(q, index, tables)))
         centroid_scores = tables.centroids.data @ q
         by_centroid = np.lexsort((np.arange(centroid_scores.size), -centroid_scores))
         for probes in range(1, cmap.n_item_clusters + 2):
@@ -379,3 +392,54 @@ def test_ann_probe_mask_equals_member_lists():
             got = topk_ann(q, 8, index, tables, probes=probes)
             assert _bits(got.ordinals) == _bits(want.ordinals)
             assert _bits(got.scores) == _bits(want.scores)
+
+
+def _ann_oracle_cases(dtype):
+    """Random models at several shapes, with and without text tokens; two
+    have identical item rows, so that ANN scores tie inside each cluster,
+    and one of them identical centroids too, so that every item ties."""
+    shapes = [(0, 30, 8, 4, 5), (7, 50, 16, 6, 6), (40, 300, 64, 8, 17), (9, 1, 5, 3, 1)]
+    for seed, shape in enumerate(shapes):
+        tables, cmap, rng = random_model(*shape, seed=seed, dtype=dtype)
+        yield tables, cmap, rng
+    for shared_centroid in (False, True):
+        tables, cmap, rng = random_model(12, 60, 64, 8, 7, seed=9, dtype=dtype)
+        with tables.writing() as arrays:
+            arrays["item_raw"][:] = arrays["item_raw"][0]
+            if shared_centroid:
+                arrays["centroids"][:] = arrays["centroids"][0]
+        yield tables, cmap, rng
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ann_paths_equal_full_layout_oracle_bitwise(dtype):
+    # topk_ann, with and without probes, topk_items(engine="ann") and the
+    # block scores read the item-only index and the first-level copy; the
+    # oracle scores the full layout, 2 * text rows then item rows.
+    for tables, cmap, rng in _ann_oracle_cases(dtype):
+        index = build_additive_index(tables, cmap)
+        space = TokenSpace(tables.n_text, tables.n_items)
+        block = rng.standard_normal((5, tables.dim)).astype(dtype)
+        assert _bits(ann_item_scores(block, index, tables)) == _bits(ann_scores_full(block, tables, cmap))
+        for q in block:
+            items = ann_scores_full(q, tables, cmap)[tables.n_text :]
+            assert _bits(ann_item_scores(q, index, tables)) == _bits(items)
+            for k in (1, 5, tables.n_total + 3):
+                for probes in (None, 0, 1, 3, cmap.n_item_clusters + 1):
+                    got = topk_ann(q, k, index, tables, probes=probes)
+                    want = topk_ann_full(q, k, tables, cmap, probes=probes)
+                    assert _bits(got.ordinals) == _bits(want.ordinals), (k, probes)
+                    assert _bits(got.scores) == _bits(want.scores), (k, probes)
+                top = topk_items(q, k, tables, cmap, space, engine="ann", index=index)
+                want = rank_topk_reference(items, k)
+                assert _bits(top.ordinals) == _bits(tables.n_text + want.ordinals), k
+                assert _bits(top.scores) == _bits(want.scores), k
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_additive_index_holds_item_rows_only(dtype):
+    tables, cmap, rng = random_model(300, 500, 64, 8, 20, seed=1, dtype=dtype)
+    index = build_additive_index(tables, cmap)
+    assert (index.vectors.shape, index.vectors.dtype) == ((500, 64), np.float64)
+    assert index.vectors.nbytes == 500 * 64 * 8
+    assert index.vectors.base is None  # owns its rows: no view of a larger array
