@@ -55,13 +55,7 @@ from .latency import (
 )
 from .render import render_example, render_id_only
 from .snapshot import ModelSnapshot, load_snapshot, save_snapshot
-from .softmax import (
-    CostCounter,
-    full_logprob,
-    nll_and_grad,
-    score_all,
-    two_level_logprob,
-)
+from .softmax import CostCounter, score_all, two_level_logprob
 from .synth import SynthSpec, generate
 from .tables import (
     EmbeddingTable,
@@ -72,7 +66,7 @@ from .tables import (
     parameter_counts,
     project_items,
 )
-from .tokens import TokenId, TokenKind, TokenSpace, Vocabulary
+from .tokens import TokenSpace, Vocabulary
 from .trainer import SequenceRecommender, TrainConfig, init_model, train
 
 __version__ = "0.1.0"

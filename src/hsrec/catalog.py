@@ -72,13 +72,6 @@ class Catalog:
 
 
 @dataclass(frozen=True)
-class Event:
-    item_index: int
-    timestamp: float
-    line_no: int
-
-
-@dataclass(frozen=True)
 class CatalogStats:
     n_users: int
     n_items: int
@@ -101,7 +94,7 @@ class CatalogStats:
 class Interactions:
     catalog: Catalog
     users: list[str]
-    events_by_user: dict[str, list[Event]]
+    events_by_user: dict[str, list[int]]  # item indices, chronological
     n_events: int
 
     def stats(self) -> CatalogStats:
@@ -113,6 +106,16 @@ class Interactions:
             items_per_user=self.n_events / n_users if n_users else 0.0,
             purchases_per_item=self.n_events / n_items if n_items else 0.0,
         )
+
+
+def read_lines(path):
+    """Yield the lines of a UTF-8 text file; bytes that do not decode are a
+    :class:`DataError`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_line(line: str, line_no: int) -> dict:
@@ -135,47 +138,46 @@ def ingest_jsonl(path) -> Interactions:
     timestamp ties are broken by input order.
     """
     catalog = Catalog()
-    raw: dict[str, list[Event]] = {}
+    raw: dict[str, list[tuple[float, int]]] = {}  # (timestamp, item index) in input order
     users: list[str] = []
     n_events = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = _parse_line(line, line_no)
-            user = str(obj["user"])
+    for line_no, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        obj = _parse_line(line, line_no)
+        user = str(obj["user"])
+        try:
+            timestamp = float(obj["timestamp"])
+        except (TypeError, ValueError):
+            raise DataError(f"line {line_no}: timestamp is not a number") from None
+        metadata = {k: obj[k] for k in METADATA_FIELDS if k in obj and obj[k] is not None}
+        if "price" in metadata:
             try:
-                timestamp = float(obj["timestamp"])
+                metadata["price"] = float(metadata["price"])
             except (TypeError, ValueError):
-                raise DataError(f"line {line_no}: timestamp is not a number") from None
-            metadata = {k: obj[k] for k in METADATA_FIELDS if k in obj and obj[k] is not None}
-            if "price" in metadata:
-                try:
-                    metadata["price"] = float(metadata["price"])
-                except (TypeError, ValueError):
-                    raise DataError(f"line {line_no}: price is not a number") from None
-            item_index = catalog.add_or_update(str(obj["item"]), metadata)
-            if user not in raw:
-                raw[user] = []
-                users.append(user)
-            raw[user].append(Event(item_index, timestamp, line_no))
-            n_events += 1
+                raise DataError(f"line {line_no}: price is not a number") from None
+        item_index = catalog.add_or_update(str(obj["item"]), metadata)
+        if user not in raw:
+            raw[user] = []
+            users.append(user)
+        raw[user].append((timestamp, item_index))
+        n_events += 1
     if n_events == 0:
         raise DataError(f"{path}: no interaction lines found")
-    for user in users:
-        raw[user].sort(key=lambda e: (e.timestamp, e.line_no))
-    return Interactions(catalog=catalog, users=users, events_by_user=raw, n_events=n_events)
+    # A stable sort on the timestamp alone keeps ties in input order.
+    events = {user: [item for _, item in sorted(raw[user], key=lambda e: e[0])] for user in users}
+    return Interactions(catalog=catalog, users=users, events_by_user=events, n_events=n_events)
 
 
 @dataclass
 class SplitResult:
-    """Per-user event split: everything but the last two events is train."""
+    """Per-user item-index split: everything but the last two events is train."""
 
     users: list[str]
-    train_events: dict[str, list[Event]]
-    val_event: dict[str, Event]
-    test_event: dict[str, Event]
+    train_events: dict[str, list[int]]
+    val_event: dict[str, int]
+    test_event: dict[str, int]
     n_dropped_users: int
 
     def counts(self) -> tuple[int, int, int]:
@@ -227,17 +229,11 @@ def examples_from_split(split: SplitResult):
     """
     train_ex, val_ex, test_ex = [], [], []
     for user in split.users:
-        items = [e.item_index for e in split.train_events[user]]
+        items = split.train_events[user]
         for j in range(1, len(items)):
             train_ex.append(SequenceExample(user, tuple(items[:j]), items[j]))
-        val_ex.append(SequenceExample(user, tuple(items), split.val_event[user].item_index))
-        test_ex.append(
-            SequenceExample(
-                user,
-                tuple(items + [split.val_event[user].item_index]),
-                split.test_event[user].item_index,
-            )
-        )
+        val_ex.append(SequenceExample(user, tuple(items), split.val_event[user]))
+        test_ex.append(SequenceExample(user, (*items, split.val_event[user]), split.test_event[user]))
     return train_ex, val_ex, test_ex
 
 
@@ -288,9 +284,9 @@ def build_dataset(interactions: Interactions, vocab_size: int = 8192, name: str 
     space = TokenSpace(n_text=len(vocab), n_items=len(interactions.catalog))
     train_ex, val_ex, test_ex = examples_from_split(split)
     counts = np.zeros(len(interactions.catalog), dtype=np.int64)
-    for events in split.train_events.values():
-        for event in events:
-            counts[event.item_index] += 1
+    for items in split.train_events.values():
+        for item in items:
+            counts[item] += 1
     return Dataset(
         name=name,
         catalog=interactions.catalog,

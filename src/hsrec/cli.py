@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import latency as latency_mod
-from .catalog import build_dataset, ingest_jsonl
+from .catalog import build_dataset, ingest_jsonl, read_lines
 from .encoder import encode
 from .evaluate import ENGINES, evaluate, report_csv_row
 from .exceptions import DataError, HsrecError, SnapshotFormatError, TrainingDivergedError
@@ -159,26 +159,25 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_config_file(path: str) -> dict[str, dict[str, str]]:
     sections: dict[str, dict[str, str]] = {}
     current = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith(";"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip()
-                if current not in _OPTIONS:
-                    raise DataError(f"{path}:{line_no}: unknown config section [{current}]")
-                sections.setdefault(current, {})
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{line_no}: expected key = value")
-            if current is None:
-                raise DataError(f"{path}:{line_no}: key outside any [command] section")
-            key, value = (part.strip() for part in line.split("=", 1))
-            known = {dest for dest, *_ in _OPTIONS[current]}
-            if key not in known:
-                raise DataError(f"{path}:{line_no}: unknown key '{key}' in section [{current}]")
-            sections[current][key] = value
+    for line_no, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#") or line.startswith(";"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if current not in _OPTIONS:
+                raise DataError(f"{path}:{line_no}: unknown config section [{current}]")
+            sections.setdefault(current, {})
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{line_no}: expected key = value")
+        if current is None:
+            raise DataError(f"{path}:{line_no}: key outside any [command] section")
+        key, value = (part.strip() for part in line.split("=", 1))
+        known = {dest for dest, *_ in _OPTIONS[current]}
+        if key not in known:
+            raise DataError(f"{path}:{line_no}: unknown key '{key}' in section [{current}]")
+        sections[current][key] = value
     return sections
 
 
@@ -548,7 +547,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except UsageError as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))
-    except (DataError, SnapshotFormatError, FileNotFoundError) as exc:
+    except (DataError, SnapshotFormatError, OSError) as exc:
         return _fail(EXIT_DATA, "data", str(exc))
     except TrainingDivergedError as exc:
         return _fail(EXIT_NUMERIC, "numeric", str(exc))

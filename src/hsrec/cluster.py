@@ -76,12 +76,6 @@ class ClusterMap:
         lo, hi = self.offsets[item_cluster], self.offsets[item_cluster + 1]
         return self.item_order[lo:hi]
 
-    def members_of(self, cluster_id: int) -> np.ndarray:
-        """Unified ordinals in a cluster (singleton list for text clusters)."""
-        if cluster_id < self.n_text:
-            return np.asarray([cluster_id], dtype=np.int64)
-        return self.n_text + self.item_members(cluster_id - self.n_text)
-
     def cluster_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
@@ -238,9 +232,9 @@ def cooccurrence_counts(split, n_items: int) -> np.ndarray:
     counts are integers, so the float64 matrix is exact whatever the order of
     counting.
     """
-    sizes = [len(events) for events in split.train_events.values()]
+    sizes = [len(items) for items in split.train_events.values()]
     items = np.fromiter(
-        (e.item_index for events in split.train_events.values() for e in events), dtype=np.int64, count=sum(sizes)
+        (item for items in split.train_events.values() for item in items), dtype=np.int64, count=sum(sizes)
     )
     users = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     # Each user's distinct items (entries), ascending, users in order.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tables import GradBuffer, ModelTables
-from .validation import check_finite, check_random_state
+from .validation import check_random_state
 
 
 @dataclass
@@ -37,10 +37,6 @@ class EncoderParams:
             "enc_out_w": self.out_w,
             "enc_out_b": self.out_b,
         }
-
-    def check(self) -> None:
-        for name, arr in self.parameter_arrays().items():
-            check_finite(arr, name)
 
 
 def init_encoder(dim: int, seed=0, dtype=np.float32) -> EncoderParams:

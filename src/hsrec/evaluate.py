@@ -98,18 +98,14 @@ def rank_rows(item_scores: np.ndarray, target_items, exclude=None) -> np.ndarray
     return higher + tied_before + 1
 
 
-def target_ranks(
-    snapshot: ModelSnapshot,
-    data: Dataset,
-    engine: str = "structure",
-    examples: list[SequenceExample] | None = None,
-    exclude_history: bool = False,
-) -> np.ndarray:
-    """1-based full-catalog rank of each example's held-out target.
+def item_score_blocks(snapshot: ModelSnapshot, data: Dataset, examples: list[SequenceExample], engine: str):
+    """Yield ``(block, scores)`` per ``EVAL_BLOCK`` examples: their histories
+    rendered ID-only and encoded as one query block, and the ``(B, n_items)``
+    float64 item scores of ``engine``.
 
     Engines ``full`` and ``structure`` enumerate every item's score under the
     snapshot's own softmax mode; ``structure`` and ``ann`` require a
-    two-level snapshot.  Users go through ``EVAL_BLOCK`` at a time.
+    two-level snapshot.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
@@ -118,18 +114,30 @@ def target_ranks(
         raise ValueError(
             f"engine {engine!r} needs a two-level snapshot; this one was trained with {mode!r}"
         )
-    if examples is None:
-        examples = data.test_examples
     tables, cmap = snapshot.tables, snapshot.cluster_map
     index = build_additive_index(tables, cmap) if engine == "ann" else None
-    ranks: list[int] = []
     for lo in range(0, len(examples), EVAL_BLOCK):
         block = examples[lo : lo + EVAL_BLOCK]
         queries, _ = encode_batch([render_id_only(e, data) for e in block], tables, snapshot.encoder)
         if engine == "ann":
-            scores = ann_item_scores(queries, index, tables)
+            yield block, ann_item_scores(queries, index, tables)
         else:
-            scores = item_log_probs_batch(queries, tables, cmap, mode)
+            yield block, item_log_probs_batch(queries, tables, cmap, mode)
+
+
+def target_ranks(
+    snapshot: ModelSnapshot,
+    data: Dataset,
+    engine: str = "structure",
+    examples: list[SequenceExample] | None = None,
+    exclude_history: bool = False,
+) -> np.ndarray:
+    """1-based full-catalog rank of each example's held-out target, scored by
+    :func:`item_score_blocks`."""
+    if examples is None:
+        examples = data.test_examples
+    ranks: list[int] = []
+    for block, scores in item_score_blocks(snapshot, data, examples, engine):
         exclude = [e.history for e in block] if exclude_history else None
         ranks.extend(rank_rows(scores, [e.target for e in block], exclude).tolist())
     return np.asarray(ranks, dtype=np.int64)

@@ -76,17 +76,15 @@ class TopK:
         return self.ordinals.size
 
     def rows(self, space: TokenSpace, item_ids=None) -> list[dict]:
+        """One dict per token: rank, kind (text or item), index within its
+        kind and score, plus ``item_id`` on item rows when ``item_ids`` is given."""
         out = []
-        for rank, (ordinal, score) in enumerate(zip(self.ordinals, self.scores), start=1):
-            token = space.token_at(int(ordinal))
-            row = {
-                "rank": rank,
-                "kind": token.kind.value,
-                "index": token.index,
-                "score": float(score),
-            }
-            if item_ids is not None and token.kind.value == "item":
-                row["item_id"] = item_ids[token.index]
+        for rank, (ordinal, score) in enumerate(zip(self.ordinals.tolist(), self.scores.tolist()), start=1):
+            is_item = ordinal >= space.n_text
+            index = ordinal - space.n_text if is_item else ordinal
+            row = {"rank": rank, "kind": "item" if is_item else "text", "index": index, "score": score}
+            if item_ids is not None and is_item:
+                row["item_id"] = item_ids[index]
             out.append(row)
         return out
 

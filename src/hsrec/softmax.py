@@ -134,14 +134,6 @@ def cluster_logits(query, tables: ModelTables) -> np.ndarray:
     return np.concatenate([rows[:n_text] @ q, rows[n_text:] @ q])
 
 
-def full_logprob(query, ordinal: int, tables: ModelTables, counter: CostCounter | None = None) -> float:
-    """log P(token | H) under the flat softmax over V union I."""
-    logits = full_logits(query, tables)
-    if counter is not None:
-        counter.add(tables.n_total)
-    return float(logits[ordinal] - _logsumexp(logits))
-
-
 def two_level_logprob(
     query,
     ordinal: int,

@@ -78,9 +78,6 @@ class EmbeddingTable:
     def precision(self) -> str:
         return "f32" if self.data.dtype == np.float32 else "f64"
 
-    def check(self) -> None:
-        check_finite(self.data, "embedding table")
-
 
 @dataclass
 class ProjectionHead:
@@ -113,10 +110,6 @@ class ProjectionHead:
         out = rows @ self.weight.T
         out += self.bias  # in place: no second (n, d) temporary
         return out
-
-    def check(self) -> None:
-        check_finite(self.weight, "projection weight")
-        check_finite(self.bias, "projection bias")
 
 
 def project_items(item_table: EmbeddingTable, head: ProjectionHead) -> np.ndarray:
@@ -257,12 +250,6 @@ class ModelTables:
             lambda: self.item_projected()[cluster_map.item_order].astype(np.float64, copy=False),
         )
 
-    def check(self) -> None:
-        self.text.check()
-        self.item_raw.check()
-        self.projection.check()
-        self.centroids.check()
-
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         return {
             "text": self.text.data,
@@ -325,7 +312,8 @@ def item_parameter_count(n_items: int, item_dim: int) -> int:
 
 @dataclass
 class ItemRowGrad:
-    """Gradient of the raw item table: zero outside ``rows``, and kept factored.
+    """Gradient of the raw item table, kept factored: zero outside the rows
+    that :meth:`blocks` yields.
 
     It has two kinds of part, on disjoint rows:
 
@@ -344,7 +332,6 @@ class ItemRowGrad:
     ``np.asarray`` gives the dense ``(n_items, k)`` array.
     """
 
-    rows: np.ndarray  # (r,) ascending item indices that received gradient
     clusters: list  # (members, p_t (m, r_c), lifted (r_c, k)) per target cluster
     proj_rows: np.ndarray  # (h,) ascending item indices with a projected-row gradient
     d_proj: np.ndarray  # (h, d) their projected-row gradients
@@ -372,8 +359,7 @@ class ItemRowGrad:
 class GradBuffer:
     """Accumulators for one batch, in float64.
 
-    ``item_touched`` marks the item rows that received any gradient, which
-    arrives in one of two forms:
+    Item rows receive gradient in one of two forms:
 
     - :meth:`add_item_rows`: projected-row gradients of distinct rows, from
       the encoder inputs, small two-level clusters, full mode and the
@@ -391,7 +377,6 @@ class GradBuffer:
     def __init__(self, tables: ModelTables, encoder=None):
         d = tables.dim
         self.d_text = np.zeros((tables.n_text, d))
-        self.item_touched = np.zeros(tables.n_items, dtype=bool)
         self.proj_touched = np.zeros(tables.n_items, dtype=bool)
         self.item_rows: list[tuple[np.ndarray, np.ndarray]] = []
         self.item_clusters: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
@@ -408,7 +393,6 @@ class GradBuffer:
     def add_item_rows(self, rows: np.ndarray, d_proj: np.ndarray) -> None:
         """Gradient ``d_proj`` (one row each) on the projected rows of ascending, distinct ``rows``."""
         self.item_rows.append((rows, d_proj))
-        self.item_touched[rows] = True
         self.proj_touched[rows] = True
 
     def add_item_cluster(
@@ -422,7 +406,6 @@ class GradBuffer:
         rows get ``p_t @ queries``, their raw rows ``p_t @ lifted``.
         """
         self.item_clusters.append((members, p_t, queries, lifted))
-        self.item_touched[members] = True
 
     def finalize(self, tables: ModelTables) -> dict:
         """Chain the projected-row gradients back to raw items and the head.
@@ -459,10 +442,9 @@ class GradBuffer:
                     clusters.append((members, p_t, lifted))
 
         weight = np.array(tables.projection.weight, dtype=np.float64)
-        rows = np.flatnonzero(self.item_touched)
         grads = {
             "text": self.d_text,
-            "item_raw": ItemRowGrad(rows, clusters, proj_rows, d_proj, weight, tables.n_items),
+            "item_raw": ItemRowGrad(clusters, proj_rows, d_proj, weight, tables.n_items),
             "proj_weight": self.d_proj_weight,
             "proj_bias": self.d_proj_bias,
             "centroids": self.d_centroids,

@@ -3,34 +3,18 @@
 The output vocabulary is the union of a text vocabulary and the item catalog.
 Every token has a *unified ordinal*: text tokens occupy ``[0, n_text)`` and
 item tokens occupy ``[n_text, n_text + n_items)``.  All scoring, ranking, and
-serialization code speaks ordinals; ``TokenId`` is the typed view.
+serialization code speaks ordinals.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
-
-
-class TokenKind(Enum):
-    TEXT = "text"
-    ITEM = "item"
-
-
-@dataclass(frozen=True, order=True)
-class TokenId:
-    kind: TokenKind
-    index: int
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"token index must be non-negative, got {self.index}")
 
 
 @dataclass(frozen=True)
 class TokenSpace:
-    """Bijection between TokenIds and unified ordinals (text first, items after)."""
+    """Sizes of the unified token space: text ordinals first, then items."""
 
     n_text: int
     n_items: int
@@ -38,22 +22,6 @@ class TokenSpace:
     @property
     def n_total(self) -> int:
         return self.n_text + self.n_items
-
-    def ordinal(self, token: TokenId) -> int:
-        if token.kind is TokenKind.TEXT:
-            if token.index >= self.n_text:
-                raise ValueError(f"text index {token.index} out of range (n_text={self.n_text})")
-            return token.index
-        if token.index >= self.n_items:
-            raise ValueError(f"item index {token.index} out of range (n_items={self.n_items})")
-        return self.n_text + token.index
-
-    def token_at(self, ordinal: int) -> TokenId:
-        if not 0 <= ordinal < self.n_total:
-            raise ValueError(f"ordinal {ordinal} out of range [0, {self.n_total})")
-        if ordinal < self.n_text:
-            return TokenId(TokenKind.TEXT, ordinal)
-        return TokenId(TokenKind.ITEM, ordinal - self.n_text)
 
     def item_ordinal(self, item_index: int) -> int:
         if not 0 <= item_index < self.n_items:

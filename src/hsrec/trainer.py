@@ -32,12 +32,12 @@ from .cluster import (
     init_centroids,
 )
 from .encoder import encode_batch, encode_batch_backward, init_encoder
-from .evaluate import EVAL_BLOCK, evaluate
+from .evaluate import evaluate, item_score_blocks
 from .exceptions import DataError, TrainingDivergedError
 from .inference import _rank_topk
-from .render import render_example, render_id_only
+from .render import render_example
 from .snapshot import ModelSnapshot
-from .softmax import item_log_probs_batch, nll_and_grad_batch
+from .softmax import nll_and_grad_batch
 from .tables import GradBuffer, ItemRowGrad, ModelTables, init_tables
 from .validation import check_finite, check_is_fitted
 
@@ -344,18 +344,17 @@ class SequenceRecommender(BaseEstimator):
     def predict(self, histories, k: int = 10):
         """Top-k item IDs for each non-empty history of known external item IDs.
 
-        Histories are encoded and scored ``EVAL_BLOCK`` at a time: every
-        item's exact log-probability under the model's softmax mode
-        (``item_log_probs_batch``), then each row's top k, ties by ascending
-        item index.
+        Histories are scored as ``evaluate`` scores them with engine ``full``
+        (``item_score_blocks``): every item's exact log-probability under the
+        fitted snapshot's softmax mode, ``EVAL_BLOCK`` histories at a time.
+        Each row's top k breaks ties by ascending item index.
         """
         check_is_fitted(self, ["snapshot_", "dataset_"])
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         snapshot = self.snapshot_
         data = self.dataset_
-        tables = snapshot.tables
-        seqs = []
+        examples = []
         for history in histories:
             if len(history) == 0:
                 raise DataError("history must be non-empty")
@@ -363,12 +362,9 @@ class SequenceRecommender(BaseEstimator):
                 indices = tuple(data.catalog.index_of(i) for i in history)
             except KeyError as exc:
                 raise DataError(f"unknown item id {exc.args[0]!r}") from exc
-            example = SequenceExample(user="query", history=indices, target=indices[-1])
-            seqs.append(render_id_only(example, data))
+            examples.append(SequenceExample(user="query", history=indices, target=indices[-1]))
         out = []
-        for lo in range(0, len(seqs), EVAL_BLOCK):
-            queries, _ = encode_batch(seqs[lo : lo + EVAL_BLOCK], tables, snapshot.encoder)
-            scores = item_log_probs_batch(queries, tables, snapshot.cluster_map, self.softmax_mode)
+        for _, scores in item_score_blocks(snapshot, data, examples, "full"):
             out.extend([snapshot.item_ids[int(i)] for i in _rank_topk(row, k).ordinals] for row in scores)
         return out
 

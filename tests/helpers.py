@@ -1,7 +1,8 @@
 """Shared fixtures: random models, parameter flattening, finite differences,
 snapshot byte surgery, and the oracles the array-form paths are tested
-against: top-k selection, co-occurrence counting, cluster binning, centroid
-means and the full-layout additive index."""
+against: full-softmax log-probabilities, top-k selection, co-occurrence
+counting, cluster binning, centroid means and the full-layout additive index;
+and the item rows a factored item gradient writes."""
 
 import heapq
 import json
@@ -13,7 +14,15 @@ import numpy as np
 from hsrec.cluster import ClusterMap
 from hsrec.encoder import EncoderParams
 from hsrec.inference import SearchStats, TopK
-from hsrec.softmax import _queries64, _query64, cluster_logits, log_softmax, member_log_conditionals
+from hsrec.softmax import (
+    _logsumexp,
+    _queries64,
+    _query64,
+    cluster_logits,
+    full_logits,
+    log_softmax,
+    member_log_conditionals,
+)
 from hsrec.tables import EmbeddingTable, ModelTables, ProjectionHead
 
 
@@ -173,6 +182,18 @@ def synth_dataset(tmp_path, n_users=80, n_items=24, n_groups=4, stickiness=0.85,
     return build_dataset(ingest_jsonl(path), vocab_size=vocab_size, name="synth"), data
 
 
+def full_logprob(query, ordinal, tables):
+    """log P(token | H) under the flat softmax over V union I, one token at a
+    time: the oracle for full-mode scoring."""
+    logits = full_logits(query, tables)
+    return float(logits[ordinal] - _logsumexp(logits))
+
+
+def touched_item_rows(item_grad):
+    """Ascending item rows an ``ItemRowGrad`` writes: the rows its blocks hold."""
+    return np.unique(np.concatenate([np.zeros(0, dtype=np.intp)] + [rows for rows, _ in item_grad.blocks()]))
+
+
 def rank_topk_reference(scores, k):
     """Top-k by one full ``lexsort`` on (-score, index)."""
     n = scores.size
@@ -278,7 +299,7 @@ def cooccurrence_counts_per_user(split, n_items):
     ``cluster.cooccurrence_counts``."""
     cooc = np.zeros((n_items, n_items), dtype=np.float64)
     for events in split.train_events.values():
-        items = np.unique([e.item_index for e in events])
+        items = np.unique(events)
         cooc[np.ix_(items, items)] += 1.0
     return cooc
 

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import random_encoder, random_model, synth_dataset
+from helpers import random_encoder, random_model, synth_dataset, touched_item_rows
 from hsrec.encoder import encode, encode_backward, encode_batch, encode_batch_backward
 from hsrec.render import render_example
 from hsrec.softmax import CostCounter, nll_and_grad, nll_and_grad_batch
@@ -83,8 +83,8 @@ def assert_batch_matches_oracle(seqs, targets, tables, cmap, enc, mode):
     assert rel_gap(want_loss.sum(), got_loss.sum()) <= REL
     assert rel_gap(want_dq, got_dq) <= REL
     assert got_counter.dots == want_counter.dots
-    assert np.array_equal(got.item_touched, want.item_touched)
     want_final, got_final = want.finalize(tables), got.finalize(tables)
+    assert np.array_equal(touched_item_rows(got_final["item_raw"]), touched_item_rows(want_final["item_raw"]))
     assert list(got_final) == list(want_final)
     for name in want_final:
         assert rel_gap(want_final[name], got_final[name]) <= REL, name
@@ -117,10 +117,9 @@ def test_twolevel_batch_touches_target_clusters_and_history_only():
     want = np.zeros(N_ITEMS, dtype=bool)
     want[cmap.item_members(2)] = True
     want[history_item] = True
-    assert np.array_equal(grads.item_touched, want)
     item_grad = grads.finalize(tables)["item_raw"]
     assert isinstance(item_grad, ItemRowGrad)
-    assert np.array_equal(item_grad.rows, np.flatnonzero(want))
+    assert np.array_equal(touched_item_rows(item_grad), np.flatnonzero(want))
     assert not np.asarray(item_grad)[~want].any()
 
 
@@ -151,7 +150,8 @@ def assert_dense_update_bitwise(seqs, targets, tables, cmap, enc, mode):
             want *= 1.0 - lr * weight_decay
         want -= lr * (np.asarray(final[name]) / n)
         assert np.array_equal(want, arrays[name]), name
-    untouched = ~grads.item_touched
+    untouched = np.ones(tables.n_items, dtype=bool)
+    untouched[touched_item_rows(final["item_raw"])] = False
     if mode == "twolevel":
         assert untouched.any()
     decayed = before["item_raw"][untouched].copy()

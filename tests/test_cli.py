@@ -342,6 +342,27 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert main(["ingest", "--data", str(tmp_path / "nope.jsonl"), "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("case", ["snapshot_is_dir", "data_is_dir", "binary_data", "binary_config"])
+def test_unreadable_input_is_data_error(corpus, tmp_path, capsys, case):
+    run(["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", tmp_path])
+    snapshot = tmp_path / "snapshot.hsrc"
+    out = ["--out-dir", tmp_path / "out"]
+    argv = {
+        "snapshot_is_dir": ["eval", "--data", corpus, "--snapshot", tmp_path, *out],
+        "data_is_dir": ["ingest", "--data", tmp_path, *out],
+        "binary_data": ["ingest", "--data", snapshot, *out],
+        "binary_config": ["--config", snapshot, "ingest", "--data", corpus, *out],
+    }[case]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    trailer = json.loads(err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "data" and trailer["error"]["code"] == 2
+    if case.startswith("binary"):
+        assert "UTF-8" in trailer["error"]["message"]
+
+
 def test_ablation_harness(corpus, tmp_path):
     code = run(
         [

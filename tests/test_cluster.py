@@ -138,7 +138,11 @@ def test_cluster_map_inversion_all_constructors():
     for cmap in maps:
         seen = np.zeros(cmap.n_text + cmap.n_items, dtype=int)
         for cluster_id in range(cmap.n_clusters):
-            for ordinal in cmap.members_of(cluster_id):
+            if cluster_id < cmap.n_text:
+                members = [cluster_id]
+            else:
+                members = cmap.n_text + cmap.item_members(cluster_id - cmap.n_text)
+            for ordinal in members:
                 assert cmap.cluster_of(int(ordinal)) == cluster_id
                 seen[ordinal] += 1
         assert np.all(seen == 1)

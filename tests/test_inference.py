@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from helpers import (
 from hsrec.cluster import ClusterMap
 from hsrec.exceptions import StaleIndexError
 from hsrec.inference import (
+    TopK,
     _rank_topk,
     ann_item_scores,
     build_additive_index,
@@ -240,14 +242,29 @@ def test_ann_probe_mode_subset():
 
 def test_filter_items():
     space = TokenSpace(4, 6)
-    from hsrec.inference import TopK
-
     all_text = TopK(np.array([0, 2, 3]), np.array([0.3, 0.2, 0.1]))
     assert len(filter_items(all_text, space)) == 0
     mixed = TopK(np.array([5, 0, 7, 1, 4]), np.array([5.0, 4.0, 3.0, 2.0, 1.0]))
     items = filter_items(mixed, space)
     assert items.ordinals.tolist() == [5, 7, 4]
     assert items.scores.tolist() == [5.0, 3.0, 1.0]
+
+
+def test_topk_rows_name_each_token():
+    space = TokenSpace(4, 6)
+    ranked = TopK(np.array([6, 3, 4], dtype=np.int64), np.array([-0.5, -1.25, -2.0]))
+    item_ids = [f"item-{i}" for i in range(6)]
+    want = [
+        {"rank": 1, "kind": "item", "index": 2, "score": -0.5, "item_id": "item-2"},
+        {"rank": 2, "kind": "text", "index": 3, "score": -1.25},
+        {"rank": 3, "kind": "item", "index": 0, "score": -2.0, "item_id": "item-0"},
+    ]
+    rows = ranked.rows(space, item_ids)
+    assert rows == want
+    # Plain Python values, so the rows serialize as JSON.
+    assert all(type(row["index"]) is int and type(row["score"]) is float for row in rows)
+    assert json.loads(json.dumps(rows)) == want
+    assert ranked.rows(space) == [{k: v for k, v in row.items() if k != "item_id"} for row in want]
 
 
 def _topk_items_cases():

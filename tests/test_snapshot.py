@@ -244,8 +244,8 @@ def test_corrupt_cluster_assignment_rejected(snapshot, tmp_path, corrupt, match)
     elif corrupt == "item_past_last_cluster":
         assignment[n_text] = cmap.n_clusters
     else:
-        members = cmap.members_of(n_text)
-        assignment[members] = cmap.cluster_of(int(cmap.members_of(n_text + 1)[0]))
+        members = n_text + cmap.item_members(0)
+        assignment[members] = cmap.cluster_of(int(n_text + cmap.item_members(1)[0]))
     path = tmp_path / "model.hsrc"
     save_snapshot(snapshot, path)
     rewrite_snapshot(path, assignment=assignment)

@@ -7,17 +7,18 @@ from helpers import (
     fd_gradient,
     fig2_fixture,
     flatten,
+    full_logprob,
     max_rel_error,
     param_arrays,
     random_cluster_map,
     random_model,
+    touched_item_rows,
 )
 from hsrec.cluster import ClusterMap
 from hsrec.inference import topk_structure
 from hsrec.softmax import (
     CostCounter,
     cluster_logits,
-    full_logprob,
     item_log_probs_batch,
     log_softmax,
     member_log_conditionals,
@@ -325,7 +326,8 @@ def test_two_level_gradient_sparsity():
     target_cluster = cmap.item_assignment[target_item]
     members = cmap.item_members(int(target_cluster))
     # Only the target cluster's projected rows receive gradient, each of them some.
-    assert np.array_equal(np.flatnonzero(grads.item_touched), members)
+    assert not grads.item_clusters
+    assert np.array_equal(touched_item_rows(grads.finalize(tables)["item_raw"]), members)
     ((rows, d_proj),) = grads.item_rows
     assert np.array_equal(rows, members)
     assert np.all(np.any(d_proj != 0.0, axis=1))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import synth_dataset
+from helpers import synth_dataset, touched_item_rows
 from hsrec.catalog import ItemRecord, SequenceExample
 from hsrec.encoder import encode
 from hsrec.evaluate import EVAL_BLOCK, popularity_baseline
@@ -209,6 +209,20 @@ def test_predict_equals_per_history_oracle(tmp_path, mode):
     assert est.predict([], k=5) == []
 
 
+def test_predict_scores_with_the_fitted_softmax_mode(tmp_path):
+    # Changing the parameter without refitting leaves the fitted two-level
+    # model, and predict scores it as score() and evaluate do.
+    data, _ = synth_dataset(tmp_path, n_users=200, n_items=40, n_groups=4, seed=2)
+    est = SequenceRecommender(dim=8, item_dim=8, max_steps=40, batch_size=8, eval_every=0, seed=0, n_clusters=6)
+    est.fit(data)
+    histories = [[data.catalog[i].item_id for i in e.history] for e in data.test_examples]
+    want = est.predict(histories, k=10)
+    score = est.score()
+    est.set_params(softmax_mode="full")
+    assert est.predict(histories, k=10) == want
+    assert est.score() == score
+
+
 def test_predict_rejects_empty_and_unknown_histories(tmp_path):
     data, _ = synth_dataset(tmp_path, n_users=60, n_items=16, n_groups=4, seed=2)
     est = SequenceRecommender(dim=8, item_dim=8, max_steps=2, batch_size=8, eval_every=0, seed=0, n_clusters=4)
@@ -237,7 +251,7 @@ def test_nan_gradient_on_touched_item_row_raises(small_data, monkeypatch, mode):
     def plant(tables, grads):
         # The first touched row only, in the part that holds it.
         item_grad = grads["item_raw"]
-        first = item_grad.rows[0]
+        first = touched_item_rows(item_grad)[0]
         for members, p_t, _ in item_grad.clusters:
             if members[0] == first:
                 p_t[0] = np.nan
@@ -269,7 +283,7 @@ def test_large_decay_checks_every_item_row(small_data, monkeypatch):
     # With lr * weight_decay > 2, decay alone can overflow an untouched row,
     # so the whole table is read: a NaN planted off the touched rows raises.
     def plant(tables, grads):
-        untouched = np.setdiff1d(np.arange(tables.n_items), grads["item_raw"].rows)
+        untouched = np.setdiff1d(np.arange(tables.n_items), touched_item_rows(grads["item_raw"]))
         with tables.writing() as arrays:
             arrays["item_raw"][untouched[0]] = np.nan
 
