@@ -8,9 +8,10 @@ checked against finite differences in the test suite.
 
 Training encodes a whole batch at once: :func:`encode_batch` pools ``B``
 sequences with segment sums (``np.add.reduceat``) into a ``(B, d)`` matrix,
-and :func:`encode_batch_backward` is GEMMs plus one scatter of the per-token
-embedding gradients.  The single-sequence :func:`encode` is the query path
-and, with :func:`encode_backward`, the test oracle for the batch functions.
+and :func:`encode_backward` is GEMMs plus one scatter of the per-token
+embedding gradients.  The single-sequence :func:`encode` is the query path;
+it returns a one-row cache, so :func:`encode_backward` also takes one
+sequence.
 """
 
 from __future__ import annotations
@@ -52,16 +53,8 @@ def init_encoder(dim: int, seed=0, dtype=np.float32) -> EncoderParams:
 
 @dataclass
 class EncodeCache:
-    """Forward activations needed by the backward pass."""
-
-    ordinals: np.ndarray
-    pooled: np.ndarray
-    hidden: np.ndarray
-
-
-@dataclass
-class BatchEncodeCache:
-    """Forward activations of :func:`encode_batch` needed by its backward pass."""
+    """Forward activations of :func:`encode_batch` or :func:`encode` (one row)
+    needed by :func:`encode_backward`."""
 
     ordinals: np.ndarray  # (T,) the sequences' tokens, concatenated
     lengths: np.ndarray  # (B,) tokens per sequence
@@ -82,7 +75,7 @@ def _embed(ords: np.ndarray, tables: ModelTables) -> np.ndarray:
 
 
 def encode(ordinals, tables: ModelTables, params: EncoderParams):
-    """Token ordinals -> (query vector, cache).
+    """Token ordinals -> (query vector, one-row cache).
 
     query = pooled + out_w @ tanh(hidden_w @ pooled + hidden_b) + out_b,
     where pooled is the mean input embedding.  The identity skip keeps the
@@ -96,37 +89,8 @@ def encode(ordinals, tables: ModelTables, params: EncoderParams):
     pooled = np.add.reduce(_embed(ords, tables), axis=0) / ords.size
     hidden = np.tanh(params.hidden_w @ pooled + params.hidden_b)
     query = pooled + params.out_w @ hidden + params.out_b
-    return query, EncodeCache(ordinals=ords, pooled=pooled, hidden=hidden)
-
-
-def encode_backward(
-    cache: EncodeCache,
-    d_query: np.ndarray,
-    tables: ModelTables,
-    params: EncoderParams,
-    grads: GradBuffer,
-) -> None:
-    """Chain d(loss)/d(query) into encoder parameters and input embeddings."""
-    if grads.encoder_grads is None:
-        raise ValueError("GradBuffer was built without encoder parameters")
-    eg = grads.encoder_grads
-    eg["enc_out_w"] += np.outer(d_query, cache.hidden)
-    eg["enc_out_b"] += d_query
-    d_act = (1.0 - cache.hidden**2) * (params.out_w.T @ d_query)
-    eg["enc_hidden_w"] += np.outer(d_act, cache.pooled)
-    eg["enc_hidden_b"] += d_act
-    # The identity skip feeds d_query straight back to the pooled input.
-    d_emb = (params.hidden_w.T @ d_act + d_query) / cache.ordinals.size
-
-    ords = cache.ordinals
-    is_item = ords >= tables.n_text
-    # Repeated tokens within one sequence: np.add.at for text rows, a count
-    # per distinct item row.
-    if (~is_item).any():
-        np.add.at(grads.d_text, ords[~is_item], d_emb)
-    if is_item.any():
-        rows, counts = np.unique(ords[is_item] - tables.n_text, return_counts=True)
-        grads.add_item_rows(rows, counts[:, None] * d_emb)
+    lengths = np.array([ords.size], dtype=np.int64)
+    return query, EncodeCache(ordinals=ords, lengths=lengths, pooled=pooled[None], hidden=hidden[None])
 
 
 def encode_batch(sequences, tables: ModelTables, params: EncoderParams):
@@ -139,11 +103,11 @@ def encode_batch(sequences, tables: ModelTables, params: EncoderParams):
     pooled = np.add.reduceat(_embed(ords, tables), starts, axis=0) / lengths[:, None]
     hidden = np.tanh(pooled @ params.hidden_w.T + params.hidden_b)
     queries = pooled + hidden @ params.out_w.T + params.out_b
-    return queries, BatchEncodeCache(ordinals=ords, lengths=lengths, pooled=pooled, hidden=hidden)
+    return queries, EncodeCache(ordinals=ords, lengths=lengths, pooled=pooled, hidden=hidden)
 
 
-def encode_batch_backward(
-    cache: BatchEncodeCache,
+def encode_backward(
+    cache: EncodeCache,
     d_queries: np.ndarray,
     tables: ModelTables,
     params: EncoderParams,

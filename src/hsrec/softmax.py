@@ -16,7 +16,7 @@ and the training head) reads ``ModelTables.first_level_rows()``, one float64
 copy of the text rows and centroids per table version, instead of casting a
 float32 table inside every product.
 
-Training takes one batched step: :func:`nll_and_grad_batch` scores a ``(B, d)``
+Training takes one batched step: :func:`nll_and_grad` scores a ``(B, d)``
 query matrix with one ``(B, n)`` GEMM of cluster (or full) logits and a
 row-wise logsumexp, then one small GEMM per distinct target cluster for the
 member softmaxes; the text, centroid and projected-item gradients are
@@ -25,9 +25,9 @@ members is lifted instead: with ``L = Q W`` computed once per batch, its
 members' raw-row gradient stays the factored ``P_c.T @ L_c`` (expanded by the
 trainer's update) and the head gets ``Q_c.T @ (P_c R_c)``, so those rows are
 chained through the projection head only when they are also encoder inputs;
-smaller clusters keep projected-row gradients.  Its losses, gradients and dot
-count equal the sum of per-example :func:`nll_and_grad` calls, which keep
-the projected-row chain and stay as the test oracle.
+smaller clusters keep projected-row gradients.  One example is a batch of
+one.  The test suite keeps a per-example form with the projected-row chain as
+the oracle whose summed losses, gradients and dot count this step must equal.
 
 Exact item scoring reads one cluster-ordered float64 copy of the projected
 item rows (``ModelTables.item_rows_by_cluster``), where each item cluster's
@@ -275,78 +275,6 @@ def score_all(
 
 
 def nll_and_grad(
-    query,
-    target: int,
-    tables: ModelTables,
-    cluster_map: ClusterMap | None,
-    mode: str = "twolevel",
-    grads: GradBuffer | None = None,
-    counter: CostCounter | None = None,
-):
-    """Cross-entropy loss and exact analytic gradients for one example.
-
-    Returns ``(loss, d_query, grads)``.  Head-side gradients accumulate into
-    ``grads`` (allocated if not supplied): text rows, projected item rows
-    (chained through the head by ``GradBuffer.finalize``), and centroid rows.
-    In two-level mode only the cluster centroids and the target cluster's
-    members receive gradient.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    q = _query64(query)
-    if not 0 <= target < tables.n_total:
-        raise ValueError(f"target ordinal {target} out of range")
-    if grads is None:
-        grads = GradBuffer(tables)
-    n_text = tables.n_text
-
-    if mode == "full":
-        logits = full_logits(q, tables)
-        if counter is not None:
-            counter.add(tables.n_total)
-        log_norm = _logsumexp(logits)
-        loss = log_norm - float(logits[target])
-        p = np.exp(logits - log_norm)
-        p[target] -= 1.0
-        d_query = tables.text.data.T @ p[:n_text] + tables.item_projected().T @ p[n_text:]
-        grads.d_text += np.outer(p[:n_text], q)
-        grads.add_item_rows(np.arange(tables.n_items), np.outer(p[n_text:], q))
-        return loss, d_query, grads
-
-    if cluster_map is None:
-        raise ValueError("two-level mode requires a cluster map")
-    cs = cluster_logits(q, tables)
-    if counter is not None:
-        counter.add(cluster_map.n_clusters)
-    log_norm = _logsumexp(cs)
-    target_cluster = cluster_map.cluster_of(target)
-    loss = log_norm - float(cs[target_cluster])
-    p = np.exp(cs - log_norm)
-    p[target_cluster] -= 1.0
-    d_query = tables.text.data.T @ p[:n_text] + tables.centroids.data.T @ p[n_text:]
-    grads.d_text += np.outer(p[:n_text], q)
-    grads.d_centroids += np.outer(p[n_text:], q)
-
-    if target >= n_text:
-        members = cluster_map.item_members(target_cluster - n_text)
-        if counter is not None:
-            counter.add(members.size)
-        member_logits = tables.item_projected()[members] @ q
-        m_norm = _logsumexp(member_logits)
-        pos = int(np.flatnonzero(members == target - n_text)[0])
-        loss += m_norm - float(member_logits[pos])
-        pm = np.exp(member_logits - m_norm)
-        pm[pos] -= 1.0
-        d_query = d_query + tables.item_projected()[members].T @ pm
-        grads.add_item_rows(members, np.outer(pm, q))
-    else:
-        # Text target: its singleton's conditional is 1, so no second level.
-        if counter is not None:
-            counter.add(1)
-    return loss, d_query, grads
-
-
-def nll_and_grad_batch(
     queries,
     targets,
     tables: ModelTables,
@@ -360,7 +288,8 @@ def nll_and_grad_batch(
     ``queries`` is ``(B, d)`` and ``targets`` holds ``B`` ordinals.  Returns
     ``(losses, d_queries, grads)`` with ``losses`` of shape ``(B,)`` and
     ``d_queries`` of shape ``(B, d)``; head gradients accumulate into
-    ``grads`` as :func:`nll_and_grad` would for each example in turn.
+    ``grads`` (allocated if not supplied).  In two-level mode the only item
+    rows that receive gradient are the members of the target clusters.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")

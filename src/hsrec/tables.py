@@ -20,14 +20,13 @@ text tokens are read off the first-level copy, whose text rows are half of
 what the index's text rows would be.
 
 A training step accumulates into a :class:`GradBuffer`.  Item gradients
-arrive in two forms.  Projected-row gradients (the encoder inputs, full mode,
-the per-example path and small target clusters) are chained through the
-projection head by :meth:`GradBuffer.finalize`, for those rows only.  A
-two-level target cluster of at least ``d`` members arrives lifted: its
-members' raw-row gradient is ``P_c.T @ (Q_c W)``, the batch's queries lifted
-once through the head, so a member row is chained through the head only when
-it is also an encoder input; the caller adds the head's part
-``Q_c.T @ (P_c R_c)`` itself.  ``finalize``
+arrive in two forms.  Projected-row gradients (the encoder inputs, full mode
+and small target clusters) are chained through the projection head by
+:meth:`GradBuffer.finalize`, for those rows only.  A two-level target cluster
+of at least ``d`` members arrives lifted: its members' raw-row gradient is
+``P_c.T @ (Q_c W)``, the batch's queries lifted once through the head, so a
+member row is chained through the head only when it is also an encoder input;
+the caller adds the head's part ``Q_c.T @ (P_c R_c)`` itself.  ``finalize``
 returns the raw-item gradient as an :class:`ItemRowGrad`, still factored:
 zero outside the touched rows, and expanded a cluster or ``ROW_BLOCK`` rows
 at a time by the update that writes it, so no ``(|I|, k)`` or
@@ -326,7 +325,7 @@ class ItemRowGrad:
       ``d_proj @ weight``: the encoder inputs and the members of small
       clusters in a two-level batch (a lifted member that is also an encoder
       input has its cluster part added here), and every touched row in full
-      mode and on the per-example path.
+      mode.
 
     :meth:`blocks` expands it a cluster or ``ROW_BLOCK`` rows at a time;
     ``np.asarray`` gives the dense ``(n_items, k)`` array.
@@ -362,8 +361,7 @@ class GradBuffer:
     Item rows receive gradient in one of two forms:
 
     - :meth:`add_item_rows`: projected-row gradients of distinct rows, from
-      the encoder inputs, small two-level clusters, full mode and the
-      per-example path;
+      the encoder inputs, small two-level clusters and full mode;
     - :meth:`add_item_cluster`: a two-level batch's target cluster in lifted
       form; the caller adds its head gradient to ``d_proj_weight`` and
       ``d_proj_bias``.

@@ -2,13 +2,14 @@
 
 One step: sample a batch of examples, render each (metadata subsampling with
 an ID-only fraction), encode the batch as one ``(B, d)`` query matrix, take
-exact losses and gradients from the softmax head in one batched pass, and
-apply an SGD update with cosine learning-rate decay and decoupled weight
-decay.  The raw item table is written only on the rows that received
-gradient: the update expands the factored :class:`~hsrec.tables.ItemRowGrad`
-(lifted cluster products and projected rows) one block at a time, and checks
-each written block for finiteness as it goes.  Weight decay still reaches
-every row.  Runs are
+exact losses and gradients from the softmax head in one batched pass
+(``softmax.nll_and_grad``), chain the query gradients through the encoder
+(``encoder.encode_backward``), and apply an SGD update with cosine
+learning-rate decay and decoupled weight decay.  The raw item table is
+written only on the rows that received gradient: the update expands the
+factored :class:`~hsrec.tables.ItemRowGrad` (lifted cluster products and
+projected rows) one block at a time, and checks each written block for
+finiteness as it goes.  Weight decay still reaches every row.  Runs are
 deterministic per seed in single-threaded mode: identical seeds give
 identical loss curves.
 """
@@ -31,19 +32,18 @@ from .cluster import (
     default_n_clusters,
     init_centroids,
 )
-from .encoder import encode_batch, encode_batch_backward, init_encoder
+from .encoder import encode_backward, encode_batch, init_encoder
 from .evaluate import evaluate, item_score_blocks
 from .exceptions import DataError, TrainingDivergedError
 from .inference import _rank_topk
 from .render import render_example
 from .snapshot import ModelSnapshot
-from .softmax import nll_and_grad_batch
+from .softmax import nll_and_grad
 from .tables import GradBuffer, ItemRowGrad, ModelTables, init_tables
 from .validation import check_finite, check_is_fitted
 
-# Not called here; perfbench/spans.py looks these names up on this module.
-from .encoder import encode, encode_backward  # noqa: F401
-from .softmax import nll_and_grad  # noqa: F401
+# Not called here; perfbench/spans.py looks this name up on this module.
+from .encoder import encode  # noqa: F401
 
 CLUSTERINGS = ("kmeans", "frequency", "random")
 
@@ -68,6 +68,9 @@ class TrainConfig:
         for name in ("max_steps", "eval_every", "val_sample", "patience", "learning_rate", "weight_decay"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
+        for name in ("learning_rate", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.id_only_fraction <= 1.0:
             raise ValueError("id_only_fraction must be in [0, 1]")
         if not 0.0 <= self.metadata_keep_prob <= 1.0:
@@ -247,8 +250,8 @@ def train(data: Dataset, config: TrainConfig, snapshot: ModelSnapshot | None = N
         targets = [data.space.item_ordinal(example.target) for example in examples]
         grads = GradBuffer(tables, encoder)
         queries, cache = encode_batch(seqs, tables, encoder)
-        losses, d_queries, _ = nll_and_grad_batch(queries, targets, tables, cmap, mode, grads)
-        encode_batch_backward(cache, d_queries, tables, encoder, grads)
+        losses, d_queries, _ = nll_and_grad(queries, targets, tables, cmap, mode, grads)
+        encode_backward(cache, d_queries, tables, encoder, grads)
         mean_loss = float(losses.sum()) / config.batch_size
         if not math.isfinite(mean_loss):
             raise TrainingDivergedError(f"non-finite loss {mean_loss} at step {step}")

@@ -1,8 +1,9 @@
 """Shared fixtures: random models, parameter flattening, finite differences,
 snapshot byte surgery, and the oracles the array-form paths are tested
-against: full-softmax log-probabilities, top-k selection, co-occurrence
-counting, cluster binning, centroid means and the full-layout additive index;
-and the item rows a factored item gradient writes."""
+against: full-softmax log-probabilities, the per-example loss, gradients and
+encoder backward, top-k selection, co-occurrence counting, cluster binning,
+centroid means and the full-layout additive index; and the item rows a
+factored item gradient writes."""
 
 import heapq
 import json
@@ -15,6 +16,7 @@ from hsrec.cluster import ClusterMap
 from hsrec.encoder import EncoderParams
 from hsrec.inference import SearchStats, TopK
 from hsrec.softmax import (
+    MODES,
     _logsumexp,
     _queries64,
     _query64,
@@ -23,7 +25,7 @@ from hsrec.softmax import (
     log_softmax,
     member_log_conditionals,
 )
-from hsrec.tables import EmbeddingTable, ModelTables, ProjectionHead
+from hsrec.tables import EmbeddingTable, GradBuffer, ModelTables, ProjectionHead
 
 
 def random_cluster_map(n_text, n_items, n_clusters, rng):
@@ -187,6 +189,98 @@ def full_logprob(query, ordinal, tables):
     time: the oracle for full-mode scoring."""
     logits = full_logits(query, tables)
     return float(logits[ordinal] - _logsumexp(logits))
+
+
+def nll_and_grad_oracle(query, target, tables, cluster_map, mode="twolevel", grads=None, counter=None):
+    """Cross-entropy loss and exact analytic gradients for one example: the
+    per-example oracle for the batched ``softmax.nll_and_grad``.
+
+    Returns ``(loss, d_query, grads)``.  Head-side gradients accumulate into
+    ``grads`` (allocated if not supplied): text rows, projected item rows
+    (chained through the head by ``GradBuffer.finalize``), and centroid rows.
+    In two-level mode only the cluster centroids and the target cluster's
+    members receive gradient.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    q = _query64(query)
+    if not 0 <= target < tables.n_total:
+        raise ValueError(f"target ordinal {target} out of range")
+    if grads is None:
+        grads = GradBuffer(tables)
+    n_text = tables.n_text
+
+    if mode == "full":
+        logits = full_logits(q, tables)
+        if counter is not None:
+            counter.add(tables.n_total)
+        log_norm = _logsumexp(logits)
+        loss = log_norm - float(logits[target])
+        p = np.exp(logits - log_norm)
+        p[target] -= 1.0
+        d_query = tables.text.data.T @ p[:n_text] + tables.item_projected().T @ p[n_text:]
+        grads.d_text += np.outer(p[:n_text], q)
+        grads.add_item_rows(np.arange(tables.n_items), np.outer(p[n_text:], q))
+        return loss, d_query, grads
+
+    if cluster_map is None:
+        raise ValueError("two-level mode requires a cluster map")
+    cs = cluster_logits(q, tables)
+    if counter is not None:
+        counter.add(cluster_map.n_clusters)
+    log_norm = _logsumexp(cs)
+    target_cluster = cluster_map.cluster_of(target)
+    loss = log_norm - float(cs[target_cluster])
+    p = np.exp(cs - log_norm)
+    p[target_cluster] -= 1.0
+    d_query = tables.text.data.T @ p[:n_text] + tables.centroids.data.T @ p[n_text:]
+    grads.d_text += np.outer(p[:n_text], q)
+    grads.d_centroids += np.outer(p[n_text:], q)
+
+    if target >= n_text:
+        members = cluster_map.item_members(target_cluster - n_text)
+        if counter is not None:
+            counter.add(members.size)
+        member_logits = tables.item_projected()[members] @ q
+        m_norm = _logsumexp(member_logits)
+        pos = int(np.flatnonzero(members == target - n_text)[0])
+        loss += m_norm - float(member_logits[pos])
+        pm = np.exp(member_logits - m_norm)
+        pm[pos] -= 1.0
+        d_query = d_query + tables.item_projected()[members].T @ pm
+        grads.add_item_rows(members, np.outer(pm, q))
+    else:
+        # Text target: its singleton's conditional is 1, so no second level.
+        if counter is not None:
+            counter.add(1)
+    return loss, d_query, grads
+
+
+def encode_backward_oracle(cache, d_query, tables, params, grads):
+    """Chain one sequence's d(loss)/d(query) into encoder parameters and input
+    embeddings, from ``encode``'s one-row cache: the per-example oracle for
+    the batched ``encoder.encode_backward``."""
+    (hidden,), (pooled,) = cache.hidden, cache.pooled
+    if grads.encoder_grads is None:
+        raise ValueError("GradBuffer was built without encoder parameters")
+    eg = grads.encoder_grads
+    eg["enc_out_w"] += np.outer(d_query, hidden)
+    eg["enc_out_b"] += d_query
+    d_act = (1.0 - hidden**2) * (params.out_w.T @ d_query)
+    eg["enc_hidden_w"] += np.outer(d_act, pooled)
+    eg["enc_hidden_b"] += d_act
+    # The identity skip feeds d_query straight back to the pooled input.
+    d_emb = (params.hidden_w.T @ d_act + d_query) / cache.ordinals.size
+
+    ords = cache.ordinals
+    is_item = ords >= tables.n_text
+    # Repeated tokens within one sequence: np.add.at for text rows, a count
+    # per distinct item row.
+    if (~is_item).any():
+        np.add.at(grads.d_text, ords[~is_item], d_emb)
+    if is_item.any():
+        rows, counts = np.unique(ords[is_item] - tables.n_text, return_counts=True)
+        grads.add_item_rows(rows, counts[:, None] * d_emb)
 
 
 def touched_item_rows(item_grad):

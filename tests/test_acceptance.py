@@ -16,17 +16,17 @@ from helpers import (
     fd_gradient,
     flatten,
     max_rel_error,
+    nll_and_grad_oracle,
     param_arrays,
-    random_cluster_map,
     random_encoder,
     random_model,
 )
 from hsrec.catalog import build_dataset, ingest_jsonl
 from hsrec.cli import main as cli_main
 from hsrec.cluster import ClusterMap
-from hsrec.encoder import encode, encode_backward
+from hsrec.encoder import encode_backward, encode_batch
 from hsrec.evaluate import evaluate, popularity_baseline
-from hsrec.inference import topk_exact, topk_structure
+from hsrec.inference import topk_structure
 from hsrec.latency import (
     MISTRAL_7B,
     PALM,
@@ -118,16 +118,17 @@ def test_c04_composed_gradient_oracle():
             target = int(rng.integers(0, 14))
             arrays = param_arrays(tables, enc)
 
+            # The functions a training step runs, at a batch of one.
             def loss_fn():
-                query, _ = encode(seq, tables, enc)
-                loss, _, _ = nll_and_grad(query, target, tables, cmap, mode="twolevel")
-                return loss
+                queries, _ = encode_batch([seq], tables, enc)
+                losses, _, _ = nll_and_grad(queries, [target], tables, cmap, mode="twolevel")
+                return losses[0]
 
             numeric = fd_gradient(loss_fn, tables, arrays, eps=1e-5)
-            query, cache = encode(seq, tables, enc)
+            queries, cache = encode_batch([seq], tables, enc)
             grads = GradBuffer(tables, enc)
-            _, d_query, _ = nll_and_grad(query, target, tables, cmap, mode="twolevel", grads=grads)
-            encode_backward(cache, d_query, tables, enc, grads)
+            _, d_queries, _ = nll_and_grad(queries, [target], tables, cmap, mode="twolevel", grads=grads)
+            encode_backward(cache, d_queries, tables, enc, grads)
             analytic = flatten(grads.finalize(tables))
             worst = max(worst, max_rel_error(analytic, numeric))
         print(f"  worst relative error = {worst:.2e}")
@@ -206,8 +207,8 @@ def test_c06_training_cost_sublinearity():
             query = rng.standard_normal(16)
             target = int(rng.integers(0, n_text + n_items))
             c_full, c_two = CostCounter(), CostCounter()
-            nll_and_grad(query, target, tables, None, mode="full", counter=c_full)
-            nll_and_grad(query, target, tables, cmap, mode="twolevel", counter=c_two)
+            nll_and_grad_oracle(query, target, tables, None, mode="full", counter=c_full)
+            nll_and_grad_oracle(query, target, tables, cmap, mode="twolevel", counter=c_two)
             full_dots.append(c_full.dots)
             two_dots.append(c_two.dots)
         print(f"  per-example dots: full={max(full_dots)}, two-level={max(two_dots)}")

@@ -1,10 +1,10 @@
 """The batched training step against its per-example oracle.
 
-``encode_batch`` + ``nll_and_grad_batch`` + ``encode_batch_backward`` must give
-the losses, query gradients, finalized parameter gradients, touched item rows
-and dot count of per-example ``encode`` + ``nll_and_grad`` + ``encode_backward``
-calls summed over the batch.  Summation order differs, so values agree to
-1e-12 relative rather than bitwise.
+``encode_batch`` + ``nll_and_grad`` + ``encode_backward`` must give the
+losses, query gradients, finalized parameter gradients, touched item rows and
+dot count of per-example ``encode`` + ``nll_and_grad_oracle`` +
+``encode_backward_oracle`` calls summed over the batch.  Summation order
+differs, so values agree to 1e-12 relative rather than bitwise.
 """
 
 from types import SimpleNamespace
@@ -12,10 +12,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import random_encoder, random_model, synth_dataset, touched_item_rows
-from hsrec.encoder import encode, encode_backward, encode_batch, encode_batch_backward
+from helpers import (
+    encode_backward_oracle,
+    nll_and_grad_oracle,
+    random_encoder,
+    random_model,
+    synth_dataset,
+    touched_item_rows,
+)
+from hsrec.encoder import encode, encode_backward, encode_batch
 from hsrec.render import render_example
-from hsrec.softmax import CostCounter, nll_and_grad, nll_and_grad_batch
+from hsrec.softmax import CostCounter, nll_and_grad
 from hsrec.tables import GradBuffer, ItemRowGrad
 from hsrec.trainer import TrainConfig, _apply_update, init_model, train
 
@@ -61,8 +68,8 @@ def per_example(seqs, targets, tables, cmap, enc, mode):
     grads, counter, losses, d_queries = GradBuffer(tables, enc), CostCounter(), [], []
     for seq, target in zip(seqs, targets):
         query, cache = encode(seq, tables, enc)
-        loss, d_query, _ = nll_and_grad(query, target, tables, cmap, mode, grads, counter)
-        encode_backward(cache, d_query, tables, enc, grads)
+        loss, d_query, _ = nll_and_grad_oracle(query, target, tables, cmap, mode, grads, counter)
+        encode_backward_oracle(cache, d_query, tables, enc, grads)
         losses.append(loss)
         d_queries.append(d_query)
     return np.array(losses), np.array(d_queries), grads, counter
@@ -71,8 +78,8 @@ def per_example(seqs, targets, tables, cmap, enc, mode):
 def batched(seqs, targets, tables, cmap, enc, mode):
     grads, counter = GradBuffer(tables, enc), CostCounter()
     queries, cache = encode_batch(seqs, tables, enc)
-    losses, d_queries, _ = nll_and_grad_batch(queries, targets, tables, cmap, mode, grads, counter)
-    encode_batch_backward(cache, d_queries, tables, enc, grads)
+    losses, d_queries, _ = nll_and_grad(queries, targets, tables, cmap, mode, grads, counter)
+    encode_backward(cache, d_queries, tables, enc, grads)
     return losses, d_queries, grads, counter
 
 
@@ -132,6 +139,23 @@ def test_encode_batch_rows_equal_encode():
         assert rel_gap(encode(seq, tables, enc)[0], row) <= REL
     with pytest.raises(ValueError):
         encode_batch([[1], []], tables, enc)
+
+
+def test_encode_cache_is_a_batch_of_one():
+    # encode's one-row cache drives the batched backward as encode_batch's does.
+    tables, cmap, rng = random_model(N_TEXT, N_ITEMS, DIM, ITEM_DIM, N_CLUSTERS, seed=6)
+    enc = random_encoder(DIM, rng)
+    seq = [1, N_TEXT + 2, 1, N_TEXT + 9]
+    d_queries = rng.standard_normal((1, DIM))
+    finals = []
+    for _, cache in (encode(seq, tables, enc), encode_batch([seq], tables, enc)):
+        grads = GradBuffer(tables, enc)
+        encode_backward(cache, d_queries, tables, enc, grads)
+        finals.append(grads.finalize(tables))
+    want, got = finals
+    assert list(got) == list(want)
+    for name in want:
+        assert rel_gap(want[name], got[name]) <= REL, name
 
 
 def assert_dense_update_bitwise(seqs, targets, tables, cmap, enc, mode):
@@ -202,8 +226,8 @@ def test_train_step_matches_per_example_loop(tmp_path, mode):
         seq = render_example(example, data, rng, config.id_only_fraction, config.metadata_keep_prob)
         query, cache = encode(seq, ref.tables, ref.encoder)
         target = data.space.item_ordinal(example.target)
-        _, d_query, _ = nll_and_grad(query, target, ref.tables, ref.cluster_map, mode, grads)
-        encode_backward(cache, d_query, ref.tables, ref.encoder, grads)
+        _, d_query, _ = nll_and_grad_oracle(query, target, ref.tables, ref.cluster_map, mode, grads)
+        encode_backward_oracle(cache, d_query, ref.tables, ref.encoder, grads)
     final = grads.finalize(ref.tables)
     with ref.tables.writing() as arrays:
         arrays.update(ref.encoder.parameter_arrays())

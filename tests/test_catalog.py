@@ -206,4 +206,9 @@ def test_build_dataset_wires_everything(tmp_path):
     assert data.space.n_text == len(data.vocab)
     assert len(data.val_examples) == len(data.split.users)
     assert data.train_item_counts.sum() == sum(len(v) for v in data.split.train_events.values())
+    want = np.zeros(data.n_items, dtype=np.int64)
+    for items in data.split.train_events.values():
+        for item in items:
+            want[item] += 1
+    assert data.train_item_counts.dtype == np.int64 and np.array_equal(data.train_item_counts, want)
     assert data.price_buckets is not None

@@ -445,6 +445,9 @@ def test_bench_snapshot_with_another_vocab_cap(corpus, tmp_path, command):
         ("--learning-rate", -1.0),
         ("--weight-decay", -0.5),
         ("--weight-decay", "-1e-5"),
+        ("--learning-rate", "nan"),
+        ("--learning-rate", "inf"),
+        ("--weight-decay", "inf"),
     ],
 )
 def test_train_rejects_out_of_range_settings(corpus, tmp_path, capsys, flag, value):

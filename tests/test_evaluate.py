@@ -10,7 +10,6 @@ from hsrec.cluster import ClusterMap
 from hsrec.encoder import EncoderParams, encode
 from hsrec.evaluate import (
     EVAL_BLOCK,
-    MetricReport,
     evaluate,
     metrics_from_ranks,
     popularity_baseline,

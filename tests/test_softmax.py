@@ -9,6 +9,7 @@ from helpers import (
     flatten,
     full_logprob,
     max_rel_error,
+    nll_and_grad_oracle,
     param_arrays,
     random_cluster_map,
     random_model,
@@ -23,7 +24,6 @@ from hsrec.softmax import (
     log_softmax,
     member_log_conditionals,
     nll_and_grad,
-    nll_and_grad_batch,
     score_all,
     two_level_logprob,
 )
@@ -228,7 +228,7 @@ def test_cluster_ordered_rows_follow_writes_and_cluster_maps():
 
 
 def _first_level_scores(tables, cmap, queries, targets):
-    losses, d_queries, grads = nll_and_grad_batch(queries, targets, tables, cmap)
+    losses, d_queries, grads = nll_and_grad(queries, targets, tables, cmap)
     return (
         [cluster_logits(q, tables) for q in queries],
         *_item_scores(tables, cmap, queries),
@@ -272,7 +272,7 @@ def test_full_and_two_level_differ_in_general():
 def test_uniform_model_full_loss_is_log_n():
     tables = uniform_model(3, 5)
     q = np.array([0.1, 0.4, -0.3, 0.2])
-    loss, _, _ = nll_and_grad(q, 4, tables, None, mode="full")
+    loss, _, _ = nll_and_grad_oracle(q, 4, tables, None, mode="full")
     assert loss == pytest.approx(np.log(8), abs=1e-12)
 
 
@@ -286,7 +286,7 @@ def test_log_domain_stability_huge_logits():
     q = np.array([1.0, -1.0, 1.0, -1.0])
     assert np.isfinite(score_all(q, tables, cmap, mode="twolevel")).all()
     assert np.isfinite(score_all(q, tables, None, mode="full")).all()
-    loss, d_q, _ = nll_and_grad(q, 3, tables, cmap, mode="twolevel")
+    loss, d_q, _ = nll_and_grad_oracle(q, 3, tables, cmap, mode="twolevel")
     assert np.isfinite(loss) and np.isfinite(d_q).all()
 
 
@@ -307,9 +307,9 @@ def test_cost_counter_two_level_vs_full():
     q = rng.standard_normal(8)
 
     full_counter = CostCounter()
-    nll_and_grad(q, n_text + 5, tables, None, mode="full", counter=full_counter)
+    nll_and_grad_oracle(q, n_text + 5, tables, None, mode="full", counter=full_counter)
     two_counter = CostCounter()
-    nll_and_grad(q, n_text + 5, tables, cmap, mode="twolevel", counter=two_counter)
+    nll_and_grad_oracle(q, n_text + 5, tables, cmap, mode="twolevel", counter=two_counter)
 
     assert full_counter.dots == 11_000
     assert two_counter.dots == (n_text + n_clusters) + 100
@@ -322,7 +322,7 @@ def test_two_level_gradient_sparsity():
     tables, cmap, rng = random_model(6, 20, 5, 4, 4, seed=8)
     q = rng.standard_normal(5)
     target_item = 7
-    _, _, grads = nll_and_grad(q, 6 + target_item, tables, cmap, mode="twolevel")
+    _, _, grads = nll_and_grad_oracle(q, 6 + target_item, tables, cmap, mode="twolevel")
     target_cluster = cmap.item_assignment[target_item]
     members = cmap.item_members(int(target_cluster))
     # Only the target cluster's projected rows receive gradient, each of them some.
@@ -364,11 +364,11 @@ def test_head_gradients_match_finite_differences(mode):
         arrays = param_arrays(tables)
 
         def loss_fn():
-            loss, _, _ = nll_and_grad(q, target, tables, cmap, mode=mode)
+            loss, _, _ = nll_and_grad_oracle(q, target, tables, cmap, mode=mode)
             return loss
 
         numeric = fd_gradient(loss_fn, tables, arrays, eps=1e-5)
-        _, _, grads = nll_and_grad(q, target, tables, cmap, mode=mode)
+        _, _, grads = nll_and_grad_oracle(q, target, tables, cmap, mode=mode)
         analytic = flatten(grads.finalize(tables))
         worst = max(worst, max_rel_error(analytic, numeric))
     assert worst < 1e-4
@@ -378,14 +378,14 @@ def test_gradient_of_query_matches_finite_differences():
     tables, cmap, rng = random_model(5, 9, 4, 3, 3, seed=42)
     q = rng.standard_normal(4)
     target = 11
-    _, d_query, _ = nll_and_grad(q, target, tables, cmap, mode="twolevel")
+    _, d_query, _ = nll_and_grad_oracle(q, target, tables, cmap, mode="twolevel")
     eps = 1e-6
     numeric = np.zeros(4)
     for i in range(4):
         up, down = q.copy(), q.copy()
         up[i] += eps
         down[i] -= eps
-        lu, _, _ = nll_and_grad(up, target, tables, cmap, mode="twolevel")
-        ld, _, _ = nll_and_grad(down, target, tables, cmap, mode="twolevel")
+        lu, _, _ = nll_and_grad_oracle(up, target, tables, cmap, mode="twolevel")
+        ld, _, _ = nll_and_grad_oracle(down, target, tables, cmap, mode="twolevel")
         numeric[i] = (lu - ld) / (2 * eps)
     assert max_rel_error(d_query, numeric) < 1e-4

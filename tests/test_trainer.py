@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+import hsrec.trainer
 from helpers import synth_dataset, touched_item_rows
-from hsrec.catalog import ItemRecord, SequenceExample
 from hsrec.encoder import encode
 from hsrec.evaluate import EVAL_BLOCK, popularity_baseline
 from hsrec.exceptions import DataError, TrainingDivergedError
@@ -291,6 +291,28 @@ def test_large_decay_checks_every_item_row(small_data, monkeypatch):
     config = TrainConfig(max_steps=1, batch_size=2, learning_rate=1.0, weight_decay=2.5, eval_every=0, seed=2)
     with pytest.raises(ValueError, match="NaN or Inf"):
         train(small_data, config, dim=8, item_dim=6, clustering="random")
+
+
+@pytest.mark.parametrize("mode", ["twolevel", "full"])
+def test_train_calls_the_names_the_span_table_wraps(small_data, monkeypatch, mode):
+    # perfbench's span table times a step's loss and encoder backward by
+    # patching these names on hsrec.trainer; a rename would leave them untimed.
+    shapes = {"nll_and_grad": [], "encode_backward": []}
+
+    def count_calls(name, block_arg):
+        fn = getattr(hsrec.trainer, name)
+
+        def wrapper(*args, **kwargs):
+            shapes[name].append(np.shape(args[block_arg]))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(hsrec.trainer, name, wrapper)
+
+    count_calls("nll_and_grad", 0)  # the (B, d) queries
+    count_calls("encode_backward", 1)  # the (B, d) query gradients
+    config = TrainConfig(max_steps=2, batch_size=4, eval_every=0, seed=2, softmax_mode=mode)
+    train(small_data, config, dim=8, item_dim=6, clustering="random")
+    assert shapes == {"nll_and_grad": [(4, 8)] * 2, "encode_backward": [(4, 8)] * 2}
 
 
 def test_estimator_set_params_rejects_unknown():
