@@ -2,8 +2,11 @@
 
 Flag values win over config-file values, which win over defaults.  The config
 file is plain ``key = value`` under a ``[command]`` section per subcommand;
-unknown sections or keys are rejected.  Artifact files (CSV/JSON) contain no
-timestamps, so identical config + seed reproduces byte-identical outputs.
+unknown sections or keys are rejected.  One option table gives each option's
+type, default, help and allowed values; a ``None`` default marks a required
+option.  Both are checked once, for flags and config values alike, before a
+command reads any input.  Artifact files (CSV/JSON) contain no timestamps, so
+identical config + seed reproduces byte-identical outputs.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical abort.
 Failures print a human line and a machine-readable JSON trailer to stderr.
@@ -34,6 +37,7 @@ from .exceptions import DataError, HsrecError, SnapshotFormatError, TrainingDive
 from .inference import build_additive_index, topk_ann, topk_exact, topk_structure
 from .render import render_id_only
 from .snapshot import load_snapshot, save_snapshot
+from .softmax import MODES
 from .synth import SynthSpec, generate, write_groups_csv, write_jsonl
 from .trainer import CLUSTERINGS, TrainConfig, build_cluster_map, train
 
@@ -52,9 +56,11 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
 
 
-# Option tables: (dest, type, default, help).  These drive both argparse and
-# config-file validation, so the two can never drift apart.  Training options
-# default to TrainConfig's own defaults.
+# Option tables: (dest, type, default, help[, choices]).  These drive argparse,
+# config-file keys and the one check of every resolved value (``_resolve``), so
+# the three can never drift apart.  A None default marks a required option;
+# choices come from the library's own constants and are appended to the help.
+# Training options default to TrainConfig's own defaults.
 _COMMON = [
     ("out_dir", str, ".", "directory for output artifacts"),
     ("seed", int, 0, "random seed"),
@@ -74,7 +80,7 @@ _OPTIONS = {
     "cluster": _COMMON
     + [
         ("data", str, None, "interactions JSONL path"),
-        ("clusters", str, "kmeans", "clustering method: kmeans|frequency|random"),
+        ("clusters", str, "kmeans", "clustering method", CLUSTERINGS),
         ("n_clusters", int, 0, "item cluster count (0 = ceil(sqrt(n_items)))"),
         ("features", str, "", "optional (n_items, p) .npy feature file for kmeans"),
         ("vocab_size", int, 8192, "text vocabulary cap"),
@@ -82,8 +88,8 @@ _OPTIONS = {
     "train": _COMMON
     + [
         ("data", str, None, "interactions JSONL path"),
-        ("mode", str, TrainConfig.softmax_mode, "softmax mode: full|twolevel"),
-        ("clusters", str, "kmeans", "clustering method: kmeans|frequency|random"),
+        ("mode", str, TrainConfig.softmax_mode, "softmax mode", MODES),
+        ("clusters", str, "kmeans", "clustering method", CLUSTERINGS),
         ("n_clusters", int, 0, "item cluster count (0 = ceil(sqrt(n_items)))"),
         ("features", str, "", "optional (n_items, p) .npy feature file for kmeans"),
         ("steps", int, TrainConfig.max_steps, "max optimization steps"),
@@ -103,8 +109,9 @@ _OPTIONS = {
     + [
         ("data", str, None, "interactions JSONL path"),
         ("snapshot", str, "", "trained snapshot path (omit for clustering ablation)"),
-        ("engine", str, "structure", "ranking engine: full|structure|ann|all"),
-        ("clusters", str, "kmeans", "clustering method, or 'all' for the ablation grid"),
+        ("engine", str, "structure", "ranking engine", (*ENGINES, "all")),
+        ("clusters", str, "kmeans", "'all' trains the clustering ablation grid; "
+         "otherwise the snapshot's clustering is used", (*CLUSTERINGS, "all")),
         ("k", str, "1,10", "comma-separated recall cutoffs"),
         ("exclude_history", int, 0, "1 to drop history items from the ranking"),
         ("steps", int, 500, "training steps per ablation run"),
@@ -115,8 +122,8 @@ _OPTIONS = {
     "latency": _COMMON
     + [
         ("data", str, "", "optional interactions JSONL to measure tokens-per-item"),
-        ("profile", str, "all", "deployment profile: mistral7b|palm|all"),
-        ("encoder", str, "all", "item encoder: id|title|category|all"),
+        ("profile", str, "all", "deployment profile", (*latency_mod.PROFILES, "all")),
+        ("encoder", str, "all", "item encoder", (*latency_mod.MULTI_TOKEN_ENCODERS, "all")),
         ("history_len", int, 8, "history length |H|"),
         ("const_tokens", int, 20, "constant prompt tokens"),
         ("vocab_size", int, 8192, "text vocabulary cap"),
@@ -144,15 +151,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _spec(command: str) -> list[tuple]:
+    """The command's options as (dest, type, default, help, choices); no choices is ()."""
+    return [(*entry, ())[:5] for entry in _OPTIONS[command]]
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hsrec", description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", default=None, help="key=value config file with [command] sections")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, options in _OPTIONS.items():
+    for command in _OPTIONS:
         p = sub.add_parser(command)
-        for dest, typ, _default, help_text in options:
-            flag = "--" + dest.replace("_", "-")
-            p.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
+        for dest, typ, _default, help_text, choices in _spec(command):
+            if choices:
+                help_text += f" ({'|'.join(choices)})"
+            p.add_argument(_flag(dest), dest=dest, type=typ, default=None, help=help_text)
     return parser
 
 
@@ -182,20 +199,23 @@ def _read_config_file(path: str) -> dict[str, dict[str, str]]:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge defaults < config file < explicit flags for the active command."""
+    """Merge defaults < config file < explicit flags for the active command,
+    then check that every required option is set and every value is one of
+    its choices."""
     command = args.command
     file_values: dict[str, str] = {}
     if args.config:
         file_values = _read_config_file(args.config).get(command, {})
     resolved = {}
-    for dest, typ, default, _help in _OPTIONS[command]:
-        flag_value = getattr(args, dest)
-        if flag_value is not None:
-            resolved[dest] = flag_value
-        elif dest in file_values:
-            resolved[dest] = typ(file_values[dest])
-        else:
-            resolved[dest] = default
+    for dest, typ, default, _help, choices in _spec(command):
+        value = getattr(args, dest)
+        if value is None:
+            value = typ(file_values[dest]) if dest in file_values else default
+        if default is None and value in (None, ""):
+            raise UsageError(f"{_flag(dest)} is required")
+        if choices and value not in choices:
+            raise UsageError(f"{_flag(dest)} must be one of {'|'.join(choices)}, got {value!r}")
+        resolved[dest] = value
     return resolved
 
 
@@ -203,12 +223,6 @@ def _out_dir(opts: dict) -> Path:
     path = Path(opts["out_dir"])
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _require(opts: dict, *keys: str) -> None:
-    for key in keys:
-        if not opts.get(key):
-            raise UsageError(f"--{key.replace('_', '-')} is required")
 
 
 class UsageError(HsrecError):
@@ -222,6 +236,10 @@ def _write_csv(path: Path, rows: list[dict], fieldnames=None) -> None:
         writer = csv.DictWriter(fh, fieldnames=fieldnames or list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
+
+
+def _write_json(path: Path, value) -> None:
+    path.write_text(json.dumps(value, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _load_dataset(opts: dict):
@@ -266,7 +284,6 @@ def cmd_synth(opts: dict) -> int:
 
 
 def cmd_ingest(opts: dict) -> int:
-    _require(opts, "data")
     out = _out_dir(opts)
     interactions = ingest_jsonl(opts["data"])
     (out / "stats.json").write_text(interactions.stats().to_json() + "\n", encoding="utf-8")
@@ -286,9 +303,6 @@ def _load_features(opts: dict):
 
 
 def cmd_cluster(opts: dict) -> int:
-    _require(opts, "data")
-    if opts["clusters"] not in CLUSTERINGS:
-        raise UsageError(f"--clusters must be one of {CLUSTERINGS}")
     out = _out_dir(opts)
     data = _load_dataset(opts)
     cmap = build_cluster_map(
@@ -310,7 +324,6 @@ def _train_config(opts: dict, mode: str) -> TrainConfig:
 
 
 def cmd_train(opts: dict) -> int:
-    _require(opts, "data")
     out = _out_dir(opts)
     data = _load_dataset(opts)
     config = _train_config(opts, opts["mode"])
@@ -348,28 +361,22 @@ def _recall_cutoffs(text) -> tuple[int, ...]:
     return ks
 
 
+def _report_rows(opts: dict, ks, snapshot, data, clustering: str, engines) -> list[dict]:
+    """One report row per engine for ``snapshot`` on ``data``."""
+    exclude = bool(opts["exclude_history"])
+    return [
+        report_csv_row(data.name, e, clustering, evaluate(snapshot, data, e, ks=ks, exclude_history=exclude))
+        for e in engines
+    ]
+
+
 def _eval_single(opts: dict, out: Path, ks: tuple[int, ...]) -> int:
     snapshot, data = _load_snapshot_and_corpus(opts)
-    mode = snapshot.config.get("softmax_mode", "twolevel")
+    engines = [opts["engine"]]
     if opts["engine"] == "all":
-        engines = list(ENGINES) if mode == "twolevel" else ["full"]
-    else:
-        engines = [opts["engine"]]
-    rows = []
-    for engine in engines:
-        report = evaluate(
-            snapshot,
-            data,
-            engine=engine,
-            ks=ks,
-            exclude_history=bool(opts["exclude_history"]),
-        )
-        rows.append(
-            report_csv_row(data.name, engine, snapshot.config.get("clustering", "?"), report)
-        )
-    (out / "metrics.json").write_text(
-        json.dumps(rows, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+        engines = list(ENGINES) if snapshot.config.get("softmax_mode", "twolevel") == "twolevel" else ["full"]
+    rows = _report_rows(opts, ks, snapshot, data, snapshot.config.get("clustering", "?"), engines)
+    _write_json(out / "metrics.json", rows)
     _write_csv(out / "results.csv", rows)
     print(json.dumps(rows, sort_keys=True))
     return EXIT_OK
@@ -381,50 +388,27 @@ def _eval_ablation(opts: dict, out: Path, ks: tuple[int, ...]) -> int:
     data = _load_dataset(opts)
     rows = []
     for clustering in CLUSTERINGS:
-        config = _train_config(opts, "twolevel")
-        result = train(data, config, clustering=clustering)
-        snapshot = result.snapshot
-        for engine in ("structure", "ann", "full"):
-            report = evaluate(
-                snapshot,
-                data,
-                engine=engine,
-                ks=ks,
-                exclude_history=bool(opts["exclude_history"]),
-            )
-            rows.append(report_csv_row(data.name, engine, clustering, report))
+        snapshot = train(data, _train_config(opts, "twolevel"), clustering=clustering).snapshot
+        rows += _report_rows(opts, ks, snapshot, data, clustering, ("structure", "ann", "full"))
     _write_csv(out / "ablation.csv", rows)
     print(out / "ablation.csv")
     return EXIT_OK
 
 
 def cmd_eval(opts: dict) -> int:
-    _require(opts, "data")
     ks = _recall_cutoffs(opts["k"])
+    if opts["clusters"] != "all" and not opts["snapshot"]:
+        raise UsageError("--snapshot is required unless --clusters all")
     out = _out_dir(opts)
     if opts["clusters"] == "all":
         return _eval_ablation(opts, out, ks)
-    _require(opts, "snapshot")
     return _eval_single(opts, out, ks)
 
 
 def cmd_latency(opts: dict) -> int:
     out = _out_dir(opts)
-    if opts["profile"] == "all":
-        profiles = list(latency_mod.PROFILES.values())
-    elif opts["profile"] in latency_mod.PROFILES:
-        profiles = [latency_mod.PROFILES[opts["profile"]]]
-    else:
-        raise UsageError(f"--profile must be one of {sorted(latency_mod.PROFILES)} or 'all'")
-    if opts["encoder"] == "all":
-        encoders = list(latency_mod.MULTI_TOKEN_ENCODERS)
-    elif opts["encoder"] in latency_mod.MULTI_TOKEN_ENCODERS:
-        encoders = [opts["encoder"]]
-    else:
-        raise UsageError(
-            f"--encoder must be one of {latency_mod.MULTI_TOKEN_ENCODERS} or 'all'"
-        )
-
+    profiles = [p for name, p in latency_mod.PROFILES.items() if opts["profile"] in (name, "all")]
+    encoders = [e for e in latency_mod.MULTI_TOKEN_ENCODERS if opts["encoder"] in (e, "all")]
     if opts["data"]:
         data = _load_dataset(opts)
         # Like the reference workloads' missing specs, an encoder whose field
@@ -449,58 +433,42 @@ def cmd_latency(opts: dict) -> int:
                     rows.append(
                         latency_mod.latency_row("reference", encoder, profile, specs[encoder], specs["id"])
                     )
-    latency_mod.write_latency_csv(rows, out / "latency.csv")
-    registry = {p.name: p.to_dict() for p in latency_mod.PROFILES.values()}
-    (out / "profiles.json").write_text(
-        json.dumps(registry, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_csv(out / "latency.csv", rows)
+    _write_json(out / "profiles.json", {p.name: p.to_dict() for p in latency_mod.PROFILES.values()})
     print(out / "latency.csv")
     return EXIT_OK
 
 
 def cmd_bench(opts: dict) -> int:
-    _require(opts, "data", "snapshot")
     if opts["queries"] < 1:
         raise UsageError(f"--queries must be at least 1, got {opts['queries']}")
-    out = _out_dir(opts)
     snapshot, data = _load_snapshot_and_corpus(opts)
-    k = opts["k"]
+    mode = snapshot.config.get("softmax_mode", "twolevel")
+    if mode != "twolevel":
+        # All three engines rank with the two-level head, which full-softmax training never fits.
+        raise UsageError(f"bench needs a two-level snapshot; this one was trained with {mode!r}")
+    out = _out_dir(opts)
+    k, tables, cmap = opts["k"], snapshot.tables, snapshot.cluster_map
     rng = np.random.default_rng(opts["seed"])
     examples = data.test_examples
     picks = rng.integers(0, len(examples), size=min(opts["queries"], len(examples)))
-    queries = []
-    for i in picks:
-        seq = render_id_only(examples[int(i)], data)
-        query, _ = encode(seq, snapshot.tables, snapshot.encoder)
-        queries.append(query)
-    index = build_additive_index(snapshot.tables, snapshot.cluster_map)
-
-    def timed(fn):
-        times, scored = [], []
+    queries = [encode(render_id_only(examples[int(i)], data), tables, snapshot.encoder)[0] for i in picks]
+    index = build_additive_index(tables, cmap)
+    # Each search returns (TopK, SearchStats or None); None means it scored every token.
+    searches = {
+        "exact": lambda q: (topk_exact(q, k, tables, cmap), None),
+        "structure": lambda q: topk_structure(q, k, tables, cmap),
+        "ann": lambda q: (topk_ann(q, k, index, tables), None),
+    }
+    rows, results = [], {}
+    for engine, search in searches.items():
+        times, results[engine] = [], []
         for query in queries:
             start = time.perf_counter()
-            extra = fn(query)
+            result = search(query)
             times.append((time.perf_counter() - start) * 1e3)
-            scored.append(extra)
-        return times, scored
-
-    n_total = snapshot.tables.n_total
-    per_query: list[dict] = []
-
-    def run_structure(q):
-        ranked, stats = topk_structure(q, k, snapshot.tables, snapshot.cluster_map)
-        per_query.append(
-            {"topk": ranked.rows(snapshot.space, snapshot.item_ids), **stats.to_dict()}
-        )
-        return stats.tokens_scored
-
-    runs = {
-        "exact": timed(lambda q: (topk_exact(q, k, snapshot.tables, snapshot.cluster_map), n_total)[1]),
-        "structure": timed(run_structure),
-        "ann": timed(lambda q: (topk_ann(q, k, index, snapshot.tables), n_total)[1]),
-    }
-    rows = []
-    for engine, (times, scored) in runs.items():
+            results[engine].append(result)
+        scored = [tables.n_total if stats is None else stats.tokens_scored for _, stats in results[engine]]
         rows.append(
             {
                 "engine": engine,
@@ -511,10 +479,12 @@ def cmd_bench(opts: dict) -> int:
                 "tokens_scored_p95": int(np.percentile(scored, 95)),
             }
         )
+    per_query = [
+        {"topk": ranked.rows(snapshot.space, snapshot.item_ids), **stats.to_dict()}
+        for ranked, stats in results["structure"]
+    ]
     _write_csv(out / "bench.csv", rows)
-    (out / "queries.json").write_text(
-        json.dumps(per_query, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "queries.json", per_query)
     print(out / "bench.csv")
     return EXIT_OK
 

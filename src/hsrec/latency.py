@@ -19,7 +19,6 @@ bit-for-bit.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -213,11 +212,3 @@ def latency_table(
             rows.append(latency_row(data.name, name, profile, spec, single))
     return rows
 
-
-def write_latency_csv(rows: list[dict], path) -> None:
-    if not rows:
-        raise ValueError("no latency rows to write")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)

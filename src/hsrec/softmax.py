@@ -139,7 +139,6 @@ def two_level_logprob(
     ordinal: int,
     tables: ModelTables,
     cluster_map: ClusterMap,
-    counter: CostCounter | None = None,
 ) -> float:
     """log P(token | H) = log P(cluster | H) + log P(token | cluster, H)."""
     q = _query64(query)
@@ -147,13 +146,9 @@ def two_level_logprob(
     cluster_id = cluster_map.cluster_of(ordinal)
     if ordinal < tables.n_text:
         # Singleton cluster: the conditional is exactly 1.
-        if counter is not None:
-            counter.add(cluster_map.n_clusters + 1)
         return float(cl[ordinal])
     members = cluster_map.item_members(cluster_id - cluster_map.n_text)
     member_logits = tables.item_projected()[members] @ q
-    if counter is not None:
-        counter.add(cluster_map.n_clusters + members.size)
     item_index = ordinal - tables.n_text
     pos = int(np.flatnonzero(members == item_index)[0])
     return float(cl[cluster_id] + member_logits[pos] - _logsumexp(member_logits))
@@ -246,7 +241,6 @@ def score_all(
     tables: ModelTables,
     cluster_map: ClusterMap | None = None,
     mode: str = "twolevel",
-    counter: CostCounter | None = None,
 ) -> np.ndarray:
     """Exact log-probability of every token under the chosen mode.
 
@@ -258,8 +252,6 @@ def score_all(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     q = _query64(query)
     if mode == "full":
-        if counter is not None:
-            counter.add(tables.n_total)
         return log_softmax(full_logits(q, tables))
     if cluster_map is None:
         raise ValueError("two-level scoring requires a cluster map")
@@ -269,8 +261,6 @@ def score_all(
     out = np.empty(tables.n_total, dtype=np.float64)
     out[:n_text] = cl[:n_text]
     out[n_text:] = _item_log_probs(logits, cl[n_text:], cluster_map)
-    if counter is not None:
-        counter.add(cluster_map.n_clusters + tables.n_items)
     return out
 
 

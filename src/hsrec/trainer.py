@@ -38,7 +38,7 @@ from .exceptions import DataError, TrainingDivergedError
 from .inference import _rank_topk
 from .render import render_example
 from .snapshot import ModelSnapshot
-from .softmax import nll_and_grad
+from .softmax import MODES, nll_and_grad
 from .tables import GradBuffer, ItemRowGrad, ModelTables, init_tables
 from .validation import check_finite, check_is_fitted
 
@@ -75,8 +75,8 @@ class TrainConfig:
             raise ValueError("id_only_fraction must be in [0, 1]")
         if not 0.0 <= self.metadata_keep_prob <= 1.0:
             raise ValueError("metadata_keep_prob must be in [0, 1]")
-        if self.softmax_mode not in ("full", "twolevel"):
-            raise ValueError("softmax_mode must be 'full' or 'twolevel'")
+        if self.softmax_mode not in MODES:
+            raise ValueError(f"softmax_mode must be one of {MODES}, got {self.softmax_mode!r}")
 
     def to_dict(self) -> dict:
         """The fields a snapshot records: all but the validation schedule."""

@@ -524,3 +524,80 @@ def test_latency_named_field_no_item_has_is_data_error(corpus, tmp_path, capsys)
     assert code == 2
     trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert trailer["error"]["type"] == "data" and "category" in trailer["error"]["message"]
+
+
+CHOICE_OPTIONS = [
+    ("cluster", "clusters"),
+    ("train", "mode"),
+    ("train", "clusters"),
+    ("eval", "engine"),
+    ("eval", "clusters"),
+    ("latency", "profile"),
+    ("latency", "encoder"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, option", CHOICE_OPTIONS)
+def test_value_outside_choices_is_usage_error_before_any_input_is_read(tmp_path, capsys, command, option, source):
+    # The corpus and snapshot do not exist: reading either would exit 2 ("data").
+    argv = [command, "--data", tmp_path / "missing.jsonl", "--out-dir", tmp_path / "out"]
+    if command == "eval":
+        argv += ["--snapshot", tmp_path / "missing.hsrc"]
+    if source == "flag":
+        argv += ["--" + option, "bogus"]
+    else:
+        config = tmp_path / "run.conf"
+        config.write_text(f"[{command}]\n{option} = bogus\n")
+        argv = ["--config", config, *argv]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    trailer = json.loads(err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "usage" and trailer["error"]["code"] == 1
+    assert "--" + option in trailer["error"]["message"] and "bogus" in trailer["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_empty_data_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("[ingest]\ndata =\n")
+    capsys.readouterr()
+    assert run(["--config", config, "ingest", "--out-dir", tmp_path]) == 1
+    trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "usage" and "--data is required" in trailer["error"]["message"]
+
+
+def test_eval_rejects_unknown_clusters_with_a_snapshot(corpus, tmp_path, capsys):
+    argv = ["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", tmp_path]
+    assert run(argv) == 0
+    capsys.readouterr()
+    code = run(["eval", "--data", corpus, "--snapshot", tmp_path / "snapshot.hsrc", "--clusters", "bogus",
+                "--out-dir", tmp_path / "e"])
+    assert code == 1
+    trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "usage" and "--clusters" in trailer["error"]["message"]
+    assert not (tmp_path / "e" / "results.csv").exists()
+
+
+def test_bench_rejects_full_softmax_snapshot(corpus, tmp_path, capsys):
+    # bench times two-level scorers, whose centroids full-softmax training never fits.
+    argv = ["train", "--data", corpus, "--mode", "full", "--steps", 2, "--batch-size", 4, "--dim", 8,
+            "--item-dim", 6, "--eval-every", 0, "--out-dir", tmp_path]
+    assert run(argv) == 0
+    capsys.readouterr()
+    code = run(["bench", "--data", corpus, "--snapshot", tmp_path / "snapshot.hsrc", "--queries", 3,
+                "--out-dir", tmp_path / "b"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    trailer = json.loads(err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "usage" and "two-level" in trailer["error"]["message"]
+    assert not (tmp_path / "b" / "bench.csv").exists() and not (tmp_path / "b" / "queries.json").exists()
+
+
+def test_help_lists_each_options_choices(capsys):
+    assert run(["train", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "full|twolevel" in out and "kmeans|frequency|random" in out
