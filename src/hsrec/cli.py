@@ -126,7 +126,6 @@ _OPTIONS = {
         ("encoder", str, "all", "item encoder", (*latency_mod.MULTI_TOKEN_ENCODERS, "all")),
         ("history_len", int, 8, "history length |H|"),
         ("const_tokens", int, 20, "constant prompt tokens"),
-        ("vocab_size", int, 8192, "text vocabulary cap"),
     ],
     "bench": _COMMON
     + [
@@ -209,8 +208,13 @@ def _resolve(args: argparse.Namespace) -> dict:
     resolved = {}
     for dest, typ, default, _help, choices in _spec(command):
         value = getattr(args, dest)
-        if value is None:
-            value = typ(file_values[dest]) if dest in file_values else default
+        if value is None and dest in file_values:
+            try:
+                value = typ(file_values[dest])
+            except ValueError:
+                raise UsageError(f"[{command}] {dest} = {file_values[dest]!r} is not a valid {typ.__name__}") from None
+        elif value is None:
+            value = default
         if default is None and value in (None, ""):
             raise UsageError(f"{_flag(dest)} is required")
         if choices and value not in choices:
@@ -324,9 +328,9 @@ def _train_config(opts: dict, mode: str) -> TrainConfig:
 
 
 def cmd_train(opts: dict) -> int:
+    config = _train_config(opts, opts["mode"])
     out = _out_dir(opts)
     data = _load_dataset(opts)
-    config = _train_config(opts, opts["mode"])
     result = train(
         data,
         config,
@@ -374,7 +378,7 @@ def _eval_single(opts: dict, out: Path, ks: tuple[int, ...]) -> int:
     snapshot, data = _load_snapshot_and_corpus(opts)
     engines = [opts["engine"]]
     if opts["engine"] == "all":
-        engines = list(ENGINES) if snapshot.config.get("softmax_mode", "twolevel") == "twolevel" else ["full"]
+        engines = list(ENGINES) if snapshot.softmax_mode == "twolevel" else ["full"]
     rows = _report_rows(opts, ks, snapshot, data, snapshot.config.get("clustering", "?"), engines)
     _write_json(out / "metrics.json", rows)
     _write_csv(out / "results.csv", rows)
@@ -382,13 +386,15 @@ def _eval_single(opts: dict, out: Path, ks: tuple[int, ...]) -> int:
     return EXIT_OK
 
 
-def _eval_ablation(opts: dict, out: Path, ks: tuple[int, ...]) -> int:
+def _eval_ablation(opts: dict, ks: tuple[int, ...]) -> int:
     """Train one model per clustering method; evaluate each with both fast
     engines plus the full-enumeration oracle row for exactness checks."""
+    config = _train_config(opts, "twolevel")
+    out = _out_dir(opts)
     data = _load_dataset(opts)
     rows = []
     for clustering in CLUSTERINGS:
-        snapshot = train(data, _train_config(opts, "twolevel"), clustering=clustering).snapshot
+        snapshot = train(data, config, clustering=clustering).snapshot
         rows += _report_rows(opts, ks, snapshot, data, clustering, ("structure", "ann", "full"))
     _write_csv(out / "ablation.csv", rows)
     print(out / "ablation.csv")
@@ -397,42 +403,36 @@ def _eval_ablation(opts: dict, out: Path, ks: tuple[int, ...]) -> int:
 
 def cmd_eval(opts: dict) -> int:
     ks = _recall_cutoffs(opts["k"])
-    if opts["clusters"] != "all" and not opts["snapshot"]:
-        raise UsageError("--snapshot is required unless --clusters all")
-    out = _out_dir(opts)
     if opts["clusters"] == "all":
-        return _eval_ablation(opts, out, ks)
-    return _eval_single(opts, out, ks)
+        return _eval_ablation(opts, ks)
+    if not opts["snapshot"]:
+        raise UsageError("--snapshot is required unless --clusters all")
+    return _eval_single(opts, _out_dir(opts), ks)
 
 
 def cmd_latency(opts: dict) -> int:
-    out = _out_dir(opts)
+    # Checked in both modes, though only measured encodings use them.
+    latency_mod.EncodingSpec(1, opts["history_len"], opts["const_tokens"])
     profiles = [p for name, p in latency_mod.PROFILES.items() if opts["profile"] in (name, "all")]
     encoders = [e for e in latency_mod.MULTI_TOKEN_ENCODERS if opts["encoder"] in (e, "all")]
     if opts["data"]:
-        data = _load_dataset(opts)
-        # Like the reference workloads' missing specs, an encoder whose field
-        # no item has is skipped under "all"; asked for by name, it is a data error.
-        measurable = [e for e in encoders if latency_mod.has_encoding(data, e)]
-        if opts["encoder"] != "all" and not measurable:
-            raise DataError(f"no item has a {opts['encoder']!r} field")
-        rows = latency_mod.latency_table(
-            data,
-            profiles=profiles,
-            encoders=measurable,
-            history_len=opts["history_len"],
-            const_tokens=opts["const_tokens"],
-        )
+        # Tokens per item depend on the items' metadata alone.
+        name = Path(opts["data"]).stem
+        catalog = ingest_jsonl(opts["data"]).catalog
+        measured = latency_mod.measured_specs(catalog, encoders, opts["history_len"], opts["const_tokens"])
+        specs = dict.fromkeys(latency_mod.PROFILES, measured)
     else:
-        # Reference workloads the built-in profiles were solved against.
-        rows = []
-        for profile in profiles:
-            specs = latency_mod.REFERENCE_SPECS[profile.name]
-            for encoder in encoders:
-                if encoder in specs:
-                    rows.append(
-                        latency_mod.latency_row("reference", encoder, profile, specs[encoder], specs["id"])
-                    )
+        # The reference workloads the built-in profiles were solved against.
+        name, specs = "reference", latency_mod.REFERENCE_SPECS
+    # An encoder without a spec (no reference workload, or a field no item has) gets no row.
+    rows = [latency_mod.latency_row(name, e, p, specs[p.name][e], specs[p.name]["id"])
+            for p in profiles for e in encoders if e in specs[p.name]]
+    if not rows and opts["data"]:
+        raise DataError(f"no item has a {opts['encoder']!r} field")
+    if not rows:
+        covered = "|".join(sorted(set().union(*latency_mod.REFERENCE_SPECS.values())))
+        raise UsageError(f"the reference workloads cover --encoder {covered}; pass --data to measure {opts['encoder']!r}")
+    out = _out_dir(opts)
     _write_csv(out / "latency.csv", rows)
     _write_json(out / "profiles.json", {p.name: p.to_dict() for p in latency_mod.PROFILES.values()})
     print(out / "latency.csv")
@@ -442,11 +442,12 @@ def cmd_latency(opts: dict) -> int:
 def cmd_bench(opts: dict) -> int:
     if opts["queries"] < 1:
         raise UsageError(f"--queries must be at least 1, got {opts['queries']}")
+    if opts["k"] < 1:
+        raise UsageError(f"--k must be at least 1, got {opts['k']}")
     snapshot, data = _load_snapshot_and_corpus(opts)
-    mode = snapshot.config.get("softmax_mode", "twolevel")
-    if mode != "twolevel":
+    if snapshot.softmax_mode != "twolevel":
         # All three engines rank with the two-level head, which full-softmax training never fits.
-        raise UsageError(f"bench needs a two-level snapshot; this one was trained with {mode!r}")
+        raise UsageError(f"bench needs a two-level snapshot; this one was trained with {snapshot.softmax_mode!r}")
     out = _out_dir(opts)
     k, tables, cmap = opts["k"], snapshot.tables, snapshot.cluster_map
     rng = np.random.default_rng(opts["seed"])

@@ -109,7 +109,7 @@ def item_score_blocks(snapshot: ModelSnapshot, data: Dataset, examples: list[Seq
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    mode = snapshot.config.get("softmax_mode", "twolevel")
+    mode = snapshot.softmax_mode
     if engine in ("structure", "ann") and mode != "twolevel":
         raise ValueError(
             f"engine {engine!r} needs a two-level snapshot; this one was trained with {mode!r}"

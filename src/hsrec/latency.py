@@ -15,6 +15,11 @@ reference workloads are public, so the linear slopes and the reference
 (history length, constant prompt) pairs below are back-solved from those
 totals.  Slopes are kept as exact fractions so the reference totals reproduce
 bit-for-bit.
+
+A latency table is built from one ``{encoder: EncodingSpec}`` table per
+profile, ``id`` always included: either that profile's reference workloads
+(``REFERENCE_SPECS``, which cover ``id`` and ``title``) or the encodings
+measured from an item catalog alone (:func:`measured_specs`).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .catalog import Dataset
+from .catalog import Catalog
 from .tokens import tokenize_text
 
 
@@ -141,13 +146,7 @@ class TokenCountStats:
 MULTI_TOKEN_ENCODERS = ("id", "title", "category")
 
 
-def has_encoding(data: Dataset, encoder: str) -> bool:
-    """Whether :func:`measure_m` can measure ``encoder`` on ``data``: ``id``
-    always, ``title``/``category`` when at least one item has that field."""
-    return encoder == "id" or any(getattr(r, encoder) is not None for r in data.catalog.records)
-
-
-def measure_m(data: Dataset, encoder: str = "id") -> TokenCountStats:
+def measure_m(catalog: Catalog, encoder: str = "id") -> TokenCountStats:
     """Tokens per item under the package's word-level tokenization.
 
     ``id`` always costs one token; ``title``/``category`` cost one token per
@@ -155,20 +154,30 @@ def measure_m(data: Dataset, encoder: str = "id") -> TokenCountStats:
     """
     if encoder not in MULTI_TOKEN_ENCODERS:
         raise ValueError(f"encoder must be one of {MULTI_TOKEN_ENCODERS}, got {encoder!r}")
-    counts: list[int] = []
     if encoder == "id":
-        counts = [1] * data.n_items
+        counts = [1] * len(catalog)
     else:
-        for record in data.catalog.records:
-            value = getattr(record, encoder)
-            if value is None:
-                continue
-            counts.append(max(1, len(tokenize_text(str(value)))))
+        values = [getattr(record, encoder) for record in catalog.records]
+        counts = [max(1, len(tokenize_text(str(v)))) for v in values if v is not None]
         if not counts:
             raise ValueError(f"no item has a {encoder!r} field")
     arr = np.asarray(counts, dtype=np.int64)
     hist = {int(k): int(v) for k, v in zip(*np.unique(arr, return_counts=True))}
     return TokenCountStats(encoder=encoder, n_items=arr.size, mean=float(arr.mean()), histogram=hist)
+
+
+def measured_specs(catalog: Catalog, encoders, history_len: int, const_tokens: int) -> dict[str, EncodingSpec]:
+    """``{encoder: EncodingSpec}`` at each encoder's mean tokens-per-item on
+    ``catalog``, ``id`` always included: the shape of a ``REFERENCE_SPECS``
+    entry.  An encoder whose field no item has is left out."""
+    specs = {}
+    for encoder in dict.fromkeys(("id", *encoders)):
+        try:
+            stats = measure_m(catalog, encoder)
+        except ValueError:  # no item has the field
+            continue
+        specs[encoder] = EncodingSpec(max(1, round(stats.mean)), history_len, const_tokens)
+    return specs
 
 
 def latency_row(dataset: str, encoder: str, profile: DeploymentProfile, spec: EncodingSpec, single: EncodingSpec) -> dict:
@@ -183,32 +192,7 @@ def latency_row(dataset: str, encoder: str, profile: DeploymentProfile, spec: En
         "prefill_ms": profile.prefill_ms(spec.prefill_tokens),
         "decode_ms": spec.tokens_per_item * profile.decode_ms,
         "total_ms": total,
-        "speedup_vs_id": total / total_latency(profile, single),
+        "speedup_vs_id": speedup(profile, spec, single),
         "speedup_lower_bound": lower,
         "speedup_upper_bound": upper,
     }
-
-
-def latency_table(
-    data: Dataset,
-    profiles=None,
-    encoders=MULTI_TOKEN_ENCODERS,
-    history_len: int = 8,
-    const_tokens: int = 20,
-) -> list[dict]:
-    """Per (encoder, profile) latency rows with speedup over the id encoding.
-
-    History length and constant prompt size are inputs; the catalog only
-    determines the mean tokens-per-item of each encoder.
-    """
-    profiles = list(PROFILES.values()) if profiles is None else profiles
-    rows = []
-    single = EncodingSpec(1, history_len, const_tokens)
-    for profile in profiles:
-        for name in encoders:
-            stats = measure_m(data, name)
-            m = max(1, int(round(stats.mean)))
-            spec = EncodingSpec(m, history_len, const_tokens)
-            rows.append(latency_row(data.name, name, profile, spec, single))
-    return rows
-

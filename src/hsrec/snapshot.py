@@ -26,9 +26,9 @@ magic or version, a zero model dim, header sizes or a metadata length the
 file does not hold (truncated files, bytes after the metadata or checksum),
 a checksum mismatch, NaN or Inf in a float payload, metadata that is not
 UTF-8 JSON or not an object with ``vocab_words`` and ``item_ids`` lists of the
-header's sizes (and an object ``config`` whose ``softmax_mode``, if present,
-is a known mode), and a cluster assignment or vocabulary that cannot be built
-raise :class:`SnapshotFormatError`.
+header's sizes (and an object ``config`` whose ``softmax_mode``, absent
+for ``"twolevel"``, is a known mode), and a cluster assignment or
+vocabulary that cannot be built raise :class:`SnapshotFormatError`.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ READABLE_VERSIONS = (1, 2)
 _PRECISION_CODE = {"f32": 0, "f64": 1}
 _PRECISION_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _HEADER = struct.Struct("<IIIQQQB")
+DEFAULT_SOFTMAX_MODE = "twolevel"  # of a snapshot whose config names none
 
 
 @dataclass
@@ -72,6 +73,10 @@ class ModelSnapshot:
     @property
     def space(self) -> TokenSpace:
         return TokenSpace(n_text=self.tables.n_text, n_items=self.tables.n_items)
+
+    @property
+    def softmax_mode(self) -> str:
+        return self.config.get("softmax_mode", DEFAULT_SOFTMAX_MODE)
 
 
 class _Checksummed:
@@ -236,7 +241,7 @@ def load_snapshot(path) -> ModelSnapshot:
         raise SnapshotFormatError(
             "metadata trailer is not an object with vocab_words and item_ids string lists and a config object"
         )
-    mode = meta.get("config", {}).get("softmax_mode", MODES[0])
+    mode = meta.get("config", {}).get("softmax_mode", DEFAULT_SOFTMAX_MODE)
     if not (isinstance(mode, str) and mode in MODES):
         raise SnapshotFormatError(f"config softmax_mode {mode!r} is not one of {MODES}")
     if len(meta["vocab_words"]) != n_text or len(meta["item_ids"]) != n_items:

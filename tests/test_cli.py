@@ -526,6 +526,81 @@ def test_latency_named_field_no_item_has_is_data_error(corpus, tmp_path, capsys)
     assert trailer["error"]["type"] == "data" and "category" in trailer["error"]["message"]
 
 
+def usage_trailer(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    trailer = json.loads(err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "usage" and trailer["error"]["code"] == 1
+    return trailer["error"]["message"]
+
+
+def test_latency_reads_only_the_catalog(tmp_path):
+    # No user has the three events a leave-one-out split needs; tokens per item need none.
+    assert run(["synth", "--users", 20, "--items", 8, "--groups", 2, "--hist-min", 1, "--hist-max", 2, "--out-dir", tmp_path]) == 0
+    assert run(["latency", "--data", tmp_path / "interactions.jsonl", "--out-dir", tmp_path / "l"]) == 0
+    rows = read_csv(tmp_path / "l" / "latency.csv")
+    assert {(r["dataset"], r["encoder"]) for r in rows} == {("interactions", "id"), ("interactions", "title")}
+
+
+def test_latency_encoder_without_a_reference_workload_is_usage_error(tmp_path, capsys):
+    capsys.readouterr()
+    assert run(["latency", "--encoder", "category", "--out-dir", tmp_path / "out"]) == 1
+    message = usage_trailer(capsys)
+    assert "id|title" in message and "--data" in message and "category" in message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--history-len", 0], ["--const-tokens", -1], ["--vocab-size", 40]])
+def test_latency_rejects_bad_options_without_data(tmp_path, capsys, argv):
+    capsys.readouterr()
+    assert run(["latency", *argv, "--out-dir", tmp_path / "out"]) == 1
+    usage_trailer(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("steps", "x"), ("learning_rate", "fast")])
+def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, key, value):
+    config = tmp_path / "bad.conf"
+    config.write_text(f"[train]\n{key} = {value}\n")
+    capsys.readouterr()
+    assert run(["--config", config, "train", "--data", tmp_path / "missing.jsonl", "--out-dir", tmp_path / "out"]) == 1
+    message = usage_trailer(capsys)
+    assert f"[train] {key}" in message and value in message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--steps", -1],
+        ["train", "--learning-rate", "nan"],
+        ["eval", "--clusters", "all", "--steps", -1],
+        ["bench", "--snapshot", "missing.hsrc", "--k", 0],
+    ],
+)
+def test_settings_are_checked_before_any_input_is_read(tmp_path, capsys, argv):
+    # The corpus does not exist: reading it would exit 2 ("data").
+    capsys.readouterr()
+    assert run([*argv, "--data", tmp_path / "missing.jsonl", "--out-dir", tmp_path / "out"]) == 1
+    message = usage_trailer(capsys)
+    assert argv[-2][2:].replace("-", "_") in message.replace("-", "_")
+    assert not (tmp_path / "out").exists()
+
+
+def test_snapshot_without_softmax_mode_is_two_level(corpus, tmp_path):
+    from hsrec.snapshot import load_snapshot, save_snapshot
+
+    run(["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", tmp_path])
+    path = tmp_path / "snapshot.hsrc"
+    snapshot = load_snapshot(path)
+    del snapshot.config["softmax_mode"]
+    save_snapshot(snapshot, path)
+    assert load_snapshot(path).softmax_mode == "twolevel"
+    assert run(["eval", "--data", corpus, "--snapshot", path, "--engine", "all", "--out-dir", tmp_path / "e"]) == 0
+    rows = json.loads((tmp_path / "e" / "metrics.json").read_text())
+    assert sorted(r["engine"] for r in rows) == ["ann", "full", "structure"]
+
+
 CHOICE_OPTIONS = [
     ("cluster", "clusters"),
     ("train", "mode"),

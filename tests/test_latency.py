@@ -10,8 +10,9 @@ from hsrec.latency import (
     REFERENCE_SPECS,
     DeploymentProfile,
     EncodingSpec,
-    latency_table,
+    latency_row,
     measure_m,
+    measured_specs,
     speedup,
     speedup_bounds,
     total_latency,
@@ -106,7 +107,7 @@ def test_profile_validation():
 
 def test_measure_m_id_encoder_is_constant_one(tmp_path):
     data, _ = synth_dataset(tmp_path)
-    stats = measure_m(data, "id")
+    stats = measure_m(data.catalog, "id")
     assert stats.mean == 1.0
     assert stats.histogram == {1: data.n_items}
 
@@ -114,17 +115,24 @@ def test_measure_m_id_encoder_is_constant_one(tmp_path):
 def test_measure_m_title_hand_count(tmp_path):
     data, _ = synth_dataset(tmp_path)
     # Synthetic titles are "group-g word-w": exactly two words each.
-    stats = measure_m(data, "title")
+    stats = measure_m(data.catalog, "title")
     assert stats.mean == 2.0
     assert stats.histogram == {2: data.n_items}
     with pytest.raises(ValueError):
-        measure_m(data, "category")  # no category metadata in synth corpora
+        measure_m(data.catalog, "category")  # no category metadata in synth corpora
 
 
-def test_latency_table_rows_within_bounds(tmp_path):
+def test_measured_rows_within_bounds(tmp_path):
     data, _ = synth_dataset(tmp_path)
-    rows = latency_table(data, encoders=("id", "title"), history_len=6, const_tokens=30)
+    specs = measured_specs(data.catalog, ("id", "title"), history_len=6, const_tokens=30)
+    rows = [latency_row(data.name, e, p, specs[e], specs["id"]) for p in (MISTRAL_7B, PALM) for e in specs]
     assert len(rows) == 4  # 2 profiles x 2 encoders
     for row in rows:
         assert row["speedup_lower_bound"] - 1e-9 <= row["speedup_vs_id"] <= row["speedup_upper_bound"] + 1e-9
         assert row["total_ms"] == row["prefill_ms"] + row["decode_ms"]
+
+
+def test_measured_specs_always_include_id_and_skip_missing_fields(tmp_path):
+    data, _ = synth_dataset(tmp_path)
+    specs = measured_specs(data.catalog, ("title", "category"), history_len=6, const_tokens=30)
+    assert specs == {"id": EncodingSpec(1, 6, 30), "title": EncodingSpec(2, 6, 30)}
