@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -80,15 +80,7 @@ class CatalogStats:
     purchases_per_item: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_users": self.n_users,
-                "n_items": self.n_items,
-                "items_per_user": self.items_per_user,
-                "purchases_per_item": self.purchases_per_item,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass

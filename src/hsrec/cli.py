@@ -224,6 +224,7 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _out_dir(opts: dict) -> Path:
+    """Made only after the inputs are read, so a failed run leaves no empty directory."""
     path = Path(opts["out_dir"])
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -270,7 +271,6 @@ def _check_snapshot_matches(snapshot, data) -> None:
 
 
 def cmd_synth(opts: dict) -> int:
-    out = _out_dir(opts)
     spec = SynthSpec(
         n_users=opts["users"],
         n_items=opts["items"],
@@ -280,6 +280,7 @@ def cmd_synth(opts: dict) -> int:
         seed=opts["seed"],
     )
     data = generate(spec)
+    out = _out_dir(opts)
     write_jsonl(data, out / "interactions.jsonl")
     write_groups_csv(data, out / "groups.csv")
     log.info("wrote %d events for %d users", len(data.events), spec.n_users)
@@ -288,8 +289,8 @@ def cmd_synth(opts: dict) -> int:
 
 
 def cmd_ingest(opts: dict) -> int:
-    out = _out_dir(opts)
     interactions = ingest_jsonl(opts["data"])
+    out = _out_dir(opts)
     (out / "stats.json").write_text(interactions.stats().to_json() + "\n", encoding="utf-8")
     print(interactions.stats().to_json())
     return EXIT_OK
@@ -307,7 +308,6 @@ def _load_features(opts: dict):
 
 
 def cmd_cluster(opts: dict) -> int:
-    out = _out_dir(opts)
     data = _load_dataset(opts)
     cmap = build_cluster_map(
         data,
@@ -316,6 +316,7 @@ def cmd_cluster(opts: dict) -> int:
         seed=opts["seed"],
         features=_load_features(opts),
     )
+    out = _out_dir(opts)
     cmap.to_csv(out / "clusters.csv")
     print(out / "clusters.csv")
     return EXIT_OK
@@ -329,8 +330,9 @@ def _train_config(opts: dict, mode: str) -> TrainConfig:
 
 def cmd_train(opts: dict) -> int:
     config = _train_config(opts, opts["mode"])
-    out = _out_dir(opts)
     data = _load_dataset(opts)
+    features = _load_features(opts)
+    out = _out_dir(opts)
     result = train(
         data,
         config,
@@ -338,7 +340,7 @@ def cmd_train(opts: dict) -> int:
         item_dim=opts["item_dim"],
         clustering=opts["clusters"],
         n_clusters=opts["n_clusters"] or None,
-        kmeans_features=_load_features(opts),
+        kmeans_features=features,
     )
     save_snapshot(result.snapshot, out / "snapshot.hsrc")
     _write_csv(out / "metrics.csv", result.metrics, fieldnames=["step", "loss", "val_recall@10"])
@@ -374,8 +376,9 @@ def _report_rows(opts: dict, ks, snapshot, data, clustering: str, engines) -> li
     ]
 
 
-def _eval_single(opts: dict, out: Path, ks: tuple[int, ...]) -> int:
+def _eval_single(opts: dict, ks: tuple[int, ...]) -> int:
     snapshot, data = _load_snapshot_and_corpus(opts)
+    out = _out_dir(opts)
     engines = [opts["engine"]]
     if opts["engine"] == "all":
         engines = list(ENGINES) if snapshot.softmax_mode == "twolevel" else ["full"]
@@ -390,8 +393,8 @@ def _eval_ablation(opts: dict, ks: tuple[int, ...]) -> int:
     """Train one model per clustering method; evaluate each with both fast
     engines plus the full-enumeration oracle row for exactness checks."""
     config = _train_config(opts, "twolevel")
-    out = _out_dir(opts)
     data = _load_dataset(opts)
+    out = _out_dir(opts)
     rows = []
     for clustering in CLUSTERINGS:
         snapshot = train(data, config, clustering=clustering).snapshot
@@ -407,7 +410,7 @@ def cmd_eval(opts: dict) -> int:
         return _eval_ablation(opts, ks)
     if not opts["snapshot"]:
         raise UsageError("--snapshot is required unless --clusters all")
-    return _eval_single(opts, _out_dir(opts), ks)
+    return _eval_single(opts, ks)
 
 
 def cmd_latency(opts: dict) -> int:
@@ -448,9 +451,9 @@ def cmd_bench(opts: dict) -> int:
     if snapshot.softmax_mode != "twolevel":
         # All three engines rank with the two-level head, which full-softmax training never fits.
         raise UsageError(f"bench needs a two-level snapshot; this one was trained with {snapshot.softmax_mode!r}")
-    out = _out_dir(opts)
     k, tables, cmap = opts["k"], snapshot.tables, snapshot.cluster_map
     rng = np.random.default_rng(opts["seed"])
+    out = _out_dir(opts)
     examples = data.test_examples
     picks = rng.integers(0, len(examples), size=min(opts["queries"], len(examples)))
     queries = [encode(render_id_only(examples[int(i)], data), tables, snapshot.encoder)[0] for i in picks]

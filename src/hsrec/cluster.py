@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .tables import EmbeddingTable
-from .validation import check_array, check_random_state
+from .validation import check_array
 
 
 # User-item entries whose co-occurrence pairs are counted at a time.
@@ -133,7 +133,7 @@ def kmeans_fit(X: np.ndarray, n_clusters: int, seed=0):
     n = X.shape[0]
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must be in [1, {n}], got {n_clusters}")
-    rng = check_random_state(seed)
+    rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(X, n_clusters, rng)
     for _ in range(MAX_ITER):
         labels = np.argmin(_sq_dists(X, centers), axis=1)
@@ -202,7 +202,7 @@ def cluster_random(n_items: int, n_clusters=None, seed=0, n_text=0) -> ClusterMa
     if n_items < 1:
         raise ValueError("need at least one item")
     n_clusters = n_clusters or default_n_clusters(n_items)
-    order = check_random_state(seed).permutation(n_items)
+    order = np.random.default_rng(seed).permutation(n_items)
     return ClusterMap(n_text, _contiguous_bins(order, n_clusters), n_clusters)
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tables import GradBuffer, ModelTables
-from .validation import check_random_state
 
 
 @dataclass
@@ -41,7 +40,7 @@ class EncoderParams:
 
 
 def init_encoder(dim: int, seed=0, dtype=np.float32) -> EncoderParams:
-    rng = check_random_state(seed)
+    rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(dim)
     return EncoderParams(
         hidden_w=rng.uniform(-scale, scale, size=(dim, dim)).astype(dtype),

@@ -47,7 +47,7 @@ reproducible and comparable row-for-row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -99,12 +99,7 @@ class SearchStats:
     max_pruned_logprob: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "clusters_expanded": self.clusters_expanded,
-            "tokens_scored": self.tokens_scored,
-            "clusters_pruned": self.clusters_pruned,
-            "max_pruned_logprob": self.max_pruned_logprob,
-        }
+        return asdict(self)
 
 
 def _rank_topk(scores: np.ndarray, k: int) -> TopK:
@@ -292,6 +287,8 @@ def topk_ann(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if probes is not None and probes < 1:
+        raise ValueError(f"probes must be >= 1, got {probes}")
     items = _fresh_rows(index, tables)
     q = _query64(query)
     n_text = index.n_text

@@ -3,7 +3,7 @@
 Little-endian layout::
 
     magic   "HSRC"
-    u32     format version (2; 1 is still read)
+    u32     format version (2; any other is refused)
     u32     model dim d, u32 item dim k
     u64     n_text, u64 n_items, u64 n_item_clusters
     u8      precision (0 = f32, 1 = f64)
@@ -12,7 +12,7 @@ Little-endian layout::
         unified cluster-assignment array (u32),
         encoder MLP (hidden weight/bias, output weight/bias),
         u64 metadata length + JSON metadata (vocab words, item ids, config)
-    u32     zlib.crc32 of every preceding byte (version 2 only)
+    u32     zlib.crc32 of every preceding byte
 
 Round trips are bit-identical.  Loaded table arrays are read-only, as every
 table's are, and writable through ``ModelTables.writing()``, so a loaded
@@ -21,8 +21,8 @@ file's length before any payload is read, so a corrupt size fails at once
 instead of asking for memory.  The checksum is computed as the bytes are
 written and read, with no second pass over the file, and it catches a
 changed byte that would otherwise load, such as a payload byte that leaves
-its float finite; a version-1 file has none and loads unchecked.  Wrong
-magic or version, a zero model dim, header sizes or a metadata length the
+its float finite.  Wrong magic or version (a version-1 file, which has no
+checksum, included), a zero model dim, header sizes or a metadata length the
 file does not hold (truncated files, bytes after the metadata or checksum),
 a checksum mismatch, NaN or Inf in a float payload, metadata that is not
 UTF-8 JSON or not an object with ``vocab_words`` and ``item_ids`` lists of the
@@ -50,7 +50,6 @@ from .tokens import TokenSpace, Vocabulary
 
 MAGIC = b"HSRC"
 FORMAT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
 _PRECISION_CODE = {"f32": 0, "f64": 1}
 _PRECISION_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _HEADER = struct.Struct("<IIIQQQB")
@@ -187,9 +186,8 @@ def load_snapshot(path) -> ModelSnapshot:
         version, dim, item_dim, n_text, n_items, n_item_clusters, precision = _HEADER.unpack(
             _read_exact(fh, _HEADER.size)
         )
-        if version not in READABLE_VERSIONS:
+        if version != FORMAT_VERSION:
             raise SnapshotFormatError(f"unsupported snapshot version {version}")
-        checksum_bytes = 4 if version >= 2 else 0
         if precision not in _PRECISION_DTYPE:
             raise SnapshotFormatError(f"unknown precision code {precision}")
         if dim == 0 or item_dim == 0:
@@ -199,9 +197,10 @@ def load_snapshot(path) -> ModelSnapshot:
         meta_at = len(MAGIC) + _HEADER.size + _payload_bytes(
             dim, item_dim, n_text, n_items, n_item_clusters, dtype.itemsize
         )
-        if meta_at + 8 + checksum_bytes > size:
+        fixed = meta_at + 8 + 4  # all but the metadata: header, payloads, u64 length, u32 checksum
+        if fixed > size:
             raise SnapshotFormatError(
-                f"truncated snapshot: the header's sizes need {meta_at + 8 + checksum_bytes} bytes "
+                f"truncated snapshot: the header's sizes need {fixed} bytes "
                 f"besides the metadata, the file has {size}"
             )
 
@@ -216,18 +215,17 @@ def load_snapshot(path) -> ModelSnapshot:
         out_w = _read_floats(fh, (dim, dim), dtype, "encoder output weight")
         out_b = _read_floats(fh, (dim,), dtype, "encoder output bias")
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-        left = size - meta_at - 8 - checksum_bytes
+        left = size - fixed
         if meta_len > left:
             raise SnapshotFormatError(f"truncated snapshot: metadata of {meta_len} bytes, {left} left")
         if meta_len < left:
             raise SnapshotFormatError("trailing bytes after the metadata trailer")
         meta_bytes = _read_exact(fh, meta_len)
-        if checksum_bytes:
-            (stored,) = struct.unpack("<I", _read_exact(raw, checksum_bytes))
-            if stored != fh.crc:
-                raise SnapshotFormatError(
-                    f"snapshot checksum mismatch: the file says {stored:#010x}, its bytes give {fh.crc:#010x}"
-                )
+        (stored,) = struct.unpack("<I", _read_exact(raw, 4))
+        if stored != fh.crc:
+            raise SnapshotFormatError(
+                f"snapshot checksum mismatch: the file says {stored:#010x}, its bytes give {fh.crc:#010x}"
+            )
     try:
         meta = json.loads(meta_bytes.decode("utf-8"))
     except ValueError as exc:

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import check_random_state
-
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -28,6 +26,11 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_users", "n_items", "n_latent_groups"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
         if self.n_latent_groups > self.n_items:
             raise ValueError("n_latent_groups cannot exceed n_items")
         if not 0.0 <= self.group_stickiness <= 1.0:
@@ -59,7 +62,7 @@ def item_id(index: int) -> str:
 
 def generate(spec: SynthSpec) -> SynthData:
     """Deterministic given the seed; events come out grouped per user."""
-    rng = check_random_state(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     # Items split into contiguous near-equal groups.
     item_groups = (np.arange(spec.n_items) * spec.n_latent_groups) // spec.n_items
     group_members = [np.flatnonzero(item_groups == g) for g in range(spec.n_latent_groups)]

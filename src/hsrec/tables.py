@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import check_finite, check_random_state
+from .validation import check_finite
 
 FLOAT_DTYPES = (np.float32, np.float64)
 # Item rows chained through the head, or expanded and written, at a time.
@@ -273,7 +273,7 @@ def init_tables(
     """
     if dim < 1 or item_dim < 1:
         raise ValueError(f"dim and item_dim must be at least 1, got {dim} and {item_dim}")
-    rng = check_random_state(seed)
+    rng = np.random.default_rng(seed)
     text_scale = 1.0 / np.sqrt(dim)
     item_scale = 1.0 / np.sqrt(item_dim)
     text = rng.uniform(-text_scale, text_scale, size=(n_text, dim))

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .base import BaseEstimator
 from .catalog import Dataset, Interactions, SequenceExample, build_dataset, ingest_jsonl
 from .cluster import (
     ClusterMap,
@@ -65,7 +64,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        for name in ("max_steps", "eval_every", "val_sample", "patience", "learning_rate", "weight_decay"):
+        for name in ("max_steps", "eval_every", "val_sample", "patience", "seed", "learning_rate", "weight_decay"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
         for name in ("learning_rate", "weight_decay"):
@@ -276,48 +275,42 @@ def train(data: Dataset, config: TrainConfig, snapshot: ModelSnapshot | None = N
     return result
 
 
-class SequenceRecommender(BaseEstimator):
+@dataclass(eq=False)
+class SequenceRecommender:
     """Next-item recommender: fit on an interaction corpus, predict item IDs.
 
-    Follows the scikit-learn estimator protocol (constructor-only parameters,
-    ``fit`` returns self, fitted attributes carry a trailing underscore).
+    Follows the scikit-learn estimator protocol: the dataclass fields are the
+    constructor parameters, ``fit`` returns self, and fitted attributes carry
+    a trailing underscore.  Instances compare by identity.
     """
 
-    def __init__(
-        self,
-        dim=64,
-        item_dim=512,
-        vocab_size=8192,
-        clustering="kmeans",
-        n_clusters=None,
-        softmax_mode=TrainConfig.softmax_mode,
-        batch_size=TrainConfig.batch_size,
-        learning_rate=TrainConfig.learning_rate,
-        weight_decay=TrainConfig.weight_decay,
-        max_steps=TrainConfig.max_steps,
-        id_only_fraction=TrainConfig.id_only_fraction,
-        metadata_keep_prob=TrainConfig.metadata_keep_prob,
-        eval_every=TrainConfig.eval_every,
-        patience=TrainConfig.patience,
-        val_sample=TrainConfig.val_sample,
-        seed=TrainConfig.seed,
-    ):
-        self.dim = dim
-        self.item_dim = item_dim
-        self.vocab_size = vocab_size
-        self.clustering = clustering
-        self.n_clusters = n_clusters
-        self.softmax_mode = softmax_mode
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.weight_decay = weight_decay
-        self.max_steps = max_steps
-        self.id_only_fraction = id_only_fraction
-        self.metadata_keep_prob = metadata_keep_prob
-        self.eval_every = eval_every
-        self.patience = patience
-        self.val_sample = val_sample
-        self.seed = seed
+    dim: int = 64
+    item_dim: int = 512
+    vocab_size: int = 8192
+    clustering: str = "kmeans"
+    n_clusters: int | None = None
+    softmax_mode: str = TrainConfig.softmax_mode
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    weight_decay: float = TrainConfig.weight_decay
+    max_steps: int = TrainConfig.max_steps
+    id_only_fraction: float = TrainConfig.id_only_fraction
+    metadata_keep_prob: float = TrainConfig.metadata_keep_prob
+    eval_every: int = TrainConfig.eval_every
+    patience: int = TrainConfig.patience
+    val_sample: int = TrainConfig.val_sample
+    seed: int = TrainConfig.seed
+
+    def get_params(self, deep: bool = True) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def set_params(self, **params):
+        valid = sorted(f.name for f in fields(self))
+        for name, value in params.items():
+            if name not in valid:
+                raise ValueError(f"Invalid parameter {name!r} for {type(self).__name__}; valid parameters are {valid}")
+            setattr(self, name, value)
+        return self
 
     def _train_config(self) -> TrainConfig:
         return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})

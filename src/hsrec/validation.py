@@ -1,8 +1,7 @@
-"""Input validation helpers used by estimators and numeric entry points."""
+"""Input checks shared by the estimator and the numeric entry points.  Seeds
+need none: seeded code passes them straight to ``np.random.default_rng``."""
 
 from __future__ import annotations
-
-import numbers
 
 import numpy as np
 
@@ -19,15 +18,6 @@ def check_array(X, *, dtype=np.float64, ndim=2, finite=True, name="X") -> np.nda
     if finite and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or Inf")
     return arr
-
-
-def check_random_state(seed) -> np.random.Generator:
-    """Turn an int seed or a Generator into a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if seed is None or isinstance(seed, numbers.Integral):
-        return np.random.default_rng(seed)
-    raise TypeError(f"seed must be an int, None, or numpy Generator, got {type(seed)!r}")
 
 
 def check_is_fitted(estimator, attributes) -> None:

@@ -342,6 +342,41 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert main(["ingest", "--data", str(tmp_path / "nope.jsonl"), "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest"],
+        ["cluster"],
+        ["train"],
+        ["eval", "--snapshot", "{snapshot}"],
+        ["eval", "--clusters", "all"],
+        ["bench", "--snapshot", "{snapshot}"],
+        ["latency"],
+    ],
+)
+def test_missing_corpus_leaves_no_out_dir(corpus, tmp_path, capsys, argv):
+    snapshot = tmp_path / "snapshot.hsrc"
+    run(["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", tmp_path])
+    argv = [str(a).format(snapshot=snapshot) for a in argv]
+    capsys.readouterr()
+    assert run([*argv, "--data", tmp_path / "missing.jsonl", "--out-dir", tmp_path / "out"]) == 2
+    trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "data" and trailer["error"]["code"] == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--users", 0, "n_users"), ("--users", -3, "n_users"), ("--items", 0, "n_items"),
+     ("--groups", 0, "n_latent_groups"), ("--seed", -1, "seed")],
+)
+def test_synth_rejects_empty_sizes_and_negative_seeds(tmp_path, capsys, flag, value, field):
+    capsys.readouterr()
+    assert run(["synth", flag, value, "--out-dir", tmp_path / "out"]) == 1
+    assert usage_trailer(capsys).startswith(f"{field} must")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("case", ["snapshot_is_dir", "data_is_dir", "binary_data", "binary_config"])
 def test_unreadable_input_is_data_error(corpus, tmp_path, capsys, case):
     run(["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", tmp_path])
@@ -448,6 +483,7 @@ def test_bench_snapshot_with_another_vocab_cap(corpus, tmp_path, command):
         ("--learning-rate", "nan"),
         ("--learning-rate", "inf"),
         ("--weight-decay", "inf"),
+        ("--seed", -1),
     ],
 )
 def test_train_rejects_out_of_range_settings(corpus, tmp_path, capsys, flag, value):

@@ -240,6 +240,15 @@ def test_ann_probe_mode_subset():
     assert set(exhaustive.ordinals[:1].tolist()) <= set(range(34))
 
 
+@pytest.mark.parametrize("probes", [0, -1])
+def test_ann_rejects_fewer_than_one_probe(probes):
+    # Sliced as [:probes], -1 would probe all clusters but one and 0 none.
+    tables, cmap, rng = random_model(4, 30, 5, 4, 6, seed=9)
+    index = build_additive_index(tables, cmap)
+    with pytest.raises(ValueError, match="probes"):
+        topk_ann(rng.standard_normal(5), 8, index, tables, probes=probes)
+
+
 def test_filter_items():
     space = TokenSpace(4, 6)
     all_text = TopK(np.array([0, 2, 3]), np.array([0.3, 0.2, 0.1]))
@@ -442,7 +451,7 @@ def test_ann_paths_equal_full_layout_oracle_bitwise(dtype):
             items = ann_scores_full(q, tables, cmap)[tables.n_text :]
             assert _bits(ann_item_scores(q, index, tables)) == _bits(items)
             for k in (1, 5, tables.n_total + 3):
-                for probes in (None, 0, 1, 3, cmap.n_item_clusters + 1):
+                for probes in (None, 1, 3, cmap.n_item_clusters + 1):
                     got = topk_ann(q, k, index, tables, probes=probes)
                     want = topk_ann_full(q, k, tables, cmap, probes=probes)
                     assert _bits(got.ordinals) == _bits(want.ordinals), (k, probes)

@@ -141,26 +141,24 @@ def test_every_byte_change_is_a_format_error(snapshot, tmp_path):
         load_snapshot(path)
 
 
-def test_version_1_snapshot_loads_unchecked(snapshot, tmp_path):
+def test_version_1_snapshot_refused(snapshot, tmp_path):
+    # Version 1 had no checksum, so a changed payload bit would load unnoticed.
     v2 = tmp_path / "v2.hsrc"
     save_snapshot(snapshot, v2)
     blob = bytearray(v2.read_bytes()[:-4])
     struct.pack_into("<I", blob, 4, 1)
     v1 = tmp_path / "v1.hsrc"
     v1.write_bytes(bytes(blob))
-    a, b = load_snapshot(v2), load_snapshot(v1)
-    for name, arr in a.tables.parameter_arrays().items():
-        assert arr.tobytes() == b.tables.parameter_arrays()[name].tobytes(), name
-    q = np.random.default_rng(0).standard_normal(snapshot.tables.dim)
-    from hsrec.softmax import score_all
-
-    assert score_all(q, a.tables, a.cluster_map).tobytes() == score_all(q, b.tables, b.cluster_map).tobytes()
-    # Saving always writes version 2; a version-1 file has no checksum to fail.
-    save_snapshot(b, tmp_path / "again.hsrc")
-    assert (tmp_path / "again.hsrc").read_bytes() == v2.read_bytes()
+    with pytest.raises(SnapshotFormatError, match="^unsupported snapshot version 1$"):
+        load_snapshot(v1)
     blob[SNAPSHOT_HEADER_BYTES] ^= 0x01
     v1.write_bytes(bytes(blob))
-    load_snapshot(v1)
+    with pytest.raises(SnapshotFormatError, match="^unsupported snapshot version 1$"):
+        load_snapshot(v1)
+    # Saving always writes version 2.
+    assert struct.unpack_from("<I", v2.read_bytes(), 4) == (2,)
+    save_snapshot(load_snapshot(v2), tmp_path / "again.hsrc")
+    assert (tmp_path / "again.hsrc").read_bytes() == v2.read_bytes()
 
 
 @pytest.mark.parametrize("last_byte", [b"\xff", b" "])

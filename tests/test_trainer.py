@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -319,3 +321,47 @@ def test_estimator_set_params_rejects_unknown():
     est = SequenceRecommender()
     with pytest.raises(ValueError):
         est.set_params(not_a_parameter=3)
+
+
+ESTIMATOR_DEFAULTS = [
+    ("dim", 64),
+    ("item_dim", 512),
+    ("vocab_size", 8192),
+    ("clustering", "kmeans"),
+    ("n_clusters", None),
+    ("softmax_mode", "twolevel"),
+    ("batch_size", 64),
+    ("learning_rate", 5e-3),
+    ("weight_decay", 1e-5),
+    ("max_steps", 2000),
+    ("id_only_fraction", 0.25),
+    ("metadata_keep_prob", 0.5),
+    ("eval_every", 200),
+    ("patience", 10),
+    ("val_sample", 500),
+    ("seed", 0),
+]
+
+
+def test_estimator_parameter_protocol():
+    est = SequenceRecommender()
+    assert list(est.get_params().items()) == ESTIMATOR_DEFAULTS
+    assert list(est.get_params(deep=False).items()) == ESTIMATOR_DEFAULTS
+    assert repr(est) == "SequenceRecommender(" + ", ".join(f"{k}={v!r}" for k, v in ESTIMATOR_DEFAULTS) + ")"
+    # Positional construction follows the declaration order.
+    assert SequenceRecommender(8, 6, 40).get_params()["vocab_size"] == 40
+    # What sklearn.base.clone checks: rebuilding from get_params keeps each object.
+    marked = SequenceRecommender(**{name: object() for name, _ in ESTIMATOR_DEFAULTS})
+    params = marked.get_params(deep=False)
+    rebuilt = type(marked)(**params)
+    assert all(getattr(rebuilt, name) is value for name, value in params.items())
+    assert est.set_params(dim=8, seed=3) is est
+    assert (est.dim, est.seed) == (8, 3)
+    names = sorted(name for name, _ in ESTIMATOR_DEFAULTS)
+    message = f"Invalid parameter 'not_a_parameter' for SequenceRecommender; valid parameters are {names}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        est.set_params(not_a_parameter=3)
+    # Instances are hashable and compare by identity, as estimators do.
+    a, b = SequenceRecommender(), SequenceRecommender()
+    assert len({a, b, a}) == 2
+    assert a == a and a != b
