@@ -56,14 +56,15 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
 
 
-# Option tables: (dest, type, default, help[, choices]).  These drive argparse,
-# config-file keys and the one check of every resolved value (``_resolve``), so
-# the three can never drift apart.  A None default marks a required option;
-# choices come from the library's own constants and are appended to the help.
-# Training options default to TrainConfig's own defaults.
+# Option tables: (dest, type, default, help[, choices[, minimum]]).  These
+# drive argparse, config-file keys and the one check of every resolved value
+# (``_resolve``), so the three can never drift apart.  A None default marks a
+# required option; choices come from the library's own constants and are
+# appended to the help, as is a minimum.  Training options default to
+# TrainConfig's own defaults.
 _COMMON = [
     ("out_dir", str, ".", "directory for output artifacts"),
-    ("seed", int, 0, "random seed"),
+    ("seed", int, 0, "random seed", (), 0),
 ]
 
 _OPTIONS = {
@@ -151,8 +152,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _spec(command: str) -> list[tuple]:
-    """The command's options as (dest, type, default, help, choices); no choices is ()."""
-    return [(*entry, ())[:5] for entry in _OPTIONS[command]]
+    """The command's options as (dest, type, default, help, choices, minimum);
+    no choices is (), no minimum None."""
+    return [(*entry, *((), None)[len(entry) - 4 :]) for entry in _OPTIONS[command]]
 
 
 def _flag(dest: str) -> str:
@@ -165,9 +167,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command in _OPTIONS:
         p = sub.add_parser(command)
-        for dest, typ, _default, help_text, choices in _spec(command):
+        for dest, typ, _default, help_text, choices, minimum in _spec(command):
             if choices:
                 help_text += f" ({'|'.join(choices)})"
+            if minimum is not None:
+                help_text += f" (>= {minimum})"
             p.add_argument(_flag(dest), dest=dest, type=typ, default=None, help=help_text)
     return parser
 
@@ -199,14 +203,14 @@ def _read_config_file(path: str) -> dict[str, dict[str, str]]:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults < config file < explicit flags for the active command,
-    then check that every required option is set and every value is one of
-    its choices."""
+    then check that every required option is set, every value is one of its
+    choices and none is below its minimum."""
     command = args.command
     file_values: dict[str, str] = {}
     if args.config:
         file_values = _read_config_file(args.config).get(command, {})
     resolved = {}
-    for dest, typ, default, _help, choices in _spec(command):
+    for dest, typ, default, _help, choices, minimum in _spec(command):
         value = getattr(args, dest)
         if value is None and dest in file_values:
             try:
@@ -219,6 +223,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise UsageError(f"{_flag(dest)} is required")
         if choices and value not in choices:
             raise UsageError(f"{_flag(dest)} must be one of {'|'.join(choices)}, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise UsageError(f"{dest} must be at least {minimum}, got {value}")
         resolved[dest] = value
     return resolved
 

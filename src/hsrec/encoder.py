@@ -6,12 +6,13 @@ The interface is the contract — any module that maps a token sequence to a
 d-dimensional query vector can replace it.  Gradients are hand-derived and
 checked against finite differences in the test suite.
 
-Training encodes a whole batch at once: :func:`encode_batch` pools ``B``
-sequences with segment sums (``np.add.reduceat``) into a ``(B, d)`` matrix,
-and :func:`encode_backward` is GEMMs plus one scatter of the per-token
-embedding gradients.  The single-sequence :func:`encode` is the query path;
-it returns a one-row cache, so :func:`encode_backward` also takes one
-sequence.
+Training and evaluation encode a whole batch at once: :func:`encode_batch`
+takes the ``B`` sequences as one ordinal array plus their lengths, as
+``render.render_batch`` and ``render.render_id_only_batch`` return them, and
+pools them with segment sums (``np.add.reduceat``) into a ``(B, d)`` matrix;
+:func:`encode_backward` is GEMMs plus one scatter of the per-token embedding
+gradients.  The single-sequence :func:`encode` is the query path; it returns
+a one-row cache, so :func:`encode_backward` also takes one sequence.
 """
 
 from __future__ import annotations
@@ -92,13 +93,17 @@ def encode(ordinals, tables: ModelTables, params: EncoderParams):
     return query, EncodeCache(ordinals=ords, lengths=lengths, pooled=pooled[None], hidden=hidden[None])
 
 
-def encode_batch(sequences, tables: ModelTables, params: EncoderParams):
-    """B token sequences -> ((B, d) query matrix, cache); row b is ``encode(sequences[b])``."""
-    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+def encode_batch(ordinals, lengths, tables: ModelTables, params: EncoderParams):
+    """B token sequences, concatenated in ``ordinals`` with ``lengths[b]``
+    tokens in sequence ``b`` -> ((B, d) query matrix, cache); row b is
+    ``encode`` of sequence b."""
+    ords = np.asarray(ordinals, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.size == 0 or lengths.min() == 0:
         raise ValueError("cannot encode an empty batch or an empty token sequence")
-    ords = np.concatenate([np.asarray(seq, dtype=np.int64) for seq in sequences])
-    starts = np.cumsum(lengths) - lengths
+    if lengths.sum() != ords.size:
+        raise ValueError(f"lengths sum to {lengths.sum()}, but there are {ords.size} ordinals")
+    starts = lengths.cumsum() - lengths
     pooled = np.add.reduceat(_embed(ords, tables), starts, axis=0) / lengths[:, None]
     hidden = np.tanh(pooled @ params.hidden_w.T + params.hidden_b)
     queries = pooled + hidden @ params.out_w.T + params.out_b

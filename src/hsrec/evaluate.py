@@ -1,10 +1,11 @@
 """Full-catalog ranking metrics over held-out targets.
 
 Users are evaluated ``EVAL_BLOCK`` at a time.  A block's histories are
-rendered ID-only and encoded as one ``(B, d)`` query matrix
-(``encode_batch``); the engine builds one ``(B, n_items)`` float64 score
-matrix, and ``rank_rows`` (one tie-break, history exclusion and finiteness
-check for all engines) gives every held-out target's 1-based rank.
+rendered ID-only in one call (``render_id_only_batch``) and encoded as one
+``(B, d)`` query matrix (``encode_batch``); the engine builds one
+``(B, n_items)`` float64 score matrix, and ``rank_rows`` (one tie-break,
+history exclusion and finiteness check for all engines) gives every held-out
+target's 1-based rank.
 ``full`` and ``structure`` both enumerate log-probabilities with
 ``item_log_probs_batch``: one GEMM of cluster logits, one GEMM against the
 cluster-ordered item rows and one segmented log-softmax (or one
@@ -27,13 +28,14 @@ from .catalog import Dataset, SequenceExample
 from .encoder import encode_batch
 from .exceptions import TrainingDivergedError
 from .inference import ann_item_scores, build_additive_index
-from .render import render_id_only
+from .render import render_id_only_batch
 from .snapshot import ModelSnapshot
 from .softmax import item_log_probs_batch
 
 # Not called here; perfbench/spans.py looks these names up on this module.
 from .encoder import encode  # noqa: F401
 from .inference import filter_items, topk_ann, topk_structure  # noqa: F401
+from .render import render_id_only  # noqa: F401
 from .softmax import score_all  # noqa: F401
 
 ENGINES = ("full", "structure", "ann")
@@ -118,7 +120,8 @@ def item_score_blocks(snapshot: ModelSnapshot, data: Dataset, examples: list[Seq
     index = build_additive_index(tables, cmap) if engine == "ann" else None
     for lo in range(0, len(examples), EVAL_BLOCK):
         block = examples[lo : lo + EVAL_BLOCK]
-        queries, _ = encode_batch([render_id_only(e, data) for e in block], tables, snapshot.encoder)
+        ordinals, lengths = render_id_only_batch(data, [e.history for e in block])
+        queries, _ = encode_batch(ordinals, lengths, tables, snapshot.encoder)
         if engine == "ann":
             yield block, ann_item_scores(queries, index, tables)
         else:

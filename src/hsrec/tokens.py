@@ -8,6 +8,7 @@ serialization code speaks ordinals.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -87,12 +88,14 @@ class Vocabulary:
     def lookup(self, word: str) -> int:
         return self.word_to_id.get(word, self.oov_id)
 
-    def encode_text(self, text: str) -> list[int]:
-        return [self.lookup(w) for w in tokenize_text(text)]
-
     @classmethod
     def build(cls, texts, max_size: int = 8192) -> "Vocabulary":
         """Build the vocabulary from an iterable of metadata strings."""
+        return cls.from_words(itertools.chain.from_iterable(map(tokenize_text, texts)), max_size)
+
+    @classmethod
+    def from_words(cls, words, max_size: int = 8192) -> "Vocabulary":
+        """Build the vocabulary from the metadata strings' words (``tokenize_text``)."""
         specials = [OOV_WORD, ID_MARKER]
         specials += [m for m in FIELD_MARKERS.values()]
         specials += [price_bucket_word(b) for b in range(PRICE_BUCKET_COUNT)]
@@ -102,13 +105,10 @@ class Vocabulary:
         if max_size < len(specials):
             raise ValueError(f"max_size={max_size} cannot hold the {len(specials)} reserved tokens")
 
-        counts: Counter[str] = Counter()
-        for text in texts:
-            counts.update(tokenize_text(text))
+        counts = Counter(words)
         for w in specials:
             counts.pop(w, None)
 
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         budget = max_size - len(specials)
-        words = specials + [w for w, _ in ranked[:budget]]
-        return cls(words)
+        return cls(specials + [w for w, _ in ranked[:budget]])

@@ -1,7 +1,8 @@
 """Training loop and the high-level recommender estimator.
 
-One step: sample a batch of examples, render each (metadata subsampling with
-an ID-only fraction), encode the batch as one ``(B, d)`` query matrix, take
+One step: sample a batch of train examples (slices of ``Dataset.events``),
+render the batch in one call (``render.render_batch``: metadata subsampling
+with an ID-only fraction), encode it as one ``(B, d)`` query matrix, take
 exact losses and gradients from the softmax head in one batched pass
 (``softmax.nll_and_grad``), chain the query gradients through the encoder
 (``encoder.encode_backward``), and apply an SGD update with cosine
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .catalog import Dataset, Interactions, SequenceExample, build_dataset, ingest_jsonl
+from .catalog import Dataset, Interactions, SequenceExample, build_dataset, concat_ranges, ingest_jsonl
 from .cluster import (
     ClusterMap,
     cluster_frequency,
@@ -35,14 +36,15 @@ from .encoder import encode_backward, encode_batch, init_encoder
 from .evaluate import evaluate, item_score_blocks
 from .exceptions import DataError, TrainingDivergedError
 from .inference import _rank_topk
-from .render import render_example
+from .render import render_batch
 from .snapshot import ModelSnapshot
 from .softmax import MODES, nll_and_grad
 from .tables import GradBuffer, ItemRowGrad, ModelTables, init_tables
 from .validation import check_finite, check_is_fitted
 
-# Not called here; perfbench/spans.py looks this name up on this module.
+# Not called here; perfbench/spans.py looks these names up on this module.
 from .encoder import encode  # noqa: F401
+from .render import render_example  # noqa: F401
 
 CLUSTERINGS = ("kmeans", "frequency", "random")
 
@@ -224,7 +226,7 @@ def train(data: Dataset, config: TrainConfig, snapshot: ModelSnapshot | None = N
     cmap = snapshot.cluster_map
     mode = config.softmax_mode
     rng = np.random.default_rng(config.seed)
-    n_train = len(data.train_examples)
+    n_train = data.train_ends.size
     if n_train == 0:
         raise DataError("train split is empty")
 
@@ -235,20 +237,18 @@ def train(data: Dataset, config: TrainConfig, snapshot: ModelSnapshot | None = N
     for step in range(config.max_steps):
         lr = cosine_lr(config.learning_rate, step, config.max_steps)
         batch_idx = rng.integers(0, n_train, size=config.batch_size)
-        examples = [data.train_examples[int(i)] for i in batch_idx]
-        seqs = [
-            render_example(
-                example,
-                data,
-                rng,
-                id_only_fraction=config.id_only_fraction,
-                metadata_keep_prob=config.metadata_keep_prob,
-            )
-            for example in examples
-        ]
-        targets = [data.space.item_ordinal(example.target) for example in examples]
+        starts, ends = data.train_starts[batch_idx], data.train_ends[batch_idx]
+        ordinals, lengths = render_batch(
+            data,
+            data.events[concat_ranges(starts, ends - starts)],
+            ends - starts,
+            rng,
+            id_only_fraction=config.id_only_fraction,
+            metadata_keep_prob=config.metadata_keep_prob,
+        )
+        targets = data.events[ends] + data.space.n_text
         grads = GradBuffer(tables, encoder)
-        queries, cache = encode_batch(seqs, tables, encoder)
+        queries, cache = encode_batch(ordinals, lengths, tables, encoder)
         losses, d_queries, _ = nll_and_grad(queries, targets, tables, cmap, mode, grads)
         encode_backward(cache, d_queries, tables, encoder, grads)
         mean_loss = float(losses.sum()) / config.batch_size

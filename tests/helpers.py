@@ -1,6 +1,7 @@
 """Shared fixtures: random models, parameter flattening, finite differences,
 snapshot byte surgery, and the oracles the array-form paths are tested
-against: full-softmax log-probabilities, the per-example loss, gradients and
+against: the split's example lists, the per-example render loop,
+full-softmax log-probabilities, the per-example loss, gradients and
 encoder backward, top-k selection, co-occurrence counting, cluster binning,
 centroid means and the full-layout additive index; and the item rows a
 factored item gradient writes."""
@@ -12,6 +13,7 @@ import zlib
 
 import numpy as np
 
+from hsrec.catalog import METADATA_FIELDS, SequenceExample
 from hsrec.cluster import ClusterMap
 from hsrec.encoder import EncoderParams
 from hsrec.inference import SearchStats, TopK
@@ -26,6 +28,7 @@ from hsrec.softmax import (
     member_log_conditionals,
 )
 from hsrec.tables import EmbeddingTable, GradBuffer, ModelTables, ProjectionHead
+from hsrec.tokens import tokenize_text
 
 
 def random_cluster_map(n_text, n_items, n_clusters, rng):
@@ -182,6 +185,59 @@ def synth_dataset(tmp_path, n_users=80, n_items=24, n_groups=4, stickiness=0.85,
     path = tmp_path / "synth.jsonl"
     write_jsonl(data, path)
     return build_dataset(ingest_jsonl(path), vocab_size=vocab_size, name="synth"), data
+
+
+def examples_from_split(split):
+    """The event split as (train, val, test) SequenceExample lists, one user
+    at a time: the oracle for ``Dataset``'s array-form examples.
+
+    Train examples are all history prefixes inside the train region, so no
+    example conditions on events at or after its target.
+    """
+    train_ex, val_ex, test_ex = [], [], []
+    for user in split.users:
+        items = split.train_events[user]
+        for j in range(1, len(items)):
+            train_ex.append(SequenceExample(user, tuple(items[:j]), items[j]))
+        val_ex.append(SequenceExample(user, tuple(items), split.val_event[user]))
+        test_ex.append(SequenceExample(user, (*items, split.val_event[user]), split.test_event[user]))
+    return train_ex, val_ex, test_ex
+
+
+def render_loop(example, data, rng=None, id_only_fraction=0.25, metadata_keep_prob=0.5, force_id_only=False):
+    """One prompt, item by item and field by field, each field tokenized as it
+    is rendered, with one scalar draw per present field: the oracle for
+    ``render.render_batch`` and, with ``force_id_only``, for
+    ``render.render_id_only_batch``."""
+    vocab = data.vocab
+    id_only = force_id_only or rng.random() < id_only_fraction
+    tokens = list(vocab.prompt_prefix_ids)
+    for item_index in example.history:
+        tokens.append(vocab.id_marker_id)
+        tokens.append(data.space.item_ordinal(item_index))
+        if id_only:
+            continue
+        record = data.catalog[item_index]
+        for name in METADATA_FIELDS:
+            value = getattr(record, name)
+            if value is None or rng.random() >= metadata_keep_prob:
+                continue
+            tokens.append(vocab.field_marker_ids[name])
+            if name == "price":
+                tokens.append(vocab.price_bucket_ids[data.price_buckets.bucket(float(value))])
+            else:
+                tokens.extend(vocab.lookup(w) for w in tokenize_text(str(value)))
+    tokens.extend(vocab.prompt_question_ids)
+    tokens.append(vocab.id_marker_id)
+    return tokens
+
+
+def pack(sequences):
+    """Token sequences as ``encode_batch`` takes them: one ordinal array and
+    the sequences' lengths."""
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    ordinals = np.concatenate([np.asarray(seq, dtype=np.int64) for seq in sequences]) if sequences else []
+    return ordinals, lengths
 
 
 def full_logprob(query, ordinal, tables):

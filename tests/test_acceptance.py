@@ -120,12 +120,12 @@ def test_c04_composed_gradient_oracle():
 
             # The functions a training step runs, at a batch of one.
             def loss_fn():
-                queries, _ = encode_batch([seq], tables, enc)
+                queries, _ = encode_batch(seq, [len(seq)], tables, enc)
                 losses, _, _ = nll_and_grad(queries, [target], tables, cmap, mode="twolevel")
                 return losses[0]
 
             numeric = fd_gradient(loss_fn, tables, arrays, eps=1e-5)
-            queries, cache = encode_batch([seq], tables, enc)
+            queries, cache = encode_batch(seq, [len(seq)], tables, enc)
             grads = GradBuffer(tables, enc)
             _, d_queries, _ = nll_and_grad(queries, [target], tables, cmap, mode="twolevel", grads=grads)
             encode_backward(cache, d_queries, tables, enc, grads)

@@ -15,13 +15,14 @@ import pytest
 from helpers import (
     encode_backward_oracle,
     nll_and_grad_oracle,
+    pack,
     random_encoder,
     random_model,
+    render_loop,
     synth_dataset,
     touched_item_rows,
 )
 from hsrec.encoder import encode, encode_backward, encode_batch
-from hsrec.render import render_example
 from hsrec.softmax import CostCounter, nll_and_grad
 from hsrec.tables import GradBuffer, ItemRowGrad
 from hsrec.trainer import TrainConfig, _apply_update, init_model, train
@@ -77,7 +78,7 @@ def per_example(seqs, targets, tables, cmap, enc, mode):
 
 def batched(seqs, targets, tables, cmap, enc, mode):
     grads, counter = GradBuffer(tables, enc), CostCounter()
-    queries, cache = encode_batch(seqs, tables, enc)
+    queries, cache = encode_batch(*pack(seqs), tables, enc)
     losses, d_queries, _ = nll_and_grad(queries, targets, tables, cmap, mode, grads, counter)
     encode_backward(cache, d_queries, tables, enc, grads)
     return losses, d_queries, grads, counter
@@ -134,11 +135,13 @@ def test_encode_batch_rows_equal_encode():
     tables, cmap, rng = random_model(N_TEXT, N_ITEMS, DIM, ITEM_DIM, N_CLUSTERS, seed=4, dtype=np.float32)
     enc = random_encoder(DIM, rng, dtype=np.float32)
     seqs, _ = mixed_batch(cmap)
-    queries, _ = encode_batch(seqs, tables, enc)
+    queries, _ = encode_batch(*pack(seqs), tables, enc)
     for seq, row in zip(seqs, queries):
         assert rel_gap(encode(seq, tables, enc)[0], row) <= REL
     with pytest.raises(ValueError):
-        encode_batch([[1], []], tables, enc)
+        encode_batch(*pack([[1], []]), tables, enc)
+    with pytest.raises(ValueError, match="lengths sum to 1"):
+        encode_batch([1, 2], [1], tables, enc)
 
 
 def test_encode_cache_is_a_batch_of_one():
@@ -148,7 +151,7 @@ def test_encode_cache_is_a_batch_of_one():
     seq = [1, N_TEXT + 2, 1, N_TEXT + 9]
     d_queries = rng.standard_normal((1, DIM))
     finals = []
-    for _, cache in (encode(seq, tables, enc), encode_batch([seq], tables, enc)):
+    for _, cache in (encode(seq, tables, enc), encode_batch(seq, [len(seq)], tables, enc)):
         grads = GradBuffer(tables, enc)
         encode_backward(cache, d_queries, tables, enc, grads)
         finals.append(grads.finalize(tables))
@@ -223,7 +226,7 @@ def test_train_step_matches_per_example_loop(tmp_path, mode):
     grads = GradBuffer(ref.tables, ref.encoder)
     for i in batch_idx:
         example = data.train_examples[int(i)]
-        seq = render_example(example, data, rng, config.id_only_fraction, config.metadata_keep_prob)
+        seq = render_loop(example, data, rng, config.id_only_fraction, config.metadata_keep_prob)
         query, cache = encode(seq, ref.tables, ref.encoder)
         target = data.space.item_ordinal(example.target)
         _, d_query, _ = nll_and_grad_oracle(query, target, ref.tables, ref.cluster_map, mode, grads)

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from helpers import examples_from_split
 from hsrec.catalog import (
     PriceBuckets,
     build_dataset,
-    examples_from_split,
     ingest_jsonl,
     split_leave_one_out,
 )
@@ -149,9 +149,9 @@ def test_examples_respect_chronology(tmp_path):
         tmp_path / "d.jsonl",
         [{"user": "u", "item": i, "timestamp": t} for t, i in enumerate("abcde")],
     )
-    inter = ingest_jsonl(path)
-    split = split_leave_one_out(inter)
-    train, val, test = examples_from_split(split)
+    data = build_dataset(ingest_jsonl(path))
+    train, val, test = data.train_examples, data.val_examples, data.test_examples
+    assert (train, val, test) == examples_from_split(data.split)
     # Train region is [a, b, c]; prefix examples only.
     assert [(len(e.history), e.target) for e in train] == [(1, 1), (2, 2)]
     assert val[0].history == (0, 1, 2)

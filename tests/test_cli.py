@@ -623,6 +623,46 @@ def test_settings_are_checked_before_any_input_is_read(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+SEED_ARGV = {
+    "synth": ["synth"],
+    "ingest": ["ingest", "--data", "{data}"],
+    "cluster": ["cluster", "--data", "{data}", "--clusters", "random"],
+    "train": ["train", "--data", "{data}"],
+    "eval": ["eval", "--data", "{data}", "--snapshot", "{snapshot}"],
+    "latency": ["latency", "--data", "{data}"],
+    "bench": ["bench", "--data", "{data}", "--snapshot", "{snapshot}"],
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", list(SEED_ARGV))
+def test_negative_seed_is_usage_error_before_any_input_is_read(tmp_path, capsys, command, source):
+    # The corpus and snapshot do not exist: reading either would exit 2 ("data").
+    missing = {"data": tmp_path / "missing.jsonl", "snapshot": tmp_path / "missing.hsrc"}
+    argv = [str(a).format(**missing) for a in SEED_ARGV[command]] + ["--out-dir", tmp_path / "out"]
+    if source == "flag":
+        argv += ["--seed", -1]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"[{command}]\nseed = -1\n")
+        argv = ["--config", config, *argv]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert usage_trailer(capsys) == "seed must be at least 0, got -1"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "bench"])
+def test_negative_seed_names_the_option_with_real_inputs(corpus, tmp_path, capsys, command):
+    run(["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", tmp_path])
+    inputs = {"data": corpus, "snapshot": tmp_path / "snapshot.hsrc"}
+    argv = [str(a).format(**inputs) for a in SEED_ARGV[command]]
+    capsys.readouterr()
+    assert run([*argv, "--seed", -1, "--out-dir", tmp_path / "out"]) == 1
+    assert usage_trailer(capsys) == "seed must be at least 0, got -1"
+    assert not (tmp_path / "out").exists()
+
+
 def test_snapshot_without_softmax_mode_is_two_level(corpus, tmp_path):
     from hsrec.snapshot import load_snapshot, save_snapshot
 

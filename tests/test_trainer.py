@@ -5,6 +5,7 @@ import pytest
 
 import hsrec.trainer
 from helpers import synth_dataset, touched_item_rows
+from hsrec.catalog import build_dataset, ingest_jsonl
 from hsrec.encoder import encode
 from hsrec.evaluate import EVAL_BLOCK, popularity_baseline
 from hsrec.exceptions import DataError, TrainingDivergedError
@@ -46,11 +47,13 @@ def test_render_id_only_shape(small_data):
 
 
 def test_render_keep_prob_one_emits_every_field(tmp_path):
-    data, _ = synth_dataset(tmp_path)
-    # Graft full metadata onto the catalog records.
-    for i, record in enumerate(data.catalog.records):
+    synth_dataset(tmp_path)
+    interactions = ingest_jsonl(tmp_path / "synth.jsonl")
+    # Graft full metadata onto the catalog records; fields are tokenized when the dataset is built.
+    for i, record in enumerate(interactions.catalog.records):
         record.brand = f"brand{i % 3}"
         record.category = "tools and stuff"
+    data = build_dataset(interactions, vocab_size=512)
     rng = np.random.default_rng(0)
     example = data.train_examples[0]
     tokens = render_example(example, data, rng, id_only_fraction=0.0, metadata_keep_prob=1.0)
@@ -87,12 +90,12 @@ def test_id_only_fraction_three_sigma(small_data):
 
 
 def test_price_renders_as_bucket_token(tmp_path):
-    data, _ = synth_dataset(tmp_path)
-    for i, record in enumerate(data.catalog.records):
+    synth_dataset(tmp_path)
+    interactions = ingest_jsonl(tmp_path / "synth.jsonl")
+    for i, record in enumerate(interactions.catalog.records):
         record.price = float(1 + i)
-    from hsrec.catalog import PriceBuckets
-
-    data.price_buckets = PriceBuckets.from_catalog(data.catalog)
+    data = build_dataset(interactions, vocab_size=512)
+    assert data.price_buckets is not None
     rng = np.random.default_rng(1)
     tokens = render_example(
         data.train_examples[0], data, rng, id_only_fraction=0.0, metadata_keep_prob=1.0
