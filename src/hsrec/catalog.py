@@ -2,9 +2,12 @@
 
 The interaction file has one JSON object per line with required fields
 ``user``, ``item``, ``timestamp`` and optional ``title``, ``brand``,
-``price``, ``category``.  Events are grouped per user and sorted by
+``price``, ``category``.  Blank lines are skipped, and ``timestamp`` and
+``price`` must be finite numbers.  Events are grouped per user and sorted by
 (timestamp, input order); items are deduplicated into the catalog in first-seen
-order, which fixes the item token indices.
+order, which fixes the item token indices.  An item's metadata is its first
+event's, and later events only fill the fields it still lacks.  Every error in
+a line names the line.
 
 A :class:`Dataset` holds its examples as arrays, not objects.  ``events`` is
 every split user's items, user after user, and each example is a slice of
@@ -21,6 +24,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -45,9 +50,9 @@ class ItemRecord:
 class Catalog:
     """Item records in token-index order plus the external-id lookup."""
 
-    def __init__(self):
-        self.records: list[ItemRecord] = []
-        self._index: dict[str, int] = {}
+    def __init__(self, records: list[ItemRecord], index: dict[str, int]):
+        self.records = records
+        self._index = index  # item id -> its record's position in ``records``
 
     def __len__(self) -> int:
         return len(self.records)
@@ -57,19 +62,6 @@ class Catalog:
 
     def index_of(self, item_id: str) -> int:
         return self._index[item_id]
-
-    def add_or_update(self, item_id: str, metadata: dict) -> int:
-        """Insert a record (first-seen wins) or fill fields that are still missing."""
-        idx = self._index.get(item_id)
-        if idx is None:
-            idx = len(self.records)
-            self._index[item_id] = idx
-            self.records.append(ItemRecord(item_id=item_id))
-        record = self.records[idx]
-        for name in METADATA_FIELDS:
-            if name in metadata and getattr(record, name) is None:
-                setattr(record, name, metadata[name])
-        return idx
 
     def item_ids(self) -> list[str]:
         return [r.item_id for r in self.records]
@@ -119,6 +111,8 @@ def _parse_line(line: str, line_no: int) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise DataError(f"line {line_no}: malformed JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:  # an int of too many digits, or nesting too deep
+        raise DataError(f"line {line_no}: malformed JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise DataError(f"line {line_no}: expected a JSON object")
     for name in REQUIRED_FIELDS:
@@ -127,43 +121,93 @@ def _parse_line(line: str, line_no: int) -> dict:
     return obj
 
 
+def _number(value, name: str, line_no: int) -> float:
+    """``value`` as a float; one that does not convert, or is NaN or
+    infinite, is a :class:`DataError` naming the line."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise DataError(f"line {line_no}: {name} is not a number") from None
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise DataError(f"line {line_no}: {name} is not a finite number")
+    return value
+
+
+# The names of an item's missing metadata fields, keyed by which fields are
+# None: a new item costs one lookup, not a set built for it.
+_MISSING = {
+    mask: frozenset(itertools.compress(METADATA_FIELDS, mask))
+    for mask in itertools.product((False, True), repeat=len(METADATA_FIELDS))
+}
+
+
+def _missing_fields(record: ItemRecord) -> frozenset[str]:
+    return _MISSING[record.title is None, record.brand is None, record.price is None, record.category is None]
+
+
 def ingest_jsonl(path) -> Interactions:
     """Read an interaction file into per-user, time-sorted event sequences.
 
     Duplicate (user, item, timestamp) lines are retained as distinct events;
     timestamp ties are broken by input order.
+
+    Each stripped line is parsed by itself with the JSON scanner that
+    ``json.loads`` runs, and must end where its value ends; a line it
+    rejects is parsed again by ``_parse_line``, which raises its error.  An
+    item's record is built from its first event; only an item still missing
+    a field looks at later events' metadata, to fill it.
     """
-    catalog = Catalog()
-    raw: dict[str, list[tuple[float, int]]] = {}  # (timestamp, item index) in input order
-    users: list[str] = []
+    scan = json.JSONDecoder().scan_once
+    records: list[ItemRecord] = []
+    index: dict[str, int] = {}
+    missing: list[frozenset[str]] = []  # per item, its metadata fields still None
+    raw: dict[str, list[tuple[float, int]]] = {}  # user -> (timestamp, item index), in input order
     n_events = 0
     for line_no, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line:
             continue
-        obj = _parse_line(line, line_no)
-        user = str(obj["user"])
         try:
-            timestamp = float(obj["timestamp"])
-        except (TypeError, ValueError):
-            raise DataError(f"line {line_no}: timestamp is not a number") from None
-        metadata = {k: obj[k] for k in METADATA_FIELDS if k in obj and obj[k] is not None}
-        if "price" in metadata:
-            try:
-                metadata["price"] = float(metadata["price"])
-            except (TypeError, ValueError):
-                raise DataError(f"line {line_no}: price is not a number") from None
-        item_index = catalog.add_or_update(str(obj["item"]), metadata)
-        if user not in raw:
-            raw[user] = []
-            users.append(user)
-        raw[user].append((timestamp, item_index))
+            obj, end = scan(line, 0)
+            user, item, timestamp = obj["user"], obj["item"], obj["timestamp"]
+        except (StopIteration, ValueError, RecursionError, TypeError, KeyError):  # bad JSON, not an object, no field
+            end = None
+        if end != len(line):  # the per-line parser raises json.loads's error, or names the missing field
+            obj = _parse_line(line, line_no)
+            user, item, timestamp = obj["user"], obj["item"], obj["timestamp"]
+        timestamp = _number(timestamp, "timestamp", line_no)
+        price = obj.get("price")
+        if price is not None:
+            price = _number(price, "price", line_no)
+        item = str(item)
+        item_index = index.get(item)
+        if item_index is None:
+            item_index = index[item] = len(records)
+            record = ItemRecord(item, obj.get("title"), obj.get("brand"), price, obj.get("category"))
+            records.append(record)
+            missing.append(_missing_fields(record))
+        elif (gaps := missing[item_index]) and not gaps.isdisjoint(obj):
+            # First-seen metadata wins; a later event only fills fields still None.
+            record = records[item_index]
+            for name in gaps:
+                value = price if name == "price" else obj.get(name)
+                if value is not None:
+                    setattr(record, name, value)
+            missing[item_index] = _missing_fields(record)
+        user = str(user)
+        events = raw.get(user)
+        if events is None:
+            events = raw[user] = []
+        events.append((timestamp, item_index))
         n_events += 1
     if n_events == 0:
         raise DataError(f"{path}: no interaction lines found")
     # A stable sort on the timestamp alone keeps ties in input order.
-    events = {user: [item for _, item in sorted(raw[user], key=lambda e: e[0])] for user in users}
-    return Interactions(catalog=catalog, users=users, events_by_user=events, n_events=n_events)
+    by_time, item_of = operator.itemgetter(0), operator.itemgetter(1)
+    events = {user: list(map(item_of, sorted(run, key=by_time))) for user, run in raw.items()}
+    return Interactions(catalog=Catalog(records, index), users=list(raw), events_by_user=events, n_events=n_events)
 
 
 @dataclass

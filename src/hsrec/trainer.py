@@ -132,8 +132,11 @@ def init_model(
             data, clustering, n_clusters, seed=config.seed, features=kmeans_features
         )
     base = init_tables(len(data.vocab), data.n_items, dim, item_dim, seed=config.seed)
-    centroids = init_centroids(cluster_map, base.item_projected())
+    projected = base.item_projected()
+    centroids = init_centroids(cluster_map, projected)
     tables = ModelTables(base.text, base.item_raw, base.projection, centroids)
+    # The same item rows and head, so the same projection: keep it, not make it again.
+    tables.derived("projected", lambda: projected)
     encoder = init_encoder(dim, seed=config.seed + 1, dtype=tables.text.data.dtype)
     snapshot_config = config.to_dict()
     snapshot_config.update({"dim": dim, "item_dim": item_dim, "clustering": clustering})

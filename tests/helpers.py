@@ -1,6 +1,6 @@
 """Shared fixtures: random models, parameter flattening, finite differences,
-snapshot byte surgery, and the oracles the array-form paths are tested
-against: the split's example lists, the per-example render loop,
+snapshot byte surgery, and the oracles the fast paths are tested against:
+the per-line ingest, the split's example lists, the per-example render loop,
 full-softmax log-probabilities, the per-example loss, gradients and
 encoder backward, top-k selection, co-occurrence counting, cluster binning,
 centroid means and the full-layout additive index; and the item rows a
@@ -8,14 +8,24 @@ factored item gradient writes."""
 
 import heapq
 import json
+import math
 import struct
 import zlib
 
 import numpy as np
 
-from hsrec.catalog import METADATA_FIELDS, SequenceExample
+from hsrec.catalog import (
+    METADATA_FIELDS,
+    Catalog,
+    Interactions,
+    ItemRecord,
+    SequenceExample,
+    _parse_line,
+    read_lines,
+)
 from hsrec.cluster import ClusterMap
 from hsrec.encoder import EncoderParams
+from hsrec.exceptions import DataError
 from hsrec.inference import SearchStats, TopK
 from hsrec.softmax import (
     MODES,
@@ -29,6 +39,55 @@ from hsrec.softmax import (
 )
 from hsrec.tables import EmbeddingTable, GradBuffer, ModelTables, ProjectionHead
 from hsrec.tokens import tokenize_text
+
+
+def ingest_loop(path) -> Interactions:
+    """The per-line ingest, the oracle for ``catalog.ingest_jsonl``: every
+    line through ``json.loads``, and every event merges its metadata into its
+    item's record field by field (first-seen wins, later events fill fields
+    still missing)."""
+
+    def number(value, name, line_no):
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            raise DataError(f"line {line_no}: {name} is not a number") from None
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise DataError(f"line {line_no}: {name} is not a finite number")
+        return value
+
+    records, index = [], {}
+    raw, users = {}, []
+    n_events = 0
+    for line_no, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        obj = _parse_line(line, line_no)
+        user = str(obj["user"])
+        timestamp = number(obj["timestamp"], "timestamp", line_no)
+        metadata = {k: obj[k] for k in METADATA_FIELDS if k in obj and obj[k] is not None}
+        if "price" in metadata:
+            metadata["price"] = number(metadata["price"], "price", line_no)
+        item_id = str(obj["item"])
+        if item_id not in index:
+            index[item_id] = len(records)
+            records.append(ItemRecord(item_id=item_id))
+        record = records[index[item_id]]
+        for name in METADATA_FIELDS:
+            if name in metadata and getattr(record, name) is None:
+                setattr(record, name, metadata[name])
+        if user not in raw:
+            raw[user] = []
+            users.append(user)
+        raw[user].append((timestamp, index[item_id]))
+        n_events += 1
+    if n_events == 0:
+        raise DataError(f"{path}: no interaction lines found")
+    events = {user: [item for _, item in sorted(raw[user], key=lambda e: e[0])] for user in users}
+    return Interactions(catalog=Catalog(records, index), users=users, events_by_user=events, n_events=n_events)
 
 
 def random_cluster_map(n_text, n_items, n_clusters, rng):

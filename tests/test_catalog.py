@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import examples_from_split
+from helpers import examples_from_split, ingest_loop
 from hsrec.catalog import (
     PriceBuckets,
     build_dataset,
@@ -212,3 +212,155 @@ def test_build_dataset_wires_everything(tmp_path):
             want[item] += 1
     assert data.train_item_counts.dtype == np.int64 and np.array_equal(data.train_item_counts, want)
     assert data.price_buckets is not None
+
+
+def _event(user, item, timestamp, **metadata):
+    return json.dumps({"user": user, "item": item, "timestamp": timestamp, **metadata}, ensure_ascii=False)
+
+
+# Raw corpora, written as bytes, so line endings and raw characters are kept.
+INGEST_CORPORA = {
+    "blank_and_whitespace_lines": "\n".join(
+        ["", _event("u", "a", 1), "   ", "\t", _event("u", "b", 2), "  " + _event("v", "a", 0) + "\t", "", ""]
+    ),
+    "crlf": "\r\n".join([_event("u", "a", 1, title="x y"), "", _event("u", "b", 2), _event("v", "a", 3)]) + "\r\n",
+    "late_metadata": "\n".join(
+        [
+            _event("u", "a", 1),
+            _event("u", "b", 2, title="bee"),
+            _event("v", "a", 3, brand="acme"),
+            _event("v", "a", 4, brand="other", title="first title", price=2),
+            _event("w", "a", 5, title="too late", category="tools", price=7.5),
+            _event("w", "b", 6, title="ignored", brand="b-brand"),
+        ]
+    ),
+    "null_fields": "\n".join(
+        [
+            _event("u", "a", 1, title=None, brand=None, price=None, category=None),
+            _event("u", "a", 2, title="now", price=None),
+            _event("v", "a", 3, title=None, brand="later"),
+        ]
+    ),
+    "numeric_string_prices": "\n".join(
+        [_event("u", "a", 1, price="3.25"), _event("u", "b", 2, price="4"), _event("u", "c", 3, price=" 5e1 ")]
+    ),
+    "duplicate_events": "\n".join([_event("u", "a", 1, title="t")] * 3 + [_event("v", "a", 1, title="t")] * 2),
+    "timestamp_ties": "\n".join(
+        [_event("u", "c", 5), _event("u", "a", 5), _event("u", "b", 1), _event("u", "d", 5.0), _event("u", "e", "5")]
+    ),
+    "u2028_in_string": "\n".join([_event("u", "a", 1, title="one\u2028two\u2029three"), _event("u", "b", 2)]),
+}
+
+
+def _random_corpus(seed: int) -> str:
+    """Lines mixing every case above: endings, blank lines, absent, null and
+    late metadata, string prices, duplicates and ties."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(300):
+        roll = rng.random()
+        if roll < 0.05:
+            lines.append(" " * int(rng.integers(3)))
+            continue
+        if roll < 0.15 and lines:
+            lines.append(lines[int(rng.integers(len(lines)))])
+            continue
+        metadata = {}
+        for name, value in (("title", f"w{rng.integers(9)} x"), ("brand", f"b{rng.integers(3)}"),
+                            ("price", float(rng.integers(1, 40)) / 4), ("category", "c")):
+            pick = rng.random()
+            if pick < 0.2:
+                metadata[name] = None
+            elif pick < 0.5:
+                metadata[name] = str(value) if name == "price" and pick < 0.3 else value
+        lines.append(_event(f"u{rng.integers(12)}", f"i{rng.integers(25)}", int(rng.integers(6)), **metadata))
+    return "".join(line + ("\r\n" if rng.random() < 0.3 else "\n") for line in lines)
+
+
+def _ingested(inter):
+    """Everything an ``Interactions`` holds, with the records' field types."""
+    return (
+        inter.users,
+        inter.events_by_user,
+        inter.n_events,
+        [repr(record) for record in inter.catalog.records],
+        inter.catalog._index,
+    )
+
+
+@pytest.mark.parametrize("text", [*INGEST_CORPORA.values(), *map(_random_corpus, range(3))],
+                         ids=[*INGEST_CORPORA, "random0", "random1", "random2"])
+def test_ingest_equals_the_per_line_loop(tmp_path, text):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    assert _ingested(ingest_jsonl(path)) == _ingested(ingest_loop(path))
+
+
+def test_ingest_fills_late_metadata_first_seen_wins(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(INGEST_CORPORA["late_metadata"].encode("utf-8"))
+    a, b = ingest_jsonl(path).catalog.records
+    assert (a.title, a.brand, a.price, a.category) == ("first title", "acme", 2.0, "tools")
+    assert (b.title, b.brand, b.price, b.category) == ("bee", "b-brand", None, None)
+    assert type(a.price) is float
+
+
+def test_ingest_keeps_a_raw_line_separator_inside_a_string(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(INGEST_CORPORA["u2028_in_string"].encode("utf-8"))
+    inter = ingest_jsonl(path)
+    assert inter.n_events == 2 and inter.catalog[0].title == "one\u2028two\u2029three"
+
+
+GOOD_LINE = _event("u", "a", 1)
+
+# Each second line's error; ``ingest_loop`` must raise the same message.
+BAD_LINES = {
+    "trailing_garbage": (GOOD_LINE + " x", "malformed JSON (Extra data)"),
+    "second_value": (GOOD_LINE + GOOD_LINE, "malformed JSON (Extra data)"),
+    "bom": ("\ufeff" + GOOD_LINE, "malformed JSON (Unexpected UTF-8 BOM"),
+    "array": ("[" + GOOD_LINE + "]", "expected a JSON object"),
+    "scalar": ("3", "expected a JSON object"),
+    "unterminated": ('{"user": "u", "item": "a"', "malformed JSON"),
+    "missing_field": ('{"user": "u", "timestamp": 1}', "missing required field 'item'"),
+    "bad_timestamp": (_event("u", "a", "soon"), "timestamp is not a number"),
+    "null_timestamp": (_event("u", "a", None), "timestamp is not a number"),
+    "bad_price": (_event("u", "a", 1, price="cheap"), "price is not a number"),
+    "list_price": (_event("u", "a", 1, price=[1]), "price is not a number"),
+    # Valid joined with "]\n,[" as one array of two one-object rows, but not line by line.
+    "crafted_pair": ('{"x":1}],[{"y":[[1\n2]]}', "malformed JSON (Extra data)"),
+    "too_many_digits": (GOOD_LINE.replace("1}", "1" * 5000 + "}"), "malformed JSON (Exceeds the limit"),
+    "too_deep": (GOOD_LINE.replace("1}", '1, "title": ' + "[" * 100_000 + "]" * 100_000 + "}"), "malformed JSON (maximum"),
+    "nan_timestamp": (GOOD_LINE.replace("1}", "NaN}"), "timestamp is not a finite number"),
+    "overflowing_timestamp": (GOOD_LINE.replace("1}", "1" + "0" * 400 + "}"), "timestamp is not a finite number"),
+    "infinite_price": (GOOD_LINE.replace("1}", '1, "price": -Infinity}'), "price is not a finite number"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_LINES)
+def test_ingest_errors_equal_the_per_line_loop(tmp_path, case):
+    bad, message = BAD_LINES[case]
+    path = tmp_path / "d.jsonl"
+    path.write_bytes((GOOD_LINE + "\n" + bad + "\n" + GOOD_LINE + "\n").encode("utf-8"))
+    with pytest.raises(DataError) as got:
+        ingest_jsonl(path)
+    with pytest.raises(DataError) as want:
+        ingest_loop(path)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"line 2: {message}")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("timestamp", "NaN"), ("timestamp", "Infinity"), ("timestamp", "-Infinity"), ("timestamp", '"nan"'),
+     ("timestamp", "1e400"), ("price", "NaN"), ("price", "Infinity"), ("price", '"-inf"')],
+)
+def test_non_finite_timestamp_or_price_is_a_data_error(tmp_path, field, value):
+    # Hand-built: at t = 3, NaN, 1, 2 the NaN left the events unsorted, and
+    # one NaN price made every price-bucket edge NaN.
+    lines = [_event("u", item, t, price=1.5) for item, t in zip("abcd", (3, 0, 1, 2))]
+    lines[1] = lines[1].replace('"timestamp": 0' if field == "timestamp" else '"price": 1.5', f'"{field}": {value}')
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^line 2: {field} is not a finite number$"):
+        ingest_jsonl(path)

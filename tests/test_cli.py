@@ -47,6 +47,32 @@ def test_ingest_stats(corpus, tmp_path):
     assert stats["n_items"] == 16
 
 
+def test_ingest_accepts_crlf_blank_lines_and_late_metadata(tmp_path):
+    lines = ['{"user": "u", "item": "a", "timestamp": 1}', "", "  ", '{"user": "u", "item": "b", "timestamp": 2}',
+             '{"user": "v", "item": "a", "timestamp": 3, "title": "late", "price": "2.5"}']
+    path = tmp_path / "d.jsonl"
+    path.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
+    assert run(["ingest", "--data", path, "--out-dir", tmp_path / "out"]) == 0
+    stats = json.loads((tmp_path / "out" / "stats.json").read_text())
+    assert (stats["n_users"], stats["n_items"]) == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("NaN", "timestamp is not a finite number"), ("Infinity", "timestamp is not a finite number"),
+     ("-Infinity", "timestamp is not a finite number"), ("1" * 5000, "malformed JSON (Exceeds the limit")],
+)
+def test_ingest_rejects_a_bad_timestamp_as_data_and_makes_no_out_dir(tmp_path, capsys, value, message):
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n".join(f'{{"user": "u", "item": "i{t}", "timestamp": {t}}}' for t in ("3", value, "1", "2")))
+    capsys.readouterr()
+    assert run(["ingest", "--data", path, "--out-dir", tmp_path / "out"]) == 2
+    trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "data" and trailer["error"]["code"] == 2
+    assert trailer["error"]["message"].startswith(f"line 2: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cluster_command(corpus, tmp_path):
     code = run(["cluster", "--data", corpus, "--clusters", "kmeans", "--out-dir", tmp_path])
     assert code == 0

@@ -109,6 +109,20 @@ def test_cosine_schedule_endpoints():
     assert cosine_lr(0.1, 100, 100) == pytest.approx(0.0, abs=1e-18)
 
 
+@pytest.mark.parametrize("clustering", ["random", "kmeans"])
+def test_init_model_projects_the_catalog_once(small_data, monkeypatch, clustering):
+    calls = []
+    project = hsrec.tables.project_items
+    monkeypatch.setattr(hsrec.tables, "project_items", lambda *args: calls.append(1) or project(*args))
+    config = TrainConfig(max_steps=0, batch_size=8, eval_every=0, seed=1)
+    snapshot = init_model(small_data, config, dim=8, item_dim=6, clustering=clustering)
+    assert len(calls) == 1
+    projected = snapshot.tables.item_projected()
+    snapshot.tables.item_rows_by_cluster(snapshot.cluster_map)
+    assert len(calls) == 1  # the tables keep the projection the centroids were built from
+    assert projected.tobytes() == project(snapshot.tables.item_raw, snapshot.tables.projection).tobytes()
+
+
 def test_zero_learning_rate_keeps_parameters_bitwise(small_data):
     config = TrainConfig(max_steps=5, learning_rate=0.0, batch_size=8, eval_every=0, seed=1)
     snapshot = init_model(small_data, config, dim=8, item_dim=6)
