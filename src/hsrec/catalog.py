@@ -2,12 +2,13 @@
 
 The interaction file has one JSON object per line with required fields
 ``user``, ``item``, ``timestamp`` and optional ``title``, ``brand``,
-``price``, ``category``.  Blank lines are skipped, and ``timestamp`` and
-``price`` must be finite numbers.  Events are grouped per user and sorted by
-(timestamp, input order); items are deduplicated into the catalog in first-seen
-order, which fixes the item token indices.  An item's metadata is its first
-event's, and later events only fill the fields it still lacks.  Every error in
-a line names the line.
+``price``, ``category``.  Blank lines are skipped.  ``user`` and ``item``
+must be strings or integers, an integer standing for its decimal string, and
+``timestamp`` and ``price`` must be finite numbers.  Events are grouped per
+user and sorted by (timestamp, input order); items are deduplicated into the
+catalog in first-seen order, which fixes the item token indices.  An item's
+metadata is its first event's, and later events only fill the fields it
+still lacks.  Every error in a line names the line.
 
 A :class:`Dataset` holds its examples as arrays, not objects.  ``events`` is
 every split user's items, user after user, and each example is a slice of
@@ -121,6 +122,20 @@ def _parse_line(line: str, line_no: int) -> dict:
     return obj
 
 
+# JSON type names of the values an id may not be.
+_NON_ID_TYPES = {type(None): "null", bool: "boolean", float: "float", list: "array", dict: "object"}
+
+
+def _id(value, name: str, line_no: int) -> str:
+    """A ``user`` or ``item`` id that is not a string: an integer is its
+    decimal string, and any other JSON value is a :class:`DataError` naming
+    the line, so that ``null`` is not the id "None", nor ``1.0`` another
+    item than ``1``."""
+    if type(value) is int:  # not bool, a subclass of int
+        return str(value)
+    raise DataError(f"line {line_no}: {name} must be a string or an integer, got {_NON_ID_TYPES[type(value)]}")
+
+
 def _number(value, name: str, line_no: int) -> float:
     """``value`` as a float; one that does not convert, or is NaN or
     infinite, is a :class:`DataError` naming the line."""
@@ -177,11 +192,14 @@ def ingest_jsonl(path) -> Interactions:
         if end != len(line):  # the per-line parser raises json.loads's error, or names the missing field
             obj = _parse_line(line, line_no)
             user, item, timestamp = obj["user"], obj["item"], obj["timestamp"]
+        if type(user) is not str:
+            user = _id(user, "user", line_no)
+        if type(item) is not str:
+            item = _id(item, "item", line_no)
         timestamp = _number(timestamp, "timestamp", line_no)
         price = obj.get("price")
         if price is not None:
             price = _number(price, "price", line_no)
-        item = str(item)
         item_index = index.get(item)
         if item_index is None:
             item_index = index[item] = len(records)
@@ -196,7 +214,6 @@ def ingest_jsonl(path) -> Interactions:
                 if value is not None:
                     setattr(record, name, value)
             missing[item_index] = _missing_fields(record)
-        user = str(user)
         events = raw.get(user)
         if events is None:
             events = raw[user] = []

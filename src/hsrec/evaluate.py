@@ -2,19 +2,22 @@
 
 Users are evaluated ``EVAL_BLOCK`` at a time.  A block's histories are
 rendered ID-only in one call (``render_id_only_batch``) and encoded as one
-``(B, d)`` query matrix (``encode_batch``); the engine builds one
+``(B, d)`` query matrix (``encode_batch``); the engine builds one C-ordered
 ``(B, n_items)`` float64 score matrix, and ``rank_rows`` (one tie-break,
 history exclusion and finiteness check for all engines) gives every held-out
 target's 1-based rank.
-``full`` and ``structure`` both enumerate log-probabilities with
-``item_log_probs_batch``: one GEMM of cluster logits, one GEMM against the
-cluster-ordered item rows and one segmented log-softmax (or one
-``(B, n_total)`` GEMM in full-softmax mode), so their ranks are one and the
-same.  ``structure`` names the two-level exact engine and
-requires a two-level snapshot.  ``ann`` is one GEMM against the additive
-index's item rows.  Recall@K and NDCG@10 truncate at K; MRR uses the unbounded
-full-catalog rank.  With a single relevant item NDCG reduces to
-1/log2(rank + 1).
+``full`` and ``structure`` both rank by ``item_rank_scores``.  Under the
+two-level softmax log P(i | H) = logit_c(i) - log Z + log P(i | c(i), H),
+and log Z is one constant per user, so an item's rank score is
+``logit_c + log P(i | c, H)``: one GEMM against the centroids, one against
+the cluster-ordered item rows and one segmented log-softmax, at
+``O((C + |I|) d)`` per user whatever the text vocabulary's size.  In
+full-softmax mode the rank score is the item's logit.  No text row is read,
+exact ties stay exact, and the two engines' ranks are one and the same.
+``structure`` names the two-level exact engine and requires a two-level
+snapshot.  ``ann`` is one GEMM against the additive index's item rows.
+Recall@K and NDCG@10 truncate at K; MRR uses the unbounded full-catalog
+rank.  With a single relevant item NDCG reduces to 1/log2(rank + 1).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .exceptions import TrainingDivergedError
 from .inference import ann_item_scores, build_additive_index
 from .render import render_id_only_batch
 from .snapshot import ModelSnapshot
-from .softmax import item_log_probs_batch
+from .softmax import item_rank_scores
 
 # Not called here; perfbench/spans.py looks these names up on this module.
 from .encoder import encode  # noqa: F401
@@ -102,12 +105,14 @@ def rank_rows(item_scores: np.ndarray, target_items, exclude=None) -> np.ndarray
 
 def item_score_blocks(snapshot: ModelSnapshot, data: Dataset, examples: list[SequenceExample], engine: str):
     """Yield ``(block, scores)`` per ``EVAL_BLOCK`` examples: their histories
-    rendered ID-only and encoded as one query block, and the ``(B, n_items)``
-    float64 item scores of ``engine``.
+    rendered ID-only and encoded as one query block, and the C-ordered
+    ``(B, n_items)`` float64 item scores of ``engine``.
 
-    Engines ``full`` and ``structure`` enumerate every item's score under the
-    snapshot's own softmax mode; ``structure`` and ``ann`` require a
-    two-level snapshot.
+    Engines ``full`` and ``structure`` give every item's rank score under the
+    snapshot's own softmax mode (``item_rank_scores``): its exact
+    log-probability plus the row's log Z, so the scores rank items as their
+    log-probabilities do.  ``ann`` gives the additive index's inner
+    products.  ``structure`` and ``ann`` require a two-level snapshot.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
@@ -125,7 +130,7 @@ def item_score_blocks(snapshot: ModelSnapshot, data: Dataset, examples: list[Seq
         if engine == "ann":
             yield block, ann_item_scores(queries, index, tables)
         else:
-            yield block, item_log_probs_batch(queries, tables, cmap, mode)
+            yield block, item_rank_scores(queries, tables, cmap, mode)
 
 
 def target_ranks(

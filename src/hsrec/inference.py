@@ -27,8 +27,9 @@ item's exact log-probability (``structure``: ``score_all``, one row product
 against the cluster-ordered item rows and one segmented log-softmax) or its
 ANN index row (``ann``, one row product).  Blocks of users (evaluation,
 ``SequenceRecommender.predict``) are ranked the same way a block at a time:
-``softmax.item_log_probs_batch`` scores a ``(B, d)`` query block exactly
-with one GEMM, and ``ann_item_scores`` takes a query block as one GEMM.
+``softmax.item_rank_scores`` scores a ``(B, d)`` query block with one GEMM,
+each item's exact log-probability plus the query's log Z, which orders the
+items alike, and ``ann_item_scores`` takes a query block as one GEMM.
 The pruned search serves ``topk_structure`` alone, the token-level top-k
 over text and items; each cluster it expands is one slice of the same
 cluster-ordered rows, scored bitwise as ``score_all`` scores it.

@@ -11,10 +11,10 @@ which needs only ``n_clusters + |cluster(w)|`` dot products per training
 example instead of one per token.  All probability math runs in the log
 domain with max-shifted logsumexp; queries are promoted to float64 so
 reductions accumulate in double precision even over float32 tables.  The
-two-level first level (:func:`cluster_logits`, :func:`cluster_log_probs_batch`
-and the training head) reads ``ModelTables.first_level_rows()``, one float64
-copy of the text rows and centroids per table version, instead of casting a
-float32 table inside every product.
+two-level first level (:func:`cluster_logits` and the training head) reads
+``ModelTables.first_level_rows()``, one float64 copy of the text rows and
+centroids per table version, instead of casting a float32 table inside every
+product.
 
 Training takes one batched step: :func:`nll_and_grad` scores a ``(B, d)``
 query matrix with one ``(B, n)`` GEMM of cluster (or full) logits and a
@@ -31,11 +31,17 @@ the oracle whose summed losses, gradients and dot count this step must equal.
 
 Exact item scoring reads one cluster-ordered float64 copy of the projected
 item rows (``ModelTables.item_rows_by_cluster``), where each item cluster's
-members are one slice.  :func:`score_all` takes one row product for a query,
-:func:`item_log_probs_batch` one ``(B, n_items)`` GEMM for a query block,
+members are one slice.  :func:`score_all` takes one row product for a query
 and :func:`member_log_conditionals` one product over a single cluster's
-slice; all three normalize with one segmented log-softmax over the cluster
-offsets (:func:`_segment_log_softmax`), with no loop over clusters.  The
+slice; both normalize with one segmented log-softmax over the cluster
+offsets (:func:`_segment_log_softmax`), with no loop over clusters.
+Evaluation ranks a query block by :func:`item_rank_scores`: one
+``(B, n_items)`` GEMM and the same segmented log-softmax, plus the item
+cluster logits ``logit_c`` rather than log P(c | H).  They differ by log Z,
+one constant per query, so they rank items as log-probabilities do while
+reading no text row: ``O((C + |I|) d)`` per query whatever ``|V|`` is.
+:func:`score_all` still returns log-probabilities, which ``topk_items``
+serves, so it still reads the text rows for log Z.  The
 single-query products are ``einsum`` loops, which compute a row the same way
 wherever it sits, so one cluster scored alone gets bitwise the scores it gets
 among all of them.  :func:`two_level_logprob` keeps the per-token arithmetic
@@ -202,38 +208,34 @@ def member_log_conditionals(
     return cluster_map.item_order[lo:hi], _segment_log_softmax(logits, _ONE_SEGMENT, hi - lo)
 
 
-def cluster_log_probs_batch(queries: np.ndarray, tables: ModelTables) -> np.ndarray:
-    """(B, n_clusters) log P(cluster | H) for ``(B, d)`` float64 queries."""
-    logits = queries @ _first_level_rows(tables, "twolevel").T
-    logits -= _logsumexp_rows(logits)[:, None]
-    return logits
-
-
-def item_log_probs_batch(
+def item_rank_scores(
     queries,
     tables: ModelTables,
-    cluster_map: ClusterMap | None = None,
+    cluster_map: ClusterMap,
     mode: str = "twolevel",
 ) -> np.ndarray:
-    """(B, n_items) exact item log-probabilities, the block form of
-    ``score_all(query, ...)[n_text:]`` for each row of ``queries``.
+    """(B, n_items) C-ordered item rank scores for ``(B, d)`` queries: each
+    row is its query's exact item log-probabilities plus that query's log Z,
+    a per-row constant that changes no item's rank.
 
-    Full mode is one ``(B, n_total)`` GEMM and a row-wise logsumexp.
-    Two-level mode is one ``(B, n_clusters)`` GEMM of cluster logits, one
-    ``(B, n_items)`` GEMM against the cluster-ordered item rows and one
-    segmented log-softmax.
+    Two-level mode scores an item as ``logit_c + log P(i | c, H)``: one
+    ``(B, n_item_clusters)`` GEMM against the centroids, one ``(B, n_items)``
+    GEMM against the cluster-ordered item rows and one segmented
+    log-softmax.  Full mode scores an item by its logit ``q . p_i``, from
+    the same cluster-ordered rows.  No text row is read, so a block costs
+    ``O((C + |I|) d)`` per query whatever ``|V|`` is; ``np.take`` gathers
+    the scores to item order.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     q = _queries64(queries)
-    n_text = tables.n_text
-    if mode == "full":
-        logits = q @ _first_level_rows(tables, "full").T
-        return logits[:, n_text:] - _logsumexp_rows(logits)[:, None]
-    if cluster_map is None:
-        raise ValueError("two-level scoring requires a cluster map")
-    cl = cluster_log_probs_batch(q, tables)[:, n_text:].copy()  # not a view of the (B, n_clusters) logits
-    return _item_log_probs(q @ tables.item_rows_by_cluster(cluster_map).T, cl, cluster_map)
+    scores = q @ tables.item_rows_by_cluster(cluster_map).T
+    if mode == "twolevel":
+        centroid_logits = q @ tables.first_level_rows()[tables.n_text :].T
+        sizes = cluster_map.cluster_sizes()
+        _segment_log_softmax(scores, cluster_map.offsets[:-1], sizes)
+        scores += np.repeat(centroid_logits, sizes, axis=-1)
+    return np.take(scores, cluster_map.item_position, axis=-1)
 
 
 def score_all(

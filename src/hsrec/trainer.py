@@ -344,8 +344,9 @@ class SequenceRecommender:
         """Top-k item IDs for each non-empty history of known external item IDs.
 
         Histories are scored as ``evaluate`` scores them with engine ``full``
-        (``item_score_blocks``): every item's exact log-probability under the
-        fitted snapshot's softmax mode, ``EVAL_BLOCK`` histories at a time.
+        (``item_score_blocks``), ``EVAL_BLOCK`` histories at a time: every
+        item's rank score under the fitted snapshot's softmax mode, its exact
+        log-probability plus the history's log Z, so no text row is read.
         Each row's top k breaks ties by ascending item index.
         """
         check_is_fitted(self, ["snapshot_", "dataset_"])

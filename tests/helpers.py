@@ -1,7 +1,8 @@
 """Shared fixtures: random models, parameter flattening, finite differences,
 snapshot byte surgery, and the oracles the fast paths are tested against:
 the per-line ingest, the split's example lists, the per-example render loop,
-full-softmax log-probabilities, the per-example loss, gradients and
+full-softmax log-probabilities, normalized block item log-probabilities
+(the oracle for evaluation's rank scores), the per-example loss, gradients and
 encoder backward, top-k selection, co-occurrence counting, cluster binning,
 centroid means and the full-layout additive index; and the item rows a
 factored item gradient writes."""
@@ -29,7 +30,10 @@ from hsrec.exceptions import DataError
 from hsrec.inference import SearchStats, TopK
 from hsrec.softmax import (
     MODES,
+    _first_level_rows,
+    _item_log_probs,
     _logsumexp,
+    _logsumexp_rows,
     _queries64,
     _query64,
     cluster_logits,
@@ -43,9 +47,9 @@ from hsrec.tokens import tokenize_text
 
 def ingest_loop(path) -> Interactions:
     """The per-line ingest, the oracle for ``catalog.ingest_jsonl``: every
-    line through ``json.loads``, and every event merges its metadata into its
-    item's record field by field (first-seen wins, later events fill fields
-    still missing)."""
+    line through ``json.loads``, string or integer ids, and every event merges
+    its metadata into its item's record field by field (first-seen wins,
+    later events fill fields still missing)."""
 
     def number(value, name, line_no):
         try:
@@ -58,6 +62,12 @@ def ingest_loop(path) -> Interactions:
             raise DataError(f"line {line_no}: {name} is not a finite number")
         return value
 
+    def ident(value, name, line_no):
+        if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+            return str(value)
+        kind = {type(None): "null", bool: "boolean", float: "float", list: "array", dict: "object"}[type(value)]
+        raise DataError(f"line {line_no}: {name} must be a string or an integer, got {kind}")
+
     records, index = [], {}
     raw, users = {}, []
     n_events = 0
@@ -66,12 +76,11 @@ def ingest_loop(path) -> Interactions:
         if not line:
             continue
         obj = _parse_line(line, line_no)
-        user = str(obj["user"])
+        user, item_id = (ident(obj[name], name, line_no) for name in ("user", "item"))
         timestamp = number(obj["timestamp"], "timestamp", line_no)
         metadata = {k: obj[k] for k in METADATA_FIELDS if k in obj and obj[k] is not None}
         if "price" in metadata:
             metadata["price"] = number(metadata["price"], "price", line_no)
-        item_id = str(obj["item"])
         if item_id not in index:
             index[item_id] = len(records)
             records.append(ItemRecord(item_id=item_id))
@@ -304,6 +313,31 @@ def full_logprob(query, ordinal, tables):
     time: the oracle for full-mode scoring."""
     logits = full_logits(query, tables)
     return float(logits[ordinal] - _logsumexp(logits))
+
+
+def item_log_probs_batch(queries, tables, cluster_map=None, mode="twolevel"):
+    """(B, n_items) exact item log-probabilities, the block form of
+    ``score_all(query, ...)[n_text:]`` for each row of ``queries``: the
+    normalized oracle for ``softmax.item_rank_scores``, whose rows it equals
+    up to each row's log Z.
+
+    Full mode is one ``(B, n_total)`` GEMM and a row-wise logsumexp.
+    Two-level mode is one ``(B, n_clusters)`` GEMM of cluster logits, one
+    ``(B, n_items)`` GEMM against the cluster-ordered item rows and one
+    segmented log-softmax.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    q = _queries64(queries)
+    n_text = tables.n_text
+    if mode == "full":
+        logits = q @ _first_level_rows(tables, "full").T
+        return logits[:, n_text:] - _logsumexp_rows(logits)[:, None]
+    if cluster_map is None:
+        raise ValueError("two-level scoring requires a cluster map")
+    cl = q @ tables.first_level_rows().T
+    cl = (cl - _logsumexp_rows(cl)[:, None])[:, n_text:]
+    return _item_log_probs(q @ tables.item_rows_by_cluster(cluster_map).T, cl, cluster_map)
 
 
 def nll_and_grad_oracle(query, target, tables, cluster_map, mode="twolevel", grads=None, counter=None):

@@ -249,6 +249,10 @@ INGEST_CORPORA = {
         [_event("u", "c", 5), _event("u", "a", 5), _event("u", "b", 1), _event("u", "d", 5.0), _event("u", "e", "5")]
     ),
     "u2028_in_string": "\n".join([_event("u", "a", 1, title="one\u2028two\u2029three"), _event("u", "b", 2)]),
+    # An integer id is its decimal string: 1 and "1" are one user, 7 and "7" one item.
+    "integer_ids": "\n".join(
+        [_event(1, 7, 1), _event("1", "7", 2), _event(-2, 10**30, 3), _event("None", "True", 4), _event(0, "x", 5)]
+    ),
 }
 
 
@@ -305,6 +309,15 @@ def test_ingest_fills_late_metadata_first_seen_wins(tmp_path):
     assert type(a.price) is float
 
 
+def test_ingest_takes_an_integer_id_as_its_decimal_string(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(INGEST_CORPORA["integer_ids"].encode("utf-8"))
+    inter = ingest_jsonl(path)
+    assert inter.users == ["1", "-2", "None", "0"]
+    assert inter.catalog.item_ids() == ["7", str(10**30), "True", "x"]
+    assert inter.events_by_user["1"] == [0, 0]
+
+
 def test_ingest_keeps_a_raw_line_separator_inside_a_string(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_bytes(INGEST_CORPORA["u2028_in_string"].encode("utf-8"))
@@ -334,6 +347,12 @@ BAD_LINES = {
     "nan_timestamp": (GOOD_LINE.replace("1}", "NaN}"), "timestamp is not a finite number"),
     "overflowing_timestamp": (GOOD_LINE.replace("1}", "1" + "0" * 400 + "}"), "timestamp is not a finite number"),
     "infinite_price": (GOOD_LINE.replace("1}", '1, "price": -Infinity}'), "price is not a finite number"),
+    "null_user": (_event(None, "a", 1), "user must be a string or an integer, got null"),
+    "boolean_user": (_event(True, "a", 1), "user must be a string or an integer, got boolean"),
+    "float_item": (_event("u", 1.0, 1), "item must be a string or an integer, got float"),
+    "array_item": (_event("u", ["a"], 1), "item must be a string or an integer, got array"),
+    "object_user": (_event({"id": "u"}, "a", 1), "user must be a string or an integer, got object"),
+    "null_item_and_timestamp": (_event("u", None, None), "item must be a string or an integer, got null"),
 }
 
 

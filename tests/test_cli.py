@@ -73,6 +73,25 @@ def test_ingest_rejects_a_bad_timestamp_as_data_and_makes_no_out_dir(tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [('{"user": null, "item": "a", "timestamp": 2}', "user must be a string or an integer, got null"),
+     ('{"user": true, "item": "a", "timestamp": 2}', "user must be a string or an integer, got boolean"),
+     ('{"user": "u", "item": 1.0, "timestamp": 2}', "item must be a string or an integer, got float")],
+    ids=["null_user", "boolean_user", "float_item"],
+)
+def test_ingest_rejects_a_non_string_id_as_data_and_makes_no_out_dir(tmp_path, capsys, line, message):
+    # Before, null was the user "None" and merged with the literal one on line 1.
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"user": "None", "item": "1", "timestamp": 1}\n' + line + "\n")
+    capsys.readouterr()
+    assert run(["ingest", "--data", path, "--out-dir", tmp_path / "out"]) == 2
+    trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert trailer["error"]["type"] == "data" and trailer["error"]["code"] == 2
+    assert trailer["error"]["message"] == f"line 2: {message}"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cluster_command(corpus, tmp_path):
     code = run(["cluster", "--data", corpus, "--clusters", "kmeans", "--out-dir", tmp_path])
     assert code == 0

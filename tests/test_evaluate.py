@@ -5,12 +5,14 @@ import importlib
 import numpy as np
 import pytest
 
-from helpers import synth_dataset
+from helpers import item_log_probs_batch, synth_dataset
 from hsrec.cluster import ClusterMap
 from hsrec.encoder import EncoderParams, encode
 from hsrec.evaluate import (
+    ENGINES,
     EVAL_BLOCK,
     evaluate,
+    item_score_blocks,
     metrics_from_ranks,
     popularity_baseline,
     rank_rows,
@@ -19,10 +21,10 @@ from hsrec.evaluate import (
 )
 from hsrec.exceptions import TrainingDivergedError
 from hsrec.inference import AdditiveIndex, ann_item_scores, build_additive_index, topk_items
-from hsrec.render import render_id_only
-from hsrec.softmax import score_all
+from hsrec.render import render_id_only, render_id_only_batch
+from hsrec.softmax import item_rank_scores, score_all
 from hsrec.tables import EmbeddingTable, ModelTables, ProjectionHead
-from hsrec.trainer import TrainConfig, init_model, train
+from hsrec.trainer import SequenceRecommender, TrainConfig, init_model, train
 
 # The package re-exports a function under this name.
 evaluate_module = importlib.import_module("hsrec.evaluate")
@@ -341,3 +343,82 @@ def test_rank_rows_equals_pairwise_count():
     bad[3, targets[3]] = np.nan
     with pytest.raises(TrainingDivergedError, match="diverged"):
         rank_rows(bad, targets)
+
+
+@pytest.fixture(scope="module", params=["twolevel", "full"])
+def fitted(request, tmp_path_factory):
+    data, _ = synth_dataset(tmp_path_factory.mktemp("fit"), n_users=90, n_items=24, n_groups=3, seed=8)
+    est = SequenceRecommender(dim=8, item_dim=6, max_steps=40, batch_size=8, eval_every=0, seed=0,
+                              n_clusters=4, softmax_mode=request.param)
+    return est.fit(data)
+
+
+def _engines(snapshot):
+    return ENGINES if snapshot.softmax_mode == "twolevel" else ("full",)
+
+
+def test_ranks_do_not_read_text_rows_no_prompt_reads(fitted):
+    # Text rows of 1e14: every log Z of the normalized form is about 1e14,
+    # where a float64 spacing is 1/64, so subtracting it would merge nearby
+    # items.  Rank scores read no text row that an ID-only prompt does not.
+    snapshot, data = fitted.snapshot_, fitted.dataset_
+    examples = data.test_examples
+    histories = [[data.catalog[i].item_id for i in e.history] for e in examples]
+    ordinals, _ = render_id_only_batch(data, [e.history for e in examples])
+    unread = np.setdiff1d(np.arange(snapshot.tables.n_text), ordinals)
+    assert unread.size > snapshot.tables.n_text // 2
+
+    def outputs(est):
+        ranks = [
+            target_ranks(est.snapshot_, data, engine, examples, exclude_history).tolist()
+            for engine in _engines(est.snapshot_)
+            for exclude_history in (False, True)
+        ]
+        return ranks, est.predict(histories, k=5)
+
+    want = outputs(fitted)
+    perturbed = copy.deepcopy(fitted)
+    rng = np.random.default_rng(0)
+    with perturbed.snapshot_.tables.writing() as arrays:
+        arrays["text"][unread] = 1e14 * rng.standard_normal((unread.size, snapshot.tables.dim))
+    assert outputs(perturbed) == want
+
+
+def test_item_score_blocks_are_c_ordered_float64(fitted, monkeypatch):
+    # A strided (B, n_items) block makes rank_rows walk every row with a stride.
+    snapshot, data = fitted.snapshot_, fitted.dataset_
+    monkeypatch.setattr(evaluate_module, "EVAL_BLOCK", 16)  # full blocks and a partial one
+    n_items = snapshot.tables.n_items
+    for engine in _engines(snapshot):
+        for block, scores in item_score_blocks(snapshot, data, data.test_examples, engine):
+            assert scores.dtype == np.float64 and scores.shape == (len(block), n_items), engine
+            assert scores.flags.c_contiguous, engine
+
+
+@pytest.mark.parametrize("mode", ["twolevel", "full"])
+def test_cross_cluster_ties_break_by_item_index(mode):
+    # Item clusters 0 and 1 are one size, with equal centroids and equal
+    # member rows in member order: items (0, 1), (2, 3) and (5, 4) tie
+    # across the two clusters; items 6 and 7 form a third cluster.  Entries
+    # are multiples of 1/4 and small, so every product is exact in any order.
+    rng = np.random.default_rng(3)
+    dim, n_text = 4, 5
+    rows = rng.integers(-4, 5, size=(5, dim)) / 4
+    item_raw = rows[[0, 0, 1, 1, 2, 2, 3, 4]]
+    tables = ModelTables(
+        EmbeddingTable(rng.standard_normal((n_text, dim))),
+        EmbeddingTable(item_raw),
+        ProjectionHead(np.eye(dim), np.zeros(dim)),
+        EmbeddingTable(np.array([[0.5, -0.25, 1.0, 0.0]] * 2 + [[0.25, 0.5, -0.5, 1.0]])),
+    )
+    cmap = ClusterMap(n_text, [0, 1, 0, 1, 1, 0, 2, 2], 3)
+    queries = rng.integers(-8, 9, size=(6, dim)) / 4
+    scores = item_rank_scores(queries, tables, cmap, mode)
+    oracle = item_log_probs_batch(queries, tables, cmap, mode)
+    n_items = tables.n_items
+    for row, want in zip(scores, oracle):
+        ranks = rank_rows(np.tile(row, (n_items, 1)), np.arange(n_items))
+        assert ranks.tolist() == rank_rows(np.tile(want, (n_items, 1)), np.arange(n_items)).tolist()
+        for lo, hi in ((0, 1), (2, 3), (4, 5)):
+            assert row[lo] == row[hi] and ranks[hi] == ranks[lo] + 1, (lo, hi)
+

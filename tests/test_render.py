@@ -7,13 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from helpers import examples_from_split, pack, render_loop
+from helpers import examples_from_split, item_log_probs_batch, pack, render_loop
 from hsrec.catalog import build_dataset, concat_ranges, ingest_jsonl
 from hsrec.encoder import encode_batch
 from hsrec.evaluate import EVAL_BLOCK, evaluate, rank_rows, target_ranks
 from hsrec.inference import _rank_topk
 from hsrec.render import render_batch, render_example, render_id_only, render_id_only_batch
-from hsrec.softmax import item_log_probs_batch
 from hsrec.trainer import SequenceRecommender
 
 

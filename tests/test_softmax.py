@@ -8,6 +8,7 @@ from helpers import (
     fig2_fixture,
     flatten,
     full_logprob,
+    item_log_probs_batch,
     max_rel_error,
     nll_and_grad_oracle,
     param_arrays,
@@ -20,7 +21,6 @@ from hsrec.inference import topk_structure
 from hsrec.softmax import (
     CostCounter,
     cluster_logits,
-    item_log_probs_batch,
     log_softmax,
     member_log_conditionals,
     nll_and_grad,
