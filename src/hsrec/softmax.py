@@ -190,7 +190,7 @@ def _item_log_probs(member_logits: np.ndarray, cluster_lp: np.ndarray, cluster_m
     sizes = cluster_map.cluster_sizes()
     log_cond = _segment_log_softmax(member_logits, cluster_map.offsets[:-1], sizes)
     log_cond += np.repeat(cluster_lp, sizes, axis=-1)
-    return log_cond[..., cluster_map.item_position]
+    return np.take(log_cond, cluster_map.item_position, axis=-1)
 
 
 def member_log_conditionals(
@@ -219,10 +219,12 @@ def item_rank_scores(
     a per-row constant that changes no item's rank.
 
     Two-level mode scores an item as ``logit_c + log P(i | c, H)``: one
-    ``(B, n_item_clusters)`` GEMM against the centroids, one ``(B, n_items)``
-    GEMM against the cluster-ordered item rows and one segmented
-    log-softmax.  Full mode scores an item by its logit ``q . p_i``, from
-    the same cluster-ordered rows.  No text row is read, so a block costs
+    ``(B, n_item_clusters)`` GEMM against the centroid table (cast to
+    float64, the values ``first_level_rows()`` holds, without building that
+    copy), one ``(B, n_items)`` GEMM against the cluster-ordered item rows
+    and :func:`_item_log_probs`'s segmented log-softmax and gather.  Full
+    mode scores an item by its logit ``q . p_i``, from the same
+    cluster-ordered rows.  No text row is read, so a block costs
     ``O((C + |I|) d)`` per query whatever ``|V|`` is; ``np.take`` gathers
     the scores to item order.
     """
@@ -230,12 +232,10 @@ def item_rank_scores(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     q = _queries64(queries)
     scores = q @ tables.item_rows_by_cluster(cluster_map).T
-    if mode == "twolevel":
-        centroid_logits = q @ tables.first_level_rows()[tables.n_text :].T
-        sizes = cluster_map.cluster_sizes()
-        _segment_log_softmax(scores, cluster_map.offsets[:-1], sizes)
-        scores += np.repeat(centroid_logits, sizes, axis=-1)
-    return np.take(scores, cluster_map.item_position, axis=-1)
+    if mode == "full":
+        return np.take(scores, cluster_map.item_position, axis=-1)
+    centroids = tables.centroids.data.astype(np.float64, copy=False)
+    return _item_log_probs(scores, q @ centroids.T, cluster_map)
 
 
 def score_all(

@@ -17,10 +17,14 @@ from helpers import (
     touched_item_rows,
 )
 from hsrec.cluster import ClusterMap
+from hsrec.evaluate import rank_rows
 from hsrec.inference import topk_structure
 from hsrec.softmax import (
     CostCounter,
+    _logsumexp,
     cluster_logits,
+    full_logits,
+    item_rank_scores,
     log_softmax,
     member_log_conditionals,
     nll_and_grad,
@@ -146,23 +150,43 @@ def _scorer_cases(dtype):
     yield tables, cmap, rng
 
 
+def _all_item_ranks(scores):
+    """rank_rows of every item of every row of a ``(B, n_items)`` block."""
+    n_rows, n_items = scores.shape
+    return rank_rows(np.repeat(scores, n_items, axis=0), np.tile(np.arange(n_items), n_rows))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_item_scorers_equal_per_token_oracle(dtype):
     for tables, cmap, rng in _scorer_cases(dtype):
         n_text = tables.n_text
         queries = rng.standard_normal((3, tables.dim))
         block = item_log_probs_batch(queries, tables, cmap)
-        for q, row in zip(queries, block):
+        ranked = item_rank_scores(queries, tables, cmap)
+        full_ranked = item_rank_scores(queries, tables, cmap, "full")
+        for scores in (ranked, full_ranked):
+            assert scores.dtype == np.float64 and scores.flags.c_contiguous
+        full_block = item_log_probs_batch(queries, tables, cmap, "full")
+        for q, row, rank_row, full_row, full_lp in zip(queries, block, ranked, full_ranked, full_block):
             want = np.array([two_level_logprob(q, o, tables, cmap) for o in range(tables.n_total)])
             dense = score_all(q, tables, cmap)
             np.testing.assert_allclose(dense, want, rtol=1e-12, atol=0)
             np.testing.assert_allclose(row, want[n_text:], rtol=1e-12, atol=0)
+            # Rank scores are the log-probabilities plus the query's log Z.
+            log_z = _logsumexp(cluster_logits(q, tables))
+            np.testing.assert_allclose(rank_row - want[n_text:], log_z, rtol=0, atol=1e-12)
+            full_want = [full_logprob(q, o, tables) for o in range(n_text, tables.n_total)]
+            np.testing.assert_allclose(full_lp, full_want, rtol=1e-12, atol=0)
+            full_log_z = _logsumexp(full_logits(q, tables))
+            np.testing.assert_allclose(full_row - full_want, full_log_z, rtol=0, atol=1e-12)
             # The pruned search's per-cluster scores are score_all's, bit for bit.
             cl = log_softmax(cluster_logits(q, tables))
             for c in range(cmap.n_item_clusters):
                 members, log_cond = member_log_conditionals(q, tables, cmap, c)
                 assert _bits(members) == _bits(cmap.item_members(c))
                 assert _bits(cl[n_text + c] + log_cond) == _bits(dense[n_text + members]), c
+        assert _bits(_all_item_ranks(ranked)) == _bits(_all_item_ranks(block))
+        assert _bits(_all_item_ranks(full_ranked)) == _bits(_all_item_ranks(full_block))
 
 
 def test_equal_item_rows_score_equal():
@@ -192,6 +216,8 @@ def _item_scores(tables, cmap, queries):
         [score_all(q, tables, cmap) for q in queries],
         item_log_probs_batch(queries, tables, cmap),
         [topk_structure(q, 7, tables, cmap)[0].scores for q in queries],
+        item_rank_scores(queries, tables, cmap),
+        item_rank_scores(queries, tables, cmap, "full"),
     )
 
 
@@ -216,7 +242,8 @@ def test_cluster_ordered_rows_follow_writes_and_cluster_maps():
 
     after = _item_scores(tables, cmap, queries)
     _assert_same_scores(after, _item_scores(_fresh(tables), cmap, queries))
-    assert not np.array_equal(after[1], before[1])
+    for old, new in zip(before, after):
+        assert not all(np.array_equal(a, b) for a, b in zip(old, new))
 
     # A second cluster map over the same tables reads its own order, and the
     # first map's scores are unchanged by it.
@@ -246,8 +273,12 @@ def test_first_level_writes_reach_every_scorer(table):
         arrays[table][::2] *= -2.0
     after = _first_level_scores(tables, cmap, queries, targets)
     _assert_same_scores(after, _first_level_scores(_fresh(tables), cmap, queries, targets))
-    for old, new in zip(before, after):
-        assert not all(np.array_equal(a, b) for a, b in zip(old, new))
+    # Rank scores read no text row; full-mode rank scores no centroid either.
+    reads_table = [True] * len(after)
+    reads_table[4] = table == "centroids"
+    reads_table[5] = False
+    for old, new, reads in zip(before, after, reads_table):
+        assert (not all(np.array_equal(a, b) for a, b in zip(old, new))) == reads
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
