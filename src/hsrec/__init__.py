@@ -12,7 +12,6 @@ from .catalog import (
     SequenceExample,
     build_dataset,
     ingest_jsonl,
-    split_leave_one_out,
 )
 from .cluster import (
     ClusterMap,

@@ -1,18 +1,21 @@
-"""Catalog construction: JSONL ingestion, leave-one-out splits, dataset assembly.
+"""Catalog construction: JSONL ingestion, the leave-one-out split, dataset assembly.
 
 The interaction file has one JSON object per line with required fields
 ``user``, ``item``, ``timestamp`` and optional ``title``, ``brand``,
 ``price``, ``category``.  Blank lines are skipped.  ``user`` and ``item``
 must be strings or integers, an integer standing for its decimal string, and
-``timestamp`` and ``price`` must be finite numbers.  Events are grouped per
-user and sorted by (timestamp, input order); items are deduplicated into the
-catalog in first-seen order, which fixes the item token indices.  An item's
-metadata is its first event's, and later events only fill the fields it
-still lacks.  Every error in a line names the line.
+``timestamp`` and ``price`` must be finite numbers.  Items are deduplicated
+into the catalog in first-seen order, which fixes the item token indices.
+An item's metadata is its first event's, and later events only fill the
+fields it still lacks.  Every error in a line names the line.
 
-A :class:`Dataset` holds its examples as arrays, not objects.  ``events`` is
-every split user's items, user after user, and each example is a slice of
-it: the history ``events[start:end]`` predicts the target ``events[end]``.
+:class:`Interactions` is one chronological event array with per-user
+offsets: user ``u``'s items, sorted by (timestamp, input order), are
+``events[offsets[u]:offsets[u + 1]]``.  The split is the users with at least
+three events; a user's last event is test, the one before it validation.
+A :class:`Dataset` holds the split users' runs as the same two arrays, and
+its examples as slices of them, not objects: the history
+``events[start:end]`` predicts the target ``events[end]``.
 Train examples are the prefixes of a user's train run (``train_starts``,
 ``train_ends``); a user's validation and test examples end two and one
 events before the user's last.  ``train_examples``, ``val_examples`` and
@@ -26,7 +29,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -82,9 +84,13 @@ class CatalogStats:
 @dataclass
 class Interactions:
     catalog: Catalog
-    users: list[str]
-    events_by_user: dict[str, list[int]]  # item indices, chronological
-    n_events: int
+    users: list[str]  # first-seen order
+    events: np.ndarray  # item indices, user after user, each user's chronological
+    offsets: np.ndarray  # (n_users + 1,): user u's items are events[offsets[u]:offsets[u + 1]]
+
+    @property
+    def n_events(self) -> int:
+        return self.events.size
 
     def stats(self) -> CatalogStats:
         n_users = len(self.users)
@@ -163,7 +169,7 @@ def _missing_fields(record: ItemRecord) -> frozenset[str]:
 
 
 def ingest_jsonl(path) -> Interactions:
-    """Read an interaction file into per-user, time-sorted event sequences.
+    """Read an interaction file into one event array of per-user, time-sorted runs.
 
     Duplicate (user, item, timestamp) lines are retained as distinct events;
     timestamp ties are broken by input order.
@@ -178,8 +184,8 @@ def ingest_jsonl(path) -> Interactions:
     records: list[ItemRecord] = []
     index: dict[str, int] = {}
     missing: list[frozenset[str]] = []  # per item, its metadata fields still None
-    raw: dict[str, list[tuple[float, int]]] = {}  # user -> (timestamp, item index), in input order
-    n_events = 0
+    user_codes: dict[str, int] = {}  # user -> its position in first-seen order
+    event_users, event_items, event_times = [], [], []  # per event, in input order
     for line_no, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line:
@@ -214,55 +220,32 @@ def ingest_jsonl(path) -> Interactions:
                 if value is not None:
                     setattr(record, name, value)
             missing[item_index] = _missing_fields(record)
-        events = raw.get(user)
-        if events is None:
-            events = raw[user] = []
-        events.append((timestamp, item_index))
-        n_events += 1
-    if n_events == 0:
+        event_users.append(user_codes.setdefault(user, len(user_codes)))
+        event_items.append(item_index)
+        event_times.append(timestamp)
+    if not event_users:
         raise DataError(f"{path}: no interaction lines found")
-    # A stable sort on the timestamp alone keeps ties in input order.
-    by_time, item_of = operator.itemgetter(0), operator.itemgetter(1)
-    events = {user: list(map(item_of, sorted(run, key=by_time))) for user, run in raw.items()}
-    return Interactions(catalog=Catalog(records, index), users=list(raw), events_by_user=events, n_events=n_events)
+    codes = np.array(event_users, dtype=np.int64)
+    # Users in first-seen order, then time; lexsort is stable, so ties keep input order.
+    order = np.lexsort((np.array(event_times, dtype=np.float64), codes))
+    offsets = np.zeros(len(user_codes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(codes), out=offsets[1:])
+    events = np.array(event_items, dtype=np.int64)[order]
+    return Interactions(catalog=Catalog(records, index), users=list(user_codes), events=events, offsets=offsets)
 
 
 @dataclass
 class SplitResult:
-    """Per-user item-index split: everything but the last two events is train."""
+    """The users with at least three events: all but the last two are train."""
 
     users: list[str]
-    train_events: dict[str, list[int]]
-    val_event: dict[str, int]
-    test_event: dict[str, int]
     n_dropped_users: int
+    n_events: int  # the kept users' events
 
     def counts(self) -> tuple[int, int, int]:
-        n_train = sum(len(v) for v in self.train_events.values())
-        return n_train, len(self.val_event), len(self.test_event)
-
-
-def split_leave_one_out(interactions: Interactions) -> SplitResult:
-    """Last event per user is test, second-to-last is validation, rest is train.
-
-    Users with fewer than three interactions are dropped and counted.
-    """
-    if interactions.n_events == 0:
-        raise DataError("empty corpus")
-    users, train, val, test = [], {}, {}, {}
-    dropped = 0
-    for user in interactions.users:
-        events = interactions.events_by_user[user]
-        if len(events) < 3:
-            dropped += 1
-            continue
-        users.append(user)
-        train[user] = events[:-2]
-        val[user] = events[-2]
-        test[user] = events[-1]
-    if not users:
-        raise DataError("no user has enough interactions to split")
-    return SplitResult(users, train, val, test, dropped)
+        """Train, validation and test event counts."""
+        n_users = len(self.users)
+        return self.n_events - 2 * n_users, n_users, n_users
 
 
 @dataclass(frozen=True, slots=True)
@@ -377,19 +360,28 @@ class Dataset:
     offsets: np.ndarray = field(repr=False)  # (n_users + 1,): user u's items are events[offsets[u]:offsets[u + 1]]
     train_starts: np.ndarray = field(repr=False)  # per train example, where its history starts in events
     train_ends: np.ndarray = field(repr=False)  # per train example, its target's index in events
-    train_item_counts: np.ndarray = field(repr=False)
 
     @property
     def n_items(self) -> int:
         return len(self.catalog)
 
+    def train_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every split user's train events, its run but the last two, user
+        after user, and how many each user has."""
+        sizes = np.diff(self.offsets) - 2
+        return self.events[concat_ranges(self.offsets[:-1], sizes)], sizes
+
+    @cached_property
+    def train_item_counts(self) -> np.ndarray:
+        return np.bincount(self.train_runs()[0], minlength=self.n_items)
+
     @cached_property
     def _runs(self) -> list[tuple[str, list[int]]]:
         """Each split user's name and items, as a list.  The example lists'
         histories are slices of these, and the items are the catalog's own
-        index ints, as the split's are, so no example holds an int of its
-        own (at catalog-10k, 19k of them, 0.6 MB)."""
-        index_ints = list(self.catalog._index.values())
+        index ints, looked up by id in record order, so no example holds an
+        int of its own (at catalog-10k, 19k of them, 0.6 MB)."""
+        index_ints = list(map(self.catalog.index_of, self.catalog.item_ids()))
         items = list(map(index_ints.__getitem__, self.events.tolist()))
         bounds = self.offsets.tolist()
         return [(user, items[lo:hi]) for user, lo, hi in zip(self.split.users, bounds, bounds[1:])]
@@ -410,22 +402,27 @@ class Dataset:
 
 
 def build_dataset(interactions: Interactions, vocab_size: int = 8192, name: str = "data") -> Dataset:
-    split = split_leave_one_out(interactions)
+    if interactions.n_events == 0:
+        raise DataError("empty corpus")
+    per_user = np.diff(interactions.offsets)
+    kept = per_user >= 3
+    if not kept.any():
+        raise DataError("no user has enough interactions to split")
+    lengths = per_user[kept]
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    events = interactions.events[np.repeat(kept, per_user)]
+    split = SplitResult(
+        users=list(itertools.compress(interactions.users, kept.tolist())),
+        n_dropped_users=kept.size - lengths.size,
+        n_events=events.size,
+    )
     catalog = interactions.catalog
     price_buckets = PriceBuckets.from_catalog(catalog)
     vocab, field_tokens = _tokenize_fields(catalog, vocab_size, price_buckets)
-    runs = [interactions.events_by_user[user] for user in split.users]
-    lengths = np.fromiter(map(len, runs), np.int64, count=len(runs))
-    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    # One allocation of the known size: a growing buffer left catalog-200's peak RSS 0.2 MB higher.
-    events = np.fromiter(itertools.chain.from_iterable(runs), np.int64, count=offsets[-1])
     # A user with n events has a train run of n - 2 and n - 3 train examples,
     # the run's prefixes of 1 to n - 3 items.
     n_examples = lengths - 3
-    is_train = np.ones(events.size, dtype=bool)
-    is_train[offsets[1:] - 1] = False
-    is_train[offsets[1:] - 2] = False
     return Dataset(
         name=name,
         catalog=catalog,
@@ -438,5 +435,4 @@ def build_dataset(interactions: Interactions, vocab_size: int = 8192, name: str 
         offsets=offsets,
         train_starts=np.repeat(offsets[:-1], n_examples),
         train_ends=concat_ranges(offsets[:-1] + 1, n_examples),
-        train_item_counts=np.bincount(events[is_train], minlength=len(catalog)),
     )

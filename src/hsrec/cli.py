@@ -125,15 +125,15 @@ _OPTIONS = {
         ("data", str, "", "optional interactions JSONL to measure tokens-per-item"),
         ("profile", str, "all", "deployment profile", (*latency_mod.PROFILES, "all")),
         ("encoder", str, "all", "item encoder", (*latency_mod.MULTI_TOKEN_ENCODERS, "all")),
-        ("history_len", int, 8, "history length |H|"),
-        ("const_tokens", int, 20, "constant prompt tokens"),
+        ("history_len", int, 8, "history length |H|", (), 1),
+        ("const_tokens", int, 20, "constant prompt tokens", (), 0),
     ],
     "bench": _COMMON
     + [
         ("data", str, None, "interactions JSONL path"),
         ("snapshot", str, None, "trained snapshot path"),
-        ("queries", int, 100, "number of benchmark queries"),
-        ("k", int, 10, "top-k size"),
+        ("queries", int, 100, "number of benchmark queries", (), 1),
+        ("k", int, 10, "top-k size", (), 1),
     ],
 }
 
@@ -420,8 +420,6 @@ def cmd_eval(opts: dict) -> int:
 
 
 def cmd_latency(opts: dict) -> int:
-    # Checked in both modes, though only measured encodings use them.
-    latency_mod.EncodingSpec(1, opts["history_len"], opts["const_tokens"])
     profiles = [p for name, p in latency_mod.PROFILES.items() if opts["profile"] in (name, "all")]
     encoders = [e for e in latency_mod.MULTI_TOKEN_ENCODERS if opts["encoder"] in (e, "all")]
     if opts["data"]:
@@ -449,10 +447,6 @@ def cmd_latency(opts: dict) -> int:
 
 
 def cmd_bench(opts: dict) -> int:
-    if opts["queries"] < 1:
-        raise UsageError(f"--queries must be at least 1, got {opts['queries']}")
-    if opts["k"] < 1:
-        raise UsageError(f"--k must be at least 1, got {opts['k']}")
     snapshot, data = _load_snapshot_and_corpus(opts)
     if snapshot.softmax_mode != "twolevel":
         # All three engines rank with the two-level head, which full-softmax training never fits.

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .exceptions import DataError
 from .tables import EmbeddingTable
 from .validation import check_array
 
@@ -223,7 +224,7 @@ def init_centroids(cluster_map: ClusterMap, item_projected: np.ndarray) -> Embed
     return EmbeddingTable(means.astype(item_projected.dtype))
 
 
-def cooccurrence_counts(split, n_items: int) -> np.ndarray:
+def cooccurrence_counts(data) -> np.ndarray:
     """``(n_items, n_items)`` float64 count of the users whose train events hold
     both items; the diagonal counts the users who hold the item.
 
@@ -232,11 +233,9 @@ def cooccurrence_counts(split, n_items: int) -> np.ndarray:
     counts are integers, so the float64 matrix is exact whatever the order of
     counting.
     """
-    sizes = [len(items) for items in split.train_events.values()]
-    items = np.fromiter(
-        (item for items in split.train_events.values() for item in items), dtype=np.int64, count=sum(sizes)
-    )
-    users = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    n_items = data.n_items
+    items, sizes = data.train_runs()
+    users = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
     # Each user's distinct items (entries), ascending, users in order.
     users, items = np.divmod(np.unique(users * n_items + items), n_items)
     start = np.searchsorted(users, users)  # per entry: where its user's entries start
@@ -254,15 +253,17 @@ def cooccurrence_counts(split, n_items: int) -> np.ndarray:
     return cooc
 
 
-def cooccurrence_svd_features(split, n_items: int, n_components: int = 32) -> np.ndarray:
-    """Item features for k-means: SVD of the log train co-occurrence matrix.
+def cooccurrence_svd_features(data, n_components: int = 32) -> np.ndarray:
+    """Item features for k-means: SVD of a dataset's log train co-occurrence matrix.
 
     Two items co-occur when they appear in the same user's train events.  Dense
-    SVD keeps this deterministic; it is meant for desk-scale catalogs.
+    SVD keeps this deterministic; it is meant for desk-scale catalogs, and a
+    larger one is a :class:`DataError`.
     """
-    if n_items > 20000:
-        raise ValueError("dense co-occurrence SVD is limited to catalogs of <= 20k items")
-    cooc = cooccurrence_counts(split, n_items)
-    n_components = min(n_components, n_items)
+    if data.n_items > 20000:
+        raise DataError(f"dense co-occurrence SVD is limited to catalogs of <= 20k items, this one has "
+                        f"{data.n_items}; cluster it with --clusters random|frequency")
+    cooc = cooccurrence_counts(data)
+    n_components = min(n_components, data.n_items)
     u, s, _ = np.linalg.svd(np.log1p(cooc), full_matrices=False)
     return u[:, :n_components] * s[:n_components]

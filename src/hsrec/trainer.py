@@ -103,7 +103,7 @@ def build_cluster_map(
     n_clusters = n_clusters or default_n_clusters(n_items)
     if clustering == "kmeans":
         if features is None:
-            features = cooccurrence_svd_features(data.split, n_items)
+            features = cooccurrence_svd_features(data)
         elif np.ndim(features) != 2 or len(features) != n_items:
             raise DataError(f"features must have shape ({n_items}, p), got {np.shape(features)}")
         elif np.asarray(features).dtype.kind not in "biuf" or not np.isfinite(features).all():

@@ -95,8 +95,10 @@ def ingest_loop(path) -> Interactions:
         n_events += 1
     if n_events == 0:
         raise DataError(f"{path}: no interaction lines found")
-    events = {user: [item for _, item in sorted(raw[user], key=lambda e: e[0])] for user in users}
-    return Interactions(catalog=Catalog(records, index), users=users, events_by_user=events, n_events=n_events)
+    runs = [[item for _, item in sorted(raw[user], key=lambda e: e[0])] for user in users]
+    offsets = np.cumsum([0] + [len(run) for run in runs])
+    events = np.array([item for run in runs for item in run], dtype=np.int64)
+    return Interactions(catalog=Catalog(records, index), users=users, events=events, offsets=offsets)
 
 
 def random_cluster_map(n_text, n_items, n_clusters, rng):
@@ -255,20 +257,41 @@ def synth_dataset(tmp_path, n_users=80, n_items=24, n_groups=4, stickiness=0.85,
     return build_dataset(ingest_jsonl(path), vocab_size=vocab_size, name="synth"), data
 
 
-def examples_from_split(split):
-    """The event split as (train, val, test) SequenceExample lists, one user
-    at a time: the oracle for ``Dataset``'s array-form examples.
+def user_runs(interactions):
+    """Each user's chronological item indices, as a dict of lists."""
+    bounds = interactions.offsets.tolist()
+    return {user: interactions.events[lo:hi].tolist() for user, lo, hi in zip(interactions.users, bounds, bounds[1:])}
+
+
+def split_runs(interactions):
+    """The leave-one-out split one user at a time, the oracle for
+    ``build_dataset``'s: (train, val, test, n_dropped), where train maps each
+    kept user to its run but the last two items, val to the one before its
+    last and test to its last; a user with fewer than three events is
+    dropped."""
+    train, val, test, dropped = {}, {}, {}, 0
+    for user, run in user_runs(interactions).items():
+        if len(run) < 3:
+            dropped += 1
+            continue
+        train[user], val[user], test[user] = run[:-2], run[-2], run[-1]
+    return train, val, test, dropped
+
+
+def examples_from_split(interactions):
+    """The split as (train, val, test) SequenceExample lists, one user at a
+    time: the oracle for ``Dataset``'s array-form examples.
 
     Train examples are all history prefixes inside the train region, so no
     example conditions on events at or after its target.
     """
+    train, val, test, _ = split_runs(interactions)
     train_ex, val_ex, test_ex = [], [], []
-    for user in split.users:
-        items = split.train_events[user]
+    for user, items in train.items():
         for j in range(1, len(items)):
             train_ex.append(SequenceExample(user, tuple(items[:j]), items[j]))
-        val_ex.append(SequenceExample(user, tuple(items), split.val_event[user]))
-        test_ex.append(SequenceExample(user, (*items, split.val_event[user]), split.test_event[user]))
+        val_ex.append(SequenceExample(user, tuple(items), val[user]))
+        test_ex.append(SequenceExample(user, (*items, val[user]), test[user]))
     return train_ex, val_ex, test_ex
 
 
@@ -537,11 +560,12 @@ def best_first_heap(query, k, tables, cluster_map):
     )
 
 
-def cooccurrence_counts_per_user(split, n_items):
-    """Co-occurrence counts one user at a time: the oracle for
-    ``cluster.cooccurrence_counts``."""
+def cooccurrence_counts_per_user(interactions):
+    """Co-occurrence counts of the split's train events one user at a time:
+    the oracle for ``cluster.cooccurrence_counts``."""
+    n_items = len(interactions.catalog)
     cooc = np.zeros((n_items, n_items), dtype=np.float64)
-    for events in split.train_events.values():
+    for events in split_runs(interactions)[0].values():
         items = np.unique(events)
         cooc[np.ix_(items, items)] += 1.0
     return cooc

@@ -1,14 +1,18 @@
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import examples_from_split, ingest_loop
+from helpers import examples_from_split, ingest_loop, split_runs, user_runs
 from hsrec.catalog import (
+    Catalog,
+    Interactions,
+    ItemRecord,
     PriceBuckets,
     build_dataset,
     ingest_jsonl,
-    split_leave_one_out,
 )
 from hsrec.exceptions import DataError
 from hsrec.tokens import Vocabulary
@@ -31,9 +35,8 @@ def test_single_user_sorted_by_timestamp(tmp_path):
         ],
     )
     inter = ingest_jsonl(path)
-    events = inter.events_by_user["u"]
-    assert [inter.catalog[i].item_id for i in events] == ["a", "b", "c"]
-    assert len(events) == 3
+    assert [inter.catalog[i].item_id for i in inter.events] == ["a", "b", "c"]
+    assert inter.offsets.tolist() == [0, 3]
 
 
 def test_timestamp_ties_broken_by_input_order(tmp_path):
@@ -46,8 +49,8 @@ def test_timestamp_ties_broken_by_input_order(tmp_path):
         ],
     )
     inter = ingest_jsonl(path)
-    ids = [inter.catalog[i].item_id for i in inter.events_by_user["u"]]
-    assert ids == ["x", "y"]
+    assert inter.users == ["v", "u"] and inter.offsets.tolist() == [0, 1, 3]
+    assert [inter.catalog[i].item_id for i in inter.events[1:]] == ["x", "y"]
 
 
 def test_duplicate_events_retained(tmp_path):
@@ -100,17 +103,27 @@ def test_office_scale_corpus_counts(tmp_path):
     assert stats.items_per_user == pytest.approx(3.0, rel=1e-9)
 
 
+def _split_of(data):
+    """Each kept user's (train run, validation item, test item), read from
+    the dataset's arrays."""
+    bounds = data.offsets.tolist()
+    events = data.events.tolist()
+    return {user: (events[lo : hi - 2], events[hi - 2], events[hi - 1])
+            for user, lo, hi in zip(data.split.users, bounds, bounds[1:])}
+
+
 def test_split_four_events(tmp_path):
     path = write_jsonl(
         tmp_path / "d.jsonl",
         [{"user": "u", "item": i, "timestamp": t} for t, i in enumerate("abcd")],
     )
-    inter = ingest_jsonl(path)
-    split = split_leave_one_out(inter)
-    ids = lambda events: [inter.catalog[i].item_id for i in events]
-    assert ids(split.train_events["u"]) == ["a", "b"]
-    assert inter.catalog[split.val_event["u"]].item_id == "c"
-    assert inter.catalog[split.test_event["u"]].item_id == "d"
+    data = build_dataset(ingest_jsonl(path))
+    ids = lambda events: [data.catalog[i].item_id for i in events]
+    (train, val, test), = _split_of(data).values()
+    assert ids(train) == ["a", "b"]
+    assert data.catalog[val].item_id == "c"
+    assert data.catalog[test].item_id == "d"
+    assert data.split.counts() == (2, 1, 1)
 
 
 def test_split_three_events_boundary(tmp_path):
@@ -118,17 +131,19 @@ def test_split_three_events_boundary(tmp_path):
         tmp_path / "d.jsonl",
         [{"user": "u", "item": i, "timestamp": t} for t, i in enumerate("abc")],
     )
-    split = split_leave_one_out(ingest_jsonl(path))
-    assert len(split.train_events["u"]) == 1
-    assert split.n_dropped_users == 0
+    data = build_dataset(ingest_jsonl(path))
+    assert len(_split_of(data)["u"][0]) == 1
+    assert data.split.n_dropped_users == 0
+    assert data.train_examples == [] and len(data.val_examples) == 1
 
 
 def test_split_drops_short_users(tmp_path):
     rows = [{"user": "long", "item": i, "timestamp": t} for t, i in enumerate("abc")]
     rows += [{"user": "short", "item": "a", "timestamp": 0}, {"user": "short", "item": "b", "timestamp": 1}]
-    split = split_leave_one_out(ingest_jsonl(write_jsonl(tmp_path / "d.jsonl", rows)))
-    assert split.n_dropped_users == 1
-    assert "short" not in split.train_events
+    data = build_dataset(ingest_jsonl(write_jsonl(tmp_path / "d.jsonl", rows)))
+    assert data.split.n_dropped_users == 1
+    assert "short" not in data.split.users and list(_split_of(data)) == ["long"]
+    assert data.events.tolist() == [0, 1, 2] and data.offsets.tolist() == [0, 3]
 
 
 def test_split_disjoint_and_covering(tmp_path):
@@ -138,10 +153,14 @@ def test_split_disjoint_and_covering(tmp_path):
         for t in range(int(rng.integers(1, 9))):
             rows.append({"user": f"u{u}", "item": f"i{rng.integers(40)}", "timestamp": t})
     inter = ingest_jsonl(write_jsonl(tmp_path / "d.jsonl", rows))
-    split = split_leave_one_out(inter)
-    retained_events = sum(len(inter.events_by_user[u]) for u in split.users)
-    n_train, n_val, n_test = split.counts()
-    assert n_train + n_val + n_test == retained_events
+    data = build_dataset(inter)
+    train, val, test, dropped = split_runs(inter)
+    assert _split_of(data) == {user: (train[user], val[user], test[user]) for user in train}
+    assert data.split.n_dropped_users == dropped > 0
+    retained_events = sum(len(run) for run in user_runs(inter).values() if len(run) >= 3)
+    n_train, n_val, n_test = data.split.counts()
+    assert n_train + n_val + n_test == retained_events == data.events.size
+    assert n_train == sum(map(len, train.values())) and n_val == n_test == len(train)
 
 
 def test_examples_respect_chronology(tmp_path):
@@ -149,13 +168,67 @@ def test_examples_respect_chronology(tmp_path):
         tmp_path / "d.jsonl",
         [{"user": "u", "item": i, "timestamp": t} for t, i in enumerate("abcde")],
     )
-    data = build_dataset(ingest_jsonl(path))
+    inter = ingest_jsonl(path)
+    data = build_dataset(inter)
     train, val, test = data.train_examples, data.val_examples, data.test_examples
-    assert (train, val, test) == examples_from_split(data.split)
+    assert (train, val, test) == examples_from_split(inter)
     # Train region is [a, b, c]; prefix examples only.
     assert [(len(e.history), e.target) for e in train] == [(1, 1), (2, 2)]
     assert val[0].history == (0, 1, 2)
     assert test[0].history == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "offsets, message",
+    [([0], "empty corpus"), ([0, 2, 3, 5], "no user has enough interactions to split")],
+)
+def test_build_dataset_rejects_a_corpus_with_nothing_to_split(offsets, message):
+    catalog = Catalog([ItemRecord("a")], {"a": 0})
+    events = np.zeros(offsets[-1], dtype=np.int64)
+    users = [f"u{u}" for u in range(len(offsets) - 1)]
+    inter = Interactions(catalog, users, events, np.asarray(offsets, dtype=np.int64))
+    with pytest.raises(DataError, match=f"^{message}$"):
+        build_dataset(inter)
+
+
+def test_examples_read_events_whatever_the_id_dict_order():
+    # The id dict lists the items in reverse: the examples must still hold
+    # the events' own indices, as the training slices do.
+    catalog = Catalog([ItemRecord("a"), ItemRecord("b"), ItemRecord("c")], {"c": 2, "b": 1, "a": 0})
+    inter = Interactions(catalog, ["u"], np.array([0, 0, 1, 2, 1]), np.array([0, 5]))
+    data = build_dataset(inter)
+    assert data.events.tolist() == [0, 0, 1, 2, 1]
+    assert (data.test_examples[0].history, data.test_examples[0].target) == ((0, 0, 1, 2), 1)
+    assert (data.val_examples[0].history, data.val_examples[0].target) == ((0, 0, 1), 2)
+    assert [(e.history, e.target) for e in data.train_examples] == [((0,), 0), ((0, 0), 1)]
+
+
+def test_example_lists_share_the_catalogs_index_ints(tmp_path):
+    # 600 one-event users, dropped by the split, make items 0 to 599; the
+    # kept users hold only items 300 to 599, beyond the interpreter's
+    # small-int cache.
+    rng = np.random.default_rng(3)
+    rows = [{"user": f"once{i}", "item": f"i{i}", "timestamp": 0} for i in range(600)]
+    rows += [{"user": f"u{u}", "item": f"i{i}", "timestamp": t}
+             for u in range(400) for t, i in enumerate(rng.integers(300, 600, size=int(rng.integers(3, 7))))]
+    data = build_dataset(ingest_jsonl(write_jsonl(tmp_path / "d.jsonl", rows)))
+    shared = [data.catalog.index_of(item_id) for item_id in data.catalog.item_ids()]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lists = (data.train_examples, data.val_examples, data.test_examples)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    examples = [ex for examples in lists for ex in examples]
+    assert all(ex.target is shared[ex.target] and all(i is shared[i] for i in ex.history) for ex in examples)
+    # What the lists hold: the examples, their history tuples and the
+    # per-user runs the tuples are sliced from.  An int of each event's own
+    # would add 28 bytes per event.
+    containers = sum(map(sys.getsizeof, (*lists, *examples, *(ex.history for ex in examples))))
+    containers += sum(sys.getsizeof(run) + sys.getsizeof((user, run)) for user, run in data._runs)
+    containers += sys.getsizeof(data._runs)
+    assert grown < containers + 14 * data.events.size, (grown, containers, data.events.size)
 
 
 def test_empty_corpus_errors(tmp_path):
@@ -201,13 +274,15 @@ def test_build_dataset_wires_everything(tmp_path):
                     "price": 3.5 + t,
                 }
             )
-    data = build_dataset(ingest_jsonl(write_jsonl(tmp_path / "d.jsonl", rows)), vocab_size=64)
+    inter = ingest_jsonl(write_jsonl(tmp_path / "d.jsonl", rows))
+    data = build_dataset(inter, vocab_size=64)
     assert data.n_items == 6
     assert data.space.n_text == len(data.vocab)
     assert len(data.val_examples) == len(data.split.users)
-    assert data.train_item_counts.sum() == sum(len(v) for v in data.split.train_events.values())
+    train = split_runs(inter)[0]
+    assert data.train_item_counts.sum() == sum(len(v) for v in train.values())
     want = np.zeros(data.n_items, dtype=np.int64)
-    for items in data.split.train_events.values():
+    for items in train.values():
         for item in items:
             want[item] += 1
     assert data.train_item_counts.dtype == np.int64 and np.array_equal(data.train_item_counts, want)
@@ -249,6 +324,15 @@ INGEST_CORPORA = {
         [_event("u", "c", 5), _event("u", "a", 5), _event("u", "b", 1), _event("u", "d", 5.0), _event("u", "e", "5")]
     ),
     "u2028_in_string": "\n".join([_event("u", "a", 1, title="one\u2028two\u2029three"), _event("u", "b", 2)]),
+    "interleaved_users": "\n".join(_event(f"u{n % 3}", f"i{n % 5}", n // 2) for n in range(12)),
+    # Ties within each user, across lines that interleave the users.
+    "interleaved_ties": "\n".join(_event(f"u{n % 2}", f"i{n}", (7 - n) // 4) for n in range(8)),
+    # -0.0 and 0.0 are one time, as are 1 and 1.0: each pair keeps its input order.
+    "signed_zero_and_integral_floats": "\n".join(
+        [_event("u", "a", 0.0), _event("u", "b", -0.0), _event("u", "c", 1.0), _event("u", "d", 1),
+         _event("u", "e", -0.0), _event("u", "f", "1")]
+    ),
+    "descending_time": "\n".join([_event("v", "x", 9)] + [_event("u", f"i{n}", 10 - n) for n in range(6)]),
     # An integer id is its decimal string: 1 and "1" are one user, 7 and "7" one item.
     "integer_ids": "\n".join(
         [_event(1, 7, 1), _event("1", "7", 2), _event(-2, 10**30, 3), _event("None", "True", 4), _event(0, "x", 5)]
@@ -285,7 +369,10 @@ def _ingested(inter):
     """Everything an ``Interactions`` holds, with the records' field types."""
     return (
         inter.users,
-        inter.events_by_user,
+        inter.events.dtype.str,
+        inter.events.tolist(),
+        inter.offsets.dtype.str,
+        inter.offsets.tolist(),
         inter.n_events,
         [repr(record) for record in inter.catalog.records],
         inter.catalog._index,
@@ -298,6 +385,25 @@ def test_ingest_equals_the_per_line_loop(tmp_path, text):
     path = tmp_path / "d.jsonl"
     path.write_bytes(text.encode("utf-8"))
     assert _ingested(ingest_jsonl(path)) == _ingested(ingest_loop(path))
+
+
+@pytest.mark.parametrize(
+    "case, runs",
+    [
+        ("interleaved_users", {"u0": ["i0", "i3", "i1", "i4"], "u1": ["i1", "i4", "i2", "i0"],
+                               "u2": ["i2", "i0", "i3", "i1"]}),
+        ("interleaved_ties", {"u0": ["i4", "i6", "i0", "i2"], "u1": ["i5", "i7", "i1", "i3"]}),
+        ("signed_zero_and_integral_floats", {"u": ["a", "b", "e", "c", "d", "f"]}),
+        ("descending_time", {"v": ["x"], "u": [f"i{n}" for n in range(5, -1, -1)]}),
+    ],
+)
+def test_ingest_orders_each_users_events_by_time_then_input(tmp_path, case, runs):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(INGEST_CORPORA[case].encode("utf-8"))
+    inter = ingest_jsonl(path)
+    ids = inter.catalog.item_ids()
+    assert {user: [ids[i] for i in run] for user, run in user_runs(inter).items()} == runs
+    assert inter.users == list(runs)
 
 
 def test_ingest_fills_late_metadata_first_seen_wins(tmp_path):
@@ -315,7 +421,7 @@ def test_ingest_takes_an_integer_id_as_its_decimal_string(tmp_path):
     inter = ingest_jsonl(path)
     assert inter.users == ["1", "-2", "None", "0"]
     assert inter.catalog.item_ids() == ["7", str(10**30), "True", "x"]
-    assert inter.events_by_user["1"] == [0, 0]
+    assert user_runs(inter)["1"] == [0, 0]
 
 
 def test_ingest_keeps_a_raw_line_separator_inside_a_string(tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -553,8 +554,8 @@ def test_bench_without_queries_is_usage_error(corpus, tmp_path, capsys):
          "--out-dir", tmp_path / "bench"]
     )
     assert code == 1
-    trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert trailer["error"]["type"] == "usage" and "--queries" in trailer["error"]["message"]
+    assert usage_trailer(capsys) == "queries must be at least 1, got 0"
+    assert not (tmp_path / "bench").exists()
 
 
 @pytest.mark.parametrize("command, k", [("eval", "0,-3"), ("eval", "10,0"), ("bench", "5,10")])
@@ -657,6 +658,9 @@ def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, key, val
         ["train", "--learning-rate", "nan"],
         ["eval", "--clusters", "all", "--steps", -1],
         ["bench", "--snapshot", "missing.hsrc", "--k", 0],
+        ["bench", "--snapshot", "missing.hsrc", "--queries", 0],
+        ["latency", "--history-len", 0],
+        ["latency", "--const-tokens", -1],
     ],
 )
 def test_settings_are_checked_before_any_input_is_read(tmp_path, capsys, argv):
@@ -793,7 +797,34 @@ def test_bench_rejects_full_softmax_snapshot(corpus, tmp_path, capsys):
     assert not (tmp_path / "b" / "bench.csv").exists() and not (tmp_path / "b" / "queries.json").exists()
 
 
+def test_kmeans_on_a_catalog_beyond_the_dense_svd_is_a_data_error(tmp_path, capsys):
+    # 6,700 users x 3 events over 20,001 items: the cap is checked before
+    # the co-occurrence matrix is made.
+    path = tmp_path / "big.jsonl"
+    lines = (json.dumps({"user": f"u{n // 3}", "item": f"i{n % 20001}", "timestamp": n % 3}) for n in range(20100))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["cluster", "--data", path, "--clusters", "kmeans", "--out-dir", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    trailer = json.loads(err.strip().splitlines()[-1])["error"]
+    assert trailer["type"] == "data" and trailer["code"] == 2
+    assert "20001" in trailer["message"] and "--clusters random|frequency" in trailer["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_help_lists_each_options_choices(capsys):
     assert run(["train", "--help"]) == 0
     out = capsys.readouterr().out
     assert "full|twolevel" in out and "kmeans|frequency|random" in out
+
+
+@pytest.mark.parametrize(
+    "command, minimums",
+    [("bench", {"queries": 1, "k": 1}), ("latency", {"history-len": 1, "const-tokens": 0})],
+)
+def test_help_shows_each_options_minimum(capsys, command, minimums):
+    assert run([command, "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for flag, minimum in minimums.items():
+        assert re.search(rf"--{flag} {flag.replace('-', '_').upper()} [^()]*\(>= {minimum}\)", out), flag

@@ -220,7 +220,7 @@ def test_csv_export(tmp_path):
 def test_cooccurrence_features_shape(tmp_path):
     import json
 
-    from hsrec.catalog import ingest_jsonl, split_leave_one_out
+    from hsrec.catalog import build_dataset, ingest_jsonl
 
     rows = []
     for u in range(8):
@@ -228,8 +228,9 @@ def test_cooccurrence_features_shape(tmp_path):
             rows.append({"user": f"u{u}", "item": f"i{(u * 2 + t) % 10}", "timestamp": t})
     path = tmp_path / "d.jsonl"
     path.write_text("\n".join(json.dumps(r) for r in rows))
-    split = split_leave_one_out(ingest_jsonl(path))
-    feats = cooccurrence_svd_features(split, 10, n_components=4)
+    data = build_dataset(ingest_jsonl(path))
+    assert data.n_items == 10
+    feats = cooccurrence_svd_features(data, n_components=4)
     assert feats.shape == (10, 4)
     assert np.isfinite(feats).all()
 
@@ -238,7 +239,7 @@ def test_cooccurrence_counts_equal_the_per_user_loop(tmp_path, monkeypatch):
     import json
 
     from helpers import cooccurrence_counts_per_user
-    from hsrec.catalog import ingest_jsonl, split_leave_one_out
+    from hsrec.catalog import build_dataset, ingest_jsonl
 
     rows = []
     histories = {
@@ -256,13 +257,15 @@ def test_cooccurrence_counts_equal_the_per_user_loop(tmp_path, monkeypatch):
         rows.extend({"user": f"r{u}", "item": f"i{i}", "timestamp": t} for t, i in enumerate(items))
     path = tmp_path / "d.jsonl"
     path.write_text("\n".join(json.dumps(r) for r in rows))
-    split = split_leave_one_out(ingest_jsonl(path))
+    inter = ingest_jsonl(path)
+    data = build_dataset(inter)
     n_items = 6
-    want = cooccurrence_counts_per_user(split, n_items)
+    assert data.n_items == n_items and data.split.n_dropped_users == 1
+    want = cooccurrence_counts_per_user(inter)
     for block in (1, 4, 7, 1024):  # block edges inside and between users
         monkeypatch.setattr(cluster_module, "PAIR_ROWS", block)
-        got = cooccurrence_counts(split, n_items)
+        got = cooccurrence_counts(data)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), block
     assert want.max() > 1.0  # pairs repeat across users
     u, s, _ = np.linalg.svd(np.log1p(want), full_matrices=False)
-    assert cooccurrence_svd_features(split, n_items, n_components=4).tobytes() == (u[:, :4] * s[:4]).tobytes()
+    assert cooccurrence_svd_features(data, n_components=4).tobytes() == (u[:, :4] * s[:4]).tobytes()

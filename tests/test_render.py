@@ -42,10 +42,14 @@ ALL_FIELDS = ("title", "brand", "price", "category")
 
 
 @pytest.fixture(scope="module", params=["all fields", "no prices", "no metadata"])
-def corpus_data(request, tmp_path_factory):
+def corpus_interactions(request, tmp_path_factory):
     fields = {"all fields": ALL_FIELDS, "no prices": ("title", "brand", "category"), "no metadata": ()}
-    path = write_corpus(tmp_path_factory.mktemp("render") / "d.jsonl", fields[request.param])
-    return build_dataset(ingest_jsonl(path), vocab_size=40)
+    return ingest_jsonl(write_corpus(tmp_path_factory.mktemp("render") / "d.jsonl", fields[request.param]))
+
+
+@pytest.fixture(scope="module")
+def corpus_data(corpus_interactions):
+    return build_dataset(corpus_interactions, vocab_size=40)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
@@ -116,9 +120,9 @@ def test_render_rejects_items_outside_the_catalog(corpus_data):
         render_example(data.train_examples[0], data)
 
 
-def test_dataset_examples_equal_split_oracle(corpus_data):
+def test_dataset_examples_equal_split_oracle(corpus_interactions, corpus_data):
     data = corpus_data
-    train, val, test = examples_from_split(data.split)
+    train, val, test = examples_from_split(corpus_interactions)
     assert data.train_examples == train
     assert data.val_examples == val
     assert data.test_examples == test
