@@ -54,7 +54,7 @@ from .latency import (
 )
 from .render import render_example, render_id_only
 from .snapshot import ModelSnapshot, load_snapshot, save_snapshot
-from .softmax import CostCounter, score_all, two_level_logprob
+from .softmax import CostCounter, log_partition, score_all, two_level_logprob
 from .synth import SynthSpec, generate
 from .tables import (
     EmbeddingTable,

@@ -4,7 +4,8 @@ The interaction file has one JSON object per line with required fields
 ``user``, ``item``, ``timestamp`` and optional ``title``, ``brand``,
 ``price``, ``category``.  Blank lines are skipped.  ``user`` and ``item``
 must be strings or integers, an integer standing for its decimal string, and
-``timestamp`` and ``price`` must be finite numbers.  Items are deduplicated
+``timestamp`` and ``price`` must be finite numbers, and ``title``, ``brand``
+and ``category`` strings or null.  Items are deduplicated
 into the catalog in first-seen order, which fixes the item token indices.
 An item's metadata is its first event's, and later events only fill the
 fields it still lacks.  Every error in a line names the line.
@@ -128,8 +129,8 @@ def _parse_line(line: str, line_no: int) -> dict:
     return obj
 
 
-# JSON type names of the values an id may not be.
-_NON_ID_TYPES = {type(None): "null", bool: "boolean", float: "float", list: "array", dict: "object"}
+# The name of each JSON value's type.
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "integer", float: "float", list: "array", dict: "object"}
 
 
 def _id(value, name: str, line_no: int) -> str:
@@ -139,7 +140,20 @@ def _id(value, name: str, line_no: int) -> str:
     item than ``1``."""
     if type(value) is int:  # not bool, a subclass of int
         return str(value)
-    raise DataError(f"line {line_no}: {name} must be a string or an integer, got {_NON_ID_TYPES[type(value)]}")
+    raise DataError(f"line {line_no}: {name} must be a string or an integer, got {_JSON_TYPES[type(value)]}")
+
+
+_TEXT_TYPES = (str, type(None))
+
+
+def _reject_text_fields(obj: dict, line_no: int):
+    """Raise the :class:`DataError`, naming the line and the field, for the
+    first of ``title``, ``brand`` and ``category`` that is neither a string
+    nor null: ``str()`` of an object title would make words of its braces."""
+    for name in ("title", "brand", "category"):
+        value = obj.get(name)
+        if type(value) not in _TEXT_TYPES:
+            raise DataError(f"line {line_no}: {name} must be a string or null, got {_JSON_TYPES[type(value)]}")
 
 
 def _number(value, name: str, line_no: int) -> float:
@@ -206,10 +220,13 @@ def ingest_jsonl(path) -> Interactions:
         price = obj.get("price")
         if price is not None:
             price = _number(price, "price", line_no)
+        title, brand, category = obj.get("title"), obj.get("brand"), obj.get("category")
+        if type(title) not in _TEXT_TYPES or type(brand) not in _TEXT_TYPES or type(category) not in _TEXT_TYPES:
+            _reject_text_fields(obj, line_no)
         item_index = index.get(item)
         if item_index is None:
             item_index = index[item] = len(records)
-            record = ItemRecord(item, obj.get("title"), obj.get("brand"), price, obj.get("category"))
+            record = ItemRecord(item, title, brand, price, category)
             records.append(record)
             missing.append(_missing_fields(record))
         elif (gaps := missing[item_index]) and not gaps.isdisjoint(obj):

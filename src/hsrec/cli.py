@@ -230,7 +230,8 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _out_dir(opts: dict) -> Path:
-    """Made only after the inputs are read, so a failed run leaves no empty directory."""
+    """Made only after the inputs are read and any model is trained, so a
+    failed run leaves no empty directory."""
     path = Path(opts["out_dir"])
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -337,8 +338,6 @@ def _train_config(opts: dict, mode: str) -> TrainConfig:
 def cmd_train(opts: dict) -> int:
     config = _train_config(opts, opts["mode"])
     data = _load_dataset(opts)
-    features = _load_features(opts)
-    out = _out_dir(opts)
     result = train(
         data,
         config,
@@ -346,8 +345,9 @@ def cmd_train(opts: dict) -> int:
         item_dim=opts["item_dim"],
         clustering=opts["clusters"],
         n_clusters=opts["n_clusters"] or None,
-        kmeans_features=features,
+        kmeans_features=_load_features(opts),
     )
+    out = _out_dir(opts)
     save_snapshot(result.snapshot, out / "snapshot.hsrc")
     _write_csv(out / "metrics.csv", result.metrics, fieldnames=["step", "loss", "val_recall@10"])
     print(out / "snapshot.hsrc")
@@ -400,11 +400,11 @@ def _eval_ablation(opts: dict, ks: tuple[int, ...]) -> int:
     engines plus the full-enumeration oracle row for exactness checks."""
     config = _train_config(opts, "twolevel")
     data = _load_dataset(opts)
-    out = _out_dir(opts)
     rows = []
     for clustering in CLUSTERINGS:
         snapshot = train(data, config, clustering=clustering).snapshot
         rows += _report_rows(opts, ks, snapshot, data, clustering, ("structure", "ann", "full"))
+    out = _out_dir(opts)
     _write_csv(out / "ablation.csv", rows)
     print(out / "ablation.csv")
     return EXIT_OK

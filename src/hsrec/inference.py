@@ -23,13 +23,15 @@ Three engines:
 
 Item-only paths serve recommendations, and they search nothing: a dense
 vector of item scores goes to one selection.  ``topk_items`` scores every
-item's exact log-probability (``structure``: ``score_all``, one row product
-against the cluster-ordered item rows and one segmented log-softmax) or its
-ANN index row (``ann``, one row product).  Blocks of users (evaluation,
-``SequenceRecommender.predict``) are ranked the same way a block at a time:
-``softmax.item_rank_scores`` scores a ``(B, d)`` query block with one GEMM,
-each item's exact log-probability plus the query's log Z, which orders the
-items alike, and ``ann_item_scores`` takes a query block as one GEMM.
+item's rank score (``structure``: ``softmax.item_rank_scores``, its exact
+log-probability plus the query's log Z, which orders the items alike, from
+one row product against the cluster-ordered item rows, one against the
+centroids and one segmented log-softmax) or its ANN index row (``ann``, one
+row product).  No text row is read; ``softmax.log_partition`` gives the log
+Z that turns a rank score into a log-probability.  Blocks of users
+(evaluation, ``SequenceRecommender.predict``) are ranked the same way a
+block at a time: ``item_rank_scores`` scores a ``(B, d)`` query block with
+one GEMM, and ``ann_item_scores`` takes a query block as one GEMM.
 The pruned search serves ``topk_structure`` alone, the token-level top-k
 over text and items; each cluster it expands is one slice of the same
 cluster-ordered rows, scored bitwise as ``score_all`` scores it.
@@ -58,6 +60,7 @@ from .softmax import (
     _queries64,
     _query64,
     cluster_logits,
+    item_rank_scores,
     log_softmax,
     member_log_conditionals,
     score_all,
@@ -324,23 +327,29 @@ def topk_items(
     engine: str = "structure",
     index: AdditiveIndex | None = None,
 ) -> TopK:
-    """Item-only top-k; ordinals are unified, ties by ascending ordinal.
+    """Item-only top-k of a ``(d,)`` query; ordinals are unified, ties by
+    ascending ordinal.
 
-    ``structure`` scores every item's exact two-level log-probability, the
-    single-query oracle's own ``score_all`` arithmetic, so it equals
-    ``filter_items(topk_exact(query, n_total, ...))`` truncated to k.
+    ``structure`` scores every item by its two-level rank score
+    (``item_rank_scores``): each item's log-probability plus the query's
+    log Z, read from no text row.  Subtract ``log_partition(query, tables)``
+    for log-probabilities.  Its ordinals equal
+    ``filter_items(topk_exact(query, n_total, ...))`` truncated to k, but
+    for two items whose log-probabilities lie within one rounding of each
+    other, which may order differently.
     ``ann`` scores the item rows of the additive ``index``
     (``build_additive_index``, built once per table version).  Both
     then select the k best with ``_rank_topk``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    q = _query64(query)
     if engine == "structure":
-        scores = score_all(query, tables, cluster_map)[tables.n_text :]
+        scores = item_rank_scores(q, tables, cluster_map)
     elif engine == "ann":
         if index is None:
             raise ValueError("ann engine requires a prebuilt additive index")
-        scores = ann_item_scores(query, index, tables)
+        scores = ann_item_scores(q, index, tables)
     else:
         raise ValueError(f"unknown engine {engine!r}; choose 'structure' or 'ann'")
     ranked = _rank_topk(scores, k)

@@ -35,16 +35,18 @@ members are one slice.  :func:`score_all` takes one row product for a query
 and :func:`member_log_conditionals` one product over a single cluster's
 slice; both normalize with one segmented log-softmax over the cluster
 offsets (:func:`_segment_log_softmax`), with no loop over clusters.
-Evaluation ranks a query block by :func:`item_rank_scores`: one
-``(B, n_items)`` GEMM and the same segmented log-softmax, plus the item
-cluster logits ``logit_c`` rather than log P(c | H).  They differ by log Z,
-one constant per query, so they rank items as log-probabilities do while
-reading no text row: ``O((C + |I|) d)`` per query whatever ``|V|`` is.
-:func:`score_all` still returns log-probabilities, which ``topk_items``
-serves, so it still reads the text rows for log Z.  The
-single-query products are ``einsum`` loops, which compute a row the same way
-wherever it sits, so one cluster scored alone gets bitwise the scores it gets
-among all of them.  :func:`two_level_logprob` keeps the per-token arithmetic
+Evaluation, ``predict`` and ``topk_items`` rank items by
+:func:`item_rank_scores`: the same segmented log-softmax, plus the item
+cluster logits ``logit_c`` rather than log P(c | H), over one
+``(B, n_items)`` GEMM for a query block or one row product for a single
+query.  They differ by log Z, one constant per query, so they rank items as
+log-probabilities do while reading no text row: ``O((C + |I|) d)`` per
+query whatever ``|V|`` is.  :func:`log_partition` gives log Z, which turns a
+rank score back into a log-probability; :func:`score_all` returns
+log-probabilities, for which it reads the text rows.  The single-query
+item products are ``einsum`` loops, which compute a row the same way wherever
+it sits, so one cluster scored alone gets bitwise the scores it gets among
+all of them.  :func:`two_level_logprob` keeps the per-token arithmetic
 as an independent oracle.
 
 A :class:`CostCounter` tallies d-dimensional dot products so the cost claims
@@ -214,28 +216,43 @@ def item_rank_scores(
     cluster_map: ClusterMap,
     mode: str = "twolevel",
 ) -> np.ndarray:
-    """(B, n_items) C-ordered item rank scores for ``(B, d)`` queries: each
-    row is its query's exact item log-probabilities plus that query's log Z,
-    a per-row constant that changes no item's rank.
+    """Item rank scores, in item order: ``(B, n_items)``, C-ordered, for
+    ``(B, d)`` queries, or ``(n_items,)`` for one ``(d,)`` query.  A query's
+    scores are its exact item log-probabilities plus its log Z
+    (:func:`log_partition`), a constant that changes no item's rank.
 
-    Two-level mode scores an item as ``logit_c + log P(i | c, H)``: one
-    ``(B, n_item_clusters)`` GEMM against the centroid table (cast to
-    float64, the values ``first_level_rows()`` holds, without building that
-    copy), one ``(B, n_items)`` GEMM against the cluster-ordered item rows
-    and :func:`_item_log_probs`'s segmented log-softmax and gather.  Full
-    mode scores an item by its logit ``q . p_i``, from the same
-    cluster-ordered rows.  No text row is read, so a block costs
-    ``O((C + |I|) d)`` per query whatever ``|V|`` is; ``np.take`` gathers
-    the scores to item order.
+    Two-level mode scores an item as ``logit_c + log P(i | c, H)``: the
+    centroid logits (the centroid table cast to float64, the values
+    ``first_level_rows()`` holds, without building that copy), the item
+    logits against the cluster-ordered item rows and
+    :func:`_item_log_probs`'s segmented log-softmax and gather.  Full mode
+    scores an item by its logit ``q . p_i``, from the same cluster-ordered
+    rows.  No text row is read, so a query costs ``O((C + |I|) d)`` whatever
+    ``|V|`` is; ``np.take`` gathers the scores to item order.
+
+    A block takes two GEMMs.  A single query takes :func:`score_all`'s
+    products: the ``einsum`` row product over the item rows, so that equal
+    rows score equal (a GEMV, also a ``(1, d)`` GEMM's, can round them
+    apart), and :func:`cluster_logits`' product over the centroid rows.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    q = _queries64(queries)
-    scores = q @ tables.item_rows_by_cluster(cluster_map).T
+    single = np.ndim(queries) == 1
+    q = _query64(queries) if single else _queries64(queries)
+    rows = tables.item_rows_by_cluster(cluster_map)
+    scores = np.einsum("ij,j->i", rows, q) if single else q @ rows.T
     if mode == "full":
         return np.take(scores, cluster_map.item_position, axis=-1)
     centroids = tables.centroids.data.astype(np.float64, copy=False)
-    return _item_log_probs(scores, q @ centroids.T, cluster_map)
+    return _item_log_probs(scores, centroids @ q if single else q @ centroids.T, cluster_map)
+
+
+def log_partition(query, tables: ModelTables) -> float:
+    """log Z of a ``(d,)`` query under the two-level softmax: the logsumexp
+    of its first-level logits (:func:`cluster_logits`).  An item's rank score
+    (:func:`item_rank_scores`, ``topk_items``) minus log Z is its
+    log-probability."""
+    return _logsumexp(cluster_logits(query, tables))
 
 
 def score_all(

@@ -12,12 +12,12 @@ Every parameter array is read-only; :meth:`ModelTables.writing` is the one
 writer, so a write elsewhere raises instead of serving stale derived copies.
 Those copies are kept per table version, in one memo that every write drops:
 the projected item rows, their float64 copy in cluster order, the float64
-first-level rows (text rows, then centroids) that every two-level
-first-level product reads, so no query casts a float32 table again, and the
-additive ANN index (``inference.build_additive_index``), which serving and
-evaluation then share.  The index holds the item rows alone: ANN scores for
-text tokens are read off the first-level copy, whose text rows are half of
-what the index's text rows would be.
+first-level rows (text rows, then centroids) that the token-level scorers,
+``log_partition`` and the training head read, so none casts a float32 table
+again, and the additive ANN index (``inference.build_additive_index``), which
+serving and evaluation then share.  The index holds the item rows alone: ANN
+scores for text tokens are read off the first-level copy, whose text rows are
+half of what the index's text rows would be.
 
 A training step accumulates into a :class:`GradBuffer`.  Item gradients
 arrive in two forms.  Projected-row gradients (the encoder inputs, full mode

@@ -47,9 +47,9 @@ from hsrec.tokens import tokenize_text
 
 def ingest_loop(path) -> Interactions:
     """The per-line ingest, the oracle for ``catalog.ingest_jsonl``: every
-    line through ``json.loads``, string or integer ids, and every event merges
-    its metadata into its item's record field by field (first-seen wins,
-    later events fill fields still missing)."""
+    line through ``json.loads``, string or integer ids, string or null text
+    fields, and every event merges its metadata into its item's record field
+    by field (first-seen wins, later events fill fields still missing)."""
 
     def number(value, name, line_no):
         try:
@@ -62,11 +62,16 @@ def ingest_loop(path) -> Interactions:
             raise DataError(f"line {line_no}: {name} is not a finite number")
         return value
 
+    kinds = {type(None): "null", bool: "boolean", int: "integer", float: "float", list: "array", dict: "object"}
+
     def ident(value, name, line_no):
         if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
             return str(value)
-        kind = {type(None): "null", bool: "boolean", float: "float", list: "array", dict: "object"}[type(value)]
-        raise DataError(f"line {line_no}: {name} must be a string or an integer, got {kind}")
+        raise DataError(f"line {line_no}: {name} must be a string or an integer, got {kinds[type(value)]}")
+
+    def text(value, name, line_no):
+        if value is not None and not isinstance(value, str):
+            raise DataError(f"line {line_no}: {name} must be a string or null, got {kinds[type(value)]}")
 
     records, index = [], {}
     raw, users = {}, []
@@ -81,6 +86,8 @@ def ingest_loop(path) -> Interactions:
         metadata = {k: obj[k] for k in METADATA_FIELDS if k in obj and obj[k] is not None}
         if "price" in metadata:
             metadata["price"] = number(metadata["price"], "price", line_no)
+        for name in ("title", "brand", "category"):
+            text(obj.get(name), name, line_no)
         if item_id not in index:
             index[item_id] = len(records)
             records.append(ItemRecord(item_id=item_id))

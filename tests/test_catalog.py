@@ -459,6 +459,12 @@ BAD_LINES = {
     "array_item": (_event("u", ["a"], 1), "item must be a string or an integer, got array"),
     "object_user": (_event({"id": "u"}, "a", 1), "user must be a string or an integer, got object"),
     "null_item_and_timestamp": (_event("u", None, None), "item must be a string or an integer, got null"),
+    # Before, str() made vocabulary words of these: "{'x':" and "1}", "['q'," and "none]", "true".
+    "object_title": (_event("u", "b", 1, title={"x": 1}), "title must be a string or null, got object"),
+    "array_brand": (_event("u", "a", 1, brand=["q", None]), "brand must be a string or null, got array"),
+    "boolean_category": (_event("u", "b", 1, category=True), "category must be a string or null, got boolean"),
+    "integer_title": (_event("u", "a", 1, title=7), "title must be a string or null, got integer"),
+    "float_brand": (_event("u", "b", 1, title="ok", brand=2.5), "brand must be a string or null, got float"),
 }
 
 

@@ -797,12 +797,17 @@ def test_bench_rejects_full_softmax_snapshot(corpus, tmp_path, capsys):
     assert not (tmp_path / "b" / "bench.csv").exists() and not (tmp_path / "b" / "queries.json").exists()
 
 
-def test_kmeans_on_a_catalog_beyond_the_dense_svd_is_a_data_error(tmp_path, capsys):
-    # 6,700 users x 3 events over 20,001 items: the cap is checked before
-    # the co-occurrence matrix is made.
+def _beyond_the_dense_svd(tmp_path):
+    """6,700 users x 3 events over 20,001 items: beyond k-means' cap."""
     path = tmp_path / "big.jsonl"
     lines = (json.dumps({"user": f"u{n // 3}", "item": f"i{n % 20001}", "timestamp": n % 3}) for n in range(20100))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_kmeans_on_a_catalog_beyond_the_dense_svd_is_a_data_error(tmp_path, capsys):
+    # The cap is checked before the co-occurrence matrix is made.
+    path = _beyond_the_dense_svd(tmp_path)
     capsys.readouterr()
     assert run(["cluster", "--data", path, "--clusters", "kmeans", "--out-dir", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
@@ -810,6 +815,43 @@ def test_kmeans_on_a_catalog_beyond_the_dense_svd_is_a_data_error(tmp_path, caps
     trailer = json.loads(err.strip().splitlines()[-1])["error"]
     assert trailer["type"] == "data" and trailer["code"] == 2
     assert "20001" in trailer["message"] and "--clusters random|frequency" in trailer["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "--clusters", "kmeans", "--steps", 1], ["eval", "--clusters", "all", "--steps", 1]],
+    ids=["train", "eval_ablation"],
+)
+def test_training_commands_make_no_out_dir_when_clustering_fails(tmp_path, capsys, argv):
+    # Before, the out-dir was made before the model was trained, and stayed empty.
+    path = _beyond_the_dense_svd(tmp_path)
+    capsys.readouterr()
+    assert run([*argv, "--data", path, "--out-dir", tmp_path / "out"]) == 2
+    trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert trailer["type"] == "data" and "20001" in trailer["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [("title", {"x": 1}, "object"), ("brand", ["q", None], "array"), ("category", True, "boolean"),
+     ("title", 7, "integer"), ("brand", 2.5, "float")],
+    ids=["object", "array", "boolean", "integer", "float"],
+)
+def test_train_rejects_non_string_metadata_as_data(corpus, tmp_path, capsys, field, value, kind):
+    # Before, str() of the value went into the vocabulary and train exited 0.
+    path = tmp_path / "d.jsonl"
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    bad = {**json.loads(lines[4]), field: value}
+    path.write_text("\n".join([*lines[:4], json.dumps(bad), *lines[5:]]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["train", "--data", path, "--steps", 1, "--out-dir", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    trailer = json.loads(err.strip().splitlines()[-1])["error"]
+    assert trailer["type"] == "data" and trailer["code"] == 2
+    assert trailer["message"] == f"line 5: {field} must be a string or null, got {kind}"
     assert not (tmp_path / "out").exists()
 
 

@@ -255,12 +255,13 @@ def test_batched_ranks_equal_per_user_oracle(trained, engine, model):
         assert np.unique(scores).size < scores.size
 
 
-def test_single_query_ann_ties_break_by_ordinal(tmp_path):
-    # 18 equal non-zero 64-wide index rows in one cluster: raw rows zero, so
-    # every projected row is exactly the head bias.  A GEMV can round equal
-    # rows differently by where they sit; the single-query ANN scores must tie
-    # exactly, so that topk_items ranks the tied items by ordinal, as the
-    # block ranks do.
+def _equal_item_rows(tmp_path):
+    """A snapshot with 18 equal non-zero 64-wide item rows in one cluster (raw
+    rows zero, so every projected row is exactly the head bias), and 24 test
+    examples whose targets cycle through the items.  A GEMV can round equal
+    rows differently by where they sit; single-query scores must tie exactly,
+    so that ``topk_items`` ranks the tied items by ordinal, as the block
+    ranks do."""
     data, _ = synth_dataset(tmp_path, n_users=40, n_items=18, n_groups=3, seed=5)
     config = TrainConfig(seed=0, softmax_mode="twolevel")
     snapshot = init_model(data, config, dim=64, item_dim=6, clustering="random")
@@ -271,16 +272,33 @@ def test_single_query_ann_ties_break_by_ordinal(tmp_path):
     with tables.writing() as arrays:
         arrays["item_raw"][:] = 0.0
         arrays["proj_bias"][:] = rng.standard_normal(64)
-    index = build_additive_index(tables, snapshot.cluster_map)
     examples = [dataclasses.replace(e, target=j % 18) for j, e in enumerate(data.test_examples[:24])]
-    single = []
+    return data, snapshot, examples
+
+
+def _assert_single_query_ties(data, snapshot, examples, engine, index=None):
+    tables, cmap, single = snapshot.tables, snapshot.cluster_map, []
     for e in examples:
         query, _ = encode(render_id_only(e, data), tables, snapshot.encoder)
-        assert np.unique(ann_item_scores(query, index, tables)).size == 1
-        top = topk_items(query, 18, tables, snapshot.cluster_map, snapshot.space, engine="ann", index=index)
+        if engine == "ann":
+            scores = ann_item_scores(query, index, tables)
+        else:
+            scores = item_rank_scores(query, tables, cmap)
+        assert np.unique(scores).size == 1
+        top = topk_items(query, 18, tables, cmap, snapshot.space, engine=engine, index=index)
         single.append(int(np.flatnonzero(top.ordinals == tables.n_text + e.target)[0]) + 1)
     assert single == [e.target + 1 for e in examples]
-    assert target_ranks(snapshot, data, "ann", examples).tolist() == single
+    assert target_ranks(snapshot, data, engine, examples).tolist() == single
+
+
+def test_single_query_ann_ties_break_by_ordinal(tmp_path):
+    data, snapshot, examples = _equal_item_rows(tmp_path)
+    index = build_additive_index(snapshot.tables, snapshot.cluster_map)
+    _assert_single_query_ties(data, snapshot, examples, "ann", index)
+
+
+def test_single_query_structure_ties_break_by_ordinal(tmp_path):
+    _assert_single_query_ties(*_equal_item_rows(tmp_path), "structure")
 
 
 def test_served_ann_query_and_evaluation_share_one_index(trained, monkeypatch):

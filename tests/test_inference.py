@@ -28,7 +28,7 @@ from hsrec.inference import (
     topk_items,
     topk_structure,
 )
-from hsrec.softmax import score_all
+from hsrec.softmax import log_partition, score_all
 from hsrec.tables import EmbeddingTable, ModelTables, ProjectionHead
 from hsrec.tokens import TokenSpace
 
@@ -308,7 +308,30 @@ def test_topk_items_equals_filtered_full_ranking(engine):
         for k in (1, 3, 5, 10, tables.n_items, tables.n_items + 3):
             top = topk_items(q, k, tables, cmap, space, engine=engine, index=index)
             assert np.array_equal(top.ordinals, items.ordinals[:k])
-            assert np.array_equal(top.scores, items.scores[:k])
+            if engine == "structure":
+                # Rank scores: the log-probabilities plus the query's log Z.
+                np.testing.assert_allclose(top.scores - log_partition(q, tables), items.scores[:k], rtol=1e-12, atol=0)
+            else:
+                assert np.array_equal(top.scores, items.scores[:k])
+
+
+def test_structure_query_reads_no_first_level_copy(monkeypatch):
+    built = []
+    first_level_rows = ModelTables.first_level_rows
+
+    def counted(self):
+        built.append(self.version)
+        return first_level_rows(self)
+
+    monkeypatch.setattr(ModelTables, "first_level_rows", counted)
+    for tables, cmap, q in _topk_items_cases():
+        with tables.writing():
+            pass  # a fresh table version: no derived copy is built yet
+        topk_items(q, 5, tables, cmap, TokenSpace(tables.n_text, tables.n_items))
+        assert built == []
+        log_partition(q, tables)
+        assert built == [tables.version]
+        built.clear()
 
 
 def test_topk_items_engines():

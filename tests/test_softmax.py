@@ -25,6 +25,7 @@ from hsrec.softmax import (
     cluster_logits,
     full_logits,
     item_rank_scores,
+    log_partition,
     log_softmax,
     member_log_conditionals,
     nll_and_grad,
@@ -179,6 +180,13 @@ def test_item_scorers_equal_per_token_oracle(dtype):
             np.testing.assert_allclose(full_lp, full_want, rtol=1e-12, atol=0)
             full_log_z = _logsumexp(full_logits(q, tables))
             np.testing.assert_allclose(full_row - full_want, full_log_z, rtol=0, atol=1e-12)
+            # A single query's rank scores are the same, from row products.
+            single = item_rank_scores(q, tables, cmap)
+            assert single.shape == (tables.n_items,) and single.dtype == np.float64
+            np.testing.assert_allclose(single - want[n_text:], log_z, rtol=0, atol=1e-12)
+            full_single = item_rank_scores(q, tables, cmap, "full")
+            np.testing.assert_allclose(full_single - full_want, full_log_z, rtol=0, atol=1e-12)
+            assert _bits(_all_item_ranks(single[None])) == _bits(_all_item_ranks(row[None]))
             # The pruned search's per-cluster scores are score_all's, bit for bit.
             cl = log_softmax(cluster_logits(q, tables))
             for c in range(cmap.n_item_clusters):
@@ -196,8 +204,10 @@ def test_equal_item_rows_score_equal():
         arrays["item_raw"][:] = 0.0
     for q in rng.standard_normal((24, 64)):
         scores = score_all(q, tables, cmap)
+        ranked = item_rank_scores(q, tables, cmap)
         for c in range(cmap.n_item_clusters):
             assert np.unique(scores[tables.n_text + cmap.item_members(c)]).size == 1
+            assert np.unique(ranked[cmap.item_members(c)]).size == 1
 
 
 def _fresh(tables):
@@ -218,6 +228,7 @@ def _item_scores(tables, cmap, queries):
         [topk_structure(q, 7, tables, cmap)[0].scores for q in queries],
         item_rank_scores(queries, tables, cmap),
         item_rank_scores(queries, tables, cmap, "full"),
+        [item_rank_scores(q, tables, cmap) for q in queries],
     )
 
 
@@ -275,7 +286,7 @@ def test_first_level_writes_reach_every_scorer(table):
     _assert_same_scores(after, _first_level_scores(_fresh(tables), cmap, queries, targets))
     # Rank scores read no text row; full-mode rank scores no centroid either.
     reads_table = [True] * len(after)
-    reads_table[4] = table == "centroids"
+    reads_table[4] = reads_table[6] = table == "centroids"
     reads_table[5] = False
     for old, new, reads in zip(before, after, reads_table):
         assert (not all(np.array_equal(a, b) for a, b in zip(old, new))) == reads
@@ -290,6 +301,21 @@ def test_cluster_logits_are_the_per_table_products(dtype):
         for q in rng.standard_normal((5, dim)):
             want = np.concatenate([tables.text.data @ q, tables.centroids.data @ q])
             assert _bits(cluster_logits(q, tables)) == _bits(want)
+
+
+def test_log_partition_normalizes_the_two_level_distribution():
+    for seed in range(6):
+        tables, cmap, rng = random_model(4 + seed, 30, 6, 4, 1 + seed, seed=seed)
+        for q in rng.standard_normal((3, 6)) * (1.0, 30.0)[seed % 2]:
+            log_z = log_partition(q, tables)
+            logits = cluster_logits(q, tables)
+            m = logits.max()
+            assert log_z == pytest.approx(m + np.log(np.sum(np.exp(logits - m))), rel=1e-12, abs=1e-12)
+            # log Z turns first-level logits and item rank scores into a distribution.
+            text, items = logits[: tables.n_text] - log_z, item_rank_scores(q, tables, cmap) - log_z
+            assert np.exp(text).sum() + np.exp(items).sum() == pytest.approx(1.0, abs=1e-12)
+            lp = score_all(q, tables, cmap)
+            np.testing.assert_allclose(lp, np.concatenate([text, items]), rtol=0, atol=1e-12)
 
 
 def test_full_and_two_level_differ_in_general():
