@@ -22,7 +22,8 @@ Train examples are the prefixes of a user's train run (``train_starts``,
 events before the user's last.  ``train_examples``, ``val_examples`` and
 ``test_examples`` are the same examples as :class:`SequenceExample` lists,
 built on first access.  ``field_tokens`` holds every item's metadata fields
-tokenized once, from the same word split that counts the vocabulary.
+tokenized once, from the same word split that counts the vocabulary, and a
+price as the token of its decile bucket over ``price_edges``.
 """
 
 from __future__ import annotations
@@ -286,22 +287,19 @@ def concat_ranges(starts, lengths) -> np.ndarray:
     return (starts - ends + lengths).repeat(lengths) + np.arange(ends[-1] if ends.size else 0)
 
 
-class PriceBuckets:
-    """Decile buckets over catalog prices; prices render as one bucket token."""
-
-    def __init__(self, edges: np.ndarray):
-        self.edges = np.asarray(edges, dtype=np.float64)
-
-    @classmethod
-    def from_catalog(cls, catalog: Catalog) -> "PriceBuckets | None":
-        prices = [r.price for r in catalog.records if r.price is not None]
-        if not prices:
-            return None
-        qs = np.linspace(0, 1, PRICE_BUCKET_COUNT + 1)[1:-1]
-        return cls(np.quantile(np.asarray(prices, dtype=np.float64), qs))
-
-    def bucket(self, price: float) -> int:
-        return int(np.searchsorted(self.edges, price, side="right"))
+def _price_edges(catalog: Catalog) -> np.ndarray | None:
+    """The inner decile edges of the catalog's prices, or None if no item has
+    a price.  A price's bucket is the number of edges at or below it."""
+    prices = np.array([r.price for r in catalog.records if r.price is not None], dtype=np.float64)
+    if not prices.size:
+        return None
+    qs = np.linspace(0, 1, PRICE_BUCKET_COUNT + 1)[1:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.quantile(prices, qs)
+    if not np.isfinite(edges).all():
+        # Prices of both signs near the float range overflow a difference; halves do not.
+        edges = 2.0 * np.quantile(prices / 2.0, qs)
+    return edges
 
 
 @dataclass(frozen=True)
@@ -319,7 +317,7 @@ class FieldTokens:
     item_ptr: np.ndarray
 
 
-def _tokenize_fields(catalog: Catalog, vocab_size: int, price_buckets: PriceBuckets | None):
+def _tokenize_fields(catalog: Catalog, vocab_size: int, price_edges: np.ndarray | None):
     """The vocabulary over the catalog's text fields and every item's
     :class:`FieldTokens`, from one word split of each text."""
     markers, lengths, per_item, words = [], [], [], []
@@ -351,7 +349,7 @@ def _tokenize_fields(catalog: Catalog, vocab_size: int, price_buckets: PriceBuck
     is_word[seg_ptr[:-1]] = False
     if prices:
         price_at = seg_ptr[price_segs] + 1
-        buckets = np.searchsorted(price_buckets.edges, np.asarray(prices, dtype=np.float64), side="right")
+        buckets = np.searchsorted(price_edges, np.asarray(prices, dtype=np.float64), side="right")
         tokens[price_at] = np.asarray(vocab.price_bucket_ids)[buckets]
         is_word[price_at] = False
     tokens[is_word] = np.fromiter(
@@ -370,7 +368,7 @@ class Dataset:
     catalog: Catalog
     vocab: Vocabulary
     space: TokenSpace
-    price_buckets: PriceBuckets | None
+    price_edges: np.ndarray | None  # inner decile edges of the catalog's prices
     split: SplitResult
     field_tokens: FieldTokens = field(repr=False)
     events: np.ndarray = field(repr=False)  # every split user's items, users in split order
@@ -435,8 +433,8 @@ def build_dataset(interactions: Interactions, vocab_size: int = 8192, name: str 
         n_events=events.size,
     )
     catalog = interactions.catalog
-    price_buckets = PriceBuckets.from_catalog(catalog)
-    vocab, field_tokens = _tokenize_fields(catalog, vocab_size, price_buckets)
+    price_edges = _price_edges(catalog)
+    vocab, field_tokens = _tokenize_fields(catalog, vocab_size, price_edges)
     # A user with n events has a train run of n - 2 and n - 3 train examples,
     # the run's prefixes of 1 to n - 3 items.
     n_examples = lengths - 3
@@ -445,7 +443,7 @@ def build_dataset(interactions: Interactions, vocab_size: int = 8192, name: str 
         catalog=catalog,
         vocab=vocab,
         space=TokenSpace(n_text=len(vocab), n_items=len(catalog)),
-        price_buckets=price_buckets,
+        price_edges=price_edges,
         split=split,
         field_tokens=field_tokens,
         events=events,

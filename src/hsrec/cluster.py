@@ -17,7 +17,6 @@ import numpy as np
 
 from .exceptions import DataError
 from .tables import EmbeddingTable
-from .validation import check_array
 
 
 # User-item entries whose co-occurrence pairs are counted at a time.
@@ -130,7 +129,13 @@ def kmeans_fit(X: np.ndarray, n_clusters: int, seed=0):
 
     Returns (labels, centers, inertia).
     """
-    X = check_array(X, dtype=np.float64, name="item_vectors")
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"item_vectors must be 2-dimensional, got shape {X.shape}")
+    if X.size == 0:
+        raise ValueError("item_vectors is empty")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("item_vectors contains NaN or Inf")
     n = X.shape[0]
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must be in [1, {n}], got {n_clusters}")

@@ -212,11 +212,6 @@ class AdditiveIndex:
     n_text: int
     cluster_map: ClusterMap = field(repr=False)
 
-    @property
-    def n_total(self) -> int:
-        """Tokens the index ranks: the text tokens, then its item rows."""
-        return self.n_text + self.vectors.shape[0]
-
 
 def build_additive_index(tables: ModelTables, cluster_map: ClusterMap) -> AdditiveIndex:
     """The tables' current additive index for ``cluster_map``.

@@ -12,8 +12,8 @@ array writes, so no Python runs per item.  The draws keep the per-example
 order: one ``rng.random()`` per example for ID-only, then, unless it is
 ID-only, one ``rng.random(m)`` over its ``m`` present fields, item by item and
 field by field.  That gives the same doubles, and leaves the generator in the
-same state, as ``m`` scalar draws.  :func:`render_example` is its
-batch-of-one form.
+same state, as ``m`` scalar draws.  :func:`render_example` is its batch-of-one
+form, and always draws; the ID-only prompt is :func:`render_id_only`'s.
 
 An evaluation block of ID-only prompts renders in one call too,
 :func:`render_id_only_batch`, and :func:`render_id_only` is its batch of one.
@@ -106,14 +106,11 @@ def render_example(
     rng: np.random.Generator | None = None,
     id_only_fraction: float = 0.25,
     metadata_keep_prob: float = 0.5,
-    force_id_only: bool = False,
 ) -> list[int]:
-    """Token ordinals for one example's prompt: :func:`render_batch` at a
-    batch of one, or :func:`render_id_only` with ``force_id_only``."""
-    if force_id_only:
-        return render_id_only(example, data)
+    """Token ordinals for one training example's prompt: :func:`render_batch`
+    at a batch of one.  :func:`render_id_only` renders the ID-only prompt."""
     if rng is None:
-        raise ValueError("rng is required unless force_id_only=True")
+        raise ValueError("rng is required; render_id_only renders without one")
     ordinals, _ = render_batch(data, example.history, [len(example.history)], rng, id_only_fraction, metadata_keep_prob)
     return ordinals.tolist()
 

@@ -50,7 +50,7 @@ from .tokens import TokenSpace, Vocabulary
 
 MAGIC = b"HSRC"
 FORMAT_VERSION = 2
-_PRECISION_CODE = {"f32": 0, "f64": 1}
+_PRECISION_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _PRECISION_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _HEADER = struct.Struct("<IIIQQQB")
 DEFAULT_SOFTMAX_MODE = "twolevel"  # of a snapshot whose config names none
@@ -139,7 +139,8 @@ def _is_str_list(value) -> bool:
 
 def save_snapshot(snapshot: ModelSnapshot, path) -> None:
     tables = snapshot.tables
-    dtype = np.dtype("<f4") if tables.text.precision == "f32" else np.dtype("<f8")
+    precision = _PRECISION_CODE[tables.text.data.dtype]
+    dtype = _PRECISION_DTYPE[precision]
     meta = json.dumps(
         {
             "name": snapshot.name,
@@ -161,7 +162,7 @@ def save_snapshot(snapshot: ModelSnapshot, path) -> None:
                 tables.n_text,
                 tables.n_items,
                 tables.n_item_clusters,
-                _PRECISION_CODE[tables.text.precision],
+                precision,
             )
         )
         _write_array(fh, tables.text.data, dtype)

@@ -40,8 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import check_finite
-
 FLOAT_DTYPES = (np.float32, np.float64)
 # Item rows chained through the head, or expanded and written, at a time.
 # Small blocks (256 KB of float64 at k = 512) stay in cache, and keep a step's
@@ -50,6 +48,11 @@ FLOAT_DTYPES = (np.float32, np.float64)
 ROW_BLOCK = 64
 # Item rows drawn at a time by ``init_tables``.
 INIT_ROWS = 1024
+
+
+def check_finite(arr: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains NaN or Inf")
 
 
 class EmbeddingTable:
@@ -72,10 +75,6 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
-
-    @property
-    def precision(self) -> str:
-        return "f32" if self.data.dtype == np.float32 else "f64"
 
 
 @dataclass

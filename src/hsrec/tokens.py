@@ -8,7 +8,6 @@ serialization code speaks ordinals.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -87,11 +86,6 @@ class Vocabulary:
 
     def lookup(self, word: str) -> int:
         return self.word_to_id.get(word, self.oov_id)
-
-    @classmethod
-    def build(cls, texts, max_size: int = 8192) -> "Vocabulary":
-        """Build the vocabulary from an iterable of metadata strings."""
-        return cls.from_words(itertools.chain.from_iterable(map(tokenize_text, texts)), max_size)
 
     @classmethod
     def from_words(cls, words, max_size: int = 8192) -> "Vocabulary":

@@ -34,13 +34,12 @@ from .cluster import (
 )
 from .encoder import encode_backward, encode_batch, init_encoder
 from .evaluate import evaluate, item_score_blocks
-from .exceptions import DataError, TrainingDivergedError
+from .exceptions import DataError, NotFittedError, TrainingDivergedError
 from .inference import _rank_topk
 from .render import render_batch
 from .snapshot import ModelSnapshot
 from .softmax import MODES, nll_and_grad
-from .tables import GradBuffer, ItemRowGrad, ModelTables, init_tables
-from .validation import check_finite, check_is_fitted
+from .tables import GradBuffer, ItemRowGrad, ModelTables, check_finite, init_tables
 
 # Not called here; perfbench/spans.py looks these names up on this module.
 from .encoder import encode  # noqa: F401
@@ -95,8 +94,9 @@ def build_cluster_map(
     """Item-side clustering per the chosen method, text singletons attached.
 
     k-means features default to SVD of the train co-occurrence matrix; any
-    finite real (n_items, p) matrix can be passed instead, and any other is a
-    :class:`DataError`.
+    finite real (n_items, p) matrix, p >= 1, can be passed instead unless
+    ``4 n_items max ||x||^2``, a bound on k-means' sums of squared distances,
+    overflows.  Any other is a :class:`DataError`.
     """
     n_text = len(data.vocab)
     n_items = data.n_items
@@ -104,10 +104,15 @@ def build_cluster_map(
     if clustering == "kmeans":
         if features is None:
             features = cooccurrence_svd_features(data)
-        elif np.ndim(features) != 2 or len(features) != n_items:
-            raise DataError(f"features must have shape ({n_items}, p), got {np.shape(features)}")
+        elif np.ndim(features) != 2 or len(features) != n_items or np.shape(features)[1] == 0:
+            raise DataError(f"features must have shape ({n_items}, p) with p >= 1, got {np.shape(features)}")
         elif np.asarray(features).dtype.kind not in "biuf" or not np.isfinite(features).all():
             raise DataError("features must be real numbers, none of them NaN or Inf")
+        else:
+            with np.errstate(over="ignore"):  # an overflow is what this looks for
+                bound = 4.0 * n_items * np.square(features, dtype=np.float64).sum(axis=1).max()
+            if not np.isfinite(bound):
+                raise DataError("features are too large: k-means' sums of squared distances overflow")
         return cluster_kmeans(features, n_clusters, seed=seed, n_text=n_text)
     if clustering == "frequency":
         return cluster_frequency(data.train_item_counts, n_clusters, n_text=n_text)
@@ -148,7 +153,7 @@ def init_model(
         item_ids=data.catalog.item_ids(),
         config=snapshot_config,
         name=data.name,
-        price_edges=list(data.price_buckets.edges) if data.price_buckets else None,
+        price_edges=None if data.price_edges is None else list(data.price_edges),
     )
 
 
@@ -340,6 +345,13 @@ class SequenceRecommender:
         self.steps_run_ = result.steps_run
         return self
 
+    def _fitted(self) -> tuple[ModelSnapshot, Dataset]:
+        """The fitted snapshot and dataset; :class:`NotFittedError` before ``fit``."""
+        missing = ", ".join(a for a in ("snapshot_", "dataset_") if not hasattr(self, a))
+        if missing:
+            raise NotFittedError(f"{type(self).__name__} is not fitted yet; call fit() first (missing {missing})")
+        return self.snapshot_, self.dataset_
+
     def predict(self, histories, k: int = 10):
         """Top-k item IDs for each non-empty history of known external item IDs.
 
@@ -349,11 +361,9 @@ class SequenceRecommender:
         log-probability plus the history's log Z, so no text row is read.
         Each row's top k breaks ties by ascending item index.
         """
-        check_is_fitted(self, ["snapshot_", "dataset_"])
+        snapshot, data = self._fitted()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        snapshot = self.snapshot_
-        data = self.dataset_
         examples = []
         for history in histories:
             if len(history) == 0:
@@ -370,6 +380,5 @@ class SequenceRecommender:
 
     def score(self, X=None) -> float:
         """Recall@10 on the held-out test split."""
-        check_is_fitted(self, ["snapshot_", "dataset_"])
-        report = evaluate(self.snapshot_, self.dataset_, engine="full")
+        report = evaluate(*self._fitted(), engine="full")
         return report.recall[10]

@@ -322,7 +322,7 @@ def render_loop(example, data, rng=None, id_only_fraction=0.25, metadata_keep_pr
                 continue
             tokens.append(vocab.field_marker_ids[name])
             if name == "price":
-                tokens.append(vocab.price_bucket_ids[data.price_buckets.bucket(float(value))])
+                tokens.append(vocab.price_bucket_ids[int(np.searchsorted(data.price_edges, float(value), side="right"))])
             else:
                 tokens.extend(vocab.lookup(w) for w in tokenize_text(str(value)))
     tokens.extend(vocab.prompt_question_ids)

@@ -10,7 +10,7 @@ from hsrec.catalog import (
     Catalog,
     Interactions,
     ItemRecord,
-    PriceBuckets,
+    _price_edges,
     build_dataset,
     ingest_jsonl,
 )
@@ -239,8 +239,8 @@ def test_empty_corpus_errors(tmp_path):
 
 
 def test_vocab_most_frequent_first_with_cap():
-    texts = ["red red red blue", "blue red", "green"]
-    vocab = Vocabulary.build(texts, max_size=len(Vocabulary.build([], 40).words) + 2)
+    words = "red red red blue blue red green".split()
+    vocab = Vocabulary.from_words(words, max_size=len(Vocabulary.from_words([], 40).words) + 2)
     tail = vocab.words[-2:]
     assert tail == ["red", "blue"]  # green falls off the cap
     assert vocab.lookup("green") == vocab.oov_id
@@ -255,10 +255,26 @@ def test_price_buckets_are_deciles():
     class C:
         records = [R(float(p)) for p in range(1, 101)]
 
-    buckets = PriceBuckets.from_catalog(C())
-    assert buckets.bucket(1.0) == 0
-    assert buckets.bucket(100.0) == 9
-    assert buckets.bucket(55.0) in (4, 5)
+    edges = _price_edges(C())
+    assert edges.shape == (9,)
+
+    def bucket(price):
+        return int(np.searchsorted(edges, price, side="right"))
+
+    assert bucket(1.0) == 0
+    assert bucket(100.0) == 9
+    assert bucket(55.0) in (4, 5)
+
+
+def test_price_edges_of_prices_across_the_float_range_are_finite():
+    # Before, the deciles' differences overflowed: a RuntimeWarning, and
+    # without warnings as errors, infinite and NaN edges.
+    class C:
+        records = [ItemRecord(f"i{n}", price=(-1) ** n * 1.7e308) for n in range(20)]
+
+    edges = _price_edges(C())
+    assert np.isfinite(edges).all() and np.all(np.diff(edges) >= 0)
+    assert np.array_equal(edges, 2.0 * np.quantile([r.price / 2.0 for r in C.records], np.linspace(0, 1, 11)[1:-1]))
 
 
 def test_build_dataset_wires_everything(tmp_path):
@@ -286,7 +302,7 @@ def test_build_dataset_wires_everything(tmp_path):
         for item in items:
             want[item] += 1
     assert data.train_item_counts.dtype == np.int64 and np.array_equal(data.train_item_counts, want)
-    assert data.price_buckets is not None
+    assert data.price_edges is not None
 
 
 def _event(user, item, timestamp, **metadata):

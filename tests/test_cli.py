@@ -308,14 +308,20 @@ def test_cluster_accepts_feature_file(corpus, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["cluster", "train"])
-@pytest.mark.parametrize("case", ["short", "long", "nan", "text", "not_npy", "pickled", "empty"])
+@pytest.mark.parametrize(
+    "case", ["short", "long", "zero_width", "nan", "huge", "text", "not_npy", "pickled", "empty"]
+)
 def test_feature_file_that_does_not_fit_the_corpus_is_data_error(corpus, tmp_path, capsys, command, case):
+    # Before, a zero-width file reached k-means as "item_vectors is empty",
+    # and a huge one overflowed k-means++'s distances: both exited as usage.
     import numpy as np
 
     rows = {"short": 13, "long": 21}.get(case, 16)  # the corpus has 16 items
-    features = np.random.default_rng(0).standard_normal((rows, 3))
+    features = np.random.default_rng(0).standard_normal((rows, 0 if case == "zero_width" else 3))
     if case == "nan":
         features[5, 1] = np.nan
+    if case == "huge":
+        features *= 1e200
     if case == "text":
         features = features.astype(str)
     path = tmp_path / "feats.npy"
@@ -337,8 +343,8 @@ def test_feature_file_that_does_not_fit_the_corpus_is_data_error(corpus, tmp_pat
     assert "Traceback" not in err
     trailer = json.loads(err.strip().splitlines()[-1])
     assert trailer["error"]["type"] == "data" and trailer["error"]["code"] == 2
-    unreadable = case in ("not_npy", "pickled", "empty")
-    want = "feats.npy" if unreadable else "real numbers" if rows == 16 else f"({rows}, 3)"
+    want = {"not_npy": "feats.npy", "pickled": "feats.npy", "empty": "feats.npy", "nan": "real numbers",
+            "text": "real numbers", "zero_width": "(16, 0)", "huge": "too large"}.get(case, f"({rows}, 3)")
     assert want in trailer["error"]["message"]
     assert not (tmp_path / "clusters.csv").exists() and not (tmp_path / "snapshot.hsrc").exists()
 

@@ -124,7 +124,7 @@ def test_additive_index_rows():
         assert np.array_equal(index.vectors[item], expected)
     # The index holds the full layout's item rows, bit for bit.
     assert _bits(index.vectors) == _bits(full[5:])
-    assert (index.n_text, index.n_total) == (5, 17)
+    assert (index.n_text, index.vectors.shape[0]) == (5, 12)
 
 
 def test_additive_index_is_one_read_only_copy_per_version_and_cluster_map():

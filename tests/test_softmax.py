@@ -18,7 +18,7 @@ from helpers import (
 )
 from hsrec.cluster import ClusterMap
 from hsrec.evaluate import rank_rows
-from hsrec.inference import topk_structure
+from hsrec.inference import ann_item_scores, build_additive_index, topk_structure
 from hsrec.softmax import (
     CostCounter,
     _logsumexp,
@@ -198,16 +198,24 @@ def test_item_scorers_equal_per_token_oracle(dtype):
 
 
 def test_equal_item_rows_score_equal():
-    # Zero raw rows: every projected row is exactly the head bias, 64 wide.
-    tables, cmap, rng = random_model(5, 60, 64, 4, 3, seed=6)
-    with tables.writing() as arrays:
-        arrays["item_raw"][:] = 0.0
-    for q in rng.standard_normal((24, 64)):
-        scores = score_all(q, tables, cmap)
-        ranked = item_rank_scores(q, tables, cmap)
-        for c in range(cmap.n_item_clusters):
-            assert np.unique(scores[tables.n_text + cmap.item_members(c)]).size == 1
-            assert np.unique(ranked[cmap.item_members(c)]).size == 1
+    # Zero raw rows: every projected row is exactly the head bias, 64 wide,
+    # and every ANN index row of a cluster is the bias plus its centroid.  A
+    # GEMV rounds the rows past the last whole block of four apart from the
+    # others, so only item counts that are not a multiple of four catch one.
+    for n_items, n_clusters in ((60, 3), (18, 1), (37, 4), (61, 6)):
+        tables, cmap, rng = random_model(5, n_items, 64, 4, n_clusters, seed=6)
+        with tables.writing() as arrays:
+            arrays["item_raw"][:] = 0.0
+        index = build_additive_index(tables, cmap)
+        for q in rng.standard_normal((24, 64)):
+            scores = score_all(q, tables, cmap)
+            ranked = item_rank_scores(q, tables, cmap)
+            ann = ann_item_scores(q, index, tables)
+            for c in range(cmap.n_item_clusters):
+                members = cmap.item_members(c)
+                assert np.unique(scores[tables.n_text + members]).size == 1, (n_items, n_clusters)
+                assert np.unique(ranked[members]).size == 1, (n_items, n_clusters)
+                assert np.unique(ann[members]).size == 1, (n_items, n_clusters)
 
 
 def _fresh(tables):

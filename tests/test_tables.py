@@ -82,7 +82,7 @@ def test_init_tables_seeded_and_scaled():
     assert np.array_equal(t1.item_raw.data, t2.item_raw.data)
     bound = 1.0 / np.sqrt(16)
     assert np.abs(t1.item_raw.data).max() <= bound
-    assert t1.text.precision == "f32"
+    assert t1.text.data.dtype == np.float32
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

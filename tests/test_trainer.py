@@ -8,7 +8,7 @@ from helpers import synth_dataset, touched_item_rows
 from hsrec.catalog import build_dataset, ingest_jsonl
 from hsrec.encoder import encode
 from hsrec.evaluate import EVAL_BLOCK, popularity_baseline
-from hsrec.exceptions import DataError, TrainingDivergedError
+from hsrec.exceptions import DataError, NotFittedError, TrainingDivergedError
 from hsrec.inference import topk_items
 from hsrec.render import render_example, render_id_only
 from hsrec.softmax import score_all
@@ -95,7 +95,7 @@ def test_price_renders_as_bucket_token(tmp_path):
     for i, record in enumerate(interactions.catalog.records):
         record.price = float(1 + i)
     data = build_dataset(interactions, vocab_size=512)
-    assert data.price_buckets is not None
+    assert data.price_edges is not None
     rng = np.random.default_rng(1)
     tokens = render_example(
         data.train_examples[0], data, rng, id_only_fraction=0.0, metadata_keep_prob=1.0
@@ -382,3 +382,11 @@ def test_estimator_parameter_protocol():
     a, b = SequenceRecommender(), SequenceRecommender()
     assert len({a, b, a}) == 2
     assert a == a and a != b
+
+
+def test_unfitted_estimator_raises_not_fitted_error():
+    est = SequenceRecommender()
+    message = "SequenceRecommender is not fitted yet; call fit() first (missing snapshot_, dataset_)"
+    for call in (lambda: est.predict([["a"]]), est.score):
+        with pytest.raises(NotFittedError, match=f"^{re.escape(message)}$"):
+            call()
