@@ -158,10 +158,10 @@ def _reject_text_fields(obj: dict, line_no: int):
 
 
 def _number(value, name: str, line_no: int) -> float:
-    """``value`` as a float; one that does not convert, or is NaN or
-    infinite, is a :class:`DataError` naming the line."""
+    """``value`` as a float; a boolean, one that does not convert, or one
+    that is NaN or infinite is a :class:`DataError` naming the line."""
     try:
-        value = float(value)
+        value = float(None if type(value) is bool else value)  # float(True) would be 1.0
     except (TypeError, ValueError):
         raise DataError(f"line {line_no}: {name} is not a number") from None
     except OverflowError:  # an int beyond the float range

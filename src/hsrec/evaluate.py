@@ -6,14 +6,15 @@ rendered ID-only in one call (``render_id_only_batch``) and encoded as one
 ``(B, n_items)`` float64 score matrix, and ``rank_rows`` (one tie-break,
 history exclusion and finiteness check for all engines) gives every held-out
 target's 1-based rank.
-``full`` and ``structure`` both rank by ``item_rank_scores``.  Under the
-two-level softmax log P(i | H) = logit_c(i) - log Z + log P(i | c(i), H),
-and log Z is one constant per user, so an item's rank score is
-``logit_c + log P(i | c, H)``: one GEMM against the centroids, one against
-the cluster-ordered item rows and one segmented log-softmax, at
-``O((C + |I|) d)`` per user whatever the text vocabulary's size.  In
-full-softmax mode the rank score is the item's logit.  No text row is read,
-exact ties stay exact, and the two engines' ranks are one and the same.
+``full`` and ``structure`` both rank by ``item_rank_scores``, in cluster
+order from the GEMM to the rank.  Under the two-level softmax log P(i | H) =
+logit_c(i) - log Z + log P(i | c(i), H), and log Z is one constant per user,
+so an item's rank score is ``logit_c + log P(i | c, H)``: one GEMM against
+the centroids, one against the cluster-ordered item rows and one folded
+offset per cluster, at ``O((C + |I|) d)`` per user whatever the text
+vocabulary's size.  In full-softmax mode the rank score is the item's logit.
+No text row is read, exact ties stay exact, and the two engines' ranks are
+one and the same; ties are resolved per tied row.
 ``structure`` names the two-level exact engine and requires a two-level
 snapshot.  ``ann`` is one GEMM against the additive index's item rows.
 Recall@K and NDCG@10 truncate at K; MRR uses the unbounded full-catalog
@@ -28,12 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Dataset, SequenceExample
+from .cluster import ClusterMap
 from .encoder import encode_batch
 from .exceptions import TrainingDivergedError
 from .inference import ann_item_scores, build_additive_index
 from .render import render_id_only_batch
 from .snapshot import ModelSnapshot
-from .softmax import item_rank_scores
+from .softmax import _cluster_rank_scores
 
 # Not called here; perfbench/spans.py looks these names up on this module.
 from .encoder import encode  # noqa: F401
@@ -76,43 +78,48 @@ def metrics_from_ranks(ranks, ks=(1, 10)) -> MetricReport:
     return MetricReport(n_users=int(ranks.size), recall=recall, ndcg10=ndcg10, mrr=mrr)
 
 
-def rank_rows(item_scores: np.ndarray, target_items, exclude=None) -> np.ndarray:
+def rank_rows(item_scores: np.ndarray, target_items, exclude=None, cluster_map: ClusterMap | None = None) -> np.ndarray:
     """1-based rank of each row's target among that row's item scores.
 
-    ``item_scores`` is ``(B, n_items)``; ties are broken by ascending item
+    ``item_scores`` is ``(B, n_items)``, columns in item order, or in
+    ``cluster_map.item_order`` if given; ties are broken by ascending item
     index.  ``exclude[r]``, if given, lists items dropped from row ``r``'s
-    ranking; a row's own target is never dropped.  A non-finite target score
-    raises :class:`TrainingDivergedError`: no score compares greater than NaN,
-    so a diverged model would otherwise rank first.
+    ranking, set to ``-inf`` in ``item_scores`` itself; a row's own target is
+    never dropped.  A non-finite target score raises
+    :class:`TrainingDivergedError`: no score compares greater than NaN, so a
+    diverged model would otherwise rank first.
     """
     scores = np.asarray(item_scores)
     targets = np.asarray(target_items, dtype=np.int64)
+    position = np.arange(scores.shape[1]) if cluster_map is None else cluster_map.item_position
+    order = position if cluster_map is None else cluster_map.item_order
     if exclude is not None:
-        scores = scores.copy()
         for row, (items, target) in enumerate(zip(exclude, targets.tolist())):
-            scores[row, [i for i in items if i != target]] = -np.inf
-    s_t = scores[np.arange(targets.size), targets]
+            scores[row, position[[i for i in items if i != target]]] = -np.inf
+    s_t = scores[np.arange(targets.size), position[targets]]
     diverged = np.flatnonzero(~np.isfinite(s_t))
     if diverged.size:
         row = diverged[0]
         raise TrainingDivergedError(f"target item {targets[row]} scored {s_t[row]}; the model has diverged")
     s_t = s_t[:, None]
-    higher = np.count_nonzero(scores > s_t, axis=1)
-    before = np.arange(scores.shape[1]) < targets[:, None]
-    tied_before = np.count_nonzero((scores == s_t) & before, axis=1)
-    return higher + tied_before + 1
+    ranks = np.count_nonzero(scores > s_t, axis=1) + 1
+    for row in np.flatnonzero(np.count_nonzero(scores == s_t, axis=1) > 1):
+        tied = np.flatnonzero(scores[row] == s_t[row])
+        ranks[row] += np.count_nonzero(order[tied] < targets[row])
+    return ranks
 
 
 def item_score_blocks(snapshot: ModelSnapshot, data: Dataset, examples: list[SequenceExample], engine: str):
-    """Yield ``(block, scores)`` per ``EVAL_BLOCK`` examples: their histories
-    rendered ID-only and encoded as one query block, and the C-ordered
-    ``(B, n_items)`` float64 item scores of ``engine``.
+    """Yield ``(block, scores, cluster_map)`` per ``EVAL_BLOCK`` examples:
+    their histories rendered ID-only and encoded as one query block, and the
+    fresh C-ordered ``(B, n_items)`` float64 item scores of ``engine``.
 
     Engines ``full`` and ``structure`` give every item's rank score under the
-    snapshot's own softmax mode (``item_rank_scores``): its exact
+    snapshot's own softmax mode, in ``cluster_map.item_order``: its exact
     log-probability plus the row's log Z, so the scores rank items as their
-    log-probabilities do.  ``ann`` gives the additive index's inner
-    products.  ``structure`` and ``ann`` require a two-level snapshot.
+    log-probabilities do.  ``ann`` gives the additive index's inner products
+    in item order, with ``cluster_map`` None.  ``structure`` and ``ann``
+    require a two-level snapshot.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
@@ -128,9 +135,9 @@ def item_score_blocks(snapshot: ModelSnapshot, data: Dataset, examples: list[Seq
         ordinals, lengths = render_id_only_batch(data, [e.history for e in block])
         queries, _ = encode_batch(ordinals, lengths, tables, snapshot.encoder)
         if engine == "ann":
-            yield block, ann_item_scores(queries, index, tables)
+            yield block, ann_item_scores(queries, index, tables), None
         else:
-            yield block, item_rank_scores(queries, tables, cmap, mode)
+            yield block, _cluster_rank_scores(queries, tables, cmap, mode), cmap
 
 
 def target_ranks(
@@ -145,9 +152,9 @@ def target_ranks(
     if examples is None:
         examples = data.test_examples
     ranks: list[int] = []
-    for block, scores in item_score_blocks(snapshot, data, examples, engine):
+    for block, scores, cmap in item_score_blocks(snapshot, data, examples, engine):
         exclude = [e.history for e in block] if exclude_history else None
-        ranks.extend(rank_rows(scores, [e.target for e in block], exclude).tolist())
+        ranks.extend(rank_rows(scores, [e.target for e in block], exclude, cmap).tolist())
     return np.asarray(ranks, dtype=np.int64)
 
 

@@ -26,12 +26,12 @@ vector of item scores goes to one selection.  ``topk_items`` scores every
 item's rank score (``structure``: ``softmax.item_rank_scores``, its exact
 log-probability plus the query's log Z, which orders the items alike, from
 one row product against the cluster-ordered item rows, one against the
-centroids and one segmented log-softmax) or its ANN index row (``ann``, one
-row product).  No text row is read; ``softmax.log_partition`` gives the log
-Z that turns a rank score into a log-probability.  Blocks of users
-(evaluation, ``SequenceRecommender.predict``) are ranked the same way a
-block at a time: ``item_rank_scores`` scores a ``(B, d)`` query block with
-one GEMM, and ``ann_item_scores`` takes a query block as one GEMM.
+centroids and one folded offset per cluster) or its ANN index row (``ann``,
+one row product).  No text row is read; ``softmax.log_partition`` gives the
+log Z that turns a rank score into a log-probability.  Blocks of users
+(evaluation, ``SequenceRecommender.predict``) are scored a block at a time,
+one GEMM each: rank scores in cluster order, which evaluation ranks as they
+are and ``predict`` gathers to item order, and ANN scores in item order.
 The pruned search serves ``topk_structure`` alone, the token-level top-k
 over text and items; each cluster it expands is one slice of the same
 cluster-ordered rows, scored bitwise as ``score_all`` scores it.

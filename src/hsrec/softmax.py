@@ -36,18 +36,18 @@ and :func:`member_log_conditionals` one product over a single cluster's
 slice; both normalize with one segmented log-softmax over the cluster
 offsets (:func:`_segment_log_softmax`), with no loop over clusters.
 Evaluation, ``predict`` and ``topk_items`` rank items by
-:func:`item_rank_scores`: the same segmented log-softmax, plus the item
-cluster logits ``logit_c`` rather than log P(c | H), over one
-``(B, n_items)`` GEMM for a query block or one row product for a single
-query.  They differ by log Z, one constant per query, so they rank items as
-log-probabilities do while reading no text row: ``O((C + |I|) d)`` per
-query whatever ``|V|`` is.  :func:`log_partition` gives log Z, which turns a
-rank score back into a log-probability; :func:`score_all` returns
-log-probabilities, for which it reads the text rows.  The single-query
-item products are ``einsum`` loops, which compute a row the same way wherever
-it sits, so one cluster scored alone gets bitwise the scores it gets among
-all of them.  :func:`two_level_logprob` keeps the per-token arithmetic
-as an independent oracle.
+:func:`_cluster_rank_scores` (gathered to item order: :func:`item_rank_scores`),
+log P(i | c, H) plus ``logit_c`` rather than log P(c | H), folded per
+cluster into one offset, over one ``(B, n_items)`` GEMM for a query block or
+one row product for a single query.  They differ by log Z, one constant per
+query, so they rank items as log-probabilities do while reading no text row:
+``O((C + |I|) d)`` per query whatever ``|V|`` is.  :func:`log_partition`
+gives log Z, which turns a rank score back into a log-probability;
+:func:`score_all` returns log-probabilities, for which it reads the text
+rows.  The single-query item products are ``einsum`` loops, which compute a
+row the same way wherever it sits, so one cluster scored alone gets bitwise
+the scores it gets among all of them.  :func:`two_level_logprob` keeps the
+per-token arithmetic as an independent oracle.
 
 A :class:`CostCounter` tallies d-dimensional dot products so the cost claims
 are measurable rather than asserted.
@@ -210,25 +210,16 @@ def member_log_conditionals(
     return cluster_map.item_order[lo:hi], _segment_log_softmax(logits, _ONE_SEGMENT, hi - lo)
 
 
-def item_rank_scores(
-    queries,
-    tables: ModelTables,
-    cluster_map: ClusterMap,
-    mode: str = "twolevel",
-) -> np.ndarray:
-    """Item rank scores, in item order: ``(B, n_items)``, C-ordered, for
-    ``(B, d)`` queries, or ``(n_items,)`` for one ``(d,)`` query.  A query's
-    scores are its exact item log-probabilities plus its log Z
-    (:func:`log_partition`), a constant that changes no item's rank.
+def _cluster_rank_scores(queries, tables: ModelTables, cluster_map: ClusterMap, mode: str) -> np.ndarray:
+    """:func:`item_rank_scores` in cluster order: column ``j`` is item
+    ``cluster_map.item_order[j]``.
 
     Two-level mode scores an item as ``logit_c + log P(i | c, H)``: the
     centroid logits (the centroid table cast to float64, the values
-    ``first_level_rows()`` holds, without building that copy), the item
-    logits against the cluster-ordered item rows and
-    :func:`_item_log_probs`'s segmented log-softmax and gather.  Full mode
-    scores an item by its logit ``q . p_i``, from the same cluster-ordered
-    rows.  No text row is read, so a query costs ``O((C + |I|) d)`` whatever
-    ``|V|`` is; ``np.take`` gathers the scores to item order.
+    ``first_level_rows()`` holds, without building that copy) and the item
+    logits ``L`` against the cluster-ordered item rows, with one offset per
+    cluster, ``logit_c - log sum_c exp(L - m_c)``, added to ``L - m_c``.
+    Full mode scores an item by its logit ``q . p_i``.
 
     A block takes two GEMMs.  A single query takes :func:`score_all`'s
     products: the ``einsum`` row product over the item rows, so that equal
@@ -242,9 +233,27 @@ def item_rank_scores(
     rows = tables.item_rows_by_cluster(cluster_map)
     scores = np.einsum("ij,j->i", rows, q) if single else q @ rows.T
     if mode == "full":
-        return np.take(scores, cluster_map.item_position, axis=-1)
+        return scores
+    starts, sizes = cluster_map.offsets[:-1], cluster_map.cluster_sizes()
+    scores -= np.repeat(np.maximum.reduceat(scores, starts, axis=-1), sizes, axis=-1)
     centroids = tables.centroids.data.astype(np.float64, copy=False)
-    return _item_log_probs(scores, centroids @ q if single else q @ centroids.T, cluster_map)
+    offset = centroids @ q if single else q @ centroids.T
+    offset -= np.log(np.add.reduceat(np.exp(scores), starts, axis=-1))
+    scores += np.repeat(offset, sizes, axis=-1)
+    return scores
+
+
+def item_rank_scores(
+    queries,
+    tables: ModelTables,
+    cluster_map: ClusterMap,
+    mode: str = "twolevel",
+) -> np.ndarray:
+    """:func:`_cluster_rank_scores` gathered to item order: ``(B, n_items)``,
+    C-ordered, for ``(B, d)`` queries, or ``(n_items,)`` for one ``(d,)``
+    query.  A query's scores are its exact item log-probabilities plus its
+    log Z (:func:`log_partition`), a constant that changes no item's rank."""
+    return np.take(_cluster_rank_scores(queries, tables, cluster_map, mode), cluster_map.item_position, axis=-1)
 
 
 def log_partition(query, tables: ModelTables) -> float:

@@ -359,7 +359,7 @@ class SequenceRecommender:
         (``item_score_blocks``), ``EVAL_BLOCK`` histories at a time: every
         item's rank score under the fitted snapshot's softmax mode, its exact
         log-probability plus the history's log Z, so no text row is read.
-        Each row's top k breaks ties by ascending item index.
+        Each row's top k, in item order, breaks ties by ascending item index.
         """
         snapshot, data = self._fitted()
         if k < 1:
@@ -374,7 +374,8 @@ class SequenceRecommender:
                 raise DataError(f"unknown item id {exc.args[0]!r}") from exc
             examples.append(SequenceExample(user="query", history=indices, target=indices[-1]))
         out = []
-        for _, scores in item_score_blocks(snapshot, data, examples, "full"):
+        for _, scores, cmap in item_score_blocks(snapshot, data, examples, "full"):
+            scores = np.take(scores, cmap.item_position, axis=1)
             out.extend([snapshot.item_ids[int(i)] for i in _rank_topk(row, k).ordinals] for row in scores)
         return out
 

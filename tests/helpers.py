@@ -53,6 +53,8 @@ def ingest_loop(path) -> Interactions:
 
     def number(value, name, line_no):
         try:
+            if isinstance(value, bool):
+                raise TypeError
             value = float(value)
         except (TypeError, ValueError):
             raise DataError(f"line {line_no}: {name} is not a number") from None

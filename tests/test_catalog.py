@@ -462,6 +462,9 @@ BAD_LINES = {
     "null_timestamp": (_event("u", "a", None), "timestamp is not a number"),
     "bad_price": (_event("u", "a", 1, price="cheap"), "price is not a number"),
     "list_price": (_event("u", "a", 1, price=[1]), "price is not a number"),
+    # Before, float() read these as 1.0 and 0.0.
+    "boolean_timestamp": (_event("u", "a", True), "timestamp is not a number"),
+    "boolean_price": (_event("u", "a", 1, price=False), "price is not a number"),
     # Valid joined with "]\n,[" as one array of two one-object rows, but not line by line.
     "crafted_pair": ('{"x":1}],[{"y":[[1\n2]]}', "malformed JSON (Extra data)"),
     "too_many_digits": (GOOD_LINE.replace("1}", "1" * 5000 + "}"), "malformed JSON (Exceeds the limit"),

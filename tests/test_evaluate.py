@@ -356,6 +356,8 @@ def test_rank_rows_equals_pairwise_count():
     for row, target, dropped in zip(scores, targets.tolist(), exclude):
         kept = [j for j in range(12) if j == target or j not in dropped]
         want.append(1 + sum(row[j] > row[target] or (row[j] == row[target] and j < target) for j in kept))
+    cmap = ClusterMap(3, [2, 0, 1, 0, 2, 1, 1, 0, 2, 0, 1, 2], 3)  # columns are not in item order
+    assert rank_rows(scores[:, cmap.item_order], targets, exclude, cmap).tolist() == want
     assert rank_rows(scores, targets, exclude).tolist() == want
     bad = scores.copy()
     bad[3, targets[3]] = np.nan
@@ -408,9 +410,10 @@ def test_item_score_blocks_are_c_ordered_float64(fitted, monkeypatch):
     monkeypatch.setattr(evaluate_module, "EVAL_BLOCK", 16)  # full blocks and a partial one
     n_items = snapshot.tables.n_items
     for engine in _engines(snapshot):
-        for block, scores in item_score_blocks(snapshot, data, data.test_examples, engine):
+        for block, scores, cmap in item_score_blocks(snapshot, data, data.test_examples, engine):
             assert scores.dtype == np.float64 and scores.shape == (len(block), n_items), engine
             assert scores.flags.c_contiguous, engine
+            assert cmap is (None if engine == "ann" else snapshot.cluster_map), engine
 
 
 @pytest.mark.parametrize("mode", ["twolevel", "full"])
@@ -440,3 +443,61 @@ def test_cross_cluster_ties_break_by_item_index(mode):
         for lo, hi in ((0, 1), (2, 3), (4, 5)):
             assert row[lo] == row[hi] and ranks[hi] == ranks[lo] + 1, (lo, hi)
 
+
+# Columns hold items 1 3 6 | 0 4 7 | 2 5: item clusters 0, 1 and 2.
+COLUMNS = ClusterMap(2, [1, 0, 2, 0, 1, 2, 0, 1], 3)
+TIES = [2.0, 2.0, 1.0, 2.0, 0.0, 3.0, 2.0, -np.inf]  # items 0, 1, 3 and 6 tie, across clusters 0 and 1
+# (item-order scores, target item, excluded items, rank): hand-counted.
+CLUSTER_ORDER_CASES = [
+    (TIES, 3, [], 4),  # tied partners 0 (later column) and 1 (earlier column) rank before it
+    (TIES, 0, [], 2),  # its tied partners 1, 3 and 6 all sit at earlier columns
+    (TIES, 6, [], 5),
+    (TIES, 3, [5, 1], 2),  # drops the higher item and a tied one
+    (TIES, 6, [0, 3], 3),  # drops two tied items; column 3 holds item 0
+    (TIES, 3, [5], 3),  # column 5 holds item 7, already -inf
+    (TIES, 4, [7], 7),  # no tie but its own
+    ([0.0] * 8, 5, [], 6),  # one tie across the whole row; item 5 sits in the last column
+    ([0.0] * 8, 1, [2, 5], 2),
+    ([-np.inf, 1.0, -np.inf, 1.0, -np.inf, -np.inf, 0.0, -np.inf], 6, [], 3),  # -inf never ties a finite target
+    ([-np.inf, 1.0, -np.inf, 1.0, -np.inf, -np.inf, 0.0, -np.inf], 3, [0], 2),
+]
+
+
+def test_cluster_ordered_rank_equals_item_order_rank():
+    scores, targets, exclude, want = (list(x) for x in zip(*CLUSTER_ORDER_CASES))
+    item_order = np.array(scores)
+    by_cluster = item_order[:, COLUMNS.item_order]
+    assert rank_rows(item_order.copy(), targets, exclude).tolist() == want
+    assert rank_rows(by_cluster.copy(), targets, exclude, COLUMNS).tolist() == want
+    assert rank_rows(by_cluster, targets, None, COLUMNS).tolist() == rank_rows(item_order, targets).tolist()
+    # Exclusions overwrite the caller's block in place, at the dropped items' columns.
+    rank_rows(by_cluster, targets, exclude, COLUMNS)
+    for row, (dropped, target) in enumerate(zip(exclude, targets)):
+        gone = [i for i in dropped if i != target]
+        assert np.all(by_cluster[row, COLUMNS.item_position[gone]] == -np.inf), row
+    for target in (7, 2):  # -inf, then NaN
+        block = by_cluster[:1].copy()
+        block[0, COLUMNS.item_position[2]] = np.nan
+        with pytest.raises(TrainingDivergedError, match="diverged"):
+            rank_rows(block, [target], None, COLUMNS)
+
+
+@pytest.mark.parametrize("model", ["fitted", "tied"])
+def test_cluster_ordered_blocks_rank_as_their_item_order(fitted, model, monkeypatch):
+    # Each full and structure block is ranked in cluster order; taken back to
+    # item order, it must rank alike, and ann blocks come in item order.
+    # The tied model's item rows are zero: in full mode every item ties.
+    snapshot, data = fitted.snapshot_, fitted.dataset_
+    if model == "tied":
+        snapshot = _tied(snapshot)
+    monkeypatch.setattr(evaluate_module, "EVAL_BLOCK", 16)
+    examples = data.test_examples
+    for engine in _engines(snapshot):
+        for block, scores, cmap in item_score_blocks(snapshot, data, examples, engine):
+            targets = [e.target for e in block]
+            exclude = [e.history for e in block]
+            in_items = scores if cmap is None else np.take(scores, cmap.item_position, axis=1)
+            want = rank_rows(in_items.copy(), targets, exclude).tolist()
+            assert rank_rows(scores, targets, exclude, cmap).tolist() == want, engine
+        if model == "tied" and snapshot.softmax_mode == "full":
+            assert target_ranks(snapshot, data, engine, examples).tolist() == [e.target + 1 for e in examples]

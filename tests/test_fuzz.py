@@ -11,7 +11,8 @@ error.  The argv is always valid, so whatever the mutation:
   a usage error (1);
 - a non-zero exit prints the JSON trailer last on stderr, with the type of
   its code, and leaves no out-dir;
-- an ``ingest`` that exits 0 writes finite statistics.
+- an ``ingest`` that exits 0 writes finite statistics;
+- an ``eval`` that exits 0 writes metrics that are finite and in [0, 1].
 
 A failure names the seed and the mutations, which reproduce it.  Grounding:
 Miller, Fredriksen & So 1990, "An empirical study of the reliability of UNIX
@@ -166,6 +167,34 @@ def test_mutated_corpora_exit_as_data_or_succeed(tmp_path, capsys, seeds):
             stats = json.loads((out / "stats.json").read_text())
             assert all(math.isfinite(v) for v in stats.values()), label
         run_case(["cluster", "--data", corpus, "--clusters", "kmeans"], tmp_path / f"{seed}-cluster", capsys, label)
+
+
+@pytest.fixture(scope="module")
+def snapshot_path(tmp_path_factory):
+    """A snapshot trained once on the valid corpus, for ``eval`` to read
+    against mutated ones."""
+    root = tmp_path_factory.mktemp("fuzz-model")
+    corpus = root / "corpus.jsonl"
+    corpus.write_text("\n".join(map(_render, _valid_lines())) + "\n", encoding="utf-8")
+    argv = ["train", "--data", corpus, "--steps", 3, "--dim", 8, "--item-dim", 8, "--eval-every", 0, "--out-dir", root / "m"]
+    assert main([str(a) for a in argv]) == 0
+    return root / "m" / "snapshot.hsrc"
+
+
+def test_mutated_corpora_eval_as_data_or_give_finite_metrics(tmp_path, capsys, snapshot_path):
+    # A corpus that still matches the snapshot is ranked by every engine,
+    # with history exclusion on odd seeds.  About one corpus in eleven does.
+    for seed in range(400):
+        blob, done = mutate_corpus(random.Random(seed))
+        corpus = tmp_path / f"{seed}.jsonl"
+        corpus.write_bytes(blob)
+        label = f"seed {seed}: {done}"
+        out = tmp_path / f"{seed}-eval"
+        argv = ["eval", "--data", corpus, "--snapshot", snapshot_path, "--engine", "all", "--exclude-history", seed % 2]
+        if run_case(argv, out, capsys, label) == 0:
+            for row in json.loads((out / "metrics.json").read_text()):
+                metrics = [v for k, v in row.items() if k == "mrr" or k.startswith(("recall@", "ndcg@"))]
+                assert len(metrics) == 4 and all(0.0 <= v <= 1.0 for v in metrics), (label, row)
 
 
 def test_mutated_feature_files_exit_as_data_or_succeed(tmp_path, capsys):
