@@ -39,6 +39,7 @@ from .render import render_id_only
 from .snapshot import load_snapshot, save_snapshot
 from .softmax import MODES
 from .synth import SynthSpec, generate, write_groups_csv, write_jsonl
+from .tokens import MIN_VOCAB_SIZE
 from .trainer import CLUSTERINGS, TrainConfig, build_cluster_map, train
 
 log = logging.getLogger("hsrec")
@@ -84,7 +85,7 @@ _OPTIONS = {
         ("clusters", str, "kmeans", "clustering method", CLUSTERINGS),
         ("n_clusters", int, 0, "item cluster count (0 = ceil(sqrt(n_items)))"),
         ("features", str, "", "optional (n_items, p) .npy feature file for kmeans"),
-        ("vocab_size", int, 8192, "text vocabulary cap"),
+        ("vocab_size", int, 8192, "text vocabulary cap", (), MIN_VOCAB_SIZE),
     ],
     "train": _COMMON
     + [
@@ -101,7 +102,7 @@ _OPTIONS = {
         ("metadata_keep_prob", float, TrainConfig.metadata_keep_prob, "per-field metadata keep probability"),
         ("dim", int, 64, "model embedding dimension"),
         ("item_dim", int, 512, "raw item embedding dimension"),
-        ("vocab_size", int, 8192, "text vocabulary cap"),
+        ("vocab_size", int, 8192, "text vocabulary cap", (), MIN_VOCAB_SIZE),
         ("eval_every", int, TrainConfig.eval_every, "steps between validation evals"),
         ("patience", int, TrainConfig.patience, "validation evals without improvement before stopping"),
         ("val_sample", int, TrainConfig.val_sample, "validation users per eval (0 = all)"),
@@ -114,11 +115,11 @@ _OPTIONS = {
         ("clusters", str, "kmeans", "'all' trains the clustering ablation grid; "
          "otherwise the snapshot's clustering is used", (*CLUSTERINGS, "all")),
         ("k", str, "1,10", "comma-separated recall cutoffs"),
-        ("exclude_history", int, 0, "1 to drop history items from the ranking"),
+        ("exclude_history", int, 0, "1 to drop history items from the ranking", (0, 1)),
         ("steps", int, 500, "training steps per ablation run"),
         ("batch_size", int, TrainConfig.batch_size, "batch size for ablation training"),
         ("learning_rate", float, TrainConfig.learning_rate, "learning rate for ablation training"),
-        ("vocab_size", int, 8192, "text vocabulary cap for ablation training (a snapshot uses its own)"),
+        ("vocab_size", int, 8192, "text vocabulary cap for ablation (a snapshot uses its own)", (), MIN_VOCAB_SIZE),
     ],
     "latency": _COMMON
     + [
@@ -169,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         for dest, typ, _default, help_text, choices, minimum in _spec(command):
             if choices:
-                help_text += f" ({'|'.join(choices)})"
+                help_text += f" ({'|'.join(map(str, choices))})"
             if minimum is not None:
                 help_text += f" (>= {minimum})"
             p.add_argument(_flag(dest), dest=dest, type=typ, default=None, help=help_text)
@@ -177,17 +178,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path: str) -> dict[str, dict[str, str]]:
+    """``{section: {key: value}}``; a byte-order mark before line 1 is skipped,
+    and an unknown or repeated section or key is a DataError naming its line."""
     sections: dict[str, dict[str, str]] = {}
     current = None
     for line_no, raw in enumerate(read_lines(path), start=1):
-        line = raw.strip()
+        line = (raw.removeprefix("\ufeff") if line_no == 1 else raw).strip()
         if not line or line.startswith("#") or line.startswith(";"):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
             if current not in _OPTIONS:
                 raise DataError(f"{path}:{line_no}: unknown config section [{current}]")
-            sections.setdefault(current, {})
+            if current in sections:
+                raise DataError(f"{path}:{line_no}: repeated config section [{current}]")
+            sections[current] = {}
             continue
         if "=" not in line:
             raise DataError(f"{path}:{line_no}: expected key = value")
@@ -197,6 +202,8 @@ def _read_config_file(path: str) -> dict[str, dict[str, str]]:
         known = {dest for dest, *_ in _OPTIONS[current]}
         if key not in known:
             raise DataError(f"{path}:{line_no}: unknown key '{key}' in section [{current}]")
+        if key in sections[current]:
+            raise DataError(f"{path}:{line_no}: repeated key '{key}' in section [{current}]")
         sections[current][key] = value
     return sections
 
@@ -222,7 +229,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         if default is None and value in (None, ""):
             raise UsageError(f"{_flag(dest)} is required")
         if choices and value not in choices:
-            raise UsageError(f"{_flag(dest)} must be one of {'|'.join(choices)}, got {value!r}")
+            raise UsageError(f"{_flag(dest)} must be one of {'|'.join(map(str, choices))}, got {value!r}")
         if minimum is not None and value < minimum:
             raise UsageError(f"{dest} must be at least {minimum}, got {value}")
         resolved[dest] = value

@@ -5,11 +5,11 @@ Three engines:
 * ``topk_exact``      — full enumeration of two-level log-probabilities; the
                         oracle the fast paths are tested against.
 * ``topk_structure``  — exact cluster-pruned search.  Clusters are expanded in
-                        descending P(cluster | H); since that probability upper
-                        bounds every member's joint probability, the search
-                        stops once the current K-th best candidate beats the
-                        next unexpanded cluster.  Output is identical to
-                        ``topk_exact`` including tie-breaks.
+                        descending bound ``fl(logit_c - log Z)``; no member
+                        scores above its cluster's bound, so the search stops
+                        once the current K-th best candidate beats the next
+                        unexpanded cluster.  Output is identical to
+                        ``topk_exact``, scores and tie-breaks included.
 * ``topk_ann``        — maximum-inner-product search over additive rows
                         centroid(cluster(w)) + e_w.  Dropping the per-cluster
                         log-partition term makes this approximate; scores are
@@ -34,7 +34,7 @@ one GEMM each: rank scores in cluster order, which evaluation ranks as they
 are and ``predict`` gathers to item order, and ANN scores in item order.
 The pruned search serves ``topk_structure`` alone, the token-level top-k
 over text and items; each cluster it expands is one slice of the same
-cluster-ordered rows, scored bitwise as ``score_all`` scores it.
+cluster-ordered rows, scored by ``score_all``'s fold, bit for bit.
 
 Selection is array work, never a per-candidate loop.  ``_rank_topk``
 (``topk_items``, ANN, ``topk_exact``, block prediction) partitions the
@@ -57,16 +57,18 @@ import numpy as np
 from .cluster import ClusterMap
 from .exceptions import StaleIndexError
 from .softmax import (
+    _fold,
+    _logsumexp,
     _queries64,
     _query64,
     cluster_logits,
     item_rank_scores,
-    log_softmax,
-    member_log_conditionals,
     score_all,
 )
 from .tables import ModelTables
 from .tokens import TokenSpace
+
+_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -141,13 +143,20 @@ def topk_exact(query, k: int, tables: ModelTables, cluster_map: ClusterMap) -> T
 def topk_structure(query, k: int, tables: ModelTables, cluster_map: ClusterMap):
     """Exact top-k via best-first cluster expansion with bound-based pruning.
 
-    Returns ``(TopK, SearchStats)``.  A text singleton scores its own log
-    P(cluster | H), so the search starts holding the best k text tokens and
-    expands item clusters alone, in descending P(cluster | H).  That
-    probability upper bounds every member's, so the search stops at the first
-    cluster strictly below the held k-th score; the strict comparison keeps
-    exact float ties expanding, preserving the ordinal tie-break of the oracle.
-    An expanded cluster adds nothing if its best member is below the k-th
+    Returns ``(TopK, SearchStats)``.  With first-level logits ``cl`` and log Z
+    their logsumexp, a cluster's bound is ``fl(cl_c - log Z)``, a text
+    singleton's own score, so the search starts holding the best k text
+    tokens and expands item clusters alone, in descending bound.  An expanded
+    cluster is its ``einsum`` slice of the cluster-ordered item rows, folded
+    (``softmax._fold``) with ``cl_c`` as one segment, minus log Z: the rows,
+    per-segment ``reduceat``, ``cl`` and log Z that ``score_all`` reads, so
+    every score is bitwise ``score_all``'s.  The bound is sound in floating
+    point: a cluster's best member shifts to exactly 0, so its sum is at
+    least 1 and its log at least 0, no member folds above ``cl_c``, and
+    subtracting log Z is monotone.  So the search stops at the first cluster
+    strictly below the held k-th score; the strict comparison keeps exact
+    float ties expanding, preserving the ordinal tie-break of the oracle.  An
+    expanded cluster adds nothing if its best member is below the k-th
     score, and otherwise its members at or above it are ``lexsort``-ed into
     the held k.
 
@@ -160,19 +169,23 @@ def topk_structure(query, k: int, tables: ModelTables, cluster_map: ClusterMap):
         raise ValueError(f"k must be >= 1, got {k}")
     q = _query64(query)
     n_text = tables.n_text
-    cl = log_softmax(cluster_logits(q, tables))
-    best = _rank_topk(cl[:n_text], k)
+    cl = cluster_logits(q, tables)
+    log_z = _logsumexp(cl)
+    bounds = cl - log_z
+    best = _rank_topk(bounds[:n_text], k)
     best_scores, best_ordinals = best.scores, best.ordinals
     tokens_scored = cluster_map.n_clusters
-    item_cl = cl[n_text:]
-    for cluster in (-item_cl).argsort(kind="stable"):
-        bound = item_cl[cluster]
+    rows, item_order, offsets = tables.item_rows_by_cluster(cluster_map), cluster_map.item_order, cluster_map.offsets
+    item_bounds = bounds[n_text:]
+    for cluster in (-item_bounds).argsort(kind="stable"):
         kth = best_scores[-1] if best_scores.size == k else None
-        if kth is not None and kth > bound:
+        if kth is not None and kth > item_bounds[cluster]:
             break
-        members, log_cond = member_log_conditionals(q, tables, cluster_map, int(cluster))
+        lo, hi = offsets[cluster : cluster + 2]
+        scores = _fold(np.einsum("ij,j->i", rows[lo:hi], q), cl[n_text + cluster], _ONE_SEGMENT, hi - lo)
+        scores -= log_z
+        members = item_order[lo:hi]
         tokens_scored += members.size
-        scores = bound + log_cond
         if kth is not None:
             if scores.max() < kth:
                 continue
@@ -183,10 +196,10 @@ def topk_structure(query, k: int, tables: ModelTables, cluster_map: ClusterMap):
         order = np.lexsort((ordinals, -scores))[:k]
         best_scores, best_ordinals = scores[order], ordinals[order]
 
-    # ``cl < s`` is false for a NaN ``s`` (and for an all-NaN ``cl``).
-    pruned = cl[cl < best_scores[-1]] if best_scores.size == k else cl[:0]
+    # ``bounds < s`` is false for a NaN ``s`` (and for all-NaN bounds).
+    pruned = bounds[bounds < best_scores[-1]] if best_scores.size == k else bounds[:0]
     stats = SearchStats(
-        clusters_expanded=cl.size - pruned.size,
+        clusters_expanded=bounds.size - pruned.size,
         tokens_scored=tokens_scored,
         clusters_pruned=pruned.size,
         max_pruned_logprob=float(pruned.max()) if pruned.size else None,
@@ -327,11 +340,11 @@ def topk_items(
 
     ``structure`` scores every item by its two-level rank score
     (``item_rank_scores``): each item's log-probability plus the query's
-    log Z, read from no text row.  Subtract ``log_partition(query, tables)``
-    for log-probabilities.  Its ordinals equal
-    ``filter_items(topk_exact(query, n_total, ...))`` truncated to k, but
-    for two items whose log-probabilities lie within one rounding of each
-    other, which may order differently.
+    log Z, read from no text row.  Subtracting ``log_partition(query,
+    tables)`` gives log-probabilities, a monotone rounding, so its ordinals
+    equal ``filter_items(topk_exact(query, n_total, ...))`` truncated to k
+    but where two rank scores round to one log-probability, a tie
+    ``topk_exact`` breaks by ordinal.
     ``ann`` scores the item rows of the additive ``index``
     (``build_additive_index``, built once per table version).  Both
     then select the k best with ``_rank_topk``.

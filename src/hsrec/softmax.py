@@ -31,23 +31,21 @@ the oracle whose summed losses, gradients and dot count this step must equal.
 
 Exact item scoring reads one cluster-ordered float64 copy of the projected
 item rows (``ModelTables.item_rows_by_cluster``), where each item cluster's
-members are one slice.  :func:`score_all` takes one row product for a query
-and :func:`member_log_conditionals` one product over a single cluster's
-slice; both normalize with one segmented log-softmax over the cluster
-offsets (:func:`_segment_log_softmax`), with no loop over clusters.
-Evaluation, ``predict`` and ``topk_items`` rank items by
-:func:`_cluster_rank_scores` (gathered to item order: :func:`item_rank_scores`),
-log P(i | c, H) plus ``logit_c`` rather than log P(c | H), folded per
-cluster into one offset, over one ``(B, n_items)`` GEMM for a query block or
-one row product for a single query.  They differ by log Z, one constant per
-query, so they rank items as log-probabilities do while reading no text row:
-``O((C + |I|) d)`` per query whatever ``|V|`` is.  :func:`log_partition`
-gives log Z, which turns a rank score back into a log-probability;
-:func:`score_all` returns log-probabilities, for which it reads the text
-rows.  The single-query item products are ``einsum`` loops, which compute a
-row the same way wherever it sits, so one cluster scored alone gets bitwise
-the scores it gets among all of them.  :func:`two_level_logprob` keeps the
-per-token arithmetic as an independent oracle.
+members are one slice, and normalizes it one way, with no loop over
+clusters: :func:`_fold` adds each cluster's offset ``logit_c - log sum_c
+exp(L - m_c)`` to its max-shifted item logits ``L - m_c``, which scores an
+item ``logit_c + log P(i | c, H)``, its log-probability plus log Z.
+Evaluation, ``predict`` and ``topk_items`` rank items by these scores
+(:func:`_cluster_rank_scores`, in item order :func:`item_rank_scores`) over
+one ``(B, n_items)`` GEMM for a query block or one row product for a single
+query: log Z is one constant per query, so they rank items as
+log-probabilities do while reading no text row, ``O((C + |I|) d)`` per query
+whatever ``|V|`` is.  :func:`log_partition` gives log Z; :func:`score_all`
+and the pruned search (``topk_structure``) subtract it from the folds and
+the text logits.  Single-query item products are ``einsum`` loops, which
+compute a row the same way wherever it sits, so one cluster folded alone
+gets bitwise the scores it gets among all.  :func:`two_level_logprob` keeps
+the per-token arithmetic as an independent oracle.
 
 A :class:`CostCounter` tallies d-dimensional dot products so the cost claims
 are measurable rather than asserted.
@@ -64,7 +62,6 @@ from .cluster import ClusterMap
 from .tables import GradBuffer, ModelTables
 
 MODES = ("full", "twolevel")
-_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
 
 
 @dataclass
@@ -162,64 +159,34 @@ def two_level_logprob(
     return float(cl[cluster_id] + member_logits[pos] - _logsumexp(member_logits))
 
 
-def _segment_log_softmax(logits: np.ndarray, starts: np.ndarray, sizes) -> np.ndarray:
-    """Log-softmax, in place, of each segment ``starts[i] : starts[i] + sizes[i]``
-    along the last axis of ``logits``; the segments are non-empty and back to
-    back.
+def _fold(scores: np.ndarray, centroid_logits, starts: np.ndarray, sizes) -> np.ndarray:
+    """Rank scores, in place, of cluster-ordered item logits ``scores``: each
+    segment ``starts[i] : starts[i] + sizes[i]`` of the last axis (non-empty,
+    back to back) is one cluster, scored ``L - m_c`` plus the offset
+    ``logit_c - log sum_c exp(L - m_c)``, that is ``logit_c + log P(i | c, H)``.
 
     ``maximum.reduceat``, ``exp``, ``add.reduceat`` and ``log`` compute each
-    segment the same way wherever it sits, so a segment normalized alone
-    equals it normalized among others, bit for bit.  ``add.reduceat`` sums in
-    another order than ``.sum()``, so a one-segment caller must not use
-    :func:`_logsumexp` instead.  An empty segment would read its neighbour's
-    first entry; ``ClusterMap`` rejects empty clusters.
+    segment the same way wherever it sits, so a cluster folded alone equals it
+    folded among others, bit for bit; ``.sum()`` sums in another order, so a
+    one-cluster caller must not use it.  A best member shifts to exactly 0, so
+    the sum is at least 1 and no member folds above ``logit_c``.  An empty
+    segment would read its neighbour's first entry; ``ClusterMap`` rejects
+    empty clusters.
     """
-    m = np.maximum.reduceat(logits, starts, axis=-1)
-    shifted = np.repeat(m, sizes, axis=-1)
-    np.subtract(logits, shifted, out=shifted)
-    np.exp(shifted, out=shifted)
-    log_norm = np.log(np.add.reduceat(shifted, starts, axis=-1))
-    del shifted  # freed before the next (B, n_items) temporary: a block holds two at a time
-    log_norm += m
-    logits -= np.repeat(log_norm, sizes, axis=-1)
-    return logits
-
-
-def _item_log_probs(member_logits: np.ndarray, cluster_lp: np.ndarray, cluster_map: ClusterMap) -> np.ndarray:
-    """Item log-probabilities, in item order, from the cluster-ordered member
-    logits ``(..., n_items)`` (overwritten) and log P(item cluster | H)
-    ``(..., n_item_clusters)``."""
-    sizes = cluster_map.cluster_sizes()
-    log_cond = _segment_log_softmax(member_logits, cluster_map.offsets[:-1], sizes)
-    log_cond += np.repeat(cluster_lp, sizes, axis=-1)
-    return np.take(log_cond, cluster_map.item_position, axis=-1)
-
-
-def member_log_conditionals(
-    query: np.ndarray, tables: ModelTables, cluster_map: ClusterMap, item_cluster: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(member item indices, their log P(item | cluster)) for one item cluster
-    and a float64 ``(d,)`` query.
-
-    Its scores equal :func:`score_all`'s for those members bit for bit, the
-    property the pruned search (``topk_structure``) rests on: both take the
-    same ``einsum`` row product and :func:`_segment_log_softmax`.
-    """
-    lo, hi = cluster_map.offsets[item_cluster : item_cluster + 2]
-    logits = np.einsum("ij,j->i", tables.item_rows_by_cluster(cluster_map)[lo:hi], query)
-    return cluster_map.item_order[lo:hi], _segment_log_softmax(logits, _ONE_SEGMENT, hi - lo)
+    scores -= np.repeat(np.maximum.reduceat(scores, starts, axis=-1), sizes, axis=-1)
+    offset = centroid_logits - np.log(np.add.reduceat(np.exp(scores), starts, axis=-1))
+    scores += np.repeat(offset, sizes, axis=-1)
+    return scores
 
 
 def _cluster_rank_scores(queries, tables: ModelTables, cluster_map: ClusterMap, mode: str) -> np.ndarray:
     """:func:`item_rank_scores` in cluster order: column ``j`` is item
     ``cluster_map.item_order[j]``.
 
-    Two-level mode scores an item as ``logit_c + log P(i | c, H)``: the
-    centroid logits (the centroid table cast to float64, the values
-    ``first_level_rows()`` holds, without building that copy) and the item
-    logits ``L`` against the cluster-ordered item rows, with one offset per
-    cluster, ``logit_c - log sum_c exp(L - m_c)``, added to ``L - m_c``.
-    Full mode scores an item by its logit ``q . p_i``.
+    Two-level mode folds (:func:`_fold`) the item logits against the
+    cluster-ordered item rows with the centroid logits (the centroid table
+    cast to float64, the values ``first_level_rows()`` holds, without
+    building that copy).  Full mode scores an item by its logit ``q . p_i``.
 
     A block takes two GEMMs.  A single query takes :func:`score_all`'s
     products: the ``einsum`` row product over the item rows, so that equal
@@ -234,13 +201,9 @@ def _cluster_rank_scores(queries, tables: ModelTables, cluster_map: ClusterMap, 
     scores = np.einsum("ij,j->i", rows, q) if single else q @ rows.T
     if mode == "full":
         return scores
-    starts, sizes = cluster_map.offsets[:-1], cluster_map.cluster_sizes()
-    scores -= np.repeat(np.maximum.reduceat(scores, starts, axis=-1), sizes, axis=-1)
     centroids = tables.centroids.data.astype(np.float64, copy=False)
-    offset = centroids @ q if single else q @ centroids.T
-    offset -= np.log(np.add.reduceat(np.exp(scores), starts, axis=-1))
-    scores += np.repeat(offset, sizes, axis=-1)
-    return scores
+    centroid_logits = centroids @ q if single else q @ centroids.T
+    return _fold(scores, centroid_logits, cluster_map.offsets[:-1], cluster_map.cluster_sizes())
 
 
 def item_rank_scores(
@@ -272,9 +235,11 @@ def score_all(
 ) -> np.ndarray:
     """Exact log-probability of every token under the chosen mode.
 
-    Enumeration over the whole space.  Two-level mode takes the first-level
-    logits, one ``einsum`` row product against the cluster-ordered item rows
-    and one segmented log-softmax; ``topk_items`` and ``topk_exact`` rank it.
+    Enumeration over the whole space.  Two-level mode folds (:func:`_fold`)
+    one ``einsum`` row product against the cluster-ordered item rows with the
+    first-level logits ``cl`` and subtracts their logsumexp, log Z, from the
+    folds and the text logits once; ``topk_exact`` ranks the result and
+    ``topk_structure`` computes it bit for bit.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -283,13 +248,10 @@ def score_all(
         return log_softmax(full_logits(q, tables))
     if cluster_map is None:
         raise ValueError("two-level scoring requires a cluster map")
-    n_text = tables.n_text
-    cl = log_softmax(cluster_logits(q, tables))
-    logits = np.einsum("ij,j->i", tables.item_rows_by_cluster(cluster_map), q)
-    out = np.empty(tables.n_total, dtype=np.float64)
-    out[:n_text] = cl[:n_text]
-    out[n_text:] = _item_log_probs(logits, cl[n_text:], cluster_map)
-    return out
+    cl = cluster_logits(q, tables)
+    rows, n_text = tables.item_rows_by_cluster(cluster_map), tables.n_text
+    scores = _fold(np.einsum("ij,j->i", rows, q), cl[n_text:], cluster_map.offsets[:-1], cluster_map.cluster_sizes())
+    return np.concatenate((cl[:n_text], scores[cluster_map.item_position])) - _logsumexp(cl)
 
 
 def nll_and_grad(

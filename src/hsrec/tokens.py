@@ -50,6 +50,13 @@ def price_bucket_word(bucket: int) -> str:
     return f"<price:q{bucket}>"
 
 
+# Every vocabulary starts with these words, so none is smaller.
+RESERVED_WORDS = tuple(dict.fromkeys([OOV_WORD, ID_MARKER, *FIELD_MARKERS.values(),
+                                      *map(price_bucket_word, range(PRICE_BUCKET_COUNT)),
+                                      *PROMPT_PREFIX_WORDS, *PROMPT_QUESTION_WORDS]))
+MIN_VOCAB_SIZE = len(RESERVED_WORDS)
+
+
 def tokenize_text(text: str) -> list[str]:
     """Whitespace-split, lowercased word tokenization."""
     return text.lower().split()
@@ -90,19 +97,10 @@ class Vocabulary:
     @classmethod
     def from_words(cls, words, max_size: int = 8192) -> "Vocabulary":
         """Build the vocabulary from the metadata strings' words (``tokenize_text``)."""
-        specials = [OOV_WORD, ID_MARKER]
-        specials += [m for m in FIELD_MARKERS.values()]
-        specials += [price_bucket_word(b) for b in range(PRICE_BUCKET_COUNT)]
-        for w in PROMPT_PREFIX_WORDS + PROMPT_QUESTION_WORDS:
-            if w not in specials:
-                specials.append(w)
-        if max_size < len(specials):
-            raise ValueError(f"max_size={max_size} cannot hold the {len(specials)} reserved tokens")
-
+        if max_size < MIN_VOCAB_SIZE:
+            raise ValueError(f"vocab_size must be at least {MIN_VOCAB_SIZE}, got {max_size}")
         counts = Counter(words)
-        for w in specials:
+        for w in RESERVED_WORDS:
             counts.pop(w, None)
-
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        budget = max_size - len(specials)
-        return cls(specials + [w for w, _ in ranked[:budget]])
+        return cls([*RESERVED_WORDS, *(w for w, _ in ranked[: max_size - MIN_VOCAB_SIZE])])

@@ -31,15 +31,12 @@ from hsrec.inference import SearchStats, TopK
 from hsrec.softmax import (
     MODES,
     _first_level_rows,
-    _item_log_probs,
     _logsumexp,
     _logsumexp_rows,
     _queries64,
     _query64,
     cluster_logits,
     full_logits,
-    log_softmax,
-    member_log_conditionals,
 )
 from hsrec.tables import EmbeddingTable, GradBuffer, ModelTables, ProjectionHead
 from hsrec.tokens import tokenize_text
@@ -356,7 +353,9 @@ def item_log_probs_batch(queries, tables, cluster_map=None, mode="twolevel"):
     Full mode is one ``(B, n_total)`` GEMM and a row-wise logsumexp.
     Two-level mode is one ``(B, n_clusters)`` GEMM of cluster logits, one
     ``(B, n_items)`` GEMM against the cluster-ordered item rows and one
-    segmented log-softmax.
+    segmented log-softmax, ``L - (m_c + log sum_c exp(L - m_c))``, plus
+    log P(c | H): the per-segment arithmetic of the log-probabilities, not
+    the rank scores' folded offset.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -369,7 +368,12 @@ def item_log_probs_batch(queries, tables, cluster_map=None, mode="twolevel"):
         raise ValueError("two-level scoring requires a cluster map")
     cl = q @ tables.first_level_rows().T
     cl = (cl - _logsumexp_rows(cl)[:, None])[:, n_text:]
-    return _item_log_probs(q @ tables.item_rows_by_cluster(cluster_map).T, cl, cluster_map)
+    logits = q @ tables.item_rows_by_cluster(cluster_map).T
+    starts, sizes = cluster_map.offsets[:-1], cluster_map.cluster_sizes()
+    m = np.maximum.reduceat(logits, starts, axis=1)
+    log_norm = np.log(np.add.reduceat(np.exp(logits - np.repeat(m, sizes, axis=1)), starts, axis=1)) + m
+    log_probs = logits - np.repeat(log_norm, sizes, axis=1) + np.repeat(cl, sizes, axis=1)
+    return log_probs[:, cluster_map.item_position]
 
 
 def nll_and_grad_oracle(query, target, tables, cluster_map, mode="twolevel", grads=None, counter=None):
@@ -519,14 +523,20 @@ def topk_ann_full(query, k, tables, cluster_map, probes=None):
 
 def best_first_heap(query, k, tables, cluster_map):
     """Best-first search with a per-candidate min-heap of the best k: the
-    oracle for ``inference.topk_structure``'s array merge."""
+    oracle for ``inference.topk_structure``'s array merge.  A cluster's bound
+    is ``cl_c - log Z``; an expanded item cluster's members score its
+    ``einsum`` slice shifted by its maximum, plus ``cl_c - log sum exp``
+    (one ``add.reduceat`` segment), minus ``log Z``."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     q = _query64(query)
     n_text = tables.n_text
-    cl = log_softmax(cluster_logits(q, tables))
+    cl = cluster_logits(q, tables)
+    log_z = _logsumexp(cl)
+    bounds = cl - log_z
+    rows = tables.item_rows_by_cluster(cluster_map)
     stats = SearchStats(tokens_scored=cluster_map.n_clusters)
-    expansion_order = np.lexsort((np.arange(cl.size), -cl))
+    expansion_order = np.lexsort((np.arange(bounds.size), -bounds))
 
     # Min-heap of the best-K seen so far, keyed so the root is the worst:
     # lowest log-probability first, then highest ordinal.
@@ -538,7 +548,7 @@ def best_first_heap(query, k, tables, cluster_map):
         return heap[0][0] > bound
 
     for i, cluster_id in enumerate(expansion_order):
-        bound = float(cl[cluster_id])
+        bound = float(bounds[cluster_id])
         if worst_beats(bound):
             stats.clusters_pruned = expansion_order.size - i
             stats.max_pruned_logprob = bound
@@ -547,11 +557,13 @@ def best_first_heap(query, k, tables, cluster_map):
         if cluster_id < n_text:
             candidates = ((bound, int(cluster_id)),)
         else:
-            members, log_cond = member_log_conditionals(
-                q, tables, cluster_map, int(cluster_id) - n_text
-            )
+            lo, hi = cluster_map.offsets[cluster_id - n_text : cluster_id - n_text + 2]
+            logits = np.einsum("ij,j->i", rows[lo:hi], q)
+            shifted = logits - logits.max()
+            offset = cl[cluster_id] - np.log(np.add.reduceat(np.exp(shifted), [0]))
+            members = cluster_map.item_order[lo:hi]
             stats.tokens_scored += members.size
-            candidates = zip((cl[cluster_id] + log_cond).tolist(), (n_text + members).tolist())
+            candidates = zip((shifted + offset - log_z).tolist(), (n_text + members).tolist())
         for score, ordinal in candidates:
             entry = (score, -ordinal, ordinal)
             if len(heap) < k:

@@ -373,6 +373,32 @@ def test_config_file_precedence(corpus, tmp_path):
     assert (tmp_path / "flag" / "stats.json").exists()
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("[ingest]\nseed = 1\nseed = 2\n", 3, "repeated key 'seed' in section [ingest]"),
+        ("[ingest]\nseed = 1\n\n[ingest]\n", 4, "repeated config section [ingest]"),
+        ("[ingest]\n\ufeffseed = 1\n", 2, "unknown key '\ufeffseed' in section [ingest]"),
+    ],
+)
+def test_config_repeats_are_data_errors_naming_the_line(corpus, tmp_path, capsys, text, line, message):
+    config = tmp_path / "run.conf"
+    config.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run(["--config", config, "ingest", "--data", corpus, "--out-dir", tmp_path / "out"]) == 2
+    trailer = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert trailer["type"] == "data" and trailer["message"] == f"{config}:{line}: {message}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_byte_order_mark_and_crlf_are_accepted(corpus, tmp_path):
+    # A byte-order mark before line 1 is skipped; anywhere else it is text.
+    config = tmp_path / "run.conf"
+    config.write_bytes(b"\xef\xbb\xbf[ingest]\r\nout_dir = " + str(tmp_path / "from_file").encode() + b"\r\n")
+    assert run(["--config", config, "ingest", "--data", corpus]) == 0
+    assert (tmp_path / "from_file" / "stats.json").exists()
+
+
 def test_config_unknown_key_rejected(corpus, tmp_path, capsys):
     config = tmp_path / "bad.conf"
     config.write_text("[ingest]\nbogus = 1\n")
@@ -764,6 +790,40 @@ def test_value_outside_choices_is_usage_error_before_any_input_is_read(tmp_path,
     assert trailer["error"]["type"] == "usage" and trailer["error"]["code"] == 1
     assert "--" + option in trailer["error"]["message"] and "bogus" in trailer["error"]["message"]
     assert not (tmp_path / "out").exists()
+
+
+BOUNDED_OPTIONS = [
+    ("eval", "exclude_history", -1, "--exclude-history must be one of 0|1, got -1"),
+    ("eval", "exclude_history", 2, "--exclude-history must be one of 0|1, got 2"),
+    ("eval", "exclude_history", 7, "--exclude-history must be one of 0|1, got 7"),
+    ("cluster", "vocab_size", 3, "vocab_size must be at least 31, got 3"),
+    ("train", "vocab_size", 30, "vocab_size must be at least 31, got 30"),
+    ("eval", "vocab_size", 3, "vocab_size must be at least 31, got 3"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, option, value, message", BOUNDED_OPTIONS)
+def test_out_of_range_value_is_usage_error_before_any_input_is_read(tmp_path, capsys, command, option, value,
+                                                                     message, source):
+    # The corpus and snapshot do not exist: reading either would exit 2 ("data").
+    argv = [command, "--data", tmp_path / "missing.jsonl", "--out-dir", tmp_path / "out"]
+    if command == "eval":
+        argv += ["--snapshot", tmp_path / "missing.hsrc"]
+    if source == "flag":
+        argv += ["--" + option.replace("_", "-"), value]
+    else:
+        config = tmp_path / "run.conf"
+        config.write_text(f"[{command}]\n{option} = {value}\n")
+        argv = ["--config", config, *argv]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert usage_trailer(capsys) == message
+    assert not (tmp_path / "out").exists()
+
+
+def test_smallest_vocab_holds_the_reserved_words(corpus, tmp_path):
+    assert run(["cluster", "--data", corpus, "--clusters", "random", "--vocab-size", 31, "--out-dir", tmp_path]) == 0
 
 
 def test_config_empty_data_is_usage_error(tmp_path, capsys):

@@ -2,23 +2,27 @@
 
 Each case mutates one valid input with ``random.Random(seed)``: the
 interaction corpus (a hazard in one field, dropped keys, duplicated and
-truncated lines, flipped bytes) or a ``--features`` array (its shape, its
-values, its dtype or its file).  Every command that reads the input runs
+truncated lines, flipped bytes), a ``--features`` array (its shape, its
+values, its dtype or its file) or a ``--config`` file (its lines, its
+bytes, its keys' values).  Every command that reads the input runs
 in-process through ``hsrec.cli.main``, with ``RuntimeWarning`` raised as an
 error.  The argv is always valid, so whatever the mutation:
 
-- ``main`` returns, and the exit code is 0, 2 or 3: a mutated file is never
-  a usage error (1);
+- ``main`` returns, and the exit code is 0, 2 or 3: a mutated corpus or
+  feature file is never a usage error (1), and a config file is one only
+  by a value its option rejects;
 - a non-zero exit prints the JSON trailer last on stderr, with the type of
   its code, and leaves no out-dir;
 - an ``ingest`` that exits 0 writes finite statistics;
-- an ``eval`` that exits 0 writes metrics that are finite and in [0, 1].
+- an ``eval`` that exits 0 writes metrics that are finite and in [0, 1];
+- a ``train`` that exits 0 writes a ``metrics.csv`` of finite values.
 
 A failure names the seed and the mutations, which reproduce it.  Grounding:
 Miller, Fredriksen & So 1990, "An empirical study of the reliability of UNIX
 utilities" (CACM); mutation fuzzing as in AFL.
 """
 
+import csv
 import json
 import math
 import random
@@ -39,7 +43,7 @@ HAZARDS = [
     '{"x": 1}', "[" * 5000 + "]" * 5000,
 ]
 FIELDS = ("user", "item", "timestamp", "title", "brand", "price", "category")
-TYPES = {2: "data", 3: "numeric"}
+TYPES = {1: "usage", 2: "data", 3: "numeric"}
 
 
 def _valid_lines():
@@ -143,11 +147,11 @@ def mutate_features(rng, path):
     return f"{kind} {x.dtype} {x.shape}"
 
 
-def run_case(argv, out, capsys, label):
+def run_case(argv, out, capsys, label, codes=(0, 2, 3)):
     capsys.readouterr()
     code = main([str(a) for a in [*argv, "--out-dir", out]])
     err = capsys.readouterr().err
-    assert code in (0, 2, 3), (label, code, err)
+    assert code in codes, (label, code, err)
     if code:
         trailer = json.loads(err.strip().splitlines()[-1])["error"]
         assert (trailer["code"], trailer["type"]) == (code, TYPES[code]), label
@@ -205,3 +209,73 @@ def test_mutated_feature_files_exit_as_data_or_succeed(tmp_path, capsys):
         label = f"seed {seed}: {mutate_features(random.Random(seed), path)}"
         argv = ["cluster", "--data", corpus, "--clusters", "kmeans", "--features", path]
         run_case(argv, tmp_path / f"{seed}-cluster", capsys, label)
+
+
+# A valid [train] section that trains in milliseconds on the 30-line corpus.
+CONFIG = {"mode": "twolevel", "clusters": "random", "n_clusters": "3", "steps": "2", "batch_size": "8", "dim": "8",
+          "item_dim": "8", "vocab_size": "40", "eval_every": "1", "patience": "2", "val_sample": "0",
+          "learning_rate": "0.01", "weight_decay": "1e-4", "id_only_fraction": "0.5", "metadata_keep_prob": "0.5",
+          "seed": "1"}
+# Keys that size the work get small values only, so no case runs long.
+SIZING = ("steps", "batch_size", "dim", "item_dim", "vocab_size", "val_sample", "eval_every", "patience")
+SMALL = ("-1", "0", "1", "2", "8", "", "x", "1.5")
+VALUE_HAZARDS = ("nan", "inf", "-1e-5", "1e999", "1_0", "", "x", "-1", "0")
+
+
+def mutate_config(rng):
+    """A mutated ``[train]`` config as bytes, and what was done to it."""
+    lines, done = [f"{k} = {v}" for k, v in CONFIG.items()], []
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        key = rng.choice(list(CONFIG))
+        at = rng.randrange(len(lines) + 1)
+        kind = rng.choice(("value",) * 9 + ("no_equals", "unknown_key", "repeated_key", "section", "empty"))
+        if kind == "value":
+            value = rng.choice(SMALL if key in SIZING else VALUE_HAZARDS)
+            lines = [line for line in lines if not line.startswith(key + " ")] + [f"{key} = {value}"]
+        elif kind == "no_equals":
+            value = lines.pop(rng.randrange(len(lines))).replace(" = ", " ") if lines else ""
+            lines.insert(at, value)
+        elif kind == "unknown_key":
+            lines.insert(at, "bogus = 1")
+        elif kind == "repeated_key":
+            lines.insert(at, f"{key} = {CONFIG[key]}")
+        elif kind == "section":
+            lines.insert(at, rng.choice(("[train]", "[eval]", "[bogus]", "[]")))
+        else:
+            lines.insert(at, f"{key} =")
+        done.append(f"{kind} {key}")
+    text = "\n".join(["[train]", *lines]) + "\n"
+    if rng.random() < 0.2:
+        text = text.replace("\n", "\r\n")
+        done.append("crlf")
+    blob = text.encode("utf-8")
+    if rng.random() < 0.2:
+        blob = b"\xef\xbb\xbf" + blob
+        done.append("bom")
+    if rng.random() < 0.05:
+        at = rng.randrange(len(blob))
+        blob = blob[:at] + b"\xff" + blob[at:]
+        done.append(f"0xff at {at}")
+    return blob, done
+
+
+def test_mutated_config_files_exit_classified_or_give_finite_metrics(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(map(_render, _valid_lines())) + "\n", encoding="utf-8")
+    # A value its option rejects is a usage error (1); a line the reader
+    # rejects is a data error (2); about one case in eight trains.
+    codes = set()
+    for seed in range(200):
+        blob, done = mutate_config(random.Random(seed))
+        config = tmp_path / f"{seed}.conf"
+        config.write_bytes(blob)
+        label = f"seed {seed}: {done}"
+        out = tmp_path / f"{seed}-train"
+        argv = ["--config", config, "train", "--data", corpus]
+        code = run_case(argv, out, capsys, label, codes=(0, 1, 2, 3))
+        if code == 0:
+            with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            assert all(math.isfinite(float(v)) for row in rows for v in row.values()), (label, rows)
+        codes.add(code)
+    assert codes >= {0, 1, 2}

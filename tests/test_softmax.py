@@ -27,7 +27,6 @@ from hsrec.softmax import (
     item_rank_scores,
     log_partition,
     log_softmax,
-    member_log_conditionals,
     nll_and_grad,
     score_all,
     two_level_logprob,
@@ -187,14 +186,51 @@ def test_item_scorers_equal_per_token_oracle(dtype):
             full_single = item_rank_scores(q, tables, cmap, "full")
             np.testing.assert_allclose(full_single - full_want, full_log_z, rtol=0, atol=1e-12)
             assert _bits(_all_item_ranks(single[None])) == _bits(_all_item_ranks(row[None]))
-            # The pruned search's per-cluster scores are score_all's, bit for bit.
-            cl = log_softmax(cluster_logits(q, tables))
-            for c in range(cmap.n_item_clusters):
-                members, log_cond = member_log_conditionals(q, tables, cmap, c)
-                assert _bits(members) == _bits(cmap.item_members(c))
-                assert _bits(cl[n_text + c] + log_cond) == _bits(dense[n_text + members]), c
+            # The pruned search's per-cluster scores are score_all's, bit for
+            # bit: at k = n_total it expands every cluster and keeps every token.
+            top, stats = topk_structure(q, tables.n_total, tables, cmap)
+            assert stats.clusters_pruned == 0
+            assert np.array_equal(top.ordinals, np.lexsort((np.arange(dense.size), -dense)))
+            assert _bits(top.scores) == _bits(dense[top.ordinals])
         assert _bits(_all_item_ranks(ranked)) == _bits(_all_item_ranks(block))
         assert _bits(_all_item_ranks(full_ranked)) == _bits(_all_item_ranks(full_block))
+
+
+def _bound_cases():
+    """The scorer cases in both dtypes, equal item rows, one-member clusters
+    and logits of magnitude up to 1e4, each with a block of queries."""
+    for dtype in (np.float32, np.float64):
+        for tables, cmap, rng in _scorer_cases(dtype):
+            yield tables, cmap, rng.standard_normal((6, tables.dim))
+    tables, cmap, rng = random_model(5, 37, 64, 4, 4, seed=6)
+    with tables.writing() as arrays:
+        arrays["item_raw"][:] = 0.0
+    yield tables, cmap, rng.standard_normal((6, 64))
+    tables, _, rng = random_model(4, 10, 5, 3, 10, seed=2)
+    yield tables, ClusterMap(4, np.arange(10), 10), rng.standard_normal((6, 5))
+    tables, cmap, rng = random_model(8, 12, 4, 4, 3, seed=2)
+    with tables.writing() as arrays:
+        for name in ("text", "item_raw", "centroids"):
+            arrays[name] *= 5e3
+    yield tables, cmap, np.vstack([[1.0, -1.0, 1.0, -1.0], rng.standard_normal((5, 4))])
+
+
+def test_no_score_exceeds_its_cluster_bound():
+    # The pruned search's soundness, with no tolerance: every item's score is
+    # at most its cluster's bound fl(cl_c - log Z), and a text token's score
+    # is its bound.  The search on the same bounds equals the enumeration.
+    for tables, cmap, queries in _bound_cases():
+        n_text = tables.n_text
+        for q in queries:
+            dense = score_all(q, tables, cmap)
+            bounds = cluster_logits(q, tables) - log_partition(q, tables)
+            assert np.isfinite(dense).all()
+            assert _bits(dense[:n_text]) == _bits(bounds[:n_text])
+            assert (dense[n_text:] <= bounds[n_text + cmap.item_assignment]).all()
+            for k in (1, 3, tables.n_total):
+                top, _ = topk_structure(q, k, tables, cmap)
+                want = np.lexsort((np.arange(dense.size), -dense))[:k]
+                assert np.array_equal(top.ordinals, want) and _bits(top.scores) == _bits(dense[want]), k
 
 
 def test_equal_item_rows_score_equal():
