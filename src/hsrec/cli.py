@@ -83,7 +83,7 @@ _OPTIONS = {
     + [
         ("data", str, None, "interactions JSONL path"),
         ("clusters", str, "kmeans", "clustering method", CLUSTERINGS),
-        ("n_clusters", int, 0, "item cluster count (0 = ceil(sqrt(n_items)))"),
+        ("n_clusters", int, 0, "item cluster count (0 = ceil(sqrt(n_items)))", (), 0),
         ("features", str, "", "optional (n_items, p) .npy feature file for kmeans"),
         ("vocab_size", int, 8192, "text vocabulary cap", (), MIN_VOCAB_SIZE),
     ],
@@ -92,20 +92,20 @@ _OPTIONS = {
         ("data", str, None, "interactions JSONL path"),
         ("mode", str, TrainConfig.softmax_mode, "softmax mode", MODES),
         ("clusters", str, "kmeans", "clustering method", CLUSTERINGS),
-        ("n_clusters", int, 0, "item cluster count (0 = ceil(sqrt(n_items)))"),
+        ("n_clusters", int, 0, "item cluster count (0 = ceil(sqrt(n_items)))", (), 0),
         ("features", str, "", "optional (n_items, p) .npy feature file for kmeans"),
-        ("steps", int, TrainConfig.max_steps, "max optimization steps"),
-        ("batch_size", int, TrainConfig.batch_size, "examples per step"),
-        ("learning_rate", float, TrainConfig.learning_rate, "peak learning rate (cosine decayed)"),
-        ("weight_decay", float, TrainConfig.weight_decay, "decoupled weight decay"),
+        ("steps", int, TrainConfig.max_steps, "max optimization steps", (), 0),
+        ("batch_size", int, TrainConfig.batch_size, "examples per step", (), 1),
+        ("learning_rate", float, TrainConfig.learning_rate, "peak learning rate (cosine decayed)", (), 0),
+        ("weight_decay", float, TrainConfig.weight_decay, "decoupled weight decay", (), 0),
         ("id_only_fraction", float, TrainConfig.id_only_fraction, "fraction of examples rendered ID-only"),
         ("metadata_keep_prob", float, TrainConfig.metadata_keep_prob, "per-field metadata keep probability"),
-        ("dim", int, 64, "model embedding dimension"),
-        ("item_dim", int, 512, "raw item embedding dimension"),
+        ("dim", int, 64, "model embedding dimension", (), 1),
+        ("item_dim", int, 512, "raw item embedding dimension", (), 1),
         ("vocab_size", int, 8192, "text vocabulary cap", (), MIN_VOCAB_SIZE),
-        ("eval_every", int, TrainConfig.eval_every, "steps between validation evals"),
-        ("patience", int, TrainConfig.patience, "validation evals without improvement before stopping"),
-        ("val_sample", int, TrainConfig.val_sample, "validation users per eval (0 = all)"),
+        ("eval_every", int, TrainConfig.eval_every, "steps between validation evals", (), 0),
+        ("patience", int, TrainConfig.patience, "validation evals without improvement before stopping", (), 0),
+        ("val_sample", int, TrainConfig.val_sample, "validation users per eval (0 = all)", (), 0),
     ],
     "eval": _COMMON
     + [
@@ -116,9 +116,9 @@ _OPTIONS = {
          "otherwise the snapshot's clustering is used", (*CLUSTERINGS, "all")),
         ("k", str, "1,10", "comma-separated recall cutoffs"),
         ("exclude_history", int, 0, "1 to drop history items from the ranking", (0, 1)),
-        ("steps", int, 500, "training steps per ablation run"),
-        ("batch_size", int, TrainConfig.batch_size, "batch size for ablation training"),
-        ("learning_rate", float, TrainConfig.learning_rate, "learning rate for ablation training"),
+        ("steps", int, 500, "training steps per ablation run", (), 0),
+        ("batch_size", int, TrainConfig.batch_size, "batch size for ablation training", (), 1),
+        ("learning_rate", float, TrainConfig.learning_rate, "learning rate for ablation training", (), 0),
         ("vocab_size", int, 8192, "text vocabulary cap for ablation (a snapshot uses its own)", (), MIN_VOCAB_SIZE),
     ],
     "latency": _COMMON

@@ -327,7 +327,7 @@ def nll_and_grad(
     lifts = cluster_map.cluster_sizes()[clusters - n_text] >= tables.dim
     if lifts.any():
         raw = tables.item_raw.data
-        lifted = q @ tables.projection.weight.astype(np.float64)
+        lifted = q @ grads.weight
         member_sums = np.zeros((t.size, tables.item_dim))  # row b: P_b R over b's target cluster
         p_sums = np.zeros(t.size)
     for cluster, lift in zip(clusters, lifts):

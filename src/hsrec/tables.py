@@ -19,18 +19,17 @@ serving and evaluation then share.  The index holds the item rows alone: ANN
 scores for text tokens are read off the first-level copy, whose text rows are
 half of what the index's text rows would be.
 
-A training step accumulates into a :class:`GradBuffer`.  Item gradients
-arrive in two forms.  Projected-row gradients (the encoder inputs, full mode
-and small target clusters) are chained through the projection head by
+A training step accumulates into a :class:`GradBuffer`, which casts the head
+weight ``W`` to float64 once.  Projected-row gradients (the encoder inputs,
+full mode and small target clusters) are chained through ``W`` by
 :meth:`GradBuffer.finalize`, for those rows only.  A two-level target cluster
 of at least ``d`` members arrives lifted: its members' raw-row gradient is
-``P_c.T @ (Q_c W)``, the batch's queries lifted once through the head, so a
-member row is chained through the head only when it is also an encoder input;
-the caller adds the head's part ``Q_c.T @ (P_c R_c)`` itself.  ``finalize``
-returns the raw-item gradient as an :class:`ItemRowGrad`, still factored:
-zero outside the touched rows, and expanded a cluster or ``ROW_BLOCK`` rows
-at a time by the update that writes it, so no ``(|I|, k)`` or
-``(touched, k)`` float64 array is made.
+``P_c.T @ (Q_c W)``, so a member is chained through the head only when it is
+also an encoder input; the caller adds the head's part ``Q_c.T @ (P_c R_c)``.
+``finalize`` returns an :class:`ItemRowGrad` of ``(rows, left, right)`` parts
+worth ``left @ right``, which the update expands a part at a time, so no
+``(|I|, k)`` or ``(touched, k)`` float64 array is made; nor does a step's
+bookkeeping hold any array of length ``|I|``.
 """
 
 from __future__ import annotations
@@ -311,44 +310,39 @@ def item_parameter_count(n_items: int, item_dim: int) -> int:
 @dataclass
 class ItemRowGrad:
     """Gradient of the raw item table, kept factored: zero outside the rows
-    that :meth:`blocks` yields.
+    of its parts.
 
-    It has two kinds of part, on disjoint rows:
+    Each part ``(rows, left, right)`` holds ascending rows, disjoint from the
+    other parts' rows, whose gradient is ``left @ right``:
 
-    - ``clusters``: ``(members, p_t, lifted)`` per target cluster of a
-      two-level batch.  The members' gradient is ``p_t @ lifted``: their
-      ``(m, r)`` member-softmax gradients against the ``r`` examples that
-      target the cluster, times those examples' lifted queries ``q W``, an
-      ``(r, k)`` block.
-    - ``proj_rows`` / ``d_proj``: projected-row gradients, chained as
-      ``d_proj @ weight``: the encoder inputs and the members of small
-      clusters in a two-level batch (a lifted member that is also an encoder
-      input has its cluster part added here), and every touched row in full
-      mode.
+    - a lifted target cluster of a two-level batch is ``(members, p_t,
+      lifted)``: the members' ``(m, r)`` member-softmax gradients against the
+      ``r`` examples that target the cluster, times their lifted queries
+      ``q W``, an ``(r, k)`` block;
+    - projected rows come ``ROW_BLOCK`` at a time as ``(rows, d_proj, W)``,
+      with ``W`` the float64 ``(d, k)`` head weight: the encoder inputs and
+      the members of small clusters in a two-level batch (a lifted member
+      that is also an encoder input has its cluster part added here), and
+      every touched row in full mode.
 
-    :meth:`blocks` expands it a cluster or ``ROW_BLOCK`` rows at a time;
-    ``np.asarray`` gives the dense ``(n_items, k)`` array.
+    :meth:`blocks` expands it a part at a time; ``np.asarray`` gives the
+    dense ``(n_items, item_dim)`` array.
     """
 
-    clusters: list  # (members, p_t (m, r_c), lifted (r_c, k)) per target cluster
-    proj_rows: np.ndarray  # (h,) ascending item indices with a projected-row gradient
-    d_proj: np.ndarray  # (h, d) their projected-row gradients
-    weight: np.ndarray  # (d, k) float64 copy of the projection weight they were projected with
+    parts: list  # (rows, left (h, r), right (r, k)) per part
     n_items: int
+    item_dim: int
 
     def blocks(self):
-        """(item indices, their (len, k) float64 gradient) per block: one block
-        per lifted cluster, then the projected rows ``ROW_BLOCK`` at a time."""
-        for members, p_t, lifted in self.clusters:
-            if p_t.shape[1] == 1:  # an outer product, where BLAS is slow
-                yield members, np.einsum("ij,jk->ik", p_t, lifted)
+        """(item indices, their (len, k) float64 gradient) per part."""
+        for rows, left, right in self.parts:
+            if left.shape[1] == 1:  # an outer product, where BLAS is slow
+                yield rows, np.einsum("ij,jk->ik", left, right)
             else:
-                yield members, p_t @ lifted
-        for lo in range(0, self.proj_rows.size, ROW_BLOCK):
-            yield self.proj_rows[lo : lo + ROW_BLOCK], self.d_proj[lo : lo + ROW_BLOCK] @ self.weight
+                yield rows, left @ right
 
     def __array__(self, dtype=None, copy=None):
-        out = np.zeros((self.n_items, self.weight.shape[1]), dtype=dtype or np.float64)
+        out = np.zeros((self.n_items, self.item_dim), dtype=dtype or np.float64)
         for rows, grad in self.blocks():
             out[rows] = grad
         return out
@@ -365,16 +359,17 @@ class GradBuffer:
       form; the caller adds its head gradient to ``d_proj_weight`` and
       ``d_proj_bias``.
 
-    Call :meth:`finalize` once per batch, after every gradient has arrived:
-    it chains the projected rows through the head, adding to the buffer's own
-    head gradient, and collects the raw-item gradient as an
-    :class:`ItemRowGrad`.
+    ``weight``, the step's float64 copy of the head weight, serves the lift
+    and the chain.  Call :meth:`finalize` once per batch, after every gradient
+    has arrived: it chains the projected rows through the head, adding to the
+    buffer's own head gradient, and collects the raw-item gradient as an
+    :class:`ItemRowGrad`.  Nothing here is sized by the item count.
     """
 
     def __init__(self, tables: ModelTables, encoder=None):
         d = tables.dim
         self.d_text = np.zeros((tables.n_text, d))
-        self.proj_touched = np.zeros(tables.n_items, dtype=bool)
+        self.weight = np.array(tables.projection.weight, dtype=np.float64)
         self.item_rows: list[tuple[np.ndarray, np.ndarray]] = []
         self.item_clusters: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self.d_proj_weight = np.zeros((d, tables.item_dim))
@@ -390,7 +385,6 @@ class GradBuffer:
     def add_item_rows(self, rows: np.ndarray, d_proj: np.ndarray) -> None:
         """Gradient ``d_proj`` (one row each) on the projected rows of ascending, distinct ``rows``."""
         self.item_rows.append((rows, d_proj))
-        self.proj_touched[rows] = True
 
     def add_item_cluster(
         self, members: np.ndarray, p_t: np.ndarray, queries: np.ndarray, lifted: np.ndarray
@@ -413,7 +407,7 @@ class GradBuffer:
         row gradient (an encoder input) then takes its cluster part in
         projected form, so every row is chained once.
         """
-        proj_rows = np.flatnonzero(self.proj_touched)
+        proj_rows = np.unique(np.concatenate([np.zeros(0, dtype=np.intp)] + [rows for rows, _ in self.item_rows]))
         d_proj = np.zeros((proj_rows.size, tables.dim))
         for rows, grad in self.item_rows:
             if rows.size == proj_rows.size:  # full mode's head: every projected row, in order
@@ -425,23 +419,22 @@ class GradBuffer:
             self.d_proj_weight += d_proj[lo : lo + ROW_BLOCK].T @ raw[proj_rows[lo : lo + ROW_BLOCK]].astype(np.float64)
         self.d_proj_bias += d_proj.sum(axis=0)
 
-        clusters = []
-        if self.item_clusters:
-            at = np.full(tables.n_items, -1, dtype=np.intp)  # item -> position in proj_rows
-            at[proj_rows] = np.arange(proj_rows.size)
-            for members, p_t, queries, lifted in self.item_clusters:
-                pos = at[members]
-                hit = pos >= 0
-                if hit.any():
-                    d_proj[pos[hit]] += p_t[hit] @ queries
-                    members, p_t = members[~hit], p_t[~hit]
-                if members.size:
-                    clusters.append((members, p_t, lifted))
+        parts = []
+        keys = np.append(proj_rows, tables.n_items)  # a sentinel no member equals, so every search lands in keys
+        for members, p_t, queries, lifted in self.item_clusters:
+            pos = np.searchsorted(keys, members)
+            hit = keys[pos] == members
+            if hit.any():
+                d_proj[pos[hit]] += p_t[hit] @ queries
+                members, p_t = members[~hit], p_t[~hit]
+            if members.size:
+                parts.append((members, p_t, lifted))
+        for lo in range(0, proj_rows.size, ROW_BLOCK):
+            parts.append((proj_rows[lo : lo + ROW_BLOCK], d_proj[lo : lo + ROW_BLOCK], self.weight))
 
-        weight = np.array(tables.projection.weight, dtype=np.float64)
         grads = {
             "text": self.d_text,
-            "item_raw": ItemRowGrad(clusters, proj_rows, d_proj, weight, tables.n_items),
+            "item_raw": ItemRowGrad(parts, tables.n_items, tables.item_dim),
             "proj_weight": self.d_proj_weight,
             "proj_bias": self.d_proj_bias,
             "centroids": self.d_centroids,

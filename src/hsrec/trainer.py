@@ -8,11 +8,11 @@ exact losses and gradients from the softmax head in one batched pass
 (``encoder.encode_backward``), and apply an SGD update with cosine
 learning-rate decay and decoupled weight decay.  The raw item table is
 written only on the rows that received gradient: the update expands the
-factored :class:`~hsrec.tables.ItemRowGrad` (lifted cluster products and
-projected rows) one block at a time, and checks each written block for
-finiteness as it goes.  Weight decay still reaches every row.  Runs are
-deterministic per seed in single-threaded mode: identical seeds give
-identical loss curves.
+factored :class:`~hsrec.tables.ItemRowGrad` (low-rank row parts: lifted
+clusters and projected rows) one part at a time, and checks each written
+block for finiteness as it goes.  Weight decay still reaches every row.
+Runs are deterministic per seed in single-threaded mode: identical seeds
+give identical loss curves.
 """
 
 from __future__ import annotations

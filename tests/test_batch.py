@@ -207,8 +207,10 @@ def test_row_with_head_and_input_parts(mode, dtype):
         _, _, grads, _ = batched(seqs, targets, tables, cmap, enc, mode)
         item_grad = grads.finalize(tables)["item_raw"]
         shared = seqs[0][1] - N_TEXT
-        assert len(item_grad.clusters) == 1 and shared not in item_grad.clusters[0][0]
-        assert shared in item_grad.proj_rows
+        # Projected parts are chained through the step's head weight copy.
+        clusters = [rows for rows, _, right in item_grad.parts if right is not grads.weight]
+        assert len(clusters) == 1 and shared not in clusters[0]
+        assert any(shared in rows for rows, _, right in item_grad.parts if right is grads.weight)
     assert_batch_matches_oracle(seqs, targets, tables, cmap, enc, mode)
     assert_dense_update_bitwise(seqs, targets, tables, cmap, enc, mode)
 

@@ -799,6 +799,21 @@ BOUNDED_OPTIONS = [
     ("cluster", "vocab_size", 3, "vocab_size must be at least 31, got 3"),
     ("train", "vocab_size", 30, "vocab_size must be at least 31, got 30"),
     ("eval", "vocab_size", 3, "vocab_size must be at least 31, got 3"),
+    # Model sizes and training settings name the option a user typed, not a TrainConfig field.
+    ("train", "dim", 0, "dim must be at least 1, got 0"),
+    ("train", "item_dim", 0, "item_dim must be at least 1, got 0"),
+    ("train", "n_clusters", -1, "n_clusters must be at least 0, got -1"),
+    ("cluster", "n_clusters", -1, "n_clusters must be at least 0, got -1"),
+    ("train", "steps", -1, "steps must be at least 0, got -1"),
+    ("train", "batch_size", 0, "batch_size must be at least 1, got 0"),
+    ("train", "learning_rate", -0.5, "learning_rate must be at least 0, got -0.5"),
+    ("train", "weight_decay", -0.5, "weight_decay must be at least 0, got -0.5"),
+    ("train", "eval_every", -1, "eval_every must be at least 0, got -1"),
+    ("train", "patience", -1, "patience must be at least 0, got -1"),
+    ("train", "val_sample", -1, "val_sample must be at least 0, got -1"),
+    ("eval", "steps", -1, "steps must be at least 0, got -1"),
+    ("eval", "batch_size", 0, "batch_size must be at least 1, got 0"),
+    ("eval", "learning_rate", -0.5, "learning_rate must be at least 0, got -0.5"),
 ]
 
 
@@ -929,7 +944,11 @@ def test_help_lists_each_options_choices(capsys):
 
 @pytest.mark.parametrize(
     "command, minimums",
-    [("bench", {"queries": 1, "k": 1}), ("latency", {"history-len": 1, "const-tokens": 0})],
+    [
+        ("bench", {"queries": 1, "k": 1}),
+        ("latency", {"history-len": 1, "const-tokens": 0}),
+        ("train", {"dim": 1, "item-dim": 1, "steps": 0, "batch-size": 1, "weight-decay": 0}),
+    ],
 )
 def test_help_shows_each_options_minimum(capsys, command, minimums):
     assert run([command, "--help"]) == 0

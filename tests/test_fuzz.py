@@ -15,6 +15,7 @@ error.  The argv is always valid, so whatever the mutation:
   its code, and leaves no out-dir;
 - an ``ingest`` that exits 0 writes finite statistics;
 - an ``eval`` that exits 0 writes metrics that are finite and in [0, 1];
+- a ``bench`` that exits 0 writes finite timings and finite per-query scores;
 - a ``train`` that exits 0 writes a ``metrics.csv`` of finite values.
 
 A failure names the seed and the mutations, which reproduce it.  Grounding:
@@ -199,6 +200,28 @@ def test_mutated_corpora_eval_as_data_or_give_finite_metrics(tmp_path, capsys, s
             for row in json.loads((out / "metrics.json").read_text()):
                 metrics = [v for k, v in row.items() if k == "mrr" or k.startswith(("recall@", "ndcg@"))]
                 assert len(metrics) == 4 and all(0.0 <= v <= 1.0 for v in metrics), (label, row)
+
+
+def test_mutated_corpora_bench_as_data_or_give_finite_timings_and_scores(tmp_path, capsys, snapshot_path):
+    # bench reads the corpus as eval does; a corpus that still matches the
+    # snapshot is timed and ranked, and its CSV and per-query scores are finite.
+    ran = 0
+    for seed in range(200):
+        blob, done = mutate_corpus(random.Random(seed))
+        corpus = tmp_path / f"{seed}.jsonl"
+        corpus.write_bytes(blob)
+        label = f"seed {seed}: {done}"
+        out = tmp_path / f"{seed}-bench"
+        argv = ["bench", "--data", corpus, "--snapshot", snapshot_path, "--queries", 2]
+        if run_case(argv, out, capsys, label, codes=(0, 2)) == 0:
+            ran += 1
+            with open(out / "bench.csv", newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 3, (label, rows)
+            assert all(math.isfinite(float(v)) for row in rows for k, v in row.items() if k != "engine"), (label, rows)
+            scores = [hit["score"] for query in json.loads((out / "queries.json").read_text()) for hit in query["topk"]]
+            assert scores and all(math.isfinite(v) for v in scores), (label, scores)
+    assert ran
 
 
 def test_mutated_feature_files_exit_as_data_or_succeed(tmp_path, capsys):

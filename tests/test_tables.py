@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ from hsrec.inference import build_additive_index, topk_ann
 from hsrec.tables import (
     INIT_ROWS,
     EmbeddingTable,
+    GradBuffer,
     ModelTables,
     ProjectionHead,
     init_tables,
@@ -219,3 +221,100 @@ def test_writes_and_copies_drop_the_additive_index(change, dtype):
         released = weakref.ref(index)
         del index
         assert released() is None  # the writer dropped its own reference
+
+
+def _grad_tables(n_items, dim=3, item_dim=4, n_clusters=8, seed=0):
+    rng = np.random.default_rng(seed)
+    return ModelTables(
+        EmbeddingTable(rng.standard_normal((5, dim))),
+        EmbeddingTable(rng.standard_normal((n_items, item_dim))),
+        ProjectionHead(rng.standard_normal((dim, item_dim)), rng.standard_normal(dim)),
+        EmbeddingTable(rng.standard_normal((n_clusters, dim))),
+    )
+
+
+def _lifted_cluster(tables, members, n_examples, rng):
+    """(members, p_t, queries, lifted) for ``add_item_cluster``."""
+    queries = rng.standard_normal((n_examples, tables.dim))
+    lifted = queries @ np.asarray(tables.projection.weight, dtype=np.float64)
+    return members, rng.standard_normal((members.size, n_examples)), queries, lifted
+
+
+def _finalize(tables, item_rows, clusters):
+    grads = GradBuffer(tables)
+    for rows, d_proj in item_rows:
+        grads.add_item_rows(rows, d_proj)
+    for cluster in clusters:
+        grads.add_item_cluster(*cluster)
+    return grads.finalize(tables)
+
+
+def _dense_rule(tables, item_rows, clusters):
+    """The raw-item gradient and head gradient with a dense touched mask: a
+    lifted member that is a projected row takes its cluster part projected."""
+    weight = np.asarray(tables.projection.weight, dtype=np.float64)
+    d_proj = np.zeros((tables.n_items, tables.dim))
+    touched = np.zeros(tables.n_items, dtype=bool)
+    for rows, grad in item_rows:
+        d_proj[rows] += grad
+        touched[rows] = True
+    proj_rows = np.flatnonzero(touched)
+    d_weight = d_proj[proj_rows].T @ tables.item_raw.data[proj_rows]
+    d_bias = d_proj[proj_rows].sum(axis=0)
+    out = np.zeros((tables.n_items, tables.item_dim))
+    for members, p_t, queries, lifted in clusters:
+        hit = touched[members]
+        d_proj[members[hit]] += p_t[hit] @ queries
+        left = p_t[~hit]
+        out[members[~hit]] = np.einsum("ij,jk->ik", left, lifted) if left.shape[1] == 1 else left @ lifted
+    out[proj_rows] = d_proj[proj_rows] @ weight
+    return out, d_weight, d_bias
+
+
+@pytest.mark.parametrize("case", ["first_projected_row", "last_projected_row", "no_projected_rows"])
+def test_lifted_members_on_projected_rows_follow_the_dense_rule_bitwise(case):
+    tables = _grad_tables(40)
+    rng = np.random.default_rng(1)
+    rows = np.array([5, 9, 20])
+    item_rows = [] if case == "no_projected_rows" else [(rows, rng.standard_normal((3, tables.dim)))]
+    members = {
+        "first_projected_row": np.arange(3, 8),  # 5 = rows[0]; 3 and 4 sort before every projected row
+        "last_projected_row": np.arange(18, 24),  # 20 = rows[-1]; 21 to 23 sort after every projected row
+        "no_projected_rows": np.arange(3, 8),
+    }[case]
+    clusters = [
+        _lifted_cluster(tables, members, 2, rng),
+        _lifted_cluster(tables, np.array([9, 30, 31]), 1, rng),  # one example: the outer-product branch
+    ]
+    final = _finalize(tables, item_rows, clusters)
+    want, d_weight, d_bias = _dense_rule(tables, item_rows, clusters)
+    assert np.array_equal(np.asarray(final["item_raw"]), want)
+    assert np.array_equal(final["proj_weight"], d_weight)
+    assert np.array_equal(final["proj_bias"], d_bias)
+    parts = final["item_raw"].parts
+    touched = np.concatenate([rows for rows, _, _ in parts])
+    assert np.unique(touched).size == touched.size  # disjoint parts
+    assert all(np.all(np.diff(rows) > 0) for rows, _, _ in parts)
+    if case == "no_projected_rows":
+        assert len(parts) == 2 and all(np.array_equal(p[0], c[0]) for p, c in zip(parts, clusters))  # clusters whole
+
+
+def _bookkeeping_peak(n_items):
+    """Peak traced bytes of one two-level step's gradient bookkeeping on the
+    same touched rows: encoder-input rows and a lifted cluster that shares one."""
+    tables = _grad_tables(n_items)
+    rng = np.random.default_rng(2)
+    item_rows = [(np.array([3, 10, 50, 700, 1500]), rng.standard_normal((5, tables.dim)))]
+    clusters = [_lifted_cluster(tables, np.arange(8, 48), 3, rng)]
+    _finalize(tables, item_rows, clusters)  # warm-up
+    tracemalloc.start()
+    try:
+        _finalize(tables, item_rows, clusters)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_step_bookkeeping_scales_with_touched_rows_not_items():
+    small, large = _bookkeeping_peak(2_000), _bookkeeping_peak(200_000)
+    assert abs(large - small) <= 16 * 1024, (small, large)

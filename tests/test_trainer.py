@@ -271,12 +271,11 @@ def test_nan_gradient_on_touched_item_row_raises(small_data, monkeypatch, mode):
         # The first touched row only, in the part that holds it.
         item_grad = grads["item_raw"]
         first = touched_item_rows(item_grad)[0]
-        for members, p_t, _ in item_grad.clusters:
-            if members[0] == first:
-                p_t[0] = np.nan
+        for rows, left, _ in item_grad.parts:
+            if rows[0] == first:
+                left[0] = np.nan
                 return
-        assert item_grad.proj_rows[0] == first
-        item_grad.d_proj[0] = np.nan
+        raise AssertionError("no part starts at the first touched row")
 
     _plant_after_finalize(monkeypatch, plant)
     config = TrainConfig(max_steps=2, batch_size=4, eval_every=0, seed=2, softmax_mode=mode)
