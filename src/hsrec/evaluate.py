@@ -12,7 +12,12 @@ logit_c(i) - log Z + log P(i | c(i), H), and log Z is one constant per user,
 so an item's rank score is ``logit_c + log P(i | c, H)``: one GEMM against
 the centroids, one against the cluster-ordered item rows and one folded
 offset per cluster, at ``O((C + |I|) d)`` per user whatever the text
-vocabulary's size.  In full-softmax mode the rank score is the item's logit.
+vocabulary's size.  The two GEMMs cover the whole block; the fold then runs
+one row tile at a time (``softmax.FOLD_TILE_BYTES`` of scores, a few rows
+at catalog-10k and the whole block at small catalogs), so a tile and the
+fold's temporaries stay in cache.  A row's fold reads no other row and
+computes the row the same way wherever it sits, so the tiles change no bit.
+In full-softmax mode the rank score is the item's logit.
 No text row is read, exact ties stay exact, and the two engines' ranks are
 one and the same; ties are resolved per tied row.
 ``structure`` names the two-level exact engine and requires a two-level

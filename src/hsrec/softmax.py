@@ -37,8 +37,9 @@ exp(L - m_c)`` to its max-shifted item logits ``L - m_c``, which scores an
 item ``logit_c + log P(i | c, H)``, its log-probability plus log Z.
 Evaluation, ``predict`` and ``topk_items`` rank items by these scores
 (:func:`_cluster_rank_scores`, in item order :func:`item_rank_scores`) over
-one ``(B, n_items)`` GEMM for a query block or one row product for a single
-query: log Z is one constant per query, so they rank items as
+one ``(B, n_items)`` GEMM for a query block, folded a row tile at a time
+(``FOLD_TILE_BYTES``), or one row product for a single query: log Z is one
+constant per query, so they rank items as
 log-probabilities do while reading no text row, ``O((C + |I|) d)`` per query
 whatever ``|V|`` is.  :func:`log_partition` gives log Z; :func:`score_all`
 and the pruned search (``topk_structure``) subtract it from the folds and
@@ -62,6 +63,11 @@ from .cluster import ClusterMap
 from .tables import GradBuffer, ModelTables
 
 MODES = ("full", "twolevel")
+# Bytes of a query block's scores folded at a time (_cluster_rank_scores):
+# a tile and the fold's repeat and exp temporaries, four tiles' worth, fit in
+# a 2 MB L2.  That is five rows at catalog-10k (8,600 items) and any block of
+# at most 64 rows up to 768 items, which is then one tile.
+FOLD_TILE_BYTES = 384 * 1024
 
 
 @dataclass
@@ -168,8 +174,11 @@ def _fold(scores: np.ndarray, centroid_logits, starts: np.ndarray, sizes) -> np.
     ``maximum.reduceat``, ``exp``, ``add.reduceat`` and ``log`` compute each
     segment the same way wherever it sits, so a cluster folded alone equals it
     folded among others, bit for bit; ``.sum()`` sums in another order, so a
-    one-cluster caller must not use it.  A best member shifts to exactly 0, so
-    the sum is at least 1 and no member folds above ``logit_c``.  An empty
+    one-cluster caller must not use it.  Likewise each row of a ``(B, n)``
+    block is folded by itself, reading no other row, so a block folded in row
+    tiles equals it folded whole, bit for bit.  A best member shifts to
+    exactly 0, so the sum is at least 1 and no member folds above
+    ``logit_c``.  An empty
     segment would read its neighbour's first entry; ``ClusterMap`` rejects
     empty clusters.
     """
@@ -188,7 +197,12 @@ def _cluster_rank_scores(queries, tables: ModelTables, cluster_map: ClusterMap, 
     cast to float64, the values ``first_level_rows()`` holds, without
     building that copy).  Full mode scores an item by its logit ``q . p_i``.
 
-    A block takes two GEMMs.  A single query takes :func:`score_all`'s
+    A block takes two GEMMs, whole, and is then folded one tile at a time: a
+    tile is the block's next ``FOLD_TILE_BYTES // row bytes`` rows (at least
+    one), so a tile and the fold's ``repeat`` and ``exp`` temporaries stay in
+    cache.  :func:`_fold` computes a row the same way wherever it sits and
+    reads no other row, so every tiling gives the same bits; a block within
+    the budget is one tile.  A single query takes :func:`score_all`'s
     products: the ``einsum`` row product over the item rows, so that equal
     rows score equal (a GEMV, also a ``(1, d)`` GEMM's, can round them
     apart), and :func:`cluster_logits`' product over the centroid rows.
@@ -203,7 +217,13 @@ def _cluster_rank_scores(queries, tables: ModelTables, cluster_map: ClusterMap, 
         return scores
     centroids = tables.centroids.data.astype(np.float64, copy=False)
     centroid_logits = centroids @ q if single else q @ centroids.T
-    return _fold(scores, centroid_logits, cluster_map.offsets[:-1], cluster_map.cluster_sizes())
+    starts, sizes = cluster_map.offsets[:-1], cluster_map.cluster_sizes()
+    if single:
+        return _fold(scores, centroid_logits, starts, sizes)
+    tile = max(1, FOLD_TILE_BYTES // max(scores[:1].nbytes, 1))
+    for lo in range(0, len(scores), tile):
+        _fold(scores[lo : lo + tile], centroid_logits[lo : lo + tile], starts, sizes)
+    return scores
 
 
 def item_rank_scores(

@@ -420,12 +420,16 @@ class GradBuffer:
         self.d_proj_bias += d_proj.sum(axis=0)
 
         parts = []
+        # Every lifted member is looked up in one search, then split by cluster.
         keys = np.append(proj_rows, tables.n_items)  # a sentinel no member equals, so every search lands in keys
-        for members, p_t, queries, lifted in self.item_clusters:
-            pos = np.searchsorted(keys, members)
-            hit = keys[pos] == members
+        lifted_members = np.concatenate([np.zeros(0, dtype=np.intp)] + [c[0] for c in self.item_clusters])
+        pos = np.searchsorted(keys, lifted_members)
+        hits = keys[pos] == lifted_members
+        ends = np.cumsum([c[0].size for c in self.item_clusters]).tolist()
+        for (members, p_t, queries, lifted), start, end in zip(self.item_clusters, [0] + ends, ends):
+            hit = hits[start:end]
             if hit.any():
-                d_proj[pos[hit]] += p_t[hit] @ queries
+                d_proj[pos[start:end][hit]] += p_t[hit] @ queries
                 members, p_t = members[~hit], p_t[~hit]
             if members.size:
                 parts.append((members, p_t, lifted))

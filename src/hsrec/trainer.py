@@ -169,7 +169,7 @@ def _apply_update(snapshot: ModelSnapshot, grads: dict, lr: float, weight_decay:
 
     Each written array is checked right after its write.  The raw item table
     is written only on the rows of its :class:`ItemRowGrad`, one expanded
-    block at a time, and each block is checked as it is written.  Every table
+    block at a time, and each block is checked before it is written.  Every table
     is finite before an update (checked when built or loaded, and by every
     update), and rows that received no gradient are only multiplied by
     ``1 - lr * weight_decay``, of magnitude at most 1 unless ``lr *
@@ -190,9 +190,10 @@ def _apply_update(snapshot: ModelSnapshot, grads: dict, lr: float, weight_decay:
                     # lr * (block / n) in place: the same rounding, no temporaries.
                     np.divide(block, n, out=block)
                     np.multiply(block, lr, out=block)
-                    # arr[rows] -= block, with the written rows checked on the way.
-                    written = arr[rows]
-                    np.subtract(written, block, out=written, casting="unsafe")
+                    # arr[rows] -= block in float64, cast once to the table's
+                    # dtype; the cast rows are checked before they are written.
+                    np.subtract(arr[rows], block, out=block)
+                    written = block.astype(arr.dtype, copy=False)
                     check_finite(written, name)
                     arr[rows] = written
                 if decay > 2.0:

@@ -22,6 +22,7 @@ from helpers import (
     synth_dataset,
     touched_item_rows,
 )
+from hsrec.cluster import ClusterMap
 from hsrec.encoder import encode, encode_backward, encode_batch
 from hsrec.softmax import CostCounter, nll_and_grad
 from hsrec.tables import GradBuffer, ItemRowGrad
@@ -116,8 +117,14 @@ def test_batch_of_one_equals_single_example(mode):
         assert_batch_matches_oracle([[1, N_TEXT + 2, 1]], [target], tables, cmap, enc, mode)
 
 
-def test_twolevel_batch_touches_target_clusters_and_history_only():
-    tables, cmap, rng = random_model(N_TEXT, N_ITEMS, DIM, ITEM_DIM, N_CLUSTERS, seed=9)
+@pytest.mark.parametrize("size", [DIM, DIM - 1])
+def test_twolevel_batch_touches_target_clusters_and_history_only(size):
+    # The target cluster has ``size`` members: at DIM members it arrives
+    # lifted, as one (members, p_t, lifted) part; one fewer, as projected rows.
+    tables, _, rng = random_model(N_TEXT, N_ITEMS, DIM, ITEM_DIM, N_CLUSTERS, seed=9)
+    assignment = np.resize([0, 1, 3], N_ITEMS)
+    assignment[:size] = 2
+    cmap = ClusterMap(N_TEXT, rng.permutation(assignment), N_CLUSTERS)
     enc = random_encoder(DIM, rng)
     target_item = int(cmap.item_members(2)[0])
     history_item = int(cmap.item_members(3)[0])
@@ -129,6 +136,13 @@ def test_twolevel_batch_touches_target_clusters_and_history_only():
     assert isinstance(item_grad, ItemRowGrad)
     assert np.array_equal(touched_item_rows(item_grad), np.flatnonzero(want))
     assert not np.asarray(item_grad)[~want].any()
+    # Projected parts are chained through the step's head weight copy.
+    lifted = [(rows, left) for rows, left, right in item_grad.parts if right is not grads.weight]
+    if size >= DIM:
+        assert len(lifted) == 1
+        assert np.array_equal(lifted[0][0], cmap.item_members(2)) and lifted[0][1].shape == (size, 1)
+    else:
+        assert lifted == []
 
 
 def test_encode_batch_rows_equal_encode():

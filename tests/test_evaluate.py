@@ -7,7 +7,7 @@ import pytest
 
 from helpers import item_log_probs_batch, synth_dataset
 from hsrec.cluster import ClusterMap
-from hsrec.encoder import EncoderParams, encode
+from hsrec.encoder import EncoderParams, encode, encode_batch
 from hsrec.evaluate import (
     ENGINES,
     EVAL_BLOCK,
@@ -22,13 +22,14 @@ from hsrec.evaluate import (
 from hsrec.exceptions import TrainingDivergedError
 from hsrec.inference import AdditiveIndex, ann_item_scores, build_additive_index, topk_items
 from hsrec.render import render_id_only, render_id_only_batch
-from hsrec.softmax import item_rank_scores, score_all
+from hsrec.softmax import _cluster_rank_scores, item_rank_scores, score_all
 from hsrec.tables import EmbeddingTable, ModelTables, ProjectionHead
 from hsrec.trainer import SequenceRecommender, TrainConfig, init_model, train
 
 # The package re-exports a function under this name.
 evaluate_module = importlib.import_module("hsrec.evaluate")
 inference_module = importlib.import_module("hsrec.inference")
+softmax_module = importlib.import_module("hsrec.softmax")
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +336,39 @@ def test_block_boundaries_do_not_change_ranks(trained, engine, monkeypatch):
     for block in (1, 5, 7, len(examples)):
         monkeypatch.setattr(evaluate_module, "EVAL_BLOCK", block)
         assert target_ranks(snapshot, data, engine, examples).tolist() == want, block
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_row_tiles_fold_every_row_once(trained, rows, monkeypatch):
+    # A test-size block is one tile.  A budget of ``rows`` rows, plus a byte
+    # short of one more, folds a 64-row block in tiles of ``rows`` rows, the
+    # last one partial: every row must be folded once, so the block has the
+    # one-tile block's bits, and the ranks are the one-tile ranks.
+    data, snapshot = trained
+    examples = data.test_examples
+    assert len(examples) > EVAL_BLOCK  # a full block and a partial one
+    ordinals, lengths = render_id_only_batch(data, [e.history for e in examples[:EVAL_BLOCK]])
+    for model in (snapshot, _as_float64(snapshot), _tied(snapshot)):
+        tables, cmap = model.tables, model.cluster_map
+        queries, _ = encode_batch(ordinals, lengths, tables, model.encoder)
+
+        def outputs():
+            scores = _cluster_rank_scores(queries, tables, cmap, "twolevel")
+            ranks = [
+                target_ranks(model, data, engine, examples, exclude_history).tolist()
+                for engine in ("full", "structure")
+                for exclude_history in (False, True)
+            ]
+            return scores, ranks
+
+        monkeypatch.setattr(softmax_module, "FOLD_TILE_BYTES", 1 << 60)
+        want_scores, want_ranks = outputs()
+        row_bytes = want_scores[0].nbytes
+        monkeypatch.setattr(softmax_module, "FOLD_TILE_BYTES", (rows + 1) * row_bytes - 1)
+        got_scores, got_ranks = outputs()
+        assert got_scores.tobytes() == want_scores.tobytes()
+        assert got_ranks == want_ranks
+    assert np.unique(want_scores[0]).size < want_scores.shape[1]  # the tied model's rows tie
 
 
 def test_full_softmax_snapshot_ranks_equal_oracle(tmp_path):
