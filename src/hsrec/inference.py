@@ -45,7 +45,8 @@ of arrays: an expanded item cluster's members that reach the current k-th
 score are concatenated with them and sorted back to k.
 
 Ties are broken by ascending unified ordinal everywhere, so all engines are
-reproducible and comparable row-for-row.
+reproducible and comparable row-for-row; every item logit is one
+``softmax._item_products`` call, which keeps equal rows tied.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .cluster import ClusterMap
 from .exceptions import StaleIndexError
 from .softmax import (
     _fold,
+    _item_products,
     _logsumexp,
     _queries64,
     _query64,
@@ -147,18 +149,18 @@ def topk_structure(query, k: int, tables: ModelTables, cluster_map: ClusterMap):
     their logsumexp, a cluster's bound is ``fl(cl_c - log Z)``, a text
     singleton's own score, so the search starts holding the best k text
     tokens and expands item clusters alone, in descending bound.  An expanded
-    cluster is its ``einsum`` slice of the cluster-ordered item rows, folded
-    (``softmax._fold``) with ``cl_c`` as one segment, minus log Z: the rows,
-    per-segment ``reduceat``, ``cl`` and log Z that ``score_all`` reads, so
-    every score is bitwise ``score_all``'s.  The bound is sound in floating
-    point: a cluster's best member shifts to exactly 0, so its sum is at
-    least 1 and its log at least 0, no member folds above ``cl_c``, and
-    subtracting log Z is monotone.  So the search stops at the first cluster
-    strictly below the held k-th score; the strict comparison keeps exact
-    float ties expanding, preserving the ordinal tie-break of the oracle.  An
-    expanded cluster adds nothing if its best member is below the k-th
-    score, and otherwise its members at or above it are ``lexsort``-ed into
-    the held k.
+    cluster's item logits (``softmax._item_products`` over its slice of the
+    cluster-ordered item rows) are folded (``softmax._fold``) with ``cl_c`` as
+    one segment, minus log Z: the rows, per-segment ``reduceat``, ``cl`` and
+    log Z that ``score_all`` reads, so every score is bitwise ``score_all``'s.
+    The bound is sound in floating point: a cluster's best member shifts to
+    exactly 0, so its sum is at least 1 and its log at least 0, no member
+    folds above ``cl_c``, and subtracting log Z is monotone.  So the search
+    stops at the first cluster strictly below the held k-th score; the strict
+    comparison keeps exact float ties expanding, preserving the ordinal
+    tie-break of the oracle.  An expanded cluster adds nothing if its best
+    member is below the k-th score, and otherwise its members at or above it
+    are ``lexsort``-ed into the held k.
 
     Clusters are expanded exactly when their bound reaches the final k-th
     score ``s``, since the k-th score only rises and never above an expanded
@@ -182,7 +184,7 @@ def topk_structure(query, k: int, tables: ModelTables, cluster_map: ClusterMap):
         if kth is not None and kth > item_bounds[cluster]:
             break
         lo, hi = offsets[cluster : cluster + 2]
-        scores = _fold(np.einsum("ij,j->i", rows[lo:hi], q), cl[n_text + cluster], _ONE_SEGMENT, hi - lo)
+        scores = _fold(_item_products(rows[lo:hi], q), cl[n_text + cluster], _ONE_SEGMENT, hi - lo)
         scores -= log_z
         members = item_order[lo:hi]
         tokens_scored += members.size
@@ -214,10 +216,10 @@ class AdditiveIndex:
 
     Row ``i`` of ``vectors`` is item ``i``'s, unified ordinal ``n_text + i``.
     Text rows are not stored: a text token's row would be exactly twice its
-    embedding, which the first-level copy (``tables.first_level_rows()``)
-    already holds, so ``topk_ann`` scores text tokens from that copy.  One
-    index per table version and cluster map is shared by every caller, so it
-    is immutable: the dataclass is frozen and ``vectors`` read-only.
+    embedding, so ``topk_ann`` scores text tokens by their first-level logits
+    (``cluster_logits``), doubled.  One index per table version and cluster
+    map is shared by every caller, so it is immutable: the dataclass is frozen
+    and ``vectors`` read-only.
     """
 
     vectors: np.ndarray  # (n_items, d), read-only
@@ -264,16 +266,11 @@ def _fresh_rows(index: AdditiveIndex, tables: ModelTables) -> np.ndarray:
 
 
 def ann_item_scores(query, index: AdditiveIndex, tables: ModelTables) -> np.ndarray:
-    """Inner products of a ``(d,)`` query, or of each row of a ``(B, d)``
-    query block (one GEMM), with the index's item rows; a stale index raises.
-
-    A single query takes an ``einsum`` row product, not a GEMV: a GEMV can
-    round equal rows differently by where they sit, and equal item rows must
-    score equal so that their ties break by ascending ordinal."""
+    """Inner products (``softmax._item_products``) of a ``(d,)`` query, or of
+    each row of a ``(B, d)`` query block, with the index's item rows; a stale
+    index raises."""
     items = _fresh_rows(index, tables)
-    if np.ndim(query) == 2:
-        return _queries64(query) @ items.T
-    return np.einsum("ij,j->i", items, _query64(query))
+    return _item_products(items, _queries64(query) if np.ndim(query) == 2 else _query64(query))
 
 
 def topk_ann(
@@ -291,11 +288,11 @@ def topk_ann(
     clusters with the highest centroid scores are scored (text tokens always
     are).  Scores are additive dot products, not log-probabilities.
 
-    A text token's score is twice its first-level logit, the product over
-    the first-level copy's text rows that ``cluster_logits`` takes, doubled:
-    bitwise the product of its row 2·e_w, since doubling is exact.  Item rows, probed or not, take
-    ``ann_item_scores``' per-row ``einsum``, so a probed item scores bitwise
-    as the full scan and the item-only paths score it.
+    A text token's score is its first-level logit (``cluster_logits``),
+    doubled: bitwise the product of its row 2·e_w, since doubling is exact.
+    The same logits rank the centroids for probing.  Item rows, probed or
+    not, take ``ann_item_scores``' product, so a probed item scores as the
+    full scan and the item-only paths score it.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -304,15 +301,14 @@ def topk_ann(
     items = _fresh_rows(index, tables)
     q = _query64(query)
     n_text = index.n_text
-    first_level = tables.first_level_rows()
+    cl = cluster_logits(q, tables)
     members = None
     if probes is not None:
-        centroid_scores = first_level[n_text:] @ q
-        probed = np.lexsort((np.arange(centroid_scores.size), -centroid_scores))[:probes]
+        probed = np.lexsort((np.arange(cl.size - n_text), -cl[n_text:]))[:probes]
         # Ascending item order, so ties still break by ascending ordinal.
         members = np.isin(index.cluster_map.item_assignment, probed).nonzero()[0]
         items = items[members]
-    scores = np.concatenate((2.0 * (first_level[:n_text] @ q), np.einsum("ij,j->i", items, q)))
+    scores = np.concatenate((2.0 * cl[:n_text], _item_products(items, q)))
     top = _rank_topk(scores, k)
     if members is None:
         return top

@@ -43,10 +43,9 @@ constant per query, so they rank items as
 log-probabilities do while reading no text row, ``O((C + |I|) d)`` per query
 whatever ``|V|`` is.  :func:`log_partition` gives log Z; :func:`score_all`
 and the pruned search (``topk_structure``) subtract it from the folds and
-the text logits.  Single-query item products are ``einsum`` loops, which
-compute a row the same way wherever it sits, so one cluster folded alone
-gets bitwise the scores it gets among all.  :func:`two_level_logprob` keeps
-the per-token arithmetic as an independent oracle.
+the text logits.  Every item logit against a rows copy is one
+:func:`_item_products` call.  :func:`two_level_logprob` keeps the per-token
+arithmetic as an independent oracle.
 
 A :class:`CostCounter` tallies d-dimensional dot products so the cost claims
 are measurable rather than asserted.
@@ -188,6 +187,17 @@ def _fold(scores: np.ndarray, centroid_logits, starts: np.ndarray, sizes) -> np.
     return scores
 
 
+def _item_products(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Item logits against ``rows`` of a float64 ``(d,)`` query, ``(n,)``, by
+    the ``einsum`` row product, or of a ``(B, d)`` block, ``(B, n)``, by one
+    GEMM.  Not a GEMV: a GEMV (also a ``(1, d)`` GEMM's) can round a row
+    differently by where it sits, while the ``einsum`` loop computes each row
+    the same way wherever it sits.  So equal rows score equal, their ties
+    breaking by ascending ordinal, and a slice of rows (a cluster, the probed
+    items) scores bitwise as it does among all."""
+    return np.einsum("ij,j->i", rows, queries) if queries.ndim == 1 else queries @ rows.T
+
+
 def _cluster_rank_scores(queries, tables: ModelTables, cluster_map: ClusterMap, mode: str) -> np.ndarray:
     """:func:`item_rank_scores` in cluster order: column ``j`` is item
     ``cluster_map.item_order[j]``.
@@ -202,21 +212,16 @@ def _cluster_rank_scores(queries, tables: ModelTables, cluster_map: ClusterMap, 
     one), so a tile and the fold's ``repeat`` and ``exp`` temporaries stay in
     cache.  :func:`_fold` computes a row the same way wherever it sits and
     reads no other row, so every tiling gives the same bits; a block within
-    the budget is one tile.  A single query takes :func:`score_all`'s
-    products: the ``einsum`` row product over the item rows, so that equal
-    rows score equal (a GEMV, also a ``(1, d)`` GEMM's, can round them
-    apart), and :func:`cluster_logits`' product over the centroid rows.
+    the budget is one tile.  A single query is folded by one direct call.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     single = np.ndim(queries) == 1
     q = _query64(queries) if single else _queries64(queries)
-    rows = tables.item_rows_by_cluster(cluster_map)
-    scores = np.einsum("ij,j->i", rows, q) if single else q @ rows.T
+    scores = _item_products(tables.item_rows_by_cluster(cluster_map), q)
     if mode == "full":
         return scores
-    centroids = tables.centroids.data.astype(np.float64, copy=False)
-    centroid_logits = centroids @ q if single else q @ centroids.T
+    centroid_logits = q @ tables.centroids.data.astype(np.float64, copy=False).T
     starts, sizes = cluster_map.offsets[:-1], cluster_map.cluster_sizes()
     if single:
         return _fold(scores, centroid_logits, starts, sizes)
@@ -255,11 +260,10 @@ def score_all(
 ) -> np.ndarray:
     """Exact log-probability of every token under the chosen mode.
 
-    Enumeration over the whole space.  Two-level mode folds (:func:`_fold`)
-    one ``einsum`` row product against the cluster-ordered item rows with the
-    first-level logits ``cl`` and subtracts their logsumexp, log Z, from the
-    folds and the text logits once; ``topk_exact`` ranks the result and
-    ``topk_structure`` computes it bit for bit.
+    Enumeration over the whole space.  Two-level mode subtracts log Z, the
+    logsumexp of the first-level logits ``cl``, once from the text logits and
+    the items' rank scores (:func:`item_rank_scores`); ``topk_exact`` ranks the
+    result and ``topk_structure`` computes it bit for bit.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -269,9 +273,7 @@ def score_all(
     if cluster_map is None:
         raise ValueError("two-level scoring requires a cluster map")
     cl = cluster_logits(q, tables)
-    rows, n_text = tables.item_rows_by_cluster(cluster_map), tables.n_text
-    scores = _fold(np.einsum("ij,j->i", rows, q), cl[n_text:], cluster_map.offsets[:-1], cluster_map.cluster_sizes())
-    return np.concatenate((cl[:n_text], scores[cluster_map.item_position])) - _logsumexp(cl)
+    return np.concatenate((cl[: tables.n_text], item_rank_scores(q, tables, cluster_map))) - _logsumexp(cl)
 
 
 def nll_and_grad(

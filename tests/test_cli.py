@@ -2,10 +2,12 @@ import csv
 import json
 import re
 
+import numpy as np
 import pytest
 
-from helpers import rewrite_snapshot, seal_snapshot
+from helpers import param_arrays, rewrite_snapshot, seal_snapshot
 from hsrec.cli import main
+from hsrec.snapshot import load_snapshot, save_snapshot
 
 
 def run(argv):
@@ -216,8 +218,6 @@ def test_eval_rejects_snapshot_header_sizes_the_file_cannot_hold(corpus, tmp_pat
 
 
 def test_bench_rejects_corrupt_cluster_assignment(corpus, tmp_path, capsys):
-    from hsrec.snapshot import load_snapshot
-
     run(["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", tmp_path])
     path = tmp_path / "snapshot.hsrc"
     assignment = load_snapshot(path).cluster_map.assignment()
@@ -231,8 +231,6 @@ def test_bench_rejects_corrupt_cluster_assignment(corpus, tmp_path, capsys):
 
 
 def test_eval_rejects_unknown_softmax_mode(corpus, tmp_path, capsys):
-    from hsrec.snapshot import load_snapshot, save_snapshot
-
     run(["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", tmp_path])
     path = tmp_path / "snapshot.hsrc"
     snapshot = load_snapshot(path)
@@ -262,11 +260,94 @@ def test_train_same_seed_snapshots_byte_identical(corpus, tmp_path, mode):
     assert (a / "snapshot.hsrc").read_bytes() == (b / "snapshot.hsrc").read_bytes()
 
 
+def rewrite_corpus(corpus, out_dir, transform):
+    """``transform`` of the corpus's parsed lines, written to ``out_dir`` under
+    the corpus's file name (the dataset name in eval's reports)."""
+    records = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+    out_dir.mkdir()
+    path = out_dir / corpus.name
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in transform(records)), encoding="utf-8")
+    return path
+
+
+def pipeline_artifacts(data, out_dir, commands=("ingest", "train", "eval")):
+    """Bytes of every file ``ingest``, ``train`` and ``eval --engine all
+    --exclude-history 1`` write for ``data``, by file name."""
+    argvs = {
+        "ingest": ["ingest", "--data", data],
+        "train": ["train", "--data", data, "--steps", 20, "--batch-size", 8, "--dim", 8, "--item-dim", 6,
+                  "--eval-every", 10, "--seed", 2],
+        "eval": ["eval", "--data", data, "--snapshot", out_dir / "snapshot.hsrc", "--engine", "all",
+                 "--exclude-history", 1],
+    }
+    for command in commands:
+        assert run(argvs[command] + ["--out-dir", out_dir]) == 0, command
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def corpus_artifacts(corpus, tmp_path_factory):
+    return pipeline_artifacts(corpus, tmp_path_factory.mktemp("artifacts"))
+
+
+@pytest.mark.parametrize("field", ["user", "item"])
+def test_renaming_ids_changes_no_artifact(corpus, corpus_artifacts, tmp_path, field):
+    # An injective renaming that does not keep the ids' order: indices follow
+    # first appearance, so no artifact may change but the snapshot's id strings.
+    ids = sorted({json.loads(line)[field] for line in corpus.read_text(encoding="utf-8").splitlines()})
+    names = np.random.default_rng(0).permutation(len(ids))
+    renamed = {old: f"renamed-{n}" for old, n in zip(ids, names.tolist())}
+
+    def rename(records):
+        return [{**r, field: renamed[r[field]]} for r in records]
+
+    got = pipeline_artifacts(rewrite_corpus(corpus, tmp_path / "renamed", rename), tmp_path / "out")
+    assert set(got) == set(corpus_artifacts) >= {"stats.json", "snapshot.hsrc", "metrics.csv", "metrics.json", "results.csv"}
+    if field == "user":
+        assert got == corpus_artifacts
+        return
+    assert {n: b for n, b in got.items() if n != "snapshot.hsrc"} == {
+        n: b for n, b in corpus_artifacts.items() if n != "snapshot.hsrc"
+    }
+    (tmp_path / "want.hsrc").write_bytes(corpus_artifacts["snapshot.hsrc"])
+    want = load_snapshot(tmp_path / "want.hsrc")
+    snapshot = load_snapshot(tmp_path / "out" / "snapshot.hsrc")
+    assert snapshot.item_ids == [renamed[i] for i in want.item_ids]
+    arrays, want_arrays = param_arrays(snapshot.tables, snapshot.encoder), param_arrays(want.tables, want.encoder)
+    assert arrays.keys() == want_arrays.keys()
+    for name, arr in arrays.items():
+        assert arr.dtype == want_arrays[name].dtype and arr.tobytes() == want_arrays[name].tobytes(), name
+
+
+def test_any_line_order_keeps_ingest_stats(corpus, corpus_artifacts, tmp_path):
+    def shuffle(records):
+        return [records[i] for i in np.random.default_rng(1).permutation(len(records))]
+
+    got = pipeline_artifacts(rewrite_corpus(corpus, tmp_path / "shuffled", shuffle), tmp_path / "out", ["ingest"])
+    assert got["stats.json"] == corpus_artifacts["stats.json"]
+
+
+def test_line_order_that_keeps_first_appearances_changes_no_artifact(corpus, corpus_artifacts, tmp_path):
+    # First appearance fixes the item indices and the user order, and the
+    # synth corpus's timestamps are distinct per user, which fixes each user's
+    # run.  So each user's and each item's first line stays first, in input
+    # order, and every other line may go anywhere after them.
+    kept = []
+
+    def shuffle(records):
+        users, items, rest = set(), set(), []
+        for r in records:
+            (kept if r["user"] not in users or r["item"] not in items else rest).append(r)
+            users.add(r["user"])
+            items.add(r["item"])
+        return kept + [rest[i] for i in np.random.default_rng(1).permutation(len(rest))]
+
+    got = pipeline_artifacts(rewrite_corpus(corpus, tmp_path / "shuffled", shuffle), tmp_path / "out")
+    assert len(kept) < len(corpus.read_text(encoding="utf-8").splitlines()) // 2  # most lines move
+    assert got == corpus_artifacts
+
+
 def test_eval_rejects_non_finite_snapshot_payload(corpus, tmp_path, capsys):
-    import numpy as np
-
-    from hsrec.snapshot import load_snapshot, save_snapshot
-
     run(["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", tmp_path])
     path = tmp_path / "snapshot.hsrc"
     snapshot = load_snapshot(path)
@@ -295,8 +376,6 @@ def test_latency_reference_table(tmp_path):
 
 
 def test_cluster_accepts_feature_file(corpus, tmp_path):
-    import numpy as np
-
     features = np.random.default_rng(0).standard_normal((16, 3))
     np.save(tmp_path / "feats.npy", features)
     code = run(
@@ -314,8 +393,6 @@ def test_cluster_accepts_feature_file(corpus, tmp_path):
 def test_feature_file_that_does_not_fit_the_corpus_is_data_error(corpus, tmp_path, capsys, command, case):
     # Before, a zero-width file reached k-means as "item_vectors is empty",
     # and a huge one overflowed k-means++'s distances: both exited as usage.
-    import numpy as np
-
     rows = {"short": 13, "long": 21}.get(case, 16)  # the corpus has 16 items
     features = np.random.default_rng(0).standard_normal((rows, 0 if case == "zero_width" else 3))
     if case == "nan":
@@ -745,8 +822,6 @@ def test_negative_seed_names_the_option_with_real_inputs(corpus, tmp_path, capsy
 
 
 def test_snapshot_without_softmax_mode_is_two_level(corpus, tmp_path):
-    from hsrec.snapshot import load_snapshot, save_snapshot
-
     run(["train", "--data", corpus, "--steps", 0, "--dim", 8, "--item-dim", 6, "--out-dir", tmp_path])
     path = tmp_path / "snapshot.hsrc"
     snapshot = load_snapshot(path)

@@ -243,13 +243,16 @@ def test_batched_ranks_equal_per_user_oracle(trained, engine, model):
     snapshot = make[model](snapshot)
     # More users than one block, so the last block is a partial one.
     examples = (data.test_examples * (2 * EVAL_BLOCK // len(data.test_examples) + 1))[: 2 * EVAL_BLOCK + 7]
+    ranks = {}
     for exclude_history in (False, True):
         want = _oracle_ranks(snapshot, data, engine, examples, exclude_history)
-        got = target_ranks(snapshot, data, engine, examples, exclude_history)
-        assert got.tolist() == want, exclude_history
+        ranks[exclude_history] = target_ranks(snapshot, data, engine, examples, exclude_history)
+        assert ranks[exclude_history].tolist() == want, exclude_history
         # B = 1: every user alone in its block.
         alone = [int(target_ranks(snapshot, data, engine, [e], exclude_history)[0]) for e in examples[:20]]
         assert alone == want[:20], exclude_history
+    # Excluding the history only drops competitors: no user's rank rises.
+    assert (ranks[True] <= ranks[False]).all()
     if model.startswith("tied"):
         query, _ = encode(render_id_only(examples[0], data), snapshot.tables, snapshot.encoder)
         scores = score_all(query, snapshot.tables, snapshot.cluster_map)[snapshot.tables.n_text :]
@@ -336,6 +339,7 @@ def test_block_boundaries_do_not_change_ranks(trained, engine, monkeypatch):
     for block in (1, 5, 7, len(examples)):
         monkeypatch.setattr(evaluate_module, "EVAL_BLOCK", block)
         assert target_ranks(snapshot, data, engine, examples).tolist() == want, block
+        assert target_ranks(snapshot, data, engine, examples[::-1]).tolist() == want[::-1], block
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -375,9 +379,12 @@ def test_full_softmax_snapshot_ranks_equal_oracle(tmp_path):
     data, _ = synth_dataset(tmp_path, n_users=40, n_items=12, n_groups=3, seed=5)
     config = TrainConfig(max_steps=20, batch_size=4, eval_every=0, seed=0, softmax_mode="full")
     snapshot = train(data, config, dim=8, item_dim=6, clustering="random").snapshot
+    ranks = {}
     for exclude_history in (False, True):
         want = _oracle_ranks(snapshot, data, "full", data.test_examples, exclude_history)
-        assert target_ranks(snapshot, data, "full", exclude_history=exclude_history).tolist() == want
+        ranks[exclude_history] = target_ranks(snapshot, data, "full", exclude_history=exclude_history)
+        assert ranks[exclude_history].tolist() == want
+    assert (ranks[True] <= ranks[False]).all()
 
 
 def test_rank_rows_equals_pairwise_count():
