@@ -420,6 +420,8 @@ def _eval_ablation(opts: dict, ks: tuple[int, ...]) -> int:
 def cmd_eval(opts: dict) -> int:
     ks = _recall_cutoffs(opts["k"])
     if opts["clusters"] == "all":
+        if opts["snapshot"]:
+            raise UsageError("--clusters all trains its own models; it takes no --snapshot")
         return _eval_ablation(opts, ks)
     if not opts["snapshot"]:
         raise UsageError("--snapshot is required unless --clusters all")

@@ -3,9 +3,10 @@ snapshot byte surgery, and the oracles the fast paths are tested against:
 the per-line ingest, the split's example lists, the per-example render loop,
 full-softmax log-probabilities, normalized block item log-probabilities
 (the oracle for evaluation's rank scores), the per-example loss, gradients and
-encoder backward, top-k selection, co-occurrence counting, cluster binning,
-centroid means and the full-layout additive index; and the item rows a
-factored item gradient writes."""
+encoder backward, top-k selection, the token ranking and per-example
+evaluation ranks and block scores, co-occurrence counting, cluster binning,
+centroid means and the full-layout additive index; a zeroed (tied) item
+side; the item rows a factored item gradient writes; and bitwise equality."""
 
 import heapq
 import json
@@ -25,9 +26,11 @@ from hsrec.catalog import (
     read_lines,
 )
 from hsrec.cluster import ClusterMap
-from hsrec.encoder import EncoderParams
+from hsrec.encoder import EncoderParams, encode, encode_batch
+from hsrec.evaluate import EVAL_BLOCK, rank_rows
 from hsrec.exceptions import DataError
-from hsrec.inference import SearchStats, TopK
+from hsrec.inference import SearchStats, TopK, ann_item_scores, build_additive_index
+from hsrec.render import render_id_only
 from hsrec.softmax import (
     MODES,
     _first_level_rows,
@@ -37,6 +40,7 @@ from hsrec.softmax import (
     _query64,
     cluster_logits,
     full_logits,
+    score_all,
 )
 from hsrec.tables import EmbeddingTable, GradBuffer, ModelTables, ProjectionHead
 from hsrec.tokens import tokenize_text
@@ -471,6 +475,63 @@ def encode_backward_oracle(cache, d_query, tables, params, grads):
 def touched_item_rows(item_grad):
     """Ascending item rows an ``ItemRowGrad`` writes: the rows its blocks hold."""
     return np.unique(np.concatenate([np.zeros(0, dtype=np.intp)] + [rows for rows, _ in item_grad.blocks()]))
+
+
+def bits(a):
+    """What bitwise equality compares: dtype, shape and bytes, of an array or
+    of a ``TopK``'s ordinals and scores."""
+    if isinstance(a, TopK):
+        return bits(a.ordinals), bits(a.scores)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def oracle_ranking(query, tables, cmap):
+    """Every token's two-level log-probability (``score_all``), and the
+    tokens best first, ties by ascending ordinal."""
+    scores = score_all(query, tables, cmap, mode="twolevel")
+    return np.lexsort((np.arange(scores.size), -scores)), scores
+
+
+def oracle_ranks(snapshot, data, engine, examples, exclude_history):
+    """Per example: encode, score every item with the single-query scorers,
+    rank; the oracle for evaluation's block ranks."""
+    tables = snapshot.tables
+    index = build_additive_index(tables, snapshot.cluster_map) if engine == "ann" else None
+    ranks = []
+    for e in examples:
+        query, _ = encode(render_id_only(e, data), tables, snapshot.encoder)
+        if engine == "ann":
+            scores = ann_item_scores(query, index, tables)
+        else:
+            mode = snapshot.softmax_mode
+            scores = score_all(query, tables, snapshot.cluster_map if mode == "twolevel" else None, mode)
+            scores = scores[tables.n_text :]
+        exclude = [set(e.history)] if exclude_history else None
+        ranks.append(int(rank_rows(scores[None, :], [e.target], exclude)[0]))
+    return ranks
+
+
+def oracle_item_scores(snapshot, data, examples):
+    """Per EVAL_BLOCK examples: the per-example renders packed and encoded as
+    one block, and the block's item log-probabilities."""
+    for lo in range(0, len(examples), EVAL_BLOCK):
+        block = examples[lo : lo + EVAL_BLOCK]
+        seqs = [render_loop(e, data, force_id_only=True) for e in block]
+        queries, _ = encode_batch(*pack(seqs), snapshot.tables, snapshot.encoder)
+        yield block, item_log_probs_batch(queries, snapshot.tables, snapshot.cluster_map, snapshot.softmax_mode)
+
+
+def tied_items(tables, cmap):
+    """``tables`` with its item side zeroed (raw rows and head bias, in
+    place) and zero centroids for ``cmap``: every item cluster has the same
+    log P(cluster | H) and every member the same log P(item | cluster),
+    whatever the query, so two-level scores tie inside each cluster and
+    across clusters of one size, and every ANN score is exactly 0."""
+    with tables.writing() as arrays:
+        arrays["item_raw"][:] = 0.0
+        arrays["proj_bias"][:] = 0.0
+    centroids = EmbeddingTable(np.zeros((cmap.n_item_clusters, tables.dim), dtype=tables.text.data.dtype))
+    return ModelTables(tables.text, tables.item_raw, tables.projection, centroids)
 
 
 def rank_topk_reference(scores, k):

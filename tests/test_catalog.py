@@ -25,34 +25,6 @@ def write_jsonl(path, rows):
     return path
 
 
-def test_single_user_sorted_by_timestamp(tmp_path):
-    path = write_jsonl(
-        tmp_path / "d.jsonl",
-        [
-            {"user": "u", "item": "b", "timestamp": 20},
-            {"user": "u", "item": "a", "timestamp": 10},
-            {"user": "u", "item": "c", "timestamp": 30},
-        ],
-    )
-    inter = ingest_jsonl(path)
-    assert [inter.catalog[i].item_id for i in inter.events] == ["a", "b", "c"]
-    assert inter.offsets.tolist() == [0, 3]
-
-
-def test_timestamp_ties_broken_by_input_order(tmp_path):
-    path = write_jsonl(
-        tmp_path / "d.jsonl",
-        [
-            {"user": "v", "item": "y", "timestamp": 0},  # y takes the lower item index
-            {"user": "u", "item": "x", "timestamp": 5},
-            {"user": "u", "item": "y", "timestamp": 5},
-        ],
-    )
-    inter = ingest_jsonl(path)
-    assert inter.users == ["v", "u"] and inter.offsets.tolist() == [0, 1, 3]
-    assert [inter.catalog[i].item_id for i in inter.events[1:]] == ["x", "y"]
-
-
 def test_duplicate_events_retained(tmp_path):
     # Hand count: two identical lines are two events, one catalog item.
     path = write_jsonl(
@@ -247,23 +219,14 @@ def test_vocab_most_frequent_first_with_cap():
     assert vocab.lookup("red") != vocab.oov_id
 
 
-def test_price_buckets_are_deciles():
-    class R:
-        def __init__(self, price):
-            self.price = price
-
-    class C:
-        records = [R(float(p)) for p in range(1, 101)]
-
-    edges = _price_edges(C())
-    assert edges.shape == (9,)
-
-    def bucket(price):
-        return int(np.searchsorted(edges, price, side="right"))
-
-    assert bucket(1.0) == 0
-    assert bucket(100.0) == 9
-    assert bucket(55.0) in (4, 5)
+def test_price_buckets_are_deciles(tmp_path):
+    # Prices 0 to 10, twice each: the inner decile edges are the prices 1 to
+    # 9, and a price's bucket is the number of edges at or below it.
+    rows = [{"user": f"u{i % 2}", "item": f"i{i}", "timestamp": i, "price": i // 2} for i in range(22)]
+    data = build_dataset(ingest_jsonl(write_jsonl(tmp_path / "d.jsonl", rows)))
+    assert data.price_edges.tolist() == list(range(1, 10))
+    tokens, seg_ptr = data.field_tokens.tokens, data.field_tokens.seg_ptr  # one price segment per item
+    assert tokens[seg_ptr[:-1] + 1].tolist() == [data.vocab.price_bucket_ids[min(i // 2, 9)] for i in range(22)]
 
 
 def test_price_edges_of_prices_across_the_float_range_are_finite():

@@ -5,12 +5,13 @@ import importlib
 import numpy as np
 import pytest
 
-from helpers import item_log_probs_batch, synth_dataset
+from helpers import item_log_probs_batch, oracle_ranks, synth_dataset, tied_items
 from hsrec.cluster import ClusterMap
 from hsrec.encoder import EncoderParams, encode, encode_batch
 from hsrec.evaluate import (
     ENGINES,
     EVAL_BLOCK,
+    MetricReport,
     evaluate,
     item_score_blocks,
     metrics_from_ranks,
@@ -40,24 +41,9 @@ def trained(tmp_path_factory):
     return data, result.snapshot
 
 
-def test_perfect_model_metrics_all_one():
-    report = metrics_from_ranks([1] * 25)
-    assert report.recall[1] == 1.0
-    assert report.recall[10] == 1.0
-    assert report.ndcg10 == 1.0
-    assert report.mrr == 1.0
-
-
-def test_metric_invariants_random_ranks():
-    rng = np.random.default_rng(0)
-    report = metrics_from_ranks(rng.integers(1, 100, size=500))
-    assert report.recall[1] <= report.recall[10]
-    assert report.recall[1] <= report.mrr <= 1.0
-    assert report.ndcg10 <= 1.0
-
-
 def test_ndcg_and_mrr_formulas():
-    # rank 1 -> ndcg 1; rank 3 -> 1/log2(4); rank 11 -> ndcg 0 but mrr 1/11.
+    # rank 1 -> all 1; rank 3 -> ndcg 1/log2(4); rank 11 -> ndcg 0 but mrr 1/11.
+    assert metrics_from_ranks([1] * 25) == MetricReport(25, {1: 1.0, 10: 1.0}, 1.0, 1.0)
     report = metrics_from_ranks([3])
     assert report.ndcg10 == pytest.approx(1.0 / np.log2(4.0))
     report = metrics_from_ranks([11])
@@ -65,52 +51,9 @@ def test_ndcg_and_mrr_formulas():
     assert report.mrr == pytest.approx(1.0 / 11.0)
 
 
-def test_random_scorer_expected_recall():
-    # Expected Recall@10 for a uniform random scorer over n items is 10/n.
-    rng = np.random.default_rng(1)
-    n_items, n_users = 50, 4000
-    scores, targets = np.empty((n_users, n_items)), np.empty(n_users, dtype=np.int64)
-    for user in range(n_users):
-        scores[user] = rng.standard_normal(n_items)
-        targets[user] = rng.integers(n_items)
-    hits = np.count_nonzero(rank_rows(scores, targets) <= 10)
-    expected = 10.0 / n_items
-    sigma = np.sqrt(expected * (1 - expected) / n_users)
-    assert abs(hits / n_users - expected) <= 4 * sigma
-
-
-def test_rank_rows_tie_break():
-    # One row per target over the same scores: tied at top, lower index wins.
-    scores = np.tile([1.0, 2.0, 2.0, 0.5], (4, 1))
-    assert rank_rows(scores, [1, 2, 0, 3]).tolist() == [1, 2, 3, 4]
-
-
 def test_rank_excludes_history_but_never_target():
     scores = np.tile([5.0, 4.0, 3.0], (2, 1))
     assert rank_rows(scores, [2, 2], [{0, 1}, {2}]).tolist() == [1, 3]
-
-
-def test_structure_engine_equals_enumeration_bitwise(trained):
-    data, snapshot = trained
-    for exclude_history in (False, True):
-        structure = evaluate(snapshot, data, engine="structure", exclude_history=exclude_history)
-        enumerated = evaluate(snapshot, data, engine="full", exclude_history=exclude_history)
-        assert structure == enumerated, exclude_history  # bit-for-bit equal reports
-
-
-def test_ann_engine_runs_and_reports(trained):
-    data, snapshot = trained
-    report = evaluate(snapshot, data, engine="ann")
-    assert 0.0 <= report.recall[10] <= 1.0
-    assert report.n_users == len(data.test_examples)
-
-
-def test_exclude_history_changes_nothing_for_unseen_targets(trained):
-    data, snapshot = trained
-    with_hist = evaluate(snapshot, data, engine="structure", exclude_history=False)
-    without = evaluate(snapshot, data, engine="structure", exclude_history=True)
-    # Excluding history can only improve or preserve the target's rank.
-    assert without.mrr >= with_hist.mrr - 1e-12
 
 
 @pytest.mark.parametrize("engine", ["full", "structure", "ann"])
@@ -191,61 +134,32 @@ def _as_float64(snapshot):
     return dataclasses.replace(snapshot, tables=tables, encoder=encoder)
 
 
-def _tied(snapshot):
-    # Zero item rows, head bias and centroids: every ANN score is exactly 0,
-    # and two-level scores tie inside each cluster and across clusters of one
-    # size, whatever order a product sums in.  (Equal non-zero rows are not
-    # enough: a one-query product can round its tail rows differently.)
+def _tied(snapshot, singletons=False):
+    # Zeroed item side (helpers.tied_items), whatever order a product sums in.
+    # (Equal non-zero rows are not enough: a one-query product can round its
+    # tail rows differently.)  With singletons, every item is its own cluster,
+    # all tied: each cluster's log P(cluster | H) equals the target's
+    # log-probability, so the structure engine must score every cluster to
+    # break the ties by index.
     tied = copy.deepcopy(snapshot)
-    with tied.tables.writing() as arrays:  # drops the cached projected rows
-        arrays["item_raw"][:] = 0.0
-        arrays["proj_bias"][:] = 0.0
-        arrays["centroids"][:] = 0.0
+    if singletons:
+        n_text, n_items = tied.tables.n_text, tied.tables.n_items
+        tied.cluster_map = ClusterMap(n_text, np.arange(n_items), n_items)
+    tied.tables = tied_items(tied.tables, tied.cluster_map)
     return tied
-
-
-def _tied_singletons(snapshot):
-    # Every item its own cluster, all tied: each cluster's log P(cluster | H)
-    # equals the target's log-probability, so the structure engine must
-    # score every cluster to break the ties by index.
-    tied = _tied(snapshot)
-    n_text, n_items, dim = tied.tables.n_text, tied.tables.n_items, tied.tables.dim
-    tied.cluster_map = ClusterMap(n_text, np.arange(n_items), n_items)
-    t = tied.tables
-    centroids = EmbeddingTable(np.zeros((n_items, dim), dtype=t.text.data.dtype))
-    tied.tables = ModelTables(t.text, t.item_raw, t.projection, centroids)
-    return tied
-
-
-def _oracle_ranks(snapshot, data, engine, examples, exclude_history):
-    """Per user: encode, score every item with the single-query scorers, rank."""
-    tables = snapshot.tables
-    mode = snapshot.config.get("softmax_mode", "twolevel")
-    index = build_additive_index(tables, snapshot.cluster_map) if engine == "ann" else None
-    ranks = []
-    for e in examples:
-        query, _ = encode(render_id_only(e, data), tables, snapshot.encoder)
-        if engine == "ann":
-            scores = ann_item_scores(query, index, tables)
-        else:
-            cmap = snapshot.cluster_map if mode == "twolevel" else None
-            scores = score_all(query, tables, cmap, mode=mode)[tables.n_text :]
-        exclude = [set(e.history)] if exclude_history else None
-        ranks.append(int(rank_rows(scores[None, :], [e.target], exclude)[0]))
-    return ranks
 
 
 @pytest.mark.parametrize("engine", ["full", "structure", "ann"])
 @pytest.mark.parametrize("model", ["float32", "float64", "tied", "tied_singletons"])
 def test_batched_ranks_equal_per_user_oracle(trained, engine, model):
     data, snapshot = trained
-    make = {"float32": lambda s: s, "float64": _as_float64, "tied": _tied, "tied_singletons": _tied_singletons}
+    make = {"float32": lambda s: s, "float64": _as_float64, "tied": _tied, "tied_singletons": lambda s: _tied(s, True)}
     snapshot = make[model](snapshot)
     # More users than one block, so the last block is a partial one.
     examples = (data.test_examples * (2 * EVAL_BLOCK // len(data.test_examples) + 1))[: 2 * EVAL_BLOCK + 7]
     ranks = {}
     for exclude_history in (False, True):
-        want = _oracle_ranks(snapshot, data, engine, examples, exclude_history)
+        want = oracle_ranks(snapshot, data, engine, examples, exclude_history)
         ranks[exclude_history] = target_ranks(snapshot, data, engine, examples, exclude_history)
         assert ranks[exclude_history].tolist() == want, exclude_history
         # B = 1: every user alone in its block.
@@ -323,7 +237,7 @@ def test_served_ann_query_and_evaluation_share_one_index(trained, monkeypatch):
         index = build_additive_index(tables, cmap)
         topk_items(query, 3, tables, cmap, snapshot.space, engine="ann", index=index)
         evaluate(snapshot, data, engine="ann", examples=examples)
-        assert target_ranks(snapshot, data, "ann", examples).tolist() == _oracle_ranks(
+        assert target_ranks(snapshot, data, "ann", examples).tolist() == oracle_ranks(
             snapshot, data, "ann", examples, False
         )
         assert built == list(range(first, first + step + 1))  # one build per table version
@@ -335,11 +249,15 @@ def test_served_ann_query_and_evaluation_share_one_index(trained, monkeypatch):
 def test_block_boundaries_do_not_change_ranks(trained, engine, monkeypatch):
     data, snapshot = trained
     examples = data.test_examples
-    want = _oracle_ranks(snapshot, data, engine, examples, False)
+    want = oracle_ranks(snapshot, data, engine, examples, False)
     for block in (1, 5, 7, len(examples)):
         monkeypatch.setattr(evaluate_module, "EVAL_BLOCK", block)
         assert target_ranks(snapshot, data, engine, examples).tolist() == want, block
         assert target_ranks(snapshot, data, engine, examples[::-1]).tolist() == want[::-1], block
+    # A subset of the users ranks as they rank in the full run.
+    for subset in (np.arange(0, len(examples), 3), np.random.default_rng(0).choice(len(examples), 23, replace=False)):
+        got = target_ranks(snapshot, data, engine, [examples[i] for i in subset])
+        assert got.tolist() == [want[i] for i in subset]
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -381,7 +299,7 @@ def test_full_softmax_snapshot_ranks_equal_oracle(tmp_path):
     snapshot = train(data, config, dim=8, item_dim=6, clustering="random").snapshot
     ranks = {}
     for exclude_history in (False, True):
-        want = _oracle_ranks(snapshot, data, "full", data.test_examples, exclude_history)
+        want = oracle_ranks(snapshot, data, "full", data.test_examples, exclude_history)
         ranks[exclude_history] = target_ranks(snapshot, data, "full", exclude_history=exclude_history)
         assert ranks[exclude_history].tolist() == want
     assert (ranks[True] <= ranks[False]).all()

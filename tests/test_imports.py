@@ -3,11 +3,14 @@
 A standard-library stand-in for a linter's unused-import check (F401).  An
 import line may carry ``# noqa: F401`` to keep a name that code outside the
 module looks up on it.  Package ``__init__`` files, whose imports are the
-public API, and ``from __future__`` imports are skipped.
+public API, and ``from __future__`` imports are skipped.  Also: every snippet
+of the mutation table (``tests/mutants.py``) still occurs once in its module.
 """
 
 import ast
 from pathlib import Path
+
+from mutants import stale
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,3 +56,8 @@ def test_check_flags_an_unread_import(tmp_path):
     )
     names = [entry.split()[-1] for entry in unused_imports(module)]
     assert names == ["json", "pi"]
+
+
+def test_every_mutant_snippet_occurs_once():
+    # tests/mutants.py refuses to run with a stale snippet; this says so at once.
+    assert stale() == []

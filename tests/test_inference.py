@@ -9,10 +9,13 @@ from helpers import (
     additive_rows_full,
     ann_scores_full,
     best_first_heap,
+    bits,
     fig2_fixture,
+    oracle_ranking,
     random_cluster_map,
     random_model,
     rank_topk_reference,
+    tied_items,
     topk_ann_full,
 )
 from hsrec.cluster import ClusterMap
@@ -33,19 +36,13 @@ from hsrec.tables import EmbeddingTable, ModelTables, ProjectionHead
 from hsrec.tokens import TokenSpace
 
 
-def oracle_ranking(query, tables, cmap):
-    scores = score_all(query, tables, cmap, mode="twolevel")
-    return np.lexsort((np.arange(scores.size), -scores)), scores
-
-
 def test_full_ranking_is_sorted_with_ordinal_ties():
     tables, cmap, rng = random_model(6, 14, 5, 4, 4, seed=0)
     q = rng.standard_normal(5)
     top = topk_exact(q, tables.n_total, tables, cmap)
     assert len(top) == tables.n_total
     assert np.all(np.diff(top.scores) <= 1e-15)
-    order, scores = oracle_ranking(q, tables, cmap)
-    assert np.array_equal(top.ordinals, order)
+    assert np.array_equal(top.ordinals, oracle_ranking(q, tables, cmap)[0])
 
 
 def test_oversized_k_truncates():
@@ -69,47 +66,6 @@ def test_fig2_top1_and_pruning():
     assert stats.max_pruned_logprob <= structured.scores[-1]
 
 
-def test_singleton_clusters_degenerate_to_sorting():
-    # One cluster per item: structure search equals plain cluster-prob sorting.
-    tables, _, rng = random_model(4, 10, 5, 3, 10, seed=2)
-    cmap = ClusterMap(4, np.arange(10), 10)
-    q = rng.standard_normal(5)
-    exact = topk_exact(q, 14, tables, cmap)
-    structured, _ = topk_structure(q, 14, tables, cmap)
-    assert np.array_equal(exact.ordinals, structured.ordinals)
-    assert np.allclose(exact.scores, structured.scores, atol=1e-12)
-
-
-@pytest.mark.parametrize("k", [1, 5, 10, 100])
-def test_structure_equals_exact_random_sweep(k):
-    mismatches = 0
-    for seed in range(60):
-        tables, cmap, rng = random_model(
-            int(5 + seed % 7), int(30 + 3 * seed), 6, 4, int(3 + seed % 5), seed=seed
-        )
-        q = rng.standard_normal(6)
-        exact = topk_exact(q, k, tables, cmap)
-        structured, stats = topk_structure(q, k, tables, cmap)
-        if not np.array_equal(exact.ordinals, structured.ordinals):
-            mismatches += 1
-        assert np.array_equal(exact.scores, structured.scores)
-        # Pruning soundness: every pruned cluster bound <= returned k-th score.
-        if stats.max_pruned_logprob is not None:
-            assert stats.max_pruned_logprob <= structured.scores[-1] + 1e-15
-    assert mismatches == 0
-
-
-def test_structure_prunes_on_average():
-    expanded, total = 0, 0
-    for seed in range(20):
-        tables, cmap, rng = random_model(20, 400, 8, 6, 20, seed=seed)
-        q = rng.standard_normal(8)
-        _, stats = topk_structure(q, 10, tables, cmap)
-        expanded += stats.clusters_expanded
-        total += cmap.n_clusters
-    assert expanded < total  # pruning must actually happen
-
-
 def test_additive_index_rows():
     tables, cmap, rng = random_model(5, 12, 4, 3, 3, seed=3)
     index = build_additive_index(tables, cmap)
@@ -117,13 +73,13 @@ def test_additive_index_rows():
     # Text rows alias their own centroid: exactly twice the embedding, which
     # is twice the first-level copy's text rows.
     assert np.array_equal(full[:5], 2.0 * tables.text.data)
-    assert _bits(full[:5]) == _bits(2.0 * tables.first_level_rows()[:5])
+    assert bits(full[:5]) == bits(2.0 * tables.first_level_rows()[:5])
     projected = tables.item_projected()
     for item in range(12):
         expected = projected[item] + tables.centroids.data[cmap.item_assignment[item]]
         assert np.array_equal(index.vectors[item], expected)
     # The index holds the full layout's item rows, bit for bit.
-    assert _bits(index.vectors) == _bits(full[5:])
+    assert bits(index.vectors) == bits(full[5:])
     assert (index.n_text, index.vectors.shape[0]) == (5, 12)
 
 
@@ -143,17 +99,9 @@ def test_additive_index_is_one_read_only_copy_per_version_and_cluster_map():
     assert build_additive_index(tables, other) is other_index
     expected = tables.item_projected() + tables.centroids.data[other.item_assignment]
     assert np.array_equal(other_index.vectors, expected)
-    assert _bits(other_index.vectors) == _bits(additive_rows_full(tables, other)[5:])
-    assert _bits(index.vectors) == _bits(additive_rows_full(tables, cmap)[5:])
+    assert bits(other_index.vectors) == bits(additive_rows_full(tables, other)[5:])
+    assert bits(index.vectors) == bits(additive_rows_full(tables, cmap)[5:])
     assert build_additive_index(tables, cmap) is index
-
-
-def test_additive_index_zero_centroids_equals_item_table():
-    tables, cmap, rng = random_model(0, 9, 4, 3, 3, seed=4)
-    with tables.writing() as arrays:
-        arrays["centroids"][:] = 0.0
-    index = build_additive_index(tables, cmap)
-    assert np.array_equal(index.vectors, tables.item_projected())
 
 
 def test_stale_index_rejected():
@@ -202,42 +150,6 @@ def test_ann_top1_exact_when_log_partitions_equal():
     index = build_additive_index(tables, cmap)
     ann = topk_ann(q, 1, index, tables)
     assert ann.ordinals[0] == exact.ordinals[0]
-
-
-def test_ann_overlap_measured_not_asserted():
-    overlaps = []
-    for seed in range(10):
-        tables, cmap, rng = random_model(10, 120, 6, 4, 11, seed=seed)
-        q = rng.standard_normal(6)
-        index = build_additive_index(tables, cmap)
-        ann = set(topk_ann(q, 10, index, tables).ordinals.tolist())
-        exact = set(topk_exact(q, 10, tables, cmap).ordinals.tolist())
-        overlaps.append(len(ann & exact) / 10)
-    # Approximation quality is reported, not asserted exact.
-    assert 0.0 <= np.mean(overlaps) <= 1.0
-
-
-def test_ann_ordering_invariant_to_constant_logit_shift():
-    tables, cmap, rng = random_model(6, 20, 5, 4, 4, seed=8)
-    q = rng.standard_normal(5)
-    index = build_additive_index(tables, cmap)
-    base = topk_ann(q, 26, index, tables)
-    shifted_scores = additive_rows_full(tables, cmap) @ q + 3.7
-    order = np.lexsort((np.arange(shifted_scores.size), -shifted_scores))
-    assert np.array_equal(base.ordinals, order)
-
-
-def test_ann_probe_mode_subset():
-    tables, cmap, rng = random_model(4, 30, 5, 4, 6, seed=9)
-    q = rng.standard_normal(5)
-    index = build_additive_index(tables, cmap)
-    probed = topk_ann(q, 8, index, tables, probes=2)
-    exhaustive = topk_ann(q, 8, index, tables)
-    probe_set = set(probed.ordinals.tolist())
-    # Probed results are a subset of the full index's tokens and include text.
-    assert probe_set <= set(range(34))
-    assert len(probed) == 8
-    assert set(exhaustive.ordinals[:1].tolist()) <= set(range(34))
 
 
 @pytest.mark.parametrize("probes", [0, -1])
@@ -350,10 +262,6 @@ def test_topk_items_engines():
         topk_items(q, 3, tables, cmap, space, engine="ann", index=index)
 
 
-def _bits(a):
-    return a.dtype, a.shape, a.tobytes()
-
-
 @pytest.mark.parametrize("n", [1, 2, 7, 200])
 def test_rank_topk_equals_full_lexsort(n):
     # Few levels, so most scores tie; signed zeros, infinities and NaN mixed in.
@@ -365,21 +273,7 @@ def test_rank_topk_equals_full_lexsort(n):
             if k < 1:
                 continue
             got, want = _rank_topk(scores, k), rank_topk_reference(scores, k)
-            assert _bits(got.ordinals) == _bits(want.ordinals), (seed, k)
-            assert _bits(got.scores) == _bits(want.scores), (seed, k)
-
-
-def _tied_items(tables, cmap, singletons=False):
-    # Zeroed item side: every item cluster has the same log P(cluster | H) and
-    # every member the same log P(item | cluster), whatever the query.
-    with tables.writing() as arrays:
-        arrays["item_raw"][:] = 0.0
-        arrays["proj_bias"][:] = 0.0
-    n_text, n_items = tables.n_text, tables.n_items
-    n_clusters = n_items if singletons else cmap.n_item_clusters
-    centroids = EmbeddingTable(np.zeros((n_clusters, tables.dim)))
-    tables = ModelTables(tables.text, tables.item_raw, tables.projection, centroids)
-    return tables, ClusterMap(n_text, np.arange(n_items) % n_clusters, n_clusters)
+            assert bits(got) == bits(want), (seed, k)
 
 
 BEST_FIRST_MODELS = ("random", "prunes", "tied", "tied_singletons", "tied_text", "few_text")
@@ -403,8 +297,10 @@ def _best_first_cases(model):
                 arrays["text"][rng.random(25) < 0.5] = 0.0
                 arrays["centroids"][rng.random(5) < 0.4] = 0.0
         else:
-            tables, cmap, rng = random_model(5 + seed % 3, 24, 6, 4, 4, seed=seed)
-            tables, cmap = _tied_items(tables, cmap, singletons=model == "tied_singletons")
+            tables, _, rng = random_model(5 + seed % 3, 24, 6, 4, 4, seed=seed)
+            n_clusters = 24 if model == "tied_singletons" else 4
+            cmap = ClusterMap(tables.n_text, np.arange(24) % n_clusters, n_clusters)
+            tables = tied_items(tables, cmap)
         yield tables, cmap, rng.standard_normal(tables.dim)
 
 
@@ -415,8 +311,7 @@ def test_best_first_equals_heap_oracle(model):
         for k in (1, 3, 10, tables.n_total + 3):
             got, got_stats = topk_structure(q, k, tables, cmap)
             want, want_stats = best_first_heap(q, k, tables, cmap)
-            assert _bits(got.ordinals) == _bits(want.ordinals), k
-            assert _bits(got.scores) == _bits(want.scores), k
+            assert bits(got) == bits(want), k
             assert got_stats.to_dict() == want_stats.to_dict(), k
             pruned += got_stats.clusters_pruned
     if model == "prunes":
@@ -439,8 +334,7 @@ def test_ann_probe_mask_equals_member_lists():
                 allowed[tables.n_text + cmap.item_members(int(j))] = True
             want = rank_topk_reference(np.where(allowed, scores, -np.inf), min(8, int(allowed.sum())))
             got = topk_ann(q, 8, index, tables, probes=probes)
-            assert _bits(got.ordinals) == _bits(want.ordinals)
-            assert _bits(got.scores) == _bits(want.scores)
+            assert bits(got) == bits(want)
 
 
 def _ann_oracle_cases(dtype):
@@ -469,20 +363,19 @@ def test_ann_paths_equal_full_layout_oracle_bitwise(dtype):
         index = build_additive_index(tables, cmap)
         space = TokenSpace(tables.n_text, tables.n_items)
         block = rng.standard_normal((5, tables.dim)).astype(dtype)
-        assert _bits(ann_item_scores(block, index, tables)) == _bits(ann_scores_full(block, tables, cmap))
+        assert bits(ann_item_scores(block, index, tables)) == bits(ann_scores_full(block, tables, cmap))
         for q in block:
             items = ann_scores_full(q, tables, cmap)[tables.n_text :]
-            assert _bits(ann_item_scores(q, index, tables)) == _bits(items)
+            assert bits(ann_item_scores(q, index, tables)) == bits(items)
             for k in (1, 5, tables.n_total + 3):
                 for probes in (None, 1, 3, cmap.n_item_clusters + 1):
                     got = topk_ann(q, k, index, tables, probes=probes)
                     want = topk_ann_full(q, k, tables, cmap, probes=probes)
-                    assert _bits(got.ordinals) == _bits(want.ordinals), (k, probes)
-                    assert _bits(got.scores) == _bits(want.scores), (k, probes)
+                    assert bits(got) == bits(want), (k, probes)
                 top = topk_items(q, k, tables, cmap, space, engine="ann", index=index)
                 want = rank_topk_reference(items, k)
-                assert _bits(top.ordinals) == _bits(tables.n_text + want.ordinals), k
-                assert _bits(top.scores) == _bits(want.scores), k
+                assert bits(top.ordinals) == bits(tables.n_text + want.ordinals), k
+                assert bits(top.scores) == bits(want.scores), k
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -7,9 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import examples_from_split, item_log_probs_batch, pack, render_loop
+from helpers import examples_from_split, oracle_item_scores, pack, render_loop
 from hsrec.catalog import build_dataset, concat_ranges, ingest_jsonl
-from hsrec.encoder import encode_batch
 from hsrec.evaluate import EVAL_BLOCK, evaluate, rank_rows, target_ranks
 from hsrec.inference import _rank_topk
 from hsrec.render import render_batch, render_example, render_id_only, render_id_only_batch
@@ -131,16 +130,6 @@ def test_dataset_examples_equal_split_oracle(corpus_interactions, corpus_data):
     assert lengths.tolist() == [len(e.history) for e in train]
     assert histories == [i for e in train for i in e.history]
     assert data.events[data.train_ends].tolist() == [e.target for e in train]
-
-
-def oracle_item_scores(snapshot, data, examples):
-    """Per EVAL_BLOCK examples: the per-example renders packed and encoded as
-    one block, and the block's item log-probabilities."""
-    for lo in range(0, len(examples), EVAL_BLOCK):
-        block = examples[lo : lo + EVAL_BLOCK]
-        seqs = [render_loop(e, data, force_id_only=True) for e in block]
-        queries, _ = encode_batch(*pack(seqs), snapshot.tables, snapshot.encoder)
-        yield block, item_log_probs_batch(queries, snapshot.tables, snapshot.cluster_map, snapshot.softmax_mode)
 
 
 @pytest.mark.parametrize("mode", ["twolevel", "full"])

@@ -4,6 +4,7 @@ import pytest
 import weakref
 
 from helpers import (
+    bits,
     fd_gradient,
     fig2_fixture,
     flatten,
@@ -11,6 +12,7 @@ from helpers import (
     item_log_probs_batch,
     max_rel_error,
     nll_and_grad_oracle,
+    oracle_ranking,
     param_arrays,
     random_cluster_map,
     random_model,
@@ -45,13 +47,6 @@ def uniform_model(n_text, n_items, dim=4, item_dim=4):
     )
 
 
-def test_full_uniform_when_embeddings_equal():
-    tables = uniform_model(3, 5)
-    q = np.array([0.3, -0.2, 0.9, 0.0])
-    for ordinal in range(8):
-        assert np.exp(full_logprob(q, ordinal, tables)) == pytest.approx(1 / 8, abs=1e-12)
-
-
 def test_full_two_token_closed_form():
     # Logits (0, ln 3) -> probabilities (0.25, 0.75).
     text = np.array([[0.0], [np.log(3.0)]])
@@ -81,21 +76,6 @@ def test_full_matches_brute_force_summation():
         assert full_logprob(q, ordinal, tables) == pytest.approx(np.log(probs[ordinal]), abs=1e-10)
 
 
-def test_two_level_singleton_cluster_equals_cluster_prob():
-    tables, cmap, rng = random_model(6, 10, 5, 4, 3, seed=1)
-    q = rng.standard_normal(5)
-    text_ordinal = 2
-    cl = score_all(q, tables, cmap, mode="twolevel")
-    # For a text token the conditional is 1: P(w) = P(cluster(w)).
-    from hsrec.softmax import cluster_logits, log_softmax
-
-    cluster_lp = log_softmax(cluster_logits(q, tables))
-    assert two_level_logprob(q, text_ordinal, tables, cmap) == pytest.approx(
-        float(cluster_lp[text_ordinal]), abs=1e-12
-    )
-    assert cl[text_ordinal] == pytest.approx(float(cluster_lp[text_ordinal]), abs=1e-12)
-
-
 def test_two_level_fig2_joint_probability():
     tables, cmap, query = fig2_fixture()
     # First item of the 0.6-cluster has conditional 0.4: joint 0.24.
@@ -106,30 +86,6 @@ def test_two_level_fig2_joint_probability():
 
     cl = log_softmax(cluster_logits(query, tables))
     assert np.exp(cl[cmap.n_text + 1]) == pytest.approx(0.1, abs=1e-12)
-
-
-def test_two_level_sums_to_one_random_instances():
-    for seed in range(20):
-        tables, cmap, rng = random_model(15, 40, 6, 5, 7, seed=seed)
-        q = rng.standard_normal(6)
-        total = np.exp(score_all(q, tables, cmap, mode="twolevel")).sum()
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-
-def test_score_all_matches_pointwise_ops():
-    tables, cmap, rng = random_model(10, 25, 6, 4, 5, seed=3)
-    q = rng.standard_normal(6)
-    dense_two = score_all(q, tables, cmap, mode="twolevel")
-    dense_full = score_all(q, tables, None, mode="full")
-    for ordinal in [0, 9, 10, 20, 34]:
-        assert dense_two[ordinal] == pytest.approx(
-            two_level_logprob(q, ordinal, tables, cmap), abs=1e-12
-        )
-        assert dense_full[ordinal] == pytest.approx(full_logprob(q, ordinal, tables), abs=1e-12)
-
-
-def _bits(a):
-    return a.dtype, a.shape, a.tobytes()
 
 
 def _with_clusters(tables, cmap, rng):
@@ -169,7 +125,7 @@ def test_item_scorers_equal_per_token_oracle(dtype):
         full_block = item_log_probs_batch(queries, tables, cmap, "full")
         for q, row, rank_row, full_row, full_lp in zip(queries, block, ranked, full_ranked, full_block):
             want = np.array([two_level_logprob(q, o, tables, cmap) for o in range(tables.n_total)])
-            dense = score_all(q, tables, cmap)
+            order, dense = oracle_ranking(q, tables, cmap)
             np.testing.assert_allclose(dense, want, rtol=1e-12, atol=0)
             np.testing.assert_allclose(row, want[n_text:], rtol=1e-12, atol=0)
             # Rank scores are the log-probabilities plus the query's log Z.
@@ -177,6 +133,7 @@ def test_item_scorers_equal_per_token_oracle(dtype):
             np.testing.assert_allclose(rank_row - want[n_text:], log_z, rtol=0, atol=1e-12)
             full_want = [full_logprob(q, o, tables) for o in range(n_text, tables.n_total)]
             np.testing.assert_allclose(full_lp, full_want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(score_all(q, tables, None, "full")[n_text:], full_want, rtol=1e-12, atol=0)
             full_log_z = _logsumexp(full_logits(q, tables))
             np.testing.assert_allclose(full_row - full_want, full_log_z, rtol=0, atol=1e-12)
             # A single query's rank scores are the same, from row products.
@@ -185,15 +142,15 @@ def test_item_scorers_equal_per_token_oracle(dtype):
             np.testing.assert_allclose(single - want[n_text:], log_z, rtol=0, atol=1e-12)
             full_single = item_rank_scores(q, tables, cmap, "full")
             np.testing.assert_allclose(full_single - full_want, full_log_z, rtol=0, atol=1e-12)
-            assert _bits(_all_item_ranks(single[None])) == _bits(_all_item_ranks(row[None]))
+            assert bits(_all_item_ranks(single[None])) == bits(_all_item_ranks(row[None]))
             # The pruned search's per-cluster scores are score_all's, bit for
             # bit: at k = n_total it expands every cluster and keeps every token.
             top, stats = topk_structure(q, tables.n_total, tables, cmap)
             assert stats.clusters_pruned == 0
-            assert np.array_equal(top.ordinals, np.lexsort((np.arange(dense.size), -dense)))
-            assert _bits(top.scores) == _bits(dense[top.ordinals])
-        assert _bits(_all_item_ranks(ranked)) == _bits(_all_item_ranks(block))
-        assert _bits(_all_item_ranks(full_ranked)) == _bits(_all_item_ranks(full_block))
+            assert np.array_equal(top.ordinals, order)
+            assert bits(top.scores) == bits(dense[top.ordinals])
+        assert bits(_all_item_ranks(ranked)) == bits(_all_item_ranks(block))
+        assert bits(_all_item_ranks(full_ranked)) == bits(_all_item_ranks(full_block))
 
 
 def _bound_cases():
@@ -222,15 +179,15 @@ def test_no_score_exceeds_its_cluster_bound():
     for tables, cmap, queries in _bound_cases():
         n_text = tables.n_text
         for q in queries:
-            dense = score_all(q, tables, cmap)
+            order, dense = oracle_ranking(q, tables, cmap)
             bounds = cluster_logits(q, tables) - log_partition(q, tables)
             assert np.isfinite(dense).all()
-            assert _bits(dense[:n_text]) == _bits(bounds[:n_text])
+            assert bits(dense[:n_text]) == bits(bounds[:n_text])
             assert (dense[n_text:] <= bounds[n_text + cmap.item_assignment]).all()
             for k in (1, 3, tables.n_total):
                 top, _ = topk_structure(q, k, tables, cmap)
-                want = np.lexsort((np.arange(dense.size), -dense))[:k]
-                assert np.array_equal(top.ordinals, want) and _bits(top.scores) == _bits(dense[want]), k
+                want = order[:k]
+                assert np.array_equal(top.ordinals, want) and bits(top.scores) == bits(dense[want]), k
 
 
 def test_equal_item_rows_score_equal():
@@ -278,7 +235,7 @@ def _item_scores(tables, cmap, queries):
 
 def _assert_same_scores(got, want):
     for g, w in zip(got, want):
-        assert all(_bits(a) == _bits(b) for a, b in zip(g, w))
+        assert all(bits(a) == bits(b) for a, b in zip(g, w))
 
 
 def test_cluster_ordered_rows_follow_writes_and_cluster_maps():
@@ -288,7 +245,7 @@ def test_cluster_ordered_rows_follow_writes_and_cluster_maps():
     before = _item_scores(tables, cmap, queries)
     rows = tables.item_rows_by_cluster(cmap)
     assert rows.dtype == np.float64 and tables.item_rows_by_cluster(cmap) is rows
-    assert _bits(rows) == _bits(tables.item_projected()[cmap.item_order])
+    assert bits(rows) == bits(tables.item_projected()[cmap.item_order])
     released = weakref.ref(rows)
     del rows
     with tables.writing() as arrays:
@@ -305,7 +262,7 @@ def test_cluster_ordered_rows_follow_writes_and_cluster_maps():
     other = random_cluster_map(5, 30, 4, rng)
     assert not np.array_equal(other.item_order, cmap.item_order)
     _assert_same_scores(_item_scores(tables, other, queries), _item_scores(_fresh(tables), other, queries))
-    assert _bits(tables.item_rows_by_cluster(other)) == _bits(tables.item_projected()[other.item_order])
+    assert bits(tables.item_rows_by_cluster(other)) == bits(tables.item_projected()[other.item_order])
     _assert_same_scores(_item_scores(tables, cmap, queries), after)
 
 
@@ -344,7 +301,7 @@ def test_cluster_logits_are_the_per_table_products(dtype):
         tables, _, rng = random_model(n_text, 40, dim, 4, n_clusters, seed=n_text, dtype=dtype)
         for q in rng.standard_normal((5, dim)):
             want = np.concatenate([tables.text.data @ q, tables.centroids.data @ q])
-            assert _bits(cluster_logits(q, tables)) == _bits(want)
+            assert bits(cluster_logits(q, tables)) == bits(want)
 
 
 def test_log_partition_normalizes_the_two_level_distribution():
@@ -360,14 +317,6 @@ def test_log_partition_normalizes_the_two_level_distribution():
             assert np.exp(text).sum() + np.exp(items).sum() == pytest.approx(1.0, abs=1e-12)
             lp = score_all(q, tables, cmap)
             np.testing.assert_allclose(lp, np.concatenate([text, items]), rtol=0, atol=1e-12)
-
-
-def test_full_and_two_level_differ_in_general():
-    tables, cmap, rng = random_model(10, 25, 6, 4, 5, seed=11)
-    q = rng.standard_normal(6)
-    full = score_all(q, tables, None, mode="full")
-    two = score_all(q, tables, cmap, mode="twolevel")
-    assert not np.allclose(full, two)
 
 
 def test_uniform_model_full_loss_is_log_n():
@@ -435,24 +384,6 @@ def test_two_level_gradient_sparsity():
     # Every centroid (text rows included) sees level-1 gradient.
     assert np.all(np.any(grads.d_centroids != 0.0, axis=1))
     assert np.all(np.any(grads.d_text != 0.0, axis=1))
-
-
-def test_text_centroid_aliasing_shares_parameter():
-    # The first-level "centroid" of a text singleton is the text row itself:
-    # perturbing the text table moves both the cluster logit and the token logit.
-    tables, cmap, rng = random_model(5, 8, 4, 3, 2, seed=12)
-    q = rng.standard_normal(4)
-    from hsrec.softmax import cluster_logits, full_logits
-
-    before_cluster = cluster_logits(q, tables)[1]
-    before_token = full_logits(q, tables)[1]
-    with tables.writing() as arrays:
-        arrays["text"][1] += 0.5
-    after_cluster = cluster_logits(q, tables)[1]
-    after_token = full_logits(q, tables)[1]
-    assert after_cluster != before_cluster
-    assert after_token != before_token
-    assert (after_cluster - before_cluster) == pytest.approx(after_token - before_token, rel=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["full", "twolevel"])
