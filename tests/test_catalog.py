@@ -25,6 +25,21 @@ def write_jsonl(path, rows):
     return path
 
 
+def test_single_user_sorted_by_timestamp(tmp_path):
+    rows = [{"user": "u", "item": item, "timestamp": t} for item, t in (("b", 20), ("a", 10), ("c", 30))]
+    inter = ingest_jsonl(write_jsonl(tmp_path / "d.jsonl", rows))
+    assert [inter.catalog[i].item_id for i in inter.events] == ["a", "b", "c"]
+    assert inter.offsets.tolist() == [0, 3]
+
+
+def test_timestamp_ties_broken_by_input_order(tmp_path):
+    # v's y comes first, so y takes the lower item index.
+    rows = [{"user": user, "item": item, "timestamp": t} for user, item, t in (("v", "y", 0), ("u", "x", 5), ("u", "y", 5))]
+    inter = ingest_jsonl(write_jsonl(tmp_path / "d.jsonl", rows))
+    assert inter.users == ["v", "u"] and inter.offsets.tolist() == [0, 1, 3]
+    assert [inter.catalog[i].item_id for i in inter.events[1:]] == ["x", "y"]
+
+
 def test_duplicate_events_retained(tmp_path):
     # Hand count: two identical lines are two events, one catalog item.
     path = write_jsonl(

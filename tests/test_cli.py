@@ -486,6 +486,15 @@ def test_config_unknown_key_rejected(corpus, tmp_path, capsys):
     assert json.loads(err.strip().splitlines()[-1])["error"]["code"] == 2
 
 
+def test_usage_error_exit_code(tmp_path, capsys):
+    assert main(["cluster", "--out-dir", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]["code"] == 1
+
+
+def test_missing_file_is_data_error(tmp_path, capsys):
+    assert main(["ingest", "--data", str(tmp_path / "nope.jsonl"), "--out-dir", str(tmp_path)]) == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -755,11 +764,11 @@ def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, key, val
         ["train", "--steps", -1],
         ["train", "--learning-rate", "nan"],
         ["eval", "--clusters", "all", "--steps", -1],
-        ["eval", "--clusters", "all", "--snapshot", "x.hsrc"],
         ["bench", "--snapshot", "missing.hsrc", "--k", 0],
         ["bench", "--snapshot", "missing.hsrc", "--queries", 0],
         ["latency", "--history-len", 0],
         ["latency", "--const-tokens", -1],
+        ["eval", "--clusters", "all", "--snapshot", "x.hsrc"],
     ],
 )
 def test_settings_are_checked_before_any_input_is_read(tmp_path, capsys, argv):

@@ -41,9 +41,19 @@ def trained(tmp_path_factory):
     return data, result.snapshot
 
 
-def test_ndcg_and_mrr_formulas():
-    # rank 1 -> all 1; rank 3 -> ndcg 1/log2(4); rank 11 -> ndcg 0 but mrr 1/11.
+def test_perfect_model_metrics_all_one():
     assert metrics_from_ranks([1] * 25) == MetricReport(25, {1: 1.0, 10: 1.0}, 1.0, 1.0)
+
+
+def test_metric_invariants_random_ranks():
+    report = metrics_from_ranks(np.random.default_rng(0).integers(1, 100, size=500))
+    assert report.recall[1] <= report.recall[10]
+    assert report.recall[1] <= report.mrr <= 1.0
+    assert report.ndcg10 <= 1.0
+
+
+def test_ndcg_and_mrr_formulas():
+    # rank 3 -> ndcg 1/log2(4); rank 11 -> ndcg 0 but mrr 1/11.
     report = metrics_from_ranks([3])
     assert report.ndcg10 == pytest.approx(1.0 / np.log2(4.0))
     report = metrics_from_ranks([11])
@@ -51,9 +61,43 @@ def test_ndcg_and_mrr_formulas():
     assert report.mrr == pytest.approx(1.0 / 11.0)
 
 
+def test_random_scorer_expected_recall():
+    # Expected Recall@10 for a uniform random scorer over n items is 10/n.
+    rng = np.random.default_rng(1)
+    n_items, n_users = 50, 4000
+    scores, targets = np.empty((n_users, n_items)), np.empty(n_users, dtype=np.int64)
+    for user in range(n_users):
+        scores[user] = rng.standard_normal(n_items)
+        targets[user] = rng.integers(n_items)
+    hits = np.count_nonzero(rank_rows(scores, targets) <= 10)
+    expected = 10.0 / n_items
+    assert abs(hits / n_users - expected) <= 4 * np.sqrt(expected * (1 - expected) / n_users)
+
+
+def test_rank_rows_tie_break():
+    # One row per target over the same scores: tied at top, lower index wins.
+    scores = np.tile([1.0, 2.0, 2.0, 0.5], (4, 1))
+    assert rank_rows(scores, [1, 2, 0, 3]).tolist() == [1, 2, 3, 4]
+
+
 def test_rank_excludes_history_but_never_target():
     scores = np.tile([5.0, 4.0, 3.0], (2, 1))
     assert rank_rows(scores, [2, 2], [{0, 1}, {2}]).tolist() == [1, 3]
+
+
+def test_structure_engine_equals_enumeration_bitwise(trained):
+    data, snapshot = trained
+    for exclude_history in (False, True):
+        structure = evaluate(snapshot, data, engine="structure", exclude_history=exclude_history)
+        enumerated = evaluate(snapshot, data, engine="full", exclude_history=exclude_history)
+        assert structure == enumerated, exclude_history  # bit-for-bit equal reports
+
+
+def test_ann_engine_runs_and_reports(trained):
+    data, snapshot = trained
+    report = evaluate(snapshot, data, engine="ann")
+    assert 0.0 <= report.recall[10] <= 1.0
+    assert report.n_users == len(data.test_examples)
 
 
 @pytest.mark.parametrize("engine", ["full", "structure", "ann"])

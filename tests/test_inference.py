@@ -66,6 +66,40 @@ def test_fig2_top1_and_pruning():
     assert stats.max_pruned_logprob <= structured.scores[-1]
 
 
+def test_singleton_clusters_degenerate_to_sorting():
+    # One cluster per item: structure search equals plain cluster-prob sorting.
+    tables, _, rng = random_model(4, 10, 5, 3, 10, seed=2)
+    cmap = ClusterMap(4, np.arange(10), 10)
+    q = rng.standard_normal(5)
+    exact, (structured, _) = topk_exact(q, 14, tables, cmap), topk_structure(q, 14, tables, cmap)
+    assert np.array_equal(exact.ordinals, structured.ordinals)
+    assert np.allclose(exact.scores, structured.scores, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 5, 10, 100])
+def test_structure_equals_exact_random_sweep(k):
+    for seed in range(60):
+        tables, cmap, rng = random_model(5 + seed % 7, 30 + 3 * seed, 6, 4, 3 + seed % 5, seed=seed)
+        q = rng.standard_normal(6)
+        exact = topk_exact(q, k, tables, cmap)
+        structured, stats = topk_structure(q, k, tables, cmap)
+        assert np.array_equal(exact.ordinals, structured.ordinals), seed
+        assert np.array_equal(exact.scores, structured.scores), seed
+        # Pruning soundness: every pruned cluster bound <= returned k-th score.
+        if stats.max_pruned_logprob is not None:
+            assert stats.max_pruned_logprob <= structured.scores[-1] + 1e-15
+
+
+def test_structure_prunes_on_average():
+    expanded, total = 0, 0
+    for seed in range(20):
+        tables, cmap, rng = random_model(20, 400, 8, 6, 20, seed=seed)
+        _, stats = topk_structure(rng.standard_normal(8), 10, tables, cmap)
+        expanded += stats.clusters_expanded
+        total += cmap.n_clusters
+    assert expanded < total  # pruning must actually happen
+
+
 def test_additive_index_rows():
     tables, cmap, rng = random_model(5, 12, 4, 3, 3, seed=3)
     index = build_additive_index(tables, cmap)
@@ -102,6 +136,13 @@ def test_additive_index_is_one_read_only_copy_per_version_and_cluster_map():
     assert bits(other_index.vectors) == bits(additive_rows_full(tables, other)[5:])
     assert bits(index.vectors) == bits(additive_rows_full(tables, cmap)[5:])
     assert build_additive_index(tables, cmap) is index
+
+
+def test_additive_index_zero_centroids_equals_item_table():
+    tables, cmap, rng = random_model(0, 9, 4, 3, 3, seed=4)
+    with tables.writing() as arrays:
+        arrays["centroids"][:] = 0.0
+    assert np.array_equal(build_additive_index(tables, cmap).vectors, tables.item_projected())
 
 
 def test_stale_index_rejected():
@@ -150,6 +191,35 @@ def test_ann_top1_exact_when_log_partitions_equal():
     index = build_additive_index(tables, cmap)
     ann = topk_ann(q, 1, index, tables)
     assert ann.ordinals[0] == exact.ordinals[0]
+
+
+def test_ann_overlap_measured_not_asserted():
+    overlaps = []
+    for seed in range(10):
+        tables, cmap, rng = random_model(10, 120, 6, 4, 11, seed=seed)
+        q = rng.standard_normal(6)
+        ann = set(topk_ann(q, 10, build_additive_index(tables, cmap), tables).ordinals.tolist())
+        overlaps.append(len(ann & set(topk_exact(q, 10, tables, cmap).ordinals.tolist())) / 10)
+    # Approximation quality is reported, not asserted exact.
+    assert 0.0 <= np.mean(overlaps) <= 1.0
+
+
+def test_ann_ordering_invariant_to_constant_logit_shift():
+    tables, cmap, rng = random_model(6, 20, 5, 4, 4, seed=8)
+    q = rng.standard_normal(5)
+    base = topk_ann(q, 26, build_additive_index(tables, cmap), tables)
+    shifted_scores = additive_rows_full(tables, cmap) @ q + 3.7
+    assert np.array_equal(base.ordinals, np.lexsort((np.arange(shifted_scores.size), -shifted_scores)))
+
+
+def test_ann_probe_mode_subset():
+    tables, cmap, rng = random_model(4, 30, 5, 4, 6, seed=9)
+    q = rng.standard_normal(5)
+    index = build_additive_index(tables, cmap)
+    probed, exhaustive = topk_ann(q, 8, index, tables, probes=2), topk_ann(q, 8, index, tables)
+    # Probed results are a subset of the full index's tokens and include text.
+    assert set(probed.ordinals.tolist()) <= set(range(34)) and len(probed) == 8
+    assert set(exhaustive.ordinals[:1].tolist()) <= set(range(34))
 
 
 @pytest.mark.parametrize("probes", [0, -1])

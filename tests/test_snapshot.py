@@ -61,6 +61,14 @@ def test_unsupported_version_rejected(snapshot, tmp_path):
         load_snapshot(path)
 
 
+def test_truncated_file_rejected(snapshot, tmp_path):
+    path = tmp_path / "model.hsrc"
+    save_snapshot(snapshot, path)
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    with pytest.raises(SnapshotFormatError, match="truncated"):
+        load_snapshot(path)
+
+
 def test_trailing_bytes_rejected(snapshot, tmp_path):
     path = tmp_path / "model.hsrc"
     save_snapshot(snapshot, path)

@@ -47,6 +47,11 @@ def uniform_model(n_text, n_items, dim=4, item_dim=4):
     )
 
 
+def test_full_uniform_when_embeddings_equal():
+    lp = [full_logprob(np.array([0.3, -0.2, 0.9, 0.0]), o, uniform_model(3, 5)) for o in range(8)]
+    np.testing.assert_allclose(np.exp(lp), 1 / 8, rtol=0, atol=1e-12)
+
+
 def test_full_two_token_closed_form():
     # Logits (0, ln 3) -> probabilities (0.25, 0.75).
     text = np.array([[0.0], [np.log(3.0)]])
@@ -76,6 +81,15 @@ def test_full_matches_brute_force_summation():
         assert full_logprob(q, ordinal, tables) == pytest.approx(np.log(probs[ordinal]), abs=1e-10)
 
 
+def test_two_level_singleton_cluster_equals_cluster_prob():
+    # For a text token the conditional is 1: P(w) = P(cluster(w)).
+    tables, cmap, rng = random_model(6, 10, 5, 4, 3, seed=1)
+    q = rng.standard_normal(5)
+    want = float(log_softmax(cluster_logits(q, tables))[2])
+    assert two_level_logprob(q, 2, tables, cmap) == pytest.approx(want, abs=1e-12)
+    assert score_all(q, tables, cmap, mode="twolevel")[2] == pytest.approx(want, abs=1e-12)
+
+
 def test_two_level_fig2_joint_probability():
     tables, cmap, query = fig2_fixture()
     # First item of the 0.6-cluster has conditional 0.4: joint 0.24.
@@ -86,6 +100,22 @@ def test_two_level_fig2_joint_probability():
 
     cl = log_softmax(cluster_logits(query, tables))
     assert np.exp(cl[cmap.n_text + 1]) == pytest.approx(0.1, abs=1e-12)
+
+
+def test_two_level_sums_to_one_random_instances():
+    for seed in range(20):
+        tables, cmap, rng = random_model(15, 40, 6, 5, 7, seed=seed)
+        total = np.exp(score_all(rng.standard_normal(6), tables, cmap, mode="twolevel")).sum()
+        assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_score_all_matches_pointwise_ops():
+    tables, cmap, rng = random_model(10, 25, 6, 4, 5, seed=3)
+    q = rng.standard_normal(6)
+    dense_two, dense_full = score_all(q, tables, cmap, mode="twolevel"), score_all(q, tables, None, mode="full")
+    for ordinal in [0, 9, 10, 20, 34]:
+        assert dense_two[ordinal] == pytest.approx(two_level_logprob(q, ordinal, tables, cmap), abs=1e-12)
+        assert dense_full[ordinal] == pytest.approx(full_logprob(q, ordinal, tables), abs=1e-12)
 
 
 def _with_clusters(tables, cmap, rng):
@@ -319,6 +349,12 @@ def test_log_partition_normalizes_the_two_level_distribution():
             np.testing.assert_allclose(lp, np.concatenate([text, items]), rtol=0, atol=1e-12)
 
 
+def test_full_and_two_level_differ_in_general():
+    tables, cmap, rng = random_model(10, 25, 6, 4, 5, seed=11)
+    q = rng.standard_normal(6)
+    assert not np.allclose(score_all(q, tables, None, mode="full"), score_all(q, tables, cmap, mode="twolevel"))
+
+
 def test_uniform_model_full_loss_is_log_n():
     tables = uniform_model(3, 5)
     q = np.array([0.1, 0.4, -0.3, 0.2])
@@ -384,6 +420,19 @@ def test_two_level_gradient_sparsity():
     # Every centroid (text rows included) sees level-1 gradient.
     assert np.all(np.any(grads.d_centroids != 0.0, axis=1))
     assert np.all(np.any(grads.d_text != 0.0, axis=1))
+
+
+def test_text_centroid_aliasing_shares_parameter():
+    # The first-level "centroid" of a text singleton is the text row itself:
+    # perturbing the text table moves both the cluster logit and the token logit.
+    tables, cmap, rng = random_model(5, 8, 4, 3, 2, seed=12)
+    q = rng.standard_normal(4)
+    before = cluster_logits(q, tables)[1], full_logits(q, tables)[1]
+    with tables.writing() as arrays:
+        arrays["text"][1] += 0.5
+    moved = cluster_logits(q, tables)[1] - before[0], full_logits(q, tables)[1] - before[1]
+    assert moved[0] != 0.0 and moved[1] != 0.0
+    assert moved[0] == pytest.approx(moved[1], rel=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["full", "twolevel"])
