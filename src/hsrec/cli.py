@@ -63,14 +63,12 @@ def _setup_logging() -> None:
 # required option; choices come from the library's own constants and are
 # appended to the help, as is a minimum.  Training options default to
 # TrainConfig's own defaults.
-_COMMON = [
-    ("out_dir", str, ".", "directory for output artifacts"),
-    ("seed", int, 0, "random seed", (), 0),
-]
+_OUT_DIR = ("out_dir", str, ".", "directory for output artifacts")
+_SEED = ("seed", int, 0, "random seed", (), 0)
 
 _OPTIONS = {
-    "synth": _COMMON
-    + [
+    "synth": [
+        _OUT_DIR, _SEED,
         ("users", int, 1000, "number of users"),
         ("items", int, 200, "number of items"),
         ("groups", int, 10, "number of latent groups"),
@@ -78,17 +76,17 @@ _OPTIONS = {
         ("hist_min", int, 5, "minimum events per user"),
         ("hist_max", int, 15, "maximum events per user"),
     ],
-    "ingest": _COMMON + [("data", str, None, "interactions JSONL path")],
-    "cluster": _COMMON
-    + [
+    "ingest": [_OUT_DIR, ("data", str, None, "interactions JSONL path")],
+    "cluster": [
+        _OUT_DIR, _SEED,
         ("data", str, None, "interactions JSONL path"),
         ("clusters", str, "kmeans", "clustering method", CLUSTERINGS),
         ("n_clusters", int, 0, "item cluster count (0 = ceil(sqrt(n_items)))", (), 0),
         ("features", str, "", "optional (n_items, p) .npy feature file for kmeans"),
         ("vocab_size", int, 8192, "text vocabulary cap", (), MIN_VOCAB_SIZE),
     ],
-    "train": _COMMON
-    + [
+    "train": [
+        _OUT_DIR, _SEED,
         ("data", str, None, "interactions JSONL path"),
         ("mode", str, TrainConfig.softmax_mode, "softmax mode", MODES),
         ("clusters", str, "kmeans", "clustering method", CLUSTERINGS),
@@ -107,8 +105,8 @@ _OPTIONS = {
         ("patience", int, TrainConfig.patience, "validation evals without improvement before stopping", (), 0),
         ("val_sample", int, TrainConfig.val_sample, "validation users per eval (0 = all)", (), 0),
     ],
-    "eval": _COMMON
-    + [
+    "eval": [
+        _OUT_DIR, _SEED,
         ("data", str, None, "interactions JSONL path"),
         ("snapshot", str, "", "trained snapshot path (omit for clustering ablation)"),
         ("engine", str, "structure", "ranking engine", (*ENGINES, "all")),
@@ -121,16 +119,16 @@ _OPTIONS = {
         ("learning_rate", float, TrainConfig.learning_rate, "learning rate for ablation training", (), 0),
         ("vocab_size", int, 8192, "text vocabulary cap for ablation (a snapshot uses its own)", (), MIN_VOCAB_SIZE),
     ],
-    "latency": _COMMON
-    + [
+    "latency": [
+        _OUT_DIR,
         ("data", str, "", "optional interactions JSONL to measure tokens-per-item"),
         ("profile", str, "all", "deployment profile", (*latency_mod.PROFILES, "all")),
         ("encoder", str, "all", "item encoder", (*latency_mod.MULTI_TOKEN_ENCODERS, "all")),
         ("history_len", int, 8, "history length |H|", (), 1),
         ("const_tokens", int, 20, "constant prompt tokens", (), 0),
     ],
-    "bench": _COMMON
-    + [
+    "bench": [
+        _OUT_DIR, _SEED,
         ("data", str, None, "interactions JSONL path"),
         ("snapshot", str, None, "trained snapshot path"),
         ("queries", int, 100, "number of benchmark queries", (), 1),
@@ -211,12 +209,14 @@ def _read_config_file(path: str) -> dict[str, dict[str, str]]:
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults < config file < explicit flags for the active command,
     then check that every required option is set, every value is one of its
-    choices and none is below its minimum."""
+    choices and none is below its minimum.  ``given`` holds the options set
+    by a flag or the config file."""
     command = args.command
     file_values: dict[str, str] = {}
     if args.config:
         file_values = _read_config_file(args.config).get(command, {})
-    resolved = {}
+    given = {dest for dest, *_ in _OPTIONS[command] if getattr(args, dest) is not None or dest in file_values}
+    resolved = {"given": given}
     for dest, typ, default, _help, choices, minimum in _spec(command):
         value = getattr(args, dest)
         if value is None and dest in file_values:
@@ -420,8 +420,10 @@ def _eval_ablation(opts: dict, ks: tuple[int, ...]) -> int:
 def cmd_eval(opts: dict) -> int:
     ks = _recall_cutoffs(opts["k"])
     if opts["clusters"] == "all":
-        if opts["snapshot"]:
-            raise UsageError("--clusters all trains its own models; it takes no --snapshot")
+        for dest in ("snapshot", "engine"):
+            if dest in opts["given"]:
+                raise UsageError(f"--clusters all trains its own models and ranks them with every engine; "
+                                 f"it takes no {_flag(dest)}")
         return _eval_ablation(opts, ks)
     if not opts["snapshot"]:
         raise UsageError("--snapshot is required unless --clusters all")

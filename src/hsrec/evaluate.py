@@ -114,10 +114,11 @@ def rank_rows(item_scores: np.ndarray, target_items, exclude=None, cluster_map: 
     return ranks
 
 
-def item_score_blocks(snapshot: ModelSnapshot, data: Dataset, examples: list[SequenceExample], engine: str):
-    """Yield ``(block, scores, cluster_map)`` per ``EVAL_BLOCK`` examples:
-    their histories rendered ID-only and encoded as one query block, and the
-    fresh C-ordered ``(B, n_items)`` float64 item scores of ``engine``.
+def item_score_blocks(snapshot: ModelSnapshot, data: Dataset, histories, engine: str):
+    """Yield ``(scores, cluster_map)`` per ``EVAL_BLOCK`` histories (tuples
+    of item indices): the block rendered ID-only and encoded as one query
+    block, and the fresh C-ordered ``(B, n_items)`` float64 item scores of
+    ``engine``.
 
     Engines ``full`` and ``structure`` give every item's rank score under the
     snapshot's own softmax mode, in ``cluster_map.item_order``: its exact
@@ -135,14 +136,13 @@ def item_score_blocks(snapshot: ModelSnapshot, data: Dataset, examples: list[Seq
         )
     tables, cmap = snapshot.tables, snapshot.cluster_map
     index = build_additive_index(tables, cmap) if engine == "ann" else None
-    for lo in range(0, len(examples), EVAL_BLOCK):
-        block = examples[lo : lo + EVAL_BLOCK]
-        ordinals, lengths = render_id_only_batch(data, [e.history for e in block])
+    for lo in range(0, len(histories), EVAL_BLOCK):
+        ordinals, lengths = render_id_only_batch(data, histories[lo : lo + EVAL_BLOCK])
         queries, _ = encode_batch(ordinals, lengths, tables, snapshot.encoder)
         if engine == "ann":
-            yield block, ann_item_scores(queries, index, tables), None
+            yield ann_item_scores(queries, index, tables), None
         else:
-            yield block, _cluster_rank_scores(queries, tables, cmap, mode), cmap
+            yield _cluster_rank_scores(queries, tables, cmap, mode), cmap
 
 
 def target_ranks(
@@ -156,10 +156,13 @@ def target_ranks(
     :func:`item_score_blocks`."""
     if examples is None:
         examples = data.test_examples
+    histories = [e.history for e in examples]
+    targets = [e.target for e in examples]
     ranks: list[int] = []
-    for block, scores, cmap in item_score_blocks(snapshot, data, examples, engine):
-        exclude = [e.history for e in block] if exclude_history else None
-        ranks.extend(rank_rows(scores, [e.target for e in block], exclude, cmap).tolist())
+    for scores, cmap in item_score_blocks(snapshot, data, histories, engine):
+        rows = slice(len(ranks), len(ranks) + len(scores))
+        exclude = histories[rows] if exclude_history else None
+        ranks.extend(rank_rows(scores, targets[rows], exclude, cmap).tolist())
     return np.asarray(ranks, dtype=np.int64)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .catalog import Dataset, Interactions, SequenceExample, build_dataset, concat_ranges, ingest_jsonl
+from .catalog import Dataset, Interactions, build_dataset, concat_ranges, ingest_jsonl
 from .cluster import (
     ClusterMap,
     cluster_frequency,
@@ -365,17 +365,16 @@ class SequenceRecommender:
         snapshot, data = self._fitted()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        examples = []
+        indices = []
         for history in histories:
             if len(history) == 0:
                 raise DataError("history must be non-empty")
             try:
-                indices = tuple(data.catalog.index_of(i) for i in history)
+                indices.append(tuple(data.catalog.index_of(i) for i in history))
             except KeyError as exc:
                 raise DataError(f"unknown item id {exc.args[0]!r}") from exc
-            examples.append(SequenceExample(user="query", history=indices, target=indices[-1]))
         out = []
-        for _, scores, cmap in item_score_blocks(snapshot, data, examples, "full"):
+        for scores, cmap in item_score_blocks(snapshot, data, indices, "full"):
             scores = np.take(scores, cmap.item_position, axis=1)
             out.extend([snapshot.item_ids[int(i)] for i in _rank_topk(row, k).ordinals] for row in scores)
         return out

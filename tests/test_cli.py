@@ -63,7 +63,8 @@ def test_ingest_accepts_crlf_blank_lines_and_late_metadata(tmp_path):
 @pytest.mark.parametrize(
     "value, message",
     [("NaN", "timestamp is not a finite number"), ("Infinity", "timestamp is not a finite number"),
-     ("-Infinity", "timestamp is not a finite number"), ("1" * 5000, "malformed JSON (Exceeds the limit")],
+     ("-Infinity", "timestamp is not a finite number"), ("1" * 5000, "malformed JSON (Exceeds the limit"),
+     ("true", "timestamp is not a number")],
 )
 def test_ingest_rejects_a_bad_timestamp_as_data_and_makes_no_out_dir(tmp_path, capsys, value, message):
     path = tmp_path / "d.jsonl"
@@ -96,10 +97,10 @@ def test_ingest_rejects_a_non_string_id_as_data_and_makes_no_out_dir(tmp_path, c
 
 
 def test_cluster_command(corpus, tmp_path):
-    code = run(["cluster", "--data", corpus, "--clusters", "kmeans", "--out-dir", tmp_path])
-    assert code == 0
-    rows = read_csv(tmp_path / "clusters.csv")
-    assert rows and {"ordinal", "cluster"} <= set(rows[0])
+    for clusters in ("kmeans", "frequency", "random"):
+        assert run(["cluster", "--data", corpus, "--clusters", clusters, "--out-dir", tmp_path / clusters]) == 0
+        rows = read_csv(tmp_path / clusters / "clusters.csv")
+        assert rows and {"ordinal", "cluster"} <= set(rows[0]), clusters
 
 
 def test_train_eval_bench_pipeline(corpus, tmp_path):
@@ -243,21 +244,38 @@ def test_eval_rejects_unknown_softmax_mode(corpus, tmp_path, capsys):
     assert "softmax_mode" in trailer["error"]["message"]
 
 
-@pytest.mark.parametrize("mode", ["twolevel", "full"])
-def test_train_same_seed_snapshots_byte_identical(corpus, tmp_path, mode):
+# Per case: the train flags that override the defaults below, and the eval engine.
+SAME_SEED_RUNS = {
+    "twolevel": (["--mode", "twolevel"], "all"),
+    "full": (["--mode", "full"], "full"),
+    "id_only": (["--id-only-fraction", 1], "all"),
+    "all_metadata": (["--id-only-fraction", 0, "--metadata-keep-prob", 1, "--eval-every", 2], "all"),
+    "no_metadata": (["--dim", 8, "--item-dim", 8, "--eval-every", 1], "all"),  # on a corpus without metadata
+}
+
+
+@pytest.mark.parametrize("case", list(SAME_SEED_RUNS))
+def test_train_same_seed_snapshots_byte_identical(corpus, tmp_path, case):
     # 16 items in 2 clusters at dim 4: two-level steps lift the item gradient
     # of every target cluster with at least 4 members.
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
+    flags, engine = SAME_SEED_RUNS[case]
+    if case == "no_metadata":
+        corpus = tmp_path / "bare.jsonl"
+        corpus.write_text("".join(json.dumps({"user": f"u{u}", "item": f"i{u * t % 7}", "timestamp": t}) + "\n"
+                                  for u in range(1, 6) for t in range(1, 5)), encoding="utf-8")
+    outs = tmp_path / "a", tmp_path / "b"
+    for out in outs:
         code = run(
             [
-                "train", "--data", corpus, "--mode", mode, "--steps", 10, "--batch-size", 8,
-                "--eval-every", 0, "--dim", 4, "--item-dim", 6, "--n-clusters", 2, "--seed", 4,
-                "--out-dir", out,
+                "train", "--data", corpus, "--steps", 10, "--batch-size", 8, "--eval-every", 0, "--dim", 4,
+                "--item-dim", 6, "--n-clusters", 2, "--seed", 4, *flags, "--out-dir", out,
             ]
         )
         assert code == 0
-    assert (a / "snapshot.hsrc").read_bytes() == (b / "snapshot.hsrc").read_bytes()
+        assert run(["eval", "--data", corpus, "--snapshot", out / "snapshot.hsrc", "--engine", engine,
+                    "--out-dir", out]) == 0
+    a, b = ({path.name: path.read_bytes() for path in out.iterdir()} for out in outs)
+    assert a == b and {"snapshot.hsrc", "metrics.csv", "metrics.json", "results.csv"} == set(a)
 
 
 def rewrite_corpus(corpus, out_dir, transform):
@@ -411,7 +429,7 @@ def test_feature_file_that_does_not_fit_the_corpus_is_data_error(corpus, tmp_pat
     else:
         np.save(path, features)
     argv = [command, "--data", corpus, "--clusters", "kmeans", "--features", tmp_path / "feats.npy",
-            "--out-dir", tmp_path]
+            "--out-dir", tmp_path / "out"]
     if command == "train":
         argv += ["--steps", 1, "--dim", 8, "--item-dim", 6, "--eval-every", 0]
     capsys.readouterr()
@@ -423,7 +441,7 @@ def test_feature_file_that_does_not_fit_the_corpus_is_data_error(corpus, tmp_pat
     want = {"not_npy": "feats.npy", "pickled": "feats.npy", "empty": "feats.npy", "nan": "real numbers",
             "text": "real numbers", "zero_width": "(16, 0)", "huge": "too large"}.get(case, f"({rows}, 3)")
     assert want in trailer["error"]["message"]
-    assert not (tmp_path / "clusters.csv").exists() and not (tmp_path / "snapshot.hsrc").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_latency_dataset_table(corpus, tmp_path):
@@ -453,9 +471,9 @@ def test_config_file_precedence(corpus, tmp_path):
 @pytest.mark.parametrize(
     "text, line, message",
     [
-        ("[ingest]\nseed = 1\nseed = 2\n", 3, "repeated key 'seed' in section [ingest]"),
-        ("[ingest]\nseed = 1\n\n[ingest]\n", 4, "repeated config section [ingest]"),
-        ("[ingest]\n\ufeffseed = 1\n", 2, "unknown key '\ufeffseed' in section [ingest]"),
+        ("[ingest]\ndata = a\ndata = b\n", 3, "repeated key 'data' in section [ingest]"),
+        ("[ingest]\ndata = a\n\n[ingest]\n", 4, "repeated config section [ingest]"),
+        ("[ingest]\n\ufeffdata = a\n", 2, "unknown key '\ufeffdata' in section [ingest]"),
     ],
 )
 def test_config_repeats_are_data_errors_naming_the_line(corpus, tmp_path, capsys, text, line, message):
@@ -769,6 +787,7 @@ def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, key, val
         ["latency", "--history-len", 0],
         ["latency", "--const-tokens", -1],
         ["eval", "--clusters", "all", "--snapshot", "x.hsrc"],
+        ["eval", "--clusters", "all", "--engine", "structure"],
     ],
 )
 def test_settings_are_checked_before_any_input_is_read(tmp_path, capsys, argv):
@@ -780,13 +799,22 @@ def test_settings_are_checked_before_any_input_is_read(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+def test_ablation_takes_no_engine_from_a_config_file(tmp_path, capsys):
+    # The file sets the default engine: given is given, whatever its value.
+    config = tmp_path / "run.conf"
+    config.write_text("[eval]\nengine = structure\n")
+    capsys.readouterr()
+    argv = ["--config", config, "eval", "--clusters", "all", "--data", tmp_path / "missing.jsonl"]
+    assert run([*argv, "--out-dir", tmp_path / "out"]) == 1
+    assert "--engine" in usage_trailer(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 SEED_ARGV = {
     "synth": ["synth"],
-    "ingest": ["ingest", "--data", "{data}"],
     "cluster": ["cluster", "--data", "{data}", "--clusters", "random"],
     "train": ["train", "--data", "{data}"],
     "eval": ["eval", "--data", "{data}", "--snapshot", "{snapshot}"],
-    "latency": ["latency", "--data", "{data}"],
     "bench": ["bench", "--data", "{data}", "--snapshot", "{snapshot}"],
 }
 

@@ -412,11 +412,15 @@ def test_item_score_blocks_are_c_ordered_float64(fitted, monkeypatch):
     snapshot, data = fitted.snapshot_, fitted.dataset_
     monkeypatch.setattr(evaluate_module, "EVAL_BLOCK", 16)  # full blocks and a partial one
     n_items = snapshot.tables.n_items
+    histories = [e.history for e in data.test_examples]
     for engine in _engines(snapshot):
-        for block, scores, cmap in item_score_blocks(snapshot, data, data.test_examples, engine):
-            assert scores.dtype == np.float64 and scores.shape == (len(block), n_items), engine
+        sizes = []
+        for scores, cmap in item_score_blocks(snapshot, data, histories, engine):
+            sizes.append(len(scores))
+            assert scores.dtype == np.float64 and scores.shape == (sizes[-1], n_items), engine
             assert scores.flags.c_contiguous, engine
             assert cmap is (None if engine == "ann" else snapshot.cluster_map), engine
+        assert sizes == [min(16, len(histories) - lo) for lo in range(0, len(histories), 16)], engine
 
 
 @pytest.mark.parametrize("mode", ["twolevel", "full"])
@@ -496,11 +500,39 @@ def test_cluster_ordered_blocks_rank_as_their_item_order(fitted, model, monkeypa
     monkeypatch.setattr(evaluate_module, "EVAL_BLOCK", 16)
     examples = data.test_examples
     for engine in _engines(snapshot):
-        for block, scores, cmap in item_score_blocks(snapshot, data, examples, engine):
-            targets = [e.target for e in block]
-            exclude = [e.history for e in block]
+        blocks = item_score_blocks(snapshot, data, [e.history for e in examples], engine)
+        for lo, (scores, cmap) in zip(range(0, len(examples), 16), blocks):
+            targets = [e.target for e in examples[lo : lo + 16]]
+            exclude = [e.history for e in examples[lo : lo + 16]]
             in_items = scores if cmap is None else np.take(scores, cmap.item_position, axis=1)
             want = rank_rows(in_items.copy(), targets, exclude).tolist()
             assert rank_rows(scores, targets, exclude, cmap).tolist() == want, engine
         if model == "tied" and snapshot.softmax_mode == "full":
             assert target_ranks(snapshot, data, engine, examples).tolist() == [e.target + 1 for e in examples]
+
+
+def test_three_paths_give_one_ranking(fitted):
+    # One block of test histories, one query matrix Q (``encode_batch``).
+    # Evaluation's ranks and predict's top-k both come from Q's block GEMM,
+    # so a target ranked within k sits at its rank in predict's list, and
+    # nowhere in it otherwise.  topk_items scores a row of Q with an einsum,
+    # so its top-k may differ from predict's only between items whose
+    # per-token oracle scores agree to rounding.
+    snapshot, data = fitted.snapshot_, fitted.dataset_
+    tables, cmap, n_text, k = snapshot.tables, snapshot.cluster_map, snapshot.tables.n_text, 5
+    block = data.test_examples[:EVAL_BLOCK]
+    top = fitted.predict([[snapshot.item_ids[i] for i in e.history] for e in block], k=k)
+    top = [[data.catalog.index_of(i) for i in row] for row in top]
+    for engine in [e for e in _engines(snapshot) if e != "ann"]:
+        ranks = target_ranks(snapshot, data, engine, block)
+        assert ranks.min() <= k < ranks.max(), engine  # both sides of the cutoff occur
+        for e, rank, row in zip(block, ranks.tolist(), top):
+            assert (row[rank - 1] == e.target) if rank <= k else (e.target not in row), (engine, e.user)
+    if snapshot.softmax_mode != "twolevel":
+        return  # topk_items ranks by the two-level head alone
+    Q, _ = encode_batch(*render_id_only_batch(data, [e.history for e in block]), tables, snapshot.encoder)
+    for q, row in zip(Q, top):
+        got = (topk_items(q, k, tables, cmap, snapshot.space).ordinals - n_text).tolist()
+        oracle = score_all(q, tables, cmap, "twolevel")[n_text:]
+        for a, b in zip(got, row):
+            assert a == b or np.isclose(oracle[a], oracle[b], rtol=1e-12, atol=0), (a, b)
