@@ -3,10 +3,12 @@
 Flag values win over config-file values, which win over defaults.  The config
 file is plain ``key = value`` under a ``[command]`` section per subcommand;
 unknown sections or keys are rejected.  One option table gives each option's
-type, default, help and allowed values; a ``None`` default marks a required
-option.  Both are checked once, for flags and config values alike, before a
-command reads any input.  Artifact files (CSV/JSON) contain no timestamps, so
-identical config + seed reproduces byte-identical outputs.
+type, default, help, allowed values and the mode its command reads it in; a
+``None`` default marks a required option.  All of these are checked once, for
+flags and config values alike, before a command reads any input, so an option
+set outside its mode is a usage error, not a setting silently ignored.
+Artifact files (CSV/JSON) contain no timestamps, so identical config + seed
+reproduces byte-identical outputs.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical abort.
 Failures print a human line and a machine-readable JSON trailer to stderr.
@@ -57,14 +59,17 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
 
 
-# Option tables: (dest, type, default, help[, choices[, minimum]]).  These
-# drive argparse, config-file keys and the one check of every resolved value
-# (``_resolve``), so the three can never drift apart.  A None default marks a
-# required option; choices come from the library's own constants and are
-# appended to the help, as is a minimum.  Training options default to
-# TrainConfig's own defaults.
+# Option tables: (dest, type, default, help[, choices[, minimum[, mode]]]).
+# These drive argparse, config-file keys and the one check of every resolved
+# value (``_resolve``), so the three can never drift apart.  A None default
+# marks a required option; choices come from the library's own constants and
+# are appended to the help, as are a minimum and a mode.  A mode names when the
+# command reads the option: "with --clusters kmeans|random" while --clusters is
+# one of those values, "with --data" while --data is set, "without ..." the
+# converse.  Training options default to TrainConfig's own defaults.
 _OUT_DIR = ("out_dir", str, ".", "directory for output artifacts")
 _SEED = ("seed", int, 0, "random seed", (), 0)
+_ABLATION = "with --clusters all"
 
 _OPTIONS = {
     "synth": [
@@ -78,11 +83,11 @@ _OPTIONS = {
     ],
     "ingest": [_OUT_DIR, ("data", str, None, "interactions JSONL path")],
     "cluster": [
-        _OUT_DIR, _SEED,
+        _OUT_DIR, (*_SEED, "with --clusters kmeans|random"),
         ("data", str, None, "interactions JSONL path"),
         ("clusters", str, "kmeans", "clustering method", CLUSTERINGS),
         ("n_clusters", int, 0, "item cluster count (0 = ceil(sqrt(n_items)))", (), 0),
-        ("features", str, "", "optional (n_items, p) .npy feature file for kmeans"),
+        ("features", str, "", "optional (n_items, p) .npy feature file", (), None, "with --clusters kmeans"),
         ("vocab_size", int, 8192, "text vocabulary cap", (), MIN_VOCAB_SIZE),
     ],
     "train": [
@@ -91,7 +96,7 @@ _OPTIONS = {
         ("mode", str, TrainConfig.softmax_mode, "softmax mode", MODES),
         ("clusters", str, "kmeans", "clustering method", CLUSTERINGS),
         ("n_clusters", int, 0, "item cluster count (0 = ceil(sqrt(n_items)))", (), 0),
-        ("features", str, "", "optional (n_items, p) .npy feature file for kmeans"),
+        ("features", str, "", "optional (n_items, p) .npy feature file", (), None, "with --clusters kmeans"),
         ("steps", int, TrainConfig.max_steps, "max optimization steps", (), 0),
         ("batch_size", int, TrainConfig.batch_size, "examples per step", (), 1),
         ("learning_rate", float, TrainConfig.learning_rate, "peak learning rate (cosine decayed)", (), 0),
@@ -106,26 +111,26 @@ _OPTIONS = {
         ("val_sample", int, TrainConfig.val_sample, "validation users per eval (0 = all)", (), 0),
     ],
     "eval": [
-        _OUT_DIR, _SEED,
+        _OUT_DIR, (*_SEED, _ABLATION),
         ("data", str, None, "interactions JSONL path"),
-        ("snapshot", str, "", "trained snapshot path (omit for clustering ablation)"),
-        ("engine", str, "structure", "ranking engine", (*ENGINES, "all")),
-        ("clusters", str, "kmeans", "'all' trains the clustering ablation grid; "
-         "otherwise the snapshot's clustering is used", (*CLUSTERINGS, "all")),
+        ("snapshot", str, "", "trained snapshot path", (), None, "without --clusters all"),
+        ("engine", str, "structure", "ranking engine", (*ENGINES, "all"), None, "without --clusters all"),
+        ("clusters", str, "", "'all' runs the clustering ablation: one two-level model per "
+         "clustering method, ranked by every engine", ("all",)),
         ("k", str, "1,10", "comma-separated recall cutoffs"),
         ("exclude_history", int, 0, "1 to drop history items from the ranking", (0, 1)),
-        ("steps", int, 500, "training steps per ablation run", (), 0),
-        ("batch_size", int, TrainConfig.batch_size, "batch size for ablation training", (), 1),
-        ("learning_rate", float, TrainConfig.learning_rate, "learning rate for ablation training", (), 0),
-        ("vocab_size", int, 8192, "text vocabulary cap for ablation (a snapshot uses its own)", (), MIN_VOCAB_SIZE),
+        ("steps", int, 500, "training steps per model", (), 0, _ABLATION),
+        ("batch_size", int, TrainConfig.batch_size, "examples per step", (), 1, _ABLATION),
+        ("learning_rate", float, TrainConfig.learning_rate, "peak learning rate", (), 0, _ABLATION),
+        ("vocab_size", int, 8192, "text vocabulary cap", (), MIN_VOCAB_SIZE, _ABLATION),
     ],
     "latency": [
         _OUT_DIR,
         ("data", str, "", "optional interactions JSONL to measure tokens-per-item"),
         ("profile", str, "all", "deployment profile", (*latency_mod.PROFILES, "all")),
         ("encoder", str, "all", "item encoder", (*latency_mod.MULTI_TOKEN_ENCODERS, "all")),
-        ("history_len", int, 8, "history length |H|", (), 1),
-        ("const_tokens", int, 20, "constant prompt tokens", (), 0),
+        ("history_len", int, 8, "history length |H|", (), 1, "with --data"),
+        ("const_tokens", int, 20, "constant prompt tokens", (), 0, "with --data"),
     ],
     "bench": [
         _OUT_DIR, _SEED,
@@ -151,9 +156,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _spec(command: str) -> list[tuple]:
-    """The command's options as (dest, type, default, help, choices, minimum);
-    no choices is (), no minimum None."""
-    return [(*entry, *((), None)[len(entry) - 4 :]) for entry in _OPTIONS[command]]
+    """The command's options as (dest, type, default, help, choices, minimum,
+    mode); no choices is (), no minimum or mode None."""
+    return [(*entry, *((), None, None)[len(entry) - 4 :]) for entry in _OPTIONS[command]]
 
 
 def _flag(dest: str) -> str:
@@ -166,11 +171,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command in _OPTIONS:
         p = sub.add_parser(command)
-        for dest, typ, _default, help_text, choices, minimum in _spec(command):
+        for dest, typ, _default, help_text, choices, minimum, mode in _spec(command):
             if choices:
                 help_text += f" ({'|'.join(map(str, choices))})"
             if minimum is not None:
                 help_text += f" (>= {minimum})"
+            if mode:
+                help_text += f" ({mode})"
             p.add_argument(_flag(dest), dest=dest, type=typ, default=None, help=help_text)
     return parser
 
@@ -209,15 +216,14 @@ def _read_config_file(path: str) -> dict[str, dict[str, str]]:
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults < config file < explicit flags for the active command,
     then check that every required option is set, every value is one of its
-    choices and none is below its minimum.  ``given`` holds the options set
-    by a flag or the config file."""
+    choices and none is below its minimum; then that no option set by a flag
+    or the config file is outside its mode."""
     command = args.command
     file_values: dict[str, str] = {}
     if args.config:
         file_values = _read_config_file(args.config).get(command, {})
-    given = {dest for dest, *_ in _OPTIONS[command] if getattr(args, dest) is not None or dest in file_values}
-    resolved = {"given": given}
-    for dest, typ, default, _help, choices, minimum in _spec(command):
+    resolved = {}
+    for dest, typ, default, _help, choices, minimum, _mode in _spec(command):
         value = getattr(args, dest)
         if value is None and dest in file_values:
             try:
@@ -228,11 +234,17 @@ def _resolve(args: argparse.Namespace) -> dict:
             value = default
         if default is None and value in (None, ""):
             raise UsageError(f"{_flag(dest)} is required")
-        if choices and value not in choices:
+        if choices and value != default and value not in choices:
             raise UsageError(f"{_flag(dest)} must be one of {'|'.join(map(str, choices))}, got {value!r}")
         if minimum is not None and value < minimum:
             raise UsageError(f"{dest} must be at least {minimum}, got {value}")
         resolved[dest] = value
+    for dest, *_, mode in _spec(command):
+        if mode and (getattr(args, dest) is not None or dest in file_values):
+            polarity, flag, *values = mode.split()
+            value = resolved[flag[2:].replace("-", "_")]
+            if (value in values[0].split("|") if values else bool(value)) != (polarity == "with"):
+                raise UsageError(f"{_flag(dest)} is read only {mode}")
     return resolved
 
 
@@ -420,10 +432,6 @@ def _eval_ablation(opts: dict, ks: tuple[int, ...]) -> int:
 def cmd_eval(opts: dict) -> int:
     ks = _recall_cutoffs(opts["k"])
     if opts["clusters"] == "all":
-        for dest in ("snapshot", "engine"):
-            if dest in opts["given"]:
-                raise UsageError(f"--clusters all trains its own models and ranks them with every engine; "
-                                 f"it takes no {_flag(dest)}")
         return _eval_ablation(opts, ks)
     if not opts["snapshot"]:
         raise UsageError("--snapshot is required unless --clusters all")

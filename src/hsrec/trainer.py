@@ -222,7 +222,8 @@ class TrainResult:
 
 
 def train(data: Dataset, config: TrainConfig, snapshot: ModelSnapshot | None = None, **model_kwargs) -> TrainResult:
-    """Optimize a (possibly fresh) model on the train split.
+    """Optimize a (possibly fresh) model on the train split.  ``model_kwargs``
+    go to :func:`init_model` for a fresh model; a given snapshot refuses them.
 
     Logs (step, loss, val_recall@10) every ``eval_every`` steps and stops
     early after ``patience`` evaluations without improvement.  A non-finite
@@ -230,6 +231,8 @@ def train(data: Dataset, config: TrainConfig, snapshot: ModelSnapshot | None = N
     """
     if snapshot is None:
         snapshot = init_model(data, config, **model_kwargs)
+    elif model_kwargs:
+        raise ValueError(f"a given snapshot keeps its own model; unread keywords: {', '.join(sorted(model_kwargs))}")
     tables = snapshot.tables
     encoder = snapshot.encoder
     cmap = snapshot.cluster_map

@@ -757,7 +757,10 @@ def test_latency_encoder_without_a_reference_workload_is_usage_error(tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [["--history-len", 0], ["--const-tokens", -1], ["--vocab-size", 40]])
+@pytest.mark.parametrize(
+    "argv",
+    [["--history-len", 0], ["--const-tokens", -1], ["--vocab-size", 40], ["--history-len", 8], ["--const-tokens", 20]],
+)
 def test_latency_rejects_bad_options_without_data(tmp_path, capsys, argv):
     capsys.readouterr()
     assert run(["latency", *argv, "--out-dir", tmp_path / "out"]) == 1
@@ -788,6 +791,14 @@ def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, key, val
         ["latency", "--const-tokens", -1],
         ["eval", "--clusters", "all", "--snapshot", "x.hsrc"],
         ["eval", "--clusters", "all", "--engine", "structure"],
+        # Each option below is read only in another mode of its command.
+        ["eval", "--snapshot", "x.hsrc", "--steps", 7],
+        ["eval", "--snapshot", "x.hsrc", "--seed", 3],
+        ["eval", "--snapshot", "x.hsrc", "--vocab-size", 50],
+        ["eval", "--snapshot", "x.hsrc", "--clusters", "kmeans"],
+        ["train", "--clusters", "random", "--features", "f.npy"],
+        ["cluster", "--clusters", "frequency", "--features", "f.npy"],
+        ["cluster", "--clusters", "frequency", "--seed", 3],
     ],
 )
 def test_settings_are_checked_before_any_input_is_read(tmp_path, capsys, argv):
@@ -799,14 +810,26 @@ def test_settings_are_checked_before_any_input_is_read(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
-def test_ablation_takes_no_engine_from_a_config_file(tmp_path, capsys):
-    # The file sets the default engine: given is given, whatever its value.
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["eval", "--clusters", "all", "--data", "{missing}"], "engine", "structure"),
+        (["eval", "--snapshot", "x.hsrc", "--data", "{missing}"], "steps", "7"),
+        (["eval", "--snapshot", "x.hsrc", "--data", "{missing}"], "clusters", "kmeans"),
+        (["train", "--clusters", "random", "--data", "{missing}"], "features", "f.npy"),
+        (["cluster", "--clusters", "frequency", "--data", "{missing}"], "seed", "3"),
+        (["latency"], "history_len", "8"),
+    ],
+    ids=["eval-engine", "eval-steps", "eval-clusters", "train-features", "cluster-seed", "latency-history_len"],
+)
+def test_ablation_takes_no_engine_from_a_config_file(tmp_path, capsys, argv, key, value):
+    # The file may set the default: given is given, whatever its value.
     config = tmp_path / "run.conf"
-    config.write_text("[eval]\nengine = structure\n")
+    config.write_text(f"[{argv[0]}]\n{key} = {value}\n")
     capsys.readouterr()
-    argv = ["--config", config, "eval", "--clusters", "all", "--data", tmp_path / "missing.jsonl"]
+    argv = ["--config", config, *(str(a).format(missing=tmp_path / "missing.jsonl") for a in argv)]
     assert run([*argv, "--out-dir", tmp_path / "out"]) == 1
-    assert "--engine" in usage_trailer(capsys)
+    assert "--" + key.replace("_", "-") in usage_trailer(capsys)
     assert not (tmp_path / "out").exists()
 
 
@@ -1057,3 +1080,23 @@ def test_help_shows_each_options_minimum(capsys, command, minimums):
     out = " ".join(capsys.readouterr().out.split())
     for flag, minimum in minimums.items():
         assert re.search(rf"--{flag} {flag.replace('-', '_').upper()} [^()]*\(>= {minimum}\)", out), flag
+
+
+@pytest.mark.parametrize(
+    "command, modes",
+    [
+        ("eval", {"seed": "with --clusters all", "snapshot": "without --clusters all",
+                  "engine": "without --clusters all", "steps": "with --clusters all",
+                  "batch-size": "with --clusters all", "learning-rate": "with --clusters all",
+                  "vocab-size": "with --clusters all"}),
+        ("cluster", {"seed": "with --clusters kmeans|random", "features": "with --clusters kmeans"}),
+        ("latency", {"history-len": "with --data", "const-tokens": "with --data"}),
+    ],
+)
+def test_help_shows_each_options_mode(capsys, command, modes):
+    assert run([command, "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for flag, mode in modes.items():
+        # The mode is in this option's help, before the next option's flag and metavar.
+        this_help = rf"--{flag} {flag.replace('-', '_').upper()} (?:(?! --[a-z-]+ [A-Z_]+ ).)*"
+        assert re.search(this_help + re.escape(f"({mode})"), out), flag

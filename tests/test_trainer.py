@@ -142,6 +142,9 @@ def test_zero_steps_equals_initialization(small_data):
     assert result.steps_run == 0
     for name in before:
         assert np.array_equal(before[name], after[name]), name
+    # A given snapshot keeps its own model: keywords that would size a new one are refused.
+    with pytest.raises(ValueError, match="clustering, dim, n_clusters"):
+        train(small_data, config, snapshot, dim=64, clustering="kmeans", n_clusters=3)
 
 
 def test_training_deterministic_loss_curves(small_data):
