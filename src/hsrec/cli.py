@@ -261,8 +261,6 @@ class UsageError(HsrecError):
 
 
 def _write_csv(path: Path, rows: list[dict], fieldnames=None) -> None:
-    if not rows and fieldnames is None:
-        raise ValueError("no rows and no fieldnames to write")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames or list(rows[0].keys()))
         writer.writeheader()
@@ -403,11 +401,11 @@ def _report_rows(opts: dict, ks, snapshot, data, clustering: str, engines) -> li
 
 def _eval_single(opts: dict, ks: tuple[int, ...]) -> int:
     snapshot, data = _load_snapshot_and_corpus(opts)
-    out = _out_dir(opts)
     engines = [opts["engine"]]
     if opts["engine"] == "all":
         engines = list(ENGINES) if snapshot.softmax_mode == "twolevel" else ["full"]
     rows = _report_rows(opts, ks, snapshot, data, snapshot.config.get("clustering", "?"), engines)
+    out = _out_dir(opts)
     _write_json(out / "metrics.json", rows)
     _write_csv(out / "results.csv", rows)
     print(json.dumps(rows, sort_keys=True))
@@ -491,7 +489,8 @@ def cmd_bench(opts: dict) -> int:
             result = search(query)
             times.append((time.perf_counter() - start) * 1e3)
             results[engine].append(result)
-        scored = [tables.n_total if stats is None else stats.tokens_scored for _, stats in results[engine]]
+        scored = [tables.n_total + tables.n_item_clusters if stats is None else stats.tokens_scored
+                  for _, stats in results[engine]]
         rows.append(
             {
                 "engine": engine,
@@ -546,7 +545,6 @@ def main(argv=None) -> int:
         return _fail(EXIT_NUMERIC, "numeric", str(exc))
     except ValueError as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Mutation table for the numeric core: which tier-1 tests kill which mutant.
+"""Mutation table for the numeric core and the CLI: which tier-1 tests kill
+which mutant.
 
 Run from anywhere, with no arguments::
 
@@ -88,6 +89,24 @@ MUTANTS = [
     ("snapshot", "if not np.isfinite(arr).all():", "if False:", "snapshot float payloads unchecked"),
     ("snapshot", "if meta_len < left:", "if False:", "trailing snapshot bytes accepted"),
     ("snapshot", "np.array_equal(assignment[:n_text], np.arange(n_text))", "True", "text clusters unchecked"),
+    ("cli", '!= (polarity == "with")', '== (polarity == "with")', "the mode check inverted"),
+    ("cli", "value < minimum", "value <= minimum", "a value at its minimum rejected"),
+    ("cli", "if choices and value != default and value not in choices:", "if False:", "the choice check dropped"),
+    ("cli", 'value in (None, ""):', "value is None:", "an empty required value accepted"),
+    ("cli", "if value is None and dest in file_values:", "if dest in file_values:", "a config value beats its flag"),
+    ("cli", "if key in sections[current]:", "if False:", "a repeated config key accepted"),
+    ("cli", 'raw.removeprefix("\\ufeff") if line_no == 1 else raw', "raw", "a leading byte-order mark not skipped"),
+    ("cli", "raise UsageError(message)", "sys.exit(2)", "an argparse error exits without the trailer"),
+    ("cli", "opts = _resolve(args)", "opts = _resolve(args); _out_dir(opts)", "the out-dir made before any input is read"),
+    ("cli", "EXIT_USAGE = 1", "EXIT_USAGE = 2", "usage errors exit with the data code"),
+    ("cli", '_fail(EXIT_DATA, "data"', '_fail(EXIT_DATA, "usage"', "the data trailer typed usage"),
+    ("cli", "except (ValueError, EOFError) as exc:", "except EOFError as exc:", "a feature file numpy rejects exits as usage"),
+    ("cli", "_check_snapshot_matches(snapshot, data)\n    return", "return", "a snapshot of another corpus accepted"),
+    ("cli", 'exclude = bool(opts["exclude_history"])', "exclude = False", "--exclude-history not passed through"),
+    ("cli", "if min(ks) < 1:", "if min(ks) < 0:", "a recall cutoff of 0 accepted"),
+    ("cli", 'if snapshot.softmax_mode != "twolevel":', "if False:", "bench ranks a full-softmax snapshot"),
+    ("cli", "tables.n_total + tables.n_item_clusters if", "tables.n_total if",
+     "unpruned engines' token counts miss the first-level logits"),
 ]
 
 CHILD = (
