@@ -6,7 +6,8 @@ unknown sections or keys are rejected.  One option table gives each option's
 type, default, help, allowed values and the mode its command reads it in; a
 ``None`` default marks a required option.  All of these are checked once, for
 flags and config values alike, before a command reads any input, so an option
-set outside its mode is a usage error, not a setting silently ignored.
+set outside its mode is a usage error, not a setting silently ignored: a
+full-softmax ``train`` reads no clustering option, since it builds no clustering.
 Artifact files (CSV/JSON) contain no timestamps, so identical config + seed
 reproduces byte-identical outputs.
 
@@ -66,10 +67,13 @@ def _setup_logging() -> None:
 # are appended to the help, as are a minimum and a mode.  A mode names when the
 # command reads the option: "with --clusters kmeans|random" while --clusters is
 # one of those values, "with --data" while --data is set, "without ..." the
-# converse.  Training options default to TrainConfig's own defaults.
+# converse.  An option outside its mode resolves to None, so an option whose
+# mode names it, listed after it so that it resolves first, is outside its own
+# too.  Training options default to TrainConfig's own defaults.
 _OUT_DIR = ("out_dir", str, ".", "directory for output artifacts")
 _SEED = ("seed", int, 0, "random seed", (), 0)
 _ABLATION = "with --clusters all"
+_TWOLEVEL = "with --mode twolevel"  # a full softmax reads no clustering
 
 _OPTIONS = {
     "synth": [
@@ -94,8 +98,8 @@ _OPTIONS = {
         _OUT_DIR, _SEED,
         ("data", str, None, "interactions JSONL path"),
         ("mode", str, TrainConfig.softmax_mode, "softmax mode", MODES),
-        ("clusters", str, "kmeans", "clustering method", CLUSTERINGS),
-        ("n_clusters", int, 0, "item cluster count (0 = ceil(sqrt(n_items)))", (), 0),
+        ("clusters", str, "kmeans", "clustering method", CLUSTERINGS, None, _TWOLEVEL),
+        ("n_clusters", int, 0, "item cluster count (0 = ceil(sqrt(n_items)))", (), 0, _TWOLEVEL),
         ("features", str, "", "optional (n_items, p) .npy feature file", (), None, "with --clusters kmeans"),
         ("steps", int, TrainConfig.max_steps, "max optimization steps", (), 0),
         ("batch_size", int, TrainConfig.batch_size, "examples per step", (), 1),
@@ -217,7 +221,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults < config file < explicit flags for the active command,
     then check that every required option is set, every value is one of its
     choices and none is below its minimum; then that no option set by a flag
-    or the config file is outside its mode."""
+    or the config file is outside its mode, and set each other one to None."""
     command = args.command
     file_values: dict[str, str] = {}
     if args.config:
@@ -239,12 +243,16 @@ def _resolve(args: argparse.Namespace) -> dict:
         if minimum is not None and value < minimum:
             raise UsageError(f"{dest} must be at least {minimum}, got {value}")
         resolved[dest] = value
+    unread = {}  # dest: why the option is unread, for a mode that names it
     for dest, *_, mode in _spec(command):
-        if mode and (getattr(args, dest) is not None or dest in file_values):
+        if mode:
             polarity, flag, *values = mode.split()
-            value = resolved[flag[2:].replace("-", "_")]
+            named = flag[2:].replace("-", "_")
+            value = resolved[named]
             if (value in values[0].split("|") if values else bool(value)) != (polarity == "with"):
-                raise UsageError(f"{_flag(dest)} is read only {mode}")
+                if getattr(args, dest) is not None or dest in file_values:
+                    raise UsageError(f"{_flag(dest)} is read only {mode}{unread.get(named, '')}")
+                resolved[dest], unread[dest] = None, f", which is read only {mode}"
     return resolved
 
 
@@ -541,7 +549,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_USAGE, "usage", str(exc))
     except (DataError, SnapshotFormatError, OSError) as exc:
         return _fail(EXIT_DATA, "data", str(exc))
-    except TrainingDivergedError as exc:
+    except (TrainingDivergedError, RuntimeWarning) as exc:  # a warning raised under -W error
         return _fail(EXIT_NUMERIC, "numeric", str(exc))
     except ValueError as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))

@@ -49,9 +49,9 @@ ROW_BLOCK = 64
 INIT_ROWS = 1024
 
 
-def check_finite(arr: np.ndarray, name: str) -> None:
+def check_finite(arr: np.ndarray, name: str, error: type[Exception] = ValueError) -> None:
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains NaN or Inf")
+        raise error(f"{name} contains NaN or Inf")
 
 
 class EmbeddingTable:

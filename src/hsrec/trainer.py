@@ -131,11 +131,18 @@ def init_model(
     cluster_map: ClusterMap | None = None,
     kmeans_features: np.ndarray | None = None,
 ) -> ModelSnapshot:
-    """Fresh seeded model: tables, cluster map, mean-initialized centroids."""
-    if cluster_map is None:
-        cluster_map = build_cluster_map(
-            data, clustering, n_clusters, seed=config.seed, features=kmeans_features
-        )
+    """Fresh seeded model: tables, cluster map, mean-initialized centroids.
+
+    Only a two-level model reads ``n_clusters``, ``kmeans_features`` and the
+    ``clustering`` method, one of :data:`CLUSTERINGS` (or None in full mode).
+    Without a ``cluster_map`` a full model gets one item cluster, "none".
+    """
+    if cluster_map is None and config.softmax_mode == "full":
+        if clustering not in (*CLUSTERINGS, None):
+            raise ValueError(f"unknown clustering {clustering!r}; choose from {CLUSTERINGS}")
+        clustering, cluster_map = "none", ClusterMap(len(data.vocab), np.zeros(data.n_items, np.int64), 1)
+    elif cluster_map is None:
+        cluster_map = build_cluster_map(data, clustering, n_clusters, seed=config.seed, features=kmeans_features)
     base = init_tables(len(data.vocab), data.n_items, dim, item_dim, seed=config.seed)
     projected = base.item_projected()
     centroids = init_centroids(cluster_map, projected)
@@ -164,8 +171,9 @@ def cosine_lr(base_lr: float, step: int, max_steps: int) -> float:
 
 
 def _apply_update(snapshot: ModelSnapshot, grads: dict, lr: float, weight_decay: float, n: int) -> None:
-    """SGD with decoupled weight decay, in place; raises ``ValueError`` if it
-    leaves a parameter non-finite.
+    """SGD with decoupled weight decay, in place; raises
+    :class:`TrainingDivergedError`, naming the table, if it leaves a
+    parameter non-finite.
 
     Each written array is checked right after its write.  The raw item table
     is written only on the rows of its :class:`ItemRowGrad`, one expanded
@@ -194,15 +202,15 @@ def _apply_update(snapshot: ModelSnapshot, grads: dict, lr: float, weight_decay:
                     # dtype; the cast rows are checked before they are written.
                     np.subtract(arr[rows], block, out=block)
                     written = block.astype(arr.dtype, copy=False)
-                    check_finite(written, name)
+                    check_finite(written, name, TrainingDivergedError)
                     arr[rows] = written
                 if decay > 2.0:
-                    check_finite(arr, name)
+                    check_finite(arr, name, TrainingDivergedError)
             else:
                 step = grad / n  # lr * (grad / n), with one temporary
                 step *= lr
                 arr -= step
-                check_finite(arr, name)
+                check_finite(arr, name, TrainingDivergedError)
 
 
 def validation_recall(snapshot: ModelSnapshot, data: Dataset, k: int = 10, sample: int = 0) -> float:

@@ -44,6 +44,7 @@ from hsrec.softmax import (
 )
 from hsrec.tables import EmbeddingTable, GradBuffer, ModelTables, ProjectionHead
 from hsrec.tokens import tokenize_text
+from hsrec.trainer import build_cluster_map, train
 
 
 def ingest_loop(path) -> Interactions:
@@ -116,6 +117,17 @@ def random_cluster_map(n_text, n_items, n_clusters, rng):
     labels = rng.integers(0, n_clusters, size=n_items)
     labels[rng.choice(n_items, size=n_clusters, replace=False)] = np.arange(n_clusters)
     return ClusterMap(n_text, labels, n_clusters)
+
+
+def refit_on_random_map(est, n_clusters, seed=0):
+    """``est`` fit again on its own dataset, as ``fit`` fits it, but given a
+    random item cluster map, so that item columns are out of item order.  A
+    full-softmax model written with a k-means map has such columns."""
+    data = est.dataset_
+    cmap = build_cluster_map(data, "random", n_clusters, seed=seed)
+    est.snapshot_ = train(data, est._train_config(), dim=est.dim, item_dim=est.item_dim, cluster_map=cmap).snapshot
+    assert not np.array_equal(cmap.item_order, np.arange(data.n_items))
+    return est
 
 
 def random_model(n_text, n_items, dim, item_dim, n_clusters, seed=0, dtype=np.float64, scale=0.5):

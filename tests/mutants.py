@@ -67,6 +67,7 @@ MUTANTS = [
     ("tables", "+= 1\n            self._drop_derived()", "+= 1", "writing() keeps the derived copies"),
     ("tables", "if value is None:", "if True:", "derived copies rebuilt on every call"),
     ("tables", 'check_finite(arr, "embedding table")', "pass", "tables accept NaN and Inf"),
+    ("tables", "raise error(f", "raise ValueError(f", "a non-finite update raises ValueError, so it exits as usage"),
     ("tables", "self.item_projected()[cluster_map.item_order]", "self.item_projected()", "rows left in item order"),
     ("tables", "d_proj[pos[start:end][hit]] +=", "d_proj[pos[start:end][hit]] =",
      "finalize overwrites an encoder row's gradient"),
@@ -77,7 +78,10 @@ MUTANTS = [
      EQUIVALENT + "a rank-1 part's left @ right has the einsum's bits; the einsum is the faster of the two"),
     ("trainer", "math.pi * step / max_steps", "math.pi * (step + 1) / max_steps", "cosine schedule off by one"),
     ("trainer", "if decay > 2.0:", "if decay > 3.0:", "full-table finiteness check from decay > 3"),
-    ("trainer", "check_finite(written, name)", "pass", "a non-finite item row is written"),
+    ("trainer", "check_finite(written, name, TrainingDivergedError)", "pass", "a non-finite item row is written"),
+    ("trainer", 'if cluster_map is None and config.softmax_mode == "full":', "if False:",
+     "a full-softmax model is clustered again"),
+    ("trainer", "if clustering not in (*CLUSTERINGS, None):", "if False:", "a full-softmax model takes any clustering"),
     ("trainer", "data.events[ends] +", "data.events[ends - 1] +", "training targets the history's last item"),
     ("catalog", "np.lexsort((np.array(event_times", "np.lexsort((-np.arange(len(codes)), np.array(event_times",
      "equal-timestamp events in reverse input order"),
@@ -90,6 +94,9 @@ MUTANTS = [
     ("snapshot", "if meta_len < left:", "if False:", "trailing snapshot bytes accepted"),
     ("snapshot", "np.array_equal(assignment[:n_text], np.arange(n_text))", "True", "text clusters unchecked"),
     ("cli", '!= (polarity == "with")', '== (polarity == "with")', "the mode check inverted"),
+    ("cli", 'resolved[dest], unread[dest] = None, f"', 'unread[dest] = f"',
+     "an unread option still sets the modes that name it"),
+    ("cli", "{mode}{unread.get(named, '')}", "{mode}", "a refusal omits the mode that left its option unread"),
     ("cli", "value < minimum", "value <= minimum", "a value at its minimum rejected"),
     ("cli", "if choices and value != default and value not in choices:", "if False:", "the choice check dropped"),
     ("cli", 'value in (None, ""):', "value is None:", "an empty required value accepted"),
@@ -107,6 +114,8 @@ MUTANTS = [
     ("cli", 'if snapshot.softmax_mode != "twolevel":', "if False:", "bench ranks a full-softmax snapshot"),
     ("cli", "tables.n_total + tables.n_item_clusters if", "tables.n_total if",
      "unpruned engines' token counts miss the first-level logits"),
+    ("cli", "except (TrainingDivergedError, RuntimeWarning) as exc:", "except TrainingDivergedError as exc:",
+     "a RuntimeWarning raised as an error escapes main"),
 ]
 
 CHILD = (

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import param_arrays, rewrite_snapshot, seal_snapshot
-from hsrec.cli import main
+from hsrec.cli import _OPTIONS, _spec, main
 from hsrec.snapshot import load_snapshot, save_snapshot
 
 
@@ -162,6 +162,8 @@ def test_train_same_seed_snapshots_byte_identical(corpus, tmp_path, case):
     # 16 items in 2 clusters at dim 4: two-level steps lift the item gradient
     # of every target cluster with at least 4 members.
     flags, engine = SAME_SEED_RUNS[case]
+    if case != "full":  # a full softmax reads no clustering
+        flags = [*flags, "--n-clusters", 2]
     if case == "no_metadata":
         corpus = tmp_path / "bare.jsonl"
         corpus.write_text("".join(json.dumps({"user": f"u{u}", "item": f"i{u * t % 7}", "timestamp": t}) + "\n"
@@ -171,7 +173,7 @@ def test_train_same_seed_snapshots_byte_identical(corpus, tmp_path, case):
         code = run(
             [
                 "train", "--data", corpus, "--steps", 10, "--batch-size", 8, "--eval-every", 0, "--dim", 4,
-                "--item-dim", 6, "--n-clusters", 2, "--seed", 4, *flags, "--out-dir", out,
+                "--item-dim", 6, "--seed", 4, *flags, "--out-dir", out,
             ]
         )
         assert code == 0
@@ -392,6 +394,8 @@ def test_help_shows_each_options_minimum(capsys, command, minimums):
                   "vocab-size": "with --clusters all"}),
         ("cluster", {"seed": "with --clusters kmeans|random", "features": "with --clusters kmeans"}),
         ("latency", {"history-len": "with --data", "const-tokens": "with --data"}),
+        ("train", {"clusters": "with --mode twolevel", "n-clusters": "with --mode twolevel",
+                   "features": "with --clusters kmeans"}),
     ],
 )
 def test_help_shows_each_options_mode(capsys, command, modes):
@@ -401,6 +405,18 @@ def test_help_shows_each_options_mode(capsys, command, modes):
         # The mode is in this option's help, before the next option's flag and metavar.
         this_help = rf"--{flag} {flag.replace('-', '_').upper()} (?:(?! --[a-z-]+ [A-Z_]+ ).)*"
         assert re.search(this_help + re.escape(f"({mode})"), out), flag
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONS))
+def test_a_mode_comes_after_the_moded_option_it_names(command):
+    # Options resolve in table order, and one outside its mode resolves to
+    # None; a mode read before the option it names resolves would miss that.
+    spec = _spec(command)
+    moded, listed = {dest for dest, *_, mode in spec if mode}, []
+    for dest, *_, mode in spec:
+        named = mode and mode.split()[1][2:].replace("-", "_")
+        assert named not in moded or named in listed, (dest, mode)
+        listed.append(dest)
 
 
 # The contract table.  One module-scoped fixture builds every input a row
@@ -518,15 +534,17 @@ MISSING = {"synth": [], "cluster": ["--data", "{missing}"], "train": ["--data", 
            "bench": ["--data", "{missing}", "--snapshot", "{missing_snapshot}"], "latency": ["--data", "{missing}"]}
 
 
-def from_flag_and_config(rows):
+def from_flag_and_config(rows, tag="", flags=()):
     """Two rows for each (command, option, value, message): the value set by
     its flag and by the config file, with inputs that do not exist, so that
-    the value is checked before any input is read."""
+    the value is checked before any input is read.  ``flags`` go on every
+    row's command line, and ``tag`` after the command in each row's id."""
     table = {}
     for command, option, value, message in rows:
-        argv = [command, *MISSING[command]]
-        table[f"{command}-{option}={value}-flag"] = ([*argv, "--" + option.replace("_", "-"), value], None, 1, message)
-        table[f"{command}-{option}={value}-config"] = (argv, f"[{command}]\n{option} = {value}\n", 1, message)
+        argv = [command, *MISSING[command], *flags]
+        table[f"{command}{tag}-{option}={value}-flag"] = ([*argv, "--" + option.replace("_", "-"), value], None, 1,
+                                                          message)
+        table[f"{command}{tag}-{option}={value}-config"] = (argv, f"[{command}]\n{option} = {value}\n", 1, message)
     return table
 
 
@@ -707,6 +725,20 @@ CONTRACTS = {
                                         None, 1, f"engine '{engine}' needs a two-level snapshot")
        for engine in ("structure", "ann")},
     "eval-diverged-model": (["eval", "--data", "{data}", "--snapshot", "{diverged}"], None, 3, "the model has diverged"),
+    # Before, a parameter left non-finite by an update exited 1 as a usage error.
+    "train-update-overflows": ([*TRAIN, "--vocab-size", 40, "--learning-rate", "1e300"], None, 3,
+                               "text contains NaN or Inf"),
+    # Under the suite's error::RuntimeWarning filter; before, the warning escaped main as a traceback.
+    "train-overflow-warning-raised": ([*TRAIN, "--vocab-size", 40, "--learning-rate", "1e30"], None, 3,
+                                      "overflow encountered in matmul"),
+    # A full softmax reads no clustering, so it takes no clustering option, and
+    # --features, read only with --clusters kmeans, is unread with it.  Before, all were accepted.
+    **from_flag_and_config([("train", option, value, f"--{option.replace('_', '-')} {READ_ONLY} {mode}")
+                            for option, value, mode in [("clusters", "kmeans", "--mode twolevel"),
+                                                        ("n_clusters", 3, "--mode twolevel"),
+                                                        ("features", "f.npy",
+                                                         "--clusters kmeans, which is read only with --mode twolevel")]],
+                           "-full", ["--mode", "full"]),
     # The cap is checked before the co-occurrence matrix is made.  Before, the
     # training commands made their out-dir before training, and left it empty.
     **{name: ([*argv, "--data", "{big}"], None, 2, "has 20001; cluster it with --clusters random|frequency")
@@ -721,7 +753,12 @@ OVERFLOWS = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarni
                                        "ignore:invalid value encountered:RuntimeWarning")
 
 
-@pytest.mark.parametrize("case", [pytest.param(c, marks=OVERFLOWS) if CONTRACTS[c][2] == 3 else c for c in CONTRACTS])
+# Rows that check a warning raised under the suite's own filter take no mark.
+RAISED = {"train-overflow-warning-raised"}
+
+
+@pytest.mark.parametrize("case", [pytest.param(c, marks=OVERFLOWS) if CONTRACTS[c][2] == 3 and c not in RAISED else c
+                                  for c in CONTRACTS])
 def test_cli_contract(inputs, tmp_path, capsys, case):
     """The row's exit code; a JSON trailer last on stderr, of the code's type
     and with the row's message fragment; no traceback; and no out-dir, which a

@@ -25,7 +25,8 @@ from hsrec.inference import AdditiveIndex, ann_item_scores, build_additive_index
 from hsrec.render import render_id_only, render_id_only_batch
 from hsrec.softmax import _cluster_rank_scores, item_rank_scores, score_all
 from hsrec.tables import EmbeddingTable, ModelTables, ProjectionHead
-from hsrec.trainer import SequenceRecommender, TrainConfig, init_model, train
+from hsrec.snapshot import load_snapshot, save_snapshot
+from hsrec.trainer import SequenceRecommender, TrainConfig, build_cluster_map, init_model, train
 
 # The package re-exports a function under this name.
 evaluate_module = importlib.import_module("hsrec.evaluate")
@@ -123,7 +124,7 @@ def test_rank_rows_rejects_non_finite_target():
 def test_engine_mode_consistency_enforced(tmp_path):
     data, _ = synth_dataset(tmp_path, n_users=40, n_items=12, n_groups=3, seed=5)
     config = TrainConfig(max_steps=5, batch_size=4, eval_every=0, seed=0, softmax_mode="full")
-    result = train(data, config, dim=8, item_dim=6, clustering="random")
+    result = train(data, config, dim=8, item_dim=6)
     with pytest.raises(ValueError, match="two-level"):
         evaluate(result.snapshot, data, engine="structure")
     report = evaluate(result.snapshot, data, engine="full")
@@ -338,15 +339,22 @@ def test_row_tiles_fold_every_row_once(trained, rows, monkeypatch):
 
 
 def test_full_softmax_snapshot_ranks_equal_oracle(tmp_path):
+    # Without a map, a full model has one item cluster.  Given a k-means map,
+    # as every full snapshot once was, its item columns are out of item order.
+    # Either, saved and loaded, ranks as the oracle does.
     data, _ = synth_dataset(tmp_path, n_users=40, n_items=12, n_groups=3, seed=5)
     config = TrainConfig(max_steps=20, batch_size=4, eval_every=0, seed=0, softmax_mode="full")
-    snapshot = train(data, config, dim=8, item_dim=6, clustering="random").snapshot
-    ranks = {}
-    for exclude_history in (False, True):
-        want = oracle_ranks(snapshot, data, "full", data.test_examples, exclude_history)
-        ranks[exclude_history] = target_ranks(snapshot, data, "full", exclude_history=exclude_history)
-        assert ranks[exclude_history].tolist() == want
-    assert (ranks[True] <= ranks[False]).all()
+    for cluster_map in (None, build_cluster_map(data, "kmeans", seed=0)):
+        save_snapshot(train(data, config, dim=8, item_dim=6, cluster_map=cluster_map).snapshot, tmp_path / "s.hsrc")
+        snapshot = load_snapshot(tmp_path / "s.hsrc")
+        in_item_order = np.array_equal(snapshot.cluster_map.item_order, np.arange(data.n_items))
+        assert in_item_order == (cluster_map is None)
+        ranks = {}
+        for exclude_history in (False, True):
+            want = oracle_ranks(snapshot, data, "full", data.test_examples, exclude_history)
+            ranks[exclude_history] = target_ranks(snapshot, data, "full", exclude_history=exclude_history)
+            assert ranks[exclude_history].tolist() == want
+        assert (ranks[True] <= ranks[False]).all()
 
 
 def test_rank_rows_equals_pairwise_count():

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import examples_from_split, oracle_item_scores, pack, render_loop
+from helpers import examples_from_split, oracle_item_scores, pack, refit_on_random_map, render_loop
 from hsrec.catalog import build_dataset, concat_ranges, ingest_jsonl
 from hsrec.evaluate import EVAL_BLOCK, evaluate, rank_rows, target_ranks
 from hsrec.inference import _rank_topk
@@ -132,14 +132,17 @@ def test_dataset_examples_equal_split_oracle(corpus_interactions, corpus_data):
     assert data.events[data.train_ends].tolist() == [e.target for e in train]
 
 
-@pytest.mark.parametrize("mode", ["twolevel", "full"])
+@pytest.mark.parametrize("mode", ["twolevel", "full", "full-random-map"])
 def test_evaluate_and_predict_equal_per_example_render(tmp_path, mode):
     path = write_corpus(tmp_path / "d.jsonl", ALL_FIELDS, n_users=90, n_items=30, seed=4)
+    mode, _, given_map = mode.partition("-")
     est = SequenceRecommender(
         dim=8, item_dim=8, vocab_size=40, max_steps=30, batch_size=16, eval_every=0, seed=0,
         n_clusters=5, softmax_mode=mode, metadata_keep_prob=1.0,
     )
     est.fit(path)
+    if given_map:
+        refit_on_random_map(est, 5)
     snapshot, data = est.snapshot_, est.dataset_
     examples = data.test_examples
     assert len(examples) > EVAL_BLOCK  # a full block and a partial one

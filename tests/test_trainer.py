@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hsrec.trainer
-from helpers import synth_dataset, touched_item_rows
+from helpers import refit_on_random_map, synth_dataset, touched_item_rows
 from hsrec.catalog import build_dataset, ingest_jsonl
 from hsrec.encoder import encode
 from hsrec.evaluate import EVAL_BLOCK, popularity_baseline
@@ -16,6 +16,7 @@ from hsrec.tables import GradBuffer
 from hsrec.trainer import (
     SequenceRecommender,
     TrainConfig,
+    build_cluster_map,
     cosine_lr,
     init_model,
     train,
@@ -123,6 +124,30 @@ def test_init_model_projects_the_catalog_once(small_data, monkeypatch, clusterin
     assert projected.tobytes() == project(snapshot.tables.item_raw, snapshot.tables.projection).tobytes()
 
 
+def test_full_model_builds_no_clustering(small_data, monkeypatch):
+    # A full softmax reads no clustering: without a map it gets one item
+    # cluster of every item, and it trains as the same seed on a k-means map does.
+    config = TrainConfig(max_steps=6, batch_size=8, eval_every=1, val_sample=0, seed=1, softmax_mode="full")
+    kmeans = build_cluster_map(small_data, "kmeans", seed=1)
+    given = train(small_data, config, dim=8, item_dim=6, cluster_map=kmeans)
+    assert given.snapshot.cluster_map is kmeans and given.snapshot.config["clustering"] == "kmeans"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full-softmax model built a cluster map")
+
+    monkeypatch.setattr(hsrec.trainer, "build_cluster_map", refuse)
+    result = train(small_data, config, dim=8, item_dim=6, clustering="kmeans", n_clusters=3)
+    cmap = result.snapshot.cluster_map
+    assert (cmap.n_text, cmap.n_item_clusters, cmap.n_items) == (len(small_data.vocab), 1, small_data.n_items)
+    assert result.snapshot.config["clustering"] == "none"
+    with pytest.raises(ValueError, match="unknown clustering 'bogus'"):  # read only to check it
+        SequenceRecommender(softmax_mode="full", clustering="bogus", max_steps=1).fit(small_data)
+    assert result.metrics == given.metrics and len(result.metrics) == 6
+    ours, theirs = snapshot_bytes(result.snapshot), snapshot_bytes(given.snapshot)
+    for name in ours.keys() - {"centroids"}:
+        assert np.array_equal(ours[name], theirs[name]), name
+
+
 def test_zero_learning_rate_keeps_parameters_bitwise(small_data):
     config = TrainConfig(max_steps=5, learning_rate=0.0, batch_size=8, eval_every=0, seed=1)
     snapshot = init_model(small_data, config, dim=8, item_dim=6)
@@ -206,13 +231,16 @@ def test_estimator_roundtrip(tmp_path):
     assert 0.0 <= score <= 1.0
 
 
-@pytest.mark.parametrize("mode", ["twolevel", "full"])
+@pytest.mark.parametrize("mode", ["twolevel", "full", "full-random-map"])
 def test_predict_equals_per_history_oracle(tmp_path, mode):
     data, _ = synth_dataset(tmp_path, n_users=60, n_items=16, n_groups=4, seed=2)
+    mode, _, given_map = mode.partition("-")
     est = SequenceRecommender(
         dim=8, item_dim=8, max_steps=40, batch_size=8, eval_every=0, seed=0, n_clusters=4, softmax_mode=mode
     )
     est.fit(data)
+    if given_map:
+        refit_on_random_map(est, 4)
     snap = est.snapshot_
     tables = snap.tables
     histories = [[data.catalog[i].item_id for i in e.history] for e in data.test_examples]
@@ -282,7 +310,7 @@ def test_nan_gradient_on_touched_item_row_raises(small_data, monkeypatch, mode):
 
     _plant_after_finalize(monkeypatch, plant)
     config = TrainConfig(max_steps=2, batch_size=4, eval_every=0, seed=2, softmax_mode=mode)
-    with pytest.raises(ValueError, match="NaN or Inf"):
+    with pytest.raises(TrainingDivergedError, match="NaN or Inf"):
         train(small_data, config, dim=8, item_dim=6, clustering="random")
 
 
@@ -296,7 +324,7 @@ def test_nan_gradient_on_dense_parameter_raises(small_data, monkeypatch, name):
 
     _plant_after_finalize(monkeypatch, plant)
     config = TrainConfig(max_steps=1, batch_size=4, eval_every=0, seed=2)
-    with pytest.raises(ValueError, match=f"{name} contains NaN or Inf"):
+    with pytest.raises(TrainingDivergedError, match=f"{name} contains NaN or Inf"):
         train(small_data, config, dim=8, item_dim=6, clustering="random")
 
 
@@ -310,7 +338,7 @@ def test_large_decay_checks_every_item_row(small_data, monkeypatch):
 
     _plant_after_finalize(monkeypatch, plant)
     config = TrainConfig(max_steps=1, batch_size=2, learning_rate=1.0, weight_decay=2.5, eval_every=0, seed=2)
-    with pytest.raises(ValueError, match="NaN or Inf"):
+    with pytest.raises(TrainingDivergedError, match="NaN or Inf"):
         train(small_data, config, dim=8, item_dim=6, clustering="random")
 
 
