@@ -92,6 +92,8 @@ class ProjectionHead:
             raise ValueError(
                 f"projection weight rows {self.weight.shape[0]} != bias size {self.bias.shape[0]}"
             )
+        check_finite(self.weight, "projection weight")
+        check_finite(self.bias, "projection bias")
         self.weight.flags.writeable = False  # written only through ModelTables.writing()
         self.bias.flags.writeable = False
 

@@ -6,11 +6,13 @@ with an ID-only fraction), encode it as one ``(B, d)`` query matrix, take
 exact losses and gradients from the softmax head in one batched pass
 (``softmax.nll_and_grad``), chain the query gradients through the encoder
 (``encoder.encode_backward``), and apply an SGD update with cosine
-learning-rate decay and decoupled weight decay.  The raw item table is
-written only on the rows that received gradient: the update expands the
-factored :class:`~hsrec.tables.ItemRowGrad` (low-rank row parts: lifted
-clusters and projected rows) one part at a time, and checks each written
-block for finiteness as it goes.  Weight decay still reaches every row.
+learning-rate decay and decoupled weight decay, which ``TrainConfig`` keeps
+below one (``learning_rate * weight_decay < 1``).  Every table is written by
+one rule: a block of it is computed, checked for finiteness and only then
+written, so no table ever holds NaN or Inf.  The raw item table is written
+only on the rows that received gradient: the update expands the factored
+:class:`~hsrec.tables.ItemRowGrad` (low-rank row parts: lifted clusters and
+projected rows) one part at a time.  Weight decay still reaches every row.
 Runs are deterministic per seed in single-threaded mode: identical seeds
 give identical loss curves.
 """
@@ -71,6 +73,11 @@ class TrainConfig:
         for name in ("learning_rate", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # Decoupled decay multiplies by 1 - lr * weight_decay: below 1 it never flips or grows a table.
+        if self.learning_rate * self.weight_decay >= 1.0:
+            raise ValueError(
+                f"learning_rate * weight_decay must be below 1, got {self.learning_rate} * {self.weight_decay}"
+            )
         if not 0.0 <= self.id_only_fraction <= 1.0:
             raise ValueError("id_only_fraction must be in [0, 1]")
         if not 0.0 <= self.metadata_keep_prob <= 1.0:
@@ -165,52 +172,39 @@ def init_model(
 
 
 def cosine_lr(base_lr: float, step: int, max_steps: int) -> float:
-    if max_steps <= 0:
-        return base_lr
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / max_steps))
 
 
 def _apply_update(snapshot: ModelSnapshot, grads: dict, lr: float, weight_decay: float, n: int) -> None:
     """SGD with decoupled weight decay, in place; raises
-    :class:`TrainingDivergedError`, naming the table, if it leaves a
-    parameter non-finite.
+    :class:`TrainingDivergedError`, naming the table, before it would write
+    a non-finite parameter.
 
-    Each written array is checked right after its write.  The raw item table
-    is written only on the rows of its :class:`ItemRowGrad`, one expanded
-    block at a time, and each block is checked before it is written.  Every table
-    is finite before an update (checked when built or loaded, and by every
-    update), and rows that received no gradient are only multiplied by
-    ``1 - lr * weight_decay``, of magnitude at most 1 unless ``lr *
-    weight_decay > 2``; only then is the whole item table read as well.
+    Every table is written block by block: the raw item table on the rows of
+    each expanded :class:`ItemRowGrad` part, every other table as one block.
+    Each block is cast to the table's dtype and checked before it is written;
+    the gradients are consumed in place.  Every table is finite before an
+    update (checked when built or loaded, and by every update), and rows that
+    received no gradient are only multiplied by ``1 - lr * weight_decay``,
+    which ``TrainConfig`` keeps in (0, 1].
     """
-    decay = lr * weight_decay
     with snapshot.tables.writing() as params:
         params.update(snapshot.encoder.parameter_arrays())
         for name, arr in params.items():
-            grad = grads.get(name)
-            if grad is None:
-                continue
+            grad = grads[name]
             # Decoupled weight decay on matrices/embeddings only, never biases.
             if weight_decay and arr.ndim == 2:
-                arr *= 1.0 - decay
-            if isinstance(grad, ItemRowGrad):
-                for rows, block in grad.blocks():
-                    # lr * (block / n) in place: the same rounding, no temporaries.
-                    np.divide(block, n, out=block)
-                    np.multiply(block, lr, out=block)
-                    # arr[rows] -= block in float64, cast once to the table's
-                    # dtype; the cast rows are checked before they are written.
-                    np.subtract(arr[rows], block, out=block)
-                    written = block.astype(arr.dtype, copy=False)
-                    check_finite(written, name, TrainingDivergedError)
-                    arr[rows] = written
-                if decay > 2.0:
-                    check_finite(arr, name, TrainingDivergedError)
-            else:
-                step = grad / n  # lr * (grad / n), with one temporary
-                step *= lr
-                arr -= step
-                check_finite(arr, name, TrainingDivergedError)
+                arr *= 1.0 - lr * weight_decay
+            for rows, block in grad.blocks() if isinstance(grad, ItemRowGrad) else [(slice(None), grad)]:
+                # lr * (block / n) in place: the same rounding, no temporaries.
+                np.divide(block, n, out=block)
+                np.multiply(block, lr, out=block)
+                # arr[rows] -= block in float64, cast once to the table's
+                # dtype; the cast rows are checked before they are written.
+                np.subtract(arr[rows], block, out=block)
+                written = block.astype(arr.dtype, copy=False)
+                check_finite(written, name, TrainingDivergedError)
+                arr[rows] = written
 
 
 def validation_recall(snapshot: ModelSnapshot, data: Dataset, k: int = 10, sample: int = 0) -> float:
@@ -237,6 +231,9 @@ def train(data: Dataset, config: TrainConfig, snapshot: ModelSnapshot | None = N
     early after ``patience`` evaluations without improvement.  A non-finite
     loss aborts with :class:`TrainingDivergedError`.
     """
+    n_train = data.train_ends.size
+    if n_train == 0:  # before any model, and so any clustering, is built
+        raise DataError("train split is empty")
     if snapshot is None:
         snapshot = init_model(data, config, **model_kwargs)
     elif model_kwargs:
@@ -246,9 +243,6 @@ def train(data: Dataset, config: TrainConfig, snapshot: ModelSnapshot | None = N
     cmap = snapshot.cluster_map
     mode = config.softmax_mode
     rng = np.random.default_rng(config.seed)
-    n_train = data.train_ends.size
-    if n_train == 0:
-        raise DataError("train split is empty")
 
     result = TrainResult(snapshot=snapshot)
     best_recall = -1.0

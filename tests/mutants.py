@@ -67,6 +67,8 @@ MUTANTS = [
     ("tables", "+= 1\n            self._drop_derived()", "+= 1", "writing() keeps the derived copies"),
     ("tables", "if value is None:", "if True:", "derived copies rebuilt on every call"),
     ("tables", 'check_finite(arr, "embedding table")', "pass", "tables accept NaN and Inf"),
+    ("tables", 'check_finite(self.weight, "projection weight")', "pass", "a projection head accepts a NaN weight"),
+    ("tables", 'check_finite(self.bias, "projection bias")', "pass", "a projection head accepts a NaN bias"),
     ("tables", "raise error(f", "raise ValueError(f", "a non-finite update raises ValueError, so it exits as usage"),
     ("tables", "self.item_projected()[cluster_map.item_order]", "self.item_projected()", "rows left in item order"),
     ("tables", "d_proj[pos[start:end][hit]] +=", "d_proj[pos[start:end][hit]] =",
@@ -77,8 +79,11 @@ MUTANTS = [
     ("tables", "if left.shape[1] == 1:", "if False:",
      EQUIVALENT + "a rank-1 part's left @ right has the einsum's bits; the einsum is the faster of the two"),
     ("trainer", "math.pi * step / max_steps", "math.pi * (step + 1) / max_steps", "cosine schedule off by one"),
-    ("trainer", "if decay > 2.0:", "if decay > 3.0:", "full-table finiteness check from decay > 3"),
-    ("trainer", "check_finite(written, name, TrainingDivergedError)", "pass", "a non-finite item row is written"),
+    ("trainer", "check_finite(written, name, TrainingDivergedError)", "pass", "a non-finite block is written"),
+    ("trainer", "if self.learning_rate * self.weight_decay >= 1.0:", "if False:",
+     "a decay product of 1 or more accepted"),
+    ("trainer", "if n_train == 0:  # before any model", "if False:  # before any model",
+     "an empty train split builds a model first"),
     ("trainer", 'if cluster_map is None and config.softmax_mode == "full":', "if False:",
      "a full-softmax model is clustered again"),
     ("trainer", "if clustering not in (*CLUSTERINGS, None):", "if False:", "a full-softmax model takes any clustering"),

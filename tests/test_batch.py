@@ -182,6 +182,7 @@ def assert_dense_update_bitwise(seqs, targets, tables, cmap, enc, mode):
     snap = SimpleNamespace(tables=tables, encoder=enc)  # what _apply_update reads
     arrays = {**tables.parameter_arrays(), **enc.parameter_arrays()}
     before = {name: arr.copy() for name, arr in arrays.items()}
+    dense = {name: np.array(final[name]) for name in before}  # the update consumes the gradients in place
     lr, weight_decay, n = 0.3, 0.01, len(seqs)
     _apply_update(snap, final, lr, weight_decay, n)
     for name, arr in before.items():
@@ -189,7 +190,7 @@ def assert_dense_update_bitwise(seqs, targets, tables, cmap, enc, mode):
         want = arr.copy()
         if want.ndim == 2:
             want *= 1.0 - lr * weight_decay
-        want -= lr * (np.asarray(final[name]) / n)
+        want -= lr * (dense[name] / n)
         assert np.array_equal(want, arrays[name]), name
     untouched = np.ones(tables.n_items, dtype=bool)
     untouched[touched_item_rows(final["item_raw"])] = False

@@ -508,9 +508,12 @@ def inputs(corpus, tmp_path_factory):
         save_snapshot(snapshot, paths[name])
 
     lines = corpus.read_text(encoding="utf-8").splitlines()
-    # 6,700 users x 3 events over 20,001 items: beyond k-means' cap.
-    big = (json.dumps({"user": f"u{n // 3}", "item": f"i{n % 20001}", "timestamp": n % 3}) for n in range(20100))
-    texts = {"reordered": reversed(lines), "big": big}  # reordered: the same items, first seen in another order
+    # 5,025 users x 4 events over 20,001 items: beyond k-means' cap, with a train split.
+    big = (json.dumps({"user": f"u{n // 4}", "item": f"i{n % 20001}", "timestamp": n % 4}) for n in range(20100))
+    # 20 users x 3 events: a validation and a test target each, and no train example.
+    three_events = (json.dumps({"user": f"u{n // 3}", "item": f"i{n % 7}", "timestamp": n % 3}) for n in range(60))
+    # reordered: the same items, first seen in another order.
+    texts = {"reordered": reversed(lines), "big": big, "three_events": three_events}
     for name, (value, _) in BAD_TIMESTAMPS.items():
         texts[f"timestamp_{name}"] = (f'{{"user": "u", "item": "i{t}", "timestamp": {t}}}' for t in ("3", value, "1", "2"))
     for name, (line, _) in BAD_IDS.items():
@@ -726,11 +729,25 @@ CONTRACTS = {
        for engine in ("structure", "ann")},
     "eval-diverged-model": (["eval", "--data", "{data}", "--snapshot", "{diverged}"], None, 3, "the model has diverged"),
     # Before, a parameter left non-finite by an update exited 1 as a usage error.
-    "train-update-overflows": ([*TRAIN, "--vocab-size", 40, "--learning-rate", "1e300"], None, 3,
+    # No weight decay: the decay product must stay below 1.
+    "train-update-overflows": ([*TRAIN, "--vocab-size", 40, "--learning-rate", "1e300", "--weight-decay", 0], None, 3,
                                "text contains NaN or Inf"),
     # Under the suite's error::RuntimeWarning filter; before, the warning escaped main as a traceback.
-    "train-overflow-warning-raised": ([*TRAIN, "--vocab-size", 40, "--learning-rate", "1e30"], None, 3,
-                                      "overflow encountered in matmul"),
+    "train-overflow-warning-raised": ([*TRAIN, "--vocab-size", 40, "--learning-rate", "1e30", "--weight-decay", 0],
+                                      None, 3, "overflow encountered in matmul"),
+    # Decoupled decay multiplies by 1 - lr * weight_decay, which must stay
+    # positive; checked before the missing corpus is read.
+    "train-decay-product-flag": (["train", "--data", "{missing}", "--learning-rate", 2, "--weight-decay", 0.5], None,
+                                 1, "learning_rate * weight_decay must be below 1, got 2.0 * 0.5"),
+    "train-decay-product-config": (["train", "--data", "{missing}"], "[train]\nlearning_rate = 2\nweight_decay = 0.5\n",
+                                   1, "learning_rate * weight_decay must be below 1, got 2.0 * 0.5"),
+    "eval-ablation-decay-product": (["eval", "--data", "{missing}", "--clusters", "all", "--learning-rate", "1e5"],
+                                    None, 1, "learning_rate * weight_decay must be below 1, got 100000.0 * 1e-05"),
+    # The split is checked before a model, and so k-means, is built.
+    "train-empty-split": (["train", "--data", "{three_events}", "--steps", 1], None, 2, "train split is empty"),
+    "eval-without-snapshot": (["eval", "--data", "{data}"], None, 1, "--snapshot is required unless --clusters all"),
+    "config-key-before-section": (["ingest", "--data", "{data}"], "data = a\n[ingest]\n", 2,
+                                  "{config}:1: key outside any [command] section"),
     # A full softmax reads no clustering, so it takes no clustering option, and
     # --features, read only with --clusters kmeans, is unread with it.  Before, all were accepted.
     **from_flag_and_config([("train", option, value, f"--{option.replace('_', '-')} {READ_ONLY} {mode}")

@@ -78,6 +78,17 @@ def test_embedding_table_rejects_nonfinite():
         EmbeddingTable(np.ones((2, 2), dtype=np.int64))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_projection_head_rejects_nonfinite(value):
+    weight, bias = np.zeros((2, 3)), np.zeros(2)
+    weight[1, 2] = value
+    with pytest.raises(ValueError, match="projection weight contains NaN or Inf"):
+        ProjectionHead(weight, bias)
+    bias[0] = value
+    with pytest.raises(ValueError, match="projection bias contains NaN or Inf"):
+        ProjectionHead(np.zeros((2, 3)), bias)
+
+
 def test_init_tables_seeded_and_scaled():
     t1 = init_tables(10, 20, 8, 16, seed=5)
     t2 = init_tables(10, 20, 8, 16, seed=5)

@@ -1,10 +1,11 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
 import hsrec.trainer
-from helpers import refit_on_random_map, synth_dataset, touched_item_rows
+from helpers import param_arrays, refit_on_random_map, synth_dataset, touched_item_rows
 from hsrec.catalog import build_dataset, ingest_jsonl
 from hsrec.encoder import encode
 from hsrec.evaluate import EVAL_BLOCK, popularity_baseline
@@ -34,6 +35,11 @@ def snapshot_bytes(snapshot):
     arrays = dict(snapshot.tables.parameter_arrays())
     arrays.update(snapshot.encoder.parameter_arrays())
     return {name: arr.copy() for name, arr in arrays.items()}
+
+
+def assert_parameters_finite(snapshot):
+    for name, arr in param_arrays(snapshot.tables, snapshot.encoder).items():
+        assert np.isfinite(arr).all(), name
 
 
 def test_render_id_only_shape(small_data):
@@ -259,6 +265,23 @@ def test_predict_equals_per_history_oracle(tmp_path, mode):
     assert est.predict([], k=5) == []
 
 
+def test_fit_reads_a_path_an_interactions_object_and_a_dataset_alike(tmp_path):
+    synth_dataset(tmp_path, n_users=60, n_items=16, n_groups=4, seed=2)
+    path = tmp_path / "synth.jsonl"
+    inputs = [path, ingest_jsonl(path), build_dataset(ingest_jsonl(path), vocab_size=SequenceRecommender.vocab_size)]
+    params = dict(dim=8, item_dim=8, max_steps=20, batch_size=8, eval_every=0, seed=0, n_clusters=4)
+    fitted = [SequenceRecommender(**params).fit(X) for X in inputs]
+    data = fitted[0].dataset_
+    histories = [[data.catalog[i].item_id for i in e.history] for e in data.test_examples]
+    want = param_arrays(fitted[0].snapshot_.tables, fitted[0].snapshot_.encoder)
+    for est in fitted[1:]:
+        got = param_arrays(est.snapshot_.tables, est.snapshot_.encoder)
+        assert got.keys() == want.keys()
+        for name, arr in got.items():
+            assert arr.dtype == want[name].dtype and arr.tobytes() == want[name].tobytes(), name
+        assert est.predict(histories, k=5) == fitted[0].predict(histories, k=5)
+
+
 def test_predict_scores_with_the_fitted_softmax_mode(tmp_path):
     # Changing the parameter without refitting leaves the fitted two-level
     # model, and predict scores it as score() and evaluate do.
@@ -310,36 +333,53 @@ def test_nan_gradient_on_touched_item_row_raises(small_data, monkeypatch, mode):
 
     _plant_after_finalize(monkeypatch, plant)
     config = TrainConfig(max_steps=2, batch_size=4, eval_every=0, seed=2, softmax_mode=mode)
-    with pytest.raises(TrainingDivergedError, match="NaN or Inf"):
-        train(small_data, config, dim=8, item_dim=6, clustering="random")
+    snapshot = init_model(small_data, config, dim=8, item_dim=6, clustering="random")
+    with pytest.raises(TrainingDivergedError, match="item_raw contains NaN or Inf"):
+        train(small_data, config, snapshot=snapshot)
+    assert_parameters_finite(snapshot)
 
 
 @pytest.mark.parametrize(
     "name", ["text", "proj_weight", "proj_bias", "centroids", "enc_hidden_w", "enc_hidden_b", "enc_out_w", "enc_out_b"]
 )
 def test_nan_gradient_on_dense_parameter_raises(small_data, monkeypatch, name):
-    # Every parameter but the raw item table is checked whole after its write.
+    # Every table is checked before its write, so the refused update writes no NaN.
     def plant(tables, grads):
         grads[name].flat[0] = np.nan
 
     _plant_after_finalize(monkeypatch, plant)
     config = TrainConfig(max_steps=1, batch_size=4, eval_every=0, seed=2)
+    snapshot = init_model(small_data, config, dim=8, item_dim=6, clustering="random")
     with pytest.raises(TrainingDivergedError, match=f"{name} contains NaN or Inf"):
-        train(small_data, config, dim=8, item_dim=6, clustering="random")
+        train(small_data, config, snapshot=snapshot)
+    assert_parameters_finite(snapshot)
 
 
-def test_large_decay_checks_every_item_row(small_data, monkeypatch):
-    # With lr * weight_decay > 2, decay alone can overflow an untouched row,
-    # so the whole table is read: a NaN planted off the touched rows raises.
-    def plant(tables, grads):
-        untouched = np.setdiff1d(np.arange(tables.n_items), touched_item_rows(grads["item_raw"]))
-        with tables.writing() as arrays:
-            arrays["item_raw"][untouched[0]] = np.nan
+def test_config_refuses_a_decay_product_of_one_or_more():
+    # Decoupled decay multiplies each matrix by 1 - lr * weight_decay: at 1
+    # it zeroes the matrices, beyond 1 it flips their sign, beyond 2 it grows them.
+    for learning_rate, weight_decay in [(1.0, 2.5), (2.0, 0.5), (1e5, TrainConfig.weight_decay), (1.0, 1.0)]:
+        message = f"learning_rate * weight_decay must be below 1, got {learning_rate} * {weight_decay}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(learning_rate=learning_rate, weight_decay=weight_decay)
+    assert TrainConfig(learning_rate=2.0, weight_decay=0.49).weight_decay == 0.49
+    assert TrainConfig(learning_rate=1e30, weight_decay=0.0).learning_rate == 1e30
 
-    _plant_after_finalize(monkeypatch, plant)
-    config = TrainConfig(max_steps=1, batch_size=2, learning_rate=1.0, weight_decay=2.5, eval_every=0, seed=2)
-    with pytest.raises(TrainingDivergedError, match="NaN or Inf"):
-        train(small_data, config, dim=8, item_dim=6, clustering="random")
+
+def test_empty_train_split_raises_before_any_clustering(tmp_path, monkeypatch):
+    # Three events a user give a validation and a test target each, and no train example.
+    path = tmp_path / "three.jsonl"
+    path.write_text("".join(json.dumps({"user": f"u{n // 3}", "item": f"i{n % 7}", "timestamp": n % 3}) + "\n"
+                            for n in range(60)), encoding="utf-8")
+    data = build_dataset(ingest_jsonl(path), vocab_size=512)
+    assert data.train_ends.size == 0 and data.n_items == 7
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was built for an empty train split")
+
+    monkeypatch.setattr(hsrec.trainer, "build_cluster_map", refuse)
+    with pytest.raises(DataError, match="train split is empty"):
+        train(data, TrainConfig(max_steps=1, eval_every=0), dim=8, item_dim=6)
 
 
 @pytest.mark.parametrize("mode", ["twolevel", "full"])
